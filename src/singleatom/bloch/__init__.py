@@ -14,7 +14,6 @@ from .two_level import (
 from .four_level import (
     FourLevelParams,
     FourLevelLiouvillian,
-    four_level_liouvillian,
     four_level_g2,
     apply_trap_shifts,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "two_level_steady_excited",
     "FourLevelParams",
     "FourLevelLiouvillian",
-    "four_level_liouvillian",
     "four_level_g2",
     "apply_trap_shifts",
     "DiffusionEnvelope",

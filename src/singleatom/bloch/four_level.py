@@ -4,8 +4,9 @@ Levels (bare basis order): ``a`` = 5P3/2 F'=2, ``b`` = 5S1/2 F=1,
 ``c`` = 5S1/2 F=2, ``d`` = 5P3/2 F'=3.  A cooling field couples c-a and
 c-d, a repump field couples b-a.  In the frame rotating with both laser
 frequencies the generator of the master equation is time independent, so
-steady states come from a null-space solve and g2(tau) from one linear
-time evolution started in the post-emission ground-state mixture.
+steady states come from a null-space solve and g2(tau) from one exact
+linear time evolution (eigen-expansion of the generator) started in the
+post-emission ground-state mixture.
 
 The upper limit g2 = 2 of a two-level atom does not bind here: for cooling
 detunings of several linewidths the Rabi oscillations overshoot it.
@@ -26,7 +27,7 @@ from ..constants import (
     RB87_ISAT_F2_F2,
     RB87_ISAT_F2_F3,
 )
-from ..integrator import integrate
+from ..integrator import propagate_linear
 from ..lightshift import HyperfineLevel, LaserField, LineTable, ground_shift_alkali, hyperfine_shift, load_default_lines
 from .state import DensityMatrix
 
@@ -34,7 +35,6 @@ __all__ = [
     "BASIS_LABELS",
     "FourLevelParams",
     "FourLevelLiouvillian",
-    "four_level_liouvillian",
     "four_level_g2",
     "apply_trap_shifts",
 ]
@@ -134,6 +134,7 @@ def _apply_generator(params: FourLevelParams, h: np.ndarray, rho: np.ndarray) ->
 
 # real 16-vector layout: 4 populations, then (Re, Im) of the 6 upper coherences
 _PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+_ROWS, _COLS = np.array(_PAIRS).T
 
 
 def _to_real_vector(rho: np.ndarray) -> np.ndarray:
@@ -146,12 +147,15 @@ def _to_real_vector(rho: np.ndarray) -> np.ndarray:
 
 
 def _from_real_vector(vec: np.ndarray) -> np.ndarray:
-    rho = np.zeros((4, 4), dtype=complex)
-    for i in range(4):
-        rho[i, i] = vec[i]
-    for n, (i, k) in enumerate(_PAIRS):
-        rho[i, k] = vec[4 + 2 * n] + 1j * vec[5 + 2 * n]
-        rho[k, i] = rho[i, k].conjugate()
+    """Hermitian 4x4 matrices from real 16-vectors; ``vec`` is (..., 16)."""
+    vec = np.asarray(vec)
+    rho = np.zeros(vec.shape[:-1] + (4, 4), dtype=complex)
+    diag = np.arange(4)
+    # filled through the real and imaginary views: no complex temporaries
+    rho.real[..., diag, diag] = vec[..., :4]
+    rho.real[..., _ROWS, _COLS] = rho.real[..., _COLS, _ROWS] = vec[..., 4::2]
+    rho.imag[..., _ROWS, _COLS] = vec[..., 5::2]
+    rho.imag[..., _COLS, _ROWS] = -vec[..., 5::2]
     return rho
 
 
@@ -193,19 +197,13 @@ class FourLevelLiouvillian:
         return DensityMatrix(entries=rho, basis_labels=BASIS_LABELS)
 
     def propagate(self, rho0: np.ndarray, t_grid) -> np.ndarray:
-        """Evolve an initial density matrix; returns (len(t), 4, 4) complex."""
-        m = self.matrix_real
+        """Evolve an initial density matrix; returns (len(t), 4, 4) complex.
 
-        def rhs(_t, y):
-            return m @ y
-
-        traj = integrate(rhs, _to_real_vector(np.asarray(rho0, dtype=complex)), t_grid)
-        return np.array([_from_real_vector(v) for v in traj])
-
-
-def four_level_liouvillian(params: FourLevelParams) -> FourLevelLiouvillian:
-    """Assemble the rotating-frame generator for the given parameters."""
-    return FourLevelLiouvillian(params)
+        The evolution is exact (eigen-expansion of ``matrix_real``);
+        ``t_grid`` starts at the time of ``rho0``.
+        """
+        y0 = _to_real_vector(np.asarray(rho0, dtype=complex))
+        return _from_real_vector(propagate_linear(self.matrix_real, y0, t_grid))
 
 
 def post_emission_state(params: FourLevelParams, steady: DensityMatrix) -> np.ndarray:

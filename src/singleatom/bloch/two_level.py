@@ -3,15 +3,15 @@
 After a photon detection the atom is projected to the ground state, so
 g2(tau) equals the re-excitation probability rho_ee(tau) normalized by its
 steady-state value (quantum regression).  The closed-form damped-Rabi
-expression and a direct optical-Bloch-equation integration are both
-provided; they agree to integrator precision on resonance.
+expression and an exact optical-Bloch-equation propagation are both
+provided; they agree to rounding on resonance.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..integrator import integrate
+from ..integrator import propagate_linear
 
 __all__ = [
     "two_level_g2_analytic",
@@ -48,22 +48,21 @@ def two_level_steady_excited(omega0_rabi: float, delta: float, gamma: float) -> 
     return (omega0_rabi**2 / 4.0) / (delta**2 + omega0_rabi**2 / 2.0 + gamma**2 / 4.0)
 
 
-def _obe_rhs(omega: float, delta: float, gamma: float):
-    # y = (rho_ee, u, v) with (u, v) the coherence quadratures; rho_gg
-    # eliminated by the trace
-    def rhs(_t, y):
-        p_ee, u, v = y
-        return np.array([
-            -gamma * p_ee + omega * v,
-            -gamma / 2.0 * u - delta * v,
-            delta * u - gamma / 2.0 * v - omega / 2.0 * (2 * p_ee - 1.0),
-        ])
-    return rhs
+def _obe_generator(omega: float, delta: float, gamma: float) -> np.ndarray:
+    # y = (rho_ee, u, v, 1) with (u, v) the coherence quadratures; rho_gg is
+    # eliminated by the trace, and the constant last component turns the
+    # affine drive term of v into a linear one
+    return np.array([
+        [-gamma, 0.0, omega, 0.0],
+        [0.0, -gamma / 2.0, -delta, 0.0],
+        [-omega, delta, -gamma / 2.0, omega / 2.0],
+        [0.0, 0.0, 0.0, 0.0],
+    ])
 
 
 def two_level_obe_g2(omega0_rabi: float, delta: float, gamma: float,
                      tau_grid) -> np.ndarray:
-    """g2(tau) from direct integration of the two-level Bloch equations.
+    """g2(tau) from the exact solution of the two-level Bloch equations.
 
     Starts from the post-detection state (all population in the ground
     level, no coherence) and divides by the steady-state excited population.
@@ -78,7 +77,8 @@ def two_level_obe_g2(omega0_rabi: float, delta: float, gamma: float,
         raise ValueError("delays must be nonnegative")
     prepend = len(tau) == 0 or tau[0] != 0.0
     grid = np.concatenate([[0.0], tau]) if prepend else tau
-    traj = integrate(_obe_rhs(omega0_rabi, delta, gamma), np.zeros(3), grid)
+    traj = propagate_linear(_obe_generator(omega0_rabi, delta, gamma),
+                            [0.0, 0.0, 0.0, 1.0], grid)
     if prepend:
         traj = traj[1:]
     return traj[:, 0] / steady

@@ -91,9 +91,9 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: str | None, header: list[str], rows: list[list]) -> None:
-    text = ",".join(header) + "\n"
-    for row in rows:
-        text += ",".join(_fmt(v) for v in row) + "\n"
+    lines = [",".join(header)]
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -101,11 +101,22 @@ def _write_csv(path: str | None, header: list[str], rows: list[list]) -> None:
             fh.write(text)
 
 
+def _time_evolution(scenario: str, params: dict) -> dict:
+    """The time-evolution method a run used, for the metadata sidecar.
+
+    Only the g2 Bloch models evolve a state, and they do so exactly; no
+    scenario integrates with RK45 (the STIRAP readout is a closed form).
+    """
+    if scenario == "g2" and params["model"] != "two-level-analytic":
+        return {"method": "eigen-propagator"}
+    return {"method": "none"}
+
+
 def _write_metadata(out_path: str, scenario: str, params: dict) -> None:
     meta = {
         "scenario": scenario,
         "library_version": __version__,
-        "integrator": {"method": "RK45", "rtol": 1e-9, "atol": 1e-12},
+        "integrator": _time_evolution(scenario, params),
         "parameters": {k: params[k] for k in sorted(params)},
     }
     with open(out_path + ".meta.json", "w", encoding="utf-8", newline="\n") as fh:
@@ -140,8 +151,9 @@ def _positive(args, names: list[str]) -> list[str]:
     errors = []
     for n in names:
         value = getattr(args, n.replace("-", "_"), None)
-        if value is not None and value <= 0:
-            errors.append(f"--{n} must be positive (unit in the key name), got {value}")
+        if value is not None and not (math.isfinite(value) and value > 0):
+            errors.append(
+                f"--{n} must be positive and finite (unit in the key name), got {value}")
     return errors
 
 

@@ -1,21 +1,46 @@
-"""Shared ODE integration helpers.
+"""Shared time-evolution helpers.
 
-Every time evolution in the package runs through the same adaptive
-embedded Runge-Kutta 4(5) integrator (rtol 1e-9, atol 1e-12).  A fixed-step
-RK4 is kept for bit-reproducible regression snapshots.
+Linear, time-independent generators (the four-level and two-level Bloch
+models) are propagated exactly from one eigendecomposition
+(``propagate_linear``).  Time-dependent or nonlinear right-hand sides (STIRAP
+pulses, the mean-number loading ODE) run through an adaptive embedded
+Runge-Kutta 4(5) integrator at rtol 1e-9, atol 1e-12 (``integrate``).
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import eig
 
 RTOL = 1e-9
 ATOL = 1e-12
 
+# delays per block of exponentials in propagate_linear; bounds the complex
+# temporaries to a few hundred kB whatever the grid length
+_CHUNK = 1024
+# The rounding error of the eigen-expansion grows like eps / s^2, with s the
+# smallest |w_k^H v_k| of the unit eigenvectors (measured towards the
+# two-level exceptional point, where s -> 0).  Below this s it would pass
+# 1e-6, so the propagation is refused instead of returning noise.
+_MIN_OVERLAP = math.sqrt(np.finfo(float).eps / 1e-6)
+
 
 class IntegrationError(RuntimeError):
-    """Raised when the adaptive integrator fails to complete a trajectory."""
+    """Raised when a trajectory cannot be computed to working accuracy."""
+
+
+def _checked_grid(t_grid) -> np.ndarray:
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or len(t_grid) == 0:
+        raise ValueError("t_grid must be a nonempty 1-D array")
+    if not np.all(np.isfinite(t_grid)):
+        raise ValueError("t_grid must be finite")
+    if np.any(np.diff(t_grid) < 0):
+        raise ValueError("t_grid must be nondecreasing")
+    return t_grid
 
 
 def integrate(f, y0, t_grid, rtol: float = RTOL, atol: float = ATOL) -> np.ndarray:
@@ -24,11 +49,7 @@ def integrate(f, y0, t_grid, rtol: float = RTOL, atol: float = ATOL) -> np.ndarr
     Returns an array of shape (len(t_grid), len(y0)).  ``t_grid`` must be
     nondecreasing and start at the initial time.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or len(t_grid) == 0:
-        raise ValueError("t_grid must be a nonempty 1-D array")
-    if np.any(np.diff(t_grid) < 0):
-        raise ValueError("t_grid must be nondecreasing")
+    t_grid = _checked_grid(t_grid)
     y0 = np.asarray(y0)
     if len(t_grid) == 1:
         return y0[None, :].copy()
@@ -41,21 +62,31 @@ def integrate(f, y0, t_grid, rtol: float = RTOL, atol: float = ATOL) -> np.ndarr
     return sol.y.T
 
 
-def rk4_fixed(f, y0, t_grid, substeps: int = 1) -> np.ndarray:
-    """Classical fixed-step RK4 on the given grid (reproducibility fallback)."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    y = np.asarray(y0).astype(complex if np.iscomplexobj(y0) else float)
-    out = np.empty((len(t_grid), len(y)), dtype=y.dtype)
-    out[0] = y
-    for i in range(len(t_grid) - 1):
-        t0, t1 = t_grid[i], t_grid[i + 1]
-        h = (t1 - t0) / substeps
-        for k in range(substeps):
-            t = t0 + k * h
-            k1 = f(t, y)
-            k2 = f(t + h / 2, y + h / 2 * k1)
-            k3 = f(t + h / 2, y + h / 2 * k2)
-            k4 = f(t + h, y + h * k3)
-            y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[i + 1] = y
+def propagate_linear(m, y0, t_grid) -> np.ndarray:
+    """Exact solution of dy/dt = m y for a constant real matrix ``m``.
+
+    y(t) = sum_k c_k exp(lambda_k (t - t0)) v_k with (lambda_k, v_k) the
+    eigenpairs of ``m`` and c_k = (w_k^H y0) / (w_k^H v_k) from the left
+    eigenvectors w_k.  Returns the real array of shape (len(t_grid),
+    len(y0)); ``t_grid`` must be nondecreasing and start at the initial
+    time t0, and rows at t0 hold ``y0`` exactly.  Raises
+    ``IntegrationError`` when ``m`` is too close to defective (an
+    exceptional point) for the expansion to keep 1e-6 accuracy.
+    """
+    t_grid = _checked_grid(t_grid)
+    t = t_grid - t_grid[0]
+    y0 = np.asarray(y0, dtype=float)
+    lam, w, v = eig(m, left=True)
+    wh = w.conj().T
+    overlap = np.einsum("ij,ji->i", wh, v)
+    if np.abs(overlap).min() < _MIN_OVERLAP:
+        raise IntegrationError(
+            "generator is too close to an exceptional point for the eigen-propagator")
+    c = (wh @ y0) / overlap
+    cv = c[:, None] * v.T
+    out = np.empty((len(t), len(y0)))
+    for start in range(0, len(t), _CHUNK):
+        block = t[start:start + _CHUNK]
+        out[start:start + _CHUNK] = (np.exp(np.outer(block, lam)) @ cv).real
+    out[t == 0.0] = y0
     return out

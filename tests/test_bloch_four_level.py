@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from singleatom.bloch import (
     DensityMatrix,
@@ -11,8 +12,11 @@ from singleatom.bloch import (
     two_level_g2_analytic,
 )
 from singleatom.bloch.four_level import (
+    _PAIRS,
     BASIS_LABELS,
     FourLevelLiouvillian,
+    _from_real_vector,
+    _to_real_vector,
     post_emission_state,
 )
 from singleatom.constants import (
@@ -22,23 +26,39 @@ from singleatom.constants import (
     RB87_ISAT_F2_F3,
     intensity_from_mw_cm2,
 )
+from singleatom.integrator import integrate
 from singleatom.lightshift import LaserField
 
 G = RB87_GAMMA_D2
 
 
-def params_at(delta_over_gamma, icl=100.0, irl=12.0):
-    return FourLevelParams(
+def params_at(delta_over_gamma, icl=100.0, irl=12.0, trap_power=None):
+    params = FourLevelParams(
         i_cl=intensity_from_mw_cm2(icl),
         i_rl=intensity_from_mw_cm2(irl),
         delta_cl=delta_over_gamma * G,
     )
+    if trap_power is not None:
+        params = apply_trap_shifts(params, trap_field(trap_power),
+                                   kinetic_reduction=100e-6)
+    return params
 
 
 def trap_field(power):
     waist = 3.5e-6
     return LaserField(wavelength=856e-9, intensity=2 * power / (PI * waist**2),
                       epsilon=0)
+
+
+def expm_trajectory(liouv, rho0, t_grid, t0=0.0):
+    """Reference: exact exponential of the real generator at each delay."""
+    m, y0 = liouv.matrix_real, _to_real_vector(rho0)
+    return np.array([expm(m * (t - t0)) @ y0 for t in t_grid])
+
+
+def post_emission(params):
+    liouv = FourLevelLiouvillian(params)
+    return liouv, post_emission_state(params, liouv.steady_state())
 
 
 class TestGenerator:
@@ -89,11 +109,59 @@ class TestGenerator:
         assert np.abs(traj[-1] - steady.entries).max() < 1e-6
 
 
+class TestPropagator:
+    @pytest.mark.parametrize("trap_power", [None, 0.044])
+    @pytest.mark.parametrize("icl,irl,delta", [
+        (30.0, 3.0, -1.0), (30.0, 12.0, -5.0), (103.0, 3.0, -5.0), (103.0, 12.0, -1.0),
+    ])
+    def test_matches_expm_and_rk45(self, icl, irl, delta, trap_power):
+        params = params_at(delta, icl, irl, trap_power)
+        liouv, rho0 = post_emission(params)
+        t = np.linspace(0.0, 100e-9, 41)
+        traj = liouv.propagate(rho0, t)
+        ref = expm_trajectory(liouv, rho0, t)
+        assert np.abs(traj - _from_real_vector(ref)).max() <= 1e-9
+        m = liouv.matrix_real
+        rk45 = integrate(lambda _t, y: m @ y, _to_real_vector(rho0), t,
+                         rtol=1e-12, atol=1e-14)
+        assert np.abs(traj - _from_real_vector(rk45)).max() <= 1e-9
+
+    @pytest.mark.parametrize("grid", [
+        np.linspace(50e-9, 150e-9, 21),  # starts after 0
+        np.concatenate([[0.0], np.sort(np.random.default_rng(5).uniform(0.0, 200e-9, 60))]),
+        np.linspace(0.0, 500e-9, 2500),  # spans three blocks of exponentials
+    ], ids=["offset", "nonuniform", "multichunk"])
+    def test_grids(self, grid):
+        liouv, rho0 = post_emission(params_at(-5.0, trap_power=0.044))
+        traj = liouv.propagate(rho0, grid)
+        assert traj.shape == (len(grid), 4, 4)
+        assert np.array_equal(traj[0], rho0)
+        # about 40 delays, plus both sides of each block boundary
+        n = len(grid)
+        idx = np.unique(np.r_[0:n:max(1, n // 40), 1023, 1024, 2047, 2048, n - 1])
+        idx = idx[idx < n]
+        ref = expm_trajectory(liouv, rho0, grid[idx], t0=grid[0])
+        assert np.abs(traj[idx] - _from_real_vector(ref)).max() <= 1e-9
+
+    def test_real_vector_round_trip_matches_loop(self):
+        rng = np.random.default_rng(3)
+        vecs = rng.normal(size=(7, 16))
+        rhos = _from_real_vector(vecs)
+        for vec, rho in zip(vecs, rhos):
+            ref = np.diag(vec[:4]).astype(complex)
+            for n, (i, k) in enumerate(_PAIRS):
+                ref[i, k] = vec[4 + 2 * n] + 1j * vec[5 + 2 * n]
+                ref[k, i] = ref[i, k].conjugate()
+            assert np.array_equal(rho, ref)
+            assert np.array_equal(_to_real_vector(rho), vec)
+
+
 class TestG2:
     def test_antibunched_at_zero(self):
         tau = np.linspace(0.0, 100e-9, 50)
-        g2 = four_level_g2(params_at(-5.0), tau)
-        assert g2[0] == 0.0
+        for trap_power in (None, 0.044):
+            g2 = four_level_g2(params_at(-5.0, trap_power=trap_power), tau)
+            assert g2[0] == 0.0
 
     def test_agrees_with_two_level_at_small_detuning(self):
         from singleatom.bloch import two_level_obe_g2

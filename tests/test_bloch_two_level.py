@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from singleatom.constants import RB87_GAMMA_D2
+from singleatom.integrator import IntegrationError
 from singleatom.bloch import (
     two_level_g2_analytic,
     two_level_obe_g2,
@@ -59,10 +60,34 @@ class TestObe:
         omega = rabi_for(ratio)
         numeric = two_level_obe_g2(omega, 0.0, G, tau)
         analytic = two_level_g2_analytic(omega, 0.0, G, tau)
-        assert np.abs(numeric - analytic).max() < 1e-3
+        assert np.abs(numeric - analytic).max() <= 1e-9
+
+    @pytest.mark.parametrize("offset", [1e-6, -1e-6])
+    def test_near_exceptional_point(self, offset):
+        # critical damping on resonance: the two decay rates nearly coincide
+        tau = np.linspace(0.0, 25 / G, 600)
+        omega = G / 4 * (1 + offset)
+        numeric = two_level_obe_g2(omega, 0.0, G, tau)
+        analytic = two_level_g2_analytic(omega, 0.0, G, tau)
+        assert np.abs(numeric - analytic).max() <= 1e-7
+
+    def test_exceptional_point_refused(self):
+        # exactly defective generator (reached from the CLI by --icl 0.4475
+        # on resonance): refused instead of returning rounding noise
+        with pytest.raises(IntegrationError):
+            two_level_obe_g2(G / 4, 0.0, G, np.linspace(0.0, 25 / G, 50))
 
     def test_zero_delay(self):
         assert two_level_obe_g2(2 * G, -G, G, [0.0, 1e-9])[0] == 0.0
+        # every row at tau = 0 holds the post-detection state exactly
+        assert np.array_equal(two_level_obe_g2(2 * G, -G, G, [0.0, 0.0, 1e-9])[:2],
+                              [0.0, 0.0])
+        # a grid starting later gets tau = 0 prepended and dropped again
+        assert len(two_level_obe_g2(2 * G, -G, G, [1e-9, 2e-9])) == 2
+
+    def test_non_finite_delay_rejected(self):
+        with pytest.raises(ValueError):
+            two_level_obe_g2(2 * G, -G, G, [0.0, math.nan])
 
     def test_steady_state_closed_form(self):
         # long-time value of rho_ee against the standard saturation formula

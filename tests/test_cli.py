@@ -45,6 +45,19 @@ class TestListAndValidate:
         assert code == EXIT_VALIDATION
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("args", [
+        ["g2", "--delta-mhz", "-31", "--icl", "103", "--points", "11", "--tau-max-ns"],
+        ["trap", "--waist-um", "3.5", "--power-mw"],
+        ["lightshift", "--power-mw", "44", "--waist-um"],
+    ], ids=["g2-tau-max-ns", "trap-power-mw", "lightshift-waist-um"])
+    def test_non_finite_value_rejected(self, tmp_path, capsys, args, value):
+        code, out = run(tmp_path, args + [value])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and args[-1] in err
+        assert not out.exists()
+
     def test_out_of_range_eta_named(self, tmp_path, capsys):
         code, out = run(tmp_path, ["pair-rate", "--eta", "1.5"])
         assert code == EXIT_VALIDATION
