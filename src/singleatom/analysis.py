@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit, minimize_scalar
 
 from .constants import KB
 
@@ -183,6 +182,8 @@ def fit_doppler_sigma(reference: SpectrumProfile,
     free parameter; returns (sigma_nu, standard error) in Hz.  Raises
     ``RuntimeError`` with the residual norm when the minimization fails.
     """
+    from scipy.optimize import minimize_scalar
+
     ref = reference.peak_normalized()
     target = fluorescence.peak_normalized()
 
@@ -224,6 +225,8 @@ def kinetic_energy_from_sigma(sigma_nu: float, wavelength: float,
 
 def fit_envelope(tau, values) -> tuple[float, float]:
     """Fit 1 + A*exp(-tau/tau0) to correlation data; returns (A, tau0)."""
+    from scipy.optimize import curve_fit
+
     tau = np.asarray(tau, dtype=float)
     values = np.asarray(values, dtype=float)
 

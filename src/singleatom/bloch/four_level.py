@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import null_space
 
 from ..constants import (
     KB,
@@ -184,6 +183,8 @@ class FourLevelLiouvillian:
         return _apply_generator(self.params, self._h, np.asarray(rho, dtype=complex))
 
     def steady_state(self) -> DensityMatrix:
+        from scipy.linalg import null_space
+
         kernel = null_space(self.matrix_real)
         if kernel.shape[1] != 1:
             raise ValueError(

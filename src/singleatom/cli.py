@@ -54,6 +54,7 @@ from .entanglement import (
 from .integrator import IntegrationError
 from .lightshift import (
     LaserField,
+    LineDataError,
     find_magic_wavelength,
     ground_shift_alkali,
     load_default_lines,
@@ -78,6 +79,25 @@ SCENARIOS = (
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
+
+# upper bound on --points and on the length of an 'a..b:step' grid
+MAX_POINTS = 10**6
+
+# keys without a default, per scenario; `list` prints these
+_REQUIRED = {
+    "lightshift": ("power-mw", "waist-um"),
+    "magic": (),
+    "trap": ("power-mw", "waist-um"),
+    "loading": ("rate-per-s", "power-mw", "waist-um"),
+    "g2": ("delta-mhz", "icl-mw-cm2"),
+    "stirap": ("alpha-deg",),
+    "larmor": ("b-mgauss",),
+    "bell": (),
+    "correlations": ("beta-deg",),
+    "spectrum-fit": ("reference", "fluorescence"),
+    "pair-rate": ("eta",),
+}
+_REQUIRED_FULL_MODEL = ("env-a", "env-tau-us")
 
 
 class ValidationError(Exception):
@@ -131,20 +151,43 @@ def _parse_grid(spec: str, name: str) -> np.ndarray:
             span, step = spec.split(":")
             start, stop = span.split("..")
             start, stop, step = float(start), float(stop), float(step)
-            if step <= 0 or stop < start:
+            if not (math.isfinite(start) and math.isfinite(stop)
+                    and math.isfinite(step)) or step <= 0 or stop < start:
                 raise ValueError
-            n = int(round((stop - start) / step))
+            intervals = (stop - start) / step
+            if intervals >= MAX_POINTS:
+                raise ValidationError(f"{name}: more than {MAX_POINTS} grid points")
+            n = int(round(intervals))
             return start + step * np.arange(n + 1)
-        return np.array([float(spec)])
+        value = float(spec)
+        if not math.isfinite(value):
+            raise ValueError
+        return np.array([value])
     except ValueError as exc:
         raise ValidationError(
-            f"{name}: expected a number or 'start..stop:step', got {spec!r}"
+            f"{name}: expected a finite number or 'start..stop:step', got {spec!r}"
         ) from exc
 
 
-def _require(args, names: list[str]) -> list[str]:
+def _require(args, names) -> list[str]:
     missing = [n for n in names if getattr(args, n.replace("-", "_"), None) is None]
     return [f"missing required key --{n}" for n in missing]
+
+
+def _non_finite(args) -> list[str]:
+    """One error per float-valued flag (or --bracket-um pair) holding nan/inf."""
+    errors = []
+    for attr, value in vars(args).items():
+        values = value if isinstance(value, (tuple, list)) else (value,)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+            errors.append(f"--{attr.replace('_', '-')} must be finite, got {value}")
+    return errors
+
+
+def _points(args) -> list[str]:
+    if args.points is not None and not 2 <= args.points <= MAX_POINTS:
+        return [f"--points must lie in [2, {MAX_POINTS}]"]
+    return []
 
 
 def _positive(args, names: list[str]) -> list[str]:
@@ -180,8 +223,7 @@ def run_lightshift(args):
 
 
 def validate_lightshift(args):
-    return _require(args, ["wavelength-nm", "power-mw", "waist-um"]) + _positive(
-        args, ["wavelength-nm", "power-mw", "waist-um"])
+    return _positive(args, ["wavelength-nm", "power-mw", "waist-um"])
 
 
 def run_magic(args):
@@ -192,14 +234,10 @@ def run_magic(args):
 
 
 def validate_magic(args):
-    errors = []
-    if args.bracket_um is None:
-        errors.append("missing required key --bracket-um")
-    else:
-        lo, hi = args.bracket_um
-        if not 0 < lo < hi:
-            errors.append("--bracket-um must satisfy 0 < lo < hi")
-    return errors
+    lo, hi = args.bracket_um
+    if not 0 < lo < hi:
+        return ["--bracket-um must satisfy 0 < lo < hi"]
+    return []
 
 
 def run_trap(args):
@@ -247,9 +285,8 @@ def run_loading(args):
 
 
 def validate_loading(args):
-    errors = _require(args, ["rate-per-s", "power-mw", "waist-um"])
-    errors += _positive(args, ["power-mw", "waist-um", "wavelength-nm",
-                               "temperature-uk", "beta-cm3-s"])
+    errors = _positive(args, ["power-mw", "waist-um", "wavelength-nm",
+                              "temperature-uk", "beta-cm3-s"])
     if args.gamma_per_s is not None and args.gamma_per_s < 0:
         errors.append("--gamma-per-s must be nonnegative")
     if args.n_max is not None and args.n_max < 1:
@@ -298,14 +335,13 @@ def run_g2(args):
 
 
 def validate_g2(args):
-    errors = _require(args, ["delta-mhz", "icl-mw-cm2"])
+    errors = []
     if args.model not in ("two-level-analytic", "two-level-obe", "four-level", "full"):
         errors.append(f"unknown model {args.model!r}")
     errors += _positive(args, ["tau-max-ns", "irl-mw-cm2"])
-    if args.points is not None and args.points < 2:
-        errors.append("--points must be at least 2")
+    errors += _points(args)
     if args.model == "full":
-        errors += _require(args, ["env-a", "env-tau-us"])
+        errors += _require(args, _REQUIRED_FULL_MODEL)
         errors += _positive(args, ["env-tau-us"])
     if (args.trap_power_mw is None) != (args.trap_waist_um is None):
         errors.append("--trap-power-mw and --trap-waist-um must be given together")
@@ -322,10 +358,9 @@ def run_stirap(args):
 
 
 def validate_stirap(args):
-    errors = _require(args, ["alpha-deg"])
     if args.visibility is not None and not 0.0 <= args.visibility <= 1.0:
-        errors.append("--visibility must lie in [0, 1]")
-    return errors
+        return ["--visibility must lie in [0, 1]"]
+    return []
 
 
 def run_larmor(args):
@@ -336,11 +371,7 @@ def run_larmor(args):
 
 
 def validate_larmor(args):
-    errors = _require(args, ["b-mgauss"])
-    errors += _positive(args, ["t-max-us"])
-    if args.points is not None and args.points < 2:
-        errors.append("--points must be at least 2")
-    return errors
+    return _positive(args, ["t-max-us"]) + _points(args)
 
 
 def run_bell(args):
@@ -376,7 +407,7 @@ def run_correlations(args):
 
 
 def validate_correlations(args):
-    errors = _require(args, ["beta-deg"])
+    errors = []
     if args.basis not in ("x", "y"):
         errors.append("--basis must be 'x' or 'y'")
     if args.visibility is not None and not 0.0 <= args.visibility <= 1.0:
@@ -403,9 +434,7 @@ def run_spectrum_fit(args):
 
 
 def validate_spectrum_fit(args):
-    errors = _require(args, ["reference", "fluorescence"])
-    errors += _positive(args, ["wavelength-nm"])
-    return errors
+    return _positive(args, ["wavelength-nm"])
 
 
 def run_pair_rate(args):
@@ -416,7 +445,7 @@ def run_pair_rate(args):
 
 
 def validate_pair_rate(args):
-    errors = _require(args, ["eta"])
+    errors = []
     if args.eta is not None and not 0.0 <= args.eta <= 1.0:
         errors.append("--eta out of range [0, 1]")
     if args.t_fiber is not None and not 0.0 <= args.t_fiber <= 1.0:
@@ -557,44 +586,73 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_REQUIRED_KEYS = {
-    "lightshift": "power-mw, waist-um, wavelength-nm",
-    "magic": "bracket-um",
-    "trap": "power-mw, waist-um, wavelength-nm",
-    "loading": "rate-per-s, power-mw, waist-um",
-    "g2": "model, delta-mhz, icl-mw-cm2",
-    "stirap": "alpha-deg",
-    "larmor": "b-mgauss",
-    "bell": "(canonical angles by default)",
-    "correlations": "basis, beta-deg",
-    "spectrum-fit": "reference, fluorescence",
-    "pair-rate": "eta",
-}
-
-
 def list_scenarios() -> str:
-    lines = [f"{name}: {_REQUIRED_KEYS[name]}" for name in SCENARIOS]
+    """One line per scenario naming the keys it requires."""
+    lines = []
+    for name in SCENARIOS:
+        keys = ", ".join(_REQUIRED[name]) or "(none; every key has a default)"
+        if name == "g2":
+            keys += f"; with --model full also {', '.join(_REQUIRED_FULL_MODEL)}"
+        lines.append(f"{name}: {keys}")
     return "\n".join(lines) + "\n"
 
 
-def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> None:
+def _is_number(value) -> bool:
+    """A JSON number that converts to a float (bools and huge ints do not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, float) or abs(value) <= sys.float_info.max
+
+
+# what a non-string config value must be, by the flag's argparse type
+_CONFIG_KINDS = {
+    float: ("a number", _is_number),
+    int: ("an integer", lambda v: isinstance(v, int) and _is_number(v)),
+    _bracket: ("'lo,hi' or [lo, hi]",
+               lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))),
+    None: ("a string", lambda v: False),
+}
+
+
+def _config_value(key: str, value, action: argparse.Action):
+    """A config value as its flag would hold it; strings go through the flag's type."""
+    if action.nargs == 0:  # a switch such as --metadata
+        expected, fits = "true or false", isinstance(value, bool)
+    elif isinstance(value, str):
+        if action.type is None:
+            return value
+        try:
+            return action.type(value)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ValidationError(f"config key {key!r}: {exc}") from exc
+    else:
+        expected, check = _CONFIG_KINDS[action.type]
+        fits = check(value)
+    if not fits:
+        raise ValidationError(
+            f"config key {key!r}: expected {expected}, got {json.dumps(value)}")
+    return value
+
+
+def _merge_config(args: argparse.Namespace, scenario_parser) -> None:
     """Fill argparse values from the JSON config where flags kept defaults."""
     if not getattr(args, "config", None):
         return
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             file_values = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ValidationError(f"cannot read config {args.config}: {exc}") from exc
     if not isinstance(file_values, dict):
         raise ValidationError("config file must hold a JSON object")
-    known = set(vars(args))
+    actions = {a.dest: a for a in scenario_parser._actions if a.dest in vars(args)}
     for key, value in file_values.items():
         attr = key.replace("-", "_")
-        if attr not in known:
+        if attr not in actions:
             raise ValidationError(f"unknown config key {key!r}")
+        value = _config_value(key, value, actions[attr])
         # a flag given on the command line wins over the file
-        if getattr(args, attr) == parser_defaults.get(attr):
+        if getattr(args, attr) == actions[attr].default:
             setattr(args, attr, value)
 
 
@@ -610,11 +668,10 @@ def main(argv=None) -> int:
         return EXIT_OK
 
     runner, validator = _RUNNERS[args.scenario]
-    scenario_parser = parser.scenario_parsers[args.scenario]
     try:
-        defaults = {key: scenario_parser.get_default(key) for key in vars(args)}
-        _merge_config(args, defaults)
-        errors = validator(args)
+        _merge_config(args, parser.scenario_parsers[args.scenario])
+        errors = _non_finite(args) or (
+            _require(args, _REQUIRED[args.scenario]) + validator(args))
         if errors:
             for err in errors:
                 sys.stderr.write(f"validation: {err}\n")
@@ -628,7 +685,7 @@ def main(argv=None) -> int:
 
     try:
         header, rows = runner(args)
-    except ValidationError as exc:
+    except (ValidationError, LineDataError) as exc:
         sys.stderr.write(f"validation: {exc}\n")
         return EXIT_VALIDATION
     except (ValueError, KeyError, RuntimeError, IntegrationError) as exc:

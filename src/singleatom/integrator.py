@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import eig
 
 RTOL = 1e-9
 ATOL = 1e-12
@@ -49,6 +47,8 @@ def integrate(f, y0, t_grid, rtol: float = RTOL, atol: float = ATOL) -> np.ndarr
     Returns an array of shape (len(t_grid), len(y0)).  ``t_grid`` must be
     nondecreasing and start at the initial time.
     """
+    from scipy.integrate import solve_ivp
+
     t_grid = _checked_grid(t_grid)
     y0 = np.asarray(y0)
     if len(t_grid) == 1:
@@ -73,6 +73,8 @@ def propagate_linear(m, y0, t_grid) -> np.ndarray:
     ``IntegrationError`` when ``m`` is too close to defective (an
     exceptional point) for the expansion to keep 1e-6 accuracy.
     """
+    from scipy.linalg import eig
+
     t_grid = _checked_grid(t_grid)
     t = t_grid - t_grid[0]
     y0 = np.asarray(y0, dtype=float)

@@ -42,6 +42,7 @@ __all__ = [
     "LineTable",
     "HyperfineLevel",
     "load_default_lines",
+    "LineDataError",
     "classical_polarizability",
     "dipole_potential_two_level",
     "scattering_rate_two_level",
@@ -159,11 +160,26 @@ def _triangle(ta, tb, tc):
     return (ta + tb + tc) % 2 == 0 and abs(ta - tb) <= tc <= ta + tb
 
 
+class LineDataError(ValueError):
+    """A line-data file that cannot be read or does not follow the schema."""
+
+
 def load_lines(path: str) -> LineTable:
-    """Load a line table from a JSON file (see data/rb87_lines.json for the schema)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return _table_from_dict(raw)
+    """Load a line table from a JSON file (see data/rb87_lines.json for the schema).
+
+    Raises ``LineDataError`` naming ``path`` when the file cannot be read,
+    is not JSON, or lacks a schema key.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+        return _table_from_dict(raw)
+    except OSError as exc:
+        raise LineDataError(f"line data {path}: {exc.strerror}") from exc
+    except KeyError as exc:
+        raise LineDataError(f"line data {path}: missing key {exc}") from exc
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise LineDataError(f"line data {path}: {exc}") from exc
 
 
 def _table_from_dict(raw: dict) -> LineTable:

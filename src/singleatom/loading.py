@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .integrator import integrate
 
@@ -23,7 +22,6 @@ __all__ = [
     "transfer_matrix",
     "rate_generator",
     "stationary_distribution",
-    "mean_and_p_single",
 ]
 
 
@@ -143,6 +141,8 @@ def stationary_distribution(params: LoadingParams) -> AtomNumberDist:
     Solves Q p = 0 (equivalently (M-1) p = 0 for any admissible dt, so the
     result is dt-independent) and normalizes to unit total probability.
     """
+    from scipy.linalg import null_space
+
     q = rate_generator(params)
     if np.all(q == 0.0):
         raise ValueError("all rates are zero: stationary distribution undefined")
@@ -154,8 +154,3 @@ def stationary_distribution(params: LoadingParams) -> AtomNumberDist:
     p = np.clip(p, 0.0, None)
     p = p / p.sum()
     return AtomNumberDist(probabilities=p)
-
-
-def mean_and_p_single(dist: AtomNumberDist) -> tuple[float, float]:
-    """Mean atom number and the probability of exactly one atom."""
-    return dist.mean, dist.p_single

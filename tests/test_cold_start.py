@@ -1,0 +1,69 @@
+"""Cold start: the package imports scipy only inside the kernels that use it.
+
+Each check runs in a fresh interpreter, so modules imported by other tests
+do not hide a module-level scipy import.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+import scipy.constants as sc
+
+import singleatom
+from singleatom import constants
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(singleatom.__file__)))
+
+REPORT_SCIPY = (
+    "import sys; print(sorted(m for m in sys.modules"
+    " if m == 'scipy' or m.startswith('scipy.')))"
+)
+
+
+def scipy_modules_after(code: str) -> str:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    result = subprocess.run([sys.executable, "-c", f"{code}\n{REPORT_SCIPY}"],
+                            capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("code", [
+    "import singleatom.cli",
+    "import singleatom.bloch, singleatom.coherent, singleatom.loading, "
+    "singleatom.integrator",
+    "import runpy\n"
+    "sys.argv = ['singleatom', 'trap', '--power-mw', '40', '--waist-um', '3.5']\n"
+    "try:\n"
+    "    runpy.run_module('singleatom.cli', run_name='__main__')\n"
+    "except SystemExit as exc:\n"
+    "    assert exc.code == 0, exc.code",
+], ids=["import-cli", "import-kernels", "run-trap"])
+def test_no_scipy_module_loaded(code):
+    assert scipy_modules_after("import sys\n" + code) == "[]"
+
+
+def test_kernel_call_loads_scipy_linalg_only():
+    loaded = scipy_modules_after(
+        "import sys\n"
+        "from singleatom.loading import LoadingParams, stationary_distribution\n"
+        "stationary_distribution(LoadingParams(1.0, 0.2, 5e-16, 1e-16))")
+    assert "'scipy.linalg'" in loaded
+    assert "'scipy.optimize'" not in loaded and "'scipy.integrate'" not in loaded
+
+
+def test_codata_literals_match_scipy():
+    # scipy is only the oracle here; the package holds the values as literals
+    expected = {
+        "C": sc.c,
+        "H": sc.h,
+        "HBAR": sc.hbar,
+        "KB": sc.k,
+        "EPS0": sc.epsilon_0,
+        "MU_B": sc.value("Bohr magneton"),
+        "ATOMIC_MASS": sc.atomic_mass,
+    }
+    for name, value in expected.items():
+        assert getattr(constants, name) == value, name

@@ -7,7 +7,6 @@ from scipy.stats import poisson
 from singleatom.loading import (
     AtomNumberDist,
     LoadingParams,
-    mean_and_p_single,
     mean_number_ode,
     rate_generator,
     stationary_distribution,
@@ -147,14 +146,16 @@ class TestStationaryDistribution:
 class TestAtomNumberDist:
     def test_mean_and_p_single(self):
         empty = AtomNumberDist(probabilities=np.array([1.0, 0.0, 0.0]))
-        assert mean_and_p_single(empty) == (0.0, 0.0)
+        assert (empty.mean, empty.p_single) == (0.0, 0.0)
         single = AtomNumberDist(probabilities=np.array([0.0, 1.0, 0.0]))
-        assert mean_and_p_single(single) == (1.0, 1.0)
+        assert (single.mean, single.p_single) == (1.0, 1.0)
+        only_empty = AtomNumberDist(probabilities=np.array([1.0]))
+        assert (only_empty.mean, only_empty.p_single) == (0.0, 0.0)
 
     def test_blockade_mean_range(self):
-        mean, p1 = mean_and_p_single(stationary_distribution(BLOCKADE))
-        assert 0.3 < mean < 1.1
-        assert p1 > 0.4
+        dist = stationary_distribution(BLOCKADE)
+        assert 0.3 < dist.mean < 1.1
+        assert dist.p_single > 0.4
 
     def test_normalization_enforced(self):
         with pytest.raises(ValueError):
