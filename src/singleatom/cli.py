@@ -6,6 +6,10 @@ config file may supply any flag value (keys match the long flag names with
 underscores); explicit command-line flags override the file.  Outputs are
 deterministic: identical inputs give byte-identical files.
 
+Each scenario is one entry of ``SPECS``: its runner, an optional
+scenario-level check and one ``Flag`` per flag.  The parser, validation,
+config coercion, ``list`` and the metadata sidecar all read that table.
+
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
 """
 
@@ -15,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,7 +56,6 @@ from .entanglement import (
     noisy_channel,
     pair_rate_estimate,
 )
-from .integrator import IntegrationError
 from .lightshift import (
     LaserField,
     LineDataError,
@@ -71,48 +75,32 @@ from .trapgeometry import (
     trap_volume,
 )
 
-SCENARIOS = (
-    "lightshift", "magic", "trap", "loading", "g2", "stirap",
-    "larmor", "bell", "correlations", "spectrum-fit", "pair-rate",
-)
-
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 # upper bound on --points and on the length of an 'a..b:step' grid
 MAX_POINTS = 10**6
-
-# keys without a default, per scenario; `list` prints these
-_REQUIRED = {
-    "lightshift": ("power-mw", "waist-um"),
-    "magic": (),
-    "trap": ("power-mw", "waist-um"),
-    "loading": ("rate-per-s", "power-mw", "waist-um"),
-    "g2": ("delta-mhz", "icl-mw-cm2"),
-    "stirap": ("alpha-deg",),
-    "larmor": ("b-mgauss",),
-    "bell": (),
-    "correlations": ("beta-deg",),
-    "spectrum-fit": ("reference", "fluorescence"),
-    "pair-rate": ("eta",),
-}
-_REQUIRED_FULL_MODEL = ("env-a", "env-tau-us")
+# upper bound on loading --n-max; the rate matrix holds (n_max + 1)^2 floats
+MAX_ATOMS = 1000
 
 
 class ValidationError(Exception):
     """Bad configuration; reported with exit code 2 before any output."""
 
 
-def _fmt(value) -> str:
+def _fmt(value, column: str) -> str:
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise FloatingPointError(f"non-finite value {value} in column {column}")
         return format(value, ".12g")
     return str(value)
 
 
 def _write_csv(path: str | None, header: list[str], rows: list[list]) -> None:
+    """Format every value before writing, so a non-finite one leaves no file."""
     lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    lines += [",".join(_fmt(v, c) for v, c in zip(row, header)) for row in rows]
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
@@ -169,50 +157,22 @@ def _parse_grid(spec: str, name: str) -> np.ndarray:
         ) from exc
 
 
-def _require(args, names) -> list[str]:
-    missing = [n for n in names if getattr(args, n.replace("-", "_"), None) is None]
-    return [f"missing required key --{n}" for n in missing]
-
-
-def _non_finite(args) -> list[str]:
-    """One error per float-valued flag (or --bracket-um pair) holding nan/inf."""
-    errors = []
-    for attr, value in vars(args).items():
-        values = value if isinstance(value, (tuple, list)) else (value,)
-        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
-            errors.append(f"--{attr.replace('_', '-')} must be finite, got {value}")
-    return errors
-
-
-def _points(args) -> list[str]:
-    if args.points is not None and not 2 <= args.points <= MAX_POINTS:
-        return [f"--points must lie in [2, {MAX_POINTS}]"]
-    return []
-
-
-def _positive(args, names: list[str]) -> list[str]:
-    errors = []
-    for n in names:
-        value = getattr(args, n.replace("-", "_"), None)
-        if value is not None and not (math.isfinite(value) and value > 0):
-            errors.append(
-                f"--{n} must be positive and finite (unit in the key name), got {value}")
-    return errors
-
-
 # --- scenario runners -------------------------------------------------------
 
 
-def _trap_field(args) -> LaserField:
-    beam = GaussianBeam(power=args.power_mw * 1e-3,
-                        waist_w0=args.waist_um * 1e-6,
-                        wavelength=args.wavelength_nm * 1e-9)
-    return LaserField(wavelength=beam.wavelength,
-                      intensity=beam.peak_intensity, epsilon=0)
+def _trap(power_mw: float, waist_um: float, wavelength_nm: float, lines=None):
+    """The trap beam's peak field, and with a line table its harmonic trap."""
+    beam = GaussianBeam(power=power_mw * 1e-3, waist_w0=waist_um * 1e-6,
+                        wavelength=wavelength_nm * 1e-9)
+    field = LaserField(wavelength=beam.wavelength, intensity=beam.peak_intensity, epsilon=0)
+    if lines is None:
+        return field, None
+    depth = abs(ground_shift_alkali(field, 0.5, lines))
+    return field, TrapSpec.from_beam(beam, depth, RB87_MASS)
 
 
 def run_lightshift(args):
-    field = _trap_field(args)
+    field, _ = _trap(args.power_mw, args.waist_um, args.wavelength_nm)
     lines = load_default_lines()
     depth = ground_shift_alkali(field, 0.5, lines)
     rate = scattering_rate_alkali(field, lines)
@@ -222,10 +182,6 @@ def run_lightshift(args):
     return header, [row]
 
 
-def validate_lightshift(args):
-    return _positive(args, ["wavelength-nm", "power-mw", "waist-um"])
-
-
 def run_magic(args):
     lo, hi = args.bracket_um
     lines = load_default_lines()
@@ -233,26 +189,15 @@ def run_magic(args):
     return ["bracket_lo_um", "bracket_hi_um", "magic_um"], [[lo, hi, magic * 1e6]]
 
 
-def validate_magic(args):
-    lo, hi = args.bracket_um
-    if not 0 < lo < hi:
-        return ["--bracket-um must satisfy 0 < lo < hi"]
-    return []
-
-
 def run_trap(args):
-    field = _trap_field(args)
     lines = load_default_lines()
-    beam = GaussianBeam(power=args.power_mw * 1e-3, waist_w0=args.waist_um * 1e-6,
-                        wavelength=args.wavelength_nm * 1e-9)
-    depth = abs(ground_shift_alkali(field, 0.5, lines))
-    trap = TrapSpec.from_beam(beam, depth, RB87_MASS)
+    field, trap = _trap(args.power_mw, args.waist_um, args.wavelength_nm, lines)
     omega_r, omega_z = harmonic_frequencies(trap)
     rate = scattering_rate_alkali(field, lines)
     t_rec = recoil_temperature(RB87_LAMBDA_D2, RB87_MASS)
     header = ["depth_mk", "omega_r_khz", "omega_z_khz", "scatter_per_s",
               "t_doppler_uk", "t_recoil_nk", "heating_uk_per_s"]
-    row = [depth / KB * 1e3,
+    row = [trap.depth_u / KB * 1e3,
            omega_r / TWO_PI / 1e3,
            omega_z / TWO_PI / 1e3,
            rate,
@@ -262,16 +207,9 @@ def run_trap(args):
     return header, [row]
 
 
-validate_trap = validate_lightshift
-
-
 def run_loading(args):
-    field = _trap_field(args)
-    lines = load_default_lines()
-    beam = GaussianBeam(power=args.power_mw * 1e-3, waist_w0=args.waist_um * 1e-6,
-                        wavelength=args.wavelength_nm * 1e-9)
-    depth = abs(ground_shift_alkali(field, 0.5, lines))
-    trap = TrapSpec.from_beam(beam, depth, RB87_MASS)
+    _, trap = _trap(args.power_mw, args.waist_um, args.wavelength_nm,
+                    load_default_lines())
     volume = trap_volume(trap, args.temperature_uk * 1e-6)
     rows = []
     for r in _parse_grid(args.rate_per_s, "--rate-per-s"):
@@ -284,16 +222,6 @@ def run_loading(args):
     return header, rows
 
 
-def validate_loading(args):
-    errors = _positive(args, ["power-mw", "waist-um", "wavelength-nm",
-                              "temperature-uk", "beta-cm3-s"])
-    if args.gamma_per_s is not None and args.gamma_per_s < 0:
-        errors.append("--gamma-per-s must be nonnegative")
-    if args.n_max is not None and args.n_max < 1:
-        errors.append("--n-max must be at least 1")
-    return errors
-
-
 def _four_level_params(args) -> FourLevelParams:
     params = FourLevelParams(
         i_cl=intensity_from_mw_cm2(args.icl_mw_cm2),
@@ -302,11 +230,8 @@ def _four_level_params(args) -> FourLevelParams:
         delta_rl=TWO_PI * args.delta_rl_mhz * 1e6,
     )
     if args.trap_power_mw is not None:
-        beam = GaussianBeam(power=args.trap_power_mw * 1e-3,
-                            waist_w0=args.trap_waist_um * 1e-6,
-                            wavelength=args.trap_wavelength_nm * 1e-9)
-        field = LaserField(wavelength=beam.wavelength,
-                           intensity=beam.peak_intensity, epsilon=0)
+        field, _ = _trap(args.trap_power_mw, args.trap_waist_um,
+                         args.trap_wavelength_nm)
         params = apply_trap_shifts(params, field,
                                    kinetic_reduction=args.kinetic_uk * 1e-6)
     return params
@@ -314,17 +239,13 @@ def _four_level_params(args) -> FourLevelParams:
 
 def run_g2(args):
     tau = np.linspace(0.0, args.tau_max_ns * 1e-9, args.points)
-    gamma = RB87_GAMMA_D2
-    if args.model == "two-level-analytic":
+    if args.model in ("two-level-analytic", "two-level-obe"):
         omega3 = FourLevelParams(
             i_cl=intensity_from_mw_cm2(args.icl_mw_cm2), i_rl=0.0,
             delta_cl=0.0).rabi_frequencies[2]
-        g2 = two_level_g2_analytic(omega3, TWO_PI * args.delta_mhz * 1e6, gamma, tau)
-    elif args.model == "two-level-obe":
-        omega3 = FourLevelParams(
-            i_cl=intensity_from_mw_cm2(args.icl_mw_cm2), i_rl=0.0,
-            delta_cl=0.0).rabi_frequencies[2]
-        g2 = two_level_obe_g2(omega3, TWO_PI * args.delta_mhz * 1e6, gamma, tau)
+        two_level = (two_level_g2_analytic if args.model == "two-level-analytic"
+                     else two_level_obe_g2)
+        g2 = two_level(omega3, TWO_PI * args.delta_mhz * 1e6, RB87_GAMMA_D2, tau)
     elif args.model == "four-level":
         g2 = four_level_g2(_four_level_params(args), tau)
     else:  # full
@@ -332,20 +253,6 @@ def run_g2(args):
         g2 = g2_full_model(_four_level_params(args), env, tau)
     rows = [[t * 1e9, v] for t, v in zip(tau, g2)]
     return ["tau_ns", "g2"], rows
-
-
-def validate_g2(args):
-    errors = []
-    if args.model not in ("two-level-analytic", "two-level-obe", "four-level", "full"):
-        errors.append(f"unknown model {args.model!r}")
-    errors += _positive(args, ["tau-max-ns", "irl-mw-cm2"])
-    errors += _points(args)
-    if args.model == "full":
-        errors += _require(args, _REQUIRED_FULL_MODEL)
-        errors += _positive(args, ["env-tau-us"])
-    if (args.trap_power_mw is None) != (args.trap_waist_um is None):
-        errors.append("--trap-power-mw and --trap-waist-um must be given together")
-    return errors
 
 
 def run_stirap(args):
@@ -357,21 +264,11 @@ def run_stirap(args):
     return ["alpha_deg", "p_f1"], rows
 
 
-def validate_stirap(args):
-    if args.visibility is not None and not 0.0 <= args.visibility <= 1.0:
-        return ["--visibility must lie in [0, 1]"]
-    return []
-
-
 def run_larmor(args):
     b_tesla = args.b_mgauss * 1e-7  # 1 mGauss = 1e-7 T
     t_grid = np.linspace(0.0, args.t_max_us * 1e-6, args.points)
     rows = [[t * 1e9, larmor_survival(b_tesla, args.g_f, t)] for t in t_grid]
     return ["t_ns", "survival"], rows
-
-
-def validate_larmor(args):
-    return _positive(args, ["t-max-us"]) + _points(args)
 
 
 def run_bell(args):
@@ -393,26 +290,11 @@ def run_bell(args):
     return ["setting_a", "setting_b", "phi_a_deg", "phi_b_deg", "value"], rows
 
 
-def validate_bell(args):
-    if args.noise_p is not None and not 0.0 <= args.noise_p <= 1.0:
-        return ["--noise-p must lie in [0, 1]"]
-    return []
-
-
 def run_correlations(args):
     beta = np.radians(_parse_grid(args.beta_deg, "--beta-deg"))
     probs = correlation_curve(args.basis, beta, args.visibility)
     rows = [[math.degrees(b), p] for b, p in zip(beta, probs)]
     return ["beta_deg", "p_f1"], rows
-
-
-def validate_correlations(args):
-    errors = []
-    if args.basis not in ("x", "y"):
-        errors.append("--basis must be 'x' or 'y'")
-    if args.visibility is not None and not 0.0 <= args.visibility <= 1.0:
-        errors.append("--visibility must lie in [0, 1]")
-    return errors
 
 
 def _read_profile(path: str) -> SpectrumProfile:
@@ -433,10 +315,6 @@ def run_spectrum_fit(args):
     return ["quantity", "value"], rows
 
 
-def validate_spectrum_fit(args):
-    return _positive(args, ["wavelength-nm"])
-
-
 def run_pair_rate(args):
     rate = pair_rate_estimate(args.eta, args.t_fiber, args.cycle_us * 1e-6,
                               args.duty_factor)
@@ -444,40 +322,31 @@ def run_pair_rate(args):
             [[args.eta, args.t_fiber, args.cycle_us, args.duty_factor, rate]])
 
 
-def validate_pair_rate(args):
-    errors = []
-    if args.eta is not None and not 0.0 <= args.eta <= 1.0:
-        errors.append("--eta out of range [0, 1]")
-    if args.t_fiber is not None and not 0.0 <= args.t_fiber <= 1.0:
-        errors.append("--t-fiber out of range [0, 1]")
-    if args.duty_factor is not None and not 0.0 <= args.duty_factor <= 1.0:
-        errors.append("--duty-factor out of range [0, 1]")
-    errors += _positive(args, ["cycle-us"])
-    return errors
+# --- the scenario table -----------------------------------------------------
 
 
-_RUNNERS = {
-    "lightshift": (run_lightshift, validate_lightshift),
-    "magic": (run_magic, validate_magic),
-    "trap": (run_trap, validate_trap),
-    "loading": (run_loading, validate_loading),
-    "g2": (run_g2, validate_g2),
-    "stirap": (run_stirap, validate_stirap),
-    "larmor": (run_larmor, validate_larmor),
-    "bell": (run_bell, validate_bell),
-    "correlations": (run_correlations, validate_correlations),
-    "spectrum-fit": (run_spectrum_fit, validate_spectrum_fit),
-    "pair-rate": (run_pair_rate, validate_pair_rate),
-}
+class Flag(NamedTuple):
+    """One flag of a scenario; its config key is the name with underscores.
 
+    ``kind`` is float, int, str, grid (a number or 'a..b:step', parsed by
+    the runner), bracket ('lo,hi'), choice or switch.  ``required`` is
+    True, or the (dest, value) of another flag under which this one is
+    required.  ``check`` is 'positive', 'unit' (in [0, 1]) or 'nonnegative'
+    for a float, an inclusive (lo, hi) range for an int, and the allowed
+    values of a choice.
+    """
 
-# --- argument parsing -------------------------------------------------------
+    name: str
+    kind: str = "float"
+    default: object = None
+    required: bool | tuple = False
+    check: str | tuple | None = None
+    alias: str | None = None
+    help: str | None = None
 
-
-def _add_trap_flags(p):
-    p.add_argument("--power-mw", type=float)
-    p.add_argument("--waist-um", type=float)
-    p.add_argument("--wavelength-nm", type=float, default=856.0)
+    @property
+    def dest(self) -> str:
+        return self.name.replace("-", "_")
 
 
 def _bracket(value: str):
@@ -487,116 +356,6 @@ def _bracket(value: str):
     return float(parts[0]), float(parts[1])
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="singleatom",
-        description="Single-atom dipole trap and atom-photon entanglement scenarios.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    subactions = parser.add_subparsers(dest="scenario")
-    parser.scenario_parsers = {}
-
-    subactions.add_parser("list", help="list scenarios and their required keys")
-
-    def sub_add_parser(name, **kwargs):
-        child = subactions.add_parser(name, **kwargs)
-        parser.scenario_parsers[name] = child
-        return child
-
-    class _Sub:
-        add_parser = staticmethod(sub_add_parser)
-
-    sub = _Sub()
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON file with flag values (flags override)")
-    common.add_argument("--out", help="output CSV path (default: stdout)")
-    common.add_argument("--metadata", action="store_true",
-                        help="write a JSON sidecar with resolved parameters")
-    common.add_argument("--validate-only", action="store_true",
-                        help="validate the configuration and exit")
-
-    p = sub.add_parser("lightshift", parents=[common])
-    _add_trap_flags(p)
-
-    p = sub.add_parser("magic", parents=[common])
-    p.add_argument("--bracket-um", type=_bracket, default=(1.2, 1.6))
-
-    p = sub.add_parser("trap", parents=[common])
-    _add_trap_flags(p)
-
-    p = sub.add_parser("loading", parents=[common])
-    _add_trap_flags(p)
-    p.add_argument("--rate-per-s", help="loading rate R, number or 'a..b:step'")
-    p.add_argument("--gamma-per-s", type=float, default=0.2)
-    p.add_argument("--beta-cm3-s", type=float, default=5e-10)
-    p.add_argument("--temperature-uk", type=float, default=100.0)
-    p.add_argument("--n-max", type=int, default=5)
-
-    p = sub.add_parser("g2", parents=[common])
-    p.add_argument("--model", default="four-level",
-                   choices=["two-level-analytic", "two-level-obe", "four-level", "full"])
-    p.add_argument("--delta-mhz", type=float, help="cooling detuning / 2pi (MHz)")
-    p.add_argument("--delta-rl-mhz", type=float, default=0.0)
-    p.add_argument("--icl-mw-cm2", "--icl", type=float, dest="icl_mw_cm2")
-    p.add_argument("--irl-mw-cm2", "--irl", type=float, dest="irl_mw_cm2", default=12.0)
-    p.add_argument("--tau-max-ns", type=float, default=200.0)
-    p.add_argument("--points", type=int, default=801)
-    p.add_argument("--env-a", type=float)
-    p.add_argument("--env-tau-us", type=float)
-    p.add_argument("--trap-power-mw", type=float)
-    p.add_argument("--trap-waist-um", type=float)
-    p.add_argument("--trap-wavelength-nm", type=float, default=856.0)
-    p.add_argument("--kinetic-uk", type=float, default=100.0)
-
-    p = sub.add_parser("stirap", parents=[common])
-    p.add_argument("--alpha-deg", help="polarization angle, number or 'a..b:step'")
-    p.add_argument("--visibility", type=float, default=1.0)
-    p.add_argument("--prep-phase-rad", type=float, default=0.0)
-
-    p = sub.add_parser("larmor", parents=[common])
-    p.add_argument("--b-mgauss", type=float)
-    p.add_argument("--g-f", type=float, default=-0.5)
-    p.add_argument("--t-max-us", type=float, default=10.0)
-    p.add_argument("--points", type=int, default=501)
-
-    p = sub.add_parser("bell", parents=[common])
-    p.add_argument("--phi-a-deg", type=float, default=0.0)
-    p.add_argument("--phi-a2-deg", type=float, default=90.0)
-    p.add_argument("--phi-b-deg", type=float, default=45.0)
-    p.add_argument("--phi-b2-deg", type=float, default=135.0)
-    p.add_argument("--noise-p", type=float, default=1.0)
-
-    p = sub.add_parser("correlations", parents=[common])
-    p.add_argument("--basis", default="x")
-    p.add_argument("--beta-deg", help="waveplate angle, number or 'a..b:step'")
-    p.add_argument("--visibility", type=float, default=1.0)
-
-    p = sub.add_parser("spectrum-fit", parents=[common])
-    p.add_argument("--reference", help="two-column CSV (frequency_hz, amplitude)")
-    p.add_argument("--fluorescence", help="two-column CSV (frequency_hz, amplitude)")
-    p.add_argument("--wavelength-nm", type=float, default=780.246)
-
-    p = sub.add_parser("pair-rate", parents=[common])
-    p.add_argument("--eta", type=float)
-    p.add_argument("--t-fiber", type=float, default=math.sqrt(0.95))
-    p.add_argument("--cycle-us", type=float, default=1.0)
-    p.add_argument("--duty-factor", type=float, default=1.0)
-
-    return parser
-
-
-def list_scenarios() -> str:
-    """One line per scenario naming the keys it requires."""
-    lines = []
-    for name in SCENARIOS:
-        keys = ", ".join(_REQUIRED[name]) or "(none; every key has a default)"
-        if name == "g2":
-            keys += f"; with --model full also {', '.join(_REQUIRED_FULL_MODEL)}"
-        lines.append(f"{name}: {keys}")
-    return "\n".join(lines) + "\n"
-
-
 def _is_number(value) -> bool:
     """A JSON number that converts to a float (bools and huge ints do not)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -604,39 +363,205 @@ def _is_number(value) -> bool:
     return isinstance(value, float) or abs(value) <= sys.float_info.max
 
 
-# what a non-string config value must be, by the flag's argparse type
-_CONFIG_KINDS = {
-    float: ("a number", _is_number),
-    int: ("an integer", lambda v: isinstance(v, int) and _is_number(v)),
-    _bracket: ("'lo,hi' or [lo, hi]",
-               lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))),
-    None: ("a string", lambda v: False),
+# kind -> (argparse type, what a non-string config value must be, its test)
+_STRING = (str, "a string", lambda v: False)
+_KINDS = {
+    "float": (float, "a number", _is_number),
+    "int": (int, "an integer", lambda v: isinstance(v, int) and _is_number(v)),
+    "bracket": (_bracket, "'lo,hi' or [lo, hi]",
+                lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))),
+    "str": _STRING,
+    "grid": _STRING,
+    "choice": _STRING,
+    "switch": (None, "true or false", lambda v: isinstance(v, bool)),
+}
+
+# float check -> (rule, test)
+_RULES = {
+    "positive": ("must be positive and finite (unit in the key name)", lambda v: v > 0),
+    "unit": ("must lie in [0, 1]", lambda v: 0 <= v <= 1),
+    "nonnegative": ("must be nonnegative", lambda v: v >= 0),
 }
 
 
-def _config_value(key: str, value, action: argparse.Action):
+def _flag_error(args, flag: Flag) -> str | None:
+    """What is wrong with one flag's value, or None."""
+    value = getattr(args, flag.dest)
+    if value is None:
+        when = flag.required
+        missing = when is True or (when and getattr(args, when[0]) == when[1])
+        return f"missing required key --{flag.name}" if missing else None
+    values = value if flag.kind == "bracket" else (value,)
+    if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+        return f"--{flag.name} must be finite, got {value}"
+    check = flag.check
+    if check is None:
+        return None
+    if flag.kind == "choice":
+        rule, ok = f"must be one of {', '.join(check)}", value in check
+    elif flag.kind == "int":
+        rule, ok = f"must lie in [{check[0]}, {check[1]}]", check[0] <= value <= check[1]
+    else:
+        rule, test = _RULES[check]
+        ok = test(value)
+    return None if ok else f"--{flag.name} {rule}, got {value!r}"
+
+
+def _read_lines(args) -> list[str]:
+    """Read the line data now, so --validate-only fails as the run would."""
+    load_default_lines()
+    return []
+
+
+def _check_magic(args) -> list[str]:
+    lo, hi = args.bracket_um
+    return _read_lines(args) if 0 < lo < hi else ["--bracket-um must satisfy 0 < lo < hi"]
+
+
+def _check_g2(args) -> list[str]:
+    if (args.trap_power_mw is None) != (args.trap_waist_um is None):
+        return ["--trap-power-mw and --trap-waist-um must be given together"]
+    return [] if args.trap_power_mw is None else _read_lines(args)
+
+
+_COMMON = (Flag("config", "str", help="JSON file with flag values (flags override)"),
+           Flag("out", "str", help="output CSV path (default: stdout)"),
+           Flag("metadata", "switch", default=False,
+                help="write a JSON sidecar with resolved parameters"),
+           Flag("validate-only", "switch", default=False,
+                help="validate the configuration and exit"))
+
+_TRAP_BEAM = (Flag("power-mw", required=True, check="positive"),
+              Flag("waist-um", required=True, check="positive"),
+              Flag("wavelength-nm", default=856.0, check="positive"))
+
+# scenario -> (runner, scenario-level check or None, *flags); a plain tuple,
+# so the runner stays reachable when a tracer rebinds it
+SPECS = {
+    "lightshift": (run_lightshift, _read_lines, *_TRAP_BEAM),
+    "magic": (run_magic, _check_magic, Flag("bracket-um", "bracket", default=(1.2, 1.6))),
+    "trap": (run_trap, _read_lines, *_TRAP_BEAM),
+    "loading": (run_loading, _read_lines,
+                Flag("rate-per-s", "grid", required=True,
+                     help="loading rate R, number or 'a..b:step'"),
+                *_TRAP_BEAM,
+                Flag("gamma-per-s", default=0.2, check="nonnegative"),
+                Flag("beta-cm3-s", default=5e-10, check="positive"),
+                Flag("temperature-uk", default=100.0, check="positive"),
+                Flag("n-max", "int", default=5, check=(1, MAX_ATOMS))),
+    "g2": (run_g2, _check_g2,
+           Flag("model", "choice", default="four-level",
+                check=("two-level-analytic", "two-level-obe", "four-level", "full")),
+           Flag("delta-mhz", required=True, help="cooling detuning / 2pi (MHz)"),
+           Flag("delta-rl-mhz", default=0.0),
+           Flag("icl-mw-cm2", required=True, alias="icl"),
+           Flag("irl-mw-cm2", default=12.0, check="positive", alias="irl"),
+           Flag("tau-max-ns", default=200.0, check="positive"),
+           Flag("points", "int", default=801, check=(2, MAX_POINTS)),
+           Flag("env-a", required=("model", "full")),
+           Flag("env-tau-us", required=("model", "full"), check="positive"),
+           Flag("trap-power-mw"),
+           Flag("trap-waist-um"),
+           Flag("trap-wavelength-nm", default=856.0),
+           Flag("kinetic-uk", default=100.0)),
+    "stirap": (run_stirap, None,
+               Flag("alpha-deg", "grid", required=True,
+                    help="polarization angle, number or 'a..b:step'"),
+               Flag("visibility", default=1.0, check="unit"),
+               Flag("prep-phase-rad", default=0.0)),
+    "larmor": (run_larmor, None,
+               Flag("b-mgauss", required=True),
+               Flag("g-f", default=-0.5),
+               Flag("t-max-us", default=10.0, check="positive"),
+               Flag("points", "int", default=501, check=(2, MAX_POINTS))),
+    "bell": (run_bell, None,
+             Flag("phi-a-deg", default=0.0),
+             Flag("phi-a2-deg", default=90.0),
+             Flag("phi-b-deg", default=45.0),
+             Flag("phi-b2-deg", default=135.0),
+             Flag("noise-p", default=1.0, check="unit")),
+    "correlations": (run_correlations, None,
+                     Flag("basis", "choice", default="x", check=("x", "y")),
+                     Flag("beta-deg", "grid", required=True,
+                          help="waveplate angle, number or 'a..b:step'"),
+                     Flag("visibility", default=1.0, check="unit")),
+    "spectrum-fit": (run_spectrum_fit, None,
+                     Flag("reference", "str", required=True,
+                          help="two-column CSV (frequency_hz, amplitude)"),
+                     Flag("fluorescence", "str", required=True,
+                          help="two-column CSV (frequency_hz, amplitude)"),
+                     Flag("wavelength-nm", default=780.246, check="positive")),
+    "pair-rate": (run_pair_rate, None,
+                  Flag("eta", required=True, check="unit"),
+                  Flag("t-fiber", default=math.sqrt(0.95), check="unit"),
+                  Flag("cycle-us", default=1.0, check="positive"),
+                  Flag("duty-factor", default=1.0, check="unit")),
+}
+
+SCENARIOS = tuple(SPECS)
+
+
+# --- argument parsing -------------------------------------------------------
+
+
+def _add_flags(parser: argparse.ArgumentParser, flags) -> None:
+    for flag in flags:
+        names = [f"--{flag.name}"] + ([f"--{flag.alias}"] if flag.alias else [])
+        if flag.kind == "switch":
+            parser.add_argument(*names, action="store_true", help=flag.help)
+        else:
+            # choices are checked with the other rules, not by argparse
+            metavar = "{%s}" % ",".join(flag.check) if flag.kind == "choice" else None
+            parser.add_argument(*names, type=_KINDS[flag.kind][0], default=flag.default,
+                                metavar=metavar, help=flag.help)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="singleatom",
+        description="Single-atom dipole trap and atom-photon entanglement scenarios.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    subparsers = parser.add_subparsers(dest="scenario")
+    subparsers.add_parser("list", help="list scenarios and their required keys")
+    common = argparse.ArgumentParser(add_help=False)
+    _add_flags(common, _COMMON)
+    for name, (_, _, *flags) in SPECS.items():
+        _add_flags(subparsers.add_parser(name, parents=[common]), flags)
+    return parser
+
+
+def list_scenarios() -> str:
+    """One line per scenario naming the keys it requires."""
+    lines = []
+    for name, (_, _, *flags) in SPECS.items():
+        keys = (", ".join(f.name for f in flags if f.required is True)
+                or "(none; every key has a default)")
+        conditional = [f for f in flags if isinstance(f.required, tuple)]
+        if conditional:
+            key, value = conditional[0].required
+            keys += f"; with --{key} {value} also {', '.join(f.name for f in conditional)}"
+        lines.append(f"{name}: {keys}")
+    return "\n".join(lines) + "\n"
+
+
+def _config_value(key: str, value, flag: Flag):
     """A config value as its flag would hold it; strings go through the flag's type."""
-    if action.nargs == 0:  # a switch such as --metadata
-        expected, fits = "true or false", isinstance(value, bool)
-    elif isinstance(value, str):
-        if action.type is None:
-            return value
+    convert, expected, fits = _KINDS[flag.kind]
+    if convert is not None and isinstance(value, str):
         try:
-            return action.type(value)
+            return convert(value)
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ValidationError(f"config key {key!r}: {exc}") from exc
-    else:
-        expected, check = _CONFIG_KINDS[action.type]
-        fits = check(value)
-    if not fits:
+    if not fits(value):
         raise ValidationError(
             f"config key {key!r}: expected {expected}, got {json.dumps(value)}")
     return value
 
 
-def _merge_config(args: argparse.Namespace, scenario_parser) -> None:
+def _merge_config(args: argparse.Namespace, flags) -> None:
     """Fill argparse values from the JSON config where flags kept defaults."""
-    if not getattr(args, "config", None):
+    if not args.config:
         return
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -645,15 +570,15 @@ def _merge_config(args: argparse.Namespace, scenario_parser) -> None:
         raise ValidationError(f"cannot read config {args.config}: {exc}") from exc
     if not isinstance(file_values, dict):
         raise ValidationError("config file must hold a JSON object")
-    actions = {a.dest: a for a in scenario_parser._actions if a.dest in vars(args)}
+    by_dest = {f.dest: f for f in flags}
     for key, value in file_values.items():
-        attr = key.replace("-", "_")
-        if attr not in actions:
+        flag = by_dest.get(key.replace("-", "_"))
+        if flag is None:
             raise ValidationError(f"unknown config key {key!r}")
-        value = _config_value(key, value, actions[attr])
+        value = _config_value(key, value, flag)
         # a flag given on the command line wins over the file
-        if getattr(args, attr) == actions[attr].default:
-            setattr(args, attr, value)
+        if getattr(args, flag.dest) == flag.default:
+            setattr(args, flag.dest, value)
 
 
 def main(argv=None) -> int:
@@ -667,37 +592,31 @@ def main(argv=None) -> int:
         sys.stdout.write(list_scenarios())
         return EXIT_OK
 
-    runner, validator = _RUNNERS[args.scenario]
+    runner, check, *flags = SPECS[args.scenario]
     try:
-        _merge_config(args, parser.scenario_parsers[args.scenario])
-        errors = _non_finite(args) or (
-            _require(args, _REQUIRED[args.scenario]) + validator(args))
+        _merge_config(args, _COMMON + tuple(flags))
+        errors = [err for flag in flags if (err := _flag_error(args, flag))]
+        if not errors and check is not None:
+            errors = check(args)
         if errors:
-            for err in errors:
-                sys.stderr.write(f"validation: {err}\n")
+            sys.stderr.write("".join(f"validation: {err}\n" for err in errors))
             return EXIT_VALIDATION
         if args.validate_only:
             sys.stdout.write("configuration ok\n")
             return EXIT_OK
-    except ValidationError as exc:
-        sys.stderr.write(f"validation: {exc}\n")
-        return EXIT_VALIDATION
-
-    try:
-        header, rows = runner(args)
+        # a non-finite result is refused when the CSV is formatted
+        with np.errstate(all="ignore"):
+            header, rows = runner(args)
+        _write_csv(args.out, header, rows)
     except (ValidationError, LineDataError) as exc:
         sys.stderr.write(f"validation: {exc}\n")
         return EXIT_VALIDATION
-    except (ValueError, KeyError, RuntimeError, IntegrationError) as exc:
+    except (ArithmeticError, ValueError, KeyError, RuntimeError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
 
-    _write_csv(args.out, header, rows)
     if args.metadata and args.out:
-        params = {
-            k: v for k, v in vars(args).items()
-            if k not in ("scenario", "config", "out", "metadata", "validate_only")
-        }
+        params = {f.dest: getattr(args, f.dest) for f in flags}
         _write_metadata(args.out, args.scenario, params)
     return EXIT_OK
 

@@ -195,7 +195,11 @@ def _table_from_dict(raw: dict) -> LineTable:
         )
         for entry in raw["lines"]
     )
-    return LineTable(lines=lines, two_i=raw.get("nuclear_two_i", RB87_TWO_I))
+    # the ground hyperfine offsets and HyperfineLevel assume Rb-87's I = 3/2
+    two_i = raw.get("nuclear_two_i", RB87_TWO_I)
+    if two_i != RB87_TWO_I:
+        raise ValueError(f"nuclear_two_i must be {RB87_TWO_I} (Rb-87), got {two_i!r}")
+    return LineTable(lines=lines, two_i=two_i)
 
 
 _DEFAULT_TABLE: LineTable | None = None

@@ -2,9 +2,12 @@
 
 import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singleatom.cli import (
     EXIT_NUMERICAL,
@@ -12,6 +15,7 @@ from singleatom.cli import (
     EXIT_VALIDATION,
     MAX_POINTS,
     SCENARIOS,
+    SPECS,
     main,
 )
 
@@ -186,6 +190,22 @@ class TestLineDataErrors:
                                    "--trap-waist-um", "3.5"])
         assert code == EXIT_VALIDATION
         assert "absent.json" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nuclear_spin_other_than_rb87_rejected(self, tmp_path, capsys, monkeypatch):
+        bundled = resources.files("singleatom.data").joinpath("rb87_lines.json")
+        raw = json.loads(bundled.read_text())
+        raw["nuclear_two_i"] = 5
+        path = tmp_path / "lines.json"
+        path.write_text(json.dumps(raw))
+        monkeypatch.setenv("SINGLEATOM_LINE_DATA", str(path))
+        code, out = run(tmp_path, ["g2", "--delta-mhz", "-31", "--icl", "103",
+                                   "--points", "3", "--trap-power-mw", "40",
+                                   "--trap-waist-um", "3.5"])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation: ") and err.count("\n") == 1
+        assert str(path) in err and "nuclear_two_i" in err
         assert not out.exists()
 
 
@@ -384,3 +404,182 @@ class TestConfigFile:
         assert code == EXIT_VALIDATION
         assert "frobnicate" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestNonFiniteResults:
+    @pytest.mark.parametrize("args,column", [
+        (["pair-rate", "--eta", "0.5", "--cycle-us", "1e-310"], "pairs_per_min"),
+        (["trap", "--power-mw", "1e300", "--waist-um", "3.5"], "omega_r_khz"),
+        (["g2", "--model", "two-level-analytic", "--delta-mhz", "0", "--icl", "1e300",
+          "--points", "3"], "g2"),
+        (["trap", "--power-mw", "44", "--waist-um", "1e-300"], None),
+    ], ids=["pair-rate-inf", "trap-omega-inf", "g2-nan", "trap-zero-division"])
+    def test_exit_three_and_no_csv(self, tmp_path, capsys, args, column):
+        code, out = run(tmp_path, args)
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        if column is not None:
+            assert f"column {column}" in err
+        assert not out.exists()
+
+    def test_nothing_written_to_stdout(self, capsys):
+        assert main(["pair-rate", "--eta", "0.5", "--cycle-us", "1e-310"]) == EXIT_NUMERICAL
+        assert capsys.readouterr().out == ""
+
+
+class TestValidateOnlyReadsLineData:
+    TRAP = ["--power-mw", "40", "--waist-um", "3.5"]
+
+    @pytest.mark.parametrize("args", [
+        ["lightshift"] + TRAP,
+        ["magic"],
+        ["trap"] + TRAP,
+        ["loading", "--rate-per-s", "1"] + TRAP,
+        ["g2", "--delta-mhz", "-31", "--icl", "103", "--points", "3",
+         "--trap-power-mw", "40", "--trap-waist-um", "3.5"],
+    ], ids=["lightshift", "magic", "trap", "loading", "g2-trap"])
+    def test_same_exit_and_line_as_the_run(self, tmp_path, capsys, monkeypatch, args):
+        monkeypatch.setenv("SINGLEATOM_LINE_DATA", str(tmp_path / "absent.json"))
+        code, out = run(tmp_path, args)
+        run_err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION and not out.exists()
+        assert main(args + ["--validate-only"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == run_err and "absent.json" in run_err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("args", [
+        ["g2", "--delta-mhz", "-31", "--icl", "103", "--points", "3"],
+        ["bell"],
+    ], ids=["g2-no-trap", "bell"])
+    def test_line_data_not_read_when_unused(self, capsys, monkeypatch, tmp_path, args):
+        monkeypatch.setenv("SINGLEATOM_LINE_DATA", str(tmp_path / "absent.json"))
+        assert main(args + ["--validate-only"]) == EXIT_OK
+        assert capsys.readouterr().out == "configuration ok\n"
+
+
+def test_n_max_bounded(capsys):
+    code = main(["loading", "--rate-per-s", "1", "--power-mw", "44", "--waist-um", "3.5",
+                 "--n-max", "100000000", "--validate-only"])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation: ") and err.count("\n") == 1
+    assert "--n-max" in err
+
+
+
+class TestMetadataParameters:
+    """The sidecar's parameters, recorded before the scenario table existed."""
+
+    CANONICAL = {
+        "lightshift": (["--power-mw", "44", "--waist-um", "3.5"],
+                       {"power_mw": 44.0, "waist_um": 3.5, "wavelength_nm": 856.0}),
+        "magic": ([], {"bracket_um": [1.2, 1.6]}),
+        "trap": (["--power-mw", "44", "--waist-um", "3.5"],
+                 {"power_mw": 44.0, "waist_um": 3.5, "wavelength_nm": 856.0}),
+        "loading": (["--rate-per-s", "0.1..1:0.1", "--power-mw", "44", "--waist-um", "3.5"],
+                    {"beta_cm3_s": 5e-10, "gamma_per_s": 0.2, "n_max": 5,
+                     "power_mw": 44.0, "rate_per_s": "0.1..1:0.1",
+                     "temperature_uk": 100.0, "waist_um": 3.5, "wavelength_nm": 856.0}),
+        "g2": (["--delta-mhz", "-31", "--icl", "103", "--points", "11"],
+               {"delta_mhz": -31.0, "delta_rl_mhz": 0.0, "env_a": None,
+                "env_tau_us": None, "icl_mw_cm2": 103.0, "irl_mw_cm2": 12.0,
+                "kinetic_uk": 100.0, "model": "four-level", "points": 11,
+                "tau_max_ns": 200.0, "trap_power_mw": None, "trap_waist_um": None,
+                "trap_wavelength_nm": 856.0}),
+        "stirap": (["--alpha-deg", "0..180:5"],
+                   {"alpha_deg": "0..180:5", "prep_phase_rad": 0.0, "visibility": 1.0}),
+        "larmor": (["--b-mgauss", "132"],
+                   {"b_mgauss": 132.0, "g_f": -0.5, "points": 501, "t_max_us": 10.0}),
+        "bell": ([], {"noise_p": 1.0, "phi_a2_deg": 90.0, "phi_a_deg": 0.0,
+                      "phi_b2_deg": 135.0, "phi_b_deg": 45.0}),
+        "correlations": (["--beta-deg", "0..180:5"],
+                         {"basis": "x", "beta_deg": "0..180:5", "visibility": 1.0}),
+        "spectrum-fit": (["--reference", "ref.csv", "--fluorescence", "fluor.csv"],
+                         {"fluorescence": "fluor.csv", "reference": "ref.csv",
+                          "wavelength_nm": 780.246}),
+        "pair-rate": (["--eta", "5e-4"],
+                      {"cycle_us": 1.0, "duty_factor": 1.0, "eta": 0.0005,
+                       "t_fiber": 0.9746794344808963}),
+    }
+
+    def test_every_scenario_pinned(self):
+        assert set(self.CANONICAL) == set(SCENARIOS)
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_parameters_keys_and_defaults(self, tmp_path, monkeypatch, scenario):
+        from singleatom.analysis import gaussian_profile
+        monkeypatch.chdir(tmp_path)
+        f = np.linspace(-5e6, 5e6, 201)
+        for name, sigma in (("ref.csv", 0.5e6), ("fluor.csv", 0.7e6)):
+            profile = gaussian_profile(f, sigma)
+            np.savetxt(name, np.column_stack([profile.frequency, profile.amplitude]),
+                       delimiter=",")
+        argv, expected = self.CANONICAL[scenario]
+        assert main([scenario, *argv, "--metadata", "--out", "out.csv"]) == EXIT_OK
+        meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
+        assert meta["parameters"] == expected
+
+
+# required keys of each scenario, with grids and --points small enough that
+# every fuzzed run stays cheap
+FUZZ_BASE = {
+    "lightshift": ["--power-mw", "44", "--waist-um", "3.5"],
+    "magic": [],
+    "trap": ["--power-mw", "44", "--waist-um", "3.5"],
+    "loading": ["--rate-per-s", "0.5", "--power-mw", "44", "--waist-um", "3.5"],
+    "g2": ["--delta-mhz", "-31", "--icl", "103", "--points", "21"],
+    "stirap": ["--alpha-deg", "0..90:45"],
+    "larmor": ["--b-mgauss", "100", "--points", "21"],
+    "bell": [],
+    "correlations": ["--beta-deg", "0..90:45"],
+    "spectrum-fit": ["--reference", "{dir}/ref.csv", "--fluorescence", "{dir}/fluor.csv"],
+    "pair-rate": ["--eta", "0.001"],
+}
+
+FUZZ_FLOATS = st.one_of(
+    st.floats(min_value=-1e4, max_value=1e4),
+    st.sampled_from([0.0, 1e-310, -1e-310, 1e300, -1e300,
+                     math.nan, math.inf, -math.inf]),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    from singleatom.analysis import gaussian_profile
+    path = tmp_path_factory.mktemp("fuzz")
+    f = np.linspace(-5e6, 5e6, 201)
+    for name, sigma in (("ref.csv", 0.5e6), ("fluor.csv", 0.7e6)):
+        profile = gaussian_profile(f, sigma)
+        np.savetxt(path / name, np.column_stack([profile.frequency, profile.amplitude]),
+                   delimiter=",")
+    return path
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), scenario=st.sampled_from(SCENARIOS))
+def test_fuzzed_flags_exit_cleanly(fuzz_dir, data, scenario):
+    """Any mix of finite and non-finite flag values: exit 0, 2 or 3, never a
+    non-finite value in the CSV, and no CSV at all unless the run succeeded."""
+    out = fuzz_dir / "out.csv"
+    if out.exists():
+        out.unlink()
+    argv = [scenario] + [a.format(dir=fuzz_dir) for a in FUZZ_BASE[scenario]]
+    for flag in SPECS[scenario][2:]:
+        if not data.draw(st.booleans()):
+            continue
+        if flag.kind == "float":
+            value = data.draw(FUZZ_FLOATS)
+        elif flag.kind == "int":
+            value = data.draw(st.integers(min_value=-2, max_value=50))
+        else:
+            continue
+        argv.append(f"--{flag.name}={value!r}")
+    code = main(argv + ["--out", str(out)])
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL)
+    if code != EXIT_OK:
+        assert not out.exists()
+    elif out.exists():
+        text = out.read_text().lower()
+        assert "nan" not in text and "inf" not in text
