@@ -36,10 +36,6 @@ class AngMom:
         if not isinstance(self.two_j, int) or self.two_j < 0:
             raise ValueError(f"two_j must be a nonnegative integer, got {self.two_j!r}")
 
-    @property
-    def j(self) -> float:
-        return self.two_j / 2.0
-
 
 @dataclass(frozen=True)
 class ReducedME:
@@ -60,17 +56,14 @@ def as_two_j(value) -> int:
     """Coerce an AngMom, integer or half-integer float to a doubled integer."""
     if isinstance(value, AngMom):
         return value.two_j
-    doubled = 2 * value
-    rounded = round(doubled)
-    if abs(doubled - rounded) > 1e-9:
-        raise ValueError(f"{value!r} is not an integer or half-integer")
-    if rounded < 0:
+    two_j = _doubled(value)
+    if two_j < 0:
         raise ValueError(f"angular momentum must be nonnegative, got {value!r}")
-    return int(rounded)
+    return two_j
 
 
-def _two_m(value) -> int:
-    # m values may be negative, otherwise same doubling rule
+def _doubled(value) -> int:
+    # 2*value as an integer; m values may be negative
     doubled = 2 * value
     rounded = round(doubled)
     if abs(doubled - rounded) > 1e-9:
@@ -106,7 +99,7 @@ def clebsch_gordan(j1, m1, j2, m2, J, M) -> float:
     ``ValueError`` for negative j or non-half-integer arguments.
     """
     tj1, tj2, tJ = as_two_j(j1), as_two_j(j2), as_two_j(J)
-    tm1, tm2, tM = _two_m(m1), _two_m(m2), _two_m(M)
+    tm1, tm2, tM = _doubled(m1), _doubled(m2), _doubled(M)
     for tj, tm in ((tj1, tm1), (tj2, tm2), (tJ, tM)):
         if abs(tm) > tj or (tj + tm) % 2 != 0:
             if abs(tm) > tj:
@@ -181,6 +174,13 @@ def wigner_6j(j1, j2, j3, j4, j5, j6) -> float:
     return float(total) * math.sqrt(float(norm))
 
 
+def _line_strength_sq(omega_if: float, two_j_lower: int, two_j_upper: int,
+                      rate: float) -> float:
+    """|<J||er||J'>|^2 (C^2 m^2) from the partial decay rate of J' into J."""
+    return (3 * PI * EPS0 * HBAR * C**3 / omega_if**3
+            * (two_j_upper + 1) / (two_j_lower + 1) * rate)
+
+
 def reduced_me_from_lifetime(lifetime: float, omega_if: float, j, j_prime) -> ReducedME:
     """Reduced dipole matrix element <J||er||J'> from the transition lifetime.
 
@@ -191,11 +191,7 @@ def reduced_me_from_lifetime(lifetime: float, omega_if: float, j, j_prime) -> Re
         raise ValueError("lifetime and omega_if must be positive")
     jl = AngMom(as_two_j(j))
     ju = AngMom(as_two_j(j_prime))
-    value = math.sqrt(
-        3 * PI * EPS0 * HBAR * C**3 / omega_if**3
-        * (ju.two_j + 1) / (jl.two_j + 1)
-        / lifetime
-    )
+    value = math.sqrt(_line_strength_sq(omega_if, jl.two_j, ju.two_j, 1.0 / lifetime))
     return ReducedME(value=value, j_lower=jl, j_upper=ju, lifetime=lifetime, omega_if=omega_if)
 
 

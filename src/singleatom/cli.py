@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import NamedTuple
 
@@ -41,7 +42,6 @@ from .bloch import (
 from .constants import (
     KB,
     RB87_GAMMA_D2,
-    RB87_LAMBDA_D2,
     RB87_MASS,
     TWO_PI,
     intensity_from_mw_cm2,
@@ -97,16 +97,30 @@ def _fmt(value, column: str) -> str:
     return str(value)
 
 
-def _write_csv(path: str | None, header: list[str], rows: list[list]) -> None:
-    """Format every value before writing, so a non-finite one leaves no file."""
+def _write_csv(path: str | None, header: list[str], rows: list[list],
+               meta: dict | None) -> None:
+    """Format every value before writing, so a non-finite one leaves no file.
+
+    ``meta`` goes to the JSON sidecar.  A failed write raises ValidationError
+    naming the path and leaves no CSV.
+    """
     lines = [",".join(header)]
     lines += [",".join(_fmt(v, c) for v, c in zip(row, header)) for row in rows]
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        if meta is not None:
+            with open(path + ".meta.json", "w", encoding="utf-8", newline="\n") as fh:
+                json.dump(meta, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+    except OSError as exc:
+        if exc.filename != path:  # the CSV was opened, so it is ours to remove
+            os.remove(path)
+        raise ValidationError(f"cannot write {exc.filename or path}: {exc.strerror}") from exc
 
 
 def _time_evolution(scenario: str, params: dict) -> dict:
@@ -120,16 +134,13 @@ def _time_evolution(scenario: str, params: dict) -> dict:
     return {"method": "none"}
 
 
-def _write_metadata(out_path: str, scenario: str, params: dict) -> None:
-    meta = {
+def _metadata(scenario: str, params: dict) -> dict:
+    return {
         "scenario": scenario,
         "library_version": __version__,
         "integrator": _time_evolution(scenario, params),
         "parameters": {k: params[k] for k in sorted(params)},
     }
-    with open(out_path + ".meta.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _parse_grid(spec: str, name: str) -> np.ndarray:
@@ -160,22 +171,24 @@ def _parse_grid(spec: str, name: str) -> np.ndarray:
 # --- scenario runners -------------------------------------------------------
 
 
-def _trap(power_mw: float, waist_um: float, wavelength_nm: float, lines=None):
-    """The trap beam's peak field, and with a line table its harmonic trap."""
+def _trap_field(power_mw: float, waist_um: float, wavelength_nm: float):
+    """The trap beam and its peak field."""
     beam = GaussianBeam(power=power_mw * 1e-3, waist_w0=waist_um * 1e-6,
                         wavelength=wavelength_nm * 1e-9)
-    field = LaserField(wavelength=beam.wavelength, intensity=beam.peak_intensity, epsilon=0)
-    if lines is None:
-        return field, None
-    depth = abs(ground_shift_alkali(field, 0.5, lines))
+    return beam, LaserField(wavelength=beam.wavelength, intensity=beam.peak_intensity)
+
+
+def _trap(args):
+    """The trap beam's peak field and its harmonic trap."""
+    beam, field = _trap_field(args.power_mw, args.waist_um, args.wavelength_nm)
+    depth = abs(ground_shift_alkali(field, 0.5, args.lines))
     return field, TrapSpec.from_beam(beam, depth, RB87_MASS)
 
 
 def run_lightshift(args):
-    field, _ = _trap(args.power_mw, args.waist_um, args.wavelength_nm)
-    lines = load_default_lines()
-    depth = ground_shift_alkali(field, 0.5, lines)
-    rate = scattering_rate_alkali(field, lines)
+    _, field = _trap_field(args.power_mw, args.waist_um, args.wavelength_nm)
+    depth = ground_shift_alkali(field, 0.5, args.lines)
+    rate = scattering_rate_alkali(field, args.lines)
     header = ["wavelength_nm", "power_mw", "waist_um", "depth_mk", "scatter_per_s"]
     row = [args.wavelength_nm, args.power_mw, args.waist_um,
            abs(depth) / KB * 1e3, rate]
@@ -184,17 +197,16 @@ def run_lightshift(args):
 
 def run_magic(args):
     lo, hi = args.bracket_um
-    lines = load_default_lines()
-    magic = find_magic_wavelength(lines, (lo * 1e-6, hi * 1e-6))
+    magic = find_magic_wavelength(args.lines, (lo * 1e-6, hi * 1e-6))
     return ["bracket_lo_um", "bracket_hi_um", "magic_um"], [[lo, hi, magic * 1e6]]
 
 
 def run_trap(args):
-    lines = load_default_lines()
-    field, trap = _trap(args.power_mw, args.waist_um, args.wavelength_nm, lines)
+    field, trap = _trap(args)
     omega_r, omega_z = harmonic_frequencies(trap)
-    rate = scattering_rate_alkali(field, lines)
-    t_rec = recoil_temperature(RB87_LAMBDA_D2, RB87_MASS)
+    rate = scattering_rate_alkali(field, args.lines)
+    _, d2 = args.lines.d_lines()
+    t_rec = recoil_temperature(d2.wavelength, RB87_MASS)
     header = ["depth_mk", "omega_r_khz", "omega_z_khz", "scatter_per_s",
               "t_doppler_uk", "t_recoil_nk", "heating_uk_per_s"]
     row = [trap.depth_u / KB * 1e3,
@@ -208,8 +220,7 @@ def run_trap(args):
 
 
 def run_loading(args):
-    _, trap = _trap(args.power_mw, args.waist_um, args.wavelength_nm,
-                    load_default_lines())
+    _, trap = _trap(args)
     volume = trap_volume(trap, args.temperature_uk * 1e-6)
     rows = []
     for r in _parse_grid(args.rate_per_s, "--rate-per-s"):
@@ -230,10 +241,10 @@ def _four_level_params(args) -> FourLevelParams:
         delta_rl=TWO_PI * args.delta_rl_mhz * 1e6,
     )
     if args.trap_power_mw is not None:
-        field, _ = _trap(args.trap_power_mw, args.trap_waist_um,
-                         args.trap_wavelength_nm)
-        params = apply_trap_shifts(params, field,
-                                   kinetic_reduction=args.kinetic_uk * 1e-6)
+        _, field = _trap_field(args.trap_power_mw, args.trap_waist_um,
+                               args.trap_wavelength_nm)
+        params = apply_trap_shifts(params, field, kinetic_reduction=args.kinetic_uk * 1e-6,
+                                   lines=args.lines)
     return params
 
 
@@ -298,7 +309,10 @@ def run_correlations(args):
 
 
 def _read_profile(path: str) -> SpectrumProfile:
-    data = np.loadtxt(path, delimiter=",", comments="#", skiprows=0)
+    try:
+        data = np.loadtxt(path, delimiter=",", comments="#", skiprows=0)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
     if data.ndim != 2 or data.shape[1] != 2:
         raise ValidationError(f"{path}: expected two CSV columns (frequency_hz, amplitude)")
     return SpectrumProfile(frequency=data[:, 0], amplitude=data[:, 1])
@@ -394,6 +408,11 @@ def _flag_error(args, flag: Flag) -> str | None:
     values = value if flag.kind == "bracket" else (value,)
     if any(isinstance(v, float) and not math.isfinite(v) for v in values):
         return f"--{flag.name} must be finite, got {value}"
+    if flag.kind == "grid":
+        try:
+            _parse_grid(value, f"--{flag.name}")
+        except ValidationError as exc:
+            return str(exc)
     check = flag.check
     if check is None:
         return None
@@ -408,8 +427,9 @@ def _flag_error(args, flag: Flag) -> str | None:
 
 
 def _read_lines(args) -> list[str]:
-    """Read the line data now, so --validate-only fails as the run would."""
-    load_default_lines()
+    """Read the line data now, so --validate-only fails as the run would;
+    the runner computes with the table read here."""
+    args.lines = load_default_lines()
     return []
 
 
@@ -458,12 +478,12 @@ SPECS = {
            Flag("irl-mw-cm2", default=12.0, check="positive", alias="irl"),
            Flag("tau-max-ns", default=200.0, check="positive"),
            Flag("points", "int", default=801, check=(2, MAX_POINTS)),
-           Flag("env-a", required=("model", "full")),
+           Flag("env-a", required=("model", "full"), check="nonnegative"),
            Flag("env-tau-us", required=("model", "full"), check="positive"),
-           Flag("trap-power-mw"),
-           Flag("trap-waist-um"),
-           Flag("trap-wavelength-nm", default=856.0),
-           Flag("kinetic-uk", default=100.0)),
+           Flag("trap-power-mw", check="positive"),
+           Flag("trap-waist-um", check="positive"),
+           Flag("trap-wavelength-nm", default=856.0, check="positive"),
+           Flag("kinetic-uk", default=100.0, check="nonnegative")),
     "stirap": (run_stirap, None,
                Flag("alpha-deg", "grid", required=True,
                     help="polarization angle, number or 'a..b:step'"),
@@ -607,17 +627,15 @@ def main(argv=None) -> int:
         # a non-finite result is refused when the CSV is formatted
         with np.errstate(all="ignore"):
             header, rows = runner(args)
-        _write_csv(args.out, header, rows)
+        params = {f.dest: getattr(args, f.dest) for f in flags}
+        meta = _metadata(args.scenario, params) if args.metadata else None
+        _write_csv(args.out, header, rows, meta)
     except (ValidationError, LineDataError) as exc:
         sys.stderr.write(f"validation: {exc}\n")
         return EXIT_VALIDATION
     except (ArithmeticError, ValueError, KeyError, RuntimeError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
-
-    if args.metadata and args.out:
-        params = {f.dest: getattr(args, f.dest) for f in flags}
-        _write_metadata(args.out, args.scenario, params)
     return EXIT_OK
 
 

@@ -66,32 +66,22 @@ class PureState:
 
 @dataclass(frozen=True)
 class Pulse:
-    """One smooth pulse envelope; ``shape`` is 'sin2' or 'gauss'."""
+    """One sin^2 pulse envelope."""
 
     peak: float
     t_start: float
     duration: float
     phase: float = 0.0
-    shape: str = "sin2"
 
     def __post_init__(self):
         if self.peak < 0 or self.duration <= 0:
             raise ValueError("peak must be nonnegative and duration positive")
-        if self.shape not in ("sin2", "gauss"):
-            raise ValueError("shape must be 'sin2' or 'gauss'")
 
     def envelope(self, t: float) -> float:
         x = (t - self.t_start) / self.duration
-        if self.shape == "sin2":
-            if not 0.0 <= x <= 1.0:
-                return 0.0
-            return self.peak * math.sin(math.pi * x) ** 2
-        # truncated Gaussian centered on the pulse window
-        sigma = self.duration / 6.0
-        center = self.t_start + self.duration / 2.0
         if not 0.0 <= x <= 1.0:
             return 0.0
-        return self.peak * math.exp(-0.5 * ((t - center) / sigma) ** 2)
+        return self.peak * math.sin(math.pi * x) ** 2
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
-"""Physical constants and fixed atomic data for the Rb-87 toolkit.
+"""Physical constants, unit conversions and the Rb-87 species constants.
 
 The fundamental constants are CODATA 2022 values written as literals; they
 equal the values of :mod:`scipy.constants` 1.17 bit for bit, without paying
-for its import.  The atomic numbers are the standard Rb-87 line data used
-throughout (D-line wavelengths, excited-state lifetimes, hyperfine
-splittings, saturation intensities).
+for its import.  The Rb-87 constants are those the line table
+(``data/rb87_lines.json``, the only home of line wavelengths and lifetimes)
+does not carry: mass, nuclear spin, g_J, hyperfine splittings, saturation
+intensities and the D2 linewidth of the Bloch models.
 """
 
 import math
@@ -24,12 +25,9 @@ ATOMIC_MASS = 1.66053906892e-27  # kg
 RB87_MASS = 86.9092 * ATOMIC_MASS
 RB87_TWO_I = 3  # nuclear spin I = 3/2, stored doubled
 
-# D-line data
-RB87_LAMBDA_D1 = 794.979e-9
-RB87_LAMBDA_D2 = 780.246e-9
-RB87_TAU_5P12 = 27.70e-9
-RB87_TAU_5P32 = 26.24e-9
-RB87_GAMMA_D1 = TWO_PI * 5.746e6
+# Natural linewidth of the D2 line used by the Bloch models.  Kept as the
+# measured 6.065 MHz rather than derived from the table's 26.24 ns lifetime,
+# which would make it 5.9e-5 larger and move every g2 value.
 RB87_GAMMA_D2 = TWO_PI * 6.065e6
 
 # Hyperfine structure

@@ -107,12 +107,11 @@ class MeasurementSetting:
 def bell_state(which: str) -> TwoQubitState:
     """Pure density matrix of one of the four Bell states.
 
-    Accepts 'psi+', 'psi-', 'phi+', 'phi-' (case-insensitive).
+    Accepts 'psi+', 'psi-', 'phi+', 'phi-'.
     """
-    key = which.lower().replace("ψ", "psi").replace("φ", "phi")
-    if key not in _BELL_VECTORS:
+    if which not in _BELL_VECTORS:
         raise ValueError(f"unknown Bell state {which!r}")
-    return TwoQubitState.from_vector(_BELL_VECTORS[key])
+    return TwoQubitState.from_vector(_BELL_VECTORS[which])
 
 
 def singlet_joint_probability(phi_a: float, phi_b: float) -> float:

@@ -24,7 +24,7 @@ import os
 from dataclasses import dataclass
 from importlib import resources
 
-from .angular import clebsch_gordan, wigner_6j
+from .angular import _line_strength_sq, _triangle_ok, clebsch_gordan, wigner_6j
 from .constants import (
     C,
     EPS0,
@@ -60,23 +60,20 @@ LINE_DATA_ENV = "SINGLEATOM_LINE_DATA"
 class LaserField:
     """A monochromatic laser field: wavelength (m), intensity (W/m^2), polarization.
 
-    ``epsilon`` is -1, 0 or +1 for sigma-, pi and sigma+ light; the string
-    ``"linear"`` is accepted as an alias for 0.
+    ``epsilon`` is -1, 0 or +1 for sigma-, pi and sigma+ light.
     """
 
     wavelength: float
     intensity: float
-    epsilon: int | str = 0
+    epsilon: int = 0
 
     def __post_init__(self):
         if self.wavelength <= 0:
             raise ValueError("wavelength must be positive")
         if self.intensity < 0:
             raise ValueError("intensity must be nonnegative")
-        eps = 0 if self.epsilon == "linear" else self.epsilon
-        if eps not in (-1, 0, 1):
-            raise ValueError("epsilon must be -1, 0, +1 or 'linear'")
-        object.__setattr__(self, "epsilon", eps)
+        if self.epsilon not in (-1, 0, 1):
+            raise ValueError("epsilon must be -1, 0 or +1")
 
     @property
     def omega(self) -> float:
@@ -107,10 +104,9 @@ class SpectralLine:
 
 @dataclass(frozen=True)
 class LineTable:
-    """Immutable set of dipole couplings plus the nuclear spin."""
+    """Immutable set of dipole couplings."""
 
     lines: tuple[SpectralLine, ...]
-    two_i: int = RB87_TWO_I
 
     def __post_init__(self):
         pairs = set()
@@ -132,6 +128,10 @@ class LineTable:
                 out.append((line, False))
         return out
 
+    def d_lines(self) -> tuple[SpectralLine, SpectralLine]:
+        """The D1 and D2 couplings of the 5S1/2 ground state."""
+        return self.get("5S1/2", "5P1/2"), self.get("5S1/2", "5P3/2")
+
     def get(self, lower: str, upper: str) -> SpectralLine:
         for line in self.lines:
             if line.lower == lower and line.upper == upper:
@@ -141,23 +141,18 @@ class LineTable:
 
 @dataclass(frozen=True)
 class HyperfineLevel:
-    """A hyperfine Zeeman level |n_label; J, F, m_F> with optional energy offset."""
+    """A hyperfine Zeeman level |n_label; J, F, m_F>."""
 
     n_label: str
     two_j: int
     two_f: int
     two_m_f: int
-    energy_offset: float = 0.0   # rad/s relative to the fine-structure level
 
     def __post_init__(self):
         if abs(self.two_m_f) > self.two_f:
             raise ValueError("|m_F| exceeds F")
-        if not _triangle(self.two_j, RB87_TWO_I, self.two_f):
+        if not _triangle_ok(self.two_j, RB87_TWO_I, self.two_f):
             raise ValueError("F incompatible with J and nuclear spin I=3/2")
-
-
-def _triangle(ta, tb, tc):
-    return (ta + tb + tc) % 2 == 0 and abs(ta - tb) <= tc <= ta + tb
 
 
 class LineDataError(ValueError):
@@ -195,11 +190,11 @@ def _table_from_dict(raw: dict) -> LineTable:
         )
         for entry in raw["lines"]
     )
-    # the ground hyperfine offsets and HyperfineLevel assume Rb-87's I = 3/2
-    two_i = raw.get("nuclear_two_i", RB87_TWO_I)
-    if two_i != RB87_TWO_I:
-        raise ValueError(f"nuclear_two_i must be {RB87_TWO_I} (Rb-87), got {two_i!r}")
-    return LineTable(lines=lines, two_i=two_i)
+    # the hyperfine sums use Rb-87's I = 3/2 (RB87_TWO_I); a table may only confirm it
+    declared = raw.get("nuclear_two_i", RB87_TWO_I)
+    if declared != RB87_TWO_I:
+        raise ValueError(f"nuclear_two_i must be {RB87_TWO_I} (Rb-87), got {declared!r}")
+    return LineTable(lines=lines)
 
 
 _DEFAULT_TABLE: LineTable | None = None
@@ -290,12 +285,6 @@ def _signed_detuning(omega_line: float, omega: float) -> float:
     return -1.0 / _effective_inverse_detuning(omega_line, omega)
 
 
-def _d_lines(lines: LineTable) -> tuple[SpectralLine, SpectralLine]:
-    d1 = lines.get("5S1/2", "5P1/2")
-    d2 = lines.get("5S1/2", "5P3/2")
-    return d1, d2
-
-
 def ground_shift_alkali(field: LaserField, m_j: float, lines: LineTable) -> float:
     """Ground-state dipole potential (J) of an alkali atom with g_J = 2.
 
@@ -303,7 +292,7 @@ def ground_shift_alkali(field: LaserField, m_j: float, lines: LineTable) -> floa
     linear polarization the result does not depend on m_J, for circular
     polarization the vector term lifts the m_J = +-1/2 degeneracy.
     """
-    d1, d2 = _d_lines(lines)
+    d1, d2 = lines.d_lines()
     eps = field.epsilon
     gjm = RB87_GJ_GROUND * m_j
     delta1 = _signed_detuning(d1.omega, field.omega)
@@ -320,7 +309,7 @@ def ground_shift_alkali(field: LaserField, m_j: float, lines: LineTable) -> floa
 
 def scattering_rate_alkali(field: LaserField, lines: LineTable) -> float:
     """Ground-state photon scattering rate (1/s) for linear polarization."""
-    d1, d2 = _d_lines(lines)
+    d1, d2 = lines.d_lines()
     w = field.omega
     delta1 = w - d1.omega
     delta2 = w - d2.omega
@@ -353,15 +342,6 @@ def _ground_offset(level_label: str, two_f: int) -> float:
     return _GROUND_HFS_OFFSET[two_f // 2]
 
 
-def _reduced_pair_strength(line: SpectralLine) -> float:
-    """|<J_lower || e r || J_upper>|^2 from the pair lifetime (C^2 m^2)."""
-    return (
-        3 * PI * EPS0 * HBAR * C**3 / line.omega**3
-        * (line.two_j_upper + 1) / (line.two_j_lower + 1)
-        * line.rate
-    )
-
-
 def hyperfine_shift(level: HyperfineLevel, field: LaserField, lines: LineTable) -> float:
     """Light shift (rad/s) of one hyperfine Zeeman level.
 
@@ -373,7 +353,6 @@ def hyperfine_shift(level: HyperfineLevel, field: LaserField, lines: LineTable) 
     couplings = lines.couplings_of(level.n_label)
     if not couplings:
         raise KeyError(f"no line data couples to level {level.n_label!r}")
-    two_i = lines.two_i
     eps = field.epsilon
     w = field.omega
     tf, tmf = level.two_f, level.two_m_f
@@ -381,18 +360,18 @@ def hyperfine_shift(level: HyperfineLevel, field: LaserField, lines: LineTable) 
 
     shift = 0.0
     for line, partner_above in couplings:
+        red_sq = _line_strength_sq(line.omega, line.two_j_lower, line.two_j_upper, line.rate)
         if partner_above:
             tjp = line.two_j_upper
-            red_sq = _reduced_pair_strength(line)
         else:
             tjp = line.two_j_lower
             # reversed reduced element (completeness sum rule):
             # |<J_up||er||J_lo>|^2 = (2J_lo+1)/(2J_up+1) |<J_lo||er||J_up>|^2
-            red_sq = _reduced_pair_strength(line) * (line.two_j_lower + 1) / (line.two_j_upper + 1)
+            red_sq = red_sq * (line.two_j_lower + 1) / (line.two_j_upper + 1)
 
         level_offset = _ground_offset(level.n_label, tf)
         tmf_p = tmf - 2 * eps
-        for tfp in range(abs(tjp - two_i), tjp + two_i + 1, 2):
+        for tfp in range(abs(tjp - RB87_TWO_I), tjp + RB87_TWO_I + 1, 2):
             if abs(tmf_p) > tfp:
                 continue
             partner_label = line.upper if partner_above else line.lower
@@ -400,7 +379,7 @@ def hyperfine_shift(level: HyperfineLevel, field: LaserField, lines: LineTable) 
             inv_det = _effective_inverse_detuning(omega_pair, w)
             if not partner_above:
                 inv_det = -inv_det
-            six_j = wigner_6j(tj / 2, tjp / 2, 1, tfp / 2, tf / 2, two_i / 2)
+            six_j = wigner_6j(tj / 2, tjp / 2, 1, tfp / 2, tf / 2, RB87_TWO_I / 2)
             cg = clebsch_gordan(tfp / 2, tmf_p / 2, 1, eps, tf / 2, tmf / 2)
             weight = (tfp + 1) * (tj + 1) * six_j**2 * cg**2
             # energy shift in J, one more hbar converts to rad/s
@@ -408,8 +387,7 @@ def hyperfine_shift(level: HyperfineLevel, field: LaserField, lines: LineTable) 
     return shift / HBAR
 
 
-def mean_level_shift(level_label: str, two_j: int, field: LaserField,
-                     lines: LineTable) -> float:
+def mean_level_shift(level_label: str, field: LaserField, lines: LineTable) -> float:
     """Scalar light shift (J) of a fine-structure level, Zeeman-averaged.
 
     Equal occupation of the magnetic sublevels removes the vector and tensor
@@ -432,16 +410,15 @@ def mean_level_shift(level_label: str, two_j: int, field: LaserField,
 
 
 def _shift_difference(wavelength: float, intensity: float, lines: LineTable,
-                      excited: str, excited_two_j: int) -> float:
+                      excited: str) -> float:
     field = LaserField(wavelength=wavelength, intensity=intensity, epsilon=0)
-    ground = mean_level_shift("5S1/2", 1, field, lines)
-    upper = mean_level_shift(excited, excited_two_j, field, lines)
+    ground = mean_level_shift("5S1/2", field, lines)
+    upper = mean_level_shift(excited, field, lines)
     return ground - upper
 
 
 def find_magic_wavelength(lines: LineTable, bracket: tuple[float, float],
-                          excited: str = "5P3/2", excited_two_j: int = 3,
-                          rel_tol: float = 1e-4) -> float:
+                          excited: str = "5P3/2", rel_tol: float = 1e-4) -> float:
     """Wavelength (m) where ground and Zeeman-averaged excited shifts cross.
 
     The bracket is split at every line resonance of either level so that
@@ -468,8 +445,8 @@ def find_magic_wavelength(lines: LineTable, bracket: tuple[float, float],
         b_in = b * (1 - pad) if b in resonances else b
         if a_in >= b_in:
             continue
-        fa = _shift_difference(a_in, intensity, lines, excited, excited_two_j)
-        fb = _shift_difference(b_in, intensity, lines, excited, excited_two_j)
+        fa = _shift_difference(a_in, intensity, lines, excited)
+        fb = _shift_difference(b_in, intensity, lines, excited)
         if fa == 0.0:
             roots.append(a_in)
             continue
@@ -478,7 +455,7 @@ def find_magic_wavelength(lines: LineTable, bracket: tuple[float, float],
         x0, x1, f0 = a_in, b_in, fa
         while (x1 - x0) / x0 > rel_tol:
             mid = 0.5 * (x0 + x1)
-            fm = _shift_difference(mid, intensity, lines, excited, excited_two_j)
+            fm = _shift_difference(mid, intensity, lines, excited)
             if fm == 0.0:
                 x0 = x1 = mid
                 break

@@ -19,7 +19,9 @@ from singleatom.analysis import (
     lorentzian_profile,
     normalize_g2,
 )
-from singleatom.constants import KB, RB87_LAMBDA_D2, RB87_MASS
+from singleatom.constants import KB, RB87_MASS
+
+LAMBDA_D2 = 780.246e-9  # m, the D2 line of the bundled table
 
 
 def grid(span=8e6, step=0.02e6):
@@ -128,7 +130,7 @@ class TestDopplerFit:
     def test_round_trip_with_noise(self):
         ref = reference_profile()
         e_kin = 110e-6
-        sigma_true = math.sqrt(2 * KB * e_kin / (3 * RB87_MASS)) / RB87_LAMBDA_D2
+        sigma_true = math.sqrt(2 * KB * e_kin / (3 * RB87_MASS)) / LAMBDA_D2
         doppler = gaussian_profile(ref.frequency - ref.frequency.mean(), sigma_true)
         fluor = convolve_profiles(ref, doppler)
         rng = np.random.default_rng(7)
@@ -161,17 +163,17 @@ class TestDopplerFit:
 
 class TestKineticEnergy:
     def test_zero_width(self):
-        assert kinetic_energy_from_sigma(0.0, RB87_LAMBDA_D2, RB87_MASS) == 0.0
+        assert kinetic_energy_from_sigma(0.0, LAMBDA_D2, RB87_MASS) == 0.0
 
     def test_quadratic_scaling(self):
-        e1 = kinetic_energy_from_sigma(1e5, RB87_LAMBDA_D2, RB87_MASS)
-        e2 = kinetic_energy_from_sigma(2e5, RB87_LAMBDA_D2, RB87_MASS)
+        e1 = kinetic_energy_from_sigma(1e5, LAMBDA_D2, RB87_MASS)
+        e2 = kinetic_energy_from_sigma(2e5, LAMBDA_D2, RB87_MASS)
         assert e2 == pytest.approx(4 * e1, rel=1e-12)
 
     def test_round_trip_definition(self):
         e_kin = 110e-6
-        sigma = math.sqrt(2 * KB * e_kin / (3 * RB87_MASS)) / RB87_LAMBDA_D2
-        assert kinetic_energy_from_sigma(sigma, RB87_LAMBDA_D2,
+        sigma = math.sqrt(2 * KB * e_kin / (3 * RB87_MASS)) / LAMBDA_D2
+        assert kinetic_energy_from_sigma(sigma, LAMBDA_D2,
                                          RB87_MASS) == pytest.approx(e_kin, rel=1e-12)
 
 

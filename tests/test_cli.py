@@ -116,6 +116,63 @@ class TestListAndValidate:
         assert not out.exists()
 
 
+class TestValidateOnlyAgreesWithRun:
+    TRAP = ["g2", "--delta-mhz", "-31", "--icl", "103", "--points", "3",
+            "--trap-power-mw", "40", "--trap-waist-um", "3.5"]
+
+    @pytest.mark.parametrize("args,flag", [
+        (TRAP + ["--trap-power-mw=-40"], "--trap-power-mw"),
+        (TRAP + ["--trap-waist-um", "0"], "--trap-waist-um"),
+        (TRAP + ["--trap-wavelength-nm=-856"], "--trap-wavelength-nm"),
+        (TRAP + ["--kinetic-uk=-500"], "--kinetic-uk"),
+        (["g2", "--model", "full", "--delta-mhz", "-31", "--icl", "103", "--points", "3",
+          "--env-a=-1", "--env-tau-us", "2"], "--env-a"),
+        (["stirap", "--alpha-deg", "oops"], "--alpha-deg"),
+        (["loading", "--rate-per-s", "1..0:1", "--power-mw", "44", "--waist-um", "3.5"],
+         "--rate-per-s"),
+        (["correlations", "--beta-deg", "0..90"], "--beta-deg"),
+    ], ids=["trap-power", "trap-waist", "trap-wavelength", "kinetic", "env-a",
+            "stirap-grid", "loading-grid", "correlations-grid"])
+    def test_out_of_range_flag_exits_two(self, tmp_path, capsys, args, flag):
+        code, out = run(tmp_path, args)
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION and not out.exists()
+        assert err.startswith("validation: ") and err.count("\n") == 1 and flag in err
+        assert main(args + ["--validate-only"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == err
+
+
+class TestUnreadableInputsAndOutputs:
+    TRAP = ["trap", "--power-mw", "44", "--waist-um", "3.5"]
+
+    @pytest.mark.parametrize("content", [None, b"a,b\n1,2\n", b"1\n2\n3\n"],
+                             ids=["missing", "malformed", "one-column"])
+    def test_bad_profile_named(self, tmp_path, capsys, fuzz_dir, content):
+        path = tmp_path / "ref.csv"
+        if content is not None:
+            path.write_bytes(content)
+        code, out = run(tmp_path, ["spectrum-fit", "--reference", str(path),
+                                   "--fluorescence", str(fuzz_dir / "fluor.csv")])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION and not out.exists()
+        assert err.startswith("validation: ") and err.count("\n") == 1 and str(path) in err
+
+    @pytest.mark.parametrize("name", ["absent/x.csv", "."], ids=["no-directory", "directory"])
+    def test_unwritable_csv_named(self, tmp_path, capsys, name):
+        out = tmp_path / name
+        assert main(self.TRAP + ["--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation: ") and err.count("\n") == 1 and str(out) in err
+
+    def test_unwritable_sidecar_leaves_no_csv(self, tmp_path, capsys):
+        (tmp_path / "x.csv.meta.json").mkdir()
+        code, out = run(tmp_path, self.TRAP + ["--metadata"], "x.csv")
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION and not out.exists()
+        assert err.startswith("validation: ") and err.count("\n") == 1
+        assert str(tmp_path / "x.csv.meta.json") in err
+
+
 class TestListTruth:
     SAMPLE = {"power-mw": "44", "waist-um": "3.5", "rate-per-s": "1",
               "delta-mhz": "-31", "icl-mw-cm2": "103", "alpha-deg": "0",
@@ -295,11 +352,12 @@ class TestScenarios:
     def test_spectrum_fit(self, tmp_path):
         from singleatom.analysis import (
             convolve_profiles, gaussian_profile, lorentzian_profile)
-        from singleatom.constants import KB, RB87_LAMBDA_D2, RB87_MASS
+        from singleatom.constants import KB, RB87_MASS
+        lambda_d2 = 780.246e-9  # m, the D2 line of the bundled table
         f = np.arange(-8e6, 8e6, 0.02e6)
         ref = convolve_profiles(lorentzian_profile(f, 0.45e6),
                                 gaussian_profile(f, 0.6e6 / 2.3548))
-        sigma_true = math.sqrt(2 * KB * 110e-6 / (3 * RB87_MASS)) / RB87_LAMBDA_D2
+        sigma_true = math.sqrt(2 * KB * 110e-6 / (3 * RB87_MASS)) / lambda_d2
         fluor = convolve_profiles(
             ref, gaussian_profile(ref.frequency - ref.frequency.mean(), sigma_true))
         ref_path, fluor_path = tmp_path / "ref.csv", tmp_path / "fluor.csv"
@@ -457,6 +515,23 @@ class TestValidateOnlyReadsLineData:
         monkeypatch.setenv("SINGLEATOM_LINE_DATA", str(tmp_path / "absent.json"))
         assert main(args + ["--validate-only"]) == EXIT_OK
         assert capsys.readouterr().out == "configuration ok\n"
+
+    @pytest.mark.parametrize("args", [
+        ["trap"] + TRAP,
+        ["g2", "--delta-mhz", "-31", "--icl", "103", "--points", "3",
+         "--trap-power-mw", "40", "--trap-waist-um", "3.5"],
+    ], ids=["trap", "g2-trap"])
+    def test_override_read_once_per_run(self, tmp_path, monkeypatch, args):
+        from singleatom import lightshift
+        path = tmp_path / "lines.json"
+        path.write_text(resources.files("singleatom.data").joinpath("rb87_lines.json").read_text())
+        monkeypatch.setenv("SINGLEATOM_LINE_DATA", str(path))
+        calls = []
+        load_lines = lightshift.load_lines
+        monkeypatch.setattr(lightshift, "load_lines",
+                            lambda p: calls.append(p) or load_lines(p))
+        code, _ = run(tmp_path, args)
+        assert code == EXIT_OK and calls == [str(path)]
 
 
 def test_n_max_bounded(capsys):
