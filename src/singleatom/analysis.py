@@ -64,6 +64,8 @@ class SpectrumProfile:
         object.__setattr__(self, "amplitude", a)
         if f.ndim != 1 or f.shape != a.shape:
             raise ValueError("frequency and amplitude must be 1-D and equal length")
+        if len(f) < 2:
+            raise ValueError("a profile needs at least two samples")
         if np.any(np.diff(f) <= 0):
             raise ValueError("frequency grid must be strictly increasing")
         if np.any(a < 0):

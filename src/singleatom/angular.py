@@ -9,6 +9,7 @@ integers (``two_j``) so that half-integer values stay exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,11 +93,14 @@ def _tri_fraction(ta: int, tb: int, tc: int) -> Fraction:
     )
 
 
+@functools.lru_cache(maxsize=None)
 def clebsch_gordan(j1, m1, j2, m2, J, M) -> float:
     """Clebsch-Gordan coefficient <j1 m1, j2 m2 | J M> (Condon-Shortley phase).
 
     Returns 0 when M != m1+m2 or when the triangle rule fails.  Raises
-    ``ValueError`` for negative j or non-half-integer arguments.
+    ``ValueError`` for negative j or non-half-integer arguments.  Results
+    are cached per argument tuple; the arithmetic is exact, so a cached
+    value is the one a fresh evaluation would give.
     """
     tj1, tj2, tJ = as_two_j(j1), as_two_j(j2), as_two_j(J)
     tm1, tm2, tM = _doubled(m1), _doubled(m2), _doubled(M)
@@ -136,11 +140,13 @@ def clebsch_gordan(j1, m1, j2, m2, J, M) -> float:
     return float(total) * math.sqrt(float(norm))
 
 
+@functools.lru_cache(maxsize=None)
 def wigner_6j(j1, j2, j3, j4, j5, j6) -> float:
     """Wigner 6j symbol {j1 j2 j3; j4 j5 j6} via the Racah sum.
 
     Returns 0 when any of the four triads violates the triangle or
-    integer-perimeter rules.
+    integer-perimeter rules.  Cached per argument tuple, like
+    ``clebsch_gordan``.
     """
     t = [as_two_j(j) for j in (j1, j2, j3, j4, j5, j6)]
     triads = ((t[0], t[1], t[2]), (t[0], t[4], t[5]), (t[3], t[1], t[5]), (t[3], t[4], t[2]))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..integrator import propagate_linear
+from ..integrator import IntegrationError, propagate_linear
 
 __all__ = [
     "two_level_g2_analytic",
@@ -66,6 +66,10 @@ def two_level_obe_g2(omega0_rabi: float, delta: float, gamma: float,
 
     Starts from the post-detection state (all population in the ground
     level, no coherence) and divides by the steady-state excited population.
+    On resonance the closed form is exact, so where the generator is too
+    close to its exceptional point (Omega0 = Gamma/4) for the
+    eigen-propagator, the closed form is returned; off resonance the
+    ``IntegrationError`` is raised.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -77,8 +81,13 @@ def two_level_obe_g2(omega0_rabi: float, delta: float, gamma: float,
         raise ValueError("delays must be nonnegative")
     prepend = len(tau) == 0 or tau[0] != 0.0
     grid = np.concatenate([[0.0], tau]) if prepend else tau
-    traj = propagate_linear(_obe_generator(omega0_rabi, delta, gamma),
-                            [0.0, 0.0, 0.0, 1.0], grid)
+    try:
+        traj = propagate_linear(_obe_generator(omega0_rabi, delta, gamma),
+                                [0.0, 0.0, 0.0, 1.0], grid)
+    except IntegrationError:
+        if delta != 0:
+            raise
+        return two_level_g2_analytic(omega0_rabi, delta, gamma, tau)
     if prepend:
         traj = traj[1:]
     return traj[:, 0] / steady

@@ -310,12 +310,15 @@ def run_correlations(args):
 
 def _read_profile(path: str) -> SpectrumProfile:
     try:
-        data = np.loadtxt(path, delimiter=",", comments="#", skiprows=0)
+        data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
     except (OSError, ValueError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    if data.ndim != 2 or data.shape[1] != 2:
+    if data.shape[1] != 2:
         raise ValidationError(f"{path}: expected two CSV columns (frequency_hz, amplitude)")
-    return SpectrumProfile(frequency=data[:, 0], amplitude=data[:, 1])
+    try:
+        return SpectrumProfile(frequency=data[:, 0], amplitude=data[:, 1])
+    except ValueError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def run_spectrum_fit(args):

@@ -2,7 +2,10 @@
 
 Pure-state dynamics only.  Loss from the optically excited intermediate
 level is modeled by a non-Hermitian -i*Gamma/2 term, so the norm leak of
-the trajectory equals the accumulated scattering probability.
+the trajectory equals the accumulated scattering probability.  STIRAP is
+propagated by the fourth-order Magnus integrator (``integrator.magnus4``),
+and the scattering is an independent trapezoid quadrature of Gamma |c_a|^2
+over the same trajectory.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR, MU_B
-from .integrator import integrate
+from .integrator import magnus4
 
 __all__ = [
     "PureState",
@@ -33,6 +36,17 @@ __all__ = [
 LAMBDA_BASIS = ("a", "b", "c")
 TRIPOD_BASIS = ("b-", "b+", "c", "a")
 ZEEMAN_BASIS = ("m=-1", "m=+1")
+
+# Magnus-4 steps of stirap_evolve: h ||A|| <= _MAGNUS_STEP, and at least
+# _STEPS_PER_PULSE steps per pulse duration.  Measured against DOP853 at
+# rtol 1e-12 (peaks 5-140 /us, detunings to 2e7 rad/s, loss 0 or 3 /us):
+# the transfer, peak |a> population and norm leak agree within 1e-10.
+_MAGNUS_STEP = 0.1
+_STEPS_PER_PULSE = 2000
+# Magnus steps per magnus4 call: the substep trajectory held at once stays
+# below 0.5 MB however many steps the pulses need, and the default 4000-point
+# grid takes one call
+_STEPS_PER_CALL = 4096
 
 
 @dataclass(frozen=True)
@@ -77,11 +91,11 @@ class Pulse:
         if self.peak < 0 or self.duration <= 0:
             raise ValueError("peak must be nonnegative and duration positive")
 
-    def envelope(self, t: float) -> float:
-        x = (t - self.t_start) / self.duration
-        if not 0.0 <= x <= 1.0:
-            return 0.0
-        return self.peak * math.sin(math.pi * x) ** 2
+    def envelope(self, t):
+        """Rabi frequency at time(s) t, as an array shaped like t."""
+        x = (np.asarray(t, dtype=float) - self.t_start) / self.duration
+        inside = (x >= 0.0) & (x <= 1.0)
+        return np.where(inside, self.peak * np.sin(np.pi * x) ** 2, 0.0)
 
 
 @dataclass(frozen=True)
@@ -124,9 +138,9 @@ class PulseSchedule:
 class StirapResult:
     final_state: PureState
     efficiency: float              # population of |c> at the end
-    max_intermediate: float        # max over time of the |a> population
+    max_intermediate: float        # max of the |a> population over the sample times
     norm_leak: float               # 1 - final norm^2
-    scattered: float               # integral of Gamma * |c_a|^2 dt
+    scattered: float               # integral of Gamma |c_a|^2 dt, trapezoid rule over the steps
 
 
 def lambda_dark_state(phi1: float, phi2: float) -> PureState:
@@ -145,16 +159,25 @@ def ground_start() -> PureState:
 def stirap_evolve(schedule: PulseSchedule, initial: PureState,
                   detunings: tuple[float, float, float] = (0.0, 0.0, 0.0),
                   loss_gamma: float = 0.0, n_steps: int = 4000) -> StirapResult:
-    """Integrate the three-level Schroedinger equation under the pulse pair.
+    """Propagate the three-level Schroedinger equation under the pulse pair.
 
     ``detunings`` are the rotating-frame diagonal terms of (a, b, c);
     ``loss_gamma`` adds -i*Gamma/2 on the intermediate level a, so norm is
-    non-increasing and the leak equals the scattered population.
+    non-increasing and the leak equals the scattered population.  The state
+    is sampled on ``n_steps`` equally spaced times over the schedule, and
+    ``max_intermediate`` is the largest |a> population among them.  Each
+    sampling interval is split into equal fourth-order Magnus steps short
+    against 1/||A|| and the pulse duration, so the accuracy does not depend
+    on ``n_steps``; ``scattered`` is the trapezoid sum over those steps.
+    Only the sampled statistics are kept, so memory does not grow with the
+    number of steps.
     """
     if initial.basis_labels != LAMBDA_BASIS:
         raise ValueError("initial state must live on the (a, b, c) basis")
     if loss_gamma < 0:
         raise ValueError("loss_gamma must be nonnegative")
+    if n_steps < 1:
+        raise ValueError("n_steps must be at least 1")
     d_a, d_b, d_c = detunings
     pump, stokes = schedule.pump, schedule.stokes
     # drive element <a|H|b> = -(Omega/2) e^{+i phi}; with this sign the
@@ -162,29 +185,47 @@ def stirap_evolve(schedule: PulseSchedule, initial: PureState,
     e_p = np.exp(1j * pump.phase)
     e_s = np.exp(1j * stokes.phase)
 
-    def rhs(t, y):
-        c_a, c_b, c_c, _ = y
-        om_p = pump.envelope(t)
-        om_s = stokes.envelope(t)
-        dc_a = (-1j * d_a - loss_gamma / 2.0) * c_a \
-            + 1j * om_p / 2.0 * e_p * c_b + 1j * om_s / 2.0 * e_s * c_c
-        dc_b = -1j * d_b * c_b + 1j * om_p / 2.0 * np.conj(e_p) * c_a
-        dc_c = -1j * d_c * c_c + 1j * om_s / 2.0 * np.conj(e_s) * c_a
-        scattered = loss_gamma * (c_a.real**2 + c_a.imag**2)
-        return np.array([dc_a, dc_b, dc_c, scattered], dtype=complex)
+    def generators(t):
+        # A = -iH: the columns of the Schroedinger right-hand side
+        half_p = 0.5j * pump.envelope(t)
+        half_s = 0.5j * stokes.envelope(t)
+        a = np.zeros((len(t), 3, 3), dtype=complex)
+        a[:, 0, 0] = -1j * d_a - loss_gamma / 2.0
+        a[:, 1, 1] = -1j * d_b
+        a[:, 2, 2] = -1j * d_c
+        a[:, 0, 1] = half_p * e_p
+        a[:, 1, 0] = half_p * np.conj(e_p)
+        a[:, 0, 2] = half_s * e_s
+        a[:, 2, 0] = half_s * np.conj(e_s)
+        return a
 
-    t_grid = np.linspace(0.0, schedule.t_end, n_steps)
-    y0 = np.concatenate([initial.amplitudes, [0.0]]).astype(complex)
-    traj = integrate(rhs, y0, t_grid)
-    amps = traj[-1, :3]
-    final = PureState(amplitudes=amps, basis_labels=LAMBDA_BASIS)
-    max_a = float(np.max(np.abs(traj[:, 0]) ** 2))
+    t_out = np.linspace(0.0, schedule.t_end, n_steps)
+    # largest 1-norm of A over the schedule
+    a_norm = max(abs(d_a) + loss_gamma / 2.0 + (pump.peak + stokes.peak) / 2.0,
+                 abs(d_b) + pump.peak / 2.0, abs(d_c) + stokes.peak / 2.0)
+    h_out = schedule.t_end / max(n_steps - 1, 1)
+    per_interval = max(1, math.ceil(h_out * max(
+        a_norm / _MAGNUS_STEP,
+        _STEPS_PER_PULSE / min(pump.duration, stokes.duration))))
+    group = max(1, _STEPS_PER_CALL // per_interval)  # sampling intervals per call
+    state = initial.amplitudes
+    max_a = float(abs(state[0]) ** 2)
+    scattered = 0.0
+    for k in range(0, n_steps - 1, group):
+        end = min(k + group, n_steps - 1)
+        t = np.linspace(t_out[k], t_out[end], (end - k) * per_interval + 1)
+        traj = magnus4(generators, state, t)
+        pop_a = traj[:, 0].real ** 2 + traj[:, 0].imag ** 2
+        max_a = max(max_a, float(np.max(pop_a[::per_interval])))
+        scattered += loss_gamma * float(np.sum(np.diff(t) * (pop_a[:-1] + pop_a[1:]))) / 2.0
+        state = traj[-1]
+    final = PureState(amplitudes=state, basis_labels=LAMBDA_BASIS)
     return StirapResult(
         final_state=final,
-        efficiency=float(abs(amps[2]) ** 2),
+        efficiency=float(abs(state[2]) ** 2),
         max_intermediate=max_a,
         norm_leak=1.0 - final.norm_sq,
-        scattered=float(traj[-1, 3].real),
+        scattered=scattered,
     )
 
 

@@ -71,11 +71,26 @@ class TestObe:
         analytic = two_level_g2_analytic(omega, 0.0, G, tau)
         assert np.abs(numeric - analytic).max() <= 1e-7
 
-    def test_exceptional_point_refused(self):
-        # exactly defective generator (reached from the CLI by --icl 0.4475
-        # on resonance): refused instead of returning rounding noise
+    def test_exceptional_point_off_resonance_refused(self):
+        # an exactly defective generator off resonance (a zero of the
+        # discriminant of the Bloch matrix's characteristic cubic, found by
+        # bisection at Delta = 0.05 Gamma) has no closed form to fall back
+        # on: refused instead of returning rounding noise
         with pytest.raises(IntegrationError):
-            two_level_obe_g2(G / 4, 0.0, G, np.linspace(0.0, 25 / G, 50))
+            two_level_obe_g2(0.25516490602389 * G, 0.05 * G, G,
+                             np.linspace(0.0, 25 / G, 50))
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-14, -1e-14, 1e-12, -1e-12])
+    def test_exceptional_point_on_resonance_answered(self, offset):
+        # the exact resonant exceptional point (reached from the CLI by
+        # --icl 0.4475) and its neighbourhood, where the eigen-propagator
+        # gives up: the closed form is exact on resonance
+        tau = np.linspace(0.0, 25 / G, 50)
+        omega = G / 4 * (1 + offset)
+        numeric = two_level_obe_g2(omega, 0.0, G, tau)
+        analytic = two_level_g2_analytic(omega, 0.0, G, tau)
+        assert np.all(np.isfinite(numeric))
+        assert np.abs(numeric - analytic).max() <= 1e-12
 
     def test_zero_delay(self):
         assert two_level_obe_g2(2 * G, -G, G, [0.0, 1e-9])[0] == 0.0

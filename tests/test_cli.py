@@ -157,6 +157,16 @@ class TestUnreadableInputsAndOutputs:
         assert code == EXIT_VALIDATION and not out.exists()
         assert err.startswith("validation: ") and err.count("\n") == 1 and str(path) in err
 
+    def test_one_row_profile_reaches_profile_checks(self, tmp_path, capsys, fuzz_dir):
+        path = tmp_path / "ref.csv"
+        path.write_bytes(b"1,2\n")
+        code, out = run(tmp_path, ["spectrum-fit", "--reference", str(path),
+                                   "--fluorescence", str(fuzz_dir / "fluor.csv")])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION and not out.exists()
+        assert err.startswith("validation: ") and err.count("\n") == 1 and str(path) in err
+        assert "column" not in err and "two samples" in err
+
     @pytest.mark.parametrize("name", ["absent/x.csv", "."], ids=["no-directory", "directory"])
     def test_unwritable_csv_named(self, tmp_path, capsys, name):
         out = tmp_path / name
@@ -462,6 +472,18 @@ class TestConfigFile:
         assert code == EXIT_VALIDATION
         assert "frobnicate" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestTwoLevelExceptionalPoint:
+    def test_resonant_exceptional_point_answered(self, tmp_path):
+        # Omega0 = Gamma/4 on resonance: the closed form answers where the
+        # eigen-propagator refuses
+        code, out = run(tmp_path, ["g2", "--model", "two-level-obe", "--delta-mhz", "0",
+                                   "--icl", "0.4475", "--points", "101"])
+        assert code == EXIT_OK
+        data = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert data.shape == (101, 2) and np.all(np.isfinite(data))
+        assert data[0, 1] == 0.0
 
 
 class TestNonFiniteResults:

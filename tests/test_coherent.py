@@ -108,6 +108,61 @@ class TestStirap:
         with pytest.raises(ValueError):
             stirap_evolve(schedule(), ground_start(), loss_gamma=-1.0)
 
+    def test_requires_a_sample(self):
+        with pytest.raises(ValueError):
+            stirap_evolve(schedule(), ground_start(), n_steps=0)
+
+
+def dop853_reference(sched, detunings, loss, n_steps):
+    """(efficiency, max |a> population, norm leak) of the three-level problem
+    sampled on the n_steps grid, from DOP853 at rtol 1e-12."""
+    from scipy.integrate import solve_ivp
+
+    d_a, d_b, d_c = detunings
+    pump, stokes = sched.pump, sched.stokes
+
+    def env(pulse, t):
+        x = (t - pulse.t_start) / pulse.duration
+        return pulse.peak * math.sin(math.pi * x) ** 2 if 0.0 <= x <= 1.0 else 0.0
+
+    def rhs(t, y):
+        op, os_ = env(pump, t), env(stokes, t)
+        h = np.array([
+            [d_a - 0.5j * loss, -op / 2 * np.exp(1j * pump.phase),
+             -os_ / 2 * np.exp(1j * stokes.phase)],
+            [-op / 2 * np.exp(-1j * pump.phase), d_b, 0.0],
+            [-os_ / 2 * np.exp(-1j * stokes.phase), 0.0, d_c],
+        ])
+        return -1j * (h @ y)
+
+    t = np.linspace(0.0, sched.t_end, n_steps)
+    sol = solve_ivp(rhs, (0.0, sched.t_end), ground_start().amplitudes, method="DOP853",
+                    t_eval=t, rtol=1e-12, atol=1e-14)
+    assert sol.success
+    final = sol.y[:, -1]
+    return (abs(final[2]) ** 2, float(np.max(np.abs(sol.y[0]) ** 2)),
+            1.0 - float(np.vdot(final, final).real))
+
+
+class TestStirapAgainstDop853:
+    @pytest.mark.parametrize("order,loss,detunings,phases,peak,n_steps", [
+        ("counterintuitive", 0.0, (0.0, 0.0, 0.0), (0.0, 0.0), ADIABATIC, 4000),
+        ("counterintuitive", LOSS, (2e7, -1e7, 5e6), (0.4, 1.3), ADIABATIC, 2),
+        ("counterintuitive", LOSS, (0.0, 3e6, -3e6), (1.0, -0.5), 40e6, 17),
+        ("intuitive", LOSS, (0.0, 0.0, 0.0), (0.4, 1.3), ADIABATIC, 1),
+        ("intuitive", LOSS, (-5e6, 0.0, 2e6), (0.0, 0.0), ADIABATIC, 3),
+        ("intuitive", 0.0, (2e7, -1e7, 5e6), (2.0, 0.3), 40e6, 2),
+    ])
+    def test_matches_reference(self, order, loss, detunings, phases, peak, n_steps):
+        sched = schedule(order, peak=peak, phases=phases)
+        result = stirap_evolve(sched, ground_start(), detunings=detunings,
+                               loss_gamma=loss, n_steps=n_steps)
+        efficiency, max_a, leak = dop853_reference(sched, detunings, loss, n_steps)
+        assert abs(result.efficiency - efficiency) <= 1e-9
+        assert abs(result.max_intermediate - max_a) <= 1e-9
+        assert abs(result.norm_leak - leak) <= 1e-9
+        assert abs(result.scattered - leak) <= 1e-6
+
 
 class TestTripod:
     def test_equal_pump_components(self):

@@ -54,6 +54,15 @@ def test_kernel_call_loads_scipy_linalg_only():
     assert "'scipy.optimize'" not in loaded and "'scipy.integrate'" not in loaded
 
 
+def test_stirap_loads_no_scipy():
+    # the Magnus propagator needs numpy only
+    assert scipy_modules_after(
+        "import sys\n"
+        "from singleatom.coherent import PulseSchedule, ground_start, stirap_evolve\n"
+        "stirap_evolve(PulseSchedule.sin2_pair(140e6, 1e-6), ground_start(),"
+        " loss_gamma=3e6)") == "[]"
+
+
 def test_codata_literals_match_scipy():
     # scipy is only the oracle here; the package holds the values as literals
     expected = {

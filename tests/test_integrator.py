@@ -1,0 +1,71 @@
+"""Stacked matrix exponential and the fourth-order Magnus propagator."""
+
+import numpy as np
+import pytest
+from scipy.linalg import expm
+
+from singleatom.integrator import _expm, _real_form, magnus4
+
+
+def with_one_norm(x, norm):
+    """Scale each matrix of a stack to the given 1-norm."""
+    return x * (norm / np.abs(x).sum(axis=-2).max(axis=-1))[:, None, None]
+
+
+@pytest.mark.parametrize("norm", [1e-3, 0.1, 1.0, 5.0, 50.0])
+def test_expm_matches_scipy(norm):
+    rng = np.random.default_rng(1)
+    general = with_one_norm(rng.standard_normal((20, 6, 6)), norm)
+    # real forms of -iH with loss on one level, as in the STIRAP steps
+    h = rng.standard_normal((20, 3, 3)) + 1j * rng.standard_normal((20, 3, 3))
+    h = h + h.conj().transpose(0, 2, 1)
+    h[:, 0, 0] -= 0.5j * np.abs(h[:, 0, 0])
+    lossy = with_one_norm(_real_form(-1j * h), norm)
+    for stack in (general, lossy):
+        got = _expm(stack)
+        for mine, m in zip(got, stack):
+            ref = expm(m)
+            assert np.abs(mine - ref).max() <= 1e-12 * max(1.0, norm) * np.abs(ref).max()
+
+
+def test_expm_of_zero_is_identity():
+    assert np.array_equal(_expm(np.zeros((3, 4, 4))), np.broadcast_to(np.eye(4), (3, 4, 4)))
+
+
+def test_magnus4_exact_for_constant_generator():
+    # A constant: every step is exp(h A) and the commutator vanishes; the
+    # grid spans several blocks of the prefix product
+    rng = np.random.default_rng(2)
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    y0 = np.array([1.0, 0.5j, -0.25])
+    t = np.linspace(0.0, 2.0, 2500)
+    traj = magnus4(lambda times: np.broadcast_to(a, (len(times), 3, 3)), y0, t)
+    assert np.array_equal(traj[0], y0)
+    for k in (1, 256, 257, 1024, 2499):
+        ref = expm(a * t[k]) @ y0
+        assert np.abs(traj[k] - ref).max() <= 1e-11 * np.abs(ref).max()
+
+
+def test_magnus4_fourth_order():
+    # a generator whose values at different times do not commute: against a
+    # much finer grid, halving h divides the error by about 2^4
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sz = np.array([[1.0, 0.0], [0.0, -1.0]])
+
+    def gen(times):
+        return -1j * (np.cos(times)[:, None, None] * sx + times[:, None, None] * sz)
+
+    y0 = np.array([1.0, 0.0])
+    fine = magnus4(gen, y0, np.linspace(0.0, 2.0, 4097))[-1]
+    errors = [np.abs(magnus4(gen, y0, np.linspace(0.0, 2.0, n + 1))[-1] - fine).max()
+              for n in (16, 32, 64)]
+    for coarse, finer in zip(errors, errors[1:]):
+        assert 12.0 < coarse / finer < 20.0
+
+
+def test_magnus4_single_point_and_bad_grid():
+    y0 = np.array([0.0, 1.0])
+    gen = lambda times: np.zeros((len(times), 2, 2))  # noqa: E731
+    assert np.array_equal(magnus4(gen, y0, [0.0]), [[0.0, 1.0]])
+    with pytest.raises(ValueError):
+        magnus4(gen, y0, [1.0, 0.0])

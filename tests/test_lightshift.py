@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from singleatom import angular
 from singleatom.constants import (
     C,
     EPS0,
@@ -186,6 +187,18 @@ class TestHyperfineShift:
                 for tm in range(-two_f, two_f + 1, 2)
             ]
             assert np.mean(shifts) == pytest.approx(scalar, rel=5e-3)
+
+    def test_cached_angular_factors_give_identical_shift(self):
+        # the 6j and CG factors are cached; their arithmetic is exact, so a
+        # second evaluation from the cache is the identical float
+        level, f = HyperfineLevel("5P3/2", 3, 4, 2), trap_field()
+        angular.wigner_6j.cache_clear()
+        angular.clebsch_gordan.cache_clear()
+        first = hyperfine_shift(level, f, LINES)
+        hits = angular.wigner_6j.cache_info().hits + angular.clebsch_gordan.cache_info().hits
+        second = hyperfine_shift(level, f, LINES)
+        assert second == first
+        assert angular.wigner_6j.cache_info().hits + angular.clebsch_gordan.cache_info().hits > hits
 
     def test_missing_coupling_named(self):
         with pytest.raises(KeyError, match="4D5/2"):
