@@ -162,7 +162,7 @@ class FourLevelLiouvillian:
     """Time-independent generator of the rotating-frame master equation.
 
     Acts on the 16 real degrees of freedom of a Hermitian 4x4 density
-    matrix.  Provides the steady state (null-space solve with trace
+    matrix.  Provides the steady state (null vector from an SVD, with trace
     normalization) and trajectory propagation on a time grid.
     """
 
@@ -183,14 +183,19 @@ class FourLevelLiouvillian:
         return _apply_generator(self.params, self._h, np.asarray(rho, dtype=complex))
 
     def steady_state(self) -> DensityMatrix:
-        from scipy.linalg import null_space
+        """The trace-one null vector of the generator.
 
-        kernel = null_space(self.matrix_real)
-        if kernel.shape[1] != 1:
-            raise ValueError(
-                f"steady state not unique: null space dimension {kernel.shape[1]}"
-            )
-        vec = kernel[:, 0]
+        The null space is spanned by the right singular vectors whose
+        singular values are at most eps * 16 * s_max (the rank rule of
+        scipy's ``null_space``); it must be one-dimensional, and the
+        vector is the last row of ``numpy.linalg.svd``'s V^H.
+        """
+        m = self.matrix_real
+        _, s, vh = np.linalg.svd(m)
+        dim = m.shape[1] - np.count_nonzero(s > s[0] * np.finfo(float).eps * max(m.shape))
+        if dim != 1:
+            raise ValueError(f"steady state not unique: null space dimension {dim}")
+        vec = vh[-1]
         trace = vec[:4].sum()
         if abs(trace) < 1e-12:
             raise ValueError("null vector has zero trace; generator is degenerate")

@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -97,16 +98,37 @@ def _fmt(value, column: str) -> str:
     return str(value)
 
 
-def _write_csv(path: str | None, header: list[str], rows: list[list],
+def _column(values, name: str) -> tuple[str, list]:
+    """The format field and values of one column.
+
+    A float array is checked once and printed with 12 significant digits by
+    the row format; any other sequence (labels, a mixed column) is formatted
+    value by value, floats the same way.
+    """
+    if isinstance(values, np.ndarray) and values.dtype == float:
+        bad = ~np.isfinite(values)
+        if bad.any():
+            raise FloatingPointError(f"non-finite value {values[bad][0]} in column {name}")
+        return "{:.12g}", values.tolist()
+    return "{}", [_fmt(v, name) for v in values]
+
+
+def _row(*values) -> list[list]:
+    """The columns of a one-row table."""
+    return [[v] for v in values]
+
+
+def _write_csv(path: str | None, header: list[str], columns: list,
                meta: dict | None) -> None:
     """Format every value before writing, so a non-finite one leaves no file.
 
+    ``columns`` holds one sequence per header name, all of one length.
     ``meta`` goes to the JSON sidecar.  A failed write raises ValidationError
     naming the path and leaves no CSV.
     """
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v, c) for v, c in zip(row, header)) for row in rows]
-    text = "\n".join(lines) + "\n"
+    fields, values = zip(*(_column(c, name) for c, name in zip(columns, header)))
+    rows = map(",".join(fields).format, *values)
+    text = "\n".join([",".join(header), *rows]) + "\n"
     if path is None:
         sys.stdout.write(text)
         return
@@ -190,15 +212,14 @@ def run_lightshift(args):
     depth = ground_shift_alkali(field, 0.5, args.lines)
     rate = scattering_rate_alkali(field, args.lines)
     header = ["wavelength_nm", "power_mw", "waist_um", "depth_mk", "scatter_per_s"]
-    row = [args.wavelength_nm, args.power_mw, args.waist_um,
-           abs(depth) / KB * 1e3, rate]
-    return header, [row]
+    return header, _row(args.wavelength_nm, args.power_mw, args.waist_um,
+                        abs(depth) / KB * 1e3, rate)
 
 
 def run_magic(args):
     lo, hi = args.bracket_um
     magic = find_magic_wavelength(args.lines, (lo * 1e-6, hi * 1e-6))
-    return ["bracket_lo_um", "bracket_hi_um", "magic_um"], [[lo, hi, magic * 1e6]]
+    return ["bracket_lo_um", "bracket_hi_um", "magic_um"], _row(lo, hi, magic * 1e6)
 
 
 def run_trap(args):
@@ -209,28 +230,28 @@ def run_trap(args):
     t_rec = recoil_temperature(d2.wavelength, RB87_MASS)
     header = ["depth_mk", "omega_r_khz", "omega_z_khz", "scatter_per_s",
               "t_doppler_uk", "t_recoil_nk", "heating_uk_per_s"]
-    row = [trap.depth_u / KB * 1e3,
-           omega_r / TWO_PI / 1e3,
-           omega_z / TWO_PI / 1e3,
-           rate,
-           doppler_temperature(RB87_GAMMA_D2) * 1e6,
-           t_rec * 1e9,
-           heating_rate(t_rec, rate) * 1e6]
-    return header, [row]
+    return header, _row(trap.depth_u / KB * 1e3,
+                        omega_r / TWO_PI / 1e3,
+                        omega_z / TWO_PI / 1e3,
+                        rate,
+                        doppler_temperature(RB87_GAMMA_D2) * 1e6,
+                        t_rec * 1e9,
+                        heating_rate(t_rec, rate) * 1e6)
 
 
 def run_loading(args):
     _, trap = _trap(args)
     volume = trap_volume(trap, args.temperature_uk * 1e-6)
-    rows = []
-    for r in _parse_grid(args.rate_per_s, "--rate-per-s"):
+    rates = _parse_grid(args.rate_per_s, "--rate-per-s")
+    table = []
+    for r in rates:
         params = LoadingParams(loading_rate=float(r), gamma=args.gamma_per_s,
                                beta=args.beta_cm3_s * 1e-6, volume=volume,
                                n_max=args.n_max)
         dist = stationary_distribution(params)
-        rows.append([r, dist.mean] + list(dist.probabilities))
+        table.append([dist.mean, *dist.probabilities])
     header = ["rate_per_s", "mean"] + [f"p{n}" for n in range(args.n_max + 1)]
-    return header, rows
+    return header, [rates, *np.array(table).T]
 
 
 def _four_level_params(args) -> FourLevelParams:
@@ -262,24 +283,21 @@ def run_g2(args):
     else:  # full
         env = DiffusionEnvelope(amplitude=args.env_a, tau0=args.env_tau_us * 1e-6)
         g2 = g2_full_model(_four_level_params(args), env, tau)
-    rows = [[t * 1e9, v] for t, v in zip(tau, g2)]
-    return ["tau_ns", "g2"], rows
+    return ["tau_ns", "g2"], [tau * 1e9, g2]
 
 
 def run_stirap(args):
-    rows = []
-    for alpha_deg in _parse_grid(args.alpha_deg, "--alpha-deg"):
-        alpha = math.radians(alpha_deg)
-        p = args.visibility * stirap_readout_probability(args.prep_phase_rad, alpha)
-        rows.append([alpha_deg, p])
-    return ["alpha_deg", "p_f1"], rows
+    alpha_deg = _parse_grid(args.alpha_deg, "--alpha-deg")
+    p = [args.visibility * stirap_readout_probability(args.prep_phase_rad, math.radians(a))
+         for a in alpha_deg]
+    return ["alpha_deg", "p_f1"], [alpha_deg, np.array(p)]
 
 
 def run_larmor(args):
     b_tesla = args.b_mgauss * 1e-7  # 1 mGauss = 1e-7 T
     t_grid = np.linspace(0.0, args.t_max_us * 1e-6, args.points)
-    rows = [[t * 1e9, larmor_survival(b_tesla, args.g_f, t)] for t in t_grid]
-    return ["t_ns", "survival"], rows
+    survival = [larmor_survival(b_tesla, args.g_f, t) for t in t_grid]
+    return ["t_ns", "survival"], [t_grid * 1e9, np.array(survival)]
 
 
 def run_bell(args):
@@ -298,19 +316,21 @@ def run_bell(args):
             rows.append([pa, pb, math.degrees(angles[pa]), math.degrees(angles[pb]), e])
     s = chsh(state, settings["a"], settings["a2"], settings["b"], settings["b2"])
     rows.append(["S", "", "", "", s])
-    return ["setting_a", "setting_b", "phi_a_deg", "phi_b_deg", "value"], rows
+    return ["setting_a", "setting_b", "phi_a_deg", "phi_b_deg", "value"], list(zip(*rows))
 
 
 def run_correlations(args):
     beta = np.radians(_parse_grid(args.beta_deg, "--beta-deg"))
     probs = correlation_curve(args.basis, beta, args.visibility)
-    rows = [[math.degrees(b), p] for b, p in zip(beta, probs)]
-    return ["beta_deg", "p_f1"], rows
+    return ["beta_deg", "p_f1"], [np.array([math.degrees(b) for b in beta]), probs]
 
 
 def _read_profile(path: str) -> SpectrumProfile:
     try:
-        data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+        with warnings.catch_warnings():
+            # an empty profile fails the column check below, in one line
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
     except (OSError, ValueError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     if data.shape[1] != 2:
@@ -326,17 +346,15 @@ def run_spectrum_fit(args):
     fluorescence = _read_profile(args.fluorescence)
     sigma, stderr = fit_doppler_sigma(reference, fluorescence)
     e_kin = kinetic_energy_from_sigma(sigma, args.wavelength_nm * 1e-9, RB87_MASS)
-    rows = [["sigma_nu_hz", sigma],
-            ["sigma_stderr_hz", stderr],
-            ["e_kin_over_kb_uk", e_kin * 1e6]]
-    return ["quantity", "value"], rows
+    return ["quantity", "value"], [["sigma_nu_hz", "sigma_stderr_hz", "e_kin_over_kb_uk"],
+                                   [sigma, stderr, e_kin * 1e6]]
 
 
 def run_pair_rate(args):
     rate = pair_rate_estimate(args.eta, args.t_fiber, args.cycle_us * 1e-6,
                               args.duty_factor)
     return (["eta", "t_fiber", "cycle_us", "duty_factor", "pairs_per_min"],
-            [[args.eta, args.t_fiber, args.cycle_us, args.duty_factor, rate]])
+            _row(args.eta, args.t_fiber, args.cycle_us, args.duty_factor, rate))
 
 
 # --- the scenario table -----------------------------------------------------
@@ -629,10 +647,10 @@ def main(argv=None) -> int:
             return EXIT_OK
         # a non-finite result is refused when the CSV is formatted
         with np.errstate(all="ignore"):
-            header, rows = runner(args)
+            header, columns = runner(args)
         params = {f.dest: getattr(args, f.dest) for f in flags}
         meta = _metadata(args.scenario, params) if args.metadata else None
-        _write_csv(args.out, header, rows, meta)
+        _write_csv(args.out, header, columns, meta)
     except (ValidationError, LineDataError) as exc:
         sys.stderr.write(f"validation: {exc}\n")
         return EXIT_VALIDATION

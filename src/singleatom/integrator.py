@@ -26,10 +26,12 @@ _CHUNK = 1024
 # blocks added 2.2 MB to it, at the same speed)
 _MAGNUS_BLOCK = 256
 # The rounding error of the eigen-expansion grows like eps / s^2, with s the
-# smallest |w_k^H v_k| of the unit eigenvectors (measured towards the
-# two-level exceptional point, where s -> 0).  Below this s it would pass
-# 1e-6, so the propagation is refused instead of returning noise.
+# smallest overlap |w_k^H v_k| of the unit left and right eigenvectors
+# (measured towards the two-level exceptional point, where s -> 0).  Below
+# this s it would pass 1e-6, so the propagation is refused instead of
+# returning noise.
 _MIN_OVERLAP = math.sqrt(np.finfo(float).eps / 1e-6)
+_DEFECTIVE = "generator is too close to an exceptional point for the eigen-propagator"
 _EPS = np.finfo(float).eps / 2.0  # unit roundoff
 _SQRT3 = math.sqrt(3.0)
 
@@ -70,30 +72,42 @@ def integrate(f, y0, t_grid, rtol: float = RTOL, atol: float = ATOL) -> np.ndarr
     return sol.y.T
 
 
+def _eigen_expansion(m):
+    """(lambda, V, V^-1, s) of m = V diag(lambda) V^-1 (numpy only).
+
+    The rows of V^-1 are the left eigenvectors scaled to (V^-1)_k v_k = 1,
+    so s_k = 1 / (||(V^-1)_k|| ||v_k||) is the overlap |w_k^H v_k| of the
+    unit left and right eigenvectors.  Raises ``IntegrationError`` when V is
+    singular (m defective).
+    """
+    lam, v = np.linalg.eig(m)
+    try:
+        vinv = np.linalg.inv(v)
+    except np.linalg.LinAlgError as exc:
+        raise IntegrationError(_DEFECTIVE) from exc
+    overlap = 1.0 / (np.linalg.norm(vinv, axis=1) * np.linalg.norm(v, axis=0))
+    return lam, v, vinv, overlap
+
+
 def propagate_linear(m, y0, t_grid) -> np.ndarray:
     """Exact solution of dy/dt = m y for a constant real matrix ``m``.
 
-    y(t) = sum_k c_k exp(lambda_k (t - t0)) v_k with (lambda_k, v_k) the
-    eigenpairs of ``m`` and c_k = (w_k^H y0) / (w_k^H v_k) from the left
-    eigenvectors w_k.  Returns the real array of shape (len(t_grid),
-    len(y0)); ``t_grid`` must be nondecreasing and start at the initial
-    time t0, and rows at t0 hold ``y0`` exactly.  Raises
-    ``IntegrationError`` when ``m`` is too close to defective (an
-    exceptional point) for the expansion to keep 1e-6 accuracy.
+    y(t) = V exp(Lambda (t - t0)) V^-1 y0 from one eigendecomposition
+    m = V Lambda V^-1 (``numpy.linalg.eig`` and ``inv``; no scipy).  Returns
+    the real array of shape (len(t_grid), len(y0)); ``t_grid`` must be
+    nondecreasing and start at the initial time t0, and rows at t0 hold
+    ``y0`` exactly.  Raises ``IntegrationError`` when ``m`` is too close to
+    defective (an exceptional point) for the expansion to keep 1e-6
+    accuracy: when the smallest overlap s_k = |w_k^H v_k| of its unit left
+    and right eigenvectors is below ``_MIN_OVERLAP``.
     """
-    from scipy.linalg import eig
-
     t_grid = _checked_grid(t_grid)
     t = t_grid - t_grid[0]
     y0 = np.asarray(y0, dtype=float)
-    lam, w, v = eig(m, left=True)
-    wh = w.conj().T
-    overlap = np.einsum("ij,ji->i", wh, v)
-    if np.abs(overlap).min() < _MIN_OVERLAP:
-        raise IntegrationError(
-            "generator is too close to an exceptional point for the eigen-propagator")
-    c = (wh @ y0) / overlap
-    cv = c[:, None] * v.T
+    lam, v, vinv, overlap = _eigen_expansion(m)
+    if not overlap.min() >= _MIN_OVERLAP:  # also refuses a NaN
+        raise IntegrationError(_DEFECTIVE)
+    cv = (vinv @ y0)[:, None] * v.T
     out = np.empty((len(t), len(y0)))
     for start in range(0, len(t), _CHUNK):
         block = t[start:start + _CHUNK]

@@ -15,6 +15,8 @@ import numpy as np
 
 from .integrator import integrate
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
 __all__ = [
     "LoadingParams",
     "AtomNumberDist",
@@ -136,21 +138,50 @@ def transfer_matrix(params: LoadingParams, dt: float) -> np.ndarray:
 
 
 def stationary_distribution(params: LoadingParams) -> AtomNumberDist:
-    """Stationary distribution of the loading chain via a null-space solve.
+    """Stationary distribution of the loading chain, from cut balance.
 
-    Solves Q p = 0 (equivalently (M-1) p = 0 for any admissible dt, so the
-    result is dt-independent) and normalizes to unit total probability.
+    The chain gains atoms only one at a time, so in the steady state the flow
+    up across the cut between {0..n} and {n+1..N} equals the flow down:
+
+        R p_n = (gamma (n+1) + beta' (n+1) n / 2) p_{n+1}
+                + beta' (n+2)(n+1) / 2 p_{n+2},
+
+    an exact backward recursion from p_N with positive terms only (no
+    cancellation, and no linear algebra).  The values are rescaled before
+    they can overflow, and normalized to unit total probability.  Without
+    loading (R = 0) the mass sits in the absorbing state: N = 0 when one-body
+    loss empties every occupied trap, and a ``ValueError`` names the
+    degenerate chain when pair loss alone leaves both N = 0 and N = 1
+    absorbing; a chain with no rates at all raises ``ValueError`` too.
     """
-    from scipy.linalg import null_space
-
-    q = rate_generator(params)
-    if np.all(q == 0.0):
-        raise ValueError("all rates are zero: stationary distribution undefined")
-    kernel = null_space(q)
-    if kernel.shape[1] != 1:
-        raise ValueError(f"degenerate chain: null space has dimension {kernel.shape[1]}")
-    p = kernel[:, 0]
-    p = p * np.sign(p.sum())
-    p = np.clip(p, 0.0, None)
-    p = p / p.sum()
-    return AtomNumberDist(probabilities=p)
+    r, top = params.loading_rate, params.n_max
+    n = np.arange(top, dtype=float)
+    # down[n]: rate from n+1 across the cut; skip[n]: pair loss n+2 -> n
+    down = params.gamma * (n + 1) + params.beta_prime * (n + 1) * n / 2.0
+    skip = params.beta_prime * (n + 2) * (n + 1) / 2.0
+    if not np.all(np.isfinite(r + down + skip)):
+        raise ValueError("rates are not finite: stationary distribution undefined")
+    if r == 0.0:
+        if not down.any():
+            raise ValueError("all rates are zero: stationary distribution undefined")
+        if params.gamma == 0.0:  # and pair loss, else no rate at all
+            raise ValueError("degenerate chain: null space has dimension 2")
+        p = np.zeros(top + 1)
+        p[0] = 1.0
+        return AtomNumberDist(probabilities=p)
+    # no value passes `limit` (or 1), so neither a flow nor the sum overflows
+    limit = _FLOAT_MAX / ((top + 2) * max(float((down + skip).max()), 1.0))
+    down, skip = down.tolist(), skip.tolist()
+    p = [0.0] * (top + 2)
+    p[top] = 1.0
+    for k in range(top - 1, -1, -1):
+        flow = down[k] * p[k + 1] + skip[k] * p[k + 2]
+        if flow > limit * r:
+            # p_k would pass the limit: scale the tail so that p_k = 1
+            scale = r / flow
+            p[k + 1:] = [x * scale for x in p[k + 1:]]
+            p[k] = 1.0
+        else:
+            p[k] = flow / r
+    p = np.array(p[:top + 1])
+    return AtomNumberDist(probabilities=p / p.sum())

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, null_space
 
 from singleatom.bloch import (
     DensityMatrix,
@@ -99,6 +99,26 @@ class TestGenerator:
                     "c:F=2": 0.88742178, "d:F'=3": 0.10911053}
         for label, value in expected.items():
             assert steady.population(label) == pytest.approx(value, abs=1e-6)
+
+    @pytest.mark.parametrize("trap_power", [None, 0.044])
+    @pytest.mark.parametrize("icl,irl,delta", [
+        (30.0, 3.0, -1.0), (103.0, 12.0, -5.0), (400.0, 0.5, -12.0), (5.0, 40.0, 0.0),
+    ])
+    def test_steady_state_matches_scipy_null_space(self, icl, irl, delta, trap_power):
+        liouv = FourLevelLiouvillian(params_at(delta, icl, irl, trap_power))
+        kernel = null_space(liouv.matrix_real)
+        assert kernel.shape[1] == 1
+        expected = kernel[:, 0] / kernel[:4, 0].sum()
+        got = _to_real_vector(liouv.steady_state().entries)
+        assert np.abs(got - expected).max() <= 1e-12
+
+    def test_steady_state_not_unique_without_lasers(self):
+        # both ground levels are stationary: the null space is not a line
+        liouv = FourLevelLiouvillian(FourLevelParams(i_cl=0.0, i_rl=0.0, delta_cl=-5 * G))
+        dim = null_space(liouv.matrix_real).shape[1]
+        assert dim > 1
+        with pytest.raises(ValueError, match=f"not unique: null space dimension {dim}"):
+            liouv.steady_state()
 
     def test_steady_state_matches_long_time_integration(self):
         liouv = FourLevelLiouvillian(params_at(-5.0))

@@ -157,6 +157,16 @@ class TestUnreadableInputsAndOutputs:
         assert code == EXIT_VALIDATION and not out.exists()
         assert err.startswith("validation: ") and err.count("\n") == 1 and str(path) in err
 
+    @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+    def test_empty_profile_one_line(self, tmp_path, capsys, fuzz_dir):
+        path = tmp_path / "ref.csv"
+        path.write_bytes(b"# header only\n")
+        code, out = run(tmp_path, ["spectrum-fit", "--reference", str(path),
+                                   "--fluorescence", str(fuzz_dir / "fluor.csv")])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION and not out.exists()
+        assert err.startswith("validation: ") and err.count("\n") == 1 and str(path) in err
+
     def test_one_row_profile_reaches_profile_checks(self, tmp_path, capsys, fuzz_dir):
         path = tmp_path / "ref.csv"
         path.write_bytes(b"1,2\n")
@@ -347,6 +357,15 @@ class TestScenarios:
         probs = data[2:]
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
         assert probs[2:].sum() < 0.05
+
+    @pytest.mark.parametrize("n_max", ["1", "5"])
+    def test_loading_without_rates_numerical_exit(self, tmp_path, capsys, n_max):
+        # R = gamma = 0: pair loss alone leaves N = 0 and N = 1 absorbing
+        # (or, at n_max 1, no rate at all), so there is no unique law
+        code, out = run(tmp_path, ["loading", "--rate-per-s", "0", "--gamma-per-s", "0",
+                                   "--n-max", n_max, "--power-mw", "44", "--waist-um", "3.5"])
+        assert code == EXIT_NUMERICAL and not out.exists()
+        assert capsys.readouterr().err.startswith("numerical failure: ")
 
     def test_magic_wavelength(self, tmp_path):
         code, out = run(tmp_path, ["magic"])

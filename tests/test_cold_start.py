@@ -1,4 +1,6 @@
-"""Cold start: the package imports scipy only inside the kernels that use it.
+"""Cold start: the package imports scipy only inside the kernels that use it
+(the Doppler and envelope fits and the RK45 integrator), and no CLI run but
+spectrum-fit reaches one.
 
 Each check runs in a fresh interpreter, so modules imported by other tests
 do not hide a module-level scipy import.
@@ -30,28 +32,38 @@ def scipy_modules_after(code: str) -> str:
     return result.stdout.strip().splitlines()[-1]
 
 
+def cli_run(*argv: str) -> str:
+    """Code running the CLI in-process; a nonzero exit fails the check."""
+    return ("import runpy\n"
+            f"sys.argv = ['singleatom', {', '.join(map(repr, argv))}]\n"
+            "try:\n"
+            "    runpy.run_module('singleatom.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code")
+
+
+G2 = ("g2", "--delta-mhz", "-31", "--icl", "103", "--points", "201", "--out", os.devnull)
+
+
 @pytest.mark.parametrize("code", [
     "import singleatom.cli",
     "import singleatom.bloch, singleatom.coherent, singleatom.loading, "
     "singleatom.integrator",
-    "import runpy\n"
-    "sys.argv = ['singleatom', 'trap', '--power-mw', '40', '--waist-um', '3.5']\n"
-    "try:\n"
-    "    runpy.run_module('singleatom.cli', run_name='__main__')\n"
-    "except SystemExit as exc:\n"
-    "    assert exc.code == 0, exc.code",
-], ids=["import-cli", "import-kernels", "run-trap"])
+    cli_run("trap", "--power-mw", "40", "--waist-um", "3.5"),
+    # numpy's eig, inv and svd and the cut-balance recursion need no scipy
+    "from singleatom.loading import LoadingParams, stationary_distribution\n"
+    "stationary_distribution(LoadingParams(1.0, 0.2, 5e-16, 1e-16))",
+    cli_run("loading", "--rate-per-s", "0..1:0.25", "--power-mw", "44",
+            "--waist-um", "3.5", "--out", os.devnull),
+    cli_run(*G2, "--trap-power-mw", "40", "--trap-waist-um", "3.5", "--metadata"),
+    cli_run(*G2, "--model", "full", "--env-a", "0.3", "--env-tau-us", "1.2"),
+    cli_run(*G2, "--model", "two-level-obe"),
+    cli_run(*G2, "--model", "two-level-analytic"),
+], ids=["import-cli", "import-kernels", "run-trap", "loading-kernel", "run-loading",
+        "run-g2-four-level-trap", "run-g2-full", "run-g2-two-level-obe",
+        "run-g2-two-level-analytic"])
 def test_no_scipy_module_loaded(code):
     assert scipy_modules_after("import sys\n" + code) == "[]"
-
-
-def test_kernel_call_loads_scipy_linalg_only():
-    loaded = scipy_modules_after(
-        "import sys\n"
-        "from singleatom.loading import LoadingParams, stationary_distribution\n"
-        "stationary_distribution(LoadingParams(1.0, 0.2, 5e-16, 1e-16))")
-    assert "'scipy.linalg'" in loaded
-    assert "'scipy.optimize'" not in loaded and "'scipy.integrate'" not in loaded
 
 
 def test_stirap_loads_no_scipy():

@@ -1,10 +1,47 @@
-"""Stacked matrix exponential and the fourth-order Magnus propagator."""
+"""Eigen-propagator, stacked matrix exponential and the fourth-order Magnus
+propagator."""
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import eig, expm
 
-from singleatom.integrator import _expm, _real_form, magnus4
+from singleatom.integrator import (
+    IntegrationError,
+    _eigen_expansion,
+    _expm,
+    _real_form,
+    magnus4,
+    propagate_linear,
+)
+
+
+def test_overlaps_match_scipy_left_eigenvectors():
+    # s_k = 1 / (||(V^-1)_k|| ||v_k||) is |w_k^H v_k| of the unit left and
+    # right eigenvectors, which scipy returns directly
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        m = rng.standard_normal((16, 16))
+        lam, _, _, overlap = _eigen_expansion(m)
+        ref_lam, w, v = eig(m, left=True)
+        ref = np.abs(np.einsum("ij,ij->j", w.conj(), v))
+        match = np.abs(lam[:, None] - ref_lam[None, :]).argmin(axis=1)
+        assert sorted(match) == list(range(16))
+        assert np.abs(overlap - ref[match]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("m", [
+    [[-1.0, 1.0], [0.0, -1.0]],             # a Jordan block: defective
+    [[-1.0, 1.0], [1e-30, -1.0]],           # split by far less than eps
+], ids=["jordan", "near-jordan"])
+def test_propagate_linear_refuses_defective(m):
+    with pytest.raises(IntegrationError, match="exceptional point"):
+        propagate_linear(np.array(m), [1.0, 0.0], [0.0, 1.0])
+
+
+def test_propagate_linear_accepts_repeated_eigenvalue():
+    # -I has one eigenvalue twice but a full set of eigenvectors
+    got = propagate_linear(-np.eye(2), [1.0, 2.0], [0.0, 1.0])
+    assert np.abs(got[1] - np.exp(-1.0) * np.array([1.0, 2.0])).max() <= 1e-15
 
 
 def with_one_norm(x, norm):

@@ -1,7 +1,11 @@
 """Loading dynamics: mean-number ODE and the birth-death number distribution."""
 
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 from scipy.stats import poisson
 
 from singleatom.loading import (
@@ -141,6 +145,94 @@ class TestStationaryDistribution:
     def test_generator_columns_sum_to_zero(self):
         q = rate_generator(BLOCKADE)
         assert np.allclose(q.sum(axis=0), 0.0, atol=1e-12)
+
+
+def null_space_law(params):
+    """Independent oracle: the normalized null vector of the generator."""
+    kernel = null_space(rate_generator(params))
+    assert kernel.shape[1] == 1
+    return kernel[:, 0] / kernel[:, 0].sum()
+
+
+def exact_law(params):
+    """Q p = 0 with sum(p) = 1 solved in 50-digit arithmetic."""
+    q = rate_generator(params)
+    dim = len(q)
+    with mpmath.workdps(50):
+        a = mpmath.matrix(q.tolist())
+        for j in range(dim):
+            a[dim - 1, j] = 1  # the last balance row is implied by the others
+        b = mpmath.matrix([0] * (dim - 1) + [1])
+        return np.array([float(x) for x in mpmath.lu_solve(a, b)])
+
+
+class TestStationaryAgainstOracles:
+    def test_matches_null_space_on_random_chains(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            params = LoadingParams(
+                loading_rate=10 ** rng.uniform(-1, 1),
+                gamma=rng.choice([0.0, 10 ** rng.uniform(-2, 0)]),
+                beta=10 ** rng.uniform(-18, -14), volume=V_BLOCKADE,
+                n_max=int(rng.integers(1, 61)))
+            got = stationary_distribution(params).probabilities
+            assert np.abs(got - null_space_law(params)).max() <= 1e-10
+
+    @pytest.mark.parametrize("volume", [V_BLOCKADE, V_POISSON])
+    def test_matches_null_space_at_n_max_1000(self, volume):
+        params = LoadingParams(loading_rate=1.0, gamma=0.2, beta=5e-16,
+                               volume=volume, n_max=1000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = stationary_distribution(params).probabilities
+        assert np.all(np.isfinite(got)) and abs(got.sum() - 1.0) < 1e-12
+        assert np.abs(got - null_space_law(params)).max() <= 1e-10
+
+    @pytest.mark.parametrize("rate,gamma,beta", [
+        (0.1, 0.02, 1e-18), (1.0, 0.0, 5e-16), (3.0, 0.2, 1e-13), (0.01, 0.0, 1e-13),
+    ])
+    def test_matches_exact_solve(self, rate, gamma, beta):
+        # including stiff chains (pair loss 10^4 times the loading), where
+        # the null-space solve itself is off by up to 3e-11
+        params = LoadingParams(loading_rate=rate, gamma=gamma, beta=beta,
+                               volume=V_BLOCKADE, n_max=12)
+        got = stationary_distribution(params).probabilities
+        assert np.abs(got - exact_law(params)).max() <= 1e-15
+
+    def test_rescaled_without_overflow_at_n_max_1000(self):
+        # each step back from N = 1000 grows by ~ n*gamma/R: the values pass
+        # the double range many times over and are rescaled each time
+        params = LoadingParams(loading_rate=1e-3, gamma=50.0, beta=5e-16,
+                               volume=V_BLOCKADE, n_max=1000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = stationary_distribution(params).probabilities
+        assert np.all(np.isfinite(p)) and np.all(p >= 0)
+        # cut balance 0|1: R p0 = gamma p1 + beta' p2
+        assert p[1] == pytest.approx(1e-3 / 50.0 * p[0], rel=1e-4)
+        assert p[0] == pytest.approx(1.0, abs=1e-4)
+
+    def test_no_loss_fills_the_top_state(self):
+        params = LoadingParams(loading_rate=1.0, gamma=0.0, beta=0.0,
+                               volume=V_BLOCKADE, n_max=5)
+        assert stationary_distribution(params).probabilities.tolist() == [0, 0, 0, 0, 0, 1]
+
+    @pytest.mark.parametrize("n_max,message", [
+        (5, "degenerate chain: null space has dimension 2"),
+        (1, "all rates are zero"),  # pair loss needs two atoms
+    ])
+    def test_pair_loss_alone_without_loading_rejected(self, n_max, message):
+        # N = 0 and N = 1 both absorb: no unique stationary law
+        params = LoadingParams(loading_rate=0.0, gamma=0.0, beta=5e-16,
+                               volume=V_BLOCKADE, n_max=n_max)
+        with pytest.raises(ValueError, match=message):
+            stationary_distribution(params)
+
+    def test_overflowing_rates_rejected(self):
+        params = LoadingParams(loading_rate=1.0, gamma=1e307, beta=5e-16,
+                               volume=V_BLOCKADE, n_max=60)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+            stationary_distribution(params)
 
 
 class TestAtomNumberDist:
