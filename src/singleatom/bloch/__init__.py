@@ -1,8 +1,9 @@
 """Density-matrix dynamics and photon-correlation functions.
 
-Submodules: :mod:`two_level` (analytic and numeric two-level g2),
-:mod:`four_level` (hyperfine four-level model with cooling and repump
-fields), :mod:`diffusion` (motional correlation envelope).
+Submodules: :mod:`state` (real layout, Lindblad generator), :mod:`two_level`
+(analytic and numeric two-level g2), :mod:`four_level` (hyperfine
+four-level model with cooling and repump fields), :mod:`diffusion`
+(motional correlation envelope).
 """
 
 from .state import DensityMatrix

@@ -3,10 +3,11 @@
 Levels (bare basis order): ``a`` = 5P3/2 F'=2, ``b`` = 5S1/2 F=1,
 ``c`` = 5S1/2 F=2, ``d`` = 5P3/2 F'=3.  A cooling field couples c-a and
 c-d, a repump field couples b-a.  In the frame rotating with both laser
-frequencies the generator of the master equation is time independent, so
-steady states come from a null-space solve and g2(tau) from one exact
-linear time evolution (eigen-expansion of the generator) started in the
-post-emission ground-state mixture.
+frequencies the model is a Hamiltonian plus the decays a -> b, a -> c and
+d -> c, a time-independent Lindblad generator, so steady states come from
+a null-space solve and g2(tau) from one exact linear time evolution
+(eigen-expansion of the generator) started in the post-emission
+ground-state mixture.
 
 The upper limit g2 = 2 of a two-level atom does not bind here: for cooling
 detunings of several linewidths the Rabi oscillations overshoot it.
@@ -28,7 +29,7 @@ from ..constants import (
 )
 from ..integrator import propagate_linear
 from ..lightshift import HyperfineLevel, LaserField, LineTable, ground_shift_alkali, hyperfine_shift, load_default_lines
-from .state import DensityMatrix
+from .state import DensityMatrix, from_real_vector, lindblad_generator, to_real_vector
 
 __all__ = [
     "BASIS_LABELS",
@@ -110,77 +111,26 @@ def _hamiltonian(params: FourLevelParams) -> np.ndarray:
     return h
 
 
-def _relaxation(params: FourLevelParams, rho: np.ndarray) -> np.ndarray:
-    g_ab, g_ac, g_dc = params.gamma_ab, params.gamma_ac, params.gamma_dc
-    gam_a = g_ab + g_ac
-    # phase relaxation of each coherence: half the summed population loss
-    deph = np.array([gam_a, 0.0, 0.0, g_dc]) / 2.0
-    out = np.zeros_like(rho)
-    out[_IDX_A, _IDX_A] = -gam_a * rho[_IDX_A, _IDX_A]
-    out[_IDX_B, _IDX_B] = g_ab * rho[_IDX_A, _IDX_A]
-    out[_IDX_C, _IDX_C] = g_ac * rho[_IDX_A, _IDX_A] + g_dc * rho[_IDX_D, _IDX_D]
-    out[_IDX_D, _IDX_D] = -g_dc * rho[_IDX_D, _IDX_D]
-    for i in range(4):
-        for k in range(4):
-            if i != k:
-                out[i, k] += -(deph[i] + deph[k]) * rho[i, k]
-    return out
-
-
-def _apply_generator(params: FourLevelParams, h: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    return -1j * (h @ rho - rho @ h) + _relaxation(params, rho)
-
-
-# real 16-vector layout: 4 populations, then (Re, Im) of the 6 upper coherences
-_PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-_ROWS, _COLS = np.array(_PAIRS).T
-
-
-def _to_real_vector(rho: np.ndarray) -> np.ndarray:
-    vec = np.empty(16)
-    vec[:4] = np.real(np.diag(rho))
-    for n, (i, k) in enumerate(_PAIRS):
-        vec[4 + 2 * n] = rho[i, k].real
-        vec[5 + 2 * n] = rho[i, k].imag
-    return vec
-
-
-def _from_real_vector(vec: np.ndarray) -> np.ndarray:
-    """Hermitian 4x4 matrices from real 16-vectors; ``vec`` is (..., 16)."""
-    vec = np.asarray(vec)
-    rho = np.zeros(vec.shape[:-1] + (4, 4), dtype=complex)
-    diag = np.arange(4)
-    # filled through the real and imaginary views: no complex temporaries
-    rho.real[..., diag, diag] = vec[..., :4]
-    rho.real[..., _ROWS, _COLS] = rho.real[..., _COLS, _ROWS] = vec[..., 4::2]
-    rho.imag[..., _ROWS, _COLS] = vec[..., 5::2]
-    rho.imag[..., _COLS, _ROWS] = -vec[..., 5::2]
-    return rho
-
-
 class FourLevelLiouvillian:
     """Time-independent generator of the rotating-frame master equation.
 
-    Acts on the 16 real degrees of freedom of a Hermitian 4x4 density
-    matrix.  Provides the steady state (null vector from an SVD, with trace
-    normalization) and trajectory propagation on a time grid.
+    ``matrix_real`` acts on the 16 real degrees of freedom of a Hermitian
+    4x4 density matrix (``state.to_real_vector``).  Provides the steady
+    state (null vector from an SVD, with trace normalization) and
+    trajectory propagation on a time grid.
     """
 
     def __init__(self, params: FourLevelParams):
-        if abs(params.gamma_ab + params.gamma_ac - params.gamma) > 1e-9 * params.gamma:
-            raise ValueError("branching rates must sum to the total decay rate")
         self.params = params
-        self._h = _hamiltonian(params)
-        basis = np.eye(16)
-        cols = []
-        for k in range(16):
-            rho_k = _from_real_vector(basis[k])
-            cols.append(_to_real_vector(_apply_generator(params, self._h, rho_k)))
-        self.matrix_real = np.array(cols).T
+        self.matrix_real = lindblad_generator(_hamiltonian(params), [
+            (params.gamma_ab, _IDX_B, _IDX_A),
+            (params.gamma_ac, _IDX_C, _IDX_A),
+            (params.gamma_dc, _IDX_C, _IDX_D),
+        ])
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Generator applied to a Hermitian matrix (returns drho/dt)."""
-        return _apply_generator(self.params, self._h, np.asarray(rho, dtype=complex))
+        return from_real_vector(self.matrix_real @ to_real_vector(rho))
 
     def steady_state(self) -> DensityMatrix:
         """The trace-one null vector of the generator.
@@ -199,7 +149,7 @@ class FourLevelLiouvillian:
         trace = vec[:4].sum()
         if abs(trace) < 1e-12:
             raise ValueError("null vector has zero trace; generator is degenerate")
-        rho = _from_real_vector(vec / trace)
+        rho = from_real_vector(vec / trace)
         return DensityMatrix(entries=rho, basis_labels=BASIS_LABELS)
 
     def propagate(self, rho0: np.ndarray, t_grid) -> np.ndarray:
@@ -208,8 +158,8 @@ class FourLevelLiouvillian:
         The evolution is exact (eigen-expansion of ``matrix_real``);
         ``t_grid`` starts at the time of ``rho0``.
         """
-        y0 = _to_real_vector(np.asarray(rho0, dtype=complex))
-        return _from_real_vector(propagate_linear(self.matrix_real, y0, t_grid))
+        y0 = to_real_vector(rho0)
+        return from_real_vector(propagate_linear(self.matrix_real, y0, t_grid))
 
 
 def post_emission_state(params: FourLevelParams, steady: DensityMatrix) -> np.ndarray:

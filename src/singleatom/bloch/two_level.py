@@ -3,8 +3,8 @@
 After a photon detection the atom is projected to the ground state, so
 g2(tau) equals the re-excitation probability rho_ee(tau) normalized by its
 steady-state value (quantum regression).  The closed-form damped-Rabi
-expression and an exact optical-Bloch-equation propagation are both
-provided; they agree to rounding on resonance.
+expression and the exact evolution of the optical Bloch equations (one drive,
+one decay e -> g) are both provided; they agree to rounding on resonance.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..integrator import IntegrationError, propagate_linear
+from .state import lindblad_generator
 
 __all__ = [
     "two_level_g2_analytic",
@@ -48,18 +49,6 @@ def two_level_steady_excited(omega0_rabi: float, delta: float, gamma: float) -> 
     return (omega0_rabi**2 / 4.0) / (delta**2 + omega0_rabi**2 / 2.0 + gamma**2 / 4.0)
 
 
-def _obe_generator(omega: float, delta: float, gamma: float) -> np.ndarray:
-    # y = (rho_ee, u, v, 1) with (u, v) the coherence quadratures; rho_gg is
-    # eliminated by the trace, and the constant last component turns the
-    # affine drive term of v into a linear one
-    return np.array([
-        [-gamma, 0.0, omega, 0.0],
-        [0.0, -gamma / 2.0, -delta, 0.0],
-        [-omega, delta, -gamma / 2.0, omega / 2.0],
-        [0.0, 0.0, 0.0, 0.0],
-    ])
-
-
 def two_level_obe_g2(omega0_rabi: float, delta: float, gamma: float,
                      tau_grid) -> np.ndarray:
     """g2(tau) from the exact solution of the two-level Bloch equations.
@@ -81,13 +70,15 @@ def two_level_obe_g2(omega0_rabi: float, delta: float, gamma: float,
         raise ValueError("delays must be nonnegative")
     prepend = len(tau) == 0 or tau[0] != 0.0
     grid = np.concatenate([[0.0], tau]) if prepend else tau
+    # basis (g, e): the state is (rho_gg, rho_ee, Re rho_ge, Im rho_ge)
+    h = [[0.0, omega0_rabi / 2.0], [omega0_rabi / 2.0, -delta]]
+    generator = lindblad_generator(h, [(gamma, 0, 1)])
     try:
-        traj = propagate_linear(_obe_generator(omega0_rabi, delta, gamma),
-                                [0.0, 0.0, 0.0, 1.0], grid)
+        traj = propagate_linear(generator, [1.0, 0.0, 0.0, 0.0], grid)
     except IntegrationError:
         if delta != 0:
             raise
         return two_level_g2_analytic(omega0_rabi, delta, gamma, tau)
     if prepend:
         traj = traj[1:]
-    return traj[:, 0] / steady
+    return traj[:, 1] / steady

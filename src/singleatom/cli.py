@@ -367,8 +367,8 @@ class Flag(NamedTuple):
     the runner), bracket ('lo,hi'), choice or switch.  ``required`` is
     True, or the (dest, value) of another flag under which this one is
     required.  ``check`` is 'positive', 'unit' (in [0, 1]) or 'nonnegative'
-    for a float, an inclusive (lo, hi) range for an int, and the allowed
-    values of a choice.
+    for a float or every point of a grid, an inclusive (lo, hi) range for
+    an int, and the allowed values of a choice.
     """
 
     name: str
@@ -411,10 +411,10 @@ _KINDS = {
     "switch": (None, "true or false", lambda v: isinstance(v, bool)),
 }
 
-# float check -> (rule, test)
+# float check -> (rule, test of an array of values)
 _RULES = {
     "positive": ("must be positive and finite (unit in the key name)", lambda v: v > 0),
-    "unit": ("must lie in [0, 1]", lambda v: 0 <= v <= 1),
+    "unit": ("must lie in [0, 1]", lambda v: (0 <= v) & (v <= 1)),
     "nonnegative": ("must be nonnegative", lambda v: v >= 0),
 }
 
@@ -431,7 +431,7 @@ def _flag_error(args, flag: Flag) -> str | None:
         return f"--{flag.name} must be finite, got {value}"
     if flag.kind == "grid":
         try:
-            _parse_grid(value, f"--{flag.name}")
+            values = _parse_grid(value, f"--{flag.name}")
         except ValidationError as exc:
             return str(exc)
     check = flag.check
@@ -443,7 +443,7 @@ def _flag_error(args, flag: Flag) -> str | None:
         rule, ok = f"must lie in [{check[0]}, {check[1]}]", check[0] <= value <= check[1]
     else:
         rule, test = _RULES[check]
-        ok = test(value)
+        ok = bool(np.all(test(np.asarray(values))))
     return None if ok else f"--{flag.name} {rule}, got {value!r}"
 
 
@@ -483,7 +483,7 @@ SPECS = {
     "magic": (run_magic, _check_magic, Flag("bracket-um", "bracket", default=(1.2, 1.6))),
     "trap": (run_trap, _read_lines, *_TRAP_BEAM),
     "loading": (run_loading, _read_lines,
-                Flag("rate-per-s", "grid", required=True,
+                Flag("rate-per-s", "grid", required=True, check="nonnegative",
                      help="loading rate R, number or 'a..b:step'"),
                 *_TRAP_BEAM,
                 Flag("gamma-per-s", default=0.2, check="nonnegative"),

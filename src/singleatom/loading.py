@@ -39,8 +39,9 @@ class LoadingParams:
     n_max: int = 5
 
     def __post_init__(self):
-        if min(self.loading_rate, self.gamma, self.beta) < 0 or self.volume <= 0:
-            raise ValueError("rates must be nonnegative and volume positive")
+        rates = (self.loading_rate, self.gamma, self.beta)
+        if not (all(0 <= r < np.inf for r in rates) and 0 < self.volume < np.inf):
+            raise ValueError("rates must be finite and nonnegative, volume finite and positive")
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")
 

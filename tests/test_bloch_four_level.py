@@ -1,5 +1,7 @@
 """Four-level fluorescence model: generator, steady state, g2, trap shifts."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm, null_space
@@ -12,13 +14,11 @@ from singleatom.bloch import (
     two_level_g2_analytic,
 )
 from singleatom.bloch.four_level import (
-    _PAIRS,
     BASIS_LABELS,
     FourLevelLiouvillian,
-    _from_real_vector,
-    _to_real_vector,
     post_emission_state,
 )
+from singleatom.bloch.state import from_real_vector, to_real_vector
 from singleatom.constants import (
     KB,
     PI,
@@ -30,6 +30,8 @@ from singleatom.integrator import integrate
 from singleatom.lightshift import LaserField
 
 G = RB87_GAMMA_D2
+# upper coherences of the real 16-vector layout, in order
+PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
 def params_at(delta_over_gamma, icl=100.0, irl=12.0, trap_power=None):
@@ -52,8 +54,48 @@ def trap_field(power):
 
 def expm_trajectory(liouv, rho0, t_grid, t0=0.0):
     """Reference: exact exponential of the real generator at each delay."""
-    m, y0 = liouv.matrix_real, _to_real_vector(rho0)
+    m, y0 = liouv.matrix_real, to_real_vector(rho0)
     return np.array([expm(m * (t - t0)) @ y0 for t in t_grid])
+
+
+def lindblad_by_element(params, rho):
+    """Oracle: the four-level master equation written out element by element."""
+    om1, om2, om3 = params.rabi_frequencies
+    split = params.excited_splitting
+    h = np.diag([params.shift_a, params.delta_rl + params.shift_b,
+                 params.delta_cl + split + params.shift_c, split + params.shift_d])
+    h[0, 1] = h[1, 0] = -om1 / 2
+    h[0, 2] = h[2, 0] = -om2 / 2
+    h[2, 3] = h[3, 2] = -om3 / 2
+    # (rate, to, from): a -> b, a -> c, d -> c
+    jumps = [(params.gamma_ab, 1, 0), (params.gamma_ac, 2, 0), (params.gamma_dc, 2, 3)]
+    out = np.zeros((4, 4), dtype=complex)
+    for i in range(4):
+        for k in range(4):
+            value = sum(-1j * (h[i, j] * rho[j, k] - rho[i, j] * h[j, k]) for j in range(4))
+            for rate, to, frm in jumps:
+                if i == k == to:
+                    value += rate * rho[frm, frm]
+                value -= rate / 2 * ((i == frm) + (k == frm)) * rho[i, k]
+            out[i, k] = value
+    return out
+
+
+def layout_matrix(vec):
+    """Oracle: the Hermitian matrix of one real 16-vector, entry by entry."""
+    rho = np.diag(vec[:4]).astype(complex)
+    for n, (i, k) in enumerate(PAIRS):
+        rho[i, k] = vec[4 + 2 * n] + 1j * vec[5 + 2 * n]
+        rho[k, i] = rho[i, k].conjugate()
+    return rho
+
+
+def layout_vector(rho):
+    """Oracle: the real 16-vector of one Hermitian matrix, entry by entry."""
+    vec = [rho[i, i].real for i in range(4)]
+    for i, k in PAIRS:
+        vec += [rho[i, k].real, rho[i, k].imag]
+    return np.array(vec)
 
 
 def post_emission(params):
@@ -83,6 +125,20 @@ class TestGenerator:
         assert excited[10] == pytest.approx(0.8 * np.exp(-G * t[10]), rel=1e-5)
         assert traj[-1, 1, 1].real + traj[-1, 2, 2].real == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3])
+    def test_matches_per_element_lindblad(self, seed):
+        params = params_at(-5.0)
+        if seed is not None:
+            # random branching, detunings and level shifts
+            rng = np.random.default_rng(seed)
+            params = replace(params, branching_ab=rng.uniform(), delta_rl=rng.normal() * G,
+                             delta_cl=rng.normal() * 5 * G,
+                             **{f"shift_{x}": rng.normal() * 3 * G for x in "abcd"})
+        m = FourLevelLiouvillian(params).matrix_real
+        ref = np.array([layout_vector(lindblad_by_element(params, layout_matrix(e)))
+                        for e in np.eye(16)]).T
+        assert np.abs(m - ref).max() <= 1e-12 * np.abs(ref).max()
+
     def test_inconsistent_branching_rejected(self):
         # the fraction parametrization keeps G_ab + G_ac = G by construction;
         # fractions outside [0, 1] are the representable inconsistency
@@ -109,7 +165,7 @@ class TestGenerator:
         kernel = null_space(liouv.matrix_real)
         assert kernel.shape[1] == 1
         expected = kernel[:, 0] / kernel[:4, 0].sum()
-        got = _to_real_vector(liouv.steady_state().entries)
+        got = to_real_vector(liouv.steady_state().entries)
         assert np.abs(got - expected).max() <= 1e-12
 
     def test_steady_state_not_unique_without_lasers(self):
@@ -140,11 +196,11 @@ class TestPropagator:
         t = np.linspace(0.0, 100e-9, 41)
         traj = liouv.propagate(rho0, t)
         ref = expm_trajectory(liouv, rho0, t)
-        assert np.abs(traj - _from_real_vector(ref)).max() <= 1e-9
+        assert np.abs(traj - from_real_vector(ref)).max() <= 1e-9
         m = liouv.matrix_real
-        rk45 = integrate(lambda _t, y: m @ y, _to_real_vector(rho0), t,
+        rk45 = integrate(lambda _t, y: m @ y, to_real_vector(rho0), t,
                          rtol=1e-12, atol=1e-14)
-        assert np.abs(traj - _from_real_vector(rk45)).max() <= 1e-9
+        assert np.abs(traj - from_real_vector(rk45)).max() <= 1e-9
 
     @pytest.mark.parametrize("grid", [
         np.linspace(50e-9, 150e-9, 21),  # starts after 0
@@ -161,19 +217,16 @@ class TestPropagator:
         idx = np.unique(np.r_[0:n:max(1, n // 40), 1023, 1024, 2047, 2048, n - 1])
         idx = idx[idx < n]
         ref = expm_trajectory(liouv, rho0, grid[idx], t0=grid[0])
-        assert np.abs(traj[idx] - _from_real_vector(ref)).max() <= 1e-9
+        assert np.abs(traj[idx] - from_real_vector(ref)).max() <= 1e-9
 
     def test_real_vector_round_trip_matches_loop(self):
         rng = np.random.default_rng(3)
         vecs = rng.normal(size=(7, 16))
-        rhos = _from_real_vector(vecs)
+        rhos = from_real_vector(vecs)
         for vec, rho in zip(vecs, rhos):
-            ref = np.diag(vec[:4]).astype(complex)
-            for n, (i, k) in enumerate(_PAIRS):
-                ref[i, k] = vec[4 + 2 * n] + 1j * vec[5 + 2 * n]
-                ref[k, i] = ref[i, k].conjugate()
-            assert np.array_equal(rho, ref)
-            assert np.array_equal(_to_real_vector(rho), vec)
+            assert np.array_equal(rho, layout_matrix(vec))
+            assert np.array_equal(to_real_vector(rho), vec)
+        assert np.array_equal(to_real_vector(rhos), vecs)
 
 
 class TestG2:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from singleatom.constants import RB87_GAMMA_D2
 from singleatom.integrator import IntegrationError
@@ -19,6 +20,18 @@ G = RB87_GAMMA_D2
 def rabi_for(omega_r_over_gamma, delta=0.0):
     """Bare Rabi frequency giving the requested generalized Rabi frequency."""
     return math.sqrt((omega_r_over_gamma * G) ** 2 - delta**2 + (G / 4) ** 2)
+
+
+def affine_bloch_matrix(omega, delta, gamma):
+    """Oracle: the optical Bloch equations for y = (rho_ee, u, v, 1), with
+    (u, v) the coherence quadratures, rho_gg eliminated by the trace and the
+    constant last component carrying the affine drive term of v."""
+    return np.array([
+        [-gamma, 0.0, omega, 0.0],
+        [0.0, -gamma / 2.0, -delta, 0.0],
+        [-omega, delta, -gamma / 2.0, omega / 2.0],
+        [0.0, 0.0, 0.0, 0.0],
+    ])
 
 
 class TestAnalytic:
@@ -61,6 +74,17 @@ class TestObe:
         numeric = two_level_obe_g2(omega, 0.0, G, tau)
         analytic = two_level_g2_analytic(omega, 0.0, G, tau)
         assert np.abs(numeric - analytic).max() <= 1e-9
+
+    @pytest.mark.parametrize("omega,delta", [
+        (0.3, -0.5), (1.7, -2.3), (2.0, 1.0), (10.0, -4.0), (0.05, 3.0),
+    ])
+    def test_matches_affine_bloch_expm_off_resonance(self, omega, delta):
+        tau = np.linspace(0.0, 15 / G, 40)
+        numeric = two_level_obe_g2(omega * G, delta * G, G, tau)
+        m = affine_bloch_matrix(omega * G, delta * G, G)
+        rho_ee = np.array([(expm(m * t) @ [0.0, 0.0, 0.0, 1.0])[0] for t in tau])
+        steady = two_level_steady_excited(omega * G, delta * G, G)
+        assert np.abs(numeric - rho_ee / steady).max() <= 1e-10
 
     @pytest.mark.parametrize("offset", [1e-6, -1e-6])
     def test_near_exceptional_point(self, offset):

@@ -130,9 +130,14 @@ class TestValidateOnlyAgreesWithRun:
         (["stirap", "--alpha-deg", "oops"], "--alpha-deg"),
         (["loading", "--rate-per-s", "1..0:1", "--power-mw", "44", "--waist-um", "3.5"],
          "--rate-per-s"),
+        (["loading", "--rate-per-s=-5", "--power-mw", "44", "--waist-um", "3.5"],
+         "--rate-per-s"),
+        (["loading", "--rate-per-s=-5..5:5", "--power-mw", "44", "--waist-um", "3.5"],
+         "--rate-per-s"),
         (["correlations", "--beta-deg", "0..90"], "--beta-deg"),
     ], ids=["trap-power", "trap-waist", "trap-wavelength", "kinetic", "env-a",
-            "stirap-grid", "loading-grid", "correlations-grid"])
+            "stirap-grid", "loading-grid", "loading-negative-rate",
+            "loading-negative-grid-point", "correlations-grid"])
     def test_out_of_range_flag_exits_two(self, tmp_path, capsys, args, flag):
         code, out = run(tmp_path, args)
         err = capsys.readouterr().err
@@ -660,6 +665,18 @@ FUZZ_FLOATS = st.one_of(
                      math.nan, math.inf, -math.inf]),
 )
 
+# string-valued flags draw from bounded sets: small, malformed, non-finite
+# and (for grids) over MAX_POINTS points, so no run gets expensive
+FUZZ_STRINGS = {
+    "grid": ["0.5", "0..2:0.5", "-1", "-5..5:5", "1e300", "1e-300", "2..1:1",
+             "0..90", "1..2:0", "oops", "", "nan", "inf", "0..inf:1", "nan..1:1",
+             f"0..{2 * MAX_POINTS}:1", "0..1:1e-7"],
+    "bracket": ["1.2,1.6", "1.3,1.5", "1.6,1.2", "1.2,1.2", "0,1.6", "-1,2",
+                "nan,1.6", "1.2,inf", "1.2", "a,b", "1,2,3"],
+    "str": ["{dir}/ref.csv", "{dir}/fluor.csv", "{dir}/missing.csv", "{dir}",
+            "{dir}/bad.csv", "{dir}/empty.csv", ""],
+}
+
 
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
@@ -670,14 +687,17 @@ def fuzz_dir(tmp_path_factory):
         profile = gaussian_profile(f, sigma)
         np.savetxt(path / name, np.column_stack([profile.frequency, profile.amplitude]),
                    delimiter=",")
+    (path / "bad.csv").write_text("a,b\nc,d\n")
+    (path / "empty.csv").write_text("")
     return path
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), scenario=st.sampled_from(SCENARIOS))
 def test_fuzzed_flags_exit_cleanly(fuzz_dir, data, scenario):
-    """Any mix of finite and non-finite flag values: exit 0, 2 or 3, never a
-    non-finite value in the CSV, and no CSV at all unless the run succeeded."""
+    """Any mix of finite, non-finite and malformed flag values: exit 0, 2 or
+    3, never a non-finite value in the CSV, and no CSV at all unless the run
+    succeeded."""
     out = fuzz_dir / "out.csv"
     if out.exists():
         out.unlink()
@@ -686,13 +706,20 @@ def test_fuzzed_flags_exit_cleanly(fuzz_dir, data, scenario):
         if not data.draw(st.booleans()):
             continue
         if flag.kind == "float":
-            value = data.draw(FUZZ_FLOATS)
+            value = repr(data.draw(FUZZ_FLOATS))
         elif flag.kind == "int":
             value = data.draw(st.integers(min_value=-2, max_value=50))
+        elif flag.kind == "choice":
+            value = data.draw(st.sampled_from([*flag.check, "bogus", ""]))
+        elif flag.kind in FUZZ_STRINGS:
+            value = data.draw(st.sampled_from(FUZZ_STRINGS[flag.kind])).format(dir=fuzz_dir)
         else:
             continue
-        argv.append(f"--{flag.name}={value!r}")
-    code = main(argv + ["--out", str(out)])
+        argv.append(f"--{flag.name}={value}")
+    try:
+        code = main(argv + ["--out", str(out)])
+    except SystemExit as exc:  # argparse refuses a malformed bracket
+        code = exc.code
     assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL)
     if code != EXIT_OK:
         assert not out.exists()

@@ -1,5 +1,6 @@
 """Loading dynamics: mean-number ODE and the birth-death number distribution."""
 
+import math
 import warnings
 
 import mpmath
@@ -23,6 +24,16 @@ V_POISSON = 3.9126e-13     # w0 = 10 um
 
 BLOCKADE = LoadingParams(loading_rate=1.0, gamma=0.2, beta=5e-16,
                          volume=V_BLOCKADE, n_max=5)
+
+
+class TestParams:
+    @pytest.mark.parametrize("field", ["loading_rate", "gamma", "beta", "volume"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        kwargs = dict(loading_rate=1.0, gamma=0.2, beta=5e-16, volume=V_BLOCKADE)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            LoadingParams(**kwargs)
 
 
 class TestMeanNumberODE:
