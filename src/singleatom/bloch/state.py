@@ -1,4 +1,4 @@
-"""Density matrices: real layout, Lindblad generator, physicality checks.
+"""Density matrices: real layout, Lindblad generator, physicality measures.
 
 A Hermitian n x n matrix is carried as a real n^2-vector: the n populations,
 then (Re, Im) of each upper coherence rho[i, k], i < k, in row order.
@@ -9,10 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-TRACE_TOL = 1e-8
-HERMITICITY_TOL = 1e-9
-POSITIVITY_TOL = 1e-7
 
 
 def _upper(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -83,10 +79,6 @@ class DensityMatrix:
             raise ValueError("one basis label per dimension required")
 
     @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    @property
     def trace(self) -> float:
         return float(np.trace(self.entries).real)
 
@@ -100,14 +92,3 @@ class DensityMatrix:
     def population(self, label: str) -> float:
         idx = self.basis_labels.index(label)
         return float(self.entries[idx, idx].real)
-
-    def validate(self, trace_tol: float = TRACE_TOL,
-                 herm_tol: float = HERMITICITY_TOL,
-                 pos_tol: float = POSITIVITY_TOL) -> None:
-        """Raise ``ValueError`` unless trace, Hermiticity and positivity hold."""
-        if abs(self.trace - 1.0) > trace_tol:
-            raise ValueError(f"trace {self.trace} differs from 1")
-        if self.hermiticity_defect() > herm_tol:
-            raise ValueError("matrix is not Hermitian within tolerance")
-        if self.min_eigenvalue() < -pos_tol:
-            raise ValueError("matrix has a significantly negative eigenvalue")

@@ -385,10 +385,11 @@ class Flag(NamedTuple):
 
 
 def _bracket(value: str):
-    parts = value.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected 'lo,hi' in um")
-    return float(parts[0]), float(parts[1])
+    try:
+        lo, hi = map(float, value.split(","))
+    except ValueError:  # not two numbers
+        raise argparse.ArgumentTypeError("expected 'lo,hi' in um") from None
+    return lo, hi
 
 
 def _is_number(value) -> bool:
@@ -557,13 +558,21 @@ def _add_flags(parser: argparse.ArgumentParser, flags) -> None:
                                 metavar=metavar, help=flag.help)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that refuses a malformed command line with one
+    ``validation:`` line on stderr and exit 2, like every other bad input."""
+
+    def error(self, message):
+        self.exit(EXIT_VALIDATION, f"validation: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="singleatom",
         description="Single-atom dipole trap and atom-photon entanglement scenarios.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    subparsers = parser.add_subparsers(dest="scenario")
+    subparsers = parser.add_subparsers(dest="scenario", parser_class=_Parser)
     subparsers.add_parser("list", help="list scenarios and their required keys")
     common = argparse.ArgumentParser(add_help=False)
     _add_flags(common, _COMMON)
@@ -640,7 +649,7 @@ def main(argv=None) -> int:
         if not errors and check is not None:
             errors = check(args)
         if errors:
-            sys.stderr.write("".join(f"validation: {err}\n" for err in errors))
+            sys.stderr.write(f"validation: {'; '.join(errors)}\n")
             return EXIT_VALIDATION
         if args.validate_only:
             sys.stdout.write("configuration ok\n")

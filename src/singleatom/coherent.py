@@ -3,9 +3,11 @@
 Pure-state dynamics only.  Loss from the optically excited intermediate
 level is modeled by a non-Hermitian -i*Gamma/2 term, so the norm leak of
 the trajectory equals the accumulated scattering probability.  STIRAP is
-propagated by the fourth-order Magnus integrator (``integrator.magnus4``),
-and the scattering is an independent trapezoid quadrature of Gamma |c_a|^2
-over the same trajectory.
+propagated by the fourth-order Magnus integrator (``integrator.magnus4``)
+on its affine generator -iH(t) = A0 + Omega_p(t) B_p + Omega_s(t) B_s,
+with A0 the detunings and the loss and B_p, B_s the two couplings, and the
+scattering is an independent trapezoid quadrature of Gamma |c_a|^2 over
+the same trajectory.
 """
 
 from __future__ import annotations
@@ -141,6 +143,8 @@ class StirapResult:
     max_intermediate: float        # max of the |a> population over the sample times
     norm_leak: float               # 1 - final norm^2
     scattered: float               # integral of Gamma |c_a|^2 dt, trapezoid rule over the steps
+    magnus_steps: int              # Magnus-4 steps taken: (n_steps - 1) * steps per interval
+    step_norm: float               # h ||A||_1 of those steps, the bound the step rule keeps
 
 
 def lambda_dark_state(phi1: float, phi2: float) -> PureState:
@@ -185,19 +189,15 @@ def stirap_evolve(schedule: PulseSchedule, initial: PureState,
     e_p = np.exp(1j * pump.phase)
     e_s = np.exp(1j * stokes.phase)
 
-    def generators(t):
-        # A = -iH: the columns of the Schroedinger right-hand side
-        half_p = 0.5j * pump.envelope(t)
-        half_s = 0.5j * stokes.envelope(t)
-        a = np.zeros((len(t), 3, 3), dtype=complex)
-        a[:, 0, 0] = -1j * d_a - loss_gamma / 2.0
-        a[:, 1, 1] = -1j * d_b
-        a[:, 2, 2] = -1j * d_c
-        a[:, 0, 1] = half_p * e_p
-        a[:, 1, 0] = half_p * np.conj(e_p)
-        a[:, 0, 2] = half_s * e_s
-        a[:, 2, 0] = half_s * np.conj(e_s)
-        return a
+    # A(t) = -iH(t) = basis[0] + Omega_p(t) basis[1] + Omega_s(t) basis[2],
+    # the columns of the Schroedinger right-hand side
+    basis = np.zeros((3, 3, 3), dtype=complex)
+    basis[0] = np.diag([-1j * d_a - loss_gamma / 2.0, -1j * d_b, -1j * d_c])
+    basis[1, 0, 1], basis[1, 1, 0] = 0.5j * e_p, 0.5j * np.conj(e_p)
+    basis[2, 0, 2], basis[2, 2, 0] = 0.5j * e_s, 0.5j * np.conj(e_s)
+
+    def coefficients(t):
+        return np.stack((np.ones_like(t), pump.envelope(t), stokes.envelope(t)), axis=1)
 
     t_out = np.linspace(0.0, schedule.t_end, n_steps)
     # largest 1-norm of A over the schedule
@@ -214,7 +214,7 @@ def stirap_evolve(schedule: PulseSchedule, initial: PureState,
     for k in range(0, n_steps - 1, group):
         end = min(k + group, n_steps - 1)
         t = np.linspace(t_out[k], t_out[end], (end - k) * per_interval + 1)
-        traj = magnus4(generators, state, t)
+        traj = magnus4(basis, coefficients, state, t)
         pop_a = traj[:, 0].real ** 2 + traj[:, 0].imag ** 2
         max_a = max(max_a, float(np.max(pop_a[::per_interval])))
         scattered += loss_gamma * float(np.sum(np.diff(t) * (pop_a[:-1] + pop_a[1:]))) / 2.0
@@ -226,6 +226,8 @@ def stirap_evolve(schedule: PulseSchedule, initial: PureState,
         max_intermediate=max_a,
         norm_leak=1.0 - final.norm_sq,
         scattered=scattered,
+        magnus_steps=(n_steps - 1) * per_interval,
+        step_norm=h_out / per_interval * a_norm,
     )
 
 

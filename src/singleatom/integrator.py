@@ -2,9 +2,12 @@
 
 Linear, time-independent generators (the four-level and two-level Bloch
 models) are propagated exactly from one eigendecomposition
-(``propagate_linear``).  Linear, time-dependent generators (the STIRAP
-pulses) take one commutator-based fourth-order Magnus step per grid
-interval (``magnus4``).  The nonlinear mean-number loading ODE runs through
+(``propagate_linear``).  Linear, time-dependent generators that are affine
+in constant matrices (the STIRAP pulses, A(t) = sum_i f_i(t) B_i) take one
+commutator-based fourth-order Magnus step per grid interval (``magnus4``):
+the commutators [B_i, B_j] are built once, the steps are exponentiated as
+a stack (``_expm``) and multiplied by a work-efficient tree scan
+(``_prefix_states``).  The nonlinear mean-number loading ODE runs through
 an adaptive embedded Runge-Kutta 4(5) integrator at rtol 1e-9, atol 1e-12
 (``integrate``).
 """
@@ -21,10 +24,11 @@ ATOL = 1e-12
 # delays per block of exponentials in propagate_linear; bounds the complex
 # temporaries to a few hundred kB whatever the grid length
 _CHUNK = 1024
-# steps per block of magnus4: its (block, 6, 6) temporaries are 74 kB each,
-# and a lib-sweep worker's peak memory stays where RK45 left it (1024-step
-# blocks added 2.2 MB to it, at the same speed)
-_MAGNUS_BLOCK = 256
+# steps per block of magnus4: the measured optimum of the lossy 4000-sample
+# STIRAP call of a lib-sweep point (blocks of 256/512/1024/2048/4096 steps:
+# 2.9/2.5/2.3/3.0/3.1 ms, medians of 30 calls on one core of a 2-vCPU Xeon
+# VM); a block's temporaries are a few (1024, 6, 6) stacks of 295 kB
+_MAGNUS_BLOCK = 1024
 # The rounding error of the eigen-expansion grows like eps / s^2, with s the
 # smallest overlap |w_k^H v_k| of the unit left and right eigenvectors
 # (measured towards the two-level exceptional point, where s -> 0).  Below
@@ -119,25 +123,34 @@ def propagate_linear(m, y0, t_grid) -> np.ndarray:
 def _expm(x) -> np.ndarray:
     """exp of every matrix in a real stack of shape (n, k, k).
 
-    Taylor polynomial in Horner form with scaling and squaring: the stack is
-    scaled by 2^-s so that its largest 1-norm nu is at most 1, and the degree
-    m is the smallest with nu^(m+1)/(m+1)! below the unit roundoff.
+    Taylor polynomial with scaling and squaring: the stack is scaled by 2^-s
+    so that its largest 1-norm nu is at most 1, and the degree m is the
+    smallest with nu^(m+1)/(m+1)! below the unit roundoff.  Horner's rule on
+    the coefficients 1/j! runs in two preallocated buffers: one matmul per
+    degree, each coefficient added on the diagonal only.  ``x`` is not
+    modified.
     """
     x = np.asarray(x, dtype=float)
-    eye = np.eye(x.shape[-1])
-    norm = float(np.abs(x).sum(axis=-2).max())
+    k = x.shape[-1]
+    norm = float(np.einsum("...ij->...j", np.abs(x)).max())
     squarings = math.ceil(math.log2(norm)) if norm > 1.0 else 0
-    x = x / 2.0**squarings
+    if squarings:
+        x = x / 2.0**squarings
     nu = norm / 2.0**squarings
     degree, remainder = 1, nu * nu / 2.0
     while remainder > _EPS:
         degree += 1
         remainder *= nu / (degree + 1)
-    out = eye + x / degree
-    for k in range(degree - 1, 0, -1):
-        out = eye + (x @ out) / k
+    coeff = [1.0 / math.factorial(j) for j in range(degree + 1)]
+    # C order: the diagonal is written through a flat view
+    out = np.multiply(x, coeff[degree], order="C")
+    spare = np.empty_like(out)
+    out.reshape(-1, k * k)[:, ::k + 1] += coeff[degree - 1]
+    for c in coeff[degree - 2::-1]:
+        out, spare = np.matmul(x, out, out=spare), out
+        out.reshape(-1, k * k)[:, ::k + 1] += c
     for _ in range(squarings):
-        out = out @ out
+        out, spare = np.matmul(out, out, out=spare), out
     return out
 
 
@@ -151,37 +164,75 @@ def _real_form(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def magnus4(generators, y0, t_grid) -> np.ndarray:
+def _prefix_states(steps: np.ndarray, y0: np.ndarray) -> np.ndarray:
+    """The states before each step: row k is steps[k-1] ... steps[0] y0.
+
+    A work-efficient scan (Blelloch 1990): the up-sweep multiplies
+    neighbouring pairs level by level, and the down-sweep hands each pair's
+    start state to its left half and, through one batched mat-vec with the
+    left half's product, to its right half.  About one matmul per step.
+    """
+    levels = [steps]
+    while len(levels[-1]) > 2:
+        q = levels[-1]
+        pairs = len(q) // 2
+        up = np.matmul(q[1:2 * pairs:2], q[0:2 * pairs:2])
+        levels.append(np.concatenate((up, q[2 * pairs:])))
+    states = y0[None, :]
+    for q in reversed(levels):
+        pairs = len(q) // 2
+        down = np.empty((len(q), len(y0)))
+        down[0::2] = states
+        down[1::2] = np.einsum("nij,nj->ni", q[0:2 * pairs:2], states[:pairs])
+        states = down
+    return states
+
+
+def magnus4(basis, coefficients, y0, t_grid) -> np.ndarray:
     """Solve dy/dt = A(t) y with one fourth-order Magnus step per interval.
 
-    ``generators(t)`` maps a 1-D array of times to the stack of complex
-    matrices A(t), shape (len(t), d, d).  On each interval of length h the
+    The generator is affine in constant complex matrices,
+    A(t) = sum_i f_i(t) B_i, with ``basis`` the stack (m, d, d) of the B_i
+    and ``coefficients(t)`` mapping a 1-D array of times to the real
+    weights f_i(t), shape (len(t), m).  On each interval of length h the
     two Gauss-Legendre nodes t_mid -/+ h sqrt(3)/6 give A1 and A2, and the
     step is exp(h/2 (A1 + A2) + sqrt(3)/12 h^2 [A2, A1]), evaluated on the
-    real form of the matrices.  The steps of a block of ``_MAGNUS_BLOCK``
-    intervals are multiplied by a log-depth prefix product, and the state is
-    carried from block to block.  Returns the complex array of shape
-    (len(t_grid), d); ``t_grid`` must be nondecreasing and start at the
-    initial time, and the first row holds ``y0``.  The accuracy is set by
-    the grid: the caller chooses h small against 1/||A||.
+    real form of the matrices.  The real forms of the B_i and of every
+    [B_i, B_j] are built once, so each exponent is one row of weights
+    times that constant stack:
+    [A2, A1] = sum_{i<j} (f_i(t2) f_j(t1) - f_j(t2) f_i(t1)) [B_i, B_j].
+    The steps of a block of ``_MAGNUS_BLOCK`` intervals are multiplied by
+    a work-efficient tree scan, and the state is carried from block to
+    block.  Returns the complex array of shape (len(t_grid), d); ``t_grid``
+    must be nondecreasing and start at the initial time, and the first row
+    holds ``y0``.  The accuracy is set by the grid: the caller chooses h
+    small against 1/||A||.
     """
     t_grid = _checked_grid(t_grid)
     y0 = np.asarray(y0, dtype=complex)
     d = len(y0)
+    real = _real_form(np.asarray(basis, dtype=complex))
+    first, second = np.triu_indices(len(real), 1)
+    # the real form is an algebra homomorphism: it maps [B_i, B_j] to the
+    # commutator of the real forms
+    constant = np.concatenate((
+        real, real[first] @ real[second] - real[second] @ real[first],
+    )).reshape(-1, 4 * d * d)
+    h = np.diff(t_grid)
+    mid = (t_grid[:-1] + t_grid[1:]) / 2.0
+    f1 = coefficients(mid - h * (_SQRT3 / 6.0))
+    f2 = coefficients(mid + h * (_SQRT3 / 6.0))
+    h = h[:, None]
+    weights = np.concatenate((
+        h / 2.0 * (f1 + f2),
+        (_SQRT3 / 12.0) * h**2 * (f2[:, first] * f1[:, second]
+                                  - f2[:, second] * f1[:, first]),
+    ), axis=1)
     out = np.empty((len(t_grid), 2 * d))
     out[0, :d], out[0, d:] = y0.real, y0.imag
-    for start in range(0, len(t_grid) - 1, _MAGNUS_BLOCK):
-        t = t_grid[start:start + _MAGNUS_BLOCK + 1]
-        h = np.diff(t)[:, None, None]
-        mid = (t[:-1] + t[1:]) / 2.0
-        offset = h[:, 0, 0] * (_SQRT3 / 6.0)
-        a1 = _real_form(generators(mid - offset))
-        a2 = _real_form(generators(mid + offset))
-        prod = _expm(h / 2.0 * (a1 + a2)
-                     + (_SQRT3 / 12.0) * h**2 * (a2 @ a1 - a1 @ a2))
-        shift = 1
-        while shift < len(prod):
-            prod[shift:] = prod[shift:] @ prod[:-shift]
-            shift *= 2
-        out[start + 1:start + len(t)] = prod @ out[start]
+    for start in range(0, len(h), _MAGNUS_BLOCK):
+        block = weights[start:start + _MAGNUS_BLOCK]
+        steps = _expm((block @ constant).reshape(len(block), 2 * d, 2 * d))
+        before = _prefix_states(steps, out[start])
+        out[start + 1:start + 1 + len(block)] = np.einsum("nij,nj->ni", steps, before)
     return out[:, :d] + 1j * out[:, d:]

@@ -1,5 +1,7 @@
 """Scenario runner: validation, determinism, output formats, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 from importlib import resources
@@ -92,6 +94,20 @@ class TestListAndValidate:
         assert err.startswith("validation: ") and err.count("\n") == 1
         assert flag in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("args,flag", [
+        (["magic", "--bracket-um=1.2"], "--bracket-um"),
+        (["magic", "--bracket-um=a,b"], "--bracket-um"),
+        (["g2", "--delta-mhz", "-31", "--icl", "103", "--points=abc"], "--points"),
+        (["trap", "--power-mw", "44", "--waist-um", "3.5", "--frobnicate"], "--frobnicate"),
+    ], ids=["bracket-one-value", "bracket-not-numbers", "points-not-int", "unknown-flag"])
+    def test_malformed_command_line_one_line(self, tmp_path, capsys, args, flag):
+        # argparse's own refusals: exit 2 with one line, no usage block
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, args)
+        err = capsys.readouterr().err
+        assert exc.value.code == EXIT_VALIDATION and not (tmp_path / "out.csv").exists()
+        assert err.startswith("validation: ") and err.count("\n") == 1 and flag in err
 
     @pytest.mark.parametrize("args", [
         ["g2", "--delta-mhz", "-31", "--icl", "103", "--points"],
@@ -696,8 +712,8 @@ def fuzz_dir(tmp_path_factory):
 @given(data=st.data(), scenario=st.sampled_from(SCENARIOS))
 def test_fuzzed_flags_exit_cleanly(fuzz_dir, data, scenario):
     """Any mix of finite, non-finite and malformed flag values: exit 0, 2 or
-    3, never a non-finite value in the CSV, and no CSV at all unless the run
-    succeeded."""
+    3, never a non-finite value in the CSV, no CSV at all unless the run
+    succeeded, and exactly one stderr line when it did not."""
     out = fuzz_dir / "out.csv"
     if out.exists():
         out.unlink()
@@ -716,13 +732,16 @@ def test_fuzzed_flags_exit_cleanly(fuzz_dir, data, scenario):
         else:
             continue
         argv.append(f"--{flag.name}={value}")
-    try:
-        code = main(argv + ["--out", str(out)])
-    except SystemExit as exc:  # argparse refuses a malformed bracket
-        code = exc.code
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main(argv + ["--out", str(out)])
+        except SystemExit as exc:  # argparse refuses a malformed typed value
+            code = exc.code
     assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL)
     if code != EXIT_OK:
         assert not out.exists()
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
     elif out.exists():
         text = out.read_text().lower()
         assert "nan" not in text and "inf" not in text

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from singleatom.coherent import (
+    _MAGNUS_STEP,
     LAMBDA_BASIS,
     Pulse,
     PulseSchedule,
@@ -111,6 +112,22 @@ class TestStirap:
     def test_requires_a_sample(self):
         with pytest.raises(ValueError):
             stirap_evolve(schedule(), ground_start(), n_steps=0)
+
+    @pytest.mark.parametrize("peak,n_steps,steps", [
+        # 2000 steps per 1 us pulse set the step: 2500 over the 1.25 us
+        # schedule, one per sampling interval on 4000 samples
+        (ADIABATIC, 2, 2500),
+        (ADIABATIC, 4000, 3999),
+        # ||A||_1 = 401.5 /us (with the loss) sets it: ceil(1.25 * 401.5 / 0.1)
+        # on one interval, two per sampling interval on 4000 samples
+        (400.0 / T_PULSE, 2, 5019),
+        (400.0 / T_PULSE, 4000, 2 * 3999),
+    ])
+    def test_step_diagnostics(self, peak, n_steps, steps):
+        result = stirap_evolve(schedule(peak=peak), ground_start(), loss_gamma=LOSS,
+                               n_steps=n_steps)
+        assert result.magnus_steps == steps
+        assert 0.0 < result.step_norm <= _MAGNUS_STEP
 
 
 def dop853_reference(sched, detunings, loss, n_steps):

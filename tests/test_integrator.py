@@ -6,9 +6,11 @@ import pytest
 from scipy.linalg import eig, expm
 
 from singleatom.integrator import (
+    _MAGNUS_BLOCK,
     IntegrationError,
     _eigen_expansion,
     _expm,
+    _prefix_states,
     _real_form,
     magnus4,
     propagate_linear,
@@ -69,16 +71,36 @@ def test_expm_of_zero_is_identity():
     assert np.array_equal(_expm(np.zeros((3, 4, 4))), np.broadcast_to(np.eye(4), (3, 4, 4)))
 
 
+@pytest.mark.parametrize("norm", [0.1, 50.0], ids=["unscaled", "squared"])
+def test_expm_leaves_input_unchanged(norm):
+    x = with_one_norm(np.random.default_rng(5).standard_normal((8, 6, 6)), norm)
+    kept = x.copy()
+    _expm(x)
+    assert np.array_equal(x, kept)
+
+
+def test_expm_of_strided_stack():
+    # exp(x^T) = exp(x)^T also for a transposed view of the stack
+    x = with_one_norm(np.random.default_rng(8).standard_normal((8, 6, 6)), 3.0)
+    got = _expm(x.transpose(0, 2, 1))
+    assert np.abs(got - _expm(x).transpose(0, 2, 1)).max() <= 1e-13
+
+
+def constant(times):
+    """Weight 1 on a one-matrix basis."""
+    return np.ones((len(times), 1))
+
+
 def test_magnus4_exact_for_constant_generator():
     # A constant: every step is exp(h A) and the commutator vanishes; the
-    # grid spans several blocks of the prefix product
+    # grid spans several blocks of the tree product
     rng = np.random.default_rng(2)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     y0 = np.array([1.0, 0.5j, -0.25])
     t = np.linspace(0.0, 2.0, 2500)
-    traj = magnus4(lambda times: np.broadcast_to(a, (len(times), 3, 3)), y0, t)
+    traj = magnus4(a[None], constant, y0, t)
     assert np.array_equal(traj[0], y0)
-    for k in (1, 256, 257, 1024, 2499):
+    for k in (1, 1023, 1024, 1025, 2048, 2499):
         ref = expm(a * t[k]) @ y0
         assert np.abs(traj[k] - ref).max() <= 1e-11 * np.abs(ref).max()
 
@@ -88,13 +110,15 @@ def test_magnus4_fourth_order():
     # much finer grid, halving h divides the error by about 2^4
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
     sz = np.array([[1.0, 0.0], [0.0, -1.0]])
+    basis = -1j * np.array([sx, sz])
 
-    def gen(times):
-        return -1j * (np.cos(times)[:, None, None] * sx + times[:, None, None] * sz)
+    def coefficients(times):
+        return np.stack((np.cos(times), times), axis=1)
 
     y0 = np.array([1.0, 0.0])
-    fine = magnus4(gen, y0, np.linspace(0.0, 2.0, 4097))[-1]
-    errors = [np.abs(magnus4(gen, y0, np.linspace(0.0, 2.0, n + 1))[-1] - fine).max()
+    fine = magnus4(basis, coefficients, y0, np.linspace(0.0, 2.0, 4097))[-1]
+    errors = [np.abs(magnus4(basis, coefficients, y0, np.linspace(0.0, 2.0, n + 1))[-1]
+                     - fine).max()
               for n in (16, 32, 64)]
     for coarse, finer in zip(errors, errors[1:]):
         assert 12.0 < coarse / finer < 20.0
@@ -102,7 +126,67 @@ def test_magnus4_fourth_order():
 
 def test_magnus4_single_point_and_bad_grid():
     y0 = np.array([0.0, 1.0])
-    gen = lambda times: np.zeros((len(times), 2, 2))  # noqa: E731
-    assert np.array_equal(magnus4(gen, y0, [0.0]), [[0.0, 1.0]])
+    basis = np.zeros((1, 2, 2))
+    assert np.array_equal(magnus4(basis, constant, y0, [0.0]), [[0.0, 1.0]])
     with pytest.raises(ValueError):
-        magnus4(gen, y0, [1.0, 0.0])
+        magnus4(basis, constant, y0, [1.0, 0.0])
+
+
+def random_basis(rng, m, d):
+    return rng.standard_normal((m, d, d)) + 1j * rng.standard_normal((m, d, d))
+
+
+def test_magnus4_step_matches_explicit_commutator():
+    # one step from the constant commutators against the same step built
+    # from the full A1 and A2 at the Gauss-Legendre nodes
+    rng = np.random.default_rng(6)
+    basis = random_basis(rng, 4, 3)
+    rates = rng.standard_normal((4, 2))
+
+    def coefficients(times):
+        return np.sin(np.outer(times, rates[:, 0]) + rates[:, 1])
+
+    y0 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    t0, h = 0.3, 0.05
+    mid, offset = t0 + h / 2.0, h * np.sqrt(3.0) / 6.0
+    a1, a2 = (np.einsum("i,ijk->jk", coefficients(np.array([t]))[0], basis)
+              for t in (mid - offset, mid + offset))
+    omega = h / 2.0 * (a1 + a2) + np.sqrt(3.0) / 12.0 * h**2 * (a2 @ a1 - a1 @ a2)
+    got = magnus4(basis, coefficients, y0, [t0, t0 + h])[-1]
+    assert np.abs(got - expm(omega) @ y0).max() <= 1e-14 * np.abs(y0).max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1023, 1024, 1025, 2500])
+def test_prefix_states_match_sequential_product(n):
+    # orthogonal steps keep every state of unit size, so the comparison is
+    # absolute; the reference multiplies one step at a time
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, 6, 6)) * 0.1
+    steps = _expm(x - x.transpose(0, 2, 1))
+    y = rng.standard_normal(6)
+    y /= np.linalg.norm(y)
+    got = _prefix_states(steps, y)
+    for k, step in enumerate(steps):
+        assert np.abs(got[k] - y).max() <= 1e-13
+        y = step @ y
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, _MAGNUS_BLOCK - 1, _MAGNUS_BLOCK,
+                               _MAGNUS_BLOCK + 1, 2500])
+def test_magnus4_blocks_match_sequential_steps(n):
+    # the blocked tree product against one magnus4 call per interval: odd
+    # tails, block boundaries and the state carried across blocks
+    rng = np.random.default_rng(7)
+    h = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
+    basis = -1j * (h + h.conj().transpose(0, 2, 1))  # unitary steps
+
+    def coefficients(times):
+        return np.stack((np.cos(times), np.sin(3.0 * times), np.ones_like(times)), axis=1)
+
+    t = np.linspace(0.0, 0.01 * n, n + 1)
+    y = np.array([1.0, 0.0, 0.0], dtype=complex)
+    traj = magnus4(basis, coefficients, y, t)
+    for k in range(n):
+        assert np.abs(traj[k] - y).max() <= 1e-13
+        y = magnus4(basis, coefficients, y, t[k:k + 2])[-1]
+    assert np.abs(traj[n] - y).max() <= 1e-13
