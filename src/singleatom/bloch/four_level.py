@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..constants import (
+    HBAR,
     KB,
     RB87_5P32_F2_F3_SPLITTING,
     RB87_GAMMA_D2,
@@ -28,7 +29,7 @@ from ..constants import (
     RB87_ISAT_F2_F3,
 )
 from ..integrator import propagate_linear
-from ..lightshift import HyperfineLevel, LaserField, LineTable, ground_shift_alkali, hyperfine_shift, load_default_lines
+from ..lightshift import LaserField, LineTable, ground_shift_alkali, load_default_lines, mean_level_shift
 from .state import DensityMatrix, from_real_vector, lindblad_generator, to_real_vector
 
 __all__ = [
@@ -42,6 +43,9 @@ __all__ = [
 BASIS_LABELS = ("a:F'=2", "b:F=1", "c:F=2", "d:F'=3")
 
 _IDX_A, _IDX_B, _IDX_C, _IDX_D = 0, 1, 2, 3
+
+# (shift field, line-table level, 2F) of each basis level
+_TRAP_SHIFT_LEVELS = (("a", "5P3/2", 4), ("b", "5S1/2", 2), ("c", "5S1/2", 4), ("d", "5P3/2", 6))
 
 
 @dataclass(frozen=True)
@@ -203,26 +207,13 @@ def four_level_g2(params: FourLevelParams, tau_grid,
     return g2
 
 
-def _mean_f_shift(label: str, two_j: int, two_f: int, field: LaserField,
-                  lines: LineTable) -> float:
-    """Zeeman-averaged light shift (rad/s) of one hyperfine F level."""
-    shifts = [
-        hyperfine_shift(
-            HyperfineLevel(n_label=label, two_j=two_j, two_f=two_f, two_m_f=tm),
-            field, lines,
-        )
-        for tm in range(-two_f, two_f + 1, 2)
-    ]
-    return float(np.mean(shifts))
-
-
 def apply_trap_shifts(params: FourLevelParams, trap_field: LaserField,
                       kinetic_reduction: float = 0.0,
                       lines: LineTable | None = None) -> FourLevelParams:
     """Fold the dipole-trap AC-Stark shifts of all four levels into the model.
 
-    The shifts of F=1, F=2 (5S1/2) and of the Zeeman-averaged F'=2, F'=3
-    (5P3/2) levels are computed for the trap field and scaled by
+    The Zeeman-averaged shifts of F=1, F=2 (5S1/2) and F'=2, F'=3 (5P3/2)
+    are computed for the trap field and scaled by
     (1 - kB*T_kin/U) to account for the thermal motion of the atom sampling
     regions of lower intensity; ``kinetic_reduction`` is that temperature.
     """
@@ -230,11 +221,8 @@ def apply_trap_shifts(params: FourLevelParams, trap_field: LaserField,
         return params
     lines = lines or load_default_lines()
     depth = abs(ground_shift_alkali(trap_field, 0.5, lines))
-    scale = 1.0 - KB * kinetic_reduction / depth
-    scale = max(scale, 0.0)
-    shift_b = _mean_f_shift("5S1/2", 1, 2, trap_field, lines) * scale
-    shift_c = _mean_f_shift("5S1/2", 1, 4, trap_field, lines) * scale
-    shift_a = _mean_f_shift("5P3/2", 3, 4, trap_field, lines) * scale
-    shift_d = _mean_f_shift("5P3/2", 3, 6, trap_field, lines) * scale
-    return replace(params, shift_a=shift_a, shift_b=shift_b,
-                   shift_c=shift_c, shift_d=shift_d)
+    scale = max(1.0 - KB * kinetic_reduction / depth, 0.0) / HBAR
+    return replace(params, **{
+        f"shift_{key}": mean_level_shift(label, trap_field, lines, two_f=two_f) * scale
+        for key, label, two_f in _TRAP_SHIFT_LEVELS
+    })

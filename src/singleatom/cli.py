@@ -572,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Single-atom dipole trap and atom-photon entanglement scenarios.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    subparsers = parser.add_subparsers(dest="scenario", parser_class=_Parser)
+    subparsers = parser.add_subparsers(dest="scenario", required=True, parser_class=_Parser)
     subparsers.add_parser("list", help="list scenarios and their required keys")
     common = argparse.ArgumentParser(add_help=False)
     _add_flags(common, _COMMON)
@@ -635,9 +635,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if args.scenario is None:
-        parser.print_help()
-        return EXIT_VALIDATION
     if args.scenario == "list":
         sys.stdout.write(list_scenarios())
         return EXIT_OK

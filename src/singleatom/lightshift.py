@@ -19,12 +19,12 @@ for trap lasers detuned by tens of nanometers.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass
-from importlib import resources
 
-from .angular import _line_strength_sq, _triangle_ok, clebsch_gordan, wigner_6j
+from .angular import _triangle_ok, clebsch_gordan, wigner_6j
 from .constants import (
     C,
     EPS0,
@@ -197,21 +197,26 @@ def _table_from_dict(raw: dict) -> LineTable:
     return LineTable(lines=lines)
 
 
-_DEFAULT_TABLE: LineTable | None = None
+_BUNDLED_LINE_DATA = os.path.join(os.path.dirname(__file__), "data", "rb87_lines.json")
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_lines(path: str, mtime_ns: int, size: int) -> LineTable:
+    return load_lines(path)
 
 
 def load_default_lines() -> LineTable:
-    """The bundled Rb-87 table, or the file named by $SINGLEATOM_LINE_DATA."""
-    global _DEFAULT_TABLE
-    override = os.environ.get(LINE_DATA_ENV)
-    if override:
-        return load_lines(override)
-    if _DEFAULT_TABLE is None:
-        raw = json.loads(
-            resources.files("singleatom.data").joinpath("rb87_lines.json").read_text()
-        )
-        _DEFAULT_TABLE = _table_from_dict(raw)
-    return _DEFAULT_TABLE
+    """The file named by $SINGLEATOM_LINE_DATA, or the bundled Rb-87 table.
+
+    Each table is read once per file version (path, mtime, size), so a
+    rewritten file is read again.
+    """
+    path = os.environ.get(LINE_DATA_ENV) or _BUNDLED_LINE_DATA
+    try:
+        stat = os.stat(path)
+    except OSError as exc:
+        raise LineDataError(f"line data {path}: {exc.strerror}") from exc
+    return _cached_lines(path, stat.st_mtime_ns, stat.st_size)
 
 
 # --- two-level oscillator model -------------------------------------------
@@ -342,71 +347,79 @@ def _ground_offset(level_label: str, two_f: int) -> float:
     return _GROUND_HFS_OFFSET[two_f // 2]
 
 
+def _scalar_terms(level_label: str, two_f: int | None, field: LaserField,
+                  lines: LineTable):
+    """(2J, c, 2F') of every coupling of a level, J and J' read from the table.
+
+    c (J per W/m^2) is the scalar shift coefficient: the line strength times
+    the effective inverse detuning 1/D'.  Without ``two_f`` there is one term
+    per line at the fine-structure detuning (2F' None); with it, one per
+    partner F' at the hyperfine-resolved detuning, weighted by
+    (2F'+1)(2J+1){J J' 1; F' F I}^2.  The weights sum to one over F' and
+    sum_m <F' m-q; 1 q|F m>^2 = (2F+1)/3 for any q, so the m_F mean of a
+    sublevel shift is sum(c) * I, the scalar part alone (Le Kien,
+    Schneeweiss & Rauschenbeutel, Eur. Phys. J. D 67, 92 (2013)).
+    """
+    couplings = lines.couplings_of(level_label)
+    if not couplings:
+        raise KeyError(f"no line data couples to level {level_label!r}")
+    for line, partner_above in couplings:
+        if partner_above:
+            tj, tjp, partner = line.two_j_lower, line.two_j_upper, line.upper
+            # |<J_up||er||J_lo>|^2 = (2J_up+1)/(2J_lo+1) |<J_lo||er||J_up>|^2
+            g = -(tjp + 1) / (tj + 1)
+        else:
+            tj, tjp, partner = line.two_j_upper, line.two_j_lower, line.lower
+            g = 1.0
+        strength = PI * C**2 / (2 * line.omega**3) * g * line.rate
+        if two_f is None:
+            yield tj, strength * _effective_inverse_detuning(line.omega, field.omega), None
+            continue
+        if not _triangle_ok(tj, RB87_TWO_I, two_f):
+            raise ValueError(f"2F = {two_f} is not a hyperfine level of {level_label} "
+                             f"(2J = {tj} in the line table, I = 3/2)")
+        level_offset = _ground_offset(level_label, two_f)
+        for tfp in range(abs(tjp - RB87_TWO_I), tjp + RB87_TWO_I + 1, 2):
+            six_j = wigner_6j(tj / 2, tjp / 2, 1, tfp / 2, two_f / 2, RB87_TWO_I / 2)
+            omega_pair = line.omega - level_offset - _ground_offset(partner, tfp)
+            weight = (tfp + 1) * (tj + 1) * six_j**2
+            yield tj, strength * weight * _effective_inverse_detuning(omega_pair, field.omega), tfp
+
+
 def hyperfine_shift(level: HyperfineLevel, field: LaserField, lines: LineTable) -> float:
     """Light shift (rad/s) of one hyperfine Zeeman level.
 
     Sums over every coupling of the level's fine-structure state in the
     table; upward and downward couplings enter with opposite signs of the
     effective detuning.  Raises ``KeyError`` naming the coupling when the
-    table lacks a required line.
+    table lacks a required line, and ``ValueError`` when ``level.two_j``
+    is not the table's J of the level.
     """
-    couplings = lines.couplings_of(level.n_label)
-    if not couplings:
-        raise KeyError(f"no line data couples to level {level.n_label!r}")
     eps = field.epsilon
-    w = field.omega
     tf, tmf = level.two_f, level.two_m_f
-    tj = level.two_j
-
+    tmf_p = tmf - 2 * eps
     shift = 0.0
-    for line, partner_above in couplings:
-        red_sq = _line_strength_sq(line.omega, line.two_j_lower, line.two_j_upper, line.rate)
-        if partner_above:
-            tjp = line.two_j_upper
-        else:
-            tjp = line.two_j_lower
-            # reversed reduced element (completeness sum rule):
-            # |<J_up||er||J_lo>|^2 = (2J_lo+1)/(2J_up+1) |<J_lo||er||J_up>|^2
-            red_sq = red_sq * (line.two_j_lower + 1) / (line.two_j_upper + 1)
-
-        level_offset = _ground_offset(level.n_label, tf)
-        tmf_p = tmf - 2 * eps
-        for tfp in range(abs(tjp - RB87_TWO_I), tjp + RB87_TWO_I + 1, 2):
-            if abs(tmf_p) > tfp:
-                continue
-            partner_label = line.upper if partner_above else line.lower
-            omega_pair = line.omega - level_offset - _ground_offset(partner_label, tfp)
-            inv_det = _effective_inverse_detuning(omega_pair, w)
-            if not partner_above:
-                inv_det = -inv_det
-            six_j = wigner_6j(tj / 2, tjp / 2, 1, tfp / 2, tf / 2, RB87_TWO_I / 2)
+    for tj, c, tfp in _scalar_terms(level.n_label, tf, field, lines):
+        if tj != level.two_j:
+            raise ValueError(f"level {level.n_label} has 2J = {tj} in the line table, "
+                             f"not {level.two_j}")
+        if abs(tmf_p) <= tfp:
             cg = clebsch_gordan(tfp / 2, tmf_p / 2, 1, eps, tf / 2, tmf / 2)
-            weight = (tfp + 1) * (tj + 1) * six_j**2 * cg**2
-            # energy shift in J, one more hbar converts to rad/s
-            shift += -field.intensity / (2 * EPS0 * C * HBAR) * red_sq * weight * inv_det
-    return shift / HBAR
+            shift += 3 * c * cg**2
+    return shift * field.intensity / HBAR
 
 
-def mean_level_shift(level_label: str, field: LaserField, lines: LineTable) -> float:
-    """Scalar light shift (J) of a fine-structure level, Zeeman-averaged.
+def mean_level_shift(level_label: str, field: LaserField, lines: LineTable,
+                     two_f: int | None = None) -> float:
+    """Scalar light shift (J) of a level, Zeeman-averaged.
 
     Equal occupation of the magnetic sublevels removes the vector and tensor
-    parts, leaving a polarization-independent scalar shift.  Used for the
-    ground/excited comparison behind the magic-wavelength search.
+    parts, leaving a polarization-independent scalar shift.  Without
+    ``two_f`` it is the fine-structure level's shift (the ground/excited
+    comparison behind the magic-wavelength search); with ``two_f`` it is
+    hbar times the m_F mean of ``hyperfine_shift`` for that F.
     """
-    couplings = lines.couplings_of(level_label)
-    if not couplings:
-        raise KeyError(f"no line data couples to level {level_label!r}")
-    w = field.omega
-    total = 0.0
-    for line, partner_above in couplings:
-        inv_det = _effective_inverse_detuning(line.omega, w)
-        if partner_above:
-            g = (line.two_j_upper + 1) / (line.two_j_lower + 1)
-            total += -PI * C**2 / (2 * line.omega**3) * g * line.rate * inv_det
-        else:
-            total += +PI * C**2 / (2 * line.omega**3) * line.rate * inv_det
-    return total * field.intensity
+    return sum(c for _, c, _ in _scalar_terms(level_label, two_f, field, lines)) * field.intensity
 
 
 def _shift_difference(wavelength: float, intensity: float, lines: LineTable,
@@ -419,7 +432,8 @@ def _shift_difference(wavelength: float, intensity: float, lines: LineTable,
 
 def find_magic_wavelength(lines: LineTable, bracket: tuple[float, float],
                           excited: str = "5P3/2", rel_tol: float = 1e-4) -> float:
-    """Wavelength (m) where ground and Zeeman-averaged excited shifts cross.
+    """Shortest wavelength (m) in the bracket where the ground and the
+    Zeeman-averaged excited shifts cross.
 
     The bracket is split at every line resonance of either level so that
     bisection only ever sees genuine sign changes of the continuous shift
@@ -439,17 +453,15 @@ def find_magic_wavelength(lines: LineTable, bracket: tuple[float, float],
     edges = [lo] + resonances + [hi]
     pad = 1e-4  # keep clear of the poles, relative
 
-    roots = []
     for a, b in zip(edges[:-1], edges[1:]):
         a_in = a * (1 + pad) if a in resonances else a
         b_in = b * (1 - pad) if b in resonances else b
         if a_in >= b_in:
             continue
         fa = _shift_difference(a_in, intensity, lines, excited)
-        fb = _shift_difference(b_in, intensity, lines, excited)
         if fa == 0.0:
-            roots.append(a_in)
-            continue
+            return a_in
+        fb = _shift_difference(b_in, intensity, lines, excited)
         if fa * fb > 0:
             continue
         x0, x1, f0 = a_in, b_in, fa
@@ -457,14 +469,10 @@ def find_magic_wavelength(lines: LineTable, bracket: tuple[float, float],
             mid = 0.5 * (x0 + x1)
             fm = _shift_difference(mid, intensity, lines, excited)
             if fm == 0.0:
-                x0 = x1 = mid
-                break
+                return mid
             if f0 * fm < 0:
                 x1 = mid
             else:
                 x0, f0 = mid, fm
-        roots.append(0.5 * (x0 + x1))
-
-    if not roots:
-        raise ValueError("no ground/excited shift crossing inside the bracket")
-    return roots[0]
+        return 0.5 * (x0 + x1)
+    raise ValueError("no ground/excited shift crossing inside the bracket")

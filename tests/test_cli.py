@@ -41,6 +41,13 @@ class TestListAndValidate:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_bare_invocation_one_line(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([])
+        captured = capsys.readouterr()
+        assert exc.value.code == EXIT_VALIDATION and captured.out == ""
+        assert captured.err == "validation: the following arguments are required: scenario\n"
+
     def test_validate_only_ok(self, capsys):
         code = main(["trap", "--power-mw", "44", "--waist-um", "3.5",
                      "--validate-only"])

@@ -188,6 +188,39 @@ class TestHyperfineShift:
             ]
             assert np.mean(shifts) == pytest.approx(scalar, rel=5e-3)
 
+    def test_closed_form_matches_explicit_zeeman_mean(self):
+        # the m_F mean in closed form against the mean of every sublevel,
+        # any polarization, random wavelengths kept 1 nm off every line
+        rng = np.random.default_rng(12)
+        resonances = np.array([line.wavelength for line in LINES.lines])
+        levels = [("5S1/2", 1, 2), ("5S1/2", 1, 4), ("5P3/2", 3, 4), ("5P3/2", 3, 6)]
+        for _ in range(25):
+            wavelength = rng.uniform(700e-9, 1600e-9)
+            if np.min(np.abs(resonances - wavelength)) < 1e-9:
+                continue
+            intensity = 10 ** rng.uniform(3, 10)
+            for eps in (-1, 0, 1):
+                f = LaserField(wavelength=wavelength, intensity=intensity, epsilon=eps)
+                for label, two_j, two_f in levels:
+                    explicit = np.mean([
+                        hyperfine_shift(HyperfineLevel(label, two_j, two_f, tm), f, LINES)
+                        for tm in range(-two_f, two_f + 1, 2)
+                    ])
+                    closed = mean_level_shift(label, f, LINES, two_f=two_f) / HBAR
+                    assert closed == pytest.approx(explicit, rel=1e-12)
+
+    def test_j_other_than_table_rejected(self):
+        # F = 1 exists for J = 1/2 and J = 3/2; the table says 5P3/2 has J = 3/2
+        with pytest.raises(ValueError, match="2J = 3"):
+            hyperfine_shift(HyperfineLevel("5P3/2", 1, 2, 0), trap_field(), LINES)
+
+    @pytest.mark.parametrize("label,two_f", [
+        ("5S1/2", 0), ("5S1/2", 3), ("5S1/2", 6), ("5P3/2", 8), ("5P3/2", -2),
+    ])
+    def test_invalid_two_f_rejected(self, label, two_f):
+        with pytest.raises(ValueError, match="not a hyperfine level"):
+            mean_level_shift(label, trap_field(), LINES, two_f=two_f)
+
     def test_cached_angular_factors_give_identical_shift(self):
         # the 6j and CG factors are cached; their arithmetic is exact, so a
         # second evaluation from the cache is the identical float
@@ -271,6 +304,26 @@ class TestLineTable:
         monkeypatch.setenv("SINGLEATOM_LINE_DATA", str(path))
         table = load_default_lines()
         assert len(table.lines) == 1
+
+    def test_override_read_once_per_file_version(self, tmp_path, monkeypatch):
+        from singleatom import lightshift
+        from singleatom.bloch import FourLevelParams, apply_trap_shifts
+        path = tmp_path / "lines.json"
+        bundled = resources.files("singleatom.data").joinpath("rb87_lines.json").read_text()
+        path.write_text(bundled)
+        monkeypatch.setenv("SINGLEATOM_LINE_DATA", str(path))
+        calls = []
+        load_lines = lightshift.load_lines
+        monkeypatch.setattr(lightshift, "load_lines",
+                            lambda p: calls.append(p) or load_lines(p))
+        params = FourLevelParams(i_cl=1e3, i_rl=1e2, delta_cl=-1e8)
+        first = [apply_trap_shifts(params, trap_field()) for _ in range(3)]
+        assert calls == [str(path)] and first[0] == first[2]
+        # a rewritten file (of another size, so even a coarse mtime clock
+        # cannot hide the change) is read again, and its table is the one used
+        path.write_text(bundled.replace('"lifetime_ns": 26.24', '"lifetime_ns": 52.5'))
+        again = apply_trap_shifts(params, trap_field())
+        assert calls == [str(path)] * 2 and again.shift_d != first[0].shift_d
 
 
 PINNED_LINE_DATA_SHA256 = "51e1eecc62fc4feabecf3e3a99903d53898c36bf917b507d1d62c5824dc0d56c"

@@ -166,15 +166,29 @@ def null_space_law(params):
 
 
 def exact_law(params):
-    """Q p = 0 with sum(p) = 1 solved in 50-digit arithmetic."""
+    """Q p = 0 with sum(p) = 1 solved in 50-digit arithmetic, without BLAS.
+
+    With p_N = 1 the first N balance rows are a banded system (one entry
+    below the diagonal, two above) with diagonally dominant columns, so
+    Gaussian elimination needs no pivoting and stays inside the band.
+    """
     q = rate_generator(params)
-    dim = len(q)
+    top = len(q) - 1
     with mpmath.workdps(50):
-        a = mpmath.matrix(q.tolist())
-        for j in range(dim):
-            a[dim - 1, j] = 1  # the last balance row is implied by the others
-        b = mpmath.matrix([0] * (dim - 1) + [1])
-        return np.array([float(x) for x in mpmath.lu_solve(a, b)])
+        rows = [{j: mpmath.mpf(q[i, j]) for j in range(max(i - 1, 0), min(i + 3, top))}
+                for i in range(top)]
+        rhs = [-mpmath.mpf(q[i, top]) for i in range(top)]
+        for k in range(top - 1):
+            factor = rows[k + 1][k] / rows[k][k]
+            for j in range(k, min(k + 3, top)):
+                rows[k + 1][j] -= factor * rows[k][j]
+            rhs[k + 1] -= factor * rhs[k]
+        p = [mpmath.mpf(0)] * top + [mpmath.mpf(1)]
+        for k in range(top - 1, -1, -1):
+            tail = sum(rows[k][j] * p[j] for j in range(k + 1, min(k + 3, top)))
+            p[k] = (rhs[k] - tail) / rows[k][k]
+        total = mpmath.fsum(p)
+        return np.array([float(x / total) for x in p])
 
 
 class TestStationaryAgainstOracles:
@@ -190,14 +204,14 @@ class TestStationaryAgainstOracles:
             assert np.abs(got - null_space_law(params)).max() <= 1e-10
 
     @pytest.mark.parametrize("volume", [V_BLOCKADE, V_POISSON])
-    def test_matches_null_space_at_n_max_1000(self, volume):
+    def test_matches_exact_solve_at_n_max_1000(self, volume):
         params = LoadingParams(loading_rate=1.0, gamma=0.2, beta=5e-16,
                                volume=volume, n_max=1000)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = stationary_distribution(params).probabilities
         assert np.all(np.isfinite(got)) and abs(got.sum() - 1.0) < 1e-12
-        assert np.abs(got - null_space_law(params)).max() <= 1e-10
+        assert np.abs(got - exact_law(params)).max() <= 1e-10
 
     @pytest.mark.parametrize("rate,gamma,beta", [
         (0.1, 0.02, 1e-18), (1.0, 0.0, 5e-16), (3.0, 0.2, 1e-13), (0.01, 0.0, 1e-13),
