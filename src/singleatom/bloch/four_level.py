@@ -121,7 +121,7 @@ class FourLevelLiouvillian:
     ``matrix_real`` acts on the 16 real degrees of freedom of a Hermitian
     4x4 density matrix (``state.to_real_vector``).  Provides the steady
     state (null vector from an SVD, with trace normalization) and
-    trajectory propagation on a time grid.
+    propagation by a grid of delays.
     """
 
     def __init__(self, params: FourLevelParams):
@@ -156,14 +156,14 @@ class FourLevelLiouvillian:
         rho = from_real_vector(vec / trace)
         return DensityMatrix(entries=rho, basis_labels=BASIS_LABELS)
 
-    def propagate(self, rho0: np.ndarray, t_grid) -> np.ndarray:
-        """Evolve an initial density matrix; returns (len(t), 4, 4) complex.
+    def propagate(self, rho0: np.ndarray, delays) -> np.ndarray:
+        """Evolve ``rho0`` by each delay; returns (len(delays), 4, 4) complex.
 
-        The evolution is exact (eigen-expansion of ``matrix_real``);
-        ``t_grid`` starts at the time of ``rho0``.
+        Exact (eigen-expansion of ``matrix_real``); the delays tau >= 0 may
+        come in any order, and rows at tau = 0 hold ``rho0``.
         """
         y0 = to_real_vector(rho0)
-        return from_real_vector(propagate_linear(self.matrix_real, y0, t_grid))
+        return from_real_vector(propagate_linear(self.matrix_real, y0, delays))
 
 
 def post_emission_state(params: FourLevelParams, steady: DensityMatrix) -> np.ndarray:
@@ -179,32 +179,16 @@ def post_emission_state(params: FourLevelParams, steady: DensityMatrix) -> np.nd
     return rho0
 
 
-def four_level_g2(params: FourLevelParams, tau_grid,
-                  return_trajectory: bool = False):
+def four_level_g2(params: FourLevelParams, tau_grid) -> np.ndarray:
     """g2(tau) of the total fluorescence: excited population re-growth
     after an emission, normalized to its steady-state value."""
-    tau = np.asarray(tau_grid, dtype=float)
-    if np.any(tau < 0):
-        raise ValueError("delays must be nonnegative")
     liouv = FourLevelLiouvillian(params)
     steady = liouv.steady_state()
+    traj = liouv.propagate(post_emission_state(params, steady), tau_grid)
     excited_ss = (
         steady.population(BASIS_LABELS[_IDX_A]) + steady.population(BASIS_LABELS[_IDX_D])
     )
-    if excited_ss <= 0:
-        raise ValueError("no steady-state excitation: g2 undefined")
-    rho0 = post_emission_state(params, steady)
-    # the post-emission initial condition lives at tau = 0
-    prepend = len(tau) == 0 or tau[0] != 0.0
-    grid = np.concatenate([[0.0], tau]) if prepend else tau
-    traj = liouv.propagate(rho0, grid)
-    if prepend:
-        traj = traj[1:]
-    excited = traj[:, _IDX_A, _IDX_A].real + traj[:, _IDX_D, _IDX_D].real
-    g2 = excited / excited_ss
-    if return_trajectory:
-        return g2, traj
-    return g2
+    return (traj[:, _IDX_A, _IDX_A].real + traj[:, _IDX_D, _IDX_D].real) / excited_ss
 
 
 def apply_trap_shifts(params: FourLevelParams, trap_field: LaserField,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..integrator import IntegrationError, propagate_linear
+from ..integrator import IntegrationError, _checked_delays, propagate_linear
 from .state import lindblad_generator
 
 __all__ = [
@@ -29,7 +29,7 @@ def two_level_g2_analytic(omega0_rabi: float, delta: float, gamma: float,
     continued (overdamped) form with hyperbolic functions is used, and the
     Or = 0 limit is handled explicitly.  g2(0) = 0 for any parameters.
     """
-    tau = np.asarray(tau_grid, dtype=float)
+    tau = _checked_delays(tau_grid)
     g = gamma
     or_sq = omega0_rabi**2 + delta**2 - (g / 4.0) ** 2
     envelope = np.exp(-3.0 * g * tau / 4.0)
@@ -65,20 +65,13 @@ def two_level_obe_g2(omega0_rabi: float, delta: float, gamma: float,
     steady = two_level_steady_excited(omega0_rabi, delta, gamma)
     if steady <= 0:
         raise ValueError("no steady-state excitation: drive is off")
-    tau = np.asarray(tau_grid, dtype=float)
-    if np.any(tau < 0):
-        raise ValueError("delays must be nonnegative")
-    prepend = len(tau) == 0 or tau[0] != 0.0
-    grid = np.concatenate([[0.0], tau]) if prepend else tau
     # basis (g, e): the state is (rho_gg, rho_ee, Re rho_ge, Im rho_ge)
     h = [[0.0, omega0_rabi / 2.0], [omega0_rabi / 2.0, -delta]]
     generator = lindblad_generator(h, [(gamma, 0, 1)])
     try:
-        traj = propagate_linear(generator, [1.0, 0.0, 0.0, 0.0], grid)
+        traj = propagate_linear(generator, [1.0, 0.0, 0.0, 0.0], tau_grid)
     except IntegrationError:
         if delta != 0:
             raise
-        return two_level_g2_analytic(omega0_rabi, delta, gamma, tau)
-    if prepend:
-        traj = traj[1:]
+        return two_level_g2_analytic(omega0_rabi, delta, gamma, tau_grid)
     return traj[:, 1] / steady

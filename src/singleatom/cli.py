@@ -460,6 +460,13 @@ def _check_magic(args) -> list[str]:
     return _read_lines(args) if 0 < lo < hi else ["--bracket-um must satisfy 0 < lo < hi"]
 
 
+def _check_spectrum_fit(args) -> list[str]:
+    """Without --wavelength-nm the kinetic energy uses the table's D2 line."""
+    if args.wavelength_nm is None:
+        args.wavelength_nm = load_default_lines().d_lines()[1].wavelength / 1e-9
+    return []
+
+
 def _check_g2(args) -> list[str]:
     if (args.trap_power_mw is None) != (args.trap_waist_um is None):
         return ["--trap-power-mw and --trap-waist-um must be given together"]
@@ -527,12 +534,13 @@ SPECS = {
                      Flag("beta-deg", "grid", required=True,
                           help="waveplate angle, number or 'a..b:step'"),
                      Flag("visibility", default=1.0, check="unit")),
-    "spectrum-fit": (run_spectrum_fit, None,
+    "spectrum-fit": (run_spectrum_fit, _check_spectrum_fit,
                      Flag("reference", "str", required=True,
                           help="two-column CSV (frequency_hz, amplitude)"),
                      Flag("fluorescence", "str", required=True,
                           help="two-column CSV (frequency_hz, amplitude)"),
-                     Flag("wavelength-nm", default=780.246, check="positive")),
+                     Flag("wavelength-nm", check="positive",
+                          help="default: the D2 line of the line table")),
     "pair-rate": (run_pair_rate, None,
                   Flag("eta", required=True, check="unit"),
                   Flag("t-fiber", default=math.sqrt(0.95), check="unit"),
@@ -643,6 +651,8 @@ def main(argv=None) -> int:
     try:
         _merge_config(args, _COMMON + tuple(flags))
         errors = [err for flag in flags if (err := _flag_error(args, flag))]
+        if args.metadata and args.out is None:
+            errors.append("--metadata needs --out: the sidecar is written next to the CSV")
         if not errors and check is not None:
             errors = check(args)
         if errors:

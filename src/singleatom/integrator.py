@@ -1,15 +1,16 @@
 """Shared time-evolution helpers.
 
 Linear, time-independent generators (the four-level and two-level Bloch
-models) are propagated exactly from one eigendecomposition
-(``propagate_linear``).  Linear, time-dependent generators that are affine
-in constant matrices (the STIRAP pulses, A(t) = sum_i f_i(t) B_i) take one
-commutator-based fourth-order Magnus step per grid interval (``magnus4``):
-the commutators [B_i, B_j] are built once, the steps are exponentiated as
-a stack (``_expm``) and multiplied by a work-efficient tree scan
-(``_prefix_states``).  The nonlinear mean-number loading ODE runs through
-an adaptive embedded Runge-Kutta 4(5) integrator at rtol 1e-9, atol 1e-12
-(``integrate``).
+models) are propagated exactly from one eigendecomposition, each delay
+tau >= 0 from the initial state (``propagate_linear``; ``_checked_delays``
+is the delay rule of every g2 model).  Linear, time-dependent generators
+affine in constant matrices (the STIRAP pulses, A(t) = sum_i f_i(t) B_i)
+take one commutator-based fourth-order Magnus step per grid interval
+(``magnus4``): the commutators [B_i, B_j] are built once, the steps are
+exponentiated as a stack (``_expm``) and multiplied by a work-efficient
+tree scan (``_prefix_states``).  The nonlinear mean-number loading ODE
+runs through an adaptive embedded Runge-Kutta 4(5) integrator at rtol
+1e-9, atol 1e-12 (``integrate``).
 """
 
 from __future__ import annotations
@@ -55,6 +56,14 @@ def _checked_grid(t_grid) -> np.ndarray:
     return t_grid
 
 
+def _checked_delays(delays) -> np.ndarray:
+    """The delays as a 1-D float array, each finite and nonnegative."""
+    delays = np.asarray(delays, dtype=float)
+    if delays.ndim != 1 or not np.all(np.isfinite(delays) & (delays >= 0)):
+        raise ValueError("delays must be a 1-D array of finite, nonnegative values")
+    return delays
+
+
 def integrate(f, y0, t_grid, rtol: float = RTOL, atol: float = ATOL) -> np.ndarray:
     """Integrate dy/dt = f(t, y) and sample the solution on ``t_grid``.
 
@@ -93,30 +102,30 @@ def _eigen_expansion(m):
     return lam, v, vinv, overlap
 
 
-def propagate_linear(m, y0, t_grid) -> np.ndarray:
+def propagate_linear(m, y0, delays) -> np.ndarray:
     """Exact solution of dy/dt = m y for a constant real matrix ``m``.
 
-    y(t) = V exp(Lambda (t - t0)) V^-1 y0 from one eigendecomposition
-    m = V Lambda V^-1 (``numpy.linalg.eig`` and ``inv``; no scipy).  Returns
-    the real array of shape (len(t_grid), len(y0)); ``t_grid`` must be
-    nondecreasing and start at the initial time t0, and rows at t0 hold
-    ``y0`` exactly.  Raises ``IntegrationError`` when ``m`` is too close to
-    defective (an exceptional point) for the expansion to keep 1e-6
-    accuracy: when the smallest overlap s_k = |w_k^H v_k| of its unit left
-    and right eigenvectors is below ``_MIN_OVERLAP``.
+    Row k is y0 evolved by the delay tau_k >= 0, V exp(Lambda tau_k) V^-1 y0,
+    from one eigendecomposition m = V Lambda V^-1 (``numpy.linalg.eig`` and
+    ``inv``; no scipy).  Delays come in any order; rows at tau = 0 hold
+    ``y0`` exactly, and no delays give shape (0, len(y0)).  Raises
+    ``ValueError`` for a negative or non-finite delay, and
+    ``IntegrationError`` when ``m`` is too close to defective (an
+    exceptional point) for 1e-6 accuracy: when the smallest overlap
+    s_k = |w_k^H v_k| of its unit left and right eigenvectors is below
+    ``_MIN_OVERLAP``.
     """
-    t_grid = _checked_grid(t_grid)
-    t = t_grid - t_grid[0]
+    tau = _checked_delays(delays)
     y0 = np.asarray(y0, dtype=float)
     lam, v, vinv, overlap = _eigen_expansion(m)
     if not overlap.min() >= _MIN_OVERLAP:  # also refuses a NaN
         raise IntegrationError(_DEFECTIVE)
     cv = (vinv @ y0)[:, None] * v.T
-    out = np.empty((len(t), len(y0)))
-    for start in range(0, len(t), _CHUNK):
-        block = t[start:start + _CHUNK]
+    out = np.empty((len(tau), len(y0)))
+    for start in range(0, len(tau), _CHUNK):
+        block = tau[start:start + _CHUNK]
         out[start:start + _CHUNK] = (np.exp(np.outer(block, lam)) @ cv).real
-    out[t == 0.0] = y0
+    out[tau == 0.0] = y0
     return out
 
 

@@ -32,7 +32,11 @@ from singleatom.bloch import (
     two_level_g2_analytic,
     two_level_obe_g2,
 )
-from singleatom.bloch.four_level import BASIS_LABELS
+from singleatom.bloch.four_level import (
+    BASIS_LABELS,
+    FourLevelLiouvillian,
+    post_emission_state,
+)
 from singleatom.coherent import (
     PulseSchedule,
     ground_start,
@@ -344,7 +348,8 @@ def test_criterion_13_property_suites():
     params = FourLevelParams(i_cl=intensity_from_mw_cm2(100),
                              i_rl=intensity_from_mw_cm2(12), delta_cl=-8 * G)
     tau = np.linspace(0.0, 300e-9, 300)
-    _, traj = four_level_g2(params, tau, return_trajectory=True)
+    liouv = FourLevelLiouvillian(params)
+    traj = liouv.propagate(post_emission_state(params, liouv.steady_state()), tau)
     ok_dm = True
     for rho in traj:
         dm = DensityMatrix(entries=rho, basis_labels=BASIS_LABELS)

@@ -52,10 +52,10 @@ def trap_field(power):
                       epsilon=0)
 
 
-def expm_trajectory(liouv, rho0, t_grid, t0=0.0):
+def expm_trajectory(liouv, rho0, delays):
     """Reference: exact exponential of the real generator at each delay."""
     m, y0 = liouv.matrix_real, to_real_vector(rho0)
-    return np.array([expm(m * (t - t0)) @ y0 for t in t_grid])
+    return np.array([expm(m * tau) @ y0 for tau in delays])
 
 
 def lindblad_by_element(params, rho):
@@ -203,20 +203,22 @@ class TestPropagator:
         assert np.abs(traj - from_real_vector(rk45)).max() <= 1e-9
 
     @pytest.mark.parametrize("grid", [
-        np.linspace(50e-9, 150e-9, 21),  # starts after 0
+        np.linspace(50e-9, 150e-9, 21),  # no delay at 0
         np.concatenate([[0.0], np.sort(np.random.default_rng(5).uniform(0.0, 200e-9, 60))]),
         np.linspace(0.0, 500e-9, 2500),  # spans three blocks of exponentials
     ], ids=["offset", "nonuniform", "multichunk"])
     def test_grids(self, grid):
+        # every delay is measured from rho0
         liouv, rho0 = post_emission(params_at(-5.0, trap_power=0.044))
         traj = liouv.propagate(rho0, grid)
         assert traj.shape == (len(grid), 4, 4)
-        assert np.array_equal(traj[0], rho0)
+        if grid[0] == 0.0:
+            assert np.array_equal(traj[0], rho0)
         # about 40 delays, plus both sides of each block boundary
         n = len(grid)
         idx = np.unique(np.r_[0:n:max(1, n // 40), 1023, 1024, 2047, 2048, n - 1])
         idx = idx[idx < n]
-        ref = expm_trajectory(liouv, rho0, grid[idx], t0=grid[0])
+        ref = expm_trajectory(liouv, rho0, grid[idx])
         assert np.abs(traj[idx] - from_real_vector(ref)).max() <= 1e-9
 
     def test_real_vector_round_trip_matches_loop(self):
@@ -274,6 +276,19 @@ class TestG2:
         assert np.trace(rho0).real == pytest.approx(1.0, abs=1e-12)
         assert rho0[0, 0] == rho0[3, 3] == 0.0
 
+    def test_unsorted_delays_match_sorted(self):
+        # the delays are independent: a permuted grid permutes g2; 1500
+        # delays span two blocks of exponentials
+        tau = np.linspace(0.0, 300e-9, 1500)
+        order = np.random.default_rng(10).permutation(len(tau))
+        params = params_at(-5.0, trap_power=0.044)
+        assert np.array_equal(four_level_g2(params, tau[order]),
+                              four_level_g2(params, tau)[order])
+
+    def test_empty_grid(self):
+        g2 = four_level_g2(params_at(-5.0), [])
+        assert isinstance(g2, np.ndarray) and g2.shape == (0,)
+
     def test_no_excitation_rejected(self):
         params = FourLevelParams(i_cl=0.0, i_rl=0.0, delta_cl=-5 * G)
         with pytest.raises(ValueError):
@@ -282,7 +297,8 @@ class TestG2:
     def test_trajectory_invariants(self):
         # trace, Hermiticity and positivity along the full g2 trajectory
         tau = np.linspace(0.0, 300e-9, 200)
-        _, traj = four_level_g2(params_at(-8.0), tau, return_trajectory=True)
+        liouv, rho0 = post_emission(params_at(-8.0))
+        traj = liouv.propagate(rho0, tau)
         for rho in traj[::10]:
             dm = DensityMatrix(entries=rho, basis_labels=BASIS_LABELS)
             assert abs(dm.trace - 1.0) < 1e-8

@@ -121,12 +121,22 @@ class TestObe:
         # every row at tau = 0 holds the post-detection state exactly
         assert np.array_equal(two_level_obe_g2(2 * G, -G, G, [0.0, 0.0, 1e-9])[:2],
                               [0.0, 0.0])
-        # a grid starting later gets tau = 0 prepended and dropped again
+        # every delay is measured from the detection, so a grid may start later
         assert len(two_level_obe_g2(2 * G, -G, G, [1e-9, 2e-9])) == 2
 
     def test_non_finite_delay_rejected(self):
         with pytest.raises(ValueError):
             two_level_obe_g2(2 * G, -G, G, [0.0, math.nan])
+
+    def test_unsorted_delays_match_sorted(self):
+        tau = np.linspace(0.0, 25 / G, 700)
+        order = np.random.default_rng(12).permutation(len(tau))
+        assert np.array_equal(two_level_obe_g2(2 * G, -G, G, tau[order]),
+                              two_level_obe_g2(2 * G, -G, G, tau)[order])
+
+    def test_empty_grid(self):
+        g2 = two_level_obe_g2(2 * G, -G, G, [])
+        assert isinstance(g2, np.ndarray) and g2.shape == (0,)
 
     def test_steady_state_closed_form(self):
         # long-time value of rho_ee against the standard saturation formula
@@ -141,3 +151,17 @@ class TestObe:
     def test_no_drive_rejected(self):
         with pytest.raises(ValueError):
             two_level_obe_g2(0.0, 0.0, G, [0.0, 1e-9])
+
+
+@pytest.mark.parametrize("delays", [[0.0, -1e-6, 1e-8], [0.0, math.nan], [math.inf]],
+                         ids=["negative", "nan", "inf"])
+@pytest.mark.parametrize("model", ["analytic", "obe", "four-level"])
+def test_every_model_refuses_bad_delays(model, delays):
+    # one delay rule for the three g2 models
+    from singleatom.bloch import FourLevelParams, four_level_g2
+    g2 = {"analytic": lambda tau: two_level_g2_analytic(G, 0.0, G, tau),
+          "obe": lambda tau: two_level_obe_g2(G, 0.0, G, tau),
+          "four-level": lambda tau: four_level_g2(
+              FourLevelParams(i_cl=300.0, i_rl=100.0, delta_cl=-5 * G), tau)}[model]
+    with pytest.raises(ValueError, match="nonnegative"):
+        g2(delays)

@@ -220,6 +220,16 @@ class TestUnreadableInputsAndOutputs:
         assert err.startswith("validation: ") and err.count("\n") == 1
         assert str(tmp_path / "x.csv.meta.json") in err
 
+    @pytest.mark.parametrize("mode", [[], ["--validate-only"]], ids=["run", "validate-only"])
+    def test_metadata_without_out_refused(self, tmp_path, capsys, monkeypatch, mode):
+        # the sidecar is written next to the CSV: without --out it would be lost
+        monkeypatch.chdir(tmp_path)
+        assert main(self.TRAP + ["--metadata"] + mode) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+        assert captured.err.startswith("validation: ") and captured.err.count("\n") == 1
+        assert "--metadata" in captured.err and "--out" in captured.err
+
 
 class TestListTruth:
     SAMPLE = {"power-mw": "44", "waist-um": "3.5", "rate-per-s": "1",
@@ -428,6 +438,37 @@ class TestScenarios:
         rows = dict(line.split(",") for line in out.read_text().strip().split("\n")[1:])
         assert float(rows["e_kin_over_kb_uk"]) == pytest.approx(110.0, abs=15.0)
 
+    def test_spectrum_fit_wavelength_from_line_table(self, tmp_path, monkeypatch):
+        # without --wavelength-nm the D2 line of the table in use sets the
+        # kinetic energy, and the sidecar records the wavelength used
+        from singleatom.analysis import gaussian_profile
+        f = np.linspace(-5e6, 5e6, 201)
+        for name, sigma in (("ref.csv", 0.5e6), ("fluor.csv", 0.7e6)):
+            profile = gaussian_profile(f, sigma)
+            np.savetxt(tmp_path / name, np.column_stack([profile.frequency, profile.amplitude]),
+                       delimiter=",")
+        args = ["spectrum-fit", "--reference", str(tmp_path / "ref.csv"),
+                "--fluorescence", str(tmp_path / "fluor.csv"), "--metadata"]
+
+        def fit(name, extra=()):
+            code, out = run(tmp_path, args + list(extra), name)
+            assert code == EXIT_OK
+            rows = dict(line.split(",") for line in out.read_text().splitlines()[1:])
+            meta = json.loads((tmp_path / f"{name}.meta.json").read_text())
+            return float(rows["e_kin_over_kb_uk"]), meta["parameters"]["wavelength_nm"]
+
+        bundled = fit("bundled.csv")
+        assert bundled[1] == 780.246
+        raw = json.loads(resources.files("singleatom.data").joinpath("rb87_lines.json").read_text())
+        next(line for line in raw["lines"] if line["label"] == "D2")["lambda_nm"] = 790.0
+        (tmp_path / "lines.json").write_text(json.dumps(raw))
+        monkeypatch.setenv("SINGLEATOM_LINE_DATA", str(tmp_path / "lines.json"))
+        e_kin, wavelength = fit("moved.csv")
+        assert wavelength == pytest.approx(790.0, rel=1e-15)
+        assert e_kin / bundled[0] == pytest.approx((790.0 / 780.246) ** 2, rel=1e-9)
+        # an explicit wavelength wins over the table
+        assert fit("explicit.csv", ["--wavelength-nm", "780.246"]) == bundled
+
     def test_pair_rate(self, tmp_path):
         code, out = run(tmp_path, ["pair-rate", "--eta", "5e-4"])
         assert code == EXIT_OK
@@ -565,7 +606,8 @@ class TestValidateOnlyReadsLineData:
         ["loading", "--rate-per-s", "1"] + TRAP,
         ["g2", "--delta-mhz", "-31", "--icl", "103", "--points", "3",
          "--trap-power-mw", "40", "--trap-waist-um", "3.5"],
-    ], ids=["lightshift", "magic", "trap", "loading", "g2-trap"])
+        ["spectrum-fit", "--reference", "ref.csv", "--fluorescence", "fluor.csv"],
+    ], ids=["lightshift", "magic", "trap", "loading", "g2-trap", "spectrum-fit"])
     def test_same_exit_and_line_as_the_run(self, tmp_path, capsys, monkeypatch, args):
         monkeypatch.setenv("SINGLEATOM_LINE_DATA", str(tmp_path / "absent.json"))
         code, out = run(tmp_path, args)
@@ -579,7 +621,9 @@ class TestValidateOnlyReadsLineData:
     @pytest.mark.parametrize("args", [
         ["g2", "--delta-mhz", "-31", "--icl", "103", "--points", "3"],
         ["bell"],
-    ], ids=["g2-no-trap", "bell"])
+        ["spectrum-fit", "--reference", "ref.csv", "--fluorescence", "fluor.csv",
+         "--wavelength-nm", "780.246"],
+    ], ids=["g2-no-trap", "bell", "spectrum-fit-wavelength"])
     def test_line_data_not_read_when_unused(self, capsys, monkeypatch, tmp_path, args):
         monkeypatch.setenv("SINGLEATOM_LINE_DATA", str(tmp_path / "absent.json"))
         assert main(args + ["--validate-only"]) == EXIT_OK

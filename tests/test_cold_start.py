@@ -24,10 +24,10 @@ REPORT_SCIPY = (
 )
 
 
-def scipy_modules_after(code: str) -> str:
+def scipy_modules_after(code: str, cwd=None) -> str:
     env = dict(os.environ, PYTHONPATH=SRC)
     result = subprocess.run([sys.executable, "-c", f"{code}\n{REPORT_SCIPY}"],
-                            capture_output=True, text=True, env=env, timeout=60)
+                            capture_output=True, text=True, env=env, timeout=60, cwd=cwd)
     assert result.returncode == 0, result.stderr
     return result.stdout.strip().splitlines()[-1]
 
@@ -42,7 +42,8 @@ def cli_run(*argv: str) -> str:
             "    assert exc.code == 0, exc.code")
 
 
-G2 = ("g2", "--delta-mhz", "-31", "--icl", "103", "--points", "201", "--out", os.devnull)
+# runs write into the test's temporary directory, their working directory
+G2 = ("g2", "--delta-mhz", "-31", "--icl", "103", "--points", "201", "--out", "g2.csv")
 
 
 @pytest.mark.parametrize("code", [
@@ -54,7 +55,7 @@ G2 = ("g2", "--delta-mhz", "-31", "--icl", "103", "--points", "201", "--out", os
     "from singleatom.loading import LoadingParams, stationary_distribution\n"
     "stationary_distribution(LoadingParams(1.0, 0.2, 5e-16, 1e-16))",
     cli_run("loading", "--rate-per-s", "0..1:0.25", "--power-mw", "44",
-            "--waist-um", "3.5", "--out", os.devnull),
+            "--waist-um", "3.5", "--out", "loading.csv"),
     cli_run(*G2, "--trap-power-mw", "40", "--trap-waist-um", "3.5", "--metadata"),
     cli_run(*G2, "--model", "full", "--env-a", "0.3", "--env-tau-us", "1.2"),
     cli_run(*G2, "--model", "two-level-obe"),
@@ -62,8 +63,8 @@ G2 = ("g2", "--delta-mhz", "-31", "--icl", "103", "--points", "201", "--out", os
 ], ids=["import-cli", "import-kernels", "run-trap", "loading-kernel", "run-loading",
         "run-g2-four-level-trap", "run-g2-full", "run-g2-two-level-obe",
         "run-g2-two-level-analytic"])
-def test_no_scipy_module_loaded(code):
-    assert scipy_modules_after("import sys\n" + code) == "[]"
+def test_no_scipy_module_loaded(code, tmp_path):
+    assert scipy_modules_after("import sys\n" + code, cwd=tmp_path) == "[]"
 
 
 def test_stirap_loads_no_scipy():

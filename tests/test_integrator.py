@@ -46,6 +46,19 @@ def test_propagate_linear_accepts_repeated_eigenvalue():
     assert np.abs(got[1] - np.exp(-1.0) * np.array([1.0, 2.0])).max() <= 1e-15
 
 
+def test_propagate_linear_delay_grids():
+    # each delay evolves y0 on its own: any order, rows at 0 hold y0, an
+    # empty grid gives no rows, and negative or non-finite delays are refused
+    m, y0 = np.array([[-1.0, 2.0], [0.0, -3.0]]), [1.0, 0.5]
+    got = propagate_linear(m, y0, [2.0, 0.0, 1.0])
+    assert np.array_equal(got[1], y0)
+    assert np.abs(got[[0, 2]] - [expm(m * 2.0) @ y0, expm(m) @ y0]).max() <= 1e-14
+    assert propagate_linear(m, y0, []).shape == (0, 2)
+    for bad in ([0.0, -1e-300], [np.nan], [np.inf], [[0.0, 1.0]]):
+        with pytest.raises(ValueError):
+            propagate_linear(m, y0, bad)
+
+
 def with_one_norm(x, norm):
     """Scale each matrix of a stack to the given 1-norm."""
     return x * (norm / np.abs(x).sum(axis=-2).max(axis=-1))[:, None, None]
