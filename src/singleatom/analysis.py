@@ -4,7 +4,9 @@ Covers the normalization of coincidence histograms to g2 estimates, the
 accidental-coincidence floor from detector dark counts, profile
 convolution, the single-parameter Doppler-width fit of a fluorescence
 spectrum against a measured reference, and the exponential-envelope fit of
-the long-time correlation decay.
+the long-time correlation decay.  Both fits are one-dimensional searches by
+one bounded Brent minimizer (Brent, *Algorithms for Minimization without
+Derivatives*, 1973, ch. 5), in numpy alone.
 """
 
 from __future__ import annotations
@@ -66,6 +68,8 @@ class SpectrumProfile:
             raise ValueError("frequency and amplitude must be 1-D and equal length")
         if len(f) < 2:
             raise ValueError("a profile needs at least two samples")
+        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(a))):
+            raise ValueError("frequency and amplitude must be finite")
         if np.any(np.diff(f) <= 0):
             raise ValueError("frequency grid must be strictly increasing")
         if np.any(a < 0):
@@ -175,17 +179,95 @@ def _model_on_grid(reference: SpectrumProfile, sigma: float,
     return np.interp(target_freq, blurred.frequency, blurred.amplitude)
 
 
+def _minimize_bounded(cost, lo: float, hi: float, xatol: float,
+                      maxfev: int = 500) -> tuple[float, float, int]:
+    """Minimize a scalar function on [lo, hi]; returns (x, cost(x), evaluations).
+
+    Brent's golden-section search with parabolic steps (Brent 1973, ch. 5),
+    step for step as scipy's ``minimize_scalar(method="bounded")``, so both
+    return the same x after the same evaluations.  Raises ``RuntimeError``
+    naming the lowest cost when ``maxfev`` evaluations do not converge or a
+    cost is NaN.
+    """
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ValueError(f"bounds must be finite with lo <= hi, got ({lo}, {hi})")
+    # numpy scalars, so the first point has the type of every later one
+    sqrt_eps = np.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
+    a, b = lo, hi
+    # xf is the best point, nfc the second best and fulc the previous nfc
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = cost(xf)
+    nfev = 1
+    fu = math.inf
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+        x = xf + (np.sign(rat) + (rat == 0)) * max(abs(rat), tol1)
+        fu = cost(x)
+        nfev += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if nfev >= maxfev:
+            break
+    if nfev >= maxfev or math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
+        raise RuntimeError(f"failed to converge; residual norm {fx:.3g}")
+    return float(xf), fx, nfev
+
+
 def fit_doppler_sigma(reference: SpectrumProfile,
                       fluorescence: SpectrumProfile) -> tuple[float, float]:
     """Least-squares Doppler width of a fluorescence spectrum.
 
     The reference profile (laser line including the instrument function) is
     convolved with a Gaussian of standard deviation sigma_nu, the single
-    free parameter; returns (sigma_nu, standard error) in Hz.  Raises
-    ``RuntimeError`` with the residual norm when the minimization fails.
+    free parameter, searched on (0, span / 2) by the bounded Brent
+    minimizer to 1e-4 of the grid spacing; returns (sigma_nu, standard
+    error) in Hz.  Raises ``RuntimeError`` with the residual norm when the
+    minimization does not converge.
     """
-    from scipy.optimize import minimize_scalar
-
     ref = reference.peak_normalized()
     target = fluorescence.peak_normalized()
 
@@ -194,13 +276,10 @@ def fit_doppler_sigma(reference: SpectrumProfile,
         return float(np.sum((model - target.amplitude) ** 2))
 
     span = target.frequency[-1] - target.frequency[0]
-    result = minimize_scalar(cost, bounds=(0.0, span / 2.0), method="bounded",
-                             options={"xatol": ref.spacing * 1e-4})
-    if not result.success:
-        raise RuntimeError(
-            f"Doppler fit failed to converge; residual norm {result.fun:.3g}"
-        )
-    sigma_hat = float(result.x)
+    try:
+        sigma_hat = _minimize_bounded(cost, 0.0, span / 2.0, ref.spacing * 1e-4)[0]
+    except RuntimeError as exc:
+        raise RuntimeError(f"Doppler fit {exc}") from None
 
     # curvature-based standard error with the residual variance
     h = max(sigma_hat * 1e-3, ref.spacing * 1e-3)
@@ -226,20 +305,40 @@ def kinetic_energy_from_sigma(sigma_nu: float, wavelength: float,
 
 
 def fit_envelope(tau, values) -> tuple[float, float]:
-    """Fit 1 + A*exp(-tau/tau0) to correlation data; returns (A, tau0)."""
-    from scipy.optimize import curve_fit
+    """Least-squares fit of 1 + A*exp(-tau/tau0), A >= 0; returns (A, tau0).
 
+    Variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413
+    (1973)): for a fixed tau0 the best A is the linear least-squares value
+    e.(y - 1) / e.e with e = exp(-tau/tau0), clamped at 0, so only ln tau0
+    is searched, by the bounded Brent minimizer on [ln(min step / 10),
+    ln(10 span)] of the delays.
+    """
     tau = np.asarray(tau, dtype=float)
-    values = np.asarray(values, dtype=float)
+    excess = np.asarray(values, dtype=float) - 1.0
+    if tau.ndim != 1 or tau.shape != excess.shape:
+        raise ValueError("tau and values must be 1-D and equal length")
+    if not (np.all(np.isfinite(tau)) and np.all(np.isfinite(excess))):
+        raise ValueError("tau and values must be finite")
+    steps = np.diff(np.unique(tau))
+    if len(steps) == 0:
+        raise ValueError("the envelope fit needs at least two distinct delays")
 
-    def model(t, amp, tau0):
-        return 1.0 + amp * np.exp(-t / tau0)
+    def amplitude(log_tau0):
+        e = np.exp(-tau / math.exp(log_tau0))
+        norm = float(e @ e)
+        return (max(float(e @ excess), 0.0) / norm if norm > 0 else 0.0), e
 
-    amp0 = max(values[0] - 1.0, 1e-3)
-    tau0_guess = max((tau[-1] - tau[0]) / 5.0, np.finfo(float).tiny)
-    popt, _ = curve_fit(model, tau, values, p0=(amp0, tau0_guess),
-                        bounds=([0.0, 0.0], [np.inf, np.inf]), maxfev=10000)
-    return float(popt[0]), float(popt[1])
+    def cost(log_tau0):
+        amp, e = amplitude(log_tau0)
+        resid = excess - amp * e
+        return float(resid @ resid)
+
+    bounds = math.log(steps.min() / 10.0), math.log(10.0 * (tau.max() - tau.min()))
+    try:
+        log_tau0 = _minimize_bounded(cost, *bounds, 1e-10)[0]
+    except RuntimeError as exc:
+        raise RuntimeError(f"envelope fit {exc}") from None
+    return amplitude(log_tau0)[0], math.exp(log_tau0)
 
 
 def dominant_oscillation_frequency(tau, values) -> float:

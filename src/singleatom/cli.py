@@ -336,15 +336,16 @@ def _read_profile(path: str) -> SpectrumProfile:
     if data.shape[1] != 2:
         raise ValidationError(f"{path}: expected two CSV columns (frequency_hz, amplitude)")
     try:
-        return SpectrumProfile(frequency=data[:, 0], amplitude=data[:, 1])
+        profile = SpectrumProfile(frequency=data[:, 0], amplitude=data[:, 1])
     except ValueError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
+    if not profile.amplitude.any():
+        raise ValidationError(f"{path}: profile has no positive peak")
+    return profile
 
 
 def run_spectrum_fit(args):
-    reference = _read_profile(args.reference)
-    fluorescence = _read_profile(args.fluorescence)
-    sigma, stderr = fit_doppler_sigma(reference, fluorescence)
+    sigma, stderr = fit_doppler_sigma(*args.profiles)
     e_kin = kinetic_energy_from_sigma(sigma, args.wavelength_nm * 1e-9, RB87_MASS)
     return ["quantity", "value"], [["sigma_nu_hz", "sigma_stderr_hz", "e_kin_over_kb_uk"],
                                    [sigma, stderr, e_kin * 1e6]]
@@ -461,9 +462,12 @@ def _check_magic(args) -> list[str]:
 
 
 def _check_spectrum_fit(args) -> list[str]:
-    """Without --wavelength-nm the kinetic energy uses the table's D2 line."""
+    """Without --wavelength-nm the kinetic energy uses the table's D2 line.
+    The profiles are read here, so --validate-only fails as the run would;
+    the runner fits the profiles read here."""
     if args.wavelength_nm is None:
         args.wavelength_nm = load_default_lines().d_lines()[1].wavelength / 1e-9
+    args.profiles = _read_profile(args.reference), _read_profile(args.fluorescence)
     return []
 
 

@@ -205,6 +205,21 @@ class TestUnreadableInputsAndOutputs:
         assert err.startswith("validation: ") and err.count("\n") == 1 and str(path) in err
         assert "column" not in err and "two samples" in err
 
+    @pytest.mark.parametrize("column, value, message", [
+        (1, "nan", "must be finite"), (0, "inf", "must be finite"),
+        (1, "0", "no positive peak")], ids=["nan-amplitude", "inf-frequency", "all-zero"])
+    def test_bad_profile_values_named(self, tmp_path, capsys, fuzz_dir, column, value, message):
+        data = np.loadtxt(fuzz_dir / "fluor.csv", delimiter=",")
+        data[slice(None) if value == "0" else -1, column] = float(value)
+        path = tmp_path / "fluor.csv"
+        np.savetxt(path, data, delimiter=",")
+        code, out = run(tmp_path, ["spectrum-fit", "--reference", str(fuzz_dir / "ref.csv"),
+                                   "--fluorescence", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION and not out.exists()
+        assert err.startswith(f"validation: {path}: ") and err.count("\n") == 1
+        assert message in err
+
     @pytest.mark.parametrize("name", ["absent/x.csv", "."], ids=["no-directory", "directory"])
     def test_unwritable_csv_named(self, tmp_path, capsys, name):
         out = tmp_path / name
@@ -256,7 +271,9 @@ class TestListTruth:
         assert keys["magic"] == keys["bell"] == []
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
-    def test_listed_keys_are_exactly_the_required_ones(self, capsys, scenario):
+    def test_listed_keys_are_exactly_the_required_ones(self, capsys, monkeypatch, fuzz_dir,
+                                                       scenario):
+        monkeypatch.chdir(fuzz_dir)  # --validate-only reads the sample profiles there
         required = self.listed(capsys)[scenario]
 
         def argv(keys):
@@ -618,14 +635,34 @@ class TestValidateOnlyReadsLineData:
         assert captured.err == run_err and "absent.json" in run_err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("fluorescence, content", [
+        ("nope.csv", None), ("nan.csv", "0,1\n1,nan\n")], ids=["missing", "nan"])
+    def test_spectrum_fit_profiles_read(self, tmp_path, capsys, fuzz_dir, fluorescence,
+                                        content):
+        # the profiles are read by --validate-only too, so it fails as the run does
+        path = tmp_path / fluorescence
+        if content is not None:
+            path.write_text(content)
+        args = ["spectrum-fit", "--reference", str(fuzz_dir / "ref.csv"),
+                "--fluorescence", str(path)]
+        code, out = run(tmp_path, args)
+        run_err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION and not out.exists()
+        assert main(args + ["--validate-only"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == run_err and str(path) in run_err and run_err.count("\n") == 1
+        assert captured.out == ""
+
     @pytest.mark.parametrize("args", [
         ["g2", "--delta-mhz", "-31", "--icl", "103", "--points", "3"],
         ["bell"],
-        ["spectrum-fit", "--reference", "ref.csv", "--fluorescence", "fluor.csv",
+        ["spectrum-fit", "--reference", "{dir}/ref.csv", "--fluorescence", "{dir}/fluor.csv",
          "--wavelength-nm", "780.246"],
     ], ids=["g2-no-trap", "bell", "spectrum-fit-wavelength"])
-    def test_line_data_not_read_when_unused(self, capsys, monkeypatch, tmp_path, args):
+    def test_line_data_not_read_when_unused(self, capsys, monkeypatch, tmp_path, fuzz_dir,
+                                            args):
         monkeypatch.setenv("SINGLEATOM_LINE_DATA", str(tmp_path / "absent.json"))
+        args = [a.format(dir=fuzz_dir) for a in args]
         assert main(args + ["--validate-only"]) == EXIT_OK
         assert capsys.readouterr().out == "configuration ok\n"
 

@@ -1,9 +1,9 @@
-"""Cold start: the package imports scipy only inside the kernels that use it
-(the Doppler and envelope fits and the RK45 integrator), and no CLI run but
-spectrum-fit reaches one.
+"""Cold start: no CLI run and no fit loads scipy.
 
-Each check runs in a fresh interpreter, so modules imported by other tests
-do not hide a module-level scipy import.
+Only ``integrator.integrate`` (the library-only mean-number loading ODE)
+imports scipy, inside the function.  Each check runs in a fresh
+interpreter, so modules imported by other tests do not hide a module-level
+scipy import.
 """
 
 import os
@@ -45,6 +45,15 @@ def cli_run(*argv: str) -> str:
 # runs write into the test's temporary directory, their working directory
 G2 = ("g2", "--delta-mhz", "-31", "--icl", "103", "--points", "201", "--out", "g2.csv")
 
+# writes ref.csv and fluor.csv there before a spectrum-fit run
+PROFILES = (
+    "import numpy as np\n"
+    "from singleatom.analysis import gaussian_profile\n"
+    "for name, sigma in (('ref.csv', 0.5e6), ('fluor.csv', 0.7e6)):\n"
+    "    p = gaussian_profile(np.linspace(-5e6, 5e6, 201), sigma)\n"
+    "    np.savetxt(name, np.column_stack([p.frequency, p.amplitude]), delimiter=',')\n")
+SPECTRUM_FIT = ("spectrum-fit", "--reference", "ref.csv", "--fluorescence", "fluor.csv")
+
 
 @pytest.mark.parametrize("code", [
     "import singleatom.cli",
@@ -60,9 +69,17 @@ G2 = ("g2", "--delta-mhz", "-31", "--icl", "103", "--points", "201", "--out", "g
     cli_run(*G2, "--model", "full", "--env-a", "0.3", "--env-tau-us", "1.2"),
     cli_run(*G2, "--model", "two-level-obe"),
     cli_run(*G2, "--model", "two-level-analytic"),
+    # the bounded Brent minimizer needs numpy only
+    PROFILES + cli_run(*SPECTRUM_FIT, "--out", "fit.csv", "--metadata"),
+    PROFILES + cli_run(*SPECTRUM_FIT, "--validate-only"),
+    "import numpy as np\n"
+    "from singleatom.analysis import fit_envelope\n"
+    "tau = np.linspace(0.0, 1e-5, 400)\n"
+    "fit_envelope(tau, 1.0 + 0.24 * np.exp(-tau / 1.8e-6))",
 ], ids=["import-cli", "import-kernels", "run-trap", "loading-kernel", "run-loading",
         "run-g2-four-level-trap", "run-g2-full", "run-g2-two-level-obe",
-        "run-g2-two-level-analytic"])
+        "run-g2-two-level-analytic", "run-spectrum-fit", "validate-spectrum-fit",
+        "envelope-fit"])
 def test_no_scipy_module_loaded(code, tmp_path):
     assert scipy_modules_after("import sys\n" + code, cwd=tmp_path) == "[]"
 
