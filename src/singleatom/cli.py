@@ -10,6 +10,14 @@ Each scenario is one entry of ``SPECS``: its runner, an optional
 scenario-level check and one ``Flag`` per flag.  The parser, validation,
 config coercion, ``list`` and the metadata sidecar all read that table.
 
+Only the standard library and the closed-form layers (``constants``,
+``lightshift``, ``trapgeometry``) are imported here.  The numpy-backed
+layers (``analysis``, ``bloch``, ``coherent``, ``entanglement``,
+``loading``) and numpy itself are imported inside the runner or check that
+computes with them, so ``list``, ``--help``, the trap, light-shift and
+magic-wavelength runs and every validation but spectrum-fit's (which reads
+its profiles) never load numpy.
+
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
 """
 
@@ -23,58 +31,12 @@ import sys
 import warnings
 from typing import NamedTuple
 
-import numpy as np
-
 from . import __version__
-from .analysis import (
-    SpectrumProfile,
-    fit_doppler_sigma,
-    kinetic_energy_from_sigma,
-)
-from .bloch import (
-    DiffusionEnvelope,
-    FourLevelParams,
-    apply_trap_shifts,
-    four_level_g2,
-    g2_full_model,
-    two_level_g2_analytic,
-    two_level_obe_g2,
-)
-from .constants import (
-    KB,
-    RB87_GAMMA_D2,
-    RB87_MASS,
-    TWO_PI,
-    intensity_from_mw_cm2,
-)
-from .coherent import larmor_survival, stirap_readout_probability
-from .entanglement import (
-    MeasurementSetting,
-    bell_state,
-    chsh,
-    correlation,
-    correlation_curve,
-    noisy_channel,
-    pair_rate_estimate,
-)
-from .lightshift import (
-    LaserField,
-    LineDataError,
-    find_magic_wavelength,
-    ground_shift_alkali,
-    load_default_lines,
-    scattering_rate_alkali,
-)
-from .loading import LoadingParams, stationary_distribution
-from .trapgeometry import (
-    GaussianBeam,
-    TrapSpec,
-    doppler_temperature,
-    harmonic_frequencies,
-    heating_rate,
-    recoil_temperature,
-    trap_volume,
-)
+from .constants import KB, RB87_GAMMA_D2, RB87_MASS, TWO_PI, intensity_from_mw_cm2
+from .lightshift import (LaserField, LineDataError, find_magic_wavelength, ground_shift_alkali,
+                         load_default_lines, scattering_rate_alkali)
+from .trapgeometry import (GaussianBeam, TrapSpec, doppler_temperature, harmonic_frequencies,
+                           heating_rate, recoil_temperature, trap_volume)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -103,9 +65,11 @@ def _column(values, name: str) -> tuple[str, list]:
 
     A float array is checked once and printed with 12 significant digits by
     the row format; any other sequence (labels, a mixed column) is formatted
-    value by value, floats the same way.
+    value by value, floats the same way.  A runner that returns an array has
+    imported numpy, so the check needs no import of its own.
     """
-    if isinstance(values, np.ndarray) and values.dtype == float:
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(values, np.ndarray) and values.dtype == float:
         bad = ~np.isfinite(values)
         if bad.any():
             raise FloatingPointError(f"non-finite value {values[bad][0]} in column {name}")
@@ -165,8 +129,12 @@ def _metadata(scenario: str, params: dict) -> dict:
     }
 
 
-def _parse_grid(spec: str, name: str) -> np.ndarray:
-    """Parse 'start..stop:step' (inclusive endpoints) or a single number."""
+def _parse_grid(spec: str, name: str) -> list[float]:
+    """Parse 'start..stop:step' (inclusive endpoints) or a single number.
+
+    The points are ``start + step * k``, bit for bit those of
+    ``start + step * np.arange(n + 1)``.
+    """
     try:
         if ".." in spec:
             span, step = spec.split(":")
@@ -179,11 +147,11 @@ def _parse_grid(spec: str, name: str) -> np.ndarray:
             if intervals >= MAX_POINTS:
                 raise ValidationError(f"{name}: more than {MAX_POINTS} grid points")
             n = int(round(intervals))
-            return start + step * np.arange(n + 1)
+            return [start + step * k for k in range(n + 1)]
         value = float(spec)
         if not math.isfinite(value):
             raise ValueError
-        return np.array([value])
+        return [value]
     except ValueError as exc:
         raise ValidationError(
             f"{name}: expected a finite number or 'start..stop:step', got {spec!r}"
@@ -240,6 +208,9 @@ def run_trap(args):
 
 
 def run_loading(args):
+    import numpy as np
+    from .loading import LoadingParams, stationary_distribution
+
     _, trap = _trap(args)
     volume = trap_volume(trap, args.temperature_uk * 1e-6)
     rates = _parse_grid(args.rate_per_s, "--rate-per-s")
@@ -255,6 +226,8 @@ def run_loading(args):
 
 
 def _four_level_params(args) -> FourLevelParams:
+    from .bloch import FourLevelParams, apply_trap_shifts
+
     params = FourLevelParams(
         i_cl=intensity_from_mw_cm2(args.icl_mw_cm2),
         i_rl=intensity_from_mw_cm2(args.irl_mw_cm2),
@@ -270,6 +243,10 @@ def _four_level_params(args) -> FourLevelParams:
 
 
 def run_g2(args):
+    import numpy as np
+    from .bloch import (DiffusionEnvelope, FourLevelParams, four_level_g2, g2_full_model,
+                        two_level_g2_analytic, two_level_obe_g2)
+
     tau = np.linspace(0.0, args.tau_max_ns * 1e-9, args.points)
     if args.model in ("two-level-analytic", "two-level-obe"):
         omega3 = FourLevelParams(
@@ -287,13 +264,18 @@ def run_g2(args):
 
 
 def run_stirap(args):
+    from .coherent import stirap_readout_probability
+
     alpha_deg = _parse_grid(args.alpha_deg, "--alpha-deg")
     p = [args.visibility * stirap_readout_probability(args.prep_phase_rad, math.radians(a))
          for a in alpha_deg]
-    return ["alpha_deg", "p_f1"], [alpha_deg, np.array(p)]
+    return ["alpha_deg", "p_f1"], [alpha_deg, p]
 
 
 def run_larmor(args):
+    import numpy as np
+    from .coherent import larmor_survival
+
     b_tesla = args.b_mgauss * 1e-7  # 1 mGauss = 1e-7 T
     t_grid = np.linspace(0.0, args.t_max_us * 1e-6, args.points)
     survival = [larmor_survival(b_tesla, args.g_f, t) for t in t_grid]
@@ -301,6 +283,8 @@ def run_larmor(args):
 
 
 def run_bell(args):
+    from .entanglement import MeasurementSetting, bell_state, chsh, correlation, noisy_channel
+
     state = noisy_channel(bell_state("psi-"), args.noise_p)
     angles = {
         "a": math.radians(args.phi_a_deg),
@@ -320,12 +304,18 @@ def run_bell(args):
 
 
 def run_correlations(args):
+    import numpy as np
+    from .entanglement import correlation_curve
+
     beta = np.radians(_parse_grid(args.beta_deg, "--beta-deg"))
     probs = correlation_curve(args.basis, beta, args.visibility)
     return ["beta_deg", "p_f1"], [np.array([math.degrees(b) for b in beta]), probs]
 
 
 def _read_profile(path: str) -> SpectrumProfile:
+    import numpy as np
+    from .analysis import SpectrumProfile
+
     try:
         with warnings.catch_warnings():
             # an empty profile fails the column check below, in one line
@@ -345,6 +335,8 @@ def _read_profile(path: str) -> SpectrumProfile:
 
 
 def run_spectrum_fit(args):
+    from .analysis import fit_doppler_sigma, kinetic_energy_from_sigma
+
     sigma, stderr = fit_doppler_sigma(*args.profiles)
     e_kin = kinetic_energy_from_sigma(sigma, args.wavelength_nm * 1e-9, RB87_MASS)
     return ["quantity", "value"], [["sigma_nu_hz", "sigma_stderr_hz", "e_kin_over_kb_uk"],
@@ -352,6 +344,8 @@ def run_spectrum_fit(args):
 
 
 def run_pair_rate(args):
+    from .entanglement import pair_rate_estimate
+
     rate = pair_rate_estimate(args.eta, args.t_fiber, args.cycle_us * 1e-6,
                               args.duty_factor)
     return (["eta", "t_fiber", "cycle_us", "duty_factor", "pairs_per_min"],
@@ -413,10 +407,10 @@ _KINDS = {
     "switch": (None, "true or false", lambda v: isinstance(v, bool)),
 }
 
-# float check -> (rule, test of an array of values)
+# float check -> (rule, test of one value)
 _RULES = {
     "positive": ("must be positive and finite (unit in the key name)", lambda v: v > 0),
-    "unit": ("must lie in [0, 1]", lambda v: (0 <= v) & (v <= 1)),
+    "unit": ("must lie in [0, 1]", lambda v: 0 <= v <= 1),
     "nonnegative": ("must be nonnegative", lambda v: v >= 0),
 }
 
@@ -445,7 +439,7 @@ def _flag_error(args, flag: Flag) -> str | None:
         rule, ok = f"must lie in [{check[0]}, {check[1]}]", check[0] <= value <= check[1]
     else:
         rule, test = _RULES[check]
-        ok = bool(np.all(test(np.asarray(values))))
+        ok = all(test(v) for v in values)
     return None if ok else f"--{flag.name} {rule}, got {value!r}"
 
 
@@ -463,11 +457,25 @@ def _check_magic(args) -> list[str]:
 
 def _check_spectrum_fit(args) -> list[str]:
     """Without --wavelength-nm the kinetic energy uses the table's D2 line.
-    The profiles are read here, so --validate-only fails as the run would;
-    the runner fits the profiles read here."""
+    The profiles are read here and their grids checked as the fit uses them,
+    so --validate-only fails as the run would; the runner fits the profiles
+    read here."""
     if args.wavelength_nm is None:
         args.wavelength_nm = load_default_lines().d_lines()[1].wavelength / 1e-9
-    args.profiles = _read_profile(args.reference), _read_profile(args.fluorescence)
+    with warnings.catch_warnings():
+        # a grid whose steps overflow is refused below, in one line
+        warnings.simplefilter("ignore", RuntimeWarning)
+        reference, fluorescence = args.profiles = (_read_profile(args.reference),
+                                                   _read_profile(args.fluorescence))
+        try:
+            spacing = reference.spacing
+        except ValueError as exc:
+            return [f"{args.reference}: {exc}"]
+    # the fit blurs with a kernel at least 6 spacings wide and searches (0, span / 2)
+    if not math.isfinite(6.0 * spacing):
+        return [f"{args.reference}: grid spacing {spacing} is too large for the fit kernel"]
+    if not math.isfinite(float(fluorescence.frequency[-1]) - float(fluorescence.frequency[0])):
+        return [f"{args.fluorescence}: frequency span is not finite"]
     return []
 
 
@@ -666,7 +674,8 @@ def main(argv=None) -> int:
             sys.stdout.write("configuration ok\n")
             return EXIT_OK
         # a non-finite result is refused when the CSV is formatted
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
             header, columns = runner(args)
         params = {f.dest: getattr(args, f.dest) for f in flags}
         meta = _metadata(args.scenario, params) if args.metadata else None

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -18,6 +19,8 @@ from singleatom.cli import (
     MAX_POINTS,
     SCENARIOS,
     SPECS,
+    ValidationError,
+    _parse_grid,
     main,
 )
 
@@ -591,6 +594,46 @@ class TestTwoLevelExceptionalPoint:
         assert data[0, 1] == 0.0
 
 
+class TestGridParsing:
+    """Grids are parsed with the standard library; numpy is the oracle here."""
+
+    @staticmethod
+    def assert_matches_arange(start, stop, step):
+        got = _parse_grid(f"{start!r}..{stop!r}:{step!r}", "--x")
+        expected = start + step * np.arange(int(round((stop - start) / step)) + 1)
+        assert all(type(v) is float for v in got)
+        assert np.array(got).tobytes() == expected.tobytes()
+
+    def test_seeded_random_grids_bit_for_bit(self):
+        rng = np.random.default_rng(14)
+        for _ in range(300):
+            start = float(rng.uniform(-1e3, 1e3)) * 10.0 ** int(rng.integers(-6, 6))
+            step = float(rng.uniform(0.1, 1.0)) * 10.0 ** int(rng.integers(-6, 6))
+            stop = start + step * float(rng.uniform(0.0, 5000.0))
+            self.assert_matches_arange(start, stop, step)
+
+    def test_negative_start(self):
+        self.assert_matches_arange(-7.3, 2.9, 0.3)
+
+    def test_single_value(self):
+        got = _parse_grid("-0.0", "--x")
+        assert got == [-0.0] and math.copysign(1.0, got[0]) == -1.0
+        assert _parse_grid("42", "--x") == [42.0]
+
+    def test_max_points_minus_one_intervals(self):
+        self.assert_matches_arange(-3.0, -3.0 + 0.7 * (MAX_POINTS - 1), 0.7)
+
+    def test_refusal_messages(self):
+        with pytest.raises(ValidationError) as exc:
+            _parse_grid(f"0..{MAX_POINTS}:1", "--x")
+        assert str(exc.value) == f"--x: more than {MAX_POINTS} grid points"
+        for spec in ("nan", "inf", "0..inf:1", "nan..1:1", "0..1:nan", "0..1:0", "2..1:1"):
+            with pytest.raises(ValidationError) as exc:
+                _parse_grid(spec, "--x")
+            assert str(exc.value) == (
+                f"--x: expected a finite number or 'start..stop:step', got {spec!r}")
+
+
 class TestNonFiniteResults:
     @pytest.mark.parametrize("args,column", [
         (["pair-rate", "--eta", "0.5", "--cycle-us", "1e-310"], "pairs_per_min"),
@@ -611,6 +654,17 @@ class TestNonFiniteResults:
     def test_nothing_written_to_stdout(self, capsys):
         assert main(["pair-rate", "--eta", "0.5", "--cycle-us", "1e-310"]) == EXIT_NUMERICAL
         assert capsys.readouterr().out == ""
+
+    def test_runner_warnings_silenced_under_warnings_as_errors(self, tmp_path, capsys):
+        # the run overflows in numpy: its warnings must neither print a second
+        # stderr line nor, under -W error, become the failure reported
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(tmp_path, ["g2", "--model", "two-level-obe", "--delta-mhz", "0",
+                                       "--icl", "1e300", "--points", "3"])
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERICAL and not out.exists()
+        assert err == "numerical failure: non-finite value nan in column g2\n"
 
 
 class TestValidateOnlyReadsLineData:
@@ -635,22 +689,35 @@ class TestValidateOnlyReadsLineData:
         assert captured.err == run_err and "absent.json" in run_err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("fluorescence, content", [
-        ("nope.csv", None), ("nan.csv", "0,1\n1,nan\n")], ids=["missing", "nan"])
-    def test_spectrum_fit_profiles_read(self, tmp_path, capsys, fuzz_dir, fluorescence,
-                                        content):
-        # the profiles are read by --validate-only too, so it fails as the run does
-        path = tmp_path / fluorescence
+    @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+    @pytest.mark.parametrize("role, name, content, message", [
+        ("fluorescence", "nope.csv", None, "cannot read"),
+        ("fluorescence", "nan.csv", "0,1\n1,nan\n", "must be finite"),
+        ("reference", "uneven.csv", "0,0.5\n1,1\n3,0.5\n", "profile grid must be uniform"),
+        ("reference", "wide.csv", "-1e308,0.5\n1e308,1\n", "grid spacing inf is too large"),
+        ("reference", "coarse.csv", "-1e308,0.5\n0,1\n1e308,0.5\n",
+         "grid spacing 1e+308 is too large"),
+        ("fluorescence", "wide.csv", "-1e308,0.5\n1e308,1\n", "frequency span is not finite"),
+    ], ids=["missing", "nan", "non-uniform-reference", "reference-steps-overflow",
+            "reference-kernel-overflows", "fluorescence-span-overflows"])
+    def test_spectrum_fit_profiles_read(self, tmp_path, capsys, fuzz_dir, role, name,
+                                        content, message):
+        # the profiles are read and their grids checked by --validate-only too,
+        # so it fails as the run does
+        path = tmp_path / name
         if content is not None:
             path.write_text(content)
-        args = ["spectrum-fit", "--reference", str(fuzz_dir / "ref.csv"),
-                "--fluorescence", str(path)]
+        profiles = {"reference": str(fuzz_dir / "ref.csv"),
+                    "fluorescence": str(fuzz_dir / "fluor.csv"), role: str(path)}
+        args = ["spectrum-fit", "--reference", profiles["reference"],
+                "--fluorescence", profiles["fluorescence"]]
         code, out = run(tmp_path, args)
         run_err = capsys.readouterr().err
         assert code == EXIT_VALIDATION and not out.exists()
         assert main(args + ["--validate-only"]) == EXIT_VALIDATION
         captured = capsys.readouterr()
-        assert captured.err == run_err and str(path) in run_err and run_err.count("\n") == 1
+        assert captured.err == run_err and run_err.count("\n") == 1
+        assert run_err.startswith("validation: ") and str(path) in run_err and message in run_err
         assert captured.out == ""
 
     @pytest.mark.parametrize("args", [

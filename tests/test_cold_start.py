@@ -1,9 +1,12 @@
-"""Cold start: no CLI run and no fit loads scipy.
+"""Cold start: no CLI run and no fit loads scipy, and the CLI loads numpy
+only in the scenarios that compute with it.
 
 Only ``integrator.integrate`` (the library-only mean-number loading ODE)
-imports scipy, inside the function.  Each check runs in a fresh
+imports scipy, inside the function.  ``singleatom.cli`` imports the
+numpy-backed layers inside its runners, so listing, help, the closed-form
+trap scenarios and validation load no numpy.  Each check runs in a fresh
 interpreter, so modules imported by other tests do not hide a module-level
-scipy import.
+import.
 """
 
 import os
@@ -18,28 +21,26 @@ from singleatom import constants
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(singleatom.__file__)))
 
-REPORT_SCIPY = (
-    "import sys; print(sorted(m for m in sys.modules"
-    " if m == 'scipy' or m.startswith('scipy.')))"
-)
 
-
-def scipy_modules_after(code: str, cwd=None) -> str:
+def modules_after(code: str, package: str, cwd=None) -> str:
+    """The modules of ``package`` loaded once ``code`` has run, as printed."""
+    report = (f"import sys; print(sorted(m for m in sys.modules"
+              f" if m == {package!r} or m.startswith({package + '.'!r})))")
     env = dict(os.environ, PYTHONPATH=SRC)
-    result = subprocess.run([sys.executable, "-c", f"{code}\n{REPORT_SCIPY}"],
+    result = subprocess.run([sys.executable, "-c", f"{code}\n{report}"],
                             capture_output=True, text=True, env=env, timeout=60, cwd=cwd)
     assert result.returncode == 0, result.stderr
     return result.stdout.strip().splitlines()[-1]
 
 
-def cli_run(*argv: str) -> str:
-    """Code running the CLI in-process; a nonzero exit fails the check."""
+def cli_run(*argv: str, exit_code: int = 0) -> str:
+    """Code running the CLI in-process; another exit code fails the check."""
     return ("import runpy\n"
             f"sys.argv = ['singleatom', {', '.join(map(repr, argv))}]\n"
             "try:\n"
             "    runpy.run_module('singleatom.cli', run_name='__main__')\n"
             "except SystemExit as exc:\n"
-            "    assert exc.code == 0, exc.code")
+            f"    assert exc.code == {exit_code}, exc.code")
 
 
 # runs write into the test's temporary directory, their working directory
@@ -81,16 +82,40 @@ SPECTRUM_FIT = ("spectrum-fit", "--reference", "ref.csv", "--fluorescence", "flu
         "run-g2-two-level-analytic", "run-spectrum-fit", "validate-spectrum-fit",
         "envelope-fit"])
 def test_no_scipy_module_loaded(code, tmp_path):
-    assert scipy_modules_after("import sys\n" + code, cwd=tmp_path) == "[]"
+    assert modules_after("import sys\n" + code, "scipy", cwd=tmp_path) == "[]"
+
+
+@pytest.mark.parametrize("code", [
+    "import singleatom.cli",
+    cli_run("list"),
+    cli_run("--help"),
+    cli_run("--version"),
+    cli_run("trap", "--power-mw", "40", "--waist-um", "3.5"),
+    cli_run("lightshift", "--power-mw", "40", "--waist-um", "3.5"),
+    cli_run("magic"),
+    # the grid is parsed and checked with the standard library
+    cli_run("stirap", "--alpha-deg", "0..90:15", "--validate-only"),
+    cli_run("stirap", "--alpha-deg", "0..90:15", "--visibility", "1.25", exit_code=2),
+    cli_run("loading", "--rate-per-s", "1", "--power-mw", "44", "--waist-um", "3.5",
+            "--n-max", "0", exit_code=2),
+], ids=["import-cli", "list", "help", "version", "run-trap", "run-lightshift", "run-magic",
+        "validate-stirap-grid", "stirap-bad-visibility", "loading-bad-n-max"])
+def test_no_numpy_module_loaded(code, tmp_path):
+    assert modules_after("import sys\n" + code, "numpy", cwd=tmp_path) == "[]"
+
+
+def test_g2_run_loads_numpy(tmp_path):
+    # the check above would pass vacuously if no run loaded numpy
+    assert "'numpy'" in modules_after("import sys\n" + cli_run(*G2), "numpy", cwd=tmp_path)
 
 
 def test_stirap_loads_no_scipy():
     # the Magnus propagator needs numpy only
-    assert scipy_modules_after(
+    assert modules_after(
         "import sys\n"
         "from singleatom.coherent import PulseSchedule, ground_start, stirap_evolve\n"
         "stirap_evolve(PulseSchedule.sin2_pair(140e6, 1e-6), ground_start(),"
-        " loss_gamma=3e6)") == "[]"
+        " loss_gamma=3e6)", "scipy") == "[]"
 
 
 def test_codata_literals_match_scipy():
