@@ -10,13 +10,14 @@ Each scenario is one entry of ``SPECS``: its runner, an optional
 scenario-level check and one ``Flag`` per flag.  The parser, validation,
 config coercion, ``list`` and the metadata sidecar all read that table.
 
-Only the standard library and the closed-form layers (``constants``,
-``lightshift``, ``trapgeometry``) are imported here.  The numpy-backed
-layers (``analysis``, ``bloch``, ``coherent``, ``entanglement``,
-``loading``) and numpy itself are imported inside the runner or check that
-computes with them, so ``list``, ``--help``, the trap, light-shift and
-magic-wavelength runs and every validation but spectrum-fit's (which reads
-its profiles) never load numpy.
+Only the standard library and ``constants`` are imported here.  Every
+other layer is imported inside the runner or check that computes with it:
+``readout`` (the stdlib closed forms of stirap, larmor, correlations and
+pair-rate), ``lightshift`` and ``trapgeometry`` (the line table and the trap
+beam), and numpy with its layers (``analysis``, ``bloch``, ``entanglement``,
+``loading``) for loading, g2, bell and spectrum-fit only.  So ``list``,
+``--help`` and every exit-2 run refused before the line table is read load
+none of them.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
 """
@@ -33,16 +34,13 @@ from typing import NamedTuple
 
 from . import __version__
 from .constants import KB, RB87_GAMMA_D2, RB87_MASS, TWO_PI, intensity_from_mw_cm2
-from .lightshift import (LaserField, LineDataError, find_magic_wavelength, ground_shift_alkali,
-                         load_default_lines, scattering_rate_alkali)
-from .trapgeometry import (GaussianBeam, TrapSpec, doppler_temperature, harmonic_frequencies,
-                           heating_rate, recoil_temperature, trap_volume)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-# upper bound on --points and on the length of an 'a..b:step' grid
+# upper bound on --points, on the length of an 'a..b:step' grid and on the
+# spectrum-fit kernel
 MAX_POINTS = 10**6
 # upper bound on loading --n-max; the rate matrix holds (n_max + 1)^2 floats
 MAX_ATOMS = 1000
@@ -63,18 +61,23 @@ def _fmt(value, column: str) -> str:
 def _column(values, name: str) -> tuple[str, list]:
     """The format field and values of one column.
 
-    A float array is checked once and printed with 12 significant digits by
-    the row format; any other sequence (labels, a mixed column) is formatted
-    value by value, floats the same way.  A runner that returns an array has
-    imported numpy, so the check needs no import of its own.
+    A float column (a float array or a list of floats) is checked once and
+    printed with 12 significant digits by the row format; any other sequence
+    (labels, a mixed column) is formatted value by value, floats the same
+    way.  A runner that returns an array has imported numpy, so the check
+    needs no import of its own.
     """
     np = sys.modules.get("numpy")
     if np is not None and isinstance(values, np.ndarray) and values.dtype == float:
-        bad = ~np.isfinite(values)
-        if bad.any():
-            raise FloatingPointError(f"non-finite value {values[bad][0]} in column {name}")
-        return "{:.12g}", values.tolist()
-    return "{}", [_fmt(v, name) for v in values]
+        finite, values = bool(np.isfinite(values).all()), values.tolist()
+    elif all(type(v) is float for v in values):
+        finite = all(map(math.isfinite, values))
+    else:
+        return "{}", [_fmt(v, name) for v in values]
+    if not finite:
+        bad = next(v for v in values if not math.isfinite(v))
+        raise FloatingPointError(f"non-finite value {bad} in column {name}")
+    return "{:.12g}", values
 
 
 def _row(*values) -> list[list]:
@@ -163,6 +166,9 @@ def _parse_grid(spec: str, name: str) -> list[float]:
 
 def _trap_field(power_mw: float, waist_um: float, wavelength_nm: float):
     """The trap beam and its peak field."""
+    from .lightshift import LaserField
+    from .trapgeometry import GaussianBeam
+
     beam = GaussianBeam(power=power_mw * 1e-3, waist_w0=waist_um * 1e-6,
                         wavelength=wavelength_nm * 1e-9)
     return beam, LaserField(wavelength=beam.wavelength, intensity=beam.peak_intensity)
@@ -170,12 +176,17 @@ def _trap_field(power_mw: float, waist_um: float, wavelength_nm: float):
 
 def _trap(args):
     """The trap beam's peak field and its harmonic trap."""
+    from .lightshift import ground_shift_alkali
+    from .trapgeometry import TrapSpec
+
     beam, field = _trap_field(args.power_mw, args.waist_um, args.wavelength_nm)
     depth = abs(ground_shift_alkali(field, 0.5, args.lines))
     return field, TrapSpec.from_beam(beam, depth, RB87_MASS)
 
 
 def run_lightshift(args):
+    from .lightshift import ground_shift_alkali, scattering_rate_alkali
+
     _, field = _trap_field(args.power_mw, args.waist_um, args.wavelength_nm)
     depth = ground_shift_alkali(field, 0.5, args.lines)
     rate = scattering_rate_alkali(field, args.lines)
@@ -185,12 +196,18 @@ def run_lightshift(args):
 
 
 def run_magic(args):
+    from .lightshift import find_magic_wavelength
+
     lo, hi = args.bracket_um
     magic = find_magic_wavelength(args.lines, (lo * 1e-6, hi * 1e-6))
     return ["bracket_lo_um", "bracket_hi_um", "magic_um"], _row(lo, hi, magic * 1e6)
 
 
 def run_trap(args):
+    from .lightshift import scattering_rate_alkali
+    from .trapgeometry import (doppler_temperature, harmonic_frequencies, heating_rate,
+                               recoil_temperature)
+
     field, trap = _trap(args)
     omega_r, omega_z = harmonic_frequencies(trap)
     rate = scattering_rate_alkali(field, args.lines)
@@ -210,6 +227,7 @@ def run_trap(args):
 def run_loading(args):
     import numpy as np
     from .loading import LoadingParams, stationary_distribution
+    from .trapgeometry import trap_volume
 
     _, trap = _trap(args)
     volume = trap_volume(trap, args.temperature_uk * 1e-6)
@@ -264,7 +282,7 @@ def run_g2(args):
 
 
 def run_stirap(args):
-    from .coherent import stirap_readout_probability
+    from .readout import stirap_readout_probability
 
     alpha_deg = _parse_grid(args.alpha_deg, "--alpha-deg")
     p = [args.visibility * stirap_readout_probability(args.prep_phase_rad, math.radians(a))
@@ -273,13 +291,15 @@ def run_stirap(args):
 
 
 def run_larmor(args):
-    import numpy as np
-    from .coherent import larmor_survival
+    from .readout import larmor_survival
 
     b_tesla = args.b_mgauss * 1e-7  # 1 mGauss = 1e-7 T
-    t_grid = np.linspace(0.0, args.t_max_us * 1e-6, args.points)
+    # numpy's linspace rule: k * step + start, and the last point is stop
+    stop = args.t_max_us * 1e-6
+    step = stop / (args.points - 1)
+    t_grid = [k * step + 0.0 for k in range(args.points - 1)] + [stop]
     survival = [larmor_survival(b_tesla, args.g_f, t) for t in t_grid]
-    return ["t_ns", "survival"], [t_grid * 1e9, np.array(survival)]
+    return ["t_ns", "survival"], [[t * 1e9 for t in t_grid], survival]
 
 
 def run_bell(args):
@@ -304,12 +324,11 @@ def run_bell(args):
 
 
 def run_correlations(args):
-    import numpy as np
-    from .entanglement import correlation_curve
+    from .readout import correlation_curve
 
-    beta = np.radians(_parse_grid(args.beta_deg, "--beta-deg"))
+    beta = [math.radians(b) for b in _parse_grid(args.beta_deg, "--beta-deg")]
     probs = correlation_curve(args.basis, beta, args.visibility)
-    return ["beta_deg", "p_f1"], [np.array([math.degrees(b) for b in beta]), probs]
+    return ["beta_deg", "p_f1"], [[math.degrees(b) for b in beta], probs]
 
 
 def _read_profile(path: str) -> SpectrumProfile:
@@ -344,7 +363,7 @@ def run_spectrum_fit(args):
 
 
 def run_pair_rate(args):
-    from .entanglement import pair_rate_estimate
+    from .readout import pair_rate_estimate
 
     rate = pair_rate_estimate(args.eta, args.t_fiber, args.cycle_us * 1e-6,
                               args.duty_factor)
@@ -445,8 +464,14 @@ def _flag_error(args, flag: Flag) -> str | None:
 
 def _read_lines(args) -> list[str]:
     """Read the line data now, so --validate-only fails as the run would;
-    the runner computes with the table read here."""
-    args.lines = load_default_lines()
+    the runner computes with the table read here.  This is the CLI's only
+    reader of the table; a table that cannot be read is a ValidationError."""
+    from .lightshift import LineDataError, load_default_lines
+
+    try:
+        args.lines = load_default_lines()
+    except LineDataError as exc:
+        raise ValidationError(str(exc)) from exc
     return []
 
 
@@ -461,7 +486,8 @@ def _check_spectrum_fit(args) -> list[str]:
     so --validate-only fails as the run would; the runner fits the profiles
     read here."""
     if args.wavelength_nm is None:
-        args.wavelength_nm = load_default_lines().d_lines()[1].wavelength / 1e-9
+        _read_lines(args)
+        args.wavelength_nm = args.lines.d_lines()[1].wavelength / 1e-9
     with warnings.catch_warnings():
         # a grid whose steps overflow is refused below, in one line
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -474,8 +500,14 @@ def _check_spectrum_fit(args) -> list[str]:
     # the fit blurs with a kernel at least 6 spacings wide and searches (0, span / 2)
     if not math.isfinite(6.0 * spacing):
         return [f"{args.reference}: grid spacing {spacing} is too large for the fit kernel"]
-    if not math.isfinite(float(fluorescence.frequency[-1]) - float(fluorescence.frequency[0])):
+    span = float(fluorescence.frequency[-1]) - float(fluorescence.frequency[0])
+    if not math.isfinite(span):
         return [f"{args.fluorescence}: frequency span is not finite"]
+    # the kernel at the upper bound has 2 * ceil(half) + 1 points
+    half = 6.0 * max(span / 2.0, spacing) / spacing
+    if half > (MAX_POINTS - 1) // 2:
+        return [f"{args.fluorescence}: frequency span {span:g} Hz needs a fit kernel of more"
+                f" than {MAX_POINTS} points at the reference spacing {spacing:g} Hz"]
     return []
 
 
@@ -680,7 +712,7 @@ def main(argv=None) -> int:
         params = {f.dest: getattr(args, f.dest) for f in flags}
         meta = _metadata(args.scenario, params) if args.metadata else None
         _write_csv(args.out, header, columns, meta)
-    except (ValidationError, LineDataError) as exc:
+    except ValidationError as exc:
         sys.stderr.write(f"validation: {exc}\n")
         return EXIT_VALIDATION
     except (ArithmeticError, ValueError, KeyError, RuntimeError) as exc:

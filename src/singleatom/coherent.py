@@ -7,7 +7,8 @@ propagated by the fourth-order Magnus integrator (``integrator.magnus4``)
 on its affine generator -iH(t) = A0 + Omega_p(t) B_p + Omega_s(t) B_s,
 with A0 the detunings and the loss and B_p, B_s the two couplings, and the
 scattering is an independent trapezoid quadrature of Gamma |c_a|^2 over
-the same trajectory.
+the same trajectory.  The closed-form STIRAP readout and Larmor survival
+laws, which need no state vector, live in ``readout``.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import HBAR, MU_B
 from .integrator import magnus4
+from .readout import larmor_frequency
 
 __all__ = [
     "PureState",
@@ -29,10 +30,7 @@ __all__ = [
     "ground_start",
     "stirap_evolve",
     "tripod_dark_states",
-    "stirap_readout_probability",
-    "larmor_frequency",
     "larmor_evolve",
-    "larmor_survival",
 ]
 
 LAMBDA_BASIS = ("a", "b", "c")
@@ -254,21 +252,6 @@ def tripod_dark_states(theta: float, big_phi: float, phi1: float,
     )
 
 
-def stirap_readout_probability(prep_phase: float, alpha_pol: float) -> float:
-    """Probability that the prepared Zeeman superposition stays dark.
-
-    The prepared state (|m=-1> - e^{i chi} |m=+1>)/sqrt(2) is compared with
-    the dark state of a pump field polarized at angle alpha, giving
-    sin^2(alpha - chi/2).
-    """
-    return math.sin(alpha_pol - prep_phase / 2.0) ** 2
-
-
-def larmor_frequency(b_z: float, g_f: float = -0.5) -> float:
-    """Larmor angular frequency |mu_B g_F B_z| / hbar (rad/s)."""
-    return abs(MU_B * g_f * b_z) / HBAR
-
-
 def larmor_evolve(b_z: float, g_f: float, t: float,
                   initial_phase: float = 0.0) -> PureState:
     """Zeeman superposition after precessing for time t in a field B_z.
@@ -280,8 +263,3 @@ def larmor_evolve(b_z: float, g_f: float, t: float,
     phase = initial_phase + 2.0 * omega_l * t
     amps = np.array([1.0, -np.exp(1j * phase)], dtype=complex) / math.sqrt(2.0)
     return PureState(amplitudes=amps, basis_labels=ZEEMAN_BASIS)
-
-
-def larmor_survival(b_z: float, g_f: float, t: float) -> float:
-    """Overlap probability with the initial superposition, cos^2(w_L t)."""
-    return math.cos(larmor_frequency(b_z, g_f) * t) ** 2

@@ -3,7 +3,9 @@
 Conventions: computational basis ordered (uu, ud, du, dd); an equatorial
 analyzer angle phi measures along the Bloch direction (cos phi, sin phi, 0).
 For the singlet the trace formula gives E(a, b) = -a.b, i.e.
--cos(phi_A - phi_B) for equatorial settings.
+-cos(phi_A - phi_B) for equatorial settings.  The closed-form singlet
+click probabilities, Clauser-Horne ratio, correlation fringes, fidelity
+estimate and pair rate live in ``readout``.
 """
 
 from __future__ import annotations
@@ -17,22 +19,16 @@ __all__ = [
     "TwoQubitState",
     "MeasurementSetting",
     "bell_state",
-    "singlet_joint_probability",
-    "singlet_conditional_probability",
     "correlation",
     "chsh",
-    "clauser_horne",
     "fidelity",
     "noisy_channel",
     "fidelity_lower_bound",
     "rotation_pair_for_bound",
-    "visibility_to_fidelity",
     "atom_photon_state",
     "AtomPhotonState",
-    "correlation_curve",
     "teleport_decompose",
     "swap_decompose",
-    "pair_rate_estimate",
 ]
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -114,16 +110,6 @@ def bell_state(which: str) -> TwoQubitState:
     return TwoQubitState.from_vector(_BELL_VECTORS[which])
 
 
-def singlet_joint_probability(phi_a: float, phi_b: float) -> float:
-    """Joint click probability on the singlet: sin^2((phi_A-phi_B)/2) / 2."""
-    return 0.5 * math.sin((phi_a - phi_b) / 2.0) ** 2
-
-
-def singlet_conditional_probability(phi_a: float, phi_b: float) -> float:
-    """P(A at phi_A | B found at phi_B) = sin^2((phi_A-phi_B)/2)."""
-    return math.sin((phi_a - phi_b) / 2.0) ** 2
-
-
 def correlation(state: TwoQubitState, a: MeasurementSetting,
                 b: MeasurementSetting) -> float:
     """Spin correlation E = tr(rho sigma.a x sigma.b), in [-1, 1]."""
@@ -137,21 +123,6 @@ def chsh(state: TwoQubitState, a: MeasurementSetting, a2: MeasurementSetting,
     return abs(correlation(state, a, b) - correlation(state, a, b2)) + abs(
         correlation(state, a2, b) + correlation(state, a2, b2)
     )
-
-
-def clauser_horne(n_ab: float, n_ab2: float, n_a2b: float, n_a2b2: float,
-                  n_a2: float, n_b: float) -> float:
-    """Clauser-Horne count-rate ratio; local-realistic bound is 1.
-
-    (N(a,b) - N(a,b') + N(a',b) + N(a',b')) / (N_A(a') + N_B(b)).
-    """
-    denom = n_a2 + n_b
-    if denom <= 0:
-        raise ValueError("singles denominator must be positive")
-    numer = n_ab - n_ab2 + n_a2b + n_a2b2
-    if numer == 0:
-        return 0.0
-    return numer / denom
 
 
 def fidelity(state: TwoQubitState, target: TwoQubitState) -> float:
@@ -202,13 +173,6 @@ def rotation_pair_for_bound() -> np.ndarray:
     return np.kron(ry(math.pi / 2), ry(-math.pi / 2))
 
 
-def visibility_to_fidelity(v_x: float, v_q: float) -> float:
-    """Entanglement fidelity (3*V+1)/4 from the mean of two complementary
-    correlation visibilities."""
-    v_mean = 0.5 * (v_x + v_q)
-    return (3.0 * v_mean + 1.0) / 4.0
-
-
 @dataclass(frozen=True)
 class AtomPhotonState:
     """Collected atom-photon state: qutrit (m = -1, 0, +1) x photon (s+, s-)."""
@@ -253,21 +217,6 @@ def atom_photon_state(theta_max: float,
     fid = float(np.real(psi.conj() @ rho @ psi))
     return AtomPhotonState(rho=rho, fidelity=fid,
                            sigma_weight=sigma_weight, pi_weight=pi_weight)
-
-
-def correlation_curve(basis: str, beta_grid, visibility: float = 1.0) -> np.ndarray:
-    """Conditional atom-survival probability versus photon waveplate angle.
-
-    P = (1 + V cos(2*beta - offset))/2 with offset 0 in the x basis and
-    pi/2 in the y basis, so the two curves are shifted by beta = pi/4.
-    """
-    if basis not in ("x", "y"):
-        raise ValueError("basis must be 'x' or 'y'")
-    if not 0.0 <= visibility <= 1.0:
-        raise ValueError("visibility must lie in [0, 1]")
-    offset = 0.0 if basis == "x" else math.pi / 2.0
-    beta = np.asarray(beta_grid, dtype=float)
-    return 0.5 * (1.0 + visibility * np.cos(2.0 * beta - offset))
 
 
 _CORRECTIONS = {
@@ -321,19 +270,3 @@ def swap_decompose() -> dict[tuple[str, str], float]:
             if abs(coeff) > 1e-12:
                 coeffs[(name_ad, name_bc)] = float(coeff.real)
     return coeffs
-
-
-def pair_rate_estimate(eta: float, t_fiber: float, cycle_s: float,
-                       duty_factor: float = 1.0) -> float:
-    """Entangled atom-atom pairs per minute from two heralded sources.
-
-    Success probability per attempt is eta^2 * T^2 / 4 (one of four photon
-    Bell states detected); ``duty_factor`` lumps all duty-cycle losses into
-    one multiplier.
-    """
-    if eta < 0 or t_fiber < 0 or not 0.0 <= duty_factor <= 1.0:
-        raise ValueError("eta, t_fiber must be nonnegative and duty_factor in [0, 1]")
-    if cycle_s <= 0:
-        raise ValueError("cycle time must be positive")
-    per_cycle = 0.25 * eta**2 * t_fiber**2
-    return per_cycle * duty_factor * 60.0 / cycle_s

@@ -41,7 +41,6 @@ from singleatom.coherent import (
     PulseSchedule,
     ground_start,
     stirap_evolve,
-    stirap_readout_probability,
 )
 from singleatom.constants import (
     KB,
@@ -60,7 +59,6 @@ from singleatom.entanglement import (
     noisy_channel,
     swap_decompose,
     teleport_decompose,
-    visibility_to_fidelity,
 )
 from singleatom.entanglement import _BELL_VECTORS
 from singleatom.lightshift import (
@@ -71,6 +69,7 @@ from singleatom.lightshift import (
     scattering_rate_alkali,
 )
 from singleatom.loading import LoadingParams, stationary_distribution
+from singleatom.readout import stirap_readout_probability, visibility_to_fidelity
 from singleatom.trapgeometry import (
     GaussianBeam,
     TrapSpec,

@@ -343,6 +343,26 @@ class TestLineDataErrors:
         assert str(path) in err and "nuclear_two_i" in err
         assert not out.exists()
 
+    def test_spectrum_fit_default_wavelength_reads_line_data(self, tmp_path, capsys,
+                                                             monkeypatch, fuzz_dir):
+        # without --wavelength-nm the D2 wavelength comes from the table
+        monkeypatch.setenv("SINGLEATOM_LINE_DATA", str(tmp_path / "absent.json"))
+        code, out = run(tmp_path, ["spectrum-fit", "--reference", str(fuzz_dir / "ref.csv"),
+                                   "--fluorescence", str(fuzz_dir / "fluor.csv")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation: ") and err.count("\n") == 1
+        assert "absent.json" in err
+        assert not out.exists()
+
+    def test_g2_without_trap_ignores_broken_override(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "lines.json"
+        path.write_bytes(b"{not json")
+        monkeypatch.setenv("SINGLEATOM_LINE_DATA", str(path))
+        code, out = run(tmp_path, ["g2", "--delta-mhz", "-31", "--icl", "103", "--points", "5"])
+        assert code == EXIT_OK and out.exists()
+        assert capsys.readouterr().err == ""
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
@@ -719,6 +739,20 @@ class TestValidateOnlyReadsLineData:
         assert captured.err == run_err and run_err.count("\n") == 1
         assert run_err.startswith("validation: ") and str(path) in run_err and message in run_err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("mode", [[], ["--validate-only"]], ids=["run", "validate-only"])
+    def test_spectrum_fit_kernel_bounded(self, tmp_path, capsys, fuzz_dir, mode):
+        # at the search's upper bound, sigma = span / 2, the blur kernel on the
+        # reference's 5e4 Hz grid would hold 1.2e16 points
+        path = tmp_path / "huge.csv"
+        f = np.linspace(-5e19, 5e19, 201)
+        np.savetxt(path, np.column_stack([f, np.exp(-(f / 2e19) ** 2)]), delimiter=",")
+        code, out = run(tmp_path, ["spectrum-fit", "--reference", str(fuzz_dir / "ref.csv"),
+                                   "--fluorescence", str(path)] + mode)
+        captured = capsys.readouterr()
+        assert code == EXIT_VALIDATION and not out.exists() and captured.out == ""
+        assert captured.err.startswith(f"validation: {path}: ")
+        assert captured.err.count("\n") == 1 and f"more than {MAX_POINTS} points" in captured.err
 
     @pytest.mark.parametrize("args", [
         ["g2", "--delta-mhz", "-31", "--icl", "103", "--points", "3"],

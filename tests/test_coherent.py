@@ -13,12 +13,10 @@ from singleatom.coherent import (
     ground_start,
     lambda_dark_state,
     larmor_evolve,
-    larmor_frequency,
-    larmor_survival,
     stirap_evolve,
-    stirap_readout_probability,
     tripod_dark_states,
 )
+from singleatom.readout import larmor_frequency, larmor_survival, stirap_readout_probability
 
 T_PULSE = 1e-6
 ADIABATIC = 140.0 / T_PULSE   # peak Rabi frequency well inside the adiabatic regime

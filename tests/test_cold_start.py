@@ -1,10 +1,12 @@
-"""Cold start: no CLI run and no fit loads scipy, and the CLI loads numpy
-only in the scenarios that compute with it.
+"""Cold start: no CLI run and no fit loads scipy, and each CLI scenario loads
+only the layers it computes with.
 
 Only ``integrator.integrate`` (the library-only mean-number loading ODE)
-imports scipy, inside the function.  ``singleatom.cli`` imports the
-numpy-backed layers inside its runners, so listing, help, the closed-form
-trap scenarios and validation load no numpy.  Each check runs in a fresh
+imports scipy, inside the function.  ``singleatom.cli`` imports every layer
+but ``constants`` inside the runner or check that uses it: numpy only for
+loading, g2, bell and spectrum-fit, and the line-table layers (``lightshift``,
+``angular``, ``trapgeometry``, with ``dataclasses``) only for the scenarios
+that read the table or the trap beam.  Each check runs in a fresh
 interpreter, so modules imported by other tests do not hide a module-level
 import.
 """
@@ -13,19 +15,22 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 import scipy.constants as sc
 
 import singleatom
 from singleatom import constants
+from singleatom.analysis import gaussian_profile
+from singleatom.cli import SPECS
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(singleatom.__file__)))
 
 
-def modules_after(code: str, package: str, cwd=None) -> str:
-    """The modules of ``package`` loaded once ``code`` has run, as printed."""
-    report = (f"import sys; print(sorted(m for m in sys.modules"
-              f" if m == {package!r} or m.startswith({package + '.'!r})))")
+def modules_after(code: str, *packages: str, cwd=None) -> str:
+    """The modules of ``packages`` loaded once ``code`` has run, as printed."""
+    report = (f"import sys; print(sorted(m for m in sys.modules if any("
+              f"m == p or m.startswith(p + '.') for p in {packages!r})))")
     env = dict(os.environ, PYTHONPATH=SRC)
     result = subprocess.run([sys.executable, "-c", f"{code}\n{report}"],
                             capture_output=True, text=True, env=env, timeout=60, cwd=cwd)
@@ -46,14 +51,16 @@ def cli_run(*argv: str, exit_code: int = 0) -> str:
 # runs write into the test's temporary directory, their working directory
 G2 = ("g2", "--delta-mhz", "-31", "--icl", "103", "--points", "201", "--out", "g2.csv")
 
-# writes ref.csv and fluor.csv there before a spectrum-fit run
-PROFILES = (
-    "import numpy as np\n"
-    "from singleatom.analysis import gaussian_profile\n"
-    "for name, sigma in (('ref.csv', 0.5e6), ('fluor.csv', 0.7e6)):\n"
-    "    p = gaussian_profile(np.linspace(-5e6, 5e6, 201), sigma)\n"
-    "    np.savetxt(name, np.column_stack([p.frequency, p.amplitude]), delimiter=',')\n")
 SPECTRUM_FIT = ("spectrum-fit", "--reference", "ref.csv", "--fluorescence", "fluor.csv")
+
+
+def write_profiles(directory) -> None:
+    """The ref.csv and fluor.csv a spectrum-fit run reads, written by the test
+    process, so the checked interpreter imports nothing to make them."""
+    for name, sigma in (("ref.csv", 0.5e6), ("fluor.csv", 0.7e6)):
+        p = gaussian_profile(np.linspace(-5e6, 5e6, 201), sigma)
+        np.savetxt(directory / name, np.column_stack([p.frequency, p.amplitude]),
+                   delimiter=",")
 
 
 @pytest.mark.parametrize("code", [
@@ -71,8 +78,8 @@ SPECTRUM_FIT = ("spectrum-fit", "--reference", "ref.csv", "--fluorescence", "flu
     cli_run(*G2, "--model", "two-level-obe"),
     cli_run(*G2, "--model", "two-level-analytic"),
     # the bounded Brent minimizer needs numpy only
-    PROFILES + cli_run(*SPECTRUM_FIT, "--out", "fit.csv", "--metadata"),
-    PROFILES + cli_run(*SPECTRUM_FIT, "--validate-only"),
+    cli_run(*SPECTRUM_FIT, "--out", "fit.csv", "--metadata"),
+    cli_run(*SPECTRUM_FIT, "--validate-only"),
     "import numpy as np\n"
     "from singleatom.analysis import fit_envelope\n"
     "tau = np.linspace(0.0, 1e-5, 400)\n"
@@ -82,6 +89,7 @@ SPECTRUM_FIT = ("spectrum-fit", "--reference", "ref.csv", "--fluorescence", "flu
         "run-g2-two-level-analytic", "run-spectrum-fit", "validate-spectrum-fit",
         "envelope-fit"])
 def test_no_scipy_module_loaded(code, tmp_path):
+    write_profiles(tmp_path)
     assert modules_after("import sys\n" + code, "scipy", cwd=tmp_path) == "[]"
 
 
@@ -107,6 +115,70 @@ def test_no_numpy_module_loaded(code, tmp_path):
 def test_g2_run_loads_numpy(tmp_path):
     # the check above would pass vacuously if no run loaded numpy
     assert "'numpy'" in modules_after("import sys\n" + cli_run(*G2), "numpy", cwd=tmp_path)
+
+
+TRAP_BEAM = ("--power-mw", "40", "--waist-um", "3.5")
+
+# one run per scenario; only these compute with numpy
+SCENARIO_RUNS = {
+    "lightshift": TRAP_BEAM,
+    "magic": (),
+    "trap": TRAP_BEAM,
+    "loading": ("--rate-per-s", "0..1:0.25", *TRAP_BEAM),
+    "g2": ("--delta-mhz", "-31", "--icl", "103", "--points", "201"),
+    "stirap": ("--alpha-deg", "0..90:15"),
+    "larmor": ("--b-mgauss", "132"),
+    "bell": (),
+    "correlations": ("--beta-deg", "0..180:5", "--basis", "y"),
+    "spectrum-fit": SPECTRUM_FIT[1:],
+    "pair-rate": ("--eta", "5e-4"),
+}
+NUMPY_SCENARIOS = ("loading", "g2", "bell", "spectrum-fit")
+
+# the layers that read the line table or the trap beam, and the dataclasses
+# their tables are made of
+LINE_TABLE_LAYERS = ("singleatom.lightshift", "singleatom.angular", "singleatom.trapgeometry",
+                     "dataclasses")
+
+
+def scenario_run(scenario: str) -> str:
+    return cli_run(scenario, *SCENARIO_RUNS[scenario], "--out", "out.csv")
+
+
+def test_every_scenario_has_a_run():
+    assert list(SCENARIO_RUNS) == list(SPECS)
+
+
+@pytest.mark.parametrize("scenario", SCENARIO_RUNS)
+def test_numpy_only_where_computed(scenario, tmp_path):
+    write_profiles(tmp_path)
+    loaded = modules_after("import sys\n" + scenario_run(scenario), "numpy", cwd=tmp_path)
+    assert ("'numpy'" in loaded) == (scenario in NUMPY_SCENARIOS), loaded
+
+
+@pytest.mark.parametrize("code", [
+    "import singleatom.cli",
+    cli_run("list"),
+    cli_run("--help"),
+    *(scenario_run(s) for s in ("stirap", "larmor", "correlations", "pair-rate")),
+    # refused before the line table is read
+    cli_run("trap", "--power-mw", "-40", "--waist-um", "3.5", exit_code=2),
+    cli_run("magic", "--bracket-um", "1.6,1.2", exit_code=2),
+    cli_run("loading", "--rate-per-s", "1", *TRAP_BEAM, "--n-max", "0", exit_code=2),
+    cli_run("g2", "--delta-mhz", "-31", "--icl", "103", "--trap-power-mw", "40",
+            exit_code=2),
+], ids=["import-cli", "list", "help", "run-stirap", "run-larmor", "run-correlations",
+        "run-pair-rate", "trap-bad-power", "magic-bad-bracket", "loading-bad-n-max",
+        "g2-trap-without-waist"])
+def test_no_line_table_layer_loaded(code, tmp_path):
+    assert modules_after("import sys\n" + code, *LINE_TABLE_LAYERS, cwd=tmp_path) == "[]"
+
+
+def test_trap_run_loads_the_line_table_layers(tmp_path):
+    # the check above would pass vacuously if no run loaded them
+    loaded = modules_after("import sys\n" + scenario_run("trap"), *LINE_TABLE_LAYERS,
+                           cwd=tmp_path)
+    assert loaded == repr(sorted(LINE_TABLE_LAYERS))
 
 
 def test_stirap_loads_no_scipy():
