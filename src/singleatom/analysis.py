@@ -1,10 +1,8 @@
-"""Measurement-reduction algorithms: HBT normalization and spectral fits.
+"""Measurement-reduction algorithms: spectral and correlation-envelope fits.
 
-Covers the normalization of coincidence histograms to g2 estimates, the
-accidental-coincidence floor from detector dark counts, profile
-convolution, the single-parameter Doppler-width fit of a fluorescence
-spectrum against a measured reference, and the exponential-envelope fit of
-the long-time correlation decay.  Both fits are one-dimensional searches by
+Covers profile convolution, the single-parameter Doppler-width fit of a
+fluorescence spectrum against a measured reference, and the
+exponential-envelope fit of the long-time correlation decay.  Both fits are one-dimensional searches by
 one bounded Brent minimizer (Brent, *Algorithms for Minimization without
 Derivatives*, 1973, ch. 5), in numpy alone.
 """
@@ -19,10 +17,7 @@ import numpy as np
 from .constants import KB
 
 __all__ = [
-    "CoincidenceHistogram",
     "SpectrumProfile",
-    "normalize_g2",
-    "dark_count_floor",
     "convolve_profiles",
     "gaussian_profile",
     "lorentzian_profile",
@@ -31,25 +26,6 @@ __all__ = [
     "fit_envelope",
     "dominant_oscillation_frequency",
 ]
-
-
-@dataclass(frozen=True)
-class CoincidenceHistogram:
-    """Pair-arrival histogram: bin width (s), counts, detector rates, live time."""
-
-    bin_width: float
-    counts: np.ndarray
-    rate_1: float
-    rate_2: float
-    t_integration: float
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts)
-        object.__setattr__(self, "counts", counts)
-        if self.bin_width <= 0:
-            raise ValueError("bin width must be positive")
-        if np.any(counts < 0):
-            raise ValueError("counts must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -87,51 +63,6 @@ class SpectrumProfile:
         if peak <= 0:
             raise ValueError("profile has no positive peak")
         return SpectrumProfile(self.frequency, self.amplitude / peak)
-
-    def fwhm(self) -> float:
-        """Full width at half maximum by linear interpolation."""
-        a = self.amplitude
-        half = a.max() / 2.0
-        above = np.nonzero(a >= half)[0]
-        if len(above) < 2:
-            raise ValueError("profile too narrow for the grid")
-        lo, hi = above[0], above[-1]
-        f = self.frequency
-
-        def cross(i, j):
-            if a[j] == a[i]:
-                return f[i]
-            return f[i] + (half - a[i]) * (f[j] - f[i]) / (a[j] - a[i])
-
-        left = cross(lo - 1, lo) if lo > 0 else f[0]
-        right = cross(hi + 1, hi) if hi < len(a) - 1 else f[-1]
-        return right - left
-
-
-def normalize_g2(hist: CoincidenceHistogram) -> np.ndarray:
-    """g2 per bin: counts / (r1 * r2 * bin_width * T_integration)."""
-    if min(hist.rate_1, hist.rate_2, hist.t_integration) <= 0:
-        raise ValueError("rates and integration time must be positive")
-    norm = hist.rate_1 * hist.rate_2 * hist.bin_width * hist.t_integration
-    return hist.counts / norm
-
-
-def dark_count_floor(dark_rate: float, signal_rates: tuple[float, float]) -> float:
-    """Accidental-coincidence level (g2 units) caused by detector dark counts.
-
-    With signal rates r1, r2 and dark rate d on each detector, coincidences
-    involving at least one dark count add
-    (r1*d + r2*d + d^2) / ((r1+d)(r2+d)) to the normalized histogram.
-    """
-    if dark_rate < 0:
-        raise ValueError("dark rate must be nonnegative")
-    r1, r2 = signal_rates
-    if r1 < 0 or r2 < 0:
-        raise ValueError("signal rates must be nonnegative")
-    total1, total2 = r1 + dark_rate, r2 + dark_rate
-    if total1 == 0 or total2 == 0:
-        return 0.0
-    return (r1 * dark_rate + r2 * dark_rate + dark_rate**2) / (total1 * total2)
 
 
 def gaussian_profile(frequency, sigma: float, center: float = 0.0) -> SpectrumProfile:

@@ -11,52 +11,17 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .constants import C, EPS0, HBAR, PI
-
 __all__ = [
-    "AngMom",
-    "ReducedME",
     "as_two_j",
     "clebsch_gordan",
     "wigner_6j",
-    "reduced_me_from_lifetime",
-    "emission_amplitude",
 ]
 
 
-@dataclass(frozen=True)
-class AngMom:
-    """An angular momentum quantum number stored as 2j (exact half-integers)."""
-
-    two_j: int
-
-    def __post_init__(self):
-        if not isinstance(self.two_j, int) or self.two_j < 0:
-            raise ValueError(f"two_j must be a nonnegative integer, got {self.two_j!r}")
-
-
-@dataclass(frozen=True)
-class ReducedME:
-    """Reduced dipole matrix element of a fine-structure transition."""
-
-    value: float          # C*m
-    j_lower: AngMom
-    j_upper: AngMom
-    lifetime: float       # s, partial lifetime of the upper level for this channel
-    omega_if: float       # rad/s
-
-    def __post_init__(self):
-        if self.value <= 0 or self.lifetime <= 0:
-            raise ValueError("reduced matrix element and lifetime must be positive")
-
-
 def as_two_j(value) -> int:
-    """Coerce an AngMom, integer or half-integer float to a doubled integer."""
-    if isinstance(value, AngMom):
-        return value.two_j
+    """Coerce an integer or half-integer float to a doubled integer."""
     two_j = _doubled(value)
     if two_j < 0:
         raise ValueError(f"angular momentum must be nonnegative, got {value!r}")
@@ -178,39 +143,3 @@ def wigner_6j(j1, j2, j3, j4, j5, j6) -> float:
         * _tri_fraction(*triads[2]) * _tri_fraction(*triads[3])
     )
     return float(total) * math.sqrt(float(norm))
-
-
-def _line_strength_sq(omega_if: float, two_j_lower: int, two_j_upper: int,
-                      rate: float) -> float:
-    """|<J||er||J'>|^2 (C^2 m^2) from the partial decay rate of J' into J."""
-    return (3 * PI * EPS0 * HBAR * C**3 / omega_if**3
-            * (two_j_upper + 1) / (two_j_lower + 1) * rate)
-
-
-def reduced_me_from_lifetime(lifetime: float, omega_if: float, j, j_prime) -> ReducedME:
-    """Reduced dipole matrix element <J||er||J'> from the transition lifetime.
-
-    ``lifetime`` is the (partial) lifetime of the upper level J' for decay
-    into J, and ``omega_if`` the transition angular frequency.
-    """
-    if lifetime <= 0 or omega_if <= 0:
-        raise ValueError("lifetime and omega_if must be positive")
-    jl = AngMom(as_two_j(j))
-    ju = AngMom(as_two_j(j_prime))
-    value = math.sqrt(_line_strength_sq(omega_if, jl.two_j, ju.two_j, 1.0 / lifetime))
-    return ReducedME(value=value, j_lower=jl, j_upper=ju, lifetime=lifetime, omega_if=omega_if)
-
-
-def emission_amplitude(delta_m: int, theta: float) -> float:
-    """Angular emission amplitude of a dipole photon at polar angle theta.
-
-    ``delta_m=0`` gives sin(theta) (no emission along the quantization axis);
-    ``delta_m=+-1`` gives sqrt((1+cos^2 theta)/2).
-    """
-    if delta_m not in (-1, 0, 1):
-        raise ValueError("delta_m must be -1, 0 or +1")
-    if not 0.0 <= theta <= PI:
-        raise ValueError("theta must lie in [0, pi]")
-    if delta_m == 0:
-        return math.sin(theta)
-    return math.sqrt((1.0 + math.cos(theta) ** 2) / 2.0)

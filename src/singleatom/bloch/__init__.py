@@ -20,10 +20,8 @@ from .four_level import (
 )
 from .diffusion import (
     DiffusionEnvelope,
-    diffusion_sigma,
     g2_total_envelope,
     g2_full_model,
-    excited_decay,
 )
 
 __all__ = [
@@ -36,8 +34,6 @@ __all__ = [
     "four_level_g2",
     "apply_trap_shifts",
     "DiffusionEnvelope",
-    "diffusion_sigma",
     "g2_total_envelope",
     "g2_full_model",
-    "excited_decay",
 ]

@@ -8,7 +8,6 @@ pattern the amplitude is A = 1/2 and tau0 = 1/(4 k^2 D).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,10 +16,8 @@ from .four_level import FourLevelParams, four_level_g2
 
 __all__ = [
     "DiffusionEnvelope",
-    "diffusion_sigma",
     "g2_total_envelope",
     "g2_full_model",
-    "excited_decay",
 ]
 
 
@@ -37,21 +34,6 @@ class DiffusionEnvelope:
         if self.tau0 <= 0:
             raise ValueError("tau0 must be positive")
 
-    @classmethod
-    def from_physical(cls, diffusion_const: float, k: float,
-                      amplitude: float = 0.5) -> "DiffusionEnvelope":
-        """Envelope for free diffusion: tau0 = 1/(4 k^2 D)."""
-        if diffusion_const <= 0 or k <= 0:
-            raise ValueError("diffusion constant and wavenumber must be positive")
-        return cls(amplitude=amplitude, tau0=1.0 / (4.0 * k**2 * diffusion_const))
-
-
-def diffusion_sigma(diffusion_const: float, t: float) -> float:
-    """Positional spread sigma(t) = sqrt(2 D t) of free diffusion."""
-    if diffusion_const < 0 or t < 0:
-        raise ValueError("diffusion constant and time must be nonnegative")
-    return math.sqrt(2.0 * diffusion_const * t)
-
 
 def g2_total_envelope(env: DiffusionEnvelope, tau_grid) -> np.ndarray:
     """Envelope values 1 + A*exp(-tau/tau0) on the grid."""
@@ -63,10 +45,3 @@ def g2_full_model(params: FourLevelParams, env: DiffusionEnvelope,
                   tau_grid) -> np.ndarray:
     """Internal four-level g2 multiplied by the motional envelope."""
     return four_level_g2(params, tau_grid) * g2_total_envelope(env, tau_grid)
-
-
-def excited_decay(gamma: float, t: float) -> float:
-    """Spontaneous-decay survival probability exp(-Gamma*t) of an excited atom."""
-    if gamma < 0 or t < 0:
-        raise ValueError("gamma and t must be nonnegative")
-    return math.exp(-gamma * t)

@@ -16,6 +16,7 @@ detunings of several linewidths the Rabi oscillations overshoot it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,8 +30,10 @@ from ..constants import (
     RB87_ISAT_F2_F3,
 )
 from ..integrator import propagate_linear
-from ..lightshift import LaserField, LineTable, ground_shift_alkali, load_default_lines, mean_level_shift
 from .state import DensityMatrix, from_real_vector, lindblad_generator, to_real_vector
+
+if TYPE_CHECKING:  # the line-table layers load only with a trap field
+    from ..lightshift import LaserField, LineTable
 
 __all__ = [
     "BASIS_LABELS",
@@ -132,10 +135,6 @@ class FourLevelLiouvillian:
             (params.gamma_dc, _IDX_C, _IDX_D),
         ])
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Generator applied to a Hermitian matrix (returns drho/dt)."""
-        return from_real_vector(self.matrix_real @ to_real_vector(rho))
-
     def steady_state(self) -> DensityMatrix:
         """The trace-one null vector of the generator.
 
@@ -201,6 +200,8 @@ def apply_trap_shifts(params: FourLevelParams, trap_field: LaserField,
     (1 - kB*T_kin/U) to account for the thermal motion of the atom sampling
     regions of lower intensity; ``kinetic_reduction`` is that temperature.
     """
+    from ..lightshift import ground_shift_alkali, load_default_lines, mean_level_shift
+
     if trap_field.intensity == 0:
         return params
     lines = lines or load_default_lines()

@@ -511,6 +511,16 @@ def _check_spectrum_fit(args) -> list[str]:
     return []
 
 
+def _check_loading(args) -> list[str]:
+    """The CSV holds one row of n_max + 3 cells per rate, and at most twice
+    MAX_POINTS cells, the most that a g2, larmor or stirap run writes."""
+    rates, columns = len(_parse_grid(args.rate_per_s, "--rate-per-s")), args.n_max + 3
+    if rates * columns > 2 * MAX_POINTS:
+        return [f"--rate-per-s and --n-max: {rates} rates x {columns} columns ="
+                f" {rates * columns} CSV cells, more than {2 * MAX_POINTS}"]
+    return _read_lines(args)
+
+
 def _check_g2(args) -> list[str]:
     if (args.trap_power_mw is None) != (args.trap_waist_um is None):
         return ["--trap-power-mw and --trap-waist-um must be given together"]
@@ -534,7 +544,7 @@ SPECS = {
     "lightshift": (run_lightshift, _read_lines, *_TRAP_BEAM),
     "magic": (run_magic, _check_magic, Flag("bracket-um", "bracket", default=(1.2, 1.6))),
     "trap": (run_trap, _read_lines, *_TRAP_BEAM),
-    "loading": (run_loading, _read_lines,
+    "loading": (run_loading, _check_loading,
                 Flag("rate-per-s", "grid", required=True, check="nonnegative",
                      help="loading rate R, number or 'a..b:step'"),
                 *_TRAP_BEAM,

@@ -1,4 +1,4 @@
-"""Coherent dark-state physics: CPT, STIRAP, tripod readout, Larmor precession.
+"""STIRAP transfer in the three-level Lambda system (a excited; b, c ground).
 
 Pure-state dynamics only.  Loss from the optically excited intermediate
 level is modeled by a non-Hermitian -i*Gamma/2 term, so the norm leak of
@@ -19,23 +19,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrator import magnus4
-from .readout import larmor_frequency
 
 __all__ = [
     "PureState",
     "Pulse",
     "PulseSchedule",
     "StirapResult",
-    "lambda_dark_state",
     "ground_start",
     "stirap_evolve",
-    "tripod_dark_states",
-    "larmor_evolve",
 ]
 
 LAMBDA_BASIS = ("a", "b", "c")
-TRIPOD_BASIS = ("b-", "b+", "c", "a")
-ZEEMAN_BASIS = ("m=-1", "m=+1")
 
 # Magnus-4 steps of stirap_evolve: h ||A|| <= _MAGNUS_STEP, and at least
 # _STEPS_PER_PULSE steps per pulse duration.  Measured against DOP853 at
@@ -71,11 +65,6 @@ class PureState:
 
     def population(self, label: str) -> float:
         return abs(self.amplitude(label)) ** 2
-
-    def overlap(self, other: "PureState") -> complex:
-        if self.basis_labels != other.basis_labels:
-            raise ValueError("states live on different bases")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 @dataclass(frozen=True)
@@ -143,13 +132,6 @@ class StirapResult:
     scattered: float               # integral of Gamma |c_a|^2 dt, trapezoid rule over the steps
     magnus_steps: int              # Magnus-4 steps taken: (n_steps - 1) * steps per interval
     step_norm: float               # h ||A||_1 of those steps, the bound the step rule keeps
-
-
-def lambda_dark_state(phi1: float, phi2: float) -> PureState:
-    """Non-absorbing ground-state superposition (|b> - e^{i(phi1-phi2)} |c>)/sqrt(2)."""
-    phase = phi1 - phi2
-    amps = np.array([0.0, 1.0, -np.exp(1j * phase)], dtype=complex) / math.sqrt(2.0)
-    return PureState(amplitudes=amps, basis_labels=LAMBDA_BASIS)
 
 
 def ground_start() -> PureState:
@@ -227,39 +209,3 @@ def stirap_evolve(schedule: PulseSchedule, initial: PureState,
         magnus_steps=(n_steps - 1) * per_interval,
         step_norm=h_out / per_interval * a_norm,
     )
-
-
-def tripod_dark_states(theta: float, big_phi: float, phi1: float,
-                       phi2: float) -> tuple[PureState, PureState]:
-    """The two degenerate dark states of the resonant tripod system.
-
-    Mixing angles: tan(theta) = pump/Stokes, tan(Phi) = sigma-/sigma+ pump
-    components; phi1 and phi2 are the relative phases of the sigma+ pump
-    and Stokes fields against the sigma- pump.
-    """
-    ct, st = math.cos(theta), math.sin(theta)
-    cp, sp = math.cos(big_phi), math.sin(big_phi)
-    d1 = np.array([
-        ct * sp,
-        ct * cp * np.exp(1j * phi1),
-        -st * np.exp(1j * phi2),
-        0.0,
-    ], dtype=complex)
-    d2 = np.array([cp, -sp * np.exp(1j * phi1), 0.0, 0.0], dtype=complex)
-    return (
-        PureState(amplitudes=d1, basis_labels=TRIPOD_BASIS),
-        PureState(amplitudes=d2, basis_labels=TRIPOD_BASIS),
-    )
-
-
-def larmor_evolve(b_z: float, g_f: float, t: float,
-                  initial_phase: float = 0.0) -> PureState:
-    """Zeeman superposition after precessing for time t in a field B_z.
-
-    The relative phase between m = -1 and m = +1 advances at twice the
-    Larmor frequency.
-    """
-    omega_l = larmor_frequency(b_z, g_f)
-    phase = initial_phase + 2.0 * omega_l * t
-    amps = np.array([1.0, -np.exp(1j * phase)], dtype=complex) / math.sqrt(2.0)
-    return PureState(amplitudes=amps, basis_labels=ZEEMAN_BASIS)

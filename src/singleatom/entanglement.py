@@ -3,9 +3,8 @@
 Conventions: computational basis ordered (uu, ud, du, dd); an equatorial
 analyzer angle phi measures along the Bloch direction (cos phi, sin phi, 0).
 For the singlet the trace formula gives E(a, b) = -a.b, i.e.
--cos(phi_A - phi_B) for equatorial settings.  The closed-form singlet
-click probabilities, Clauser-Horne ratio, correlation fringes, fidelity
-estimate and pair rate live in ``readout``.
+-cos(phi_A - phi_B) for equatorial settings.  The closed-form correlation
+fringes, visibility-to-fidelity estimate and pair rate live in ``readout``.
 """
 
 from __future__ import annotations
@@ -23,8 +22,6 @@ __all__ = [
     "chsh",
     "fidelity",
     "noisy_channel",
-    "fidelity_lower_bound",
-    "rotation_pair_for_bound",
     "atom_photon_state",
     "AtomPhotonState",
     "teleport_decompose",
@@ -140,37 +137,6 @@ def noisy_channel(target: TwoQubitState, p: float) -> TwoQubitState:
         raise ValueError("p must lie in [0, 1]")
     rho = p * target.rho + (1.0 - p) / 4.0 * np.eye(4, dtype=complex)
     return TwoQubitState(rho=rho)
-
-
-def fidelity_lower_bound(diag_z, diag_rotated) -> float:
-    """Lower bound on the psi+ fidelity from two sets of diagonal elements.
-
-    Both arguments are populations ordered (uu, ud, du, dd); the second set
-    is measured after rotating each spin by a polar angle of pi/2 (opposite
-    senses on the two qubits, which leaves psi+ invariant).
-
-    F >= 1/2 (r_ud + r_du - 2 sqrt(r_uu r_dd) + s_ud + s_du - s_uu - s_dd).
-    """
-    r = np.asarray(diag_z, dtype=float)
-    s = np.asarray(diag_rotated, dtype=float)
-    if r.shape != (4,) or s.shape != (4,):
-        raise ValueError("diagonals must have four entries")
-    return 0.5 * (
-        r[1] + r[2] - 2.0 * math.sqrt(max(r[0] * r[3], 0.0))
-        + s[1] + s[2] - s[0] - s[3]
-    )
-
-
-def rotation_pair_for_bound() -> np.ndarray:
-    """The two-qubit rotation whose diagonals feed ``fidelity_lower_bound``.
-
-    Qubit A rotates by +pi/2 and qubit B by -pi/2 about the y axis; psi+ is
-    an eigenstate of this product, so for the ideal state the bound is tight.
-    """
-    ry = lambda angle: np.array(
-        [[math.cos(angle / 2), -math.sin(angle / 2)],
-         [math.sin(angle / 2), math.cos(angle / 2)]], dtype=complex)
-    return np.kron(ry(math.pi / 2), ry(-math.pi / 2))
 
 
 @dataclass(frozen=True)

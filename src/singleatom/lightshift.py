@@ -1,10 +1,8 @@
 """AC-Stark shifts, dipole potentials and photon scattering rates.
 
-The module covers three levels of refinement for an alkali atom in a
+The module covers two levels of refinement for an alkali atom in a
 far-detuned laser field:
 
-* a two-level oscillator model (complex polarizability, dipole potential,
-  scattering rate),
 * the fine-structure D-line formula for the electronic ground state of an
   alkali with Lande factor g_J = 2,
 * the full hyperfine-resolved shift of any |J, F, m_F> level, summing over
@@ -27,7 +25,6 @@ from dataclasses import dataclass
 from .angular import _triangle_ok, clebsch_gordan, wigner_6j
 from .constants import (
     C,
-    EPS0,
     HBAR,
     PI,
     RB87_GJ_GROUND,
@@ -43,9 +40,6 @@ __all__ = [
     "HyperfineLevel",
     "load_default_lines",
     "LineDataError",
-    "classical_polarizability",
-    "dipole_potential_two_level",
-    "scattering_rate_two_level",
     "ground_shift_alkali",
     "scattering_rate_alkali",
     "hyperfine_shift",
@@ -163,7 +157,7 @@ def load_lines(path: str) -> LineTable:
     """Load a line table from a JSON file (see data/rb87_lines.json for the schema).
 
     Raises ``LineDataError`` naming ``path`` when the file cannot be read,
-    is not JSON, or lacks a schema key.
+    is not JSON, lacks a schema key, or lacks the D1 or D2 line of 5S1/2.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -194,7 +188,12 @@ def _table_from_dict(raw: dict) -> LineTable:
     declared = raw.get("nuclear_two_i", RB87_TWO_I)
     if declared != RB87_TWO_I:
         raise ValueError(f"nuclear_two_i must be {RB87_TWO_I} (Rb-87), got {declared!r}")
-    return LineTable(lines=lines)
+    table = LineTable(lines=lines)
+    try:
+        table.d_lines()  # every trap computation starts from them
+    except KeyError as exc:
+        raise ValueError(f"{exc.args[0]}, a D line of the ground state") from None
+    return table
 
 
 _BUNDLED_LINE_DATA = os.path.join(os.path.dirname(__file__), "data", "rb87_lines.json")
@@ -217,62 +216,6 @@ def load_default_lines() -> LineTable:
     except OSError as exc:
         raise LineDataError(f"line data {path}: {exc.strerror}") from exc
     return _cached_lines(path, stat.st_mtime_ns, stat.st_size)
-
-
-# --- two-level oscillator model -------------------------------------------
-
-
-def classical_polarizability(omega: float, omega0: float, gamma_on_res: float) -> complex:
-    """Complex polarizability of a damped classical oscillator.
-
-    alpha(w) = 6 pi eps0 c^3 * (G/w0^2) / (w0^2 - w^2 - i (w^3/w0^2) G)
-    with G the on-resonance damping rate.
-    """
-    if omega0 <= 0:
-        raise ValueError("omega0 must be positive")
-    denom = omega0**2 - omega**2 - 1j * (omega**3 / omega0**2) * gamma_on_res
-    return 6 * PI * EPS0 * C**3 * (gamma_on_res / omega0**2) / denom
-
-
-def _check_detuning(omega, omega0):
-    if omega == omega0:
-        raise ValueError("zero detuning: dipole potential diverges in the RWA")
-
-
-def dipole_potential_two_level(field: LaserField, omega0: float, gamma: float,
-                               rwa: bool = False) -> float:
-    """Two-level dipole potential (J) at the field's intensity.
-
-    With ``rwa=False`` both resonant contributions are kept; with ``rwa=True``
-    only the co-rotating G/Delta term survives (Delta = w - w0).
-    """
-    w = field.omega
-    if rwa:
-        _check_detuning(w, omega0)
-        delta = w - omega0
-        return 3 * PI * C**2 / (2 * omega0**3) * (gamma / delta) * field.intensity
-    _check_detuning(w, omega0)
-    return (
-        -3 * PI * C**2 / (2 * omega0**3)
-        * (gamma / (omega0 - w) + gamma / (omega0 + w))
-        * field.intensity
-    )
-
-
-def scattering_rate_two_level(field: LaserField, omega0: float, gamma: float,
-                              rwa: bool = False) -> float:
-    """Two-level photon scattering rate (1/s); hbar*rate = (G/Delta)*U under the RWA."""
-    w = field.omega
-    _check_detuning(w, omega0)
-    if rwa:
-        delta = w - omega0
-        return 3 * PI * C**2 / (2 * HBAR * omega0**3) * (gamma / delta) ** 2 * field.intensity
-    lorentz = gamma / (omega0 - w) + gamma / (omega0 + w)
-    return (
-        3 * PI * C**2 / (2 * HBAR * omega0**3)
-        * (w / omega0) ** 3 * lorentz**2
-        * field.intensity
-    )
 
 
 # --- alkali D-line formulas -----------------------------------------------

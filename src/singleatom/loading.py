@@ -21,8 +21,6 @@ __all__ = [
     "LoadingParams",
     "AtomNumberDist",
     "mean_number_ode",
-    "transfer_matrix",
-    "rate_generator",
     "stationary_distribution",
 ]
 
@@ -69,10 +67,6 @@ class AtomNumberDist:
     def mean(self) -> float:
         return float(np.dot(np.arange(len(self.probabilities)), self.probabilities))
 
-    @property
-    def p_single(self) -> float:
-        return float(self.probabilities[1]) if len(self.probabilities) > 1 else 0.0
-
 
 def mean_number_ode(params: LoadingParams, n0: float, t_grid) -> np.ndarray:
     """Mean-number trajectory N(t) of dN/dt = R - gamma*N - beta'*N(N-1).
@@ -90,52 +84,6 @@ def mean_number_ode(params: LoadingParams, n0: float, t_grid) -> np.ndarray:
         return np.array([r - g * n - bp * n * max(n - 1.0, 0.0)])
 
     return integrate(rhs, np.array([float(n0)]), t_grid)[:, 0]
-
-
-def _jump_rates(params: LoadingParams, n: int) -> tuple[float, float, float]:
-    # (gain, one-body loss, pair loss) out-rates from occupation n
-    gain = params.loading_rate if n < params.n_max else 0.0
-    return gain, params.gamma * n, params.beta_prime * n * (n - 1) / 2.0
-
-
-def rate_generator(params: LoadingParams) -> np.ndarray:
-    """Continuous-time generator Q (columns sum to zero) of the number chain.
-
-    Column n holds the outflow -[R + n*gamma + n(n-1)*beta'/2] on the
-    diagonal, loading R one row below, one-body loss n*gamma one row above
-    and pair loss n(n-1)*beta'/2 two rows above.  The top state only loses
-    (conservative truncation).
-    """
-    dim = params.n_max + 1
-    q = np.zeros((dim, dim))
-    for n in range(dim):
-        gain, one, pair = _jump_rates(params, n)
-        q[n, n] = -(gain + one + pair)
-        if n + 1 < dim:
-            q[n + 1, n] = gain
-        if n - 1 >= 0:
-            q[n - 1, n] += one
-        if n - 2 >= 0:
-            q[n - 2, n] += pair
-    return q
-
-
-def transfer_matrix(params: LoadingParams, dt: float) -> np.ndarray:
-    """Column-stochastic one-step transfer matrix M = 1 + Q*dt.
-
-    ``dt`` must keep every diagonal survival probability nonnegative; the
-    offending occupation number is named otherwise.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    q = rate_generator(params)
-    m = np.eye(params.n_max + 1) + q * dt
-    for n in range(params.n_max + 1):
-        if m[n, n] < 0:
-            raise ValueError(
-                f"dt={dt} too large: survival probability negative at N={n}"
-            )
-    return m
 
 
 def stationary_distribution(params: LoadingParams) -> AtomNumberDist:

@@ -2,9 +2,8 @@
 
 The STIRAP dark-state readout sin^2(alpha - chi/2), the Larmor survival
 cos^2(w_L t) of the Zeeman qubit, the atom-photon correlation fringes
-(1 + V cos(2 beta - offset))/2, the singlet click probabilities, the
-Clauser-Horne ratio, the visibility-to-fidelity estimate and the pair-rate
-estimate.  Each is one line of ``math``; none needs numpy, so the CLI
+(1 + V cos(2 beta - offset))/2, the visibility-to-fidelity estimate and the
+pair-rate estimate.  Each is one line of ``math``; none needs numpy, so the CLI
 scenarios that evaluate them (stirap, larmor, correlations, pair-rate)
 import this module and nothing numpy-backed.
 """
@@ -19,9 +18,6 @@ __all__ = [
     "stirap_readout_probability",
     "larmor_frequency",
     "larmor_survival",
-    "singlet_joint_probability",
-    "singlet_conditional_probability",
-    "clauser_horne",
     "visibility_to_fidelity",
     "correlation_curve",
     "pair_rate_estimate",
@@ -46,31 +42,6 @@ def larmor_frequency(b_z: float, g_f: float = -0.5) -> float:
 def larmor_survival(b_z: float, g_f: float, t: float) -> float:
     """Overlap probability with the initial superposition, cos^2(w_L t)."""
     return math.cos(larmor_frequency(b_z, g_f) * t) ** 2
-
-
-def singlet_joint_probability(phi_a: float, phi_b: float) -> float:
-    """Joint click probability on the singlet: sin^2((phi_A-phi_B)/2) / 2."""
-    return 0.5 * math.sin((phi_a - phi_b) / 2.0) ** 2
-
-
-def singlet_conditional_probability(phi_a: float, phi_b: float) -> float:
-    """P(A at phi_A | B found at phi_B) = sin^2((phi_A-phi_B)/2)."""
-    return math.sin((phi_a - phi_b) / 2.0) ** 2
-
-
-def clauser_horne(n_ab: float, n_ab2: float, n_a2b: float, n_a2b2: float,
-                  n_a2: float, n_b: float) -> float:
-    """Clauser-Horne count-rate ratio; local-realistic bound is 1.
-
-    (N(a,b) - N(a,b') + N(a',b) + N(a',b')) / (N_A(a') + N_B(b)).
-    """
-    denom = n_a2 + n_b
-    if denom <= 0:
-        raise ValueError("singles denominator must be positive")
-    numer = n_ab - n_ab2 + n_a2b + n_a2b2
-    if numer == 0:
-        return 0.0
-    return numer / denom
 
 
 def visibility_to_fidelity(v_x: float, v_q: float) -> float:

@@ -15,8 +15,6 @@ from .constants import HBAR, KB, PI, TWO_PI
 __all__ = [
     "GaussianBeam",
     "TrapSpec",
-    "intensity",
-    "trap_potential",
     "harmonic_frequencies",
     "doppler_temperature",
     "recoil_temperature",
@@ -63,18 +61,6 @@ class TrapSpec:
     def from_beam(cls, beam: GaussianBeam, depth_u: float, atom_mass: float) -> "TrapSpec":
         return cls(depth_u=depth_u, waist_w0=beam.waist_w0,
                    z_r=beam.rayleigh_length, atom_mass=atom_mass)
-
-
-def intensity(beam: GaussianBeam, r: float, z: float) -> float:
-    """Intensity (W/m^2) at radius r and axial position z."""
-    w_sq = beam.waist_w0**2 * (1.0 + (z / beam.rayleigh_length) ** 2)
-    return 2 * beam.power / (PI * w_sq) * math.exp(-2 * r**2 / w_sq)
-
-
-def trap_potential(trap: TrapSpec, r: float, z: float) -> float:
-    """Exact Gaussian-beam potential (J), normalized to -depth at the focus."""
-    w_sq_rel = 1.0 + (z / trap.z_r) ** 2
-    return -trap.depth_u / w_sq_rel * math.exp(-2 * r**2 / (trap.waist_w0**2 * w_sq_rel))
 
 
 def harmonic_frequencies(trap: TrapSpec) -> tuple[float, float]:

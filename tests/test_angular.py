@@ -10,7 +10,6 @@ from sympy.physics.wigner import clebsch_gordan as sympy_cg
 from sympy.physics.wigner import wigner_6j as sympy_6j
 
 from singleatom import angular
-from singleatom.constants import angular_frequency
 
 
 def sy_cg(tj1, tm1, tj2, tm2, tJ, tM):
@@ -119,43 +118,3 @@ class TestWigner6j:
             for other in perms + swaps:
                 assert angular.wigner_6j(*[t / 2 for t in other]) == pytest.approx(
                     base, abs=1e-13)
-
-
-class TestReducedME:
-    def test_d2_matches_tabulated_value(self):
-        me = angular.reduced_me_from_lifetime(
-            26.24e-9, angular_frequency(780.246e-9), 0.5, 1.5)
-        assert me.value == pytest.approx(3.584e-29, rel=5e-4)
-
-    def test_lifetime_scaling(self):
-        omega = angular_frequency(780.246e-9)
-        half = angular.reduced_me_from_lifetime(26.24e-9, omega, 0.5, 1.5)
-        full = angular.reduced_me_from_lifetime(2 * 26.24e-9, omega, 0.5, 1.5)
-        assert full.value == pytest.approx(half.value / math.sqrt(2), rel=1e-12)
-
-    def test_d1_regression(self):
-        me = angular.reduced_me_from_lifetime(
-            27.70e-9, angular_frequency(794.979e-9), 0.5, 0.5)
-        assert me.value == pytest.approx(2.5367157603e-29, rel=1e-9)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            angular.reduced_me_from_lifetime(0.0, 1e15, 0.5, 1.5)
-        with pytest.raises(ValueError):
-            angular.reduced_me_from_lifetime(1e-8, -1e15, 0.5, 1.5)
-
-
-class TestEmissionAmplitude:
-    def test_pi_light_dark_on_axis(self):
-        assert angular.emission_amplitude(0, 0.0) == 0.0
-
-    def test_sigma_on_axis(self):
-        assert angular.emission_amplitude(1, 0.0) == pytest.approx(1.0, abs=1e-15)
-
-    def test_sigma_perpendicular(self):
-        assert angular.emission_amplitude(1, math.pi / 2) == pytest.approx(
-            1 / math.sqrt(2), abs=1e-15)
-
-    def test_rejects_bad_delta_m(self):
-        with pytest.raises(ValueError):
-            angular.emission_amplitude(2, 0.5)

@@ -1,7 +1,5 @@
 """Motional correlation envelope and full g2 model."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -9,33 +7,16 @@ from singleatom.analysis import fit_envelope
 from singleatom.bloch import (
     DiffusionEnvelope,
     FourLevelParams,
-    diffusion_sigma,
-    excited_decay,
     four_level_g2,
     g2_full_model,
     g2_total_envelope,
 )
-from singleatom.constants import KB, TWO_PI, intensity_from_mw_cm2
+from singleatom.constants import TWO_PI, intensity_from_mw_cm2
 
 ENV = DiffusionEnvelope(amplitude=0.5, tau0=1.8e-6)
 PARAMS = FourLevelParams(i_cl=intensity_from_mw_cm2(103),
                          i_rl=intensity_from_mw_cm2(12),
                          delta_cl=-TWO_PI * 31e6)
-
-
-class TestDiffusionSigma:
-    def test_starts_at_zero(self):
-        assert diffusion_sigma(1e-8, 0.0) == 0.0
-
-    def test_sqrt_time_scaling(self):
-        assert diffusion_sigma(1e-8, 4e-6) == pytest.approx(
-            2 * diffusion_sigma(1e-8, 1e-6), rel=1e-12)
-
-    def test_thermal_friction_value(self):
-        # D = kB T / alpha for T = 110 uK, alpha = 2e-20 kg/s
-        d = KB * 110e-6 / 2e-20
-        assert d == pytest.approx(7.5936e-8, rel=1e-4)
-        assert diffusion_sigma(d, 1e-6) == pytest.approx(3.8971e-7, rel=1e-4)
 
 
 class TestEnvelope:
@@ -44,16 +25,6 @@ class TestEnvelope:
 
     def test_asymptote(self):
         assert g2_total_envelope(ENV, [1.0])[0] == pytest.approx(1.0, abs=1e-10)
-
-    def test_physical_form_equivalent(self):
-        # 1 + 1/2 exp(-2 k^2 sigma^2(tau)) with tau0 = 1/(4 k^2 D)
-        k = TWO_PI / 780.246e-9
-        d = 1e-8
-        env = DiffusionEnvelope.from_physical(d, k)
-        tau = np.linspace(0.0, 5e-6, 40)
-        sigma_sq = np.array([diffusion_sigma(d, t) ** 2 for t in tau])
-        direct = 1.0 + 0.5 * np.exp(-2 * k**2 * sigma_sq)
-        assert np.allclose(g2_total_envelope(env, tau), direct, atol=1e-12)
 
     def test_fit_round_trip(self):
         rng = np.random.default_rng(21)
@@ -82,17 +53,3 @@ class TestFullModel:
         tau = np.array([0.0, 10e-9, 25e-9, 50e-9, 100e-9])
         expected = [0.0, 2.9523821471, 0.5007919827, 0.8563624533, 1.1726926289]
         assert np.allclose(g2_full_model(PARAMS, env, tau), expected, atol=1e-6)
-
-
-class TestExcitedDecay:
-    def test_initial_value(self):
-        assert excited_decay(3.8e7, 0.0) == 1.0
-
-    def test_one_lifetime(self):
-        assert excited_decay(3.8e7, 1 / 3.8e7) == pytest.approx(math.exp(-1), rel=1e-12)
-
-    def test_half_life(self):
-        gamma = 1 / 26.24e-9
-        half_life = math.log(2) / gamma
-        assert half_life == pytest.approx(18.19e-9, rel=1e-3)
-        assert excited_decay(gamma, half_life) == pytest.approx(0.5, rel=1e-12)

@@ -355,6 +355,31 @@ class TestLineDataErrors:
         assert "absent.json" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("label, upper", [("D1", "5P1/2"), ("D2", "5P3/2")])
+    @pytest.mark.parametrize("args", [
+        ["trap", "--power-mw", "44", "--waist-um", "3.5"],
+        ["lightshift", "--power-mw", "44", "--waist-um", "3.5"],
+        ["g2", "--delta-mhz", "-31", "--icl", "103", "--points", "3",
+         "--trap-power-mw", "40", "--trap-waist-um", "3.5"],
+    ], ids=["trap", "lightshift", "g2-trap"])
+    def test_missing_d_line_refused(self, tmp_path, capsys, monkeypatch, args, label, upper):
+        # a table without a D line is refused when it is read, so the run and
+        # --validate-only exit 2 with the same line
+        raw = json.loads(resources.files("singleatom.data").joinpath("rb87_lines.json")
+                         .read_text())
+        raw["lines"] = [line for line in raw["lines"] if line["label"] != label]
+        path = tmp_path / f"no_{label}.json"
+        path.write_text(json.dumps(raw))
+        monkeypatch.setenv("SINGLEATOM_LINE_DATA", str(path))
+        code, out = run(tmp_path, args)
+        run_err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION and not out.exists()
+        assert run_err == (f"validation: line data {path}: no line data for the coupling "
+                           f"5S1/2 -> {upper}, a D line of the ground state\n")
+        assert main(args + ["--validate-only"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == run_err and captured.out == ""
+
     def test_g2_without_trap_ignores_broken_override(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "lines.json"
         path.write_bytes(b"{not json")
@@ -783,6 +808,26 @@ class TestValidateOnlyReadsLineData:
                             lambda p: calls.append(p) or load_lines(p))
         code, _ = run(tmp_path, args)
         assert code == EXIT_OK and calls == [str(path)]
+
+
+@pytest.mark.parametrize("rates, n_max, ok", [
+    ("0..999998:1", "1000", False),
+    ("0..2000:1", "997", False),
+    ("0..1999:1", "997", True),
+    ("1", "1000", True),
+], ids=["1e9-cells", "one-row-over", "at-the-bound", "one-rate"])
+def test_loading_csv_cells_bounded(capsys, rates, n_max, ok):
+    # rates x (n_max + 3) cells, at most 2 * MAX_POINTS; checked with
+    # --validate-only alone, since a run past the bound would take minutes
+    code = main(["loading", "--rate-per-s", rates, "--n-max", n_max, "--power-mw", "44",
+                 "--waist-um", "3.5", "--validate-only"])
+    captured = capsys.readouterr()
+    if ok:
+        assert code == EXIT_OK and captured.out == "configuration ok\n"
+        return
+    assert code == EXIT_VALIDATION and captured.out == ""
+    assert captured.err.startswith("validation: --rate-per-s and --n-max: ")
+    assert captured.err.count("\n") == 1 and f"more than {2 * MAX_POINTS}" in captured.err
 
 
 def test_n_max_bounded(capsys):

@@ -1,4 +1,4 @@
-"""Dark states, STIRAP transfer, tripod readout, Larmor precession."""
+"""STIRAP transfer, the dark-state readout law, Larmor precession."""
 
 import math
 
@@ -7,14 +7,10 @@ import pytest
 
 from singleatom.coherent import (
     _MAGNUS_STEP,
-    LAMBDA_BASIS,
     Pulse,
     PulseSchedule,
     ground_start,
-    lambda_dark_state,
-    larmor_evolve,
     stirap_evolve,
-    tripod_dark_states,
 )
 from singleatom.readout import larmor_frequency, larmor_survival, stirap_readout_probability
 
@@ -28,32 +24,12 @@ def schedule(order="counterintuitive", peak=ADIABATIC, phases=(0.0, 0.0)):
                                    phases=phases)
 
 
-class TestDarkState:
-    def test_printed_form(self):
-        state = lambda_dark_state(0.0, 0.0)
-        assert state.amplitude("a") == 0.0
-        assert state.amplitude("b") == pytest.approx(1 / math.sqrt(2))
-        assert state.amplitude("c") == pytest.approx(-1 / math.sqrt(2))
-
-    def test_decoupled_from_equal_drives(self):
-        # H psi_d has no |a> component for Omega1 = Omega2 at any phase pair
-        for phi1, phi2 in ((0.0, 0.0), (0.7, -1.2), (2.1, 0.4)):
-            state = lambda_dark_state(phi1, phi2)
-            omega = 1.0
-            coupling = (-omega / 2 * np.exp(1j * phi1) * state.amplitude("b")
-                        - omega / 2 * np.exp(1j * phi2) * state.amplitude("c"))
-            assert abs(coupling) < 1e-14
-
-    def test_bright_state_couples_fully(self):
-        # orthogonal combination (|b> + e^{i dphi} |c>)/sqrt(2) sees the full
-        # two-arm drive Omega/sqrt(2)
-        phi1, phi2 = 0.9, -0.3
-        omega = 1.0
-        bright_b = 1 / math.sqrt(2)
-        bright_c = np.exp(1j * (phi1 - phi2)) / math.sqrt(2)
-        coupling = (-omega / 2 * np.exp(1j * phi1) * bright_b
-                    - omega / 2 * np.exp(1j * phi2) * bright_c)
-        assert abs(coupling) == pytest.approx(omega / math.sqrt(2), rel=1e-12)
+def larmor_evolve(b_z, g_f, t):
+    """State-vector oracle of ``larmor_survival``: the Zeeman superposition
+    (|m=-1> - e^{i phi}|m=+1>)/sqrt(2) after precessing for time t, its
+    relative phase phi advancing at twice the Larmor frequency."""
+    phase = 2.0 * larmor_frequency(b_z, g_f) * t
+    return np.array([1.0, -np.exp(1j * phase)]) / math.sqrt(2.0)
 
 
 class TestStirap:
@@ -179,26 +155,6 @@ class TestStirapAgainstDop853:
         assert abs(result.scattered - leak) <= 1e-6
 
 
-class TestTripod:
-    def test_equal_pump_components(self):
-        d1, d2 = tripod_dark_states(theta=0.0, big_phi=math.pi / 4, phi1=0.3, phi2=0.0)
-        assert d1.amplitude("b-") == pytest.approx(1 / math.sqrt(2))
-        assert d1.amplitude("b+") == pytest.approx(np.exp(0.3j) / math.sqrt(2))
-        assert d1.amplitude("c") == 0.0
-
-    def test_orthogonality(self):
-        for theta in (0.0, 0.4, 1.1, math.pi / 2):
-            d1, d2 = tripod_dark_states(theta, math.pi / 4, 0.2, -0.9)
-            assert abs(d1.overlap(d2)) < 1e-14
-            assert d1.norm_sq == pytest.approx(1.0, abs=1e-14)
-            assert d2.norm_sq == pytest.approx(1.0, abs=1e-14)
-            assert d1.population("a") == d2.population("a") == 0.0
-
-    def test_full_transfer_limit(self):
-        d1, _ = tripod_dark_states(math.pi / 2, math.pi / 4, 0.0, 0.7)
-        assert abs(d1.amplitude("c")) == pytest.approx(1.0, abs=1e-14)
-
-
 class TestReadout:
     def test_sin_squared_law_exact(self):
         for alpha in np.linspace(0.0, math.pi, 37):
@@ -223,21 +179,21 @@ class TestLarmor:
     def test_zero_field_stationary(self):
         s0 = larmor_evolve(0.0, self.GF, 0.0)
         s1 = larmor_evolve(0.0, self.GF, 1.0)
-        assert abs(s0.overlap(s1)) == pytest.approx(1.0, abs=1e-14)
+        assert abs(np.vdot(s0, s1)) == pytest.approx(1.0, abs=1e-14)
 
     def test_orthogonal_after_quarter_phase_period(self):
         omega_l = larmor_frequency(self.B, self.GF)
         t_orth = math.pi / (2 * omega_l)
         s0 = larmor_evolve(self.B, self.GF, 0.0)
         st = larmor_evolve(self.B, self.GF, t_orth)
-        assert abs(s0.overlap(st)) < 1e-12
+        assert abs(np.vdot(s0, st)) < 1e-12
 
     def test_survival_law(self):
         omega_l = larmor_frequency(self.B, self.GF)
         for t in np.linspace(0.0, 20e-6, 23):
             s0 = larmor_evolve(self.B, self.GF, 0.0)
             st = larmor_evolve(self.B, self.GF, t)
-            assert abs(s0.overlap(st)) ** 2 == pytest.approx(
+            assert abs(np.vdot(s0, st)) ** 2 == pytest.approx(
                 math.cos(omega_l * t) ** 2, abs=1e-12)
             assert larmor_survival(self.B, self.GF, t) == pytest.approx(
                 math.cos(omega_l * t) ** 2, abs=1e-12)

@@ -174,6 +174,14 @@ def test_no_line_table_layer_loaded(code, tmp_path):
     assert modules_after("import sys\n" + code, *LINE_TABLE_LAYERS, cwd=tmp_path) == "[]"
 
 
+def test_g2_without_trap_loads_no_line_table_layer(tmp_path):
+    # the bloch layer imports lightshift only to apply a trap field; its own
+    # dataclasses are the one module of LINE_TABLE_LAYERS that g2 needs
+    loaded = modules_after("import sys\n" + cli_run(*G2), *LINE_TABLE_LAYERS[:-1],
+                           cwd=tmp_path)
+    assert loaded == "[]"
+
+
 def test_trap_run_loads_the_line_table_layers(tmp_path):
     # the check above would pass vacuously if no run loaded them
     loaded = modules_after("import sys\n" + scenario_run("trap"), *LINE_TABLE_LAYERS,

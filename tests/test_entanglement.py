@@ -1,4 +1,4 @@
-"""Bell states, correlations, CHSH/CH, fidelity bounds, aperture state."""
+"""Bell states, correlations, CHSH, fidelity, aperture state, readout laws."""
 
 import itertools
 import math
@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from singleatom.entanglement import (
-    IDENTITY2,
     MeasurementSetting,
     TwoQubitState,
     atom_photon_state,
@@ -15,19 +14,14 @@ from singleatom.entanglement import (
     chsh,
     correlation,
     fidelity,
-    fidelity_lower_bound,
     noisy_channel,
-    rotation_pair_for_bound,
     swap_decompose,
     teleport_decompose,
 )
 from singleatom.entanglement import _BELL_VECTORS
 from singleatom.readout import (
-    clauser_horne,
     correlation_curve,
     pair_rate_estimate,
-    singlet_conditional_probability,
-    singlet_joint_probability,
     visibility_to_fidelity,
 )
 
@@ -70,30 +64,6 @@ class TestBellStates:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             bell_state("sigma+")
-
-
-class TestSingletProbabilities:
-    def test_same_angle_never_coincides(self):
-        assert singlet_conditional_probability(0.7, 0.7) == 0.0
-
-    def test_opposite_angles_always_coincide(self):
-        assert singlet_conditional_probability(0.7, 0.7 + math.pi) == pytest.approx(1.0)
-
-    def test_exchange_symmetric(self):
-        for a, b in ((0.1, 1.9), (2.4, -0.3)):
-            assert singlet_conditional_probability(a, b) == pytest.approx(
-                singlet_conditional_probability(b, a), abs=1e-12)
-
-    def test_joint_probability_from_projectors(self):
-        # independent evaluation with explicit projection operators
-        singlet = bell_state("psi-")
-        for phi_a, phi_b in ((0.0, 1.1), (0.5, 2.7), (-1.2, 0.4)):
-            proj = np.kron(
-                0.5 * (IDENTITY2 + MeasurementSetting(phi=phi_a).operator),
-                0.5 * (IDENTITY2 + MeasurementSetting(phi=phi_b).operator))
-            expected = float(np.trace(singlet.rho @ proj).real)
-            assert singlet_joint_probability(phi_a, phi_b) == pytest.approx(
-                expected, abs=1e-12)
 
 
 class TestCorrelation:
@@ -170,33 +140,6 @@ class TestChsh:
             assert chsh(rotated, *CANONICAL) == pytest.approx(base, abs=1e-10)
 
 
-class TestClauserHorne:
-    # angle set with three differences of 3 pi/4 and one of pi/4
-    ANGLES = (0.0, 3 * math.pi / 4, 3 * math.pi / 2, math.pi / 4)
-
-    def test_quantum_violation(self):
-        pa, pb, pa2, pb2 = self.ANGLES
-        s = clauser_horne(
-            singlet_joint_probability(pa, pb),
-            singlet_joint_probability(pa, pb2),
-            singlet_joint_probability(pa2, pb),
-            singlet_joint_probability(pa2, pb2),
-            0.5, 0.5,
-        )
-        assert s == pytest.approx((1 + math.sqrt(2)) / 2, abs=1e-12)
-        assert s > 1.0
-
-    def test_uncorrelated_counts(self):
-        assert clauser_horne(0.25, 0.25, 0.25, 0.25, 0.5, 0.5) == pytest.approx(0.5)
-
-    def test_zero_coincidences(self):
-        assert clauser_horne(0.0, 0.0, 0.0, 0.0, 0.5, 0.5) == 0.0
-
-    def test_zero_singles_rejected(self):
-        with pytest.raises(ValueError):
-            clauser_horne(1.0, 0.0, 1.0, 1.0, 0.0, 0.0)
-
-
 class TestFidelity:
     def test_self_fidelity(self):
         for name in ("psi+", "psi-", "phi+", "phi-"):
@@ -236,31 +179,6 @@ class TestNoisyChannel:
         assert threshold == pytest.approx(1 / math.sqrt(2), abs=1e-3)
         assert fidelity(noisy_channel(target, threshold), target) == pytest.approx(
             0.78, abs=5e-3)
-
-
-class TestFidelityLowerBound:
-    def test_tight_on_ideal_state(self):
-        u = rotation_pair_for_bound()
-        psi_plus = bell_state("psi+")
-        rotated = u @ psi_plus.rho @ u.conj().T
-        bound = fidelity_lower_bound(np.diag(psi_plus.rho).real,
-                                     np.diag(rotated).real)
-        assert bound == pytest.approx(1.0, abs=1e-12)
-
-    def test_maximally_mixed_value(self):
-        assert fidelity_lower_bound([0.25] * 4, [0.25] * 4) == pytest.approx(0.0)
-
-    def test_lower_bounds_exact_fidelity(self):
-        rng = np.random.default_rng(42)
-        u = rotation_pair_for_bound()
-        psi_plus = bell_state("psi+")
-        for _ in range(1000):
-            state = random_state(rng)
-            exact = fidelity(state, psi_plus)
-            rotated = u @ state.rho @ u.conj().T
-            bound = fidelity_lower_bound(np.diag(state.rho).real,
-                                         np.diag(rotated).real)
-            assert bound <= exact + 1e-10
 
 
 class TestVisibilityFidelity:

@@ -1,7 +1,7 @@
-"""Light shifts: oscillator model, D-line formulas, hyperfine sums, magic point."""
+"""Light shifts: D-line formulas, hyperfine sums, magic point, line data."""
 
 import hashlib
-import math
+import json
 from importlib import resources
 
 import numpy as np
@@ -10,29 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singleatom import angular
-from singleatom.constants import (
-    C,
-    EPS0,
-    HBAR,
-    KB,
-    PI,
-    RB87_GAMMA_D2,
-    angular_frequency,
-)
+from singleatom.constants import HBAR, KB, PI
 from singleatom.lightshift import (
     HyperfineLevel,
     LaserField,
+    LineDataError,
     LineTable,
-    SpectralLine,
-    classical_polarizability,
-    dipole_potential_two_level,
     find_magic_wavelength,
     ground_shift_alkali,
     hyperfine_shift,
     load_default_lines,
+    load_lines,
     mean_level_shift,
     scattering_rate_alkali,
-    scattering_rate_two_level,
 )
 
 LINES = load_default_lines()
@@ -41,80 +31,6 @@ LINES = load_default_lines()
 def trap_field(power=0.044, waist=3.5e-6, wavelength=856e-9, epsilon=0):
     intensity = 2 * power / (PI * waist**2)
     return LaserField(wavelength=wavelength, intensity=intensity, epsilon=epsilon)
-
-
-class TestPolarizability:
-    def test_static_limit_real_positive(self):
-        alpha = classical_polarizability(0.0, 2.4e15, 3.8e7)
-        assert alpha.imag == 0.0
-        assert alpha.real == pytest.approx(6 * PI * EPS0 * C**3 * 3.8e7 / 2.4e15**4,
-                                           rel=1e-12)
-
-    def test_real_part_changes_sign_across_resonance(self):
-        w0 = 2.4e15
-        below = classical_polarizability(0.99 * w0, w0, 3.8e7)
-        above = classical_polarizability(1.01 * w0, w0, 3.8e7)
-        assert below.real > 0 > above.real
-
-    def test_equivalent_to_driven_oscillator_form(self):
-        # independent evaluation with the frequency-dependent damping rate
-        w0 = 2.4e15
-        gamma = 1e-8 * w0
-        w = 0.9 * w0
-        gamma_w = (w / w0) ** 2 * gamma
-        e2_over_me = 6 * PI * EPS0 * C**3 * gamma / w0**2
-        oracle = e2_over_me / (w0**2 - w**2 - 1j * w * gamma_w)
-        assert classical_polarizability(w, w0, gamma) == pytest.approx(oracle, rel=1e-12)
-
-
-class TestTwoLevel:
-    W0 = angular_frequency(780.246e-9)
-    G = RB87_GAMMA_D2
-
-    def test_zero_intensity(self):
-        f = LaserField(wavelength=856e-9, intensity=0.0)
-        assert dipole_potential_two_level(f, self.W0, self.G) == 0.0
-        assert scattering_rate_two_level(f, self.W0, self.G) == 0.0
-
-    def test_red_detuning_attracts(self):
-        assert dipole_potential_two_level(trap_field(), self.W0, self.G) < 0.0
-
-    def test_rwa_scaling_with_detuning(self):
-        f1 = LaserField(wavelength=790e-9, intensity=1e7)
-        delta1 = f1.omega - self.W0
-        omega2 = self.W0 + 2 * delta1
-        f2 = LaserField(wavelength=2 * PI * C / omega2, intensity=1e7)
-        u1 = dipole_potential_two_level(f1, self.W0, self.G, rwa=True)
-        u2 = dipole_potential_two_level(f2, self.W0, self.G, rwa=True)
-        assert u2 == pytest.approx(u1 / 2, rel=1e-9)
-        r1 = scattering_rate_two_level(f1, self.W0, self.G, rwa=True)
-        r2 = scattering_rate_two_level(f2, self.W0, self.G, rwa=True)
-        assert r2 == pytest.approx(r1 / 4, rel=1e-9)
-
-    def test_rwa_identity(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            wl = rng.uniform(760e-9, 810e-9)
-            inten = rng.uniform(1e3, 1e9)
-            f = LaserField(wavelength=wl, intensity=inten)
-            delta = f.omega - self.W0
-            u = dipole_potential_two_level(f, self.W0, self.G, rwa=True)
-            rate = scattering_rate_two_level(f, self.W0, self.G, rwa=True)
-            assert HBAR * rate == pytest.approx((self.G / delta) * u, rel=1e-12)
-
-    def test_rwa_agrees_with_full_close_to_resonance(self):
-        for rel_det in (-0.019, -0.005, 0.005, 0.019):
-            w = self.W0 * (1 + rel_det)
-            f = LaserField(wavelength=2 * PI * C / w, intensity=1e7)
-            full = dipole_potential_two_level(f, self.W0, self.G, rwa=False)
-            rwa = dipole_potential_two_level(f, self.W0, self.G, rwa=True)
-            assert abs(full - rwa) / abs(full) < 0.01
-
-    def test_zero_detuning_rejected(self):
-        f = LaserField(wavelength=780.246e-9, intensity=1e6)
-        w0 = f.omega
-        with pytest.raises(ValueError):
-            dipole_potential_two_level(f, w0, self.G, rwa=True)
 
 
 class TestGroundShift:
@@ -292,18 +208,21 @@ class TestLineTable:
             LineTable(lines=(line, line))
 
     def test_env_override(self, tmp_path, monkeypatch):
-        import json
-        alt = {
-            "version": 99, "nuclear_two_i": 3,
-            "lines": [{"label": "D2", "lower": "5S1/2", "upper": "5P3/2",
-                       "lambda_nm": 780.246, "lifetime_ns": 26.24,
-                       "two_j_lower": 1, "two_j_upper": 3}],
-        }
         path = tmp_path / "alt.json"
-        path.write_text(json.dumps(alt))
+        path.write_text(json.dumps(D_LINES_ONLY))
         monkeypatch.setenv("SINGLEATOM_LINE_DATA", str(path))
         table = load_default_lines()
-        assert len(table.lines) == 1
+        assert len(table.lines) == 2
+
+    @pytest.mark.parametrize("label, upper", [("D1", "5P1/2"), ("D2", "5P3/2")])
+    def test_missing_d_line_refused(self, tmp_path, label, upper):
+        # every trap computation needs both D lines of the ground state
+        raw = dict(D_LINES_ONLY, lines=[e for e in D_LINES_ONLY["lines"] if e["label"] != label])
+        path = tmp_path / "lines.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(LineDataError, match=f"no line data for the coupling 5S1/2 -> "
+                                                f"{upper}, a D line of the ground state"):
+            load_lines(str(path))
 
     def test_override_read_once_per_file_version(self, tmp_path, monkeypatch):
         from singleatom import lightshift
@@ -325,5 +244,15 @@ class TestLineTable:
         again = apply_trap_shifts(params, trap_field())
         assert calls == [str(path)] * 2 and again.shift_d != first[0].shift_d
 
+
+D_LINES_ONLY = {
+    "version": 99, "nuclear_two_i": 3,
+    "lines": [{"label": "D1", "lower": "5S1/2", "upper": "5P1/2",
+               "lambda_nm": 794.979, "lifetime_ns": 27.70,
+               "two_j_lower": 1, "two_j_upper": 1},
+              {"label": "D2", "lower": "5S1/2", "upper": "5P3/2",
+               "lambda_nm": 780.246, "lifetime_ns": 26.24,
+               "two_j_lower": 1, "two_j_upper": 3}],
+}
 
 PINNED_LINE_DATA_SHA256 = "51e1eecc62fc4feabecf3e3a99903d53898c36bf917b507d1d62c5824dc0d56c"

@@ -13,9 +13,7 @@ from singleatom.loading import (
     AtomNumberDist,
     LoadingParams,
     mean_number_ode,
-    rate_generator,
     stationary_distribution,
-    transfer_matrix,
 )
 
 # effective volumes of the 44 mW / 856 nm trap at T = 100 uK (see lightshift tests)
@@ -24,6 +22,30 @@ V_POISSON = 3.9126e-13     # w0 = 10 um
 
 BLOCKADE = LoadingParams(loading_rate=1.0, gamma=0.2, beta=5e-16,
                          volume=V_BLOCKADE, n_max=5)
+
+
+def rate_generator(params):
+    """Continuous-time generator Q (columns sum to zero) of the number chain,
+    the oracle of the stationary law.
+
+    Column n holds the outflow -[R + n*gamma + n(n-1)*beta'/2] on the
+    diagonal, loading R one row below, one-body loss n*gamma one row above
+    and pair loss n(n-1)*beta'/2 two rows above.  The top state only loses
+    (conservative truncation).
+    """
+    dim = params.n_max + 1
+    q = np.zeros((dim, dim))
+    for n in range(dim):
+        gain = params.loading_rate if n < params.n_max else 0.0
+        one, pair = params.gamma * n, params.beta_prime * n * (n - 1) / 2.0
+        q[n, n] = -(gain + one + pair)
+        if n + 1 < dim:
+            q[n + 1, n] = gain
+        if n - 1 >= 0:
+            q[n - 1, n] += one
+        if n - 2 >= 0:
+            q[n - 2, n] += pair
+    return q
 
 
 class TestParams:
@@ -60,45 +82,6 @@ class TestMeanNumberODE:
             mean_number_ode(BLOCKADE, -1.0, [0.0, 1.0])
 
 
-class TestTransferMatrix:
-    def test_columns_sum_to_one(self):
-        m = transfer_matrix(BLOCKADE, dt=1e-3)
-        assert np.allclose(m.sum(axis=0), 1.0, atol=1e-12)
-
-    def test_no_pair_loss_from_single_atom(self):
-        m = transfer_matrix(BLOCKADE, dt=1e-3)
-        # pair loss enters two rows above the diagonal; column N=1 has none
-        assert m[0, 1] == pytest.approx(BLOCKADE.gamma * 1e-3)
-
-    def test_pair_loss_pattern(self):
-        # second superdiagonal carries N(N-1)/2 * beta' * dt: 1, 3, 6, 10 pairs
-        dt = 1e-4
-        m = transfer_matrix(BLOCKADE, dt=dt)
-        bp = BLOCKADE.beta_prime
-        for n, pairs in ((2, 1), (3, 3), (4, 6), (5, 10)):
-            assert m[n - 2, n] == pytest.approx(pairs * bp * dt, rel=1e-12)
-        # first superdiagonal carries N * gamma * dt; subdiagonal the loading R * dt
-        for n in range(1, 6):
-            assert m[n - 1, n] == pytest.approx(n * BLOCKADE.gamma * dt, rel=1e-12)
-        for n in range(5):
-            assert m[n + 1, n] == pytest.approx(BLOCKADE.loading_rate * dt, rel=1e-12)
-
-    def test_too_large_dt_names_offender(self):
-        with pytest.raises(ValueError, match="N=2"):
-            transfer_matrix(BLOCKADE, dt=0.5)
-
-    def test_survival_probabilities(self):
-        dt = 1e-3
-        m = transfer_matrix(BLOCKADE, dt=dt)
-        bp = BLOCKADE.beta_prime
-        for n in range(5):
-            out_rate = BLOCKADE.loading_rate + n * BLOCKADE.gamma + n * (n - 1) * bp / 2
-            assert m[n, n] == pytest.approx(1.0 - out_rate * dt, rel=1e-12)
-        # the top state only loses (conservative truncation)
-        assert m[5, 5] == pytest.approx(1.0 - (5 * BLOCKADE.gamma + 10 * bp) * dt,
-                                        rel=1e-12)
-
-
 class TestStationaryDistribution:
     def test_empty_trap_absorbing(self):
         params = LoadingParams(loading_rate=0.0, gamma=0.2, beta=5e-16,
@@ -126,7 +109,7 @@ class TestStationaryDistribution:
         # (M - 1) r = 0 for any admissible dt is the same null space as Q r = 0
         dist = stationary_distribution(BLOCKADE)
         for dt in (1e-4, 1e-3, 1e-2):
-            m = transfer_matrix(BLOCKADE, dt=dt)
+            m = np.eye(6) + rate_generator(BLOCKADE) * dt
             resid = (m - np.eye(6)) @ dist.probabilities
             assert np.abs(resid).max() < 1e-12
 
@@ -261,18 +244,18 @@ class TestStationaryAgainstOracles:
 
 
 class TestAtomNumberDist:
-    def test_mean_and_p_single(self):
+    def test_mean(self):
         empty = AtomNumberDist(probabilities=np.array([1.0, 0.0, 0.0]))
-        assert (empty.mean, empty.p_single) == (0.0, 0.0)
+        assert empty.mean == 0.0
         single = AtomNumberDist(probabilities=np.array([0.0, 1.0, 0.0]))
-        assert (single.mean, single.p_single) == (1.0, 1.0)
+        assert single.mean == 1.0
         only_empty = AtomNumberDist(probabilities=np.array([1.0]))
-        assert (only_empty.mean, only_empty.p_single) == (0.0, 0.0)
+        assert only_empty.mean == 0.0
 
     def test_blockade_mean_range(self):
         dist = stationary_distribution(BLOCKADE)
         assert 0.3 < dist.mean < 1.1
-        assert dist.p_single > 0.4
+        assert dist.probabilities[1] > 0.4
 
     def test_normalization_enforced(self):
         with pytest.raises(ValueError):

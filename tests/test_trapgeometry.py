@@ -13,14 +13,26 @@ from singleatom.trapgeometry import (
     doppler_temperature,
     harmonic_frequencies,
     heating_rate,
-    intensity,
     recoil_temperature,
-    trap_potential,
     trap_volume,
 )
 
 BEAM = GaussianBeam(power=0.044, waist_w0=3.5e-6, wavelength=856e-9)
 TRAP = TrapSpec.from_beam(BEAM, depth_u=KB * 1e-3, atom_mass=RB87_MASS)
+
+
+def intensity(beam, r, z):
+    """Oracle of the beam's peak intensity and Rayleigh length: the TEM00
+    intensity (W/m^2) at radius r and axial position z."""
+    w_sq = beam.waist_w0**2 * (1.0 + (z / beam.rayleigh_length) ** 2)
+    return 2 * beam.power / (PI * w_sq) * math.exp(-2 * r**2 / w_sq)
+
+
+def trap_potential(trap, r, z):
+    """Oracle of the harmonic frequencies: the exact Gaussian-beam potential
+    (J), normalized to -depth at the focus."""
+    w_sq_rel = 1.0 + (z / trap.z_r) ** 2
+    return -trap.depth_u / w_sq_rel * math.exp(-2 * r**2 / (trap.waist_w0**2 * w_sq_rel))
 
 
 class TestIntensity:
