@@ -3,8 +3,9 @@
 After a photon detection the atom is projected to the ground state, so
 g2(tau) equals the re-excitation probability rho_ee(tau) normalized by its
 steady-state value (quantum regression).  The closed-form damped-Rabi
-expression and the exact evolution of the optical Bloch equations (one drive,
-one decay e -> g) are both provided; they agree to rounding on resonance.
+expression (evaluated on the standard library by ``readout.two_level_g2``)
+and the exact evolution of the optical Bloch equations (one drive, one decay
+e -> g) are both provided; they agree to rounding on resonance.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..integrator import IntegrationError, _checked_delays, propagate_linear
+from ..readout import two_level_g2
 from .state import lindblad_generator
 
 __all__ = [
@@ -23,25 +25,10 @@ __all__ = [
 
 def two_level_g2_analytic(omega0_rabi: float, delta: float, gamma: float,
                           tau_grid) -> np.ndarray:
-    """g2(tau) = 1 - exp(-3*G*tau/4) [cos(Or*tau) + (3G/4Or) sin(Or*tau)].
-
-    Or^2 = Omega0^2 + Delta^2 - (G/4)^2.  For Or^2 < 0 the analytically
-    continued (overdamped) form with hyperbolic functions is used, and the
-    Or = 0 limit is handled explicitly.  g2(0) = 0 for any parameters.
-    """
+    """The damped-Rabi closed form ``readout.two_level_g2`` as an array, for
+    finite, nonnegative delays (``ValueError`` otherwise)."""
     tau = _checked_delays(tau_grid)
-    g = gamma
-    or_sq = omega0_rabi**2 + delta**2 - (g / 4.0) ** 2
-    envelope = np.exp(-3.0 * g * tau / 4.0)
-    if or_sq > 0:
-        omega_r = np.sqrt(or_sq)
-        osc = np.cos(omega_r * tau) + (3 * g / (4 * omega_r)) * np.sin(omega_r * tau)
-    elif or_sq < 0:
-        kappa = np.sqrt(-or_sq)
-        osc = np.cosh(kappa * tau) + (3 * g / (4 * kappa)) * np.sinh(kappa * tau)
-    else:
-        osc = 1.0 + 3 * g * tau / 4.0
-    return 1.0 - envelope * osc
+    return np.array(two_level_g2(omega0_rabi, delta, gamma, tau.tolist()))
 
 
 def two_level_steady_excited(omega0_rabi: float, delta: float, gamma: float) -> float:
@@ -50,7 +37,7 @@ def two_level_steady_excited(omega0_rabi: float, delta: float, gamma: float) -> 
 
 
 def two_level_obe_g2(omega0_rabi: float, delta: float, gamma: float,
-                     tau_grid) -> np.ndarray:
+                     tau_grid, report: dict | None = None) -> np.ndarray:
     """g2(tau) from the exact solution of the two-level Bloch equations.
 
     Starts from the post-detection state (all population in the ground
@@ -58,7 +45,8 @@ def two_level_obe_g2(omega0_rabi: float, delta: float, gamma: float,
     On resonance the closed form is exact, so where the generator is too
     close to its exceptional point (Omega0 = Gamma/4) for the
     eigen-propagator, the closed form is returned; off resonance the
-    ``IntegrationError`` is raised.
+    ``IntegrationError`` is raised.  A ``report`` dict receives the path
+    taken under "method": "eigen-propagator" or "closed-form".
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -73,5 +61,9 @@ def two_level_obe_g2(omega0_rabi: float, delta: float, gamma: float,
     except IntegrationError:
         if delta != 0:
             raise
-        return two_level_g2_analytic(omega0_rabi, delta, gamma, tau_grid)
-    return traj[:, 1] / steady
+        method, g2 = "closed-form", two_level_g2_analytic(omega0_rabi, delta, gamma, tau_grid)
+    else:
+        method, g2 = "eigen-propagator", traj[:, 1] / steady
+    if report is not None:
+        report["method"] = method
+    return g2

@@ -12,14 +12,16 @@ config coercion, ``list`` and the metadata sidecar all read that table.
 
 Only the standard library and ``constants`` are imported here.  Every
 other layer is imported inside the runner or check that computes with it:
-``readout`` (the stdlib closed forms of stirap, larmor, correlations and
-pair-rate), ``lightshift`` and ``trapgeometry`` (the line table and the trap
-beam), and numpy with its layers (``analysis``, ``bloch``, ``entanglement``,
-``loading``) for loading, g2, bell and spectrum-fit only.  So ``list``,
-``--help`` and every exit-2 run refused before the line table is read load
-none of them.
+``readout`` (the stdlib closed forms of stirap, larmor, correlations,
+pair-rate and the two-level-analytic g2), ``loading`` (the stdlib loading
+chain), ``lightshift`` and ``trapgeometry`` (the line table and the trap
+beam), and numpy with its layers (``analysis``, ``bloch``, ``entanglement``)
+for the Bloch-model g2 (two-level-obe, four-level, full), bell and
+spectrum-fit only.  So ``list``, ``--help`` and every exit-2 run refused
+before the line table is read load none of them.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure.
+Exit codes: 0 success, 2 validation error, 3 numerical failure (also an
+allocation that fails with ``MemoryError``).
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ import warnings
 from typing import NamedTuple
 
 from . import __version__
-from .constants import KB, RB87_GAMMA_D2, RB87_MASS, TWO_PI, intensity_from_mw_cm2
+from .constants import (KB, RB87_GAMMA_D2, RB87_ISAT_F2_F3, RB87_MASS, TWO_PI,
+                        intensity_from_mw_cm2)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -42,7 +45,7 @@ EXIT_NUMERICAL = 3
 # upper bound on --points, on the length of an 'a..b:step' grid and on the
 # spectrum-fit kernel
 MAX_POINTS = 10**6
-# upper bound on loading --n-max; the rate matrix holds (n_max + 1)^2 floats
+# upper bound on loading --n-max; each rate's law is n_max + 1 values
 MAX_ATOMS = 1000
 
 
@@ -91,7 +94,7 @@ def _write_csv(path: str | None, header: list[str], columns: list,
 
     ``columns`` holds one sequence per header name, all of one length.
     ``meta`` goes to the JSON sidecar.  A failed write raises ValidationError
-    naming the path and leaves no CSV.
+    naming the path, and a failed write or allocation leaves no CSV.
     """
     fields, values = zip(*(_column(c, name) for c, name in zip(columns, header)))
     rows = map(",".join(fields).format, *values)
@@ -99,35 +102,31 @@ def _write_csv(path: str | None, header: list[str], columns: list,
     if path is None:
         sys.stdout.write(text)
         return
+    opened = False
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            opened = True
             fh.write(text)
         if meta is not None:
             with open(path + ".meta.json", "w", encoding="utf-8", newline="\n") as fh:
                 json.dump(meta, fh, indent=2, sort_keys=True)
                 fh.write("\n")
-    except OSError as exc:
-        if exc.filename != path:  # the CSV was opened, so it is ours to remove
+    except (OSError, MemoryError) as exc:
+        if opened:  # the CSV was opened, so it is ours to remove
             os.remove(path)
+        if isinstance(exc, MemoryError):
+            raise
         raise ValidationError(f"cannot write {exc.filename or path}: {exc.strerror}") from exc
 
 
-def _time_evolution(scenario: str, params: dict) -> dict:
-    """The time-evolution method a run used, for the metadata sidecar.
-
-    Only the g2 Bloch models evolve a state, and they do so exactly; no
-    scenario integrates with RK45 (the STIRAP readout is a closed form).
-    """
-    if scenario == "g2" and params["model"] != "two-level-analytic":
-        return {"method": "eigen-propagator"}
-    return {"method": "none"}
-
-
-def _metadata(scenario: str, params: dict) -> dict:
+def _metadata(scenario: str, params: dict, method: str) -> dict:
+    """The sidecar: the scenario, the resolved parameters and the
+    time-evolution method the runner reported ("none" where no state was
+    evolved)."""
     return {
         "scenario": scenario,
         "library_version": __version__,
-        "integrator": _time_evolution(scenario, params),
+        "integrator": {"method": method},
         "parameters": {k: params[k] for k in sorted(params)},
     }
 
@@ -225,22 +224,27 @@ def run_trap(args):
 
 
 def run_loading(args):
-    import numpy as np
-    from .loading import LoadingParams, stationary_distribution
+    from .loading import LoadingParams, mean_number, stationary_law
     from .trapgeometry import trap_volume
 
     _, trap = _trap(args)
     volume = trap_volume(trap, args.temperature_uk * 1e-6)
     rates = _parse_grid(args.rate_per_s, "--rate-per-s")
-    table = []
-    for r in rates:
-        params = LoadingParams(loading_rate=float(r), gamma=args.gamma_per_s,
-                               beta=args.beta_cm3_s * 1e-6, volume=volume,
-                               n_max=args.n_max)
-        dist = stationary_distribution(params)
-        table.append([dist.mean, *dist.probabilities])
+    laws = [stationary_law(LoadingParams(loading_rate=r, gamma=args.gamma_per_s,
+                                         beta=args.beta_cm3_s * 1e-6, volume=volume,
+                                         n_max=args.n_max))
+            for r in rates]
     header = ["rate_per_s", "mean"] + [f"p{n}" for n in range(args.n_max + 1)]
-    return header, [rates, *np.array(table).T]
+    return header, [rates, [mean_number(p) for p in laws], *zip(*laws)]
+
+
+def _omega3(icl_mw_cm2: float) -> float:
+    """The cooling Rabi rate on F=2 -> F'=3 (FourLevelParams.rabi_frequencies[2])
+    of the two-level models."""
+    i_cl = intensity_from_mw_cm2(icl_mw_cm2)
+    if i_cl < 0:
+        raise ValueError("intensities must be nonnegative")
+    return RB87_GAMMA_D2 * math.sqrt(i_cl / (2 * RB87_ISAT_F2_F3))
 
 
 def _four_level_params(args) -> FourLevelParams:
@@ -260,24 +264,41 @@ def _four_level_params(args) -> FourLevelParams:
     return params
 
 
+def _linspace(stop: float, points: int) -> list[float]:
+    """``np.linspace(0.0, stop, points)`` bit for bit: k * step + 0.0, or
+    (k / div) * stop + 0.0 where the step underflows to 0, and the last
+    point is stop."""
+    div = points - 1
+    step = stop / div
+    if step == 0:
+        return [k / div * stop + 0.0 for k in range(div)] + [stop]
+    return [k * step + 0.0 for k in range(div)] + [stop]
+
+
 def run_g2(args):
+    delta = TWO_PI * args.delta_mhz * 1e6
+    if args.model == "two-level-analytic":
+        from .readout import two_level_g2
+
+        tau = _linspace(args.tau_max_ns * 1e-9, args.points)
+        g2 = two_level_g2(_omega3(args.icl_mw_cm2), delta, RB87_GAMMA_D2, tau)
+        return ["tau_ns", "g2"], [[t * 1e9 for t in tau], g2]
+
     import numpy as np
-    from .bloch import (DiffusionEnvelope, FourLevelParams, four_level_g2, g2_full_model,
-                        two_level_g2_analytic, two_level_obe_g2)
+    from .bloch import DiffusionEnvelope, four_level_g2, g2_full_model, two_level_obe_g2
 
     tau = np.linspace(0.0, args.tau_max_ns * 1e-9, args.points)
-    if args.model in ("two-level-analytic", "two-level-obe"):
-        omega3 = FourLevelParams(
-            i_cl=intensity_from_mw_cm2(args.icl_mw_cm2), i_rl=0.0,
-            delta_cl=0.0).rabi_frequencies[2]
-        two_level = (two_level_g2_analytic if args.model == "two-level-analytic"
-                     else two_level_obe_g2)
-        g2 = two_level(omega3, TWO_PI * args.delta_mhz * 1e6, RB87_GAMMA_D2, tau)
+    report = {"method": "eigen-propagator"}
+    if args.model == "two-level-obe":
+        # a float64 scalar: an overflowing drive gives nan in the column, not a raise
+        omega3 = np.float64(_omega3(args.icl_mw_cm2))
+        g2 = two_level_obe_g2(omega3, delta, RB87_GAMMA_D2, tau, report)
     elif args.model == "four-level":
         g2 = four_level_g2(_four_level_params(args), tau)
     else:  # full
         env = DiffusionEnvelope(amplitude=args.env_a, tau0=args.env_tau_us * 1e-6)
         g2 = g2_full_model(_four_level_params(args), env, tau)
+    args.time_evolution = report["method"]
     return ["tau_ns", "g2"], [tau * 1e9, g2]
 
 
@@ -294,10 +315,7 @@ def run_larmor(args):
     from .readout import larmor_survival
 
     b_tesla = args.b_mgauss * 1e-7  # 1 mGauss = 1e-7 T
-    # numpy's linspace rule: k * step + start, and the last point is stop
-    stop = args.t_max_us * 1e-6
-    step = stop / (args.points - 1)
-    t_grid = [k * step + 0.0 for k in range(args.points - 1)] + [stop]
+    t_grid = _linspace(args.t_max_us * 1e-6, args.points)
     survival = [larmor_survival(b_tesla, args.g_f, t) for t in t_grid]
     return ["t_ns", "survival"], [[t * 1e9 for t in t_grid], survival]
 
@@ -720,13 +738,19 @@ def main(argv=None) -> int:
             warnings.simplefilter("ignore", RuntimeWarning)
             header, columns = runner(args)
         params = {f.dest: getattr(args, f.dest) for f in flags}
-        meta = _metadata(args.scenario, params) if args.metadata else None
+        method = getattr(args, "time_evolution", "none")
+        meta = _metadata(args.scenario, params, method) if args.metadata else None
         _write_csv(args.out, header, columns, meta)
     except ValidationError as exc:
         sys.stderr.write(f"validation: {exc}\n")
         return EXIT_VALIDATION
     except (ArithmeticError, ValueError, KeyError, RuntimeError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        # an allocation that no validation bound caught
+        detail = f": {exc}" if str(exc) else ""
+        sys.stderr.write(f"numerical failure: out of memory{detail}\n")
         return EXIT_NUMERICAL
     return EXIT_OK
 

@@ -5,23 +5,30 @@ full number distribution comes from a birth-death Markov chain whose jumps
 are loading (+1), background-gas loss (-1) and pair loss (-2).  In a
 microscopic trap the pair-loss rate beta' = beta/V dominates and locks the
 occupation to at most one atom (collisional blockade).
+
+The stationary law (``stationary_law``) and its mean (``mean_number``) use
+the standard library alone, so the CLI's loading scenario imports no numpy;
+``stationary_distribution`` wraps the law in an array, and the mean-number
+ODE imports numpy and the integrator when it is called.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .integrator import integrate
-
-_FLOAT_MAX = float(np.finfo(float).max)
+if TYPE_CHECKING:  # numpy loads only with an array result
+    import numpy as np
 
 __all__ = [
     "LoadingParams",
     "AtomNumberDist",
+    "mean_number",
     "mean_number_ode",
     "stationary_distribution",
+    "stationary_law",
 ]
 
 
@@ -38,7 +45,7 @@ class LoadingParams:
 
     def __post_init__(self):
         rates = (self.loading_rate, self.gamma, self.beta)
-        if not (all(0 <= r < np.inf for r in rates) and 0 < self.volume < np.inf):
+        if not (all(0 <= r < math.inf for r in rates) and 0 < self.volume < math.inf):
             raise ValueError("rates must be finite and nonnegative, volume finite and positive")
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")
@@ -49,6 +56,11 @@ class LoadingParams:
         return self.beta / self.volume
 
 
+def mean_number(probabilities) -> float:
+    """Mean atom number sum_k k p_k, as one correctly rounded sum."""
+    return math.fsum(k * p for k, p in enumerate(probabilities))
+
+
 @dataclass(frozen=True)
 class AtomNumberDist:
     """Probabilities p_0..p_N of finding that many atoms in the trap."""
@@ -56,6 +68,8 @@ class AtomNumberDist:
     probabilities: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         p = np.asarray(self.probabilities, dtype=float)
         object.__setattr__(self, "probabilities", p)
         if np.any(p < -1e-12) or np.any(p > 1 + 1e-12):
@@ -65,7 +79,7 @@ class AtomNumberDist:
 
     @property
     def mean(self) -> float:
-        return float(np.dot(np.arange(len(self.probabilities)), self.probabilities))
+        return mean_number(self.probabilities.tolist())
 
 
 def mean_number_ode(params: LoadingParams, n0: float, t_grid) -> np.ndarray:
@@ -75,6 +89,10 @@ def mean_number_ode(params: LoadingParams, n0: float, t_grid) -> np.ndarray:
     factorization is clamped at zero below one atom so the two-body term
     never turns into a gain.
     """
+    import numpy as np
+
+    from .integrator import integrate
+
     if n0 < 0:
         raise ValueError("initial atom number must be nonnegative")
     r, g, bp = params.loading_rate, params.gamma, params.beta_prime
@@ -86,8 +104,39 @@ def mean_number_ode(params: LoadingParams, n0: float, t_grid) -> np.ndarray:
     return integrate(rhs, np.array([float(n0)]), t_grid)[:, 0]
 
 
-def stationary_distribution(params: LoadingParams) -> AtomNumberDist:
-    """Stationary distribution of the loading chain, from cut balance.
+def _pairwise_sum(values: list[float]) -> float:
+    """The sum of ``values`` as ``np.sum`` of a float64 vector adds them, bit
+    for bit: numpy's pairwise summation, added to the identity 0.0.
+
+    Below 8 values the sum runs in sequence; up to 128 values eight strided
+    accumulators are combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and the
+    remainder is added in sequence; a longer run splits at half its length,
+    rounded down to a multiple of 8, and sums both halves so.
+    """
+    def block(lo: int, n: int) -> float:
+        if n < 8:
+            total = 0.0
+            for x in values[lo:lo + n]:
+                total += x
+            return total
+        if n <= 128:
+            stop = lo + n - n % 8
+            r = values[lo:lo + 8]
+            for i in range(lo + 8, stop, 8):
+                r = [a + b for a, b in zip(r, values[i:i + 8])]
+            total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+            for x in values[stop:lo + n]:
+                total += x
+            return total
+        half = n // 2
+        half -= half % 8
+        return block(lo, half) + block(lo + half, n - half)
+
+    return 0.0 + block(0, len(values))
+
+
+def stationary_law(params: LoadingParams) -> list[float]:
+    """Stationary distribution p_0..p_N of the loading chain, from cut balance.
 
     The chain gains atoms only one at a time, so in the steady state the flow
     up across the cut between {0..n} and {n+1..N} equals the flow down:
@@ -103,24 +152,22 @@ def stationary_distribution(params: LoadingParams) -> AtomNumberDist:
     degenerate chain when pair loss alone leaves both N = 0 and N = 1
     absorbing; a chain with no rates at all raises ``ValueError`` too.
     """
-    r, top = params.loading_rate, params.n_max
-    n = np.arange(top, dtype=float)
+    top = params.n_max
+    r, gamma, bp = float(params.loading_rate), float(params.gamma), float(params.beta_prime)
     # down[n]: rate from n+1 across the cut; skip[n]: pair loss n+2 -> n
-    down = params.gamma * (n + 1) + params.beta_prime * (n + 1) * n / 2.0
-    skip = params.beta_prime * (n + 2) * (n + 1) / 2.0
-    if not np.all(np.isfinite(r + down + skip)):
+    down = [gamma * (n + 1.0) + bp * (n + 1.0) * n / 2.0 for n in range(top)]
+    skip = [bp * (n + 2.0) * (n + 1.0) / 2.0 for n in range(top)]
+    if not all(math.isfinite(r + d + s) for d, s in zip(down, skip)):
         raise ValueError("rates are not finite: stationary distribution undefined")
     if r == 0.0:
-        if not down.any():
+        if not any(down):
             raise ValueError("all rates are zero: stationary distribution undefined")
-        if params.gamma == 0.0:  # and pair loss, else no rate at all
+        if gamma == 0.0:  # and pair loss, else no rate at all
             raise ValueError("degenerate chain: null space has dimension 2")
-        p = np.zeros(top + 1)
-        p[0] = 1.0
-        return AtomNumberDist(probabilities=p)
+        return [1.0] + [0.0] * top
     # no value passes `limit` (or 1), so neither a flow nor the sum overflows
-    limit = _FLOAT_MAX / ((top + 2) * max(float((down + skip).max()), 1.0))
-    down, skip = down.tolist(), skip.tolist()
+    largest = max(d + s for d, s in zip(down, skip))
+    limit = sys.float_info.max / ((top + 2) * max(largest, 1.0))
     p = [0.0] * (top + 2)
     p[top] = 1.0
     for k in range(top - 1, -1, -1):
@@ -132,5 +179,14 @@ def stationary_distribution(params: LoadingParams) -> AtomNumberDist:
             p[k] = 1.0
         else:
             p[k] = flow / r
-    p = np.array(p[:top + 1])
-    return AtomNumberDist(probabilities=p / p.sum())
+    del p[top + 1]
+    total = _pairwise_sum(p)
+    return [x / total for x in p]
+
+
+def stationary_distribution(params: LoadingParams) -> AtomNumberDist:
+    """The stationary law of the loading chain (``stationary_law``) as an
+    ``AtomNumberDist``."""
+    import numpy as np
+
+    return AtomNumberDist(probabilities=np.array(stationary_law(params)))

@@ -2,10 +2,11 @@
 
 The STIRAP dark-state readout sin^2(alpha - chi/2), the Larmor survival
 cos^2(w_L t) of the Zeeman qubit, the atom-photon correlation fringes
-(1 + V cos(2 beta - offset))/2, the visibility-to-fidelity estimate and the
-pair-rate estimate.  Each is one line of ``math``; none needs numpy, so the CLI
-scenarios that evaluate them (stirap, larmor, correlations, pair-rate)
-import this module and nothing numpy-backed.
+(1 + V cos(2 beta - offset))/2, the visibility-to-fidelity estimate, the
+pair-rate estimate and the damped-Rabi g2(tau) of a driven two-level atom.
+Each is a few lines of ``math``; none needs numpy, so the CLI scenarios that
+evaluate them (stirap, larmor, correlations, pair-rate and g2 with the
+two-level-analytic model) import this module and nothing numpy-backed.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ __all__ = [
     "visibility_to_fidelity",
     "correlation_curve",
     "pair_rate_estimate",
+    "two_level_g2",
 ]
 
 
@@ -63,6 +65,53 @@ def correlation_curve(basis: str, beta_grid, visibility: float = 1.0) -> list[fl
         raise ValueError("visibility must lie in [0, 1]")
     offset = 0.0 if basis == "x" else math.pi / 2.0
     return [0.5 * (1.0 + visibility * math.cos(2.0 * float(b) - offset)) for b in beta_grid]
+
+
+def _square(x: float) -> float:
+    """x**2 through the C library's pow, as numpy squares a float64 scalar
+    (not always x*x); an overflow gives inf, as in numpy, instead of raising."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
+def _as_numpy(f, x: float) -> float:
+    """f(x) for a ``math`` function, with numpy's value where ``math`` raises:
+    nan for cos and sin at +-inf, inf where cosh or sinh of x >= 0 overflows."""
+    try:
+        return f(x)
+    except ValueError:
+        return math.nan
+    except OverflowError:
+        return math.inf
+
+
+def two_level_g2(omega0_rabi: float, delta: float, gamma: float, tau_grid) -> list[float]:
+    """g2(tau) = 1 - exp(-3*G*tau/4) [cos(Or*tau) + (3G/4Or) sin(Or*tau)].
+
+    Or^2 = Omega0^2 + Delta^2 - (G/4)^2.  For Or^2 < 0 the analytically
+    continued (overdamped) form with hyperbolic functions is used, and the
+    Or = 0 limit is handled explicitly.  g2(0) = 0 for any parameters.
+    ``tau_grid`` is a sequence of finite, nonnegative delays.  Each value is
+    numpy's float64 arithmetic in numpy's order, and an overflow gives inf
+    or nan, as in numpy, instead of raising.
+    """
+    g = gamma
+    or_sq = _square(float(omega0_rabi)) + _square(float(delta)) - _square(g / 4.0)
+    if or_sq > 0:
+        omega_r = math.sqrt(or_sq)
+        ratio = 3 * g / (4 * omega_r)
+        osc = [_as_numpy(math.cos, omega_r * t) + ratio * _as_numpy(math.sin, omega_r * t)
+               for t in tau_grid]
+    elif or_sq < 0:
+        kappa = math.sqrt(-or_sq)
+        ratio = 3 * g / (4 * kappa)
+        osc = [_as_numpy(math.cosh, kappa * t) + ratio * _as_numpy(math.sinh, kappa * t)
+               for t in tau_grid]
+    else:
+        osc = [1.0 + 3 * g * t / 4.0 for t in tau_grid]
+    return [1.0 - math.exp(-3.0 * g * t / 4.0) * o for t, o in zip(tau_grid, osc)]
 
 
 def pair_rate_estimate(eta: float, t_fiber: float, cycle_s: float,

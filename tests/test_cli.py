@@ -638,6 +638,15 @@ class TestTwoLevelExceptionalPoint:
         assert data.shape == (101, 2) and np.all(np.isfinite(data))
         assert data[0, 1] == 0.0
 
+    @pytest.mark.parametrize("icl,method", [("0.4475", "closed-form"),
+                                            ("103", "eigen-propagator")])
+    def test_sidecar_names_the_path_taken(self, tmp_path, icl, method):
+        code, out = run(tmp_path, ["g2", "--model", "two-level-obe", "--delta-mhz", "0",
+                                   "--icl", icl, "--points", "11", "--metadata"])
+        assert code == EXIT_OK
+        meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
+        assert meta["integrator"] == {"method": method}
+
 
 class TestGridParsing:
     """Grids are parsed with the standard library; numpy is the oracle here."""
@@ -710,6 +719,36 @@ class TestNonFiniteResults:
         err = capsys.readouterr().err
         assert code == EXIT_NUMERICAL and not out.exists()
         assert err == "numerical failure: non-finite value nan in column g2\n"
+
+
+class TestAllocationFailure:
+    @pytest.mark.parametrize("message,line", [
+        ("", "numerical failure: out of memory\n"),
+        ("Unable to allocate 7.45 GiB", "numerical failure: out of memory: Unable to allocate"
+                                        " 7.45 GiB\n"),
+    ])
+    def test_exit_three_one_line_and_no_csv(self, tmp_path, capsys, monkeypatch, message,
+                                             line):
+        def runner(args):
+            raise MemoryError(message)
+
+        _, check, *flags = SPECS["pair-rate"]
+        monkeypatch.setitem(SPECS, "pair-rate", (runner, check, *flags))
+        code, out = run(tmp_path, ["pair-rate", "--eta", "0.5", "--metadata"])
+        captured = capsys.readouterr()
+        assert code == EXIT_NUMERICAL and captured.err == line and captured.out == ""
+        assert not out.exists() and not (tmp_path / "out.csv.meta.json").exists()
+
+    def test_failed_write_removes_the_csv(self, tmp_path, capsys, monkeypatch):
+        def failing_dump(*args, **kwargs):
+            raise MemoryError
+
+        # the CSV is written, then the sidecar's allocation fails
+        monkeypatch.setattr(json, "dump", failing_dump)
+        code, out = run(tmp_path, ["pair-rate", "--eta", "0.5", "--metadata"])
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err == "numerical failure: out of memory\n"
+        assert not out.exists()
 
 
 class TestValidateOnlyReadsLineData:

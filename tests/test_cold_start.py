@@ -3,10 +3,12 @@ only the layers it computes with.
 
 Only ``integrator.integrate`` (the library-only mean-number loading ODE)
 imports scipy, inside the function.  ``singleatom.cli`` imports every layer
-but ``constants`` inside the runner or check that uses it: numpy only for
-loading, g2, bell and spectrum-fit, and the line-table layers (``lightshift``,
-``angular``, ``trapgeometry``, with ``dataclasses``) only for the scenarios
-that read the table or the trap beam.  Each check runs in a fresh
+but ``constants`` inside the runner or check that uses it: numpy only for the
+Bloch-model g2 (two-level-obe, four-level, full), bell and spectrum-fit, so
+loading and the two-level-analytic g2 run on the standard library, and the
+line-table layers (``lightshift``, ``angular``, ``trapgeometry``, with
+``dataclasses``) only for the scenarios that read the table or the trap
+beam.  Each check runs in a fresh
 interpreter, so modules imported by other tests do not hide a module-level
 import.
 """
@@ -95,6 +97,7 @@ def test_no_scipy_module_loaded(code, tmp_path):
 
 @pytest.mark.parametrize("code", [
     "import singleatom.cli",
+    "import singleatom.loading",
     cli_run("list"),
     cli_run("--help"),
     cli_run("--version"),
@@ -106,20 +109,26 @@ def test_no_scipy_module_loaded(code, tmp_path):
     cli_run("stirap", "--alpha-deg", "0..90:15", "--visibility", "1.25", exit_code=2),
     cli_run("loading", "--rate-per-s", "1", "--power-mw", "44", "--waist-um", "3.5",
             "--n-max", "0", exit_code=2),
-], ids=["import-cli", "list", "help", "version", "run-trap", "run-lightshift", "run-magic",
-        "validate-stirap-grid", "stirap-bad-visibility", "loading-bad-n-max"])
+    cli_run("loading", "--rate-per-s", "0..1:0.25", "--power-mw", "44",
+            "--waist-um", "3.5", "--out", "loading.csv", "--metadata"),
+    cli_run(*G2, "--model", "two-level-analytic", "--metadata"),
+], ids=["import-cli", "import-loading", "list", "help", "version", "run-trap",
+        "run-lightshift", "run-magic", "validate-stirap-grid", "stirap-bad-visibility",
+        "loading-bad-n-max", "run-loading", "run-g2-two-level-analytic"])
 def test_no_numpy_module_loaded(code, tmp_path):
     assert modules_after("import sys\n" + code, "numpy", cwd=tmp_path) == "[]"
 
 
 def test_g2_run_loads_numpy(tmp_path):
-    # the check above would pass vacuously if no run loaded numpy
+    # the check above would pass vacuously if no run loaded numpy; the
+    # four-level model (G2's default) computes with numpy
     assert "'numpy'" in modules_after("import sys\n" + cli_run(*G2), "numpy", cwd=tmp_path)
 
 
 TRAP_BEAM = ("--power-mw", "40", "--waist-um", "3.5")
 
-# one run per scenario; only these compute with numpy
+# one run per scenario (g2 with its default four-level model); only the
+# scenarios of NUMPY_SCENARIOS compute with numpy
 SCENARIO_RUNS = {
     "lightshift": TRAP_BEAM,
     "magic": (),
@@ -133,7 +142,7 @@ SCENARIO_RUNS = {
     "spectrum-fit": SPECTRUM_FIT[1:],
     "pair-rate": ("--eta", "5e-4"),
 }
-NUMPY_SCENARIOS = ("loading", "g2", "bell", "spectrum-fit")
+NUMPY_SCENARIOS = ("g2", "bell", "spectrum-fit")
 
 # the layers that read the line table or the trap beam, and the dataclasses
 # their tables are made of

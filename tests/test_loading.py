@@ -1,6 +1,7 @@
 """Loading dynamics: mean-number ODE and the birth-death number distribution."""
 
 import math
+import sys
 import warnings
 
 import mpmath
@@ -12,8 +13,11 @@ from scipy.stats import poisson
 from singleatom.loading import (
     AtomNumberDist,
     LoadingParams,
+    _pairwise_sum,
+    mean_number,
     mean_number_ode,
     stationary_distribution,
+    stationary_law,
 )
 
 # effective volumes of the 44 mW / 856 nm trap at T = 100 uK (see lightshift tests)
@@ -241,6 +245,66 @@ class TestStationaryAgainstOracles:
                                volume=V_BLOCKADE, n_max=60)
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
             stationary_distribution(params)
+
+
+def numpy_law(params):
+    """The numpy arithmetic of the cut-balance recursion that the standard
+    library's ``stationary_law`` replaced, kept as its oracle (chains with
+    loading only)."""
+    r, top = params.loading_rate, params.n_max
+    n = np.arange(top, dtype=float)
+    down = params.gamma * (n + 1) + params.beta_prime * (n + 1) * n / 2.0
+    skip = params.beta_prime * (n + 2) * (n + 1) / 2.0
+    limit = sys.float_info.max / ((top + 2) * max(float((down + skip).max()), 1.0))
+    down, skip = down.tolist(), skip.tolist()
+    p = [0.0] * (top + 2)
+    p[top] = 1.0
+    for k in range(top - 1, -1, -1):
+        flow = down[k] * p[k + 1] + skip[k] * p[k + 2]
+        if flow > limit * r:
+            scale = r / flow
+            p[k + 1:] = [x * scale for x in p[k + 1:]]
+            p[k] = 1.0
+        else:
+            p[k] = flow / r
+    p = np.array(p[:top + 1])
+    return p / p.sum()
+
+
+class TestStdlibArithmetic:
+    def test_pairwise_sum_is_np_sum(self):
+        rng = np.random.default_rng(17)
+        for n in range(1, 1002):
+            signed = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+            positive = rng.exponential(size=n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
+            for x in (signed, positive):
+                assert _pairwise_sum(x.tolist()) == x.sum(), n
+
+    def test_law_is_the_numpy_arithmetic(self):
+        # including chains rescaled on the way down from n_max 1000
+        rng = np.random.default_rng(23)
+        for trial in range(200):
+            params = LoadingParams(
+                loading_rate=10 ** rng.uniform(-3, 3),
+                gamma=rng.choice([0.0, 10 ** rng.uniform(-3, 2)]),
+                beta=10 ** rng.uniform(-18, -12), volume=10 ** rng.uniform(-17, -12),
+                n_max=1000 if trial == 0 else int(rng.integers(1, 1001)))
+            law = stationary_law(params)
+            assert all(type(v) is float for v in law)
+            assert law == numpy_law(params).tolist()
+            assert stationary_distribution(params).probabilities.tolist() == law
+
+    def test_mean_is_one_rounding_of_the_summed_products(self):
+        rng = np.random.default_rng(29)
+        for _ in range(50):
+            params = LoadingParams(loading_rate=10 ** rng.uniform(-1, 2), gamma=0.2,
+                                   beta=5e-16, volume=V_POISSON,
+                                   n_max=int(rng.integers(1, 400)))
+            law = stationary_law(params)
+            with mpmath.workdps(60):  # exact: the products span fewer than 60 digits
+                exact = float(mpmath.fsum(mpmath.mpf(k * p) for k, p in enumerate(law)))
+            assert mean_number(law) == exact
+            assert stationary_distribution(params).mean == mean_number(law)
 
 
 class TestAtomNumberDist:

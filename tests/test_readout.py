@@ -1,8 +1,10 @@
-"""The stdlib closed forms against numpy's evaluation of the same laws, bit for bit.
+"""The stdlib closed forms against numpy's evaluation of the same laws.
 
-The CLI's stirap, larmor, correlations and pair-rate scenarios compute with
-``singleatom.readout`` and the standard library only; their outputs must
-stay those of the numpy expressions they replaced.
+The CLI's stirap, larmor, correlations, pair-rate and two-level-analytic g2
+runs compute with ``singleatom.readout`` and the standard library only; their
+outputs must stay those of the numpy expressions they replaced: bit for bit,
+except where ``math.exp``, ``cos`` or ``sin`` round differently from numpy's
+vectorized functions, by an ulp.
 """
 
 import argparse
@@ -10,9 +12,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from singleatom.cli import run_correlations, run_larmor
-from singleatom.readout import correlation_curve, larmor_survival
+from singleatom.bloch import two_level_obe_g2
+from singleatom.bloch.state import lindblad_generator
+from singleatom.bloch.two_level import two_level_steady_excited
+from singleatom.cli import _linspace, run_correlations, run_g2, run_larmor
+from singleatom.constants import RB87_GAMMA_D2 as G
+from singleatom.readout import correlation_curve, larmor_survival, two_level_g2
 
 
 def bits(values) -> np.ndarray:
@@ -64,3 +71,117 @@ class TestCorrelationCurve:
     def test_bad_arguments_rejected(self, basis, visibility):
         with pytest.raises(ValueError):
             correlation_curve(basis, [0.0], visibility)
+
+
+def numpy_two_level_g2(omega0_rabi, delta, gamma, tau):
+    """The numpy evaluation of the closed form that ``readout.two_level_g2``
+    replaced, kept as its oracle."""
+    g = gamma
+    or_sq = omega0_rabi**2 + delta**2 - (g / 4.0) ** 2
+    envelope = np.exp(-3.0 * g * tau / 4.0)
+    if or_sq > 0:
+        omega_r = np.sqrt(or_sq)
+        osc = np.cos(omega_r * tau) + (3 * g / (4 * omega_r)) * np.sin(omega_r * tau)
+    elif or_sq < 0:
+        kappa = np.sqrt(-or_sq)
+        osc = np.cosh(kappa * tau) + (3 * g / (4 * kappa)) * np.sinh(kappa * tau)
+    else:
+        osc = 1.0 + 3 * g * tau / 4.0
+    return 1.0 - envelope * osc
+
+
+def within_ulps(got, expected, ulps=4) -> bool:
+    """Equal to a few ulps of max(1, |expected|), the rounding of one exp, cos or sin."""
+    got, expected = np.asarray(got), np.asarray(expected)
+    tolerance = ulps * np.spacing(np.maximum(1.0, np.abs(expected)))
+    return bool((np.abs(got - expected) <= tolerance).all())
+
+
+class TestLinspace:
+    @pytest.mark.parametrize("stop,points", [
+        (2e-7, 801), (1e-3, 2), (3.3e-6, 20001),
+        (5e-320, 100000),  # the step underflows to 0: numpy scales k/div instead
+        (1e-318, 3),       # a subnormal step
+        (0.0, 5),
+    ])
+    def test_matches_numpy_bit_for_bit(self, stop, points):
+        got = _linspace(stop, points)
+        assert all(type(v) is float for v in got)
+        assert (bits(got) == bits(np.linspace(0.0, stop, points))).all()
+
+
+class TestTwoLevelG2:
+    def test_squares_as_numpy_scalars(self):
+        # numpy squares a float64 scalar with the C library's pow, which is
+        # not always x*x; the closed form must square the same way
+        from singleatom.readout import _square
+
+        x = np.random.default_rng(31).uniform(-1e10, 1e10, 20000)
+        with np.errstate(over="ignore"):
+            expected = [float(np.float64(v) ** 2) for v in [*x.tolist(), 1e200, -1e300]]
+        got = [_square(v) for v in [*x.tolist(), 1e200, -1e300]]
+        assert (bits(got) == bits(expected)).all()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_numpy_expression(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(100):
+            # every branch: Or^2 > 0, < 0, and the exact Or^2 = 0 of Omega0 = G/4
+            omega = rng.choice([10 ** rng.uniform(-2, 1.5) * G, G / 4])
+            delta = rng.choice([0.0, rng.uniform(-10.0, 10.0) * G])
+            tau = np.linspace(0.0, 10 ** rng.uniform(-8.0, -5.0), int(rng.integers(2, 3000)))
+            got = two_level_g2(omega, delta, G, tau.tolist())
+            assert isinstance(got, list) and all(type(v) is float for v in got)
+            assert got[0] == 0.0
+            assert within_ulps(got, numpy_two_level_g2(np.float64(omega), delta, G, tau))
+
+    @pytest.mark.parametrize("omega,delta,tau_max", [
+        (1e200, 0.0, 1e-7),          # Omega0^2 overflows: cos(inf) and inf*0
+        (0.0, 1e200, 1e-7),          # Delta^2 overflows
+        (1e9, 0.0, 1e300),           # Or * tau overflows
+        (1e6, 0.0, 1e290),           # cosh and sinh overflow, exp underflows: 0 * inf
+    ], ids=["omega-overflow", "delta-overflow", "phase-overflow", "cosh-overflow"])
+    def test_overflow_as_numpy(self, omega, delta, tau_max):
+        # math raises where numpy returns inf or nan; the closed form returns numpy's values
+        tau = np.linspace(0.0, tau_max, 5)
+        got = np.array(two_level_g2(omega, delta, G, tau.tolist()))
+        with np.errstate(all="ignore"):
+            expected = numpy_two_level_g2(np.float64(omega), np.float64(delta), G, tau)
+        assert np.array_equal(np.isnan(got), np.isnan(expected))
+        assert np.isnan(got).any()
+        finite = np.isfinite(expected)
+        assert (got[finite] == expected[finite]).all()
+
+    @pytest.mark.parametrize("omega", [2 * G, 10 * G, 0.6 * G, 0.1 * G, 0.01 * G])
+    def test_agrees_with_bloch_equations(self, omega):
+        # on resonance the closed form is exact: Or^2 > 0 oscillates, Or^2 < 0
+        # is overdamped
+        tau = np.linspace(0.0, 25 / G, 400)
+        report = {}
+        exact = two_level_obe_g2(omega, 0.0, G, tau, report)
+        assert report == {"method": "eigen-propagator"}
+        closed_form = np.array(two_level_g2(omega, 0.0, G, tau.tolist()))
+        assert np.abs(closed_form - exact).max() <= 1e-12
+
+    def test_agrees_with_matrix_exponential_at_or_zero(self):
+        # Omega0 = G/4 on resonance is the exceptional point, where
+        # two_level_obe_g2 answers with this closed form: expm is the oracle
+        omega, tau = G / 4, np.linspace(0.0, 25 / G, 200)
+        h = [[0.0, omega / 2.0], [omega / 2.0, 0.0]]
+        generator = lindblad_generator(h, [(G, 0, 1)])
+        exact = np.array([(expm(generator * t) @ [1.0, 0.0, 0.0, 0.0])[1] for t in tau])
+        exact /= two_level_steady_excited(omega, 0.0, G)
+        got = two_level_g2(omega, 0.0, G, tau.tolist())
+        assert np.abs(np.array(got) - exact).max() <= 1e-12
+        report = {}
+        assert np.array_equal(two_level_obe_g2(omega, 0.0, G, tau, report), got)
+        assert report == {"method": "closed-form"}
+
+    def test_cli_columns_match_numpy(self):
+        args = argparse.Namespace(model="two-level-analytic", delta_mhz=-31.0,
+                                  icl_mw_cm2=103.0, tau_max_ns=200.0, points=801)
+        _, (tau_ns, g2) = run_g2(args)
+        tau = np.linspace(0.0, 200.0 * 1e-9, 801)
+        assert (bits(tau_ns) == bits(tau * 1e9)).all()
+        omega3 = G * np.sqrt(1030.0 / (2 * 35.8))  # FourLevelParams.rabi_frequencies[2]
+        assert within_ulps(g2, numpy_two_level_g2(omega3, 2 * math.pi * -31.0 * 1e6, G, tau))
