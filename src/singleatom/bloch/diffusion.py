@@ -42,6 +42,7 @@ def g2_total_envelope(env: DiffusionEnvelope, tau_grid) -> np.ndarray:
 
 
 def g2_full_model(params: FourLevelParams, env: DiffusionEnvelope,
-                  tau_grid) -> np.ndarray:
-    """Internal four-level g2 multiplied by the motional envelope."""
-    return four_level_g2(params, tau_grid) * g2_total_envelope(env, tau_grid)
+                  tau_grid, report: dict | None = None) -> np.ndarray:
+    """Internal four-level g2 multiplied by the motional envelope; ``report``
+    is passed to ``four_level_g2``."""
+    return four_level_g2(params, tau_grid, report) * g2_total_envelope(env, tau_grid)

@@ -4,10 +4,14 @@ Levels (bare basis order): ``a`` = 5P3/2 F'=2, ``b`` = 5S1/2 F=1,
 ``c`` = 5S1/2 F=2, ``d`` = 5P3/2 F'=3.  A cooling field couples c-a and
 c-d, a repump field couples b-a.  In the frame rotating with both laser
 frequencies the model is a Hamiltonian plus the decays a -> b, a -> c and
-d -> c, a time-independent Lindblad generator, so steady states come from
-a null-space solve and g2(tau) from one exact linear time evolution
-(eigen-expansion of the generator) started in the post-emission
-ground-state mixture.
+d -> c, a time-independent Lindblad generator M, so steady states come from
+a null-space solve.  By the quantum regression theorem g2(tau) is one linear
+functional of the state evolved from the post-emission ground-state
+mixture y0: the excited population c . exp(M tau) y0, c = e_a + e_d, over
+its steady-state value.  It is evaluated as a sum of the generator's modes
+(``integrator.linear_modes`` and ``sum_modes``), without building the
+state at each delay; ``FourLevelLiouvillian.propagate`` evolves the whole
+density matrix.
 
 The upper limit g2 = 2 of a two-level atom does not bind here: for cooling
 detunings of several linewidths the Rabi oscillations overshoot it.
@@ -29,7 +33,7 @@ from ..constants import (
     RB87_ISAT_F2_F2,
     RB87_ISAT_F2_F3,
 )
-from ..integrator import propagate_linear
+from ..integrator import linear_modes, propagate_linear, sum_modes
 from .state import DensityMatrix, from_real_vector, lindblad_generator, to_real_vector
 
 if TYPE_CHECKING:  # the line-table layers load only with a trap field
@@ -178,16 +182,31 @@ def post_emission_state(params: FourLevelParams, steady: DensityMatrix) -> np.nd
     return rho0
 
 
-def four_level_g2(params: FourLevelParams, tau_grid) -> np.ndarray:
+def four_level_g2(params: FourLevelParams, tau_grid,
+                  report: dict | None = None) -> np.ndarray:
     """g2(tau) of the total fluorescence: excited population re-growth
-    after an emission, normalized to its steady-state value."""
+    after an emission, normalized to its steady-state value.
+
+    A ``report`` dict receives "method" ("eigen-propagator"), "min_overlap"
+    (the smallest eigenvector overlap of the generator, which the
+    exceptional-point guard compares with 1.5e-5) and "steady_residual"
+    (the 2-norm of M y_ss, in 1/s, for the trace-one steady state y_ss).
+    """
     liouv = FourLevelLiouvillian(params)
     steady = liouv.steady_state()
-    traj = liouv.propagate(post_emission_state(params, steady), tau_grid)
+    y0 = to_real_vector(post_emission_state(params, steady))
+    excited = np.zeros(len(y0))
+    excited[[_IDX_A, _IDX_D]] = 1.0  # the populations lead the real layout
+    lam, amp, overlap = linear_modes(liouv.matrix_real, y0, excited)
     excited_ss = (
         steady.population(BASIS_LABELS[_IDX_A]) + steady.population(BASIS_LABELS[_IDX_D])
     )
-    return (traj[:, _IDX_A, _IDX_A].real + traj[:, _IDX_D, _IDX_D].real) / excited_ss
+    g2 = sum_modes(lam, amp, tau_grid, excited @ y0) / excited_ss
+    if report is not None:
+        residual = liouv.matrix_real @ to_real_vector(steady.entries)
+        report.update(method="eigen-propagator", min_overlap=overlap,
+                      steady_residual=float(np.linalg.norm(residual)))
+    return g2
 
 
 def apply_trap_shifts(params: FourLevelParams, trap_field: LaserField,

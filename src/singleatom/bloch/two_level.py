@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..integrator import IntegrationError, _checked_delays, propagate_linear
+from ..integrator import IntegrationError, _checked_delays, linear_modes, sum_modes
 from ..readout import two_level_g2
 from .state import lindblad_generator
 
@@ -41,12 +41,16 @@ def two_level_obe_g2(omega0_rabi: float, delta: float, gamma: float,
     """g2(tau) from the exact solution of the two-level Bloch equations.
 
     Starts from the post-detection state (all population in the ground
-    level, no coherence) and divides by the steady-state excited population.
-    On resonance the closed form is exact, so where the generator is too
+    level, no coherence) and divides by the steady-state excited population;
+    the excited population is a sum of the generator's modes
+    (``integrator.linear_modes`` with c = e_ee, and ``sum_modes``).  On
+    resonance the closed form is exact, so where the generator is too
     close to its exceptional point (Omega0 = Gamma/4) for the
     eigen-propagator, the closed form is returned; off resonance the
     ``IntegrationError`` is raised.  A ``report`` dict receives the path
-    taken under "method": "eigen-propagator" or "closed-form".
+    taken under "method": "eigen-propagator" or "closed-form", and under
+    "min_overlap" the generator's smallest eigenvector overlap, which the
+    exceptional-point guard compares with 1.5e-5.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -57,13 +61,15 @@ def two_level_obe_g2(omega0_rabi: float, delta: float, gamma: float,
     h = [[0.0, omega0_rabi / 2.0], [omega0_rabi / 2.0, -delta]]
     generator = lindblad_generator(h, [(gamma, 0, 1)])
     try:
-        traj = propagate_linear(generator, [1.0, 0.0, 0.0, 0.0], tau_grid)
-    except IntegrationError:
+        lam, amp, overlap = linear_modes(generator, [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0])
+    except IntegrationError as exc:
         if delta != 0:
             raise
-        method, g2 = "closed-form", two_level_g2_analytic(omega0_rabi, delta, gamma, tau_grid)
+        method, overlap = "closed-form", exc.min_overlap
+        g2 = two_level_g2_analytic(omega0_rabi, delta, gamma, tau_grid)
     else:
-        method, g2 = "eigen-propagator", traj[:, 1] / steady
+        # no excited population right after a detection: g2(0) = 0 exactly
+        method, g2 = "eigen-propagator", sum_modes(lam, amp, tau_grid, 0.0) / steady
     if report is not None:
-        report["method"] = method
+        report.update(method=method, min_overlap=overlap)
     return g2

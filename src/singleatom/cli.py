@@ -119,14 +119,16 @@ def _write_csv(path: str | None, header: list[str], columns: list,
         raise ValidationError(f"cannot write {exc.filename or path}: {exc.strerror}") from exc
 
 
-def _metadata(scenario: str, params: dict, method: str) -> dict:
-    """The sidecar: the scenario, the resolved parameters and the
+def _metadata(scenario: str, params: dict, method: str, diagnostics: dict) -> dict:
+    """The sidecar: the scenario, the resolved parameters, the
     time-evolution method the runner reported ("none" where no state was
-    evolved)."""
+    evolved) and the numerical diagnostics the kernels reported (empty where
+    they report none)."""
     return {
         "scenario": scenario,
         "library_version": __version__,
         "integrator": {"method": method},
+        "diagnostics": diagnostics,
         "parameters": {k: params[k] for k in sorted(params)},
     }
 
@@ -288,17 +290,18 @@ def run_g2(args):
     from .bloch import DiffusionEnvelope, four_level_g2, g2_full_model, two_level_obe_g2
 
     tau = np.linspace(0.0, args.tau_max_ns * 1e-9, args.points)
-    report = {"method": "eigen-propagator"}
+    report = {}
     if args.model == "two-level-obe":
         # a float64 scalar: an overflowing drive gives nan in the column, not a raise
         omega3 = np.float64(_omega3(args.icl_mw_cm2))
         g2 = two_level_obe_g2(omega3, delta, RB87_GAMMA_D2, tau, report)
     elif args.model == "four-level":
-        g2 = four_level_g2(_four_level_params(args), tau)
+        g2 = four_level_g2(_four_level_params(args), tau, report)
     else:  # full
         env = DiffusionEnvelope(amplitude=args.env_a, tau0=args.env_tau_us * 1e-6)
-        g2 = g2_full_model(_four_level_params(args), env, tau)
-    args.time_evolution = report["method"]
+        g2 = g2_full_model(_four_level_params(args), env, tau, report)
+    args.time_evolution = report.pop("method")
+    args.diagnostics = report
     return ["tau_ns", "g2"], [tau * 1e9, g2]
 
 
@@ -493,6 +496,33 @@ def _read_lines(args) -> list[str]:
     return []
 
 
+def _beam_errors(args, prefix: str = "") -> list[str]:
+    """A run with a trap beam squares the beam waist w0 and the Rayleigh
+    length pi w0^2 / lambda (``trapgeometry.GaussianBeam``); a beam for
+    which either square overflows is refused here, naming the flags.
+    ``prefix`` is the flags' prefix ("trap-" for g2)."""
+    from .trapgeometry import GaussianBeam
+
+    dest = prefix.replace("-", "_")
+    waist, wavelength = getattr(args, f"{dest}waist_um"), getattr(args, f"{dest}wavelength_nm")
+    beam = GaussianBeam(power=getattr(args, f"{dest}power_mw") * 1e-3,
+                        waist_w0=waist * 1e-6, wavelength=wavelength * 1e-9)
+    try:
+        beam.waist_w0**2
+    except OverflowError:
+        return [f"--{prefix}waist-um {waist:g}: the beam waist squared (m^2) overflows"]
+    try:
+        beam.rayleigh_length**2
+    except OverflowError:
+        return [f"--{prefix}waist-um {waist:g} with --{prefix}wavelength-nm {wavelength:g}:"
+                " the Rayleigh length squared (m^2) overflows"]
+    return []
+
+
+def _check_beam(args) -> list[str]:
+    return _read_lines(args) + _beam_errors(args)
+
+
 def _check_magic(args) -> list[str]:
     lo, hi = args.bracket_um
     return _read_lines(args) if 0 < lo < hi else ["--bracket-um must satisfy 0 < lo < hi"]
@@ -536,13 +566,19 @@ def _check_loading(args) -> list[str]:
     if rates * columns > 2 * MAX_POINTS:
         return [f"--rate-per-s and --n-max: {rates} rates x {columns} columns ="
                 f" {rates * columns} CSV cells, more than {2 * MAX_POINTS}"]
-    return _read_lines(args)
+    return _check_beam(args)
 
 
 def _check_g2(args) -> list[str]:
     if (args.trap_power_mw is None) != (args.trap_waist_um is None):
         return ["--trap-power-mw and --trap-waist-um must be given together"]
-    return [] if args.trap_power_mw is None else _read_lines(args)
+    try:  # the two-level models square the detuning in rad/s
+        (TWO_PI * args.delta_mhz * 1e6) ** 2
+    except OverflowError:
+        return [f"--delta-mhz {args.delta_mhz:g}: the detuning squared ((rad/s)^2) overflows"]
+    if args.trap_power_mw is None:
+        return []
+    return _read_lines(args) + _beam_errors(args, "trap-")
 
 
 _COMMON = (Flag("config", "str", help="JSON file with flag values (flags override)"),
@@ -559,9 +595,9 @@ _TRAP_BEAM = (Flag("power-mw", required=True, check="positive"),
 # scenario -> (runner, scenario-level check or None, *flags); a plain tuple,
 # so the runner stays reachable when a tracer rebinds it
 SPECS = {
-    "lightshift": (run_lightshift, _read_lines, *_TRAP_BEAM),
+    "lightshift": (run_lightshift, _check_beam, *_TRAP_BEAM),
     "magic": (run_magic, _check_magic, Flag("bracket-um", "bracket", default=(1.2, 1.6))),
-    "trap": (run_trap, _read_lines, *_TRAP_BEAM),
+    "trap": (run_trap, _check_beam, *_TRAP_BEAM),
     "loading": (run_loading, _check_loading,
                 Flag("rate-per-s", "grid", required=True, check="nonnegative",
                      help="loading rate R, number or 'a..b:step'"),
@@ -738,8 +774,8 @@ def main(argv=None) -> int:
             warnings.simplefilter("ignore", RuntimeWarning)
             header, columns = runner(args)
         params = {f.dest: getattr(args, f.dest) for f in flags}
-        method = getattr(args, "time_evolution", "none")
-        meta = _metadata(args.scenario, params, method) if args.metadata else None
+        meta = _metadata(args.scenario, params, getattr(args, "time_evolution", "none"),
+                         getattr(args, "diagnostics", {})) if args.metadata else None
         _write_csv(args.out, header, columns, meta)
     except ValidationError as exc:
         sys.stderr.write(f"validation: {exc}\n")

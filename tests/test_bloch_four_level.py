@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import expm, null_space
+from scipy.linalg import eig, expm, null_space
 
 from singleatom.bloch import (
     DensityMatrix,
@@ -294,6 +294,44 @@ class TestG2:
         params = FourLevelParams(i_cl=0.0, i_rl=0.0, delta_cl=-5 * G)
         with pytest.raises(ValueError):
             four_level_g2(params, np.linspace(0.0, 1e-7, 10))
+
+    @pytest.mark.parametrize("trap_power", [None, 0.044])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_mode_sum_matches_projected_trajectory(self, seed, trap_power):
+        # g2 projects on the excited population before propagating; against
+        # the whole density matrix propagated, then projected
+        rng = np.random.default_rng(seed)
+        params = params_at(rng.uniform(-12.0, 2.0), icl=rng.uniform(1.0, 400.0),
+                           irl=rng.uniform(0.5, 50.0), trap_power=trap_power)
+        params = replace(params, delta_rl=rng.normal() * G)
+        tau = np.concatenate([[0.0], rng.uniform(0.0, 1e-6, 300)])
+        liouv, rho0 = post_emission(params)
+        traj = liouv.propagate(rho0, tau)
+        steady = liouv.steady_state().entries
+        excited_ss = steady[0, 0].real + steady[3, 3].real
+        ref = (traj[:, 0, 0].real + traj[:, 3, 3].real) / excited_ss
+        assert np.abs(four_level_g2(params, tau) - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("trap_power", [None, 0.044])
+    @pytest.mark.parametrize("icl,irl,delta", [(30.0, 3.0, -1.0), (103.0, 12.0, -5.0),
+                                               (400.0, 0.5, -12.0)])
+    def test_report(self, icl, irl, delta, trap_power):
+        # the smallest overlap against scipy's unit left and right
+        # eigenvectors, the residual against M y of the steady state
+        params = params_at(delta, icl, irl, trap_power)
+        report = {}
+        tau = np.linspace(0.0, 1e-7, 11)
+        assert np.array_equal(four_level_g2(params, tau, report), four_level_g2(params, tau))
+        assert set(report) == {"method", "min_overlap", "steady_residual"}
+        assert report["method"] == "eigen-propagator"
+        liouv = FourLevelLiouvillian(params)
+        _, w, v = eig(liouv.matrix_real, left=True)
+        overlap = np.abs(np.einsum("ij,ij->j", w.conj(), v)).min()
+        assert report["min_overlap"] == pytest.approx(overlap, rel=1e-9)
+        y_ss = layout_vector(liouv.steady_state().entries)
+        residual = np.linalg.norm(liouv.matrix_real @ y_ss)
+        assert report["steady_residual"] == pytest.approx(residual, rel=1e-12, abs=0.0)
+        assert report["steady_residual"] <= 1e-12 * np.abs(liouv.matrix_real).max()
 
     def test_trajectory_invariants(self):
         # trace, Hermiticity and positivity along the full g2 trajectory

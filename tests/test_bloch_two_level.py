@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import eig, expm
 
 from singleatom.constants import RB87_GAMMA_D2
-from singleatom.integrator import IntegrationError
+from singleatom.bloch.state import lindblad_generator
+from singleatom.integrator import _MIN_OVERLAP, IntegrationError, propagate_linear
 from singleatom.bloch import (
     two_level_g2_analytic,
     two_level_obe_g2,
@@ -115,6 +116,34 @@ class TestObe:
         analytic = two_level_g2_analytic(omega, 0.0, G, tau)
         assert np.all(np.isfinite(numeric))
         assert np.abs(numeric - analytic).max() <= 1e-12
+
+    @pytest.mark.parametrize("omega,delta", [(0.3, -0.5), (2.0, 1.0), (0.2, 0.0), (4.0, 0.0)])
+    def test_mode_sum_matches_propagated_state(self, omega, delta):
+        # g2 projects on rho_ee before propagating; against the whole state
+        # propagated, then its rho_ee read
+        omega, delta = omega * G, delta * G
+        tau = np.concatenate([[0.0], np.random.default_rng(3).uniform(0.0, 25 / G, 200)])
+        h = [[0.0, omega / 2.0], [omega / 2.0, -delta]]
+        traj = propagate_linear(lindblad_generator(h, [(G, 0, 1)]), [1.0, 0.0, 0.0, 0.0], tau)
+        ref = traj[:, 1] / two_level_steady_excited(omega, delta, G)
+        assert np.abs(two_level_obe_g2(omega, delta, G, tau) - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("omega,delta,method", [
+        (2.0, -1.0, "eigen-propagator"), (0.25, 0.0, "closed-form")])
+    def test_report(self, omega, delta, method):
+        # the smallest overlap against scipy's unit left and right
+        # eigenvectors, also where the guard refused and the closed form answered
+        omega, delta = omega * G, delta * G
+        report = {}
+        two_level_obe_g2(omega, delta, G, [0.0, 1e-9], report)
+        assert set(report) == {"method", "min_overlap"} and report["method"] == method
+        h = [[0.0, omega / 2.0], [omega / 2.0, -delta]]
+        _, w, v = eig(lindblad_generator(h, [(G, 0, 1)]), left=True)
+        overlap = np.abs(np.einsum("ij,ij->j", w.conj(), v)).min()
+        if method == "eigen-propagator":
+            assert report["min_overlap"] == pytest.approx(overlap, rel=1e-9)
+        else:  # rounding dominates the overlaps at the exceptional point
+            assert report["min_overlap"] < _MIN_OVERLAP and overlap < _MIN_OVERLAP
 
     def test_zero_delay(self):
         assert two_level_obe_g2(2 * G, -G, G, [0.0, 1e-9])[0] == 0.0

@@ -173,6 +173,33 @@ class TestValidateOnlyAgreesWithRun:
         assert capsys.readouterr().err == err
 
 
+class TestOverflowingSquares:
+    """A value whose square the run would overflow is refused in validation,
+    naming its flag and the quantity, on the run and on --validate-only."""
+
+    @pytest.mark.parametrize("args,line", [
+        (["trap", "--power-mw", "44", "--waist-um", "1e300"],
+         "--waist-um 1e+300: the beam waist squared (m^2) overflows"),
+        (["loading", "--rate-per-s", "0.1", "--power-mw", "44", "--waist-um", "1e300"],
+         "--waist-um 1e+300: the beam waist squared (m^2) overflows"),
+        (["g2", "--model", "two-level-obe", "--delta-mhz", "1e300", "--icl", "1"],
+         "--delta-mhz 1e+300: the detuning squared ((rad/s)^2) overflows"),
+        (["trap", "--power-mw", "44", "--waist-um", "1e100"],
+         "--waist-um 1e+100 with --wavelength-nm 856: the Rayleigh length squared (m^2)"
+         " overflows"),
+        (["g2", "--delta-mhz", "-31", "--icl", "103", "--trap-power-mw", "44",
+          "--trap-waist-um", "1e200"],
+         "--trap-waist-um 1e+200: the beam waist squared (m^2) overflows"),
+    ], ids=["trap-waist", "loading-waist", "two-level-obe-detuning", "trap-rayleigh",
+            "g2-trap-waist"])
+    def test_named_and_refused_in_validation(self, tmp_path, capsys, args, line):
+        code, out = run(tmp_path, args)
+        assert code == EXIT_VALIDATION and not out.exists()
+        assert capsys.readouterr().err == f"validation: {line}\n"
+        assert main(args + ["--validate-only"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"validation: {line}\n"
+
+
 class TestUnreadableInputsAndOutputs:
     TRAP = ["trap", "--power-mw", "44", "--waist-um", "3.5"]
 
@@ -646,6 +673,51 @@ class TestTwoLevelExceptionalPoint:
         assert code == EXIT_OK
         meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
         assert meta["integrator"] == {"method": method}
+
+
+class TestDiagnostics:
+    """The sidecar's diagnostics are the numbers the g2 kernels report."""
+
+    BASE = ["g2", "--delta-mhz", "-31", "--icl", "103", "--points", "11", "--metadata"]
+
+    @pytest.mark.parametrize("extra,keys", [
+        ([], {"min_overlap", "steady_residual"}),
+        (["--trap-power-mw", "44", "--trap-waist-um", "3.5"], {"min_overlap", "steady_residual"}),
+        (["--model", "full", "--env-a", "0.3", "--env-tau-us", "2"],
+         {"min_overlap", "steady_residual"}),
+        (["--model", "two-level-obe"], {"min_overlap"}),
+        (["--model", "two-level-analytic"], set()),
+    ], ids=["four-level", "four-level-trap", "full", "two-level-obe", "two-level-analytic"])
+    def test_sidecar_holds_the_kernel_report(self, tmp_path, extra, keys):
+        from singleatom.bloch import four_level_g2, two_level_obe_g2
+        from singleatom.constants import RB87_GAMMA_D2, TWO_PI
+        from singleatom.cli import _four_level_params, _omega3, build_parser
+
+        argv = self.BASE + extra
+        code, _ = run(tmp_path, argv)
+        assert code == EXIT_OK
+        meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
+        assert set(meta["diagnostics"]) == keys
+        args = build_parser().parse_args(argv)
+        tau = np.linspace(0.0, 200e-9, 11)
+        report = {}
+        if keys == {"min_overlap"}:
+            two_level_obe_g2(np.float64(_omega3(103.0)), TWO_PI * -31.0 * 1e6,
+                             RB87_GAMMA_D2, tau, report)
+        elif keys:
+            if args.trap_power_mw is not None:
+                from singleatom.lightshift import load_default_lines
+                args.lines = load_default_lines()
+            four_level_g2(_four_level_params(args), tau, report)
+        report.pop("method", None)
+        assert meta["diagnostics"] == report
+        assert all(math.isfinite(v) for v in report.values())
+
+    def test_other_scenarios_report_none(self, tmp_path):
+        code, _ = run(tmp_path, ["trap", "--power-mw", "44", "--waist-um", "3.5", "--metadata"])
+        assert code == EXIT_OK
+        meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
+        assert meta["diagnostics"] == {} and meta["integrator"] == {"method": "none"}
 
 
 class TestGridParsing:

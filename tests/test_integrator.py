@@ -1,19 +1,23 @@
-"""Eigen-propagator, stacked matrix exponential and the fourth-order Magnus
-propagator."""
+"""Eigen-mode sum and propagator, stacked matrix exponential and the
+fourth-order Magnus propagator."""
 
 import numpy as np
 import pytest
 from scipy.linalg import eig, expm
 
 from singleatom.integrator import (
+    _CHUNK,
     _MAGNUS_BLOCK,
+    _MIN_OVERLAP,
     IntegrationError,
     _eigen_expansion,
     _expm,
     _prefix_states,
     _real_form,
+    linear_modes,
     magnus4,
     propagate_linear,
+    sum_modes,
 )
 
 
@@ -57,6 +61,117 @@ def test_propagate_linear_delay_grids():
     for bad in ([0.0, -1e-300], [np.nan], [np.inf], [[0.0, 1.0]]):
         with pytest.raises(ValueError):
             propagate_linear(m, y0, bad)
+
+
+def random_stable(rng, n=6):
+    """A real matrix with complex and real eigenvalues in the left half-plane."""
+    m = rng.standard_normal((n, n))
+    return m - (np.abs(np.linalg.eigvals(m).real).max() + 0.5) * np.eye(n)
+
+
+def test_mode_sum_matches_expm():
+    # one observable and a matrix of observables, against expm at each delay
+    rng = np.random.default_rng(9)
+    for _ in range(10):
+        m, y0 = random_stable(rng), rng.standard_normal(6)
+        c = rng.standard_normal((2, 6))
+        tau = np.concatenate([[0.0], rng.uniform(0.0, 3.0, 30)])
+        ref = np.array([c @ expm(m * t) @ y0 for t in tau])
+        lam, amp, _ = linear_modes(m, y0, c[0])
+        assert np.abs(sum_modes(lam, amp, tau, c[0] @ y0) - ref[:, 0]).max() <= 1e-12
+        lam, amp, _ = linear_modes(m, y0, c)
+        assert amp.shape == (6, 2)
+        assert np.abs(sum_modes(lam, amp, tau, c @ y0) - ref).max() <= 1e-12
+
+
+def test_mode_sum_delay_contract():
+    # each delay on its own: any order and repeats give the same values bit
+    # for bit, rows at 0 hold the value given for the initial state, an
+    # empty grid gives no rows, and negative or non-finite delays are refused
+    rng = np.random.default_rng(10)
+    m, y0, c = random_stable(rng), rng.standard_normal(6), rng.standard_normal(6)
+    y0[0] = 0.0
+    c[1:] = 0.0  # c . y0 == 0.0 exactly, as for g2
+    lam, amp, _ = linear_modes(m, y0, c)
+    tau = np.concatenate([[0.0], rng.uniform(0.0, 2.0, 2 * _CHUNK + 5), [0.0]])
+    got = sum_modes(lam, amp, tau, c @ y0)
+    assert got[0] == got[-1] == 0.0
+    order = rng.permutation(len(tau))
+    assert np.array_equal(sum_modes(lam, amp, tau[order], 0.0), got[order])
+    for n in (1, 2, 3, 7, _CHUNK - 1, _CHUNK + 1):
+        assert np.array_equal(sum_modes(lam, amp, tau[:n], 0.0), got[:n])
+    repeated = np.repeat(tau[:5], 3)
+    assert np.array_equal(sum_modes(lam, amp, repeated, 0.0), np.repeat(got[:5], 3))
+    assert sum_modes(lam, amp, [], 0.0).shape == (0,)
+    for bad in ([0.0, -1e-300], [np.nan], [np.inf], [-np.inf], [[0.0, 1.0]]):
+        with pytest.raises(ValueError):
+            sum_modes(lam, amp, bad, 0.0)
+
+
+def test_mode_sum_at_large_phases():
+    # a weakly damped rotation, exp(m tau) = exp(-g tau) R(w tau), at
+    # phases up to 1e4 rad: the half-angle tangent gives cos and sin to a
+    # few 1e-16, as the scalar cos and sin of the same rounded phase do
+    g, w = 1e-2, 1e3
+    m = np.array([[-g, w], [-w, -g]])
+    tau = np.random.default_rng(11).uniform(0.0, 10.0, 3000)
+    lam, amp, _ = linear_modes(m, [1.0, 0.0], np.eye(2))
+    ref = np.exp(-g * tau)[:, None] * np.column_stack([np.cos(w * tau), -np.sin(w * tau)])
+    assert np.abs(sum_modes(lam, amp, tau, [1.0, 0.0]) - ref).max() <= 2e-15
+
+
+def test_mode_sum_of_real_spectrum():
+    # a diagonalizable matrix with real eigenvalues only: no conjugate pairs
+    m = np.array([[-1.0, 2.0, 0.0], [0.0, -3.0, 1.0], [0.0, 0.0, -0.5]])
+    y0, c = np.array([1.0, -0.5, 2.0]), np.array([0.3, 1.0, -1.0])
+    lam, amp, _ = linear_modes(m, y0, c)
+    tau = np.linspace(0.0, 4.0, 9)
+    ref = [c @ expm(m * t) @ y0 for t in tau]
+    assert np.abs(sum_modes(lam, amp, tau, c @ y0) - ref).max() <= 1e-13
+
+
+DEFECTIVE_OR_NEAR = [
+    [[-1.0, 1.0], [0.0, -1.0]],              # a Jordan block: defective
+    [[-1.0, 1.0], [1e-30, -1.0]],            # split by far less than eps
+    [[-1.0, 1.0], [1e-12, -1.0]],            # s = 2e-6: refused
+    [[-1.0, 1.0], [1e-8, -1.0]],             # s = 2e-4: accepted
+    [[-1.0, 1.0], [-1e-9, -1.0]],            # a conjugate pair, s = 6e-5: accepted
+    [[-1.0, 1.0], [-1e-11, -1.0]],           # a conjugate pair, s = 6e-6: refused
+    [[-2.0, 0.0], [0.0, -2.0]],              # a repeated eigenvalue, not defective
+    [[0.0, 1e300], [0.0, 0.0]],              # an exactly singular eigenvector matrix
+]
+
+
+@pytest.mark.parametrize("m", DEFECTIVE_OR_NEAR)
+def test_linear_modes_refuses_where_the_overlap_guard_does(m):
+    # refused exactly when the smallest overlap of _eigen_expansion is below
+    # _MIN_OVERLAP, and the refusal carries that overlap
+    m = np.array(m)
+    try:
+        smallest = _eigen_expansion(m)[3].min()
+    except IntegrationError as exc:
+        smallest = exc.min_overlap
+        assert smallest == 0.0
+    if smallest >= _MIN_OVERLAP:
+        assert linear_modes(m, [1.0, 0.0], [0.0, 1.0])[2] == smallest
+    else:
+        with pytest.raises(IntegrationError, match="exceptional point") as exc:
+            linear_modes(m, [1.0, 0.0], [0.0, 1.0])
+        assert exc.value.min_overlap == smallest
+
+
+def test_linear_modes_refuses_nan_overlap(monkeypatch):
+    import singleatom.integrator as integrator
+
+    real = integrator._eigen_expansion
+
+    def nan_overlap(m):
+        lam, v, vinv, overlap = real(m)
+        return lam, v, vinv, np.full_like(overlap, np.nan)
+
+    monkeypatch.setattr(integrator, "_eigen_expansion", nan_overlap)
+    with pytest.raises(IntegrationError, match="exceptional point"):
+        linear_modes(-np.eye(2), [1.0, 0.0], [0.0, 1.0])
 
 
 def with_one_norm(x, norm):

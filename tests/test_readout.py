@@ -159,7 +159,7 @@ class TestTwoLevelG2:
         tau = np.linspace(0.0, 25 / G, 400)
         report = {}
         exact = two_level_obe_g2(omega, 0.0, G, tau, report)
-        assert report == {"method": "eigen-propagator"}
+        assert report["method"] == "eigen-propagator" and set(report) == {"method", "min_overlap"}
         closed_form = np.array(two_level_g2(omega, 0.0, G, tau.tolist()))
         assert np.abs(closed_form - exact).max() <= 1e-12
 
@@ -175,7 +175,7 @@ class TestTwoLevelG2:
         assert np.abs(np.array(got) - exact).max() <= 1e-12
         report = {}
         assert np.array_equal(two_level_obe_g2(omega, 0.0, G, tau, report), got)
-        assert report == {"method": "closed-form"}
+        assert report["method"] == "closed-form" and set(report) == {"method", "min_overlap"}
 
     def test_cli_columns_match_numpy(self):
         args = argparse.Namespace(model="two-level-analytic", delta_mhz=-31.0,
