@@ -65,26 +65,27 @@ class SpectrumProfile:
         return SpectrumProfile(self.frequency, self.amplitude / peak)
 
 
-def gaussian_profile(frequency, sigma: float, center: float = 0.0) -> SpectrumProfile:
-    """Unit-peak Gaussian on the given grid; sigma = 0 gives a grid delta."""
+def gaussian_profile(frequency, sigma: float) -> SpectrumProfile:
+    """Unit-peak Gaussian centred on 0 on the given grid; sigma = 0 gives a
+    grid delta."""
     f = np.asarray(frequency, dtype=float)
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     if sigma == 0:
         amp = np.zeros_like(f)
-        amp[np.argmin(np.abs(f - center))] = 1.0
+        amp[np.argmin(np.abs(f))] = 1.0
     else:
-        amp = np.exp(-0.5 * ((f - center) / sigma) ** 2)
+        amp = np.exp(-0.5 * (f / sigma) ** 2)
     return SpectrumProfile(frequency=f, amplitude=amp)
 
 
-def lorentzian_profile(frequency, fwhm: float, center: float = 0.0) -> SpectrumProfile:
-    """Unit-peak Lorentzian on the given grid."""
+def lorentzian_profile(frequency, fwhm: float) -> SpectrumProfile:
+    """Unit-peak Lorentzian centred on 0 on the given grid."""
     if fwhm <= 0:
         raise ValueError("fwhm must be positive")
     f = np.asarray(frequency, dtype=float)
     hw = fwhm / 2.0
-    amp = hw**2 / ((f - center) ** 2 + hw**2)
+    amp = hw**2 / (f**2 + hw**2)
     return SpectrumProfile(frequency=f, amplitude=amp)
 
 

@@ -57,21 +57,20 @@ _TRAP_SHIFT_LEVELS = (("a", "5P3/2", 4), ("b", "5S1/2", 2), ("c", "5S1/2", 4), (
 
 @dataclass(frozen=True)
 class FourLevelParams:
-    """Drive and relaxation parameters of the four-level model.
+    """Drive parameters and AC-Stark offsets of the four-level model.
 
     Intensities in W/m^2; detunings in rad/s relative to the unperturbed
-    transitions (cooling laser vs F=2 -> F'=3, repump vs F=1 -> F'=2).
-    ``branching_ab`` is the fraction of the F'=2 decay rate going to F=1;
-    the per-level ``shift_*`` entries are AC-Stark offsets in rad/s.
+    transitions (cooling laser vs F=2 -> F'=3, repump vs F=1 -> F'=2).  The
+    per-level ``shift_*`` entries are AC-Stark offsets in rad/s.  Decay and
+    level structure are Rb-87's: both excited levels decay at the D2 rate
+    ``RB87_GAMMA_D2``, F'=2 half to F=1 and half to F=2, and the F'=2 -
+    F'=3 splitting is ``RB87_5P32_F2_F3_SPLITTING``.
     """
 
     i_cl: float
     i_rl: float
     delta_cl: float
     delta_rl: float = 0.0
-    gamma: float = RB87_GAMMA_D2
-    branching_ab: float = 0.5
-    excited_splitting: float = RB87_5P32_F2_F3_SPLITTING
     shift_a: float = 0.0
     shift_b: float = 0.0
     shift_c: float = 0.0
@@ -80,15 +79,11 @@ class FourLevelParams:
     def __post_init__(self):
         if self.i_cl < 0 or self.i_rl < 0:
             raise ValueError("intensities must be nonnegative")
-        if not 0.0 <= self.branching_ab <= 1.0:
-            raise ValueError("branching fraction must lie in [0, 1]")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
 
     @property
     def rabi_frequencies(self) -> tuple[float, float, float]:
         """(repump b-a, cooling c-a, cooling c-d) on-resonance Rabi rates."""
-        g = self.gamma
+        g = RB87_GAMMA_D2
         return (
             g * np.sqrt(self.i_rl / (2 * RB87_ISAT_F1_F2)),
             g * np.sqrt(self.i_cl / (2 * RB87_ISAT_F2_F2)),
@@ -97,20 +92,20 @@ class FourLevelParams:
 
     @property
     def gamma_ab(self) -> float:
-        return self.branching_ab * self.gamma
+        return 0.5 * RB87_GAMMA_D2
 
     @property
     def gamma_ac(self) -> float:
-        return (1.0 - self.branching_ab) * self.gamma
+        return 0.5 * RB87_GAMMA_D2
 
     @property
     def gamma_dc(self) -> float:
-        return self.gamma
+        return RB87_GAMMA_D2
 
 
 def _hamiltonian(params: FourLevelParams) -> np.ndarray:
     om1, om2, om3 = params.rabi_frequencies
-    split = params.excited_splitting
+    split = RB87_5P32_F2_F3_SPLITTING
     h = np.zeros((4, 4), dtype=complex)
     h[_IDX_A, _IDX_A] = params.shift_a
     h[_IDX_B, _IDX_B] = params.delta_rl + params.shift_b
@@ -145,11 +140,20 @@ class FourLevelLiouvillian:
         The null space is spanned by the right singular vectors whose
         singular values are at most eps * 16 * s_max (the rank rule of
         scipy's ``null_space``); it must be one-dimensional, and the
-        vector is the last row of ``numpy.linalg.svd``'s V^H.
+        vector is the last row of ``numpy.linalg.svd``'s V^H.  Where that
+        tolerance reaches the smallest decay rate, the drive or a detuning
+        is so far above the linewidth that float64 cannot resolve the
+        decays, and the state is refused with that reason.
         """
         m = self.matrix_real
         _, s, vh = np.linalg.svd(m)
-        dim = m.shape[1] - np.count_nonzero(s > s[0] * np.finfo(float).eps * max(m.shape))
+        tol = s[0] * np.finfo(float).eps * max(m.shape)
+        slowest = min(self.params.gamma_ab, self.params.gamma_ac, self.params.gamma_dc)
+        if not tol < slowest:
+            raise ValueError(
+                "drive or detuning exceeds the linewidth by more than float64 can resolve: "
+                f"generator norm {s[0]:.3g} /s against decay rate {slowest:.3g} /s")
+        dim = m.shape[1] - np.count_nonzero(s > tol)
         if dim != 1:
             raise ValueError(f"steady state not unique: null space dimension {dim}")
         vec = vh[-1]

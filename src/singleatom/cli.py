@@ -676,7 +676,10 @@ def _add_flags(parser: argparse.ArgumentParser, flags) -> None:
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser that refuses a malformed command line with one
-    ``validation:`` line on stderr and exit 2, like every other bad input."""
+    ``validation:`` line on stderr and exit 2, like every other bad input.
+
+    The top-level parser's ``scenarios`` maps each scenario to its subparser.
+    """
 
     def error(self, message):
         self.exit(EXIT_VALIDATION, f"validation: {message}\n")
@@ -692,8 +695,10 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers.add_parser("list", help="list scenarios and their required keys")
     common = argparse.ArgumentParser(add_help=False)
     _add_flags(common, _COMMON)
+    parser.scenarios = {}
     for name, (_, _, *flags) in SPECS.items():
-        _add_flags(subparsers.add_parser(name, parents=[common]), flags)
+        parser.scenarios[name] = subparsers.add_parser(name, parents=[common])
+        _add_flags(parser.scenarios[name], flags)
     return parser
 
 
@@ -725,26 +730,23 @@ def _config_value(key: str, value, flag: Flag):
     return value
 
 
-def _merge_config(args: argparse.Namespace, flags) -> None:
-    """Fill argparse values from the JSON config where flags kept defaults."""
-    if not args.config:
-        return
+def _config_defaults(path: str, flags) -> dict:
+    """The JSON config's values by flag dest, each as its flag would hold it."""
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             file_values = json.load(fh)
     except (OSError, ValueError) as exc:
-        raise ValidationError(f"cannot read config {args.config}: {exc}") from exc
+        raise ValidationError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(file_values, dict):
         raise ValidationError("config file must hold a JSON object")
     by_dest = {f.dest: f for f in flags}
+    defaults = {}
     for key, value in file_values.items():
         flag = by_dest.get(key.replace("-", "_"))
         if flag is None:
             raise ValidationError(f"unknown config key {key!r}")
-        value = _config_value(key, value, flag)
-        # a flag given on the command line wins over the file
-        if getattr(args, flag.dest) == flag.default:
-            setattr(args, flag.dest, value)
+        defaults[flag.dest] = _config_value(key, value, flag)
+    return defaults
 
 
 def main(argv=None) -> int:
@@ -757,7 +759,12 @@ def main(argv=None) -> int:
 
     runner, check, *flags = SPECS[args.scenario]
     try:
-        _merge_config(args, _COMMON + tuple(flags))
+        if args.config:
+            # the file's values become the scenario's defaults and the command
+            # line is parsed again, so a flag given there wins over the file
+            parser.scenarios[args.scenario].set_defaults(
+                **_config_defaults(args.config, _COMMON + tuple(flags)))
+            args = parser.parse_args(argv)
         errors = [err for flag in flags if (err := _flag_error(args, flag))]
         if args.metadata and args.out is None:
             errors.append("--metadata needs --out: the sidecar is written next to the CSV")

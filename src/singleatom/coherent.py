@@ -5,7 +5,7 @@ level is modeled by a non-Hermitian -i*Gamma/2 term, so the norm leak of
 the trajectory equals the accumulated scattering probability.  STIRAP is
 propagated by the fourth-order Magnus integrator (``integrator.magnus4``)
 on its affine generator -iH(t) = A0 + Omega_p(t) B_p + Omega_s(t) B_s,
-with A0 the detunings and the loss and B_p, B_s the two couplings, and the
+with A0 the loss and B_p, B_s the two resonant couplings, and the
 scattering is an independent trapezoid quadrature of Gamma |c_a|^2 over
 the same trajectory.  The closed-form STIRAP readout and Larmor survival
 laws, which need no state vector, live in ``readout``.
@@ -33,14 +33,15 @@ LAMBDA_BASIS = ("a", "b", "c")
 
 # Magnus-4 steps of stirap_evolve: h ||A|| <= _MAGNUS_STEP, and at least
 # _STEPS_PER_PULSE steps per pulse duration.  Measured against DOP853 at
-# rtol 1e-12 (peaks 5-140 /us, detunings to 2e7 rad/s, loss 0 or 3 /us):
-# the transfer, peak |a> population and norm leak agree within 1e-10.
+# rtol 1e-12 (peaks 5-140 /us, loss 0 or 3 /us): the transfer, peak |a>
+# population and norm leak agree within 1e-10.
 _MAGNUS_STEP = 0.1
 _STEPS_PER_PULSE = 2000
 # Magnus steps per magnus4 call: the substep trajectory held at once stays
-# below 0.5 MB however many steps the pulses need, and the default 4000-point
-# grid takes one call
+# below 0.5 MB however many steps the pulses need
 _STEPS_PER_CALL = 4096
+# sample times of stirap_evolve over the schedule
+_SAMPLES = 4000
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,6 @@ class Pulse:
     peak: float
     t_start: float
     duration: float
-    phase: float = 0.0
 
     def __post_init__(self):
         if self.peak < 0 or self.duration <= 0:
@@ -96,8 +96,7 @@ class PulseSchedule:
 
     @classmethod
     def sin2_pair(cls, peak: float, duration: float, delay: float | None = None,
-                  order: str = "counterintuitive",
-                  phases: tuple[float, float] = (0.0, 0.0)) -> "PulseSchedule":
+                  order: str = "counterintuitive") -> "PulseSchedule":
         """Two identical sin^2 pulses separated by ``delay``.
 
         The default delay is half the pulse width (FWHM), i.e. a quarter of
@@ -113,8 +112,8 @@ class PulseSchedule:
         else:
             raise ValueError("order must be 'counterintuitive' or 'intuitive'")
         return cls(
-            pump=Pulse(peak=peak, t_start=pump_start, duration=duration, phase=phases[0]),
-            stokes=Pulse(peak=peak, t_start=stokes_start, duration=duration, phase=phases[1]),
+            pump=Pulse(peak=peak, t_start=pump_start, duration=duration),
+            stokes=Pulse(peak=peak, t_start=stokes_start, duration=duration),
         )
 
     @property
@@ -130,7 +129,7 @@ class StirapResult:
     max_intermediate: float        # max of the |a> population over the sample times
     norm_leak: float               # 1 - final norm^2
     scattered: float               # integral of Gamma |c_a|^2 dt, trapezoid rule over the steps
-    magnus_steps: int              # Magnus-4 steps taken: (n_steps - 1) * steps per interval
+    magnus_steps: int              # Magnus-4 steps taken: (samples - 1) * steps per interval
     step_norm: float               # h ||A||_1 of those steps, the bound the step rule keeps
 
 
@@ -141,49 +140,40 @@ def ground_start() -> PureState:
 
 
 def stirap_evolve(schedule: PulseSchedule, initial: PureState,
-                  detunings: tuple[float, float, float] = (0.0, 0.0, 0.0),
-                  loss_gamma: float = 0.0, n_steps: int = 4000) -> StirapResult:
-    """Propagate the three-level Schroedinger equation under the pulse pair.
+                  loss_gamma: float = 0.0) -> StirapResult:
+    """Propagate the resonant three-level Schroedinger equation under the
+    pulse pair.
 
-    ``detunings`` are the rotating-frame diagonal terms of (a, b, c);
     ``loss_gamma`` adds -i*Gamma/2 on the intermediate level a, so norm is
     non-increasing and the leak equals the scattered population.  The state
-    is sampled on ``n_steps`` equally spaced times over the schedule, and
-    ``max_intermediate`` is the largest |a> population among them.  Each
-    sampling interval is split into equal fourth-order Magnus steps short
-    against 1/||A|| and the pulse duration, so the accuracy does not depend
-    on ``n_steps``; ``scattered`` is the trapezoid sum over those steps.
-    Only the sampled statistics are kept, so memory does not grow with the
-    number of steps.
+    is sampled on 4000 (``_SAMPLES``) equally spaced times over the
+    schedule, and ``max_intermediate`` is the largest |a> population among
+    them.  Each sampling interval is split into equal fourth-order Magnus
+    steps short against 1/||A|| and the pulse duration; ``scattered`` is
+    the trapezoid sum over those steps.  Only the sampled statistics are
+    kept, so memory does not grow with the number of steps.
     """
     if initial.basis_labels != LAMBDA_BASIS:
         raise ValueError("initial state must live on the (a, b, c) basis")
     if loss_gamma < 0:
         raise ValueError("loss_gamma must be nonnegative")
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
-    d_a, d_b, d_c = detunings
     pump, stokes = schedule.pump, schedule.stokes
-    # drive element <a|H|b> = -(Omega/2) e^{+i phi}; with this sign the
-    # stationary dark state is (|b> - e^{i(phi1-phi2)} |c>)/sqrt(2)
-    e_p = np.exp(1j * pump.phase)
-    e_s = np.exp(1j * stokes.phase)
 
     # A(t) = -iH(t) = basis[0] + Omega_p(t) basis[1] + Omega_s(t) basis[2],
-    # the columns of the Schroedinger right-hand side
+    # the columns of the Schroedinger right-hand side; drive element
+    # <a|H|b> = -Omega/2, so the stationary dark state is (|b> - |c>)/sqrt(2)
     basis = np.zeros((3, 3, 3), dtype=complex)
-    basis[0] = np.diag([-1j * d_a - loss_gamma / 2.0, -1j * d_b, -1j * d_c])
-    basis[1, 0, 1], basis[1, 1, 0] = 0.5j * e_p, 0.5j * np.conj(e_p)
-    basis[2, 0, 2], basis[2, 2, 0] = 0.5j * e_s, 0.5j * np.conj(e_s)
+    basis[0, 0, 0] = -loss_gamma / 2.0
+    basis[1, 0, 1] = basis[1, 1, 0] = 0.5j
+    basis[2, 0, 2] = basis[2, 2, 0] = 0.5j
 
     def coefficients(t):
         return np.stack((np.ones_like(t), pump.envelope(t), stokes.envelope(t)), axis=1)
 
-    t_out = np.linspace(0.0, schedule.t_end, n_steps)
-    # largest 1-norm of A over the schedule
-    a_norm = max(abs(d_a) + loss_gamma / 2.0 + (pump.peak + stokes.peak) / 2.0,
-                 abs(d_b) + pump.peak / 2.0, abs(d_c) + stokes.peak / 2.0)
-    h_out = schedule.t_end / max(n_steps - 1, 1)
+    t_out = np.linspace(0.0, schedule.t_end, _SAMPLES)
+    # largest 1-norm of A over the schedule, that of the |a> column
+    a_norm = loss_gamma / 2.0 + (pump.peak + stokes.peak) / 2.0
+    h_out = schedule.t_end / (_SAMPLES - 1)
     per_interval = max(1, math.ceil(h_out * max(
         a_norm / _MAGNUS_STEP,
         _STEPS_PER_PULSE / min(pump.duration, stokes.duration))))
@@ -191,8 +181,8 @@ def stirap_evolve(schedule: PulseSchedule, initial: PureState,
     state = initial.amplitudes
     max_a = float(abs(state[0]) ** 2)
     scattered = 0.0
-    for k in range(0, n_steps - 1, group):
-        end = min(k + group, n_steps - 1)
+    for k in range(0, _SAMPLES - 1, group):
+        end = min(k + group, _SAMPLES - 1)
         t = np.linspace(t_out[k], t_out[end], (end - k) * per_interval + 1)
         traj = magnus4(basis, coefficients, state, t)
         pop_a = traj[:, 0].real ** 2 + traj[:, 0].imag ** 2
@@ -206,6 +196,6 @@ def stirap_evolve(schedule: PulseSchedule, initial: PureState,
         max_intermediate=max_a,
         norm_leak=1.0 - final.norm_sq,
         scattered=scattered,
-        magnus_steps=(n_steps - 1) * per_interval,
+        magnus_steps=(_SAMPLES - 1) * per_interval,
         step_norm=h_out / per_interval * a_norm,
     )

@@ -72,24 +72,13 @@ class TwoQubitState:
 
 @dataclass(frozen=True)
 class MeasurementSetting:
-    """Analyzer direction: either an equatorial angle or a full Bloch vector."""
+    """Equatorial analyzer at angle ``phi``, along (cos phi, sin phi, 0)."""
 
-    phi: float | None = None
-    direction: tuple[float, float, float] | None = None
-
-    def __post_init__(self):
-        if (self.phi is None) == (self.direction is None):
-            raise ValueError("give exactly one of phi or direction")
-        if self.direction is not None:
-            vec = np.asarray(self.direction, dtype=float)
-            if abs(np.linalg.norm(vec) - 1.0) > 1e-9:
-                raise ValueError("direction must be a unit vector")
+    phi: float
 
     @property
     def bloch_vector(self) -> np.ndarray:
-        if self.phi is not None:
-            return np.array([math.cos(self.phi), math.sin(self.phi), 0.0])
-        return np.asarray(self.direction, dtype=float)
+        return np.array([math.cos(self.phi), math.sin(self.phi), 0.0])
 
     @property
     def operator(self) -> np.ndarray:
@@ -154,13 +143,12 @@ class AtomPhotonState:
 PI_MODE_SUPPRESSION = 0.5
 
 
-def atom_photon_state(theta_max: float,
-                      pi_suppression: float = PI_MODE_SUPPRESSION) -> AtomPhotonState:
+def atom_photon_state(theta_max: float) -> AtomPhotonState:
     """Atom-photon state collected through an aperture of half-angle theta_max.
 
     The sigma+/sigma- decay channels contribute the maximally entangled
     component with the dipole weight (1+cos^2)/2; light from the pi channel
-    (sin^2 weight, reduced by the mode-projection factor) is an incoherent
+    (sin^2 weight, reduced by ``PI_MODE_SUPPRESSION``) is an incoherent
     admixture that leaves the atom in m = 0.  Returns the normalized state
     and its fidelity with respect to the ideal entangled pair.
     """
@@ -169,7 +157,7 @@ def atom_photon_state(theta_max: float,
     c = math.cos(theta_max)
     # cone integrals of the dipole intensity patterns (up to common factors)
     sigma_weight = 0.5 * ((1.0 - c) + (1.0 - c**3) / 3.0)
-    pi_weight = pi_suppression * 0.5 * ((1.0 - c) - (1.0 - c**3) / 3.0)
+    pi_weight = PI_MODE_SUPPRESSION * 0.5 * ((1.0 - c) - (1.0 - c**3) / 3.0)
     total = sigma_weight + pi_weight
 
     # basis: (m=-1, m=0, m=+1) x (sigma+, sigma-)

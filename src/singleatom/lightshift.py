@@ -365,18 +365,16 @@ def mean_level_shift(level_label: str, field: LaserField, lines: LineTable,
     return sum(c for _, c, _ in _scalar_terms(level_label, two_f, field, lines)) * field.intensity
 
 
-def _shift_difference(wavelength: float, intensity: float, lines: LineTable,
-                      excited: str) -> float:
+def _shift_difference(wavelength: float, intensity: float, lines: LineTable) -> float:
     field = LaserField(wavelength=wavelength, intensity=intensity, epsilon=0)
     ground = mean_level_shift("5S1/2", field, lines)
-    upper = mean_level_shift(excited, field, lines)
+    upper = mean_level_shift("5P3/2", field, lines)
     return ground - upper
 
 
-def find_magic_wavelength(lines: LineTable, bracket: tuple[float, float],
-                          excited: str = "5P3/2", rel_tol: float = 1e-4) -> float:
-    """Shortest wavelength (m) in the bracket where the ground and the
-    Zeeman-averaged excited shifts cross.
+def find_magic_wavelength(lines: LineTable, bracket: tuple[float, float]) -> float:
+    """Shortest wavelength (m) in the bracket where the 5S1/2 and the
+    Zeeman-averaged 5P3/2 shifts cross, bisected to a relative width of 1e-4.
 
     The bracket is split at every line resonance of either level so that
     bisection only ever sees genuine sign changes of the continuous shift
@@ -390,7 +388,7 @@ def find_magic_wavelength(lines: LineTable, bracket: tuple[float, float],
 
     resonances = sorted(
         line.wavelength
-        for line, _ in lines.couplings_of("5S1/2") + lines.couplings_of(excited)
+        for line, _ in lines.couplings_of("5S1/2") + lines.couplings_of("5P3/2")
         if lo < line.wavelength < hi
     )
     edges = [lo] + resonances + [hi]
@@ -401,16 +399,16 @@ def find_magic_wavelength(lines: LineTable, bracket: tuple[float, float],
         b_in = b * (1 - pad) if b in resonances else b
         if a_in >= b_in:
             continue
-        fa = _shift_difference(a_in, intensity, lines, excited)
+        fa = _shift_difference(a_in, intensity, lines)
         if fa == 0.0:
             return a_in
-        fb = _shift_difference(b_in, intensity, lines, excited)
+        fb = _shift_difference(b_in, intensity, lines)
         if fa * fb > 0:
             continue
         x0, x1, f0 = a_in, b_in, fa
-        while (x1 - x0) / x0 > rel_tol:
+        while (x1 - x0) / x0 > 1e-4:
             mid = 0.5 * (x0 + x1)
-            fm = _shift_difference(mid, intensity, lines, excited)
+            fm = _shift_difference(mid, intensity, lines)
             if fm == 0.0:
                 return mid
             if f0 * fm < 0:

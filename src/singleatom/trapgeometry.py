@@ -89,15 +89,14 @@ def recoil_temperature(wavelength: float, mass: float) -> float:
     return (HBAR * k) ** 2 / (mass * KB)
 
 
-def heating_rate(t_rec: float, gamma_sc: float, kappa: float = 1.0) -> float:
-    """Temperature increase rate (K/s) from photon-recoil heating.
+def heating_rate(t_rec: float, gamma_sc: float) -> float:
+    """Temperature increase rate (K/s) from photon-recoil heating in a 3D
+    harmonic trap in thermal equilibrium.
 
-    ``kappa`` is the potential-to-kinetic energy ratio; 1 for a 3D harmonic
-    trap in thermal equilibrium.
+    The (2/3) T_rec per scattering event is shared equally between kinetic
+    and potential energy, so the temperature rises by T_rec gamma_sc / 3.
     """
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
-    return (2.0 / 3.0) / (1.0 + kappa) * t_rec * gamma_sc
+    return (1.0 / 3.0) * t_rec * gamma_sc
 
 
 def trap_volume(trap: TrapSpec, temperature: float) -> float:

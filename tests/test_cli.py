@@ -587,6 +587,22 @@ class TestConfigFile:
         assert alpha == 90.0
         assert p == pytest.approx(0.5, abs=1e-12)  # visibility from the file
 
+    def test_flag_at_its_default_overrides_config(self, tmp_path):
+        # --wavelength-nm 856 is also the flag's default; the file's 900 must
+        # not replace it
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"wavelength_nm": 900}))
+        beam = ["trap", "--power-mw", "44", "--waist-um", "3.5"]
+        code, out = run(tmp_path, beam + ["--wavelength-nm", "856", "--config", str(config)],
+                        "a.csv")
+        assert code == EXIT_OK
+        _, plain = run(tmp_path, beam, "b.csv")
+        assert out.read_bytes() == plain.read_bytes()
+        depth = float(out.read_text().splitlines()[1].split(",")[0])
+        assert depth == pytest.approx(1.0098, abs=1e-4)
+        _, from_file = run(tmp_path, beam + ["--config", str(config)], "c.csv")
+        assert from_file.read_bytes() != plain.read_bytes()
+
     def test_string_values_coerced_through_flag_type(self, tmp_path):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"power_mw": "44", "waist_um": "3.5"}))
@@ -791,6 +807,36 @@ class TestNonFiniteResults:
         err = capsys.readouterr().err
         assert code == EXIT_NUMERICAL and not out.exists()
         assert err == "numerical failure: non-finite value nan in column g2\n"
+
+
+class TestExtremeFourLevelDrives:
+    @pytest.mark.parametrize("extra", [
+        ["--delta-mhz", "1e100", "--icl", "103"],
+        ["--delta-mhz", "-31", "--icl", "1e300"],
+        ["--delta-mhz", "-31", "--icl", "103", "--irl", "1e300"],
+        ["--delta-mhz", "-31", "--icl", "103", "--delta-rl-mhz", "1e300"],
+    ], ids=["delta", "icl", "irl", "delta-rl"])
+    def test_unresolvable_linewidth_named(self, tmp_path, capsys, extra):
+        # the generator's entries span more than 1/eps: its rank rule cannot
+        # see the decays, which is the reason given, not a null-space count
+        code, out = run(tmp_path, ["g2", *extra, "--points", "3"])
+        assert code == EXIT_NUMERICAL and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: drive or detuning exceeds the linewidth "
+                              "by more than float64 can resolve: ")
+        assert err.count("\n") == 1
+
+
+class TestLongDelays:
+    @pytest.mark.parametrize("model", ["four-level", "two-level-obe"])
+    @pytest.mark.parametrize("tau_max_ns", ["1e7", "1e12"])
+    def test_g2_settles_at_one(self, tmp_path, model, tau_max_ns):
+        # the stationary mode's rate is exactly 0, so nothing grows at long delays
+        code, out = run(tmp_path, ["g2", "--model", model, "--delta-mhz", "-31",
+                                   "--icl", "103", "--points", "3", "--tau-max-ns", tau_max_ns])
+        assert code == EXIT_OK
+        rows = out.read_text().splitlines()[2:]
+        assert [float(row.split(",")[1]) for row in rows] == [1.0, 1.0]
 
 
 class TestAllocationFailure:

@@ -76,8 +76,9 @@ class TestCorrelation:
 
     def test_parallel_settings_anticorrelated(self):
         singlet = bell_state("psi-")
-        setting = MeasurementSetting(direction=(0.0, 0.0, 1.0))
-        assert correlation(singlet, setting, setting) == pytest.approx(-1.0)
+        for phi in (0.0, 0.7, 2.0):
+            setting = MeasurementSetting(phi=phi)
+            assert correlation(singlet, setting, setting) == pytest.approx(-1.0)
 
     def test_maximally_mixed_uncorrelated(self):
         mixed = TwoQubitState(rho=np.eye(4, dtype=complex) / 4)

@@ -130,6 +130,17 @@ def test_mode_sum_of_real_spectrum():
     assert np.abs(sum_modes(lam, amp, tau, c @ y0) - ref).max() <= 1e-13
 
 
+def test_linear_modes_pins_a_stationary_rate_to_zero():
+    # a rate matrix with one stationary distribution; scaled so that eig's
+    # noise on that mode is far above 1e-300 but far below the other rates
+    rates = np.array([[-3.0, 1.0, 0.5], [2.0, -1.0, 0.5], [1.0, 0.0, -1.0]]) * 1e7
+    lam, amp, _ = linear_modes(rates, [1.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+    assert np.count_nonzero(lam == 0.0) == 1
+    assert np.abs(lam[lam != 0.0]).min() > 1e6
+    # the total population stays 1 at any delay, however long
+    assert sum_modes(lam, amp, [1e3, 1e9], 1.0) == pytest.approx([1.0, 1.0], abs=1e-12)
+
+
 DEFECTIVE_OR_NEAR = [
     [[-1.0, 1.0], [0.0, -1.0]],              # a Jordan block: defective
     [[-1.0, 1.0], [1e-30, -1.0]],            # split by far less than eps

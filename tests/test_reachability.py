@@ -11,9 +11,17 @@ A span that the benchmark's tracer requires by name ("lightshift.hyperfine_shift
 layer then function) reaches that function too, since the tracer wraps it.
 Imports, re-exports and ``__all__`` strings alone do not count, and neither
 do the unit tests: code that only its own tests call is dead.
+
+The same holds for options.  A defaulted parameter of a public function or
+method, or a defaulted field of a public class, counts as passed when one of
+those files calls it by name or by position: a call of the function or class
+(resolved like a reaching load) or, for a method, of an attribute of its
+name.  A parameter that no caller passes holds one value, and belongs in the
+body as a constant.
 """
 
 import ast
+import math
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -25,6 +33,14 @@ REACHERS = (sorted(PACKAGE.rglob("*.py")) + [ROOT / "tests" / "test_acceptance.p
 UNREACHED_ALLOWED = {
     "loading.mean_number_ode": "the mean-number ODE is kept for its closed form "
                                "(ROADMAP item 2), which replaces its RK45 integration",
+}
+
+# 'definition.parameter' -> why it stays although no caller passes it
+UNPASSED_ALLOWED = {
+    f"bloch.four_level.FourLevelParams.shift_{level}":
+        "apply_trap_shifts sets the trap shifts through dataclasses.replace(**...), "
+        "which names no field at the call"
+    for level in "abcd"
 }
 
 
@@ -76,11 +92,70 @@ def definitions() -> dict[str, bool]:
     return found
 
 
-def reached() -> tuple[set[str], set[str]]:
-    """('module.name' of every loaded top-level binding, every loaded attribute name)."""
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in node.decorator_list)
+
+
+def _defaulted(args: ast.arguments, bound: int) -> dict[str, int | None]:
+    """Defaulted parameter -> position among the positional parameters after
+    the first ``bound`` (self or cls), or None for keyword-only ones."""
+    positional = args.posonlyargs + args.args
+    found = {arg.arg: i - bound
+             for i, arg in enumerate(positional)
+             if i >= len(positional) - len(args.defaults)}
+    found.update({arg.arg: None for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                  if default is not None})
+    return found
+
+
+def defaulted_parameters() -> dict[str, tuple[str, str, int | None]]:
+    """'module.function.parameter', 'module.Class.field' and
+    'module.Class.method.parameter' of every defaulted one -> ("call",
+    'module.name' of the callee, position) or ("method", method name, position)."""
+    found = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = _module_name(path)
+        for node in _parse(path).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            name = f"{module}.{node.name}"
+            if isinstance(node, ast.FunctionDef):
+                found.update({f"{name}.{p}": ("call", name, pos)
+                              for p, pos in _defaulted(node.args, 0).items()})
+            if not isinstance(node, ast.ClassDef):
+                continue
+            fields = [item for item in node.body if isinstance(item, ast.AnnAssign)
+                      and isinstance(item.target, ast.Name)] if _is_dataclass(node) else []
+            found.update({f"{name}.{item.target.id}": ("call", name, pos)
+                          for pos, item in enumerate(fields) if item.value is not None})
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef):
+                    continue
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in item.decorator_list)
+                params = _defaulted(item.args, 0 if static else 1)
+                if item.name == "__init__":
+                    found.update({f"{name}.{p}": ("call", name, pos) for p, pos in params.items()})
+                elif not item.name.startswith("_"):
+                    found.update({f"{name}.{item.name}.{p}": ("method", item.name, pos)
+                                  for p, pos in params.items()})
+    return found
+
+
+def _scan():
+    """(loads, calls, spans, resolve) of the reaching files.
+
+    ``loads`` holds each file's bindings, loaded names and loaded attributes;
+    ``calls`` every call as (callee 'module.name' or None, attribute name or
+    None, positional count, keyword names), a starred argument counting as
+    every position and a ``**`` one as every keyword (keyword None);
+    ``spans`` the benchmark scripts' string constants; ``resolve`` follows a
+    'module.name' through re-exports to its definition."""
     defined = {name for name, is_method in definitions().items() if not is_method}
     reexports = {}  # 'module.name' bound by an import -> 'module.name' it came from
-    loads = []      # (bindings of the file, loaded names, loaded attributes by base name)
+    files = []      # (bindings, loaded names, loaded attributes by base name, calls)
     spans = set()   # string constants of the benchmark scripts
     for path in REACHERS:
         tree = _parse(path)
@@ -89,7 +164,7 @@ def reached() -> tuple[set[str], set[str]]:
         if module is not None:
             bindings.update({n.split(".")[-1]: n for n in defined
                              if n.rsplit(".", 1)[0] == module})
-        names, attributes = set(), set()
+        names, attributes, calls = set(), set(), []
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
                 source = _imported_module(path, node)
@@ -105,7 +180,12 @@ def reached() -> tuple[set[str], set[str]]:
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 base = node.value.id if isinstance(node.value, ast.Name) else None
                 attributes.add((base, node.attr))
-        loads.append((bindings, names, attributes))
+            elif isinstance(node, ast.Call):
+                n_pos = (math.inf if any(isinstance(a, ast.Starred) for a in node.args)
+                         else len(node.args))
+                keywords = {k.arg for k in node.keywords}
+                calls.append((node.func, n_pos, keywords))
+        files.append((bindings, names, attributes, calls))
         if path.parent.name == "perfbench":
             spans.update(node.value for node in ast.walk(tree)
                          if isinstance(node, ast.Constant) and isinstance(node.value, str))
@@ -117,6 +197,25 @@ def reached() -> tuple[set[str], set[str]]:
             target = reexports[target]
         return target
 
+    loads, resolved_calls = [], []
+    for bindings, names, attributes, calls in files:
+        loads.append((bindings, names, attributes))
+        for func, n_pos, keywords in calls:
+            callee, attr = None, None
+            if isinstance(func, ast.Name) and func.id in bindings:
+                callee = resolve(bindings[func.id])
+            elif isinstance(func, ast.Attribute):
+                attr = func.attr
+                if isinstance(func.value, ast.Name) and func.value.id in bindings:
+                    callee = resolve(f"{bindings[func.value.id]}.{attr}")
+            resolved_calls.append((callee, attr, n_pos, keywords))
+    return loads, resolved_calls, spans, resolve
+
+
+def reached() -> tuple[set[str], set[str]]:
+    """('module.name' of every loaded top-level binding, every loaded attribute name)."""
+    defined = {name for name, is_method in definitions().items() if not is_method}
+    loads, _, spans, resolve = _scan()
     # a span 'layer.name' wraps 'name' in the modules of that layer
     used = set()
     for span in spans:
@@ -133,6 +232,20 @@ def reached() -> tuple[set[str], set[str]]:
     return used, attribute_names
 
 
+def unpassed_parameters() -> list[str]:
+    """The defaulted parameters and fields that no reaching call passes."""
+    _, calls, _, _ = _scan()
+    unpassed = []
+    for full, (kind, target, position) in defaulted_parameters().items():
+        param = full.rsplit(".", 1)[1]
+        if not any((callee == target if kind == "call" else attr == target)
+                   and (param in keywords or None in keywords
+                        or position is not None and position < n_pos)
+                   for callee, attr, n_pos, keywords in calls):
+            unpassed.append(full)
+    return sorted(unpassed)
+
+
 def test_every_public_definition_is_reached():
     used, attribute_names = reached()
     unreached = sorted(
@@ -146,3 +259,14 @@ def test_every_public_definition_is_reached():
 
 def test_allowed_exceptions_still_exist():
     assert set(UNREACHED_ALLOWED) <= set(definitions())
+
+
+def test_every_defaulted_parameter_is_passed():
+    unpassed = [name for name in unpassed_parameters() if name not in UNPASSED_ALLOWED]
+    assert unpassed == [], (
+        "passed by no scenario, criterion or benchmark script (make it a constant "
+        "of the body): " + ", ".join(unpassed))
+
+
+def test_allowed_unpassed_parameters_still_exist():
+    assert set(UNPASSED_ALLOWED) <= set(defaulted_parameters())

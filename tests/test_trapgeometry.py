@@ -111,14 +111,11 @@ class TestTemperatures:
 
 class TestHeating:
     def test_harmonic_virial_value(self):
-        assert heating_rate(361.95e-9, 24.0, kappa=1.0) == pytest.approx(
+        assert heating_rate(361.95e-9, 24.0) == pytest.approx(
             361.95e-9 * 24.0 / 3.0, rel=1e-12)
 
     def test_far_detuned_trap_operating_point(self):
-        assert heating_rate(362e-9, 24.0, kappa=1.0) == pytest.approx(2.9e-6, rel=0.01)
-
-    def test_stiff_trap_limit(self):
-        assert heating_rate(362e-9, 24.0, kappa=1e9) == pytest.approx(0.0, abs=1e-12)
+        assert heating_rate(362e-9, 24.0) == pytest.approx(2.9e-6, rel=0.01)
 
 
 class TestTrapVolume:
