@@ -32,6 +32,7 @@ from ..constants import (
     RB87_ISAT_F1_F2,
     RB87_ISAT_F2_F2,
     RB87_ISAT_F2_F3,
+    rabi_frequency,
 )
 from ..integrator import linear_modes, propagate_linear, sum_modes
 from .state import DensityMatrix, from_real_vector, lindblad_generator, to_real_vector
@@ -83,11 +84,10 @@ class FourLevelParams:
     @property
     def rabi_frequencies(self) -> tuple[float, float, float]:
         """(repump b-a, cooling c-a, cooling c-d) on-resonance Rabi rates."""
-        g = RB87_GAMMA_D2
         return (
-            g * np.sqrt(self.i_rl / (2 * RB87_ISAT_F1_F2)),
-            g * np.sqrt(self.i_cl / (2 * RB87_ISAT_F2_F2)),
-            g * np.sqrt(self.i_cl / (2 * RB87_ISAT_F2_F3)),
+            rabi_frequency(self.i_rl, RB87_ISAT_F1_F2),
+            rabi_frequency(self.i_cl, RB87_ISAT_F2_F2),
+            rabi_frequency(self.i_cl, RB87_ISAT_F2_F3),
         )
 
     @property
@@ -143,7 +143,9 @@ class FourLevelLiouvillian:
         vector is the last row of ``numpy.linalg.svd``'s V^H.  Where that
         tolerance reaches the smallest decay rate, the drive or a detuning
         is so far above the linewidth that float64 cannot resolve the
-        decays, and the state is refused with that reason.
+        decays, and the state is refused with that reason.  So is a state
+        whose excited population is not above n eps s_max / s_(n-1), the
+        rounding error of the null vector: g2 would divide noise by noise.
         """
         m = self.matrix_real
         _, s, vh = np.linalg.svd(m)
@@ -160,8 +162,14 @@ class FourLevelLiouvillian:
         trace = vec[:4].sum()
         if abs(trace) < 1e-12:
             raise ValueError("null vector has zero trace; generator is degenerate")
-        rho = from_real_vector(vec / trace)
-        return DensityMatrix(entries=rho, basis_labels=BASIS_LABELS)
+        vec = vec / trace
+        excited = vec[_IDX_A] + vec[_IDX_D]  # the populations lead the real layout
+        noise = len(s) * np.finfo(float).eps * s[0] / s[-2]
+        if not excited > noise:
+            raise ValueError(
+                f"no steady-state excitation: excited population {excited:.3g} is not above "
+                f"the null vector's rounding error {noise:.3g}")
+        return DensityMatrix(entries=from_real_vector(vec), basis_labels=BASIS_LABELS)
 
     def propagate(self, rho0: np.ndarray, delays) -> np.ndarray:
         """Evolve ``rho0`` by each delay; returns (len(delays), 4, 4) complex.
@@ -174,12 +182,11 @@ class FourLevelLiouvillian:
 
 
 def post_emission_state(params: FourLevelParams, steady: DensityMatrix) -> np.ndarray:
-    """Ground-state mixture right after a photon emission (all coherences zero)."""
+    """Ground-state mixture right after a photon emission (all coherences
+    zero), from a steady state with excitation (``steady_state`` checks it)."""
     p_aa = steady.population(BASIS_LABELS[_IDX_A])
     p_dd = steady.population(BASIS_LABELS[_IDX_D])
     denom = (params.gamma_ab + params.gamma_ac) * p_aa + params.gamma_dc * p_dd
-    if denom <= 0:
-        raise ValueError("no steady-state excitation: g2 undefined")
     rho0 = np.zeros((4, 4), dtype=complex)
     rho0[_IDX_B, _IDX_B] = params.gamma_ab * p_aa / denom
     rho0[_IDX_C, _IDX_C] = (params.gamma_ac * p_aa + params.gamma_dc * p_dd) / denom

@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 from . import __version__
 from .constants import (KB, RB87_GAMMA_D2, RB87_ISAT_F2_F3, RB87_MASS, TWO_PI,
-                        intensity_from_mw_cm2)
+                        intensity_from_mw_cm2, rabi_frequency)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -240,15 +240,6 @@ def run_loading(args):
     return header, [rates, [mean_number(p) for p in laws], *zip(*laws)]
 
 
-def _omega3(icl_mw_cm2: float) -> float:
-    """The cooling Rabi rate on F=2 -> F'=3 (FourLevelParams.rabi_frequencies[2])
-    of the two-level models."""
-    i_cl = intensity_from_mw_cm2(icl_mw_cm2)
-    if i_cl < 0:
-        raise ValueError("intensities must be nonnegative")
-    return RB87_GAMMA_D2 * math.sqrt(i_cl / (2 * RB87_ISAT_F2_F3))
-
-
 def _four_level_params(args) -> FourLevelParams:
     from .bloch import FourLevelParams, apply_trap_shifts
 
@@ -279,11 +270,13 @@ def _linspace(stop: float, points: int) -> list[float]:
 
 def run_g2(args):
     delta = TWO_PI * args.delta_mhz * 1e6
+    # the two-level models' drive: the cooling Rabi rate on F=2 -> F'=3
+    omega3 = rabi_frequency(intensity_from_mw_cm2(args.icl_mw_cm2), RB87_ISAT_F2_F3)
     if args.model == "two-level-analytic":
         from .readout import two_level_g2
 
         tau = _linspace(args.tau_max_ns * 1e-9, args.points)
-        g2 = two_level_g2(_omega3(args.icl_mw_cm2), delta, RB87_GAMMA_D2, tau)
+        g2 = two_level_g2(omega3, delta, RB87_GAMMA_D2, tau)
         return ["tau_ns", "g2"], [[t * 1e9 for t in tau], g2]
 
     import numpy as np
@@ -293,8 +286,7 @@ def run_g2(args):
     report = {}
     if args.model == "two-level-obe":
         # a float64 scalar: an overflowing drive gives nan in the column, not a raise
-        omega3 = np.float64(_omega3(args.icl_mw_cm2))
-        g2 = two_level_obe_g2(omega3, delta, RB87_GAMMA_D2, tau, report)
+        g2 = two_level_obe_g2(np.float64(omega3), delta, RB87_GAMMA_D2, tau, report)
     elif args.model == "four-level":
         g2 = four_level_g2(_four_level_params(args), tau, report)
     else:  # full
@@ -525,7 +517,16 @@ def _check_beam(args) -> list[str]:
 
 def _check_magic(args) -> list[str]:
     lo, hi = args.bracket_um
-    return _read_lines(args) if 0 < lo < hi else ["--bracket-um must satisfy 0 < lo < hi"]
+    if not 0 < lo < hi:
+        return ["--bracket-um must satisfy 0 < lo < hi"]
+    from .lightshift import shortest_resolved_wavelength
+
+    _read_lines(args)
+    floor = shortest_resolved_wavelength(args.lines)
+    if lo * 1e-6 < floor:
+        return [f"--bracket-um {lo:g},{hi:g} reaches below {floor * 1e6:.3g} um, where the"
+                " light shifts cancel to rounding noise"]
+    return []
 
 
 def _check_spectrum_fit(args) -> list[str]:
@@ -611,7 +612,7 @@ SPECS = {
                 check=("two-level-analytic", "two-level-obe", "four-level", "full")),
            Flag("delta-mhz", required=True, help="cooling detuning / 2pi (MHz)"),
            Flag("delta-rl-mhz", default=0.0),
-           Flag("icl-mw-cm2", required=True, alias="icl"),
+           Flag("icl-mw-cm2", required=True, check="nonnegative", alias="icl"),
            Flag("irl-mw-cm2", default=12.0, check="positive", alias="irl"),
            Flag("tau-max-ns", default=200.0, check="positive"),
            Flag("points", "int", default=801, check=(2, MAX_POINTS)),

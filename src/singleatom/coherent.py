@@ -2,13 +2,16 @@
 
 Pure-state dynamics only.  Loss from the optically excited intermediate
 level is modeled by a non-Hermitian -i*Gamma/2 term, so the norm leak of
-the trajectory equals the accumulated scattering probability.  STIRAP is
-propagated by the fourth-order Magnus integrator (``integrator.magnus4``)
-on its affine generator -iH(t) = A0 + Omega_p(t) B_p + Omega_s(t) B_s,
-with A0 the loss and B_p, B_s the two resonant couplings, and the
-scattering is an independent trapezoid quadrature of Gamma |c_a|^2 over
-the same trajectory.  The closed-form STIRAP readout and Larmor survival
-laws, which need no state vector, live in ``readout``.
+the trajectory equals the accumulated scattering probability.  With
+resonant pulses -iH(t) is a real matrix in the basis (i|a>, |b>, |c>)
+(Vitanov et al., Rev. Mod. Phys. 89, 015006 (2017)), so a state that
+starts real there stays a real three-vector.  STIRAP is propagated by the
+fourth-order Magnus integrator (``integrator.magnus4``) on that real
+affine generator -iH(t) = A0 + Omega_p(t) B_p + Omega_s(t) B_s, with A0
+the loss and B_p, B_s the two resonant couplings, and the scattering is an
+independent trapezoid quadrature of Gamma |c_a|^2 over the same
+trajectory.  The closed-form STIRAP readout and Larmor survival laws,
+which need no state vector, live in ``readout``.
 """
 
 from __future__ import annotations
@@ -21,15 +24,12 @@ import numpy as np
 from .integrator import magnus4
 
 __all__ = [
-    "PureState",
     "Pulse",
     "PulseSchedule",
     "StirapResult",
     "ground_start",
     "stirap_evolve",
 ]
-
-LAMBDA_BASIS = ("a", "b", "c")
 
 # Magnus-4 steps of stirap_evolve: h ||A|| <= _MAGNUS_STEP, and at least
 # _STEPS_PER_PULSE steps per pulse duration.  Measured against DOP853 at
@@ -42,30 +42,6 @@ _STEPS_PER_PULSE = 2000
 _STEPS_PER_CALL = 4096
 # sample times of stirap_evolve over the schedule
 _SAMPLES = 4000
-
-
-@dataclass(frozen=True)
-class PureState:
-    """Complex amplitudes over a labeled basis, normalized unless leaky."""
-
-    amplitudes: np.ndarray
-    basis_labels: tuple[str, ...]
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", amps)
-        if amps.ndim != 1 or len(amps) != len(self.basis_labels):
-            raise ValueError("one amplitude per basis label required")
-
-    @property
-    def norm_sq(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
-
-    def amplitude(self, label: str) -> complex:
-        return complex(self.amplitudes[self.basis_labels.index(label)])
-
-    def population(self, label: str) -> float:
-        return abs(self.amplitude(label)) ** 2
 
 
 @dataclass(frozen=True)
@@ -124,7 +100,10 @@ class PulseSchedule:
 
 @dataclass(frozen=True)
 class StirapResult:
-    final_state: PureState
+    """Statistics of one STIRAP trajectory; ``final_state`` holds the final
+    amplitudes on (i|a>, |b>, |c>), so the bare |a> amplitude is i * final_state[0]."""
+
+    final_state: np.ndarray
     efficiency: float              # population of |c> at the end
     max_intermediate: float        # max of the |a> population over the sample times
     norm_leak: float               # 1 - final norm^2
@@ -133,17 +112,19 @@ class StirapResult:
     step_norm: float               # h ||A||_1 of those steps, the bound the step rule keeps
 
 
-def ground_start() -> PureState:
-    """All population in |b>, the usual transfer starting point."""
-    return PureState(amplitudes=np.array([0.0, 1.0, 0.0], dtype=complex),
-                     basis_labels=LAMBDA_BASIS)
+def ground_start() -> np.ndarray:
+    """All population in |b>, the usual transfer starting point: the real
+    amplitudes (0, 1, 0) on (i|a>, |b>, |c>)."""
+    return np.array([0.0, 1.0, 0.0])
 
 
-def stirap_evolve(schedule: PulseSchedule, initial: PureState,
+def stirap_evolve(schedule: PulseSchedule, initial: np.ndarray,
                   loss_gamma: float = 0.0) -> StirapResult:
     """Propagate the resonant three-level Schroedinger equation under the
     pulse pair.
 
+    ``initial`` holds the three amplitudes on (i|a>, |b>, |c>); the
+    trajectory is real for a real one and complex for a complex one.
     ``loss_gamma`` adds -i*Gamma/2 on the intermediate level a, so norm is
     non-increasing and the leak equals the scattered population.  The state
     is sampled on 4000 (``_SAMPLES``) equally spaced times over the
@@ -153,19 +134,22 @@ def stirap_evolve(schedule: PulseSchedule, initial: PureState,
     the trapezoid sum over those steps.  Only the sampled statistics are
     kept, so memory does not grow with the number of steps.
     """
-    if initial.basis_labels != LAMBDA_BASIS:
-        raise ValueError("initial state must live on the (a, b, c) basis")
+    state = np.asarray(initial)
+    if state.shape != (3,):
+        raise ValueError("initial state must be three amplitudes on (i|a>, |b>, |c>)")
     if loss_gamma < 0:
         raise ValueError("loss_gamma must be nonnegative")
     pump, stokes = schedule.pump, schedule.stokes
 
-    # A(t) = -iH(t) = basis[0] + Omega_p(t) basis[1] + Omega_s(t) basis[2],
-    # the columns of the Schroedinger right-hand side; drive element
-    # <a|H|b> = -Omega/2, so the stationary dark state is (|b> - |c>)/sqrt(2)
-    basis = np.zeros((3, 3, 3), dtype=complex)
+    # A(t) = -iH(t) = basis[0] + Omega_p(t) basis[1] + Omega_s(t) basis[2]
+    # on the amplitudes of (i|a>, |b>, |c>): with the drive element
+    # <a|H|b> = -Omega/2 and c_a = i x_a, dx_a/dt = -Gamma/2 x_a + Omega/2 c_b
+    # and dc_b/dt = -Omega/2 x_a, all real.  The stationary dark state is
+    # (|b> - |c>)/sqrt(2)
+    basis = np.zeros((3, 3, 3))
     basis[0, 0, 0] = -loss_gamma / 2.0
-    basis[1, 0, 1] = basis[1, 1, 0] = 0.5j
-    basis[2, 0, 2] = basis[2, 2, 0] = 0.5j
+    basis[1, 0, 1] = basis[2, 0, 2] = 0.5
+    basis[1, 1, 0] = basis[2, 2, 0] = -0.5
 
     def coefficients(t):
         return np.stack((np.ones_like(t), pump.envelope(t), stokes.envelope(t)), axis=1)
@@ -178,23 +162,21 @@ def stirap_evolve(schedule: PulseSchedule, initial: PureState,
         a_norm / _MAGNUS_STEP,
         _STEPS_PER_PULSE / min(pump.duration, stokes.duration))))
     group = max(1, _STEPS_PER_CALL // per_interval)  # sampling intervals per call
-    state = initial.amplitudes
     max_a = float(abs(state[0]) ** 2)
     scattered = 0.0
     for k in range(0, _SAMPLES - 1, group):
         end = min(k + group, _SAMPLES - 1)
         t = np.linspace(t_out[k], t_out[end], (end - k) * per_interval + 1)
         traj = magnus4(basis, coefficients, state, t)
-        pop_a = traj[:, 0].real ** 2 + traj[:, 0].imag ** 2
+        pop_a = np.abs(traj[:, 0]) ** 2
         max_a = max(max_a, float(np.max(pop_a[::per_interval])))
         scattered += loss_gamma * float(np.sum(np.diff(t) * (pop_a[:-1] + pop_a[1:]))) / 2.0
         state = traj[-1]
-    final = PureState(amplitudes=state, basis_labels=LAMBDA_BASIS)
     return StirapResult(
-        final_state=final,
+        final_state=state,
         efficiency=float(abs(state[2]) ** 2),
         max_intermediate=max_a,
-        norm_leak=1.0 - final.norm_sq,
+        norm_leak=1.0 - float(np.vdot(state, state).real),
         scattered=scattered,
         magnus_steps=(_SAMPLES - 1) * per_interval,
         step_norm=h_out / per_interval * a_norm,

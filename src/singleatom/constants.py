@@ -51,6 +51,11 @@ def intensity_from_mw_cm2(value: float) -> float:
     return value * MW_PER_CM2
 
 
+def rabi_frequency(intensity: float, i_sat: float) -> float:
+    """Rabi rate (rad/s) Gamma sqrt(I / 2 I_sat) of a D2 transition; I, I_sat in W/m^2."""
+    return RB87_GAMMA_D2 * math.sqrt(intensity / (2 * i_sat))
+
+
 def angular_frequency(wavelength: float) -> float:
     """Angular frequency (rad/s) of light with the given vacuum wavelength (m)."""
     if wavelength <= 0:

@@ -12,9 +12,10 @@ time-dependent generators affine in constant matrices (the STIRAP pulses,
 A(t) = sum_i f_i(t) B_i) take one commutator-based fourth-order Magnus step
 per grid interval (``magnus4``): the commutators [B_i, B_j] are built once,
 the steps are exponentiated as a stack (``_expm``) and multiplied by a
-work-efficient tree scan (``_prefix_states``).  The nonlinear mean-number
-loading ODE runs through an adaptive embedded Runge-Kutta 4(5) integrator
-at rtol 1e-9, atol 1e-12 (``integrate``).
+work-efficient tree scan (``_prefix_states``), all in the dtype of the B_i
+and the state, so a real generator and state propagate in float64.  The
+nonlinear mean-number loading ODE runs through an adaptive embedded
+Runge-Kutta 4(5) integrator at rtol 1e-9, atol 1e-12 (``integrate``).
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ ATOL = 1e-12
 # whatever the grid length
 _CHUNK = 1024
 # steps per block of magnus4: the measured optimum of the lossy 4000-sample
-# STIRAP call of a lib-sweep point (blocks of 256/512/1024/2048/4096 steps:
-# 2.9/2.5/2.3/3.0/3.1 ms, medians of 30 calls on one core of a 2-vCPU Xeon
-# VM); a block's temporaries are a few (1024, 6, 6) stacks of 295 kB
+# STIRAP call of a lib-sweep point on its real 3x3 steps (blocks of
+# 256/512/1024/2048/4096 steps: 8.1/6.4/6.2/6.4/6.6 ms, medians of 30 calls
+# on one core of a 2-vCPU VM); a block's temporaries are a few (1024, 3, 3)
+# stacks of 74 kB
 _MAGNUS_BLOCK = 1024
 # The rounding error of the eigen-expansion grows like eps / s^2, with s the
 # smallest overlap |w_k^H v_k| of the unit left and right eigenvectors
@@ -200,7 +202,8 @@ def propagate_linear(m, y0, delays) -> np.ndarray:
 
 
 def _expm(x) -> np.ndarray:
-    """exp of every matrix in a real stack of shape (n, k, k).
+    """exp of every matrix in a real or complex stack of shape (n, k, k),
+    computed in the stack's dtype.
 
     Taylor polynomial with scaling and squaring: the stack is scaled by 2^-s
     so that its largest 1-norm nu is at most 1, and the degree m is the
@@ -209,7 +212,7 @@ def _expm(x) -> np.ndarray:
     degree, each coefficient added on the diagonal only.  ``x`` is not
     modified.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x)
     k = x.shape[-1]
     norm = float(np.einsum("...ij->...j", np.abs(x)).max())
     squarings = math.ceil(math.log2(norm)) if norm > 1.0 else 0
@@ -233,16 +236,6 @@ def _expm(x) -> np.ndarray:
     return out
 
 
-def _real_form(a: np.ndarray) -> np.ndarray:
-    """[[Re a, -Im a], [Im a, Re a]] of a complex stack (n, d, d)."""
-    d = a.shape[-1]
-    out = np.empty(a.shape[:-2] + (2 * d, 2 * d))
-    out[..., :d, :d] = out[..., d:, d:] = a.real
-    out[..., :d, d:] = -a.imag
-    out[..., d:, :d] = a.imag
-    return out
-
-
 def _prefix_states(steps: np.ndarray, y0: np.ndarray) -> np.ndarray:
     """The states before each step: row k is steps[k-1] ... steps[0] y0.
 
@@ -250,6 +243,7 @@ def _prefix_states(steps: np.ndarray, y0: np.ndarray) -> np.ndarray:
     neighbouring pairs level by level, and the down-sweep hands each pair's
     start state to its left half and, through one batched mat-vec with the
     left half's product, to its right half.  About one matmul per step.
+    The states take the dtype of the steps and ``y0`` together.
     """
     levels = [steps]
     while len(levels[-1]) > 2:
@@ -260,7 +254,7 @@ def _prefix_states(steps: np.ndarray, y0: np.ndarray) -> np.ndarray:
     states = y0[None, :]
     for q in reversed(levels):
         pairs = len(q) // 2
-        down = np.empty((len(q), len(y0)))
+        down = np.empty((len(q), len(y0)), dtype=np.result_type(q, states))
         down[0::2] = states
         down[1::2] = np.einsum("nij,nj->ni", q[0:2 * pairs:2], states[:pairs])
         states = down
@@ -270,33 +264,32 @@ def _prefix_states(steps: np.ndarray, y0: np.ndarray) -> np.ndarray:
 def magnus4(basis, coefficients, y0, t_grid) -> np.ndarray:
     """Solve dy/dt = A(t) y with one fourth-order Magnus step per interval.
 
-    The generator is affine in constant complex matrices,
-    A(t) = sum_i f_i(t) B_i, with ``basis`` the stack (m, d, d) of the B_i
-    and ``coefficients(t)`` mapping a 1-D array of times to the real
-    weights f_i(t), shape (len(t), m).  On each interval of length h the
-    two Gauss-Legendre nodes t_mid -/+ h sqrt(3)/6 give A1 and A2, and the
-    step is exp(h/2 (A1 + A2) + sqrt(3)/12 h^2 [A2, A1]), evaluated on the
-    real form of the matrices.  The real forms of the B_i and of every
-    [B_i, B_j] are built once, so each exponent is one row of weights
+    The generator is affine in constant matrices, A(t) = sum_i f_i(t) B_i,
+    with ``basis`` the stack (m, d, d) of the B_i and ``coefficients(t)``
+    mapping a 1-D array of times to the real weights f_i(t), shape
+    (len(t), m).  On each interval of length h the two Gauss-Legendre nodes
+    t_mid -/+ h sqrt(3)/6 give A1 and A2, and the step is
+    exp(h/2 (A1 + A2) + sqrt(3)/12 h^2 [A2, A1]).  The B_i and every
+    [B_i, B_j] are stacked once, so each exponent is one row of weights
     times that constant stack:
     [A2, A1] = sum_{i<j} (f_i(t2) f_j(t1) - f_j(t2) f_i(t1)) [B_i, B_j].
     The steps of a block of ``_MAGNUS_BLOCK`` intervals are multiplied by
     a work-efficient tree scan, and the state is carried from block to
-    block.  Returns the complex array of shape (len(t_grid), d); ``t_grid``
-    must be nondecreasing and start at the initial time, and the first row
-    holds ``y0``.  The accuracy is set by the grid: the caller chooses h
-    small against 1/||A||.
+    block.  Everything is computed in the dtype of ``basis`` and ``y0``
+    together: real for a real basis and state, complex if either is.
+    Returns the array of shape (len(t_grid), d); ``t_grid`` must be
+    nondecreasing and start at the initial time, and the first row holds
+    ``y0``.  The accuracy is set by the grid: the caller chooses h small
+    against 1/||A||.
     """
     t_grid = _checked_grid(t_grid)
-    y0 = np.asarray(y0, dtype=complex)
+    y0 = np.asarray(y0)
+    basis = np.asarray(basis)
     d = len(y0)
-    real = _real_form(np.asarray(basis, dtype=complex))
-    first, second = np.triu_indices(len(real), 1)
-    # the real form is an algebra homomorphism: it maps [B_i, B_j] to the
-    # commutator of the real forms
+    first, second = np.triu_indices(len(basis), 1)
     constant = np.concatenate((
-        real, real[first] @ real[second] - real[second] @ real[first],
-    )).reshape(-1, 4 * d * d)
+        basis, basis[first] @ basis[second] - basis[second] @ basis[first],
+    )).reshape(-1, d * d)
     h = np.diff(t_grid)
     mid = (t_grid[:-1] + t_grid[1:]) / 2.0
     f1 = coefficients(mid - h * (_SQRT3 / 6.0))
@@ -307,11 +300,11 @@ def magnus4(basis, coefficients, y0, t_grid) -> np.ndarray:
         (_SQRT3 / 12.0) * h**2 * (f2[:, first] * f1[:, second]
                                   - f2[:, second] * f1[:, first]),
     ), axis=1)
-    out = np.empty((len(t_grid), 2 * d))
-    out[0, :d], out[0, d:] = y0.real, y0.imag
+    out = np.empty((len(t_grid), d), dtype=np.result_type(constant, y0))
+    out[0] = y0
     for start in range(0, len(h), _MAGNUS_BLOCK):
         block = weights[start:start + _MAGNUS_BLOCK]
-        steps = _expm((block @ constant).reshape(len(block), 2 * d, 2 * d))
+        steps = _expm((block @ constant).reshape(len(block), d, d))
         before = _prefix_states(steps, out[start])
         out[start + 1:start + 1 + len(block)] = np.einsum("nij,nj->ni", steps, before)
-    return out[:, :d] + 1j * out[:, d:]
+    return out

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import sys
 from dataclasses import dataclass
 
 from .angular import _triangle_ok, clebsch_gordan, wigner_6j
@@ -45,6 +46,7 @@ __all__ = [
     "hyperfine_shift",
     "mean_level_shift",
     "find_magic_wavelength",
+    "shortest_resolved_wavelength",
 ]
 
 LINE_DATA_ENV = "SINGLEATOM_LINE_DATA"
@@ -372,6 +374,13 @@ def _shift_difference(wavelength: float, intensity: float, lines: LineTable) -> 
     return ground - upper
 
 
+def shortest_resolved_wavelength(lines: LineTable) -> float:
+    """eps times the longest wavelength (m) of a line of 5S1/2 or 5P3/2: below it
+    1/(w0 - w) + 1/(w0 + w) is lost in rounding noise (about eps w / 2 w0 of it)."""
+    couplings = lines.couplings_of("5S1/2") + lines.couplings_of("5P3/2")
+    return sys.float_info.epsilon * max(line.wavelength for line, _ in couplings)
+
+
 def find_magic_wavelength(lines: LineTable, bracket: tuple[float, float]) -> float:
     """Shortest wavelength (m) in the bracket where the 5S1/2 and the
     Zeeman-averaged 5P3/2 shifts cross, bisected to a relative width of 1e-4.
@@ -379,11 +388,11 @@ def find_magic_wavelength(lines: LineTable, bracket: tuple[float, float]) -> flo
     The bracket is split at every line resonance of either level so that
     bisection only ever sees genuine sign changes of the continuous shift
     difference, not poles.  Raises ``ValueError`` when the bracket contains
-    no crossing.
+    no crossing, and when lo is below ``shortest_resolved_wavelength``.
     """
     lo, hi = bracket
-    if not 0 < lo < hi:
-        raise ValueError("bracket must satisfy 0 < lo < hi")
+    if not shortest_resolved_wavelength(lines) <= lo < hi:
+        raise ValueError("bracket must satisfy eps * (longest line) <= lo < hi")
     intensity = 1e7  # arbitrary; the crossing is intensity-independent
 
     resonances = sorted(

@@ -170,6 +170,18 @@ class TestGenerator:
         with pytest.raises(ValueError, match=f"not unique: null space dimension {dim}"):
             liouv.steady_state()
 
+    @pytest.mark.parametrize("delta_over_gamma,icl", [(-5.0, 0.0), (1.65e5, 103.0)],
+                             ids=["cooling-off", "detuned-1e6-mhz"])
+    def test_steady_state_without_resolved_excitation_refused(self, delta_over_gamma, icl):
+        # an excited population not above n eps s_max / s_(n-1), the rounding
+        # error of the null vector
+        liouv = FourLevelLiouvillian(params_at(delta_over_gamma, icl))
+        s = np.linalg.svd(liouv.matrix_real, compute_uv=False)
+        noise = 16 * np.finfo(float).eps * s[0] / s[-2]
+        with pytest.raises(ValueError, match="no steady-state excitation: excited population "
+                                             f"[^ ]+ is not above .* {noise:.3g}$"):
+            liouv.steady_state()
+
     def test_steady_state_matches_long_time_integration(self):
         liouv = FourLevelLiouvillian(params_at(-5.0))
         steady = liouv.steady_state()

@@ -173,6 +173,42 @@ class TestValidateOnlyAgreesWithRun:
         assert capsys.readouterr().err == err
 
 
+class TestNegativeCoolingIntensity:
+    @pytest.mark.parametrize("model", [
+        ["--model", "two-level-analytic"], ["--model", "two-level-obe"],
+        ["--model", "four-level"], ["--model", "full", "--env-a", "0.3", "--env-tau-us", "2"],
+    ], ids=["two-level-analytic", "two-level-obe", "four-level", "full"])
+    def test_refused_in_validation(self, tmp_path, capsys, model):
+        args = ["g2", *model, "--delta-mhz", "-31", "--icl", "-1", "--points", "3"]
+        line = "validation: --icl-mw-cm2 must be nonnegative, got -1.0\n"
+        code, out = run(tmp_path, args)
+        assert code == EXIT_VALIDATION and not out.exists()
+        assert capsys.readouterr().err == line
+        assert main(args + ["--validate-only"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == line and captured.out == ""
+
+
+class TestMagicBracketBelowResolution:
+    @pytest.mark.parametrize("bracket", ["1e-20,1.6", "1e-16,1.6", "3e-16,1.6"])
+    def test_refused_in_validation(self, tmp_path, capsys, bracket):
+        # there 1/(w0 - w) + 1/(w0 + w) cancels to 0 or to noise, whose sign
+        # changes the search took for crossings
+        args = ["magic", "--bracket-um", bracket]
+        line = (f"validation: --bracket-um {bracket} reaches below 3.4e-16 um, where the"
+                " light shifts cancel to rounding noise\n")
+        code, out = run(tmp_path, args)
+        assert code == EXIT_VALIDATION and not out.exists()
+        assert capsys.readouterr().err == line
+        assert main(args + ["--validate-only"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == line
+
+    def test_resolved_short_edge_finds_the_crossing(self, tmp_path):
+        code, out = run(tmp_path, ["magic", "--bracket-um", "1e-15,1.6"])
+        assert code == EXIT_OK
+        assert out.read_text() == "bracket_lo_um,bracket_hi_um,magic_um\n1e-15,1.6,0.791341035913\n"
+
+
 class TestOverflowingSquares:
     """A value whose square the run would overflow is refused in validation,
     naming its flag and the quantity, on the run and on --validate-only."""
@@ -706,8 +742,9 @@ class TestDiagnostics:
     ], ids=["four-level", "four-level-trap", "full", "two-level-obe", "two-level-analytic"])
     def test_sidecar_holds_the_kernel_report(self, tmp_path, extra, keys):
         from singleatom.bloch import four_level_g2, two_level_obe_g2
-        from singleatom.constants import RB87_GAMMA_D2, TWO_PI
-        from singleatom.cli import _four_level_params, _omega3, build_parser
+        from singleatom.constants import (RB87_GAMMA_D2, RB87_ISAT_F2_F3, TWO_PI,
+                                          rabi_frequency)
+        from singleatom.cli import _four_level_params, build_parser
 
         argv = self.BASE + extra
         code, _ = run(tmp_path, argv)
@@ -718,7 +755,8 @@ class TestDiagnostics:
         tau = np.linspace(0.0, 200e-9, 11)
         report = {}
         if keys == {"min_overlap"}:
-            two_level_obe_g2(np.float64(_omega3(103.0)), TWO_PI * -31.0 * 1e6,
+            omega3 = rabi_frequency(103.0 * 10.0, RB87_ISAT_F2_F3)  # 103 mW/cm^2
+            two_level_obe_g2(np.float64(omega3), TWO_PI * -31.0 * 1e6,
                              RB87_GAMMA_D2, tau, report)
         elif keys:
             if args.trap_power_mw is not None:
@@ -825,6 +863,39 @@ class TestExtremeFourLevelDrives:
         assert err.startswith("numerical failure: drive or detuning exceeds the linewidth "
                               "by more than float64 can resolve: ")
         assert err.count("\n") == 1
+
+
+class TestSteadyExcitationAtRoundingLevel:
+    @pytest.mark.parametrize("extra", [
+        ["--delta-mhz", "1e6", "--icl", "103"],
+        ["--delta-mhz", "1e11", "--icl", "103"],
+        ["--delta-mhz", "1e12", "--icl", "103"],
+        ["--delta-mhz", "-31", "--icl", "0"],
+        ["--model", "full", "--env-a", "0.3", "--env-tau-us", "2", "--delta-mhz", "-31",
+         "--icl", "0"],
+    ], ids=["delta-1e6", "delta-1e11", "delta-1e12", "icl-0", "full-icl-0"])
+    def test_refused(self, tmp_path, capsys, extra):
+        # the excited population is within the null vector's rounding error,
+        # so g2 would divide noise by noise
+        code, out = run(tmp_path, ["g2", *extra, "--points", "3"])
+        assert code == EXIT_NUMERICAL and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: no steady-state excitation: excited "
+                              "population ")
+        assert "is not above the null vector's rounding error" in err
+        assert err.count("\n") == 1
+
+    def test_two_level_obe_without_drive(self, tmp_path, capsys):
+        code, out = run(tmp_path, ["g2", "--model", "two-level-obe", "--delta-mhz", "-31",
+                                   "--icl", "0", "--points", "3"])
+        assert code == EXIT_NUMERICAL and not out.exists()
+        assert capsys.readouterr().err == ("numerical failure: no steady-state excitation: "
+                                           "drive is off\n")
+
+    def test_resolved_excitation_kept(self, tmp_path):
+        # 1e5 MHz: an excited population of 2.3e-8 against a rounding error of 2.8e-10
+        code, _ = run(tmp_path, ["g2", "--delta-mhz", "1e5", "--icl", "103", "--points", "3"])
+        assert code == EXIT_OK
 
 
 class TestLongDelays:

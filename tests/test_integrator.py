@@ -13,7 +13,6 @@ from singleatom.integrator import (
     _eigen_expansion,
     _expm,
     _prefix_states,
-    _real_form,
     linear_modes,
     magnus4,
     propagate_linear,
@@ -194,11 +193,14 @@ def with_one_norm(x, norm):
 def test_expm_matches_scipy(norm):
     rng = np.random.default_rng(1)
     general = with_one_norm(rng.standard_normal((20, 6, 6)), norm)
-    # real forms of -iH with loss on one level, as in the STIRAP steps
-    h = rng.standard_normal((20, 3, 3)) + 1j * rng.standard_normal((20, 3, 3))
-    h = h + h.conj().transpose(0, 2, 1)
-    h[:, 0, 0] -= 0.5j * np.abs(h[:, 0, 0])
-    lossy = with_one_norm(_real_form(-1j * h), norm)
+    # the real STIRAP generator on (i|a>, |b>, |c>): loss on the first level
+    # and two antisymmetric couplings
+    loss, pump, stokes = rng.standard_normal((3, 20))
+    lossy = np.zeros((20, 3, 3))
+    lossy[:, 0, 0] = -np.abs(loss) / 2.0
+    lossy[:, 0, 1], lossy[:, 1, 0] = pump / 2.0, -pump / 2.0
+    lossy[:, 0, 2], lossy[:, 2, 0] = stokes / 2.0, -stokes / 2.0
+    lossy = with_one_norm(lossy, norm)
     for stack in (general, lossy):
         got = _expm(stack)
         for mine, m in zip(got, stack):
@@ -232,16 +234,21 @@ def constant(times):
 
 def test_magnus4_exact_for_constant_generator():
     # A constant: every step is exp(h A) and the commutator vanishes; the
-    # grid spans several blocks of the tree product
+    # grid spans several blocks of the tree product.  A complex A, and a
+    # real one with a real and a complex state: the trajectory takes the
+    # dtype of A and y0 together
     rng = np.random.default_rng(2)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    y0 = np.array([1.0, 0.5j, -0.25])
     t = np.linspace(0.0, 2.0, 2500)
-    traj = magnus4(a[None], constant, y0, t)
-    assert np.array_equal(traj[0], y0)
-    for k in (1, 1023, 1024, 1025, 2048, 2499):
-        ref = expm(a * t[k]) @ y0
-        assert np.abs(traj[k] - ref).max() <= 1e-11 * np.abs(ref).max()
+    for gen, y0 in ((a, np.array([1.0, 0.5j, -0.25])),
+                    (a.real, np.array([1.0, 0.5, -0.25])),
+                    (a.real, np.array([1.0, 0.5j, -0.25]))):
+        traj = magnus4(gen[None], constant, y0, t)
+        assert traj.dtype == np.result_type(gen, y0)
+        assert np.array_equal(traj[0], y0)
+        for k in (1, 1023, 1024, 1025, 2048, 2499):
+            ref = expm(gen * t[k]) @ y0
+            assert np.abs(traj[k] - ref).max() <= 1e-11 * np.abs(ref).max()
 
 
 def test_magnus4_fourth_order():
@@ -314,18 +321,23 @@ def test_prefix_states_match_sequential_product(n):
                                _MAGNUS_BLOCK + 1, 2500])
 def test_magnus4_blocks_match_sequential_steps(n):
     # the blocked tree product against one magnus4 call per interval: odd
-    # tails, block boundaries and the state carried across blocks
+    # tails, block boundaries and the state carried across blocks.  A complex
+    # basis, and a real one with a real and a complex state
     rng = np.random.default_rng(7)
     h = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
-    basis = -1j * (h + h.conj().transpose(0, 2, 1))  # unitary steps
+    unitary = -1j * (h + h.conj().transpose(0, 2, 1))
+    orthogonal = h.real - h.real.transpose(0, 2, 1)
 
     def coefficients(times):
         return np.stack((np.cos(times), np.sin(3.0 * times), np.ones_like(times)), axis=1)
 
     t = np.linspace(0.0, 0.01 * n, n + 1)
-    y = np.array([1.0, 0.0, 0.0], dtype=complex)
-    traj = magnus4(basis, coefficients, y, t)
-    for k in range(n):
-        assert np.abs(traj[k] - y).max() <= 1e-13
-        y = magnus4(basis, coefficients, y, t[k:k + 2])[-1]
-    assert np.abs(traj[n] - y).max() <= 1e-13
+    for basis, y in ((unitary, np.array([1.0, 0.0, 0.0], dtype=complex)),
+                     (orthogonal, np.array([1.0, 0.0, 0.0])),
+                     (orthogonal, np.array([0.6, 0.8j, 0.0]))):
+        traj = magnus4(basis, coefficients, y, t)
+        assert traj.dtype == np.result_type(basis, y)
+        for k in range(n):
+            assert np.abs(traj[k] - y).max() <= 1e-13
+            y = magnus4(basis, coefficients, y, t[k:k + 2])[-1]
+        assert np.abs(traj[n] - y).max() <= 1e-13

@@ -23,6 +23,7 @@ from singleatom.lightshift import (
     load_lines,
     mean_level_shift,
     scattering_rate_alkali,
+    shortest_resolved_wavelength,
 )
 
 LINES = load_default_lines()
@@ -165,6 +166,16 @@ class TestMagicWavelength:
     def test_magic_near_1400_nm(self):
         magic = find_magic_wavelength(LINES, (1.2e-6, 1.6e-6))
         assert magic == pytest.approx(1.40e-6, abs=0.05e-6)
+
+    def test_bracket_below_resolution_refused(self):
+        # eps times the longest line of either level, 5P3/2 - 4D3/2 at 1529.37 nm
+        floor = shortest_resolved_wavelength(LINES)
+        assert floor == np.finfo(float).eps * (1529.37 * 1e-9)
+        for lo in (1e-26, 1e-22, 0.99 * floor):
+            with pytest.raises(ValueError, match=r"eps \* \(longest line\) <= lo < hi"):
+                find_magic_wavelength(LINES, (lo, 1.6e-6))
+        magic = find_magic_wavelength(LINES, (1e-21, 1.6e-6))
+        assert magic == pytest.approx(0.7913e-6, abs=1e-10)
 
     def test_ground_and_excited_shifts_cross_there(self):
         magic = find_magic_wavelength(LINES, (1.2e-6, 1.6e-6))

@@ -18,6 +18,11 @@ those files calls it by name or by position: a call of the function or class
 (resolved like a reaching load) or, for a method, of an attribute of its
 name.  A parameter that no caller passes holds one value, and belongs in the
 body as a constant.
+
+A private module-level function, class or constant (one leading underscore)
+must be used by the package itself: a load of its name in its own module, or
+in a package module that imports it, or an attribute of a package module
+(``integrator._expm``).  Its unit tests do not count.
 """
 
 import ast
@@ -244,6 +249,60 @@ def unpassed_parameters() -> list[str]:
                    for callee, attr, n_pos, keywords in calls):
             unpassed.append(full)
     return sorted(unpassed)
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_definitions() -> list[str]:
+    """'module._name' of every private module-level function, class and
+    assigned constant of the package."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = _module_name(path)
+        for node in _parse(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            found += [f"{module}.{name}" for name in names if _is_private(name)]
+    return found
+
+
+def privates_used_by_the_package() -> set[str]:
+    """'module._name' of every private name that a package module loads."""
+    defined = private_definitions()
+    used = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = _module_name(path)
+        bindings = {n.rsplit(".", 1)[1]: n for n in defined if n.rsplit(".", 1)[0] == module}
+        loads = []  # (name, attribute or None)
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ImportFrom):
+                source = _imported_module(path, node)
+                if source is not None:
+                    bindings.update({alias.asname or alias.name:
+                                     f"{source}.{alias.name}".lstrip(".")
+                                     for alias in node.names})
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loads.append((node.id, None))
+            elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                  and isinstance(node.value, ast.Name)):
+                loads.append((node.value.id, node.attr))
+        used.update(bindings[name] if attr is None else f"{bindings[name]}.{attr}"
+                    for name, attr in loads if name in bindings)
+    return used
+
+
+def test_every_private_definition_is_used_by_the_package():
+    unused = sorted(set(private_definitions()) - privates_used_by_the_package())
+    assert unused == [], (
+        "private, and used by no module of the package (tests do not count; move it "
+        "into its test, or delete it): " + ", ".join(unused))
 
 
 def test_every_public_definition_is_reached():
