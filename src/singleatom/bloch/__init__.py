@@ -7,33 +7,23 @@ four-level model with cooling and repump fields), :mod:`diffusion`
 """
 
 from .state import DensityMatrix
-from .two_level import (
-    two_level_g2_analytic,
-    two_level_obe_g2,
-    two_level_steady_excited,
-)
+from .two_level import two_level_g2_analytic, two_level_obe_g2
 from .four_level import (
     FourLevelParams,
     FourLevelLiouvillian,
     four_level_g2,
     apply_trap_shifts,
 )
-from .diffusion import (
-    DiffusionEnvelope,
-    g2_total_envelope,
-    g2_full_model,
-)
+from .diffusion import DiffusionEnvelope, g2_total_envelope
 
 __all__ = [
     "DensityMatrix",
     "two_level_g2_analytic",
     "two_level_obe_g2",
-    "two_level_steady_excited",
     "FourLevelParams",
     "FourLevelLiouvillian",
     "four_level_g2",
     "apply_trap_shifts",
     "DiffusionEnvelope",
     "g2_total_envelope",
-    "g2_full_model",
 ]

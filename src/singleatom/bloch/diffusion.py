@@ -1,9 +1,10 @@
 """Motional contribution to the intensity correlation function.
 
 An atom diffusing through the standing-wave intensity pattern of the
-cooling beams multiplies the internal-state g2 by a slowly decaying
-envelope 1 + A*exp(-tau/tau0).  For free 1-D diffusion in a cos^2(kz)
-pattern the amplitude is A = 1/2 and tau0 = 1/(4 k^2 D).
+cooling beams multiplies the internal-state g2 (``four_level.four_level_g2``)
+by a slowly decaying envelope 1 + A*exp(-tau/tau0); the CLI's ``full``
+model is that product.  For free 1-D diffusion in a cos^2(kz) pattern the
+amplitude is A = 1/2 and tau0 = 1/(4 k^2 D).
 """
 
 from __future__ import annotations
@@ -12,12 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .four_level import FourLevelParams, four_level_g2
-
 __all__ = [
     "DiffusionEnvelope",
     "g2_total_envelope",
-    "g2_full_model",
 ]
 
 
@@ -39,10 +37,3 @@ def g2_total_envelope(env: DiffusionEnvelope, tau_grid) -> np.ndarray:
     """Envelope values 1 + A*exp(-tau/tau0) on the grid."""
     tau = np.asarray(tau_grid, dtype=float)
     return 1.0 + env.amplitude * np.exp(-tau / env.tau0)
-
-
-def g2_full_model(params: FourLevelParams, env: DiffusionEnvelope,
-                  tau_grid, report: dict | None = None) -> np.ndarray:
-    """Internal four-level g2 multiplied by the motional envelope; ``report``
-    is passed to ``four_level_g2``."""
-    return four_level_g2(params, tau_grid, report) * g2_total_envelope(env, tau_grid)

@@ -34,7 +34,7 @@ from ..constants import (
     RB87_ISAT_F2_F3,
     rabi_frequency,
 )
-from ..integrator import linear_modes, propagate_linear, sum_modes
+from ..integrator import linear_modes, sum_modes
 from .state import DensityMatrix, from_real_vector, lindblad_generator, to_real_vector
 
 if TYPE_CHECKING:  # the line-table layers load only with a trap field
@@ -174,11 +174,14 @@ class FourLevelLiouvillian:
     def propagate(self, rho0: np.ndarray, delays) -> np.ndarray:
         """Evolve ``rho0`` by each delay; returns (len(delays), 4, 4) complex.
 
-        Exact (eigen-expansion of ``matrix_real``); the delays tau >= 0 may
-        come in any order, and rows at tau = 0 hold ``rho0``.
+        Exact: the modes of every component of ``matrix_real``
+        (``linear_modes`` with c = I), summed at each delay (``sum_modes``).
+        The delays tau >= 0 may come in any order, and rows at tau = 0 hold
+        ``rho0``.
         """
         y0 = to_real_vector(rho0)
-        return from_real_vector(propagate_linear(self.matrix_real, y0, delays))
+        lam, amp, _ = linear_modes(self.matrix_real, y0, np.eye(len(y0)))
+        return from_real_vector(sum_modes(lam, amp, delays, y0))
 
 
 def post_emission_state(params: FourLevelParams, steady: DensityMatrix) -> np.ndarray:

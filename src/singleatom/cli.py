@@ -280,7 +280,7 @@ def run_g2(args):
         return ["tau_ns", "g2"], [[t * 1e9 for t in tau], g2]
 
     import numpy as np
-    from .bloch import DiffusionEnvelope, four_level_g2, g2_full_model, two_level_obe_g2
+    from .bloch import DiffusionEnvelope, four_level_g2, g2_total_envelope, two_level_obe_g2
 
     tau = np.linspace(0.0, args.tau_max_ns * 1e-9, args.points)
     report = {}
@@ -291,17 +291,24 @@ def run_g2(args):
         g2 = four_level_g2(_four_level_params(args), tau, report)
     else:  # full
         env = DiffusionEnvelope(amplitude=args.env_a, tau0=args.env_tau_us * 1e-6)
-        g2 = g2_full_model(_four_level_params(args), env, tau, report)
+        g2 = four_level_g2(_four_level_params(args), tau, report) * g2_total_envelope(env, tau)
     args.time_evolution = report.pop("method")
     args.diagnostics = report
     return ["tau_ns", "g2"], [tau * 1e9, g2]
+
+
+def _radians(degrees: float) -> float:
+    """Degrees as radians, reduced exactly (``math.fmod``) modulo 360 first:
+    the error of ``math.radians`` alone grows like eps * x and passes a full
+    turn near x = 1e19 degrees.  Below 360 degrees nothing changes."""
+    return math.radians(math.fmod(degrees, 360.0))
 
 
 def run_stirap(args):
     from .readout import stirap_readout_probability
 
     alpha_deg = _parse_grid(args.alpha_deg, "--alpha-deg")
-    p = [args.visibility * stirap_readout_probability(args.prep_phase_rad, math.radians(a))
+    p = [args.visibility * stirap_readout_probability(args.prep_phase_rad, _radians(a))
          for a in alpha_deg]
     return ["alpha_deg", "p_f1"], [alpha_deg, p]
 
@@ -319,18 +326,16 @@ def run_bell(args):
     from .entanglement import MeasurementSetting, bell_state, chsh, correlation, noisy_channel
 
     state = noisy_channel(bell_state("psi-"), args.noise_p)
-    angles = {
-        "a": math.radians(args.phi_a_deg),
-        "a2": math.radians(args.phi_a2_deg),
-        "b": math.radians(args.phi_b_deg),
-        "b2": math.radians(args.phi_b2_deg),
-    }
-    settings = {k: MeasurementSetting(phi=v) for k, v in angles.items()}
+    degrees = {"a": args.phi_a_deg, "a2": args.phi_a2_deg,
+               "b": args.phi_b_deg, "b2": args.phi_b2_deg}
+    settings = {k: MeasurementSetting(phi=_radians(v)) for k, v in degrees.items()}
+    # the angle columns print each input's round trip through radians, unreduced
+    printed = {k: math.degrees(math.radians(v)) for k, v in degrees.items()}
     rows = []
     for pa in ("a", "a2"):
         for pb in ("b", "b2"):
             e = correlation(state, settings[pa], settings[pb])
-            rows.append([pa, pb, math.degrees(angles[pa]), math.degrees(angles[pb]), e])
+            rows.append([pa, pb, printed[pa], printed[pb], e])
     s = chsh(state, settings["a"], settings["a2"], settings["b"], settings["b2"])
     rows.append(["S", "", "", "", s])
     return ["setting_a", "setting_b", "phi_a_deg", "phi_b_deg", "value"], list(zip(*rows))
@@ -339,9 +344,10 @@ def run_bell(args):
 def run_correlations(args):
     from .readout import correlation_curve
 
-    beta = [math.radians(b) for b in _parse_grid(args.beta_deg, "--beta-deg")]
-    probs = correlation_curve(args.basis, beta, args.visibility)
-    return ["beta_deg", "p_f1"], [[math.degrees(b) for b in beta], probs]
+    beta_deg = _parse_grid(args.beta_deg, "--beta-deg")
+    probs = correlation_curve(args.basis, map(_radians, beta_deg), args.visibility)
+    # the angle column prints each input's round trip through radians, unreduced
+    return ["beta_deg", "p_f1"], [[math.degrees(math.radians(b)) for b in beta_deg], probs]
 
 
 def _read_profile(path: str) -> SpectrumProfile:
@@ -475,7 +481,7 @@ def _flag_error(args, flag: Flag) -> str | None:
     return None if ok else f"--{flag.name} {rule}, got {value!r}"
 
 
-def _read_lines(args) -> list[str]:
+def _read_lines(args) -> None:
     """Read the line data now, so --validate-only fails as the run would;
     the runner computes with the table read here.  This is the CLI's only
     reader of the table; a table that cannot be read is a ValidationError."""
@@ -485,16 +491,16 @@ def _read_lines(args) -> list[str]:
         args.lines = load_default_lines()
     except LineDataError as exc:
         raise ValidationError(str(exc)) from exc
-    return []
 
 
-def _beam_errors(args, prefix: str = "") -> list[str]:
-    """A run with a trap beam squares the beam waist w0 and the Rayleigh
-    length pi w0^2 / lambda (``trapgeometry.GaussianBeam``); a beam for
-    which either square overflows is refused here, naming the flags.
-    ``prefix`` is the flags' prefix ("trap-" for g2)."""
+def _check_beam(args, prefix: str = "") -> None:
+    """Read the line data.  A run with a trap beam squares the beam waist w0
+    and the Rayleigh length pi w0^2 / lambda (``trapgeometry.GaussianBeam``);
+    a beam for which either square overflows is refused here, naming the
+    flags.  ``prefix`` is the flags' prefix ("trap-" for g2)."""
     from .trapgeometry import GaussianBeam
 
+    _read_lines(args)
     dest = prefix.replace("-", "_")
     waist, wavelength = getattr(args, f"{dest}waist_um"), getattr(args, f"{dest}wavelength_nm")
     beam = GaussianBeam(power=getattr(args, f"{dest}power_mw") * 1e-3,
@@ -502,34 +508,31 @@ def _beam_errors(args, prefix: str = "") -> list[str]:
     try:
         beam.waist_w0**2
     except OverflowError:
-        return [f"--{prefix}waist-um {waist:g}: the beam waist squared (m^2) overflows"]
+        raise ValidationError(
+            f"--{prefix}waist-um {waist:g}: the beam waist squared (m^2) overflows") from None
     try:
         beam.rayleigh_length**2
     except OverflowError:
-        return [f"--{prefix}waist-um {waist:g} with --{prefix}wavelength-nm {wavelength:g}:"
-                " the Rayleigh length squared (m^2) overflows"]
-    return []
+        raise ValidationError(
+            f"--{prefix}waist-um {waist:g} with --{prefix}wavelength-nm {wavelength:g}:"
+            " the Rayleigh length squared (m^2) overflows") from None
 
 
-def _check_beam(args) -> list[str]:
-    return _read_lines(args) + _beam_errors(args)
-
-
-def _check_magic(args) -> list[str]:
+def _check_magic(args) -> None:
     lo, hi = args.bracket_um
     if not 0 < lo < hi:
-        return ["--bracket-um must satisfy 0 < lo < hi"]
+        raise ValidationError("--bracket-um must satisfy 0 < lo < hi")
     from .lightshift import shortest_resolved_wavelength
 
     _read_lines(args)
     floor = shortest_resolved_wavelength(args.lines)
     if lo * 1e-6 < floor:
-        return [f"--bracket-um {lo:g},{hi:g} reaches below {floor * 1e6:.3g} um, where the"
-                " light shifts cancel to rounding noise"]
-    return []
+        raise ValidationError(
+            f"--bracket-um {lo:g},{hi:g} reaches below {floor * 1e6:.3g} um, where the"
+            " light shifts cancel to rounding noise")
 
 
-def _check_spectrum_fit(args) -> list[str]:
+def _check_spectrum_fit(args) -> None:
     """Without --wavelength-nm the kinetic energy uses the table's D2 line.
     The profiles are read here and their grids checked as the fit uses them,
     so --validate-only fails as the run would; the runner fits the profiles
@@ -545,41 +548,44 @@ def _check_spectrum_fit(args) -> list[str]:
         try:
             spacing = reference.spacing
         except ValueError as exc:
-            return [f"{args.reference}: {exc}"]
+            raise ValidationError(f"{args.reference}: {exc}") from exc
     # the fit blurs with a kernel at least 6 spacings wide and searches (0, span / 2)
     if not math.isfinite(6.0 * spacing):
-        return [f"{args.reference}: grid spacing {spacing} is too large for the fit kernel"]
+        raise ValidationError(
+            f"{args.reference}: grid spacing {spacing} is too large for the fit kernel")
     span = float(fluorescence.frequency[-1]) - float(fluorescence.frequency[0])
     if not math.isfinite(span):
-        return [f"{args.fluorescence}: frequency span is not finite"]
+        raise ValidationError(f"{args.fluorescence}: frequency span is not finite")
     # the kernel at the upper bound has 2 * ceil(half) + 1 points
     half = 6.0 * max(span / 2.0, spacing) / spacing
     if half > (MAX_POINTS - 1) // 2:
-        return [f"{args.fluorescence}: frequency span {span:g} Hz needs a fit kernel of more"
-                f" than {MAX_POINTS} points at the reference spacing {spacing:g} Hz"]
-    return []
+        raise ValidationError(
+            f"{args.fluorescence}: frequency span {span:g} Hz needs a fit kernel of more"
+            f" than {MAX_POINTS} points at the reference spacing {spacing:g} Hz")
 
 
-def _check_loading(args) -> list[str]:
+def _check_loading(args) -> None:
     """The CSV holds one row of n_max + 3 cells per rate, and at most twice
     MAX_POINTS cells, the most that a g2, larmor or stirap run writes."""
     rates, columns = len(_parse_grid(args.rate_per_s, "--rate-per-s")), args.n_max + 3
     if rates * columns > 2 * MAX_POINTS:
-        return [f"--rate-per-s and --n-max: {rates} rates x {columns} columns ="
-                f" {rates * columns} CSV cells, more than {2 * MAX_POINTS}"]
-    return _check_beam(args)
+        raise ValidationError(
+            f"--rate-per-s and --n-max: {rates} rates x {columns} columns ="
+            f" {rates * columns} CSV cells, more than {2 * MAX_POINTS}")
+    _check_beam(args)
 
 
-def _check_g2(args) -> list[str]:
+def _check_g2(args) -> None:
     if (args.trap_power_mw is None) != (args.trap_waist_um is None):
-        return ["--trap-power-mw and --trap-waist-um must be given together"]
+        raise ValidationError("--trap-power-mw and --trap-waist-um must be given together")
     try:  # the two-level models square the detuning in rad/s
         (TWO_PI * args.delta_mhz * 1e6) ** 2
     except OverflowError:
-        return [f"--delta-mhz {args.delta_mhz:g}: the detuning squared ((rad/s)^2) overflows"]
-    if args.trap_power_mw is None:
-        return []
-    return _read_lines(args) + _beam_errors(args, "trap-")
+        raise ValidationError(
+            f"--delta-mhz {args.delta_mhz:g}: the detuning squared ((rad/s)^2) overflows"
+        ) from None
+    if args.trap_power_mw is not None:
+        _check_beam(args, "trap-")
 
 
 _COMMON = (Flag("config", "str", help="JSON file with flag values (flags override)"),
@@ -593,8 +599,9 @@ _TRAP_BEAM = (Flag("power-mw", required=True, check="positive"),
               Flag("waist-um", required=True, check="positive"),
               Flag("wavelength-nm", default=856.0, check="positive"))
 
-# scenario -> (runner, scenario-level check or None, *flags); a plain tuple,
-# so the runner stays reachable when a tracer rebinds it
+# scenario -> (runner, scenario-level check or None, *flags); a check raises
+# ValidationError.  A plain tuple, so the runner stays reachable when a
+# tracer rebinds it
 SPECS = {
     "lightshift": (run_lightshift, _check_beam, *_TRAP_BEAM),
     "magic": (run_magic, _check_magic, Flag("bracket-um", "bracket", default=(1.2, 1.6))),
@@ -769,11 +776,10 @@ def main(argv=None) -> int:
         errors = [err for flag in flags if (err := _flag_error(args, flag))]
         if args.metadata and args.out is None:
             errors.append("--metadata needs --out: the sidecar is written next to the CSV")
-        if not errors and check is not None:
-            errors = check(args)
         if errors:
-            sys.stderr.write(f"validation: {'; '.join(errors)}\n")
-            return EXIT_VALIDATION
+            raise ValidationError("; ".join(errors))
+        if check is not None:
+            check(args)
         if args.validate_only:
             sys.stdout.write("configuration ok\n")
             return EXIT_OK

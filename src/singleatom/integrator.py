@@ -7,15 +7,16 @@ c . exp(m tau) y0 = sum_k a_k exp(lambda_k tau) with
 a_k = (c . v_k)(V^-1 y0)_k (``linear_modes``; for g2 this is the quantum
 regression theorem), evaluated at each delay tau >= 0 on its own
 (``sum_modes``; ``_checked_delays`` is the delay rule of every g2 model).
-The whole state is the case c = I (``propagate_linear``).  Linear,
-time-dependent generators affine in constant matrices (the STIRAP pulses,
-A(t) = sum_i f_i(t) B_i) take one commutator-based fourth-order Magnus step
-per grid interval (``magnus4``): the commutators [B_i, B_j] are built once,
-the steps are exponentiated as a stack (``_expm``) and multiplied by a
-work-efficient tree scan (``_prefix_states``), all in the dtype of the B_i
-and the state, so a real generator and state propagate in float64.  The
-nonlinear mean-number loading ODE runs through an adaptive embedded
-Runge-Kutta 4(5) integrator at rtol 1e-9, atol 1e-12 (``integrate``).
+The whole state is the case c = I (``FourLevelLiouvillian.propagate``).
+Linear, time-dependent generators affine in constant matrices (the STIRAP
+pulses, A(t) = sum_i f_i(t) B_i) take one commutator-based fourth-order
+Magnus step per grid interval (``magnus4``): the commutators [B_i, B_j] are
+built once, the steps are exponentiated as a stack (``_expm``) and
+multiplied by a work-efficient tree scan (``_prefix_states``), all in the
+dtype of the B_i and the state, so a real generator and state propagate in
+float64.  The nonlinear mean-number loading ODE runs through an adaptive
+embedded Runge-Kutta 4(5) integrator at rtol 1e-9, atol 1e-12
+(``integrate``).
 """
 
 from __future__ import annotations
@@ -184,21 +185,6 @@ def sum_modes(lam, amp, delays, at_zero) -> np.ndarray:
         out[start:start + _CHUNK] = acc
     out[tau == 0.0] = at_zero
     return out
-
-
-def propagate_linear(m, y0, delays) -> np.ndarray:
-    """Exact solution of dy/dt = m y for a constant real matrix ``m``: the
-    modes of every component (``linear_modes`` with c = I), summed at each
-    delay (``sum_modes``).
-
-    Row k is y0 evolved by the delay tau_k >= 0.  Delays come in any order;
-    rows at tau = 0 hold ``y0`` exactly, and no delays give shape
-    (0, len(y0)).  Raises ``ValueError`` for a negative or non-finite delay,
-    and ``IntegrationError`` when ``m`` is too close to an exceptional point.
-    """
-    y0 = np.asarray(y0, dtype=float)
-    lam, amp, _ = linear_modes(m, y0, np.eye(len(y0)))
-    return sum_modes(lam, amp, delays, y0)
 
 
 def _expm(x) -> np.ndarray:

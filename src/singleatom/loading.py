@@ -77,10 +77,6 @@ class AtomNumberDist:
         if abs(p.sum() - 1.0) > 1e-10:
             raise ValueError(f"probabilities sum to {p.sum()}, not 1")
 
-    @property
-    def mean(self) -> float:
-        return mean_number(self.probabilities.tolist())
-
 
 def mean_number_ode(params: LoadingParams, n0: float, t_grid) -> np.ndarray:
     """Mean-number trajectory N(t) of dN/dt = R - gamma*N - beta'*N(N-1).

@@ -8,8 +8,8 @@ from scipy.linalg import eig, expm
 
 from singleatom.constants import RB87_GAMMA_D2
 from singleatom.bloch.state import lindblad_generator
-from singleatom.integrator import _MIN_OVERLAP, IntegrationError, propagate_linear
-from singleatom.bloch import (
+from singleatom.integrator import _MIN_OVERLAP, IntegrationError, linear_modes, sum_modes
+from singleatom.bloch.two_level import (
     two_level_g2_analytic,
     two_level_obe_g2,
     two_level_steady_excited,
@@ -124,7 +124,9 @@ class TestObe:
         omega, delta = omega * G, delta * G
         tau = np.concatenate([[0.0], np.random.default_rng(3).uniform(0.0, 25 / G, 200)])
         h = [[0.0, omega / 2.0], [omega / 2.0, -delta]]
-        traj = propagate_linear(lindblad_generator(h, [(G, 0, 1)]), [1.0, 0.0, 0.0, 0.0], tau)
+        y0 = [1.0, 0.0, 0.0, 0.0]
+        lam, amp, _ = linear_modes(lindblad_generator(h, [(G, 0, 1)]), y0, np.eye(4))
+        traj = sum_modes(lam, amp, tau, y0)
         ref = traj[:, 1] / two_level_steady_excited(omega, delta, G)
         assert np.abs(two_level_obe_g2(omega, delta, G, tau) - ref).max() <= 1e-12
 

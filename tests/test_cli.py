@@ -604,6 +604,41 @@ class TestScenarios:
         assert rate == pytest.approx(3.5625, rel=1e-6)
 
 
+class TestHugeAngles:
+    """A degree input is reduced exactly modulo 360 before it becomes
+    radians; the reduced angle below comes from integer arithmetic."""
+
+    def test_stirap(self, tmp_path):
+        code, out = run(tmp_path, ["stirap", "--alpha-deg", "1e20"])
+        assert code == EXIT_OK
+        alpha_deg, p = map(float, out.read_text().strip().split("\n")[1].split(","))
+        assert alpha_deg == 1e20
+        reduced = int(1e20) % 360
+        assert p == pytest.approx(math.sin(math.radians(reduced)) ** 2, abs=1e-12)
+
+    def test_correlations(self, tmp_path):
+        code, out = run(tmp_path, ["correlations", "--beta-deg", "1e300"])
+        assert code == EXIT_OK
+        beta_deg, p = map(float, out.read_text().strip().split("\n")[1].split(","))
+        assert beta_deg == pytest.approx(1e300, rel=1e-12)
+        reduced = int(1e300) % 360
+        assert p == pytest.approx(0.5 * (1.0 + math.cos(2.0 * math.radians(reduced))),
+                                  abs=1e-12)
+
+    def test_bell(self, tmp_path):
+        code, out = run(tmp_path, ["bell", "--phi-a-deg", "1e300"])
+        assert code == EXIT_OK
+        rows = [row.split(",") for row in out.read_text().strip().split("\n")[1:]]
+        reduced = int(1e300) % 360
+        for setting_a, setting_b, phi_a, phi_b, value in rows[:2]:
+            assert setting_a == "a"
+            assert float(phi_a) == pytest.approx(1e300, rel=1e-12)
+            # the singlet's correlation -cos(phi_a - phi_b)
+            expected = -math.cos(math.radians(reduced) - math.radians(float(phi_b)))
+            assert float(value) == pytest.approx(expected, abs=1e-12)
+        assert float(rows[-1][-1]) == pytest.approx(2 * math.sqrt(2), abs=1e-9)
+
+
 class TestConfigFile:
     def test_config_supplies_values(self, tmp_path):
         config = tmp_path / "run.json"

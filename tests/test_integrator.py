@@ -15,9 +15,16 @@ from singleatom.integrator import (
     _prefix_states,
     linear_modes,
     magnus4,
-    propagate_linear,
     sum_modes,
 )
+
+
+def propagate_linear(m, y0, delays):
+    """The whole state at each delay: the modes of every component
+    (``linear_modes`` with c = I), summed by ``sum_modes``."""
+    y0 = np.asarray(y0, dtype=float)
+    lam, amp, _ = linear_modes(m, y0, np.eye(len(y0)))
+    return sum_modes(lam, amp, delays, y0)
 
 
 def test_overlaps_match_scipy_left_eigenvectors():

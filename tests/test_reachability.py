@@ -23,6 +23,12 @@ A private module-level function, class or constant (one leading underscore)
 must be used by the package itself: a load of its name in its own module, or
 in a package module that imports it, or an attribute of a package module
 (``integrator._expm``).  Its unit tests do not count.
+
+A name that a package module imports at module level (an alias of a name
+defined elsewhere) must be loaded in that module, or loaded through it by a
+reaching file: imported from it (``from .bloch import four_level_g2``) and
+then loaded, or loaded as its attribute (``bloch.four_level_g2``).  A
+re-export that only unit tests import through is dead.
 """
 
 import ast
@@ -298,6 +304,71 @@ def privates_used_by_the_package() -> set[str]:
     return used
 
 
+def _bound_names(path: pathlib.Path, node: ast.stmt) -> list[tuple[str, str | None]]:
+    """(local name, 'module.name' or 'module' it binds in the package, or
+    None outside it) of each name an import statement binds."""
+    if isinstance(node, ast.ImportFrom):
+        source = _imported_module(path, node)
+        return [(alias.asname or alias.name,
+                 None if source is None else f"{source}.{alias.name}".lstrip("."))
+                for alias in node.names]
+    found = []
+    for alias in node.names:
+        if alias.asname and alias.name.startswith("singleatom."):
+            # 'import singleatom.cli as cli' binds the package module 'cli'
+            found.append((alias.asname, alias.name[len("singleatom."):]))
+        else:
+            found.append((alias.asname or alias.name.split(".")[0], None))
+    return found
+
+
+def dead_module_imports() -> list[str]:
+    """'module.name' of every module-level import of a package module whose
+    name is neither loaded there nor loaded through it by a reaching file."""
+    modules = {_module_name(path) for path in PACKAGE.rglob("*.py")}
+    checked = set()  # (file index, local name) of the package's module-level imports
+    imports = []     # (file index, local name, 'module.name' it imports)
+    names = []       # names loaded, by file index
+    through = set()  # 'module.name' loaded as an attribute of a package module
+    for index, path in enumerate(REACHERS):
+        tree = _parse(path)
+        in_package = _module_name(path) is not None
+        bindings, loaded, attributes = {}, set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                for local, target in _bound_names(path, node):
+                    bindings[local] = target
+                    if target is not None:
+                        imports.append((index, local, target))
+                    if in_package and node in tree.body:
+                        checked.add((index, local))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                  and isinstance(node.value, ast.Name)):
+                attributes.add((node.value.id, node.attr))
+        names.append(loaded)
+        through.update(f"{bindings[base]}.{attr}" for base, attr in attributes
+                       if bindings.get(base) in modules)
+
+    def live(index: int, name: str, seen: frozenset) -> bool:
+        if name in names[index]:
+            return True
+        target = f"{_module_name(REACHERS[index])}.{name}".lstrip(".")
+        if target in through:
+            return True
+        seen = seen | {(index, name)}
+        # imported from here and loaded, or re-exported and loaded through in turn
+        return any(imported == target and (i, local) not in seen
+                   and (local in names[i] or (i, local) in checked and live(i, local, seen))
+                   for i, local, imported in imports)
+
+    return sorted(f"{_module_name(REACHERS[index])}.{name}".lstrip(".")
+                  for index, name in checked if not live(index, name, frozenset()))
+
+
 def test_every_private_definition_is_used_by_the_package():
     unused = sorted(set(private_definitions()) - privates_used_by_the_package())
     assert unused == [], (
@@ -329,3 +400,11 @@ def test_every_defaulted_parameter_is_passed():
 
 def test_allowed_unpassed_parameters_still_exist():
     assert set(UNPASSED_ALLOWED) <= set(defaulted_parameters())
+
+
+def test_every_module_import_is_loaded():
+    dead = dead_module_imports()
+    assert dead == [], (
+        "imported at module level and loaded neither there nor through it by a "
+        "scenario, criterion or benchmark script (unit tests do not count; import "
+        "it from where it is defined, or delete it): " + ", ".join(dead))
