@@ -228,12 +228,19 @@ def kinetic_energy_from_sigma(sigma_nu: float, wavelength: float,
 
     The fitted sigma_nu is the 1-D width along the observation axis; an
     isotropic velocity distribution is assumed, so <v^2> = 3 (lambda
-    sigma_nu)^2 and E = m <v^2> / 2.
+    sigma_nu)^2 and E = m <v^2> / 2.  A velocity whose square overflows
+    gives inf, as numpy's float64 would, instead of raising.
     """
     if sigma_nu < 0 or wavelength <= 0 or mass <= 0:
         raise ValueError("invalid spectroscopy parameters")
     v_axis = wavelength * sigma_nu
-    return 0.5 * mass * 3.0 * v_axis**2 / KB
+    # readout._square does the same, but importing readout here would add its
+    # compile (about 2 ms) to every spectrum-fit run
+    try:
+        v_sq = v_axis**2
+    except OverflowError:
+        v_sq = math.inf
+    return 0.5 * mass * 3.0 * v_sq / KB
 
 
 def fit_envelope(tau, values) -> tuple[float, float]:

@@ -12,13 +12,13 @@ config coercion, ``list`` and the metadata sidecar all read that table.
 
 Only the standard library and ``constants`` are imported here.  Every
 other layer is imported inside the runner or check that computes with it:
-``readout`` (the stdlib closed forms of stirap, larmor, correlations,
+``readout`` (the stdlib closed forms of stirap, larmor, bell, correlations,
 pair-rate and the two-level-analytic g2), ``loading`` (the stdlib loading
 chain), ``lightshift`` and ``trapgeometry`` (the line table and the trap
-beam), and numpy with its layers (``analysis``, ``bloch``, ``entanglement``)
-for the Bloch-model g2 (two-level-obe, four-level, full), bell and
-spectrum-fit only.  So ``list``, ``--help`` and every exit-2 run refused
-before the line table is read load none of them.
+beam), and numpy with its layers (``analysis``, ``bloch``) for the
+Bloch-model g2 (two-level-obe, four-level, full) and spectrum-fit only.
+So ``list``, ``--help`` and every exit-2 run refused before the line table
+is read load none of them.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure (also an
 allocation that fails with ``MemoryError``).
@@ -323,22 +323,17 @@ def run_larmor(args):
 
 
 def run_bell(args):
-    from .entanglement import MeasurementSetting, bell_state, chsh, correlation, noisy_channel
+    from .readout import singlet_chsh
 
-    state = noisy_channel(bell_state("psi-"), args.noise_p)
     degrees = {"a": args.phi_a_deg, "a2": args.phi_a2_deg,
                "b": args.phi_b_deg, "b2": args.phi_b2_deg}
-    settings = {k: MeasurementSetting(phi=_radians(v)) for k, v in degrees.items()}
+    values = singlet_chsh(args.noise_p, *map(_radians, degrees.values()))
     # the angle columns print each input's round trip through radians, unreduced
     printed = {k: math.degrees(math.radians(v)) for k, v in degrees.items()}
-    rows = []
-    for pa in ("a", "a2"):
-        for pb in ("b", "b2"):
-            e = correlation(state, settings[pa], settings[pb])
-            rows.append([pa, pb, printed[pa], printed[pb], e])
-    s = chsh(state, settings["a"], settings["a2"], settings["b"], settings["b2"])
-    rows.append(["S", "", "", "", s])
-    return ["setting_a", "setting_b", "phi_a_deg", "phi_b_deg", "value"], list(zip(*rows))
+    rows = [[pa, pb, printed[pa], printed[pb]] for pa in ("a", "a2") for pb in ("b", "b2")]
+    rows.append(["S", "", "", ""])
+    return (["setting_a", "setting_b", "phi_a_deg", "phi_b_deg", "value"],
+            [*zip(*rows), values])
 
 
 def run_correlations(args):
@@ -497,7 +492,10 @@ def _check_beam(args, prefix: str = "") -> None:
     """Read the line data.  A run with a trap beam squares the beam waist w0
     and the Rayleigh length pi w0^2 / lambda (``trapgeometry.GaussianBeam``);
     a beam for which either square overflows is refused here, naming the
-    flags.  ``prefix`` is the flags' prefix ("trap-" for g2)."""
+    flags, and so is a wavelength below ``shortest_resolved_wavelength``,
+    where the light shift is lost in rounding.  ``prefix`` is the flags'
+    prefix ("trap-" for g2)."""
+    from .lightshift import shortest_resolved_wavelength
     from .trapgeometry import GaussianBeam
 
     _read_lines(args)
@@ -516,6 +514,11 @@ def _check_beam(args, prefix: str = "") -> None:
         raise ValidationError(
             f"--{prefix}waist-um {waist:g} with --{prefix}wavelength-nm {wavelength:g}:"
             " the Rayleigh length squared (m^2) overflows") from None
+    floor = shortest_resolved_wavelength(args.lines)
+    if beam.wavelength < floor:
+        raise ValidationError(
+            f"--{prefix}wavelength-nm {wavelength:g} is below {floor * 1e9:.3g} nm, where the"
+            " light shift is lost in rounding noise")
 
 
 def _check_magic(args) -> None:

@@ -4,7 +4,10 @@ Conventions: computational basis ordered (uu, ud, du, dd); an equatorial
 analyzer angle phi measures along the Bloch direction (cos phi, sin phi, 0).
 For the singlet the trace formula gives E(a, b) = -a.b, i.e.
 -cos(phi_A - phi_B) for equatorial settings.  The closed-form correlation
-fringes, visibility-to-fidelity estimate and pair rate live in ``readout``.
+fringes, visibility-to-fidelity estimate, pair rate and the noisy-singlet
+CHSH correlations that the CLI's bell scenario prints live in ``readout``,
+on the standard library; this numpy algebra is their oracle and serves the
+library and the acceptance criteria.
 """
 
 from __future__ import annotations

@@ -3,10 +3,12 @@
 The STIRAP dark-state readout sin^2(alpha - chi/2), the Larmor survival
 cos^2(w_L t) of the Zeeman qubit, the atom-photon correlation fringes
 (1 + V cos(2 beta - offset))/2, the visibility-to-fidelity estimate, the
-pair-rate estimate and the damped-Rabi g2(tau) of a driven two-level atom.
-Each is a few lines of ``math``; none needs numpy, so the CLI scenarios that
-evaluate them (stirap, larmor, correlations, pair-rate and g2 with the
-two-level-analytic model) import this module and nothing numpy-backed.
+pair-rate estimate, the damped-Rabi g2(tau) of a driven two-level atom and
+the CHSH correlations of the noisy singlet.  Each is a few lines of ``math``;
+none needs numpy, so the CLI scenarios that evaluate them (stirap, larmor,
+bell, correlations, pair-rate and g2 with the two-level-analytic model)
+import this module and nothing numpy-backed.  ``entanglement`` holds the
+density-matrix algebra that the singlet law is checked against.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ __all__ = [
     "larmor_survival",
     "visibility_to_fidelity",
     "correlation_curve",
+    "singlet_chsh",
     "pair_rate_estimate",
     "two_level_g2",
 ]
@@ -65,6 +68,22 @@ def correlation_curve(basis: str, beta_grid, visibility: float = 1.0) -> list[fl
         raise ValueError("visibility must lie in [0, 1]")
     offset = 0.0 if basis == "x" else math.pi / 2.0
     return [0.5 * (1.0 + visibility * math.cos(2.0 * float(b) - offset)) for b in beta_grid]
+
+
+def singlet_chsh(p: float, phi_a: float, phi_a2: float, phi_b: float,
+                 phi_b2: float) -> list[float]:
+    """E(a,b), E(a,b'), E(a',b), E(a',b') and S of p|psi-><psi-| + (1-p)I/4.
+
+    With equatorial analyzers at angles phi (radians) the white noise has no
+    correlation and the singlet gives -cos(phi_A - phi_B), so
+    E = -p (cos a cos b + sin a sin b) and S = |E(a,b) - E(a,b')| +
+    |E(a',b) + E(a',b')| (Clauser, Horne, Shimony & Holt, PRL 23, 880
+    (1969)); the local bound is S <= 2 and the default CLI angles give
+    2 sqrt(2) p.
+    """
+    a, a2, b, b2 = ((math.cos(phi), math.sin(phi)) for phi in (phi_a, phi_a2, phi_b, phi_b2))
+    e = [-p * (x[0] * y[0] + x[1] * y[1]) for x in (a, a2) for y in (b, b2)]
+    return [*e, abs(e[0] - e[1]) + abs(e[2] + e[3])]
 
 
 def _square(x: float) -> float:

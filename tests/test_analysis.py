@@ -286,6 +286,11 @@ class TestKineticEnergy:
         assert kinetic_energy_from_sigma(sigma, LAMBDA_D2,
                                          RB87_MASS) == pytest.approx(e_kin, rel=1e-12)
 
+    def test_overflowing_velocity_squared_is_inf(self):
+        # as numpy's float64 square would be, so the CLI refuses the value by name
+        assert kinetic_energy_from_sigma(1e6, 1e291, RB87_MASS) == math.inf
+        assert kinetic_energy_from_sigma(1e6, 1e145, RB87_MASS) < math.inf
+
 
 class TestOscillationFrequency:
     def test_recovers_known_rabi_frequency(self):

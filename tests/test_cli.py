@@ -236,6 +236,46 @@ class TestOverflowingSquares:
         assert capsys.readouterr().err == f"validation: {line}\n"
 
 
+class TestBeamWavelengthBelowResolution:
+    """A trap beam below ``lightshift.shortest_resolved_wavelength`` (3.4e-13
+    nm for the bundled table) is refused in validation, naming its flag, on
+    the run and on --validate-only; these runs divided by zero."""
+
+    @pytest.mark.parametrize("args,flag", [
+        (["lightshift", "--power-mw", "44", "--waist-um", "3.5", "--wavelength-nm", "3.7e-30"],
+         "--wavelength-nm 3.7e-30"),
+        (["loading", "--rate-per-s", "0..1:0.25", "--power-mw", "1.85", "--waist-um", "0.5",
+          "--wavelength-nm", "1e-30", "--temperature-uk", "1e30"], "--wavelength-nm 1e-30"),
+        (["g2", "--delta-mhz", "-31", "--icl", "103", "--points", "3", "--trap-power-mw", "40",
+          "--trap-waist-um", "3.5", "--trap-wavelength-nm", "1e-20"],
+         "--trap-wavelength-nm 1e-20"),
+    ], ids=["lightshift", "loading", "g2-trap"])
+    def test_refused_in_validation(self, tmp_path, capsys, args, flag):
+        line = (f"validation: {flag} is below 3.4e-13 nm, where the light shift is lost"
+                " in rounding noise\n")
+        code, out = run(tmp_path, args)
+        assert code == EXIT_VALIDATION and not out.exists()
+        assert capsys.readouterr().err == line
+        assert main(args + ["--validate-only"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == line
+
+    def test_resolved_wavelength_runs(self, tmp_path):
+        code, out = run(tmp_path, ["lightshift", "--power-mw", "44", "--waist-um", "3.5",
+                                   "--wavelength-nm", "3.5e-13"])
+        assert code == EXIT_OK
+        assert out.read_text().splitlines()[1].startswith("3.5e-13,44,3.5,")
+
+
+def test_spectrum_fit_overflowing_energy_named(tmp_path, capsys, fuzz_dir):
+    # the squared axial velocity overflows; the kinetic energy is inf and the
+    # CSV formatting refuses it, as for any non-finite result
+    args = ["spectrum-fit", "--reference", str(fuzz_dir / "ref.csv"),
+            "--fluorescence", str(fuzz_dir / "fluor.csv"), "--wavelength-nm", "1e300"]
+    code, out = run(tmp_path, args)
+    assert code == EXIT_NUMERICAL and not out.exists()
+    assert capsys.readouterr().err == "numerical failure: non-finite value inf in column value\n"
+
+
 class TestUnreadableInputsAndOutputs:
     TRAP = ["trap", "--power-mw", "44", "--waist-um", "3.5"]
 

@@ -4,9 +4,9 @@ only the layers it computes with.
 Only ``integrator.integrate`` (the library-only mean-number loading ODE)
 imports scipy, inside the function.  ``singleatom.cli`` imports every layer
 but ``constants`` inside the runner or check that uses it: numpy only for the
-Bloch-model g2 (two-level-obe, four-level, full), bell and spectrum-fit, so
-loading and the two-level-analytic g2 run on the standard library, and the
-line-table layers (``lightshift``, ``angular``, ``trapgeometry``, with
+Bloch-model g2 (two-level-obe, four-level, full) and spectrum-fit, so
+loading, bell and the two-level-analytic g2 run on the standard library, and
+the line-table layers (``lightshift``, ``angular``, ``trapgeometry``, with
 ``dataclasses``) only for the scenarios that read the table or the trap
 beam.  Each check runs in a fresh
 interpreter, so modules imported by other tests do not hide a module-level
@@ -112,11 +112,18 @@ def test_no_scipy_module_loaded(code, tmp_path):
     cli_run("loading", "--rate-per-s", "0..1:0.25", "--power-mw", "44",
             "--waist-um", "3.5", "--out", "loading.csv", "--metadata"),
     cli_run(*G2, "--model", "two-level-analytic", "--metadata"),
+    # the noisy-singlet CHSH law is closed form; entanglement stays its oracle
+    cli_run("bell"),
+    cli_run("bell", "--noise-p", "0.9", "--out", "bell.csv", "--metadata"),
+    cli_run("bell", "--validate-only"),
 ], ids=["import-cli", "import-loading", "list", "help", "version", "run-trap",
         "run-lightshift", "run-magic", "validate-stirap-grid", "stirap-bad-visibility",
-        "loading-bad-n-max", "run-loading", "run-g2-two-level-analytic"])
+        "loading-bad-n-max", "run-loading", "run-g2-two-level-analytic", "run-bell",
+        "run-bell-metadata", "validate-bell"])
 def test_no_numpy_module_loaded(code, tmp_path):
-    assert modules_after("import sys\n" + code, "numpy", cwd=tmp_path) == "[]"
+    loaded = modules_after("import sys\n" + code, "numpy", "singleatom.entanglement",
+                           cwd=tmp_path)
+    assert loaded == "[]"
 
 
 def test_g2_run_loads_numpy(tmp_path):
@@ -142,7 +149,7 @@ SCENARIO_RUNS = {
     "spectrum-fit": SPECTRUM_FIT[1:],
     "pair-rate": ("--eta", "5e-4"),
 }
-NUMPY_SCENARIOS = ("g2", "bell", "spectrum-fit")
+NUMPY_SCENARIOS = ("g2", "spectrum-fit")
 
 # the layers that read the line table or the trap beam, and the dataclasses
 # their tables are made of
@@ -169,15 +176,15 @@ def test_numpy_only_where_computed(scenario, tmp_path):
     "import singleatom.cli",
     cli_run("list"),
     cli_run("--help"),
-    *(scenario_run(s) for s in ("stirap", "larmor", "correlations", "pair-rate")),
+    *(scenario_run(s) for s in ("stirap", "larmor", "bell", "correlations", "pair-rate")),
     # refused before the line table is read
     cli_run("trap", "--power-mw", "-40", "--waist-um", "3.5", exit_code=2),
     cli_run("magic", "--bracket-um", "1.6,1.2", exit_code=2),
     cli_run("loading", "--rate-per-s", "1", *TRAP_BEAM, "--n-max", "0", exit_code=2),
     cli_run("g2", "--delta-mhz", "-31", "--icl", "103", "--trap-power-mw", "40",
             exit_code=2),
-], ids=["import-cli", "list", "help", "run-stirap", "run-larmor", "run-correlations",
-        "run-pair-rate", "trap-bad-power", "magic-bad-bracket", "loading-bad-n-max",
+], ids=["import-cli", "list", "help", "run-stirap", "run-larmor", "run-bell",
+        "run-correlations", "run-pair-rate", "trap-bad-power", "magic-bad-bracket", "loading-bad-n-max",
         "g2-trap-without-waist"])
 def test_no_line_table_layer_loaded(code, tmp_path):
     assert modules_after("import sys\n" + code, *LINE_TABLE_LAYERS, cwd=tmp_path) == "[]"

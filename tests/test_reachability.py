@@ -46,6 +46,17 @@ UNREACHED_ALLOWED = {
                                "(ROADMAP item 2), which replaces its RK45 integration",
 }
 
+# public method or property named like an attribute of a built-in or numpy
+# type -> the load that reaches it.  Any load of such a name counts as a
+# reach, though it may be the built-in's (``values.mean()`` of an array), so
+# each one is checked by hand; a new one fails
+# test_methods_named_like_builtin_attributes_checked until it is listed here
+NAME_COLLISIONS_CHECKED = {
+    "bloch.state.DensityMatrix.trace":
+        "tests/test_acceptance.py criterion 13 reads dm.trace of a DensityMatrix",
+    "lightshift.LineTable.get": "LineTable.d_lines calls self.get",
+}
+
 # 'definition.parameter' -> why it stays although no caller passes it
 UNPASSED_ALLOWED = {
     f"bloch.four_level.FourLevelParams.shift_{level}":
@@ -385,6 +396,27 @@ def test_every_public_definition_is_reached():
     assert unreached == [], (
         "reached by no scenario, criterion or benchmark script (move a test oracle "
         "into its test, or delete it): " + ", ".join(unreached))
+
+
+def _builtin_attribute_names() -> set[str]:
+    """The attributes of the types whose methods a reaching file calls most."""
+    import numpy as np
+
+    names = set()
+    for kind in (float, int, complex, str, list, tuple, dict, set, np.ndarray):
+        names.update(dir(kind))
+    return names
+
+
+def test_methods_named_like_builtin_attributes_checked():
+    attribute_names = _builtin_attribute_names()
+    colliding = {name for name, is_method in definitions().items()
+                 if is_method and name.rsplit(".", 1)[1] in attribute_names}
+    assert colliding == set(NAME_COLLISIONS_CHECKED), (
+        "a public method or property named like an attribute of a built-in or numpy "
+        "type counts as reached by any load of that name; check that the package, "
+        "a criterion or the benchmark really reaches it, then list it in "
+        "NAME_COLLISIONS_CHECKED with the load that does (or remove a stale entry)")
 
 
 def test_allowed_exceptions_still_exist():

@@ -1,10 +1,12 @@
 """The stdlib closed forms against numpy's evaluation of the same laws.
 
-The CLI's stirap, larmor, correlations, pair-rate and two-level-analytic g2
-runs compute with ``singleatom.readout`` and the standard library only; their
-outputs must stay those of the numpy expressions they replaced: bit for bit,
-except where ``math.exp``, ``cos`` or ``sin`` round differently from numpy's
-vectorized functions, by an ulp.
+The CLI's stirap, larmor, bell, correlations, pair-rate and
+two-level-analytic g2 runs compute with ``singleatom.readout`` and the
+standard library only; their outputs must stay those of the numpy
+expressions they replaced: bit for bit, except where ``math.exp``, ``cos`` or
+``sin`` round differently from numpy's vectorized functions, by an ulp.  The
+noisy-singlet CHSH law is checked against the density-matrix algebra of
+``singleatom.entanglement`` instead, to rounding.
 """
 
 import argparse
@@ -17,9 +19,11 @@ from scipy.linalg import expm
 from singleatom.bloch import two_level_obe_g2
 from singleatom.bloch.state import lindblad_generator
 from singleatom.bloch.two_level import two_level_steady_excited
-from singleatom.cli import _linspace, run_correlations, run_g2, run_larmor
+from singleatom.cli import _linspace, _radians, run_bell, run_correlations, run_g2, run_larmor
 from singleatom.constants import RB87_GAMMA_D2 as G
-from singleatom.readout import correlation_curve, larmor_survival, two_level_g2
+from singleatom.entanglement import (MeasurementSetting, bell_state, chsh, correlation,
+                                     noisy_channel)
+from singleatom.readout import correlation_curve, larmor_survival, singlet_chsh, two_level_g2
 
 
 def bits(values) -> np.ndarray:
@@ -185,3 +189,68 @@ class TestTwoLevelG2:
         assert (bits(tau_ns) == bits(tau * 1e9)).all()
         omega3 = G * np.sqrt(1030.0 / (2 * 35.8))  # FourLevelParams.rabi_frequencies[2]
         assert within_ulps(g2, numpy_two_level_g2(omega3, 2 * math.pi * -31.0 * 1e6, G, tau))
+
+
+def density_matrix_chsh(p, *phis):
+    """The four correlations and S from p|psi-><psi-| + (1-p)I/4 as a 4x4
+    density matrix, in ``singlet_chsh``'s order."""
+    state = noisy_channel(bell_state("psi-"), p)
+    a, a2, b, b2 = (MeasurementSetting(phi=phi) for phi in phis)
+    return [correlation(state, x, y) for x in (a, a2) for y in (b, b2)] + [
+        chsh(state, a, a2, b, b2)]
+
+
+def agrees_with_density_matrix(got, p, *phis) -> bool:
+    """Within 1e-15 of the density-matrix values, relative to max(1, |value|).
+
+    The oracle's singlet entries are 0.5000000000000001, so its correlations
+    differ from the closed form by up to about 3e-16, and S, which sums four
+    of them, by up to about 1.5e-15 where it nears 2 sqrt(2)."""
+    expected = np.array(density_matrix_chsh(p, *phis))
+    return bool((np.abs(np.subtract(got, expected))
+                 <= 1e-15 * np.maximum(1.0, np.abs(expected))).all())
+
+
+class TestSingletChsh:
+    DEFAULT_DEG = (0.0, 90.0, 45.0, 135.0)  # the CLI's analyzer angles
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_density_matrix(self, seed):
+        rng = np.random.default_rng(seed)
+        for trial in range(300):
+            p = (0.0, 1.0)[trial] if trial < 2 else float(rng.uniform())
+            phis = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 4).tolist()
+            got = singlet_chsh(p, *phis)
+            assert all(type(v) is float for v in got)
+            assert agrees_with_density_matrix(got, p, *phis)
+
+    @pytest.mark.parametrize("p", [0.0, 0.37, 0.9, 1.0])
+    def test_default_angles_reach_tsirelson_times_p(self, p):
+        got = singlet_chsh(p, *map(math.radians, self.DEFAULT_DEG))
+        assert got[4] == pytest.approx(2.0 * math.sqrt(2.0) * p, abs=1e-15)
+        assert agrees_with_density_matrix(got, p, *map(math.radians, self.DEFAULT_DEG))
+
+    @pytest.mark.parametrize("degrees", [
+        (1e300, 90.0, 45.0, 135.0),
+        (400.0, -450.0, 765.0, 1e17),
+        (-3.7e16, 2e16, -1e20, 5e18),
+    ])
+    def test_huge_angles_reduced_as_the_cli(self, degrees):
+        # the CLI reduces degrees exactly modulo 360 (cli._radians); integer
+        # arithmetic gives the same reduced angles
+        reduced = [math.radians(math.copysign(int(abs(d)) % 360, d) + math.fmod(d, 1.0))
+                   for d in degrees]
+        phis = [_radians(d) for d in degrees]
+        assert phis == pytest.approx(reduced, abs=1e-15)
+        p = 0.83
+        assert agrees_with_density_matrix(singlet_chsh(p, *phis), p, *phis)
+
+    def test_cli_rows(self):
+        args = argparse.Namespace(phi_a_deg=1e300, phi_a2_deg=-450.0, phi_b_deg=45.0,
+                                  phi_b2_deg=1e17, noise_p=0.6)
+        header, columns = run_bell(args)
+        assert header == ["setting_a", "setting_b", "phi_a_deg", "phi_b_deg", "value"]
+        assert list(columns[0]) == ["a", "a", "a2", "a2", "S"]
+        assert list(columns[1]) == ["b", "b2", "b", "b2", ""]
+        phis = [_radians(d) for d in (1e300, -450.0, 45.0, 1e17)]
+        assert agrees_with_density_matrix(columns[4], 0.6, *phis)
