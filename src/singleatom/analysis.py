@@ -9,6 +9,7 @@ Derivatives*, 1973, ch. 5), in numpy alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,8 +52,9 @@ class SpectrumProfile:
         if np.any(a < 0):
             raise ValueError("amplitudes must be nonnegative")
 
-    @property
+    @functools.cached_property
     def spacing(self) -> float:
+        """The grid step; the grid is checked for uniformity on the first read."""
         df = np.diff(self.frequency)
         if not np.allclose(df, df[0], rtol=1e-6):
             raise ValueError("profile grid must be uniform")

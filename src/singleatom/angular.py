@@ -1,17 +1,17 @@
 """Angular-momentum algebra for dipole transitions.
 
 Clebsch-Gordan coefficients and Wigner 6j symbols are evaluated with the
-Racah sum formulas using exact integer factorial ratios (``fractions``),
-so selection rules are decided in integer arithmetic and the only rounding
-happens in a final square root.  All angular momenta are carried as doubled
-integers (``two_j``) so that half-integer values stay exact.
+Racah sum formulas in exact integer arithmetic: the terms of a sum are put
+over one common denominator (``math.lcm``), so selection rules are decided
+exactly and the value is ``num / den * sqrt(n / d)``, two correctly rounded
+integer quotients and one square root.  All angular momenta are carried as
+doubled integers (``two_j``) so that half-integer values stay exact.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 
 __all__ = [
     "as_two_j",
@@ -50,12 +50,21 @@ def _fact2(twice: int) -> int:
     return math.factorial(twice // 2)
 
 
-def _tri_fraction(ta: int, tb: int, tc: int) -> Fraction:
-    """Squared triangle coefficient Delta^2(a,b,c) as an exact fraction."""
-    return Fraction(
-        _fact2(ta + tb - tc) * _fact2(ta - tb + tc) * _fact2(-ta + tb + tc),
-        _fact2(ta + tb + tc + 2),
-    )
+def _tri_ratio(ta: int, tb: int, tc: int) -> tuple[int, int]:
+    """Squared triangle coefficient Delta^2(a,b,c) as (numerator, denominator)."""
+    return (_fact2(ta + tb - tc) * _fact2(ta - tb + tc) * _fact2(-ta + tb + tc),
+            _fact2(ta + tb + tc + 2))
+
+
+def _racah_value(terms: list[tuple[int, int]], norm_num: int, norm_den: int) -> float:
+    """sum(n_k / d_k) * sqrt(norm_num / norm_den) for the terms (n_k, d_k) of a
+    Racah sum.  The sum is exact over the common denominator; int / int is
+    correctly rounded, as ``float`` of a ``fractions.Fraction`` is."""
+    den = math.lcm(*(d for _, d in terms))
+    num = sum(n * (den // d) for n, d in terms)
+    if num == 0:
+        return 0.0
+    return num / den * math.sqrt(norm_num / norm_den)
 
 
 @functools.lru_cache(maxsize=None)
@@ -80,29 +89,22 @@ def clebsch_gordan(j1, m1, j2, m2, J, M) -> float:
     # Racah sum over k, all factorial arguments as doubled integers
     k_min = max(0, tj2 - tJ - tm1, tj1 + tm2 - tJ)
     k_max = min(tj1 + tj2 - tJ, tj1 - tm1, tj2 + tm2)
-    total = Fraction(0)
-    for tk in range(k_min, k_max + 1, 2):
-        denom = (
-            _fact2(tk)
-            * _fact2(tj1 + tj2 - tJ - tk)
-            * _fact2(tj1 - tm1 - tk)
-            * _fact2(tj2 + tm2 - tk)
-            * _fact2(tJ - tj2 + tm1 + tk)
-            * _fact2(tJ - tj1 - tm2 + tk)
-        )
-        sign = -1 if (tk // 2) % 2 else 1
-        total += Fraction(sign, denom)
-    if total == 0:
-        return 0.0
-
+    terms = [(-1 if (tk // 2) % 2 else 1,
+              _fact2(tk)
+              * _fact2(tj1 + tj2 - tJ - tk)
+              * _fact2(tj1 - tm1 - tk)
+              * _fact2(tj2 + tm2 - tk)
+              * _fact2(tJ - tj2 + tm1 + tk)
+              * _fact2(tJ - tj1 - tm2 + tk))
+             for tk in range(k_min, k_max + 1, 2)]
+    tri_num, tri_den = _tri_ratio(tj1, tj2, tJ)
     norm = (
-        Fraction(tJ + 1)
-        * _tri_fraction(tj1, tj2, tJ)
+        (tJ + 1) * tri_num
         * _fact2(tj1 + tm1) * _fact2(tj1 - tm1)
         * _fact2(tj2 + tm2) * _fact2(tj2 - tm2)
         * _fact2(tJ + tM) * _fact2(tJ - tM)
     )
-    return float(total) * math.sqrt(float(norm))
+    return _racah_value(terms, norm, tri_den)
 
 
 @functools.lru_cache(maxsize=None)
@@ -126,7 +128,7 @@ def wigner_6j(j1, j2, j3, j4, j5, j6) -> float:
     g2 = (t[1] + t[2] + t[4] + t[5]) // 2
     g3 = (t[2] + t[0] + t[5] + t[3]) // 2
 
-    total = Fraction(0)
+    terms = []
     for k in range(max(f1, f2, f3, f4), min(g1, g2, g3) + 1):
         denom = (
             math.factorial(k - f1) * math.factorial(k - f2)
@@ -134,12 +136,10 @@ def wigner_6j(j1, j2, j3, j4, j5, j6) -> float:
             * math.factorial(g1 - k) * math.factorial(g2 - k) * math.factorial(g3 - k)
         )
         sign = -1 if k % 2 else 1
-        total += Fraction(sign * math.factorial(k + 1), denom)
-    if total == 0:
-        return 0.0
+        terms.append((sign * math.factorial(k + 1), denom))
 
-    norm = (
-        _tri_fraction(*triads[0]) * _tri_fraction(*triads[1])
-        * _tri_fraction(*triads[2]) * _tri_fraction(*triads[3])
-    )
-    return float(total) * math.sqrt(float(norm))
+    norm_num, norm_den = 1, 1
+    for triad in triads:
+        num, den = _tri_ratio(*triad)
+        norm_num, norm_den = norm_num * num, norm_den * den
+    return _racah_value(terms, norm_num, norm_den)

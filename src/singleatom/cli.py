@@ -18,7 +18,8 @@ chain), ``lightshift`` and ``trapgeometry`` (the line table and the trap
 beam), and numpy with its layers (``analysis``, ``bloch``) for the
 Bloch-model g2 (two-level-obe, four-level, full) and spectrum-fit only.
 So ``list``, ``--help`` and every exit-2 run refused before the line table
-is read load none of them.
+is read load none of them.  The parser names every scenario but adds flags
+only to the invoked one's subparser (``build_parser``).
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure (also an
 allocation that fails with ``MemoryError``).
@@ -493,16 +494,17 @@ def _check_beam(args, prefix: str = "") -> None:
     and the Rayleigh length pi w0^2 / lambda (``trapgeometry.GaussianBeam``);
     a beam for which either square overflows is refused here, naming the
     flags, and so is a wavelength below ``shortest_resolved_wavelength``,
-    where the light shift is lost in rounding.  ``prefix`` is the flags'
-    prefix ("trap-" for g2)."""
-    from .lightshift import shortest_resolved_wavelength
+    where the light shift is lost in rounding, and a power so small that the
+    trap depth underflows to 0.  ``prefix`` is the flags' prefix ("trap-"
+    for g2)."""
+    from .lightshift import LaserField, ground_shift_alkali, shortest_resolved_wavelength
     from .trapgeometry import GaussianBeam
 
     _read_lines(args)
     dest = prefix.replace("-", "_")
-    waist, wavelength = getattr(args, f"{dest}waist_um"), getattr(args, f"{dest}wavelength_nm")
-    beam = GaussianBeam(power=getattr(args, f"{dest}power_mw") * 1e-3,
-                        waist_w0=waist * 1e-6, wavelength=wavelength * 1e-9)
+    power, waist, wavelength = (getattr(args, f"{dest}{name}")
+                                for name in ("power_mw", "waist_um", "wavelength_nm"))
+    beam = GaussianBeam(power=power * 1e-3, waist_w0=waist * 1e-6, wavelength=wavelength * 1e-9)
     try:
         beam.waist_w0**2
     except OverflowError:
@@ -519,6 +521,14 @@ def _check_beam(args, prefix: str = "") -> None:
         raise ValidationError(
             f"--{prefix}wavelength-nm {wavelength:g} is below {floor * 1e9:.3g} nm, where the"
             " light shift is lost in rounding noise")
+    try:
+        field = LaserField(wavelength=beam.wavelength, intensity=beam.peak_intensity)
+        depth = ground_shift_alkali(field, 0.5, args.lines)
+    except (ArithmeticError, ValueError):  # the run fails on it, with its cause
+        return
+    if depth == 0:
+        raise ValidationError(f"--{prefix}power-mw {power:g} with --{prefix}waist-um {waist:g}:"
+                              " the trap depth (J) underflows to 0")
 
 
 def _check_magic(args) -> None:
@@ -696,7 +706,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"validation: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(scenarios=SCENARIOS) -> argparse.ArgumentParser:
+    """The command-line parser.  Every scenario is a subcommand, so the help,
+    a bare call and an unknown scenario read the same whatever ``scenarios``
+    holds; only the subparsers it names get their flags (a run builds its
+    own scenario's alone)."""
     parser = _Parser(
         prog="singleatom",
         description="Single-atom dipole trap and atom-photon entanglement scenarios.",
@@ -704,12 +718,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     subparsers = parser.add_subparsers(dest="scenario", required=True, parser_class=_Parser)
     subparsers.add_parser("list", help="list scenarios and their required keys")
-    common = argparse.ArgumentParser(add_help=False)
-    _add_flags(common, _COMMON)
     parser.scenarios = {}
     for name, (_, _, *flags) in SPECS.items():
-        parser.scenarios[name] = subparsers.add_parser(name, parents=[common])
-        _add_flags(parser.scenarios[name], flags)
+        parser.scenarios[name] = subparsers.add_parser(name)
+        if name in scenarios:
+            _add_flags(parser.scenarios[name], _COMMON + tuple(flags))
     return parser
 
 
@@ -761,7 +774,9 @@ def _config_defaults(path: str, flags) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a parse that gets past the top-level options has the scenario first
+    parser = build_parser(argv[:1])
     args = parser.parse_args(argv)
 
     if args.scenario == "list":

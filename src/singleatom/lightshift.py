@@ -21,7 +21,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .angular import _triangle_ok, clebsch_gordan, wigner_6j
 from .constants import (
@@ -52,23 +51,21 @@ __all__ = [
 LINE_DATA_ENV = "SINGLEATOM_LINE_DATA"
 
 
-@dataclass(frozen=True)
 class LaserField:
     """A monochromatic laser field: wavelength (m), intensity (W/m^2), polarization.
 
     ``epsilon`` is -1, 0 or +1 for sigma-, pi and sigma+ light.
     """
 
-    wavelength: float
-    intensity: float
-    epsilon: int = 0
+    __slots__ = ("wavelength", "intensity", "epsilon")
 
-    def __post_init__(self):
-        if self.wavelength <= 0:
+    def __init__(self, wavelength: float, intensity: float, epsilon: int = 0):
+        self.wavelength, self.intensity, self.epsilon = wavelength, intensity, epsilon
+        if wavelength <= 0:
             raise ValueError("wavelength must be positive")
-        if self.intensity < 0:
+        if intensity < 0:
             raise ValueError("intensity must be nonnegative")
-        if self.epsilon not in (-1, 0, 1):
+        if epsilon not in (-1, 0, 1):
             raise ValueError("epsilon must be -1, 0 or +1")
 
     @property
@@ -76,17 +73,19 @@ class LaserField:
         return angular_frequency(self.wavelength)
 
 
-@dataclass(frozen=True)
 class SpectralLine:
-    """One fine-structure dipole coupling between two named levels."""
+    """One fine-structure dipole coupling between two named levels: wavelength
+    (m), partial lifetime of the upper level (s, 1/A) and the doubled J of
+    either level."""
 
-    label: str
-    lower: str
-    upper: str
-    wavelength: float     # m
-    lifetime: float       # s, partial lifetime of the upper level (1/A)
-    two_j_lower: int
-    two_j_upper: int
+    __slots__ = ("label", "lower", "upper", "wavelength", "lifetime",
+                 "two_j_lower", "two_j_upper")
+
+    def __init__(self, label: str, lower: str, upper: str, wavelength: float,
+                 lifetime: float, two_j_lower: int, two_j_upper: int):
+        self.label, self.lower, self.upper = label, lower, upper
+        self.wavelength, self.lifetime = wavelength, lifetime
+        self.two_j_lower, self.two_j_upper = two_j_lower, two_j_upper
 
     @property
     def omega(self) -> float:
@@ -98,15 +97,15 @@ class SpectralLine:
         return 1.0 / self.lifetime
 
 
-@dataclass(frozen=True)
 class LineTable:
-    """Immutable set of dipole couplings."""
+    """A set of dipole couplings."""
 
-    lines: tuple[SpectralLine, ...]
+    __slots__ = ("lines",)
 
-    def __post_init__(self):
+    def __init__(self, lines: tuple[SpectralLine, ...]):
+        self.lines = lines
         pairs = set()
-        for line in self.lines:
+        for line in lines:
             if line.wavelength <= 0 or line.lifetime <= 0:
                 raise ValueError(f"line {line.label}: wavelength and lifetime must be positive")
             key = (line.lower, line.upper)
@@ -135,19 +134,16 @@ class LineTable:
         raise KeyError(f"no line data for the coupling {lower} -> {upper}")
 
 
-@dataclass(frozen=True)
 class HyperfineLevel:
     """A hyperfine Zeeman level |n_label; J, F, m_F>."""
 
-    n_label: str
-    two_j: int
-    two_f: int
-    two_m_f: int
+    __slots__ = ("n_label", "two_j", "two_f", "two_m_f")
 
-    def __post_init__(self):
-        if abs(self.two_m_f) > self.two_f:
+    def __init__(self, n_label: str, two_j: int, two_f: int, two_m_f: int):
+        self.n_label, self.two_j, self.two_f, self.two_m_f = n_label, two_j, two_f, two_m_f
+        if abs(two_m_f) > two_f:
             raise ValueError("|m_F| exceeds F")
-        if not _triangle_ok(self.two_j, RB87_TWO_I, self.two_f):
+        if not _triangle_ok(two_j, RB87_TWO_I, two_f):
             raise ValueError("F incompatible with J and nuclear spin I=3/2")
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # numpy loads only with an array result
@@ -32,22 +31,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class LoadingParams:
     """Loading rate R (atoms/s), one-body loss gamma (1/s), two-body loss
     coefficient beta (m^3/s), effective trap volume (m^3), truncation N_max."""
 
-    loading_rate: float
-    gamma: float
-    beta: float
-    volume: float
-    n_max: int = 5
+    __slots__ = ("loading_rate", "gamma", "beta", "volume", "n_max")
 
-    def __post_init__(self):
-        rates = (self.loading_rate, self.gamma, self.beta)
-        if not (all(0 <= r < math.inf for r in rates) and 0 < self.volume < math.inf):
+    def __init__(self, loading_rate: float, gamma: float, beta: float, volume: float,
+                 n_max: int = 5):
+        self.loading_rate, self.gamma, self.beta = loading_rate, gamma, beta
+        self.volume, self.n_max = volume, n_max
+        if not (all(0 <= r < math.inf for r in (loading_rate, gamma, beta))
+                and 0 < volume < math.inf):
             raise ValueError("rates must be finite and nonnegative, volume finite and positive")
-        if self.n_max < 1:
+        if n_max < 1:
             raise ValueError("n_max must be at least 1")
 
     @property
@@ -61,17 +58,15 @@ def mean_number(probabilities) -> float:
     return math.fsum(k * p for k, p in enumerate(probabilities))
 
 
-@dataclass(frozen=True)
 class AtomNumberDist:
     """Probabilities p_0..p_N of finding that many atoms in the trap."""
 
-    probabilities: np.ndarray
+    __slots__ = ("probabilities",)
 
-    def __post_init__(self):
+    def __init__(self, probabilities: np.ndarray):
         import numpy as np
 
-        p = np.asarray(self.probabilities, dtype=float)
-        object.__setattr__(self, "probabilities", p)
+        self.probabilities = p = np.asarray(probabilities, dtype=float)
         if np.any(p < -1e-12) or np.any(p > 1 + 1e-12):
             raise ValueError("probabilities must lie in [0, 1]")
         if abs(p.sum() - 1.0) > 1e-10:

@@ -8,7 +8,6 @@ axial frequencies follow from the depth, the waist and the Rayleigh length.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .constants import HBAR, KB, PI, TWO_PI
 
@@ -23,16 +22,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class GaussianBeam:
     """A focused TEM00 beam: power (W), waist (m, 1/e^2 radius), wavelength (m)."""
 
-    power: float
-    waist_w0: float
-    wavelength: float
+    __slots__ = ("power", "waist_w0", "wavelength")
 
-    def __post_init__(self):
-        if min(self.power, self.waist_w0, self.wavelength) <= 0:
+    def __init__(self, power: float, waist_w0: float, wavelength: float):
+        self.power, self.waist_w0, self.wavelength = power, waist_w0, wavelength
+        if min(power, waist_w0, wavelength) <= 0:
             raise ValueError("power, waist and wavelength must be positive")
 
     @property
@@ -44,17 +41,14 @@ class GaussianBeam:
         return 2 * self.power / (PI * self.waist_w0**2)
 
 
-@dataclass(frozen=True)
 class TrapSpec:
     """Trap parameters: depth magnitude (J), waist (m), Rayleigh length (m), mass (kg)."""
 
-    depth_u: float
-    waist_w0: float
-    z_r: float
-    atom_mass: float
+    __slots__ = ("depth_u", "waist_w0", "z_r", "atom_mass")
 
-    def __post_init__(self):
-        if min(self.depth_u, self.waist_w0, self.z_r, self.atom_mass) <= 0:
+    def __init__(self, depth_u: float, waist_w0: float, z_r: float, atom_mass: float):
+        self.depth_u, self.waist_w0, self.z_r, self.atom_mass = depth_u, waist_w0, z_r, atom_mass
+        if min(depth_u, waist_w0, z_r, atom_mass) <= 0:
             raise ValueError("all trap parameters must be positive")
 
     @classmethod

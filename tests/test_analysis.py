@@ -96,6 +96,21 @@ class TestProfileChecks:
         with pytest.raises(ValueError, match="must be finite"):
             SpectrumProfile(f, a)
 
+    def test_uniformity_checked_once_per_profile(self, monkeypatch):
+        checks = []
+        allclose = np.allclose
+        monkeypatch.setattr(np, "allclose", lambda *a, **k: checks.append(1) or allclose(*a, **k))
+        profile = SpectrumProfile(grid(), np.ones(len(grid())))
+        assert [profile.spacing for _ in range(3)] == [0.02e6] * 3 and len(checks) == 1
+
+    def test_non_uniform_grid_refused_on_every_read(self):
+        f = grid()
+        f[-1] += 0.01e6
+        profile = SpectrumProfile(f, np.ones(len(f)))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="must be uniform"):
+                profile.spacing
+
 
 def doppler_cost(rng):
     """A seeded Doppler-fit cost and its bounds and xatol, as the fit builds

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import warnings
 from importlib import resources
 
@@ -20,7 +21,9 @@ from singleatom.cli import (
     SCENARIOS,
     SPECS,
     ValidationError,
+    _COMMON,
     _parse_grid,
+    build_parser,
     main,
 )
 
@@ -140,6 +143,62 @@ class TestListAndValidate:
         assert code == EXIT_VALIDATION
         assert "eta" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestPerScenarioParser:
+    """A run builds the flags of its own scenario alone; what the parser
+    prints is what a parser with every scenario's flags prints."""
+
+    @staticmethod
+    def printed(capsys, parse, argv):
+        """(exit code, stdout, stderr) of a parse that exits."""
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        out, err = capsys.readouterr()
+        return exc.value.code, out, err
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_scenario_help_lists_its_flags(self, capsys, scenario):
+        code, out, err = self.printed(capsys, main, [scenario, "--help"])
+        assert code == EXIT_OK and err == ""
+        expected = {"--help"} | {f"--{name}" for flag in _COMMON + tuple(SPECS[scenario][2:])
+                                 for name in (flag.name, flag.alias) if name}
+        assert set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", out)) == expected
+        assert (code, out, err) == self.printed(capsys, build_parser().parse_args,
+                                                [scenario, "--help"])
+
+    @pytest.mark.parametrize("argv", [["--help"], [], ["nosuch"], ["--version"],
+                                      ["list", "--help"], ["trap", "--model", "full"]],
+                             ids=["help", "bare", "unknown", "version", "list-help",
+                                  "other-scenarios-flag"])
+    def test_top_level_text_unchanged(self, capsys, argv):
+        printed = self.printed(capsys, main, argv)
+        assert printed == self.printed(capsys, build_parser().parse_args, argv)
+        assert printed[0] == (EXIT_OK if argv[:1] in (["--help"], ["--version"], ["list"])
+                              else EXIT_VALIDATION)
+        if argv == ["nosuch"]:
+            assert printed[2] == ("validation: argument scenario: invalid choice: 'nosuch'"
+                                  f" (choose from {', '.join(map(repr, ('list', *SCENARIOS)))})\n")
+
+    def test_run_parser_has_the_invoked_flags_only(self):
+        parser = build_parser(["trap"])
+        assert "--power-mw" in parser.scenarios["trap"].format_help()
+        assert "--power-mw" not in parser.scenarios["lightshift"].format_help()
+
+    @pytest.mark.parametrize("scenario,values,flags", [
+        ("trap", {"power_mw": 44, "waist_um": 9.0}, ["--waist-um", "3.5"]),
+        ("g2", {"delta_mhz": -31, "icl_mw_cm2": 103, "points": 3}, ["--points", "5"]),
+    ])
+    def test_config_loses_to_the_command_line(self, tmp_path, scenario, values, flags):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(values))
+        code, out = run(tmp_path, [scenario, "--config", str(config), *flags], "a.csv")
+        assert code == EXIT_OK
+        plain = {**{k.replace("_", "-"): v for k, v in values.items()},
+                 **dict(zip(flags[::2], flags[1::2]))}
+        argv = [scenario] + [f"--{k.lstrip('-')}={v}" for k, v in plain.items()]
+        _, expected = run(tmp_path, argv, "b.csv")
+        assert out.read_bytes() == expected.read_bytes()
 
 
 class TestValidateOnlyAgreesWithRun:
@@ -264,6 +323,40 @@ class TestBeamWavelengthBelowResolution:
                                    "--wavelength-nm", "3.5e-13"])
         assert code == EXIT_OK
         assert out.read_text().splitlines()[1].startswith("3.5e-13,44,3.5,")
+
+
+class TestSubnormalTrapPower:
+    """A trap-beam power so small that the trap depth underflows to 0 J is
+    refused in validation, naming the power flag, on the run and on
+    --validate-only.  The runs failed with library text (trap, loading),
+    divided by zero (g2) or printed a depth of 0 (lightshift)."""
+
+    @pytest.mark.parametrize("args,line", [
+        (["trap", "--power-mw", "3.7e-310", "--waist-um", "3.7", "--wavelength-nm", "0.5"],
+         "--power-mw 3.7e-310 with --waist-um 3.7"),
+        (["loading", "--rate-per-s", "1", "--power-mw", "3.7e-310", "--waist-um", "3.5"],
+         "--power-mw 3.7e-310 with --waist-um 3.5"),
+        (["g2", "--delta-mhz", "-31", "--icl", "103", "--trap-power-mw", "3.7e-310",
+          "--trap-waist-um", "3.5", "--points", "5"],
+         "--trap-power-mw 3.7e-310 with --trap-waist-um 3.5"),
+        (["lightshift", "--power-mw", "3.7e-310", "--waist-um", "3.7", "--wavelength-nm", "0.5"],
+         "--power-mw 3.7e-310 with --waist-um 3.7"),
+        (["trap", "--power-mw", "1e-300", "--waist-um", "3.5"],
+         "--power-mw 1e-300 with --waist-um 3.5"),
+    ], ids=["trap", "loading", "g2-trap", "lightshift", "trap-normal-power"])
+    def test_refused_in_validation(self, tmp_path, capsys, args, line):
+        line = f"validation: {line}: the trap depth (J) underflows to 0\n"
+        code, out = run(tmp_path, args)
+        assert code == EXIT_VALIDATION and not out.exists()
+        assert capsys.readouterr().err == line
+        assert main(args + ["--validate-only"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == line
+
+    def test_subnormal_depth_runs(self, tmp_path):
+        # the depth is subnormal but not 0: the trap is computed
+        code, out = run(tmp_path, ["trap", "--power-mw", "1e-290", "--waist-um", "3.5"])
+        assert code == EXIT_OK
+        assert 0 < float(out.read_text().splitlines()[1].split(",")[0]) < 1e-290
 
 
 def test_spectrum_fit_overflowing_energy_named(tmp_path, capsys, fuzz_dir):

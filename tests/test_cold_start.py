@@ -6,11 +6,12 @@ imports scipy, inside the function.  ``singleatom.cli`` imports every layer
 but ``constants`` inside the runner or check that uses it: numpy only for the
 Bloch-model g2 (two-level-obe, four-level, full) and spectrum-fit, so
 loading, bell and the two-level-analytic g2 run on the standard library, and
-the line-table layers (``lightshift``, ``angular``, ``trapgeometry``, with
-``dataclasses``) only for the scenarios that read the table or the trap
-beam.  Each check runs in a fresh
-interpreter, so modules imported by other tests do not hide a module-level
-import.
+the line-table layers (``lightshift``, ``angular``, ``trapgeometry``) only
+for the scenarios that read the table or the trap beam.  The standard-library
+paths load neither ``dataclasses`` (with ``inspect``) nor ``fractions``
+(with ``decimal``): the line-table records are plain classes and the Racah
+sums run in integers.  Each check runs in a fresh interpreter, so modules
+imported by other tests do not hide a module-level import.
 """
 
 import os
@@ -151,10 +152,12 @@ SCENARIO_RUNS = {
 }
 NUMPY_SCENARIOS = ("g2", "spectrum-fit")
 
-# the layers that read the line table or the trap beam, and the dataclasses
-# their tables are made of
-LINE_TABLE_LAYERS = ("singleatom.lightshift", "singleatom.angular", "singleatom.trapgeometry",
-                     "dataclasses")
+# the layers that read the line table or the trap beam
+LINE_TABLE_LAYERS = ("singleatom.lightshift", "singleatom.angular", "singleatom.trapgeometry")
+
+# standard-library modules that only numpy's scenarios may load: dataclasses
+# pulls in inspect (with ast, dis and tokenize), fractions pulls in decimal
+HEAVY_STDLIB = ("dataclasses", "inspect", "fractions", "decimal")
 
 
 def scenario_run(scenario: str) -> str:
@@ -191,10 +194,8 @@ def test_no_line_table_layer_loaded(code, tmp_path):
 
 
 def test_g2_without_trap_loads_no_line_table_layer(tmp_path):
-    # the bloch layer imports lightshift only to apply a trap field; its own
-    # dataclasses are the one module of LINE_TABLE_LAYERS that g2 needs
-    loaded = modules_after("import sys\n" + cli_run(*G2), *LINE_TABLE_LAYERS[:-1],
-                           cwd=tmp_path)
+    # the bloch layer imports lightshift only to apply a trap field
+    loaded = modules_after("import sys\n" + cli_run(*G2), *LINE_TABLE_LAYERS, cwd=tmp_path)
     assert loaded == "[]"
 
 
@@ -203,6 +204,27 @@ def test_trap_run_loads_the_line_table_layers(tmp_path):
     loaded = modules_after("import sys\n" + scenario_run("trap"), *LINE_TABLE_LAYERS,
                            cwd=tmp_path)
     assert loaded == repr(sorted(LINE_TABLE_LAYERS))
+
+
+# every scenario but the numpy ones (spectrum-fit, and g2 with a Bloch model,
+# so g2 runs the closed form here, once with a trap beam)
+STDLIB_RUNS = {s: (s, *SCENARIO_RUNS[s]) for s in SCENARIO_RUNS if s not in NUMPY_SCENARIOS}
+STDLIB_RUNS["g2"] = ("g2", *SCENARIO_RUNS["g2"], "--model", "two-level-analytic")
+STDLIB_RUNS["g2-trap"] = (*STDLIB_RUNS["g2"], "--trap-power-mw", "40", "--trap-waist-um", "3.5")
+
+
+@pytest.mark.parametrize("validate", [False, True], ids=["run", "validate"])
+@pytest.mark.parametrize("name", STDLIB_RUNS)
+def test_stdlib_scenarios_load_no_heavy_stdlib_module(name, validate, tmp_path):
+    argv = (*STDLIB_RUNS[name], "--out", "out.csv", *(["--validate-only"] if validate else []))
+    assert modules_after("import sys\n" + cli_run(*argv), *HEAVY_STDLIB, cwd=tmp_path) == "[]"
+
+
+def test_numpy_scenario_loads_the_heavy_stdlib_modules(tmp_path):
+    # the check above would pass vacuously if no run loaded them; numpy
+    # imports inspect, and the Bloch layers are dataclasses
+    loaded = modules_after("import sys\n" + cli_run(*G2), *HEAVY_STDLIB, cwd=tmp_path)
+    assert "'dataclasses'" in loaded and "'inspect'" in loaded
 
 
 def test_stirap_loads_no_scipy():
