@@ -1,12 +1,12 @@
 """Density-matrix dynamics and photon-correlation functions.
 
-Submodules: :mod:`state` (real layout, Lindblad generator), :mod:`two_level`
-(analytic and numeric two-level g2), :mod:`four_level` (hyperfine
-four-level model with cooling and repump fields), :mod:`diffusion`
+Submodules: :mod:`state` (the real-vector layout of a density matrix, which
+every state and generator here uses, and the Lindblad generator),
+:mod:`two_level` (analytic and numeric two-level g2), :mod:`four_level`
+(hyperfine four-level model with cooling and repump fields), :mod:`diffusion`
 (motional correlation envelope).
 """
 
-from .state import DensityMatrix
 from .two_level import two_level_g2_analytic, two_level_obe_g2
 from .four_level import (
     FourLevelParams,
@@ -17,7 +17,6 @@ from .four_level import (
 from .diffusion import DiffusionEnvelope, g2_total_envelope
 
 __all__ = [
-    "DensityMatrix",
     "two_level_g2_analytic",
     "two_level_obe_g2",
     "FourLevelParams",

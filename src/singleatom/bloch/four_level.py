@@ -11,7 +11,8 @@ mixture y0: the excited population c . exp(M tau) y0, c = e_a + e_d, over
 its steady-state value.  It is evaluated as a sum of the generator's modes
 (``integrator.linear_modes`` and ``sum_modes``), without building the
 state at each delay; ``FourLevelLiouvillian.propagate`` evolves the whole
-density matrix.
+state.  Every state here is the real 16-vector of ``state.to_real_vector``,
+whose first four entries are the populations of a, b, c and d.
 
 The upper limit g2 = 2 of a two-level atom does not bind here: for cooling
 detunings of several linewidths the Rabi oscillations overshoot it.
@@ -35,20 +36,17 @@ from ..constants import (
     rabi_frequency,
 )
 from ..integrator import linear_modes, sum_modes
-from .state import DensityMatrix, from_real_vector, lindblad_generator, to_real_vector
+from .state import lindblad_generator
 
 if TYPE_CHECKING:  # the line-table layers load only with a trap field
     from ..lightshift import LaserField, LineTable
 
 __all__ = [
-    "BASIS_LABELS",
     "FourLevelParams",
     "FourLevelLiouvillian",
     "four_level_g2",
     "apply_trap_shifts",
 ]
-
-BASIS_LABELS = ("a:F'=2", "b:F=1", "c:F=2", "d:F'=3")
 
 _IDX_A, _IDX_B, _IDX_C, _IDX_D = 0, 1, 2, 3
 
@@ -123,7 +121,7 @@ class FourLevelLiouvillian:
     ``matrix_real`` acts on the 16 real degrees of freedom of a Hermitian
     4x4 density matrix (``state.to_real_vector``).  Provides the steady
     state (null vector from an SVD, with trace normalization) and
-    propagation by a grid of delays.
+    propagation by a grid of delays, both in that real layout.
     """
 
     def __init__(self, params: FourLevelParams):
@@ -134,8 +132,8 @@ class FourLevelLiouvillian:
             (params.gamma_dc, _IDX_C, _IDX_D),
         ])
 
-    def steady_state(self) -> DensityMatrix:
-        """The trace-one null vector of the generator.
+    def steady_state(self) -> np.ndarray:
+        """The trace-one null vector of the generator, a real 16-vector.
 
         The null space is spanned by the right singular vectors whose
         singular values are at most eps * 16 * s_max (the rank rule of
@@ -163,37 +161,37 @@ class FourLevelLiouvillian:
         if abs(trace) < 1e-12:
             raise ValueError("null vector has zero trace; generator is degenerate")
         vec = vec / trace
-        excited = vec[_IDX_A] + vec[_IDX_D]  # the populations lead the real layout
+        excited = vec[_IDX_A] + vec[_IDX_D]
         noise = len(s) * np.finfo(float).eps * s[0] / s[-2]
         if not excited > noise:
             raise ValueError(
                 f"no steady-state excitation: excited population {excited:.3g} is not above "
                 f"the null vector's rounding error {noise:.3g}")
-        return DensityMatrix(entries=from_real_vector(vec), basis_labels=BASIS_LABELS)
+        return vec
 
-    def propagate(self, rho0: np.ndarray, delays) -> np.ndarray:
-        """Evolve ``rho0`` by each delay; returns (len(delays), 4, 4) complex.
+    def propagate(self, y0: np.ndarray, delays) -> np.ndarray:
+        """Evolve the real 16-vector ``y0`` by each delay; returns
+        (len(delays), 16).
 
         Exact: the modes of every component of ``matrix_real``
         (``linear_modes`` with c = I), summed at each delay (``sum_modes``).
         The delays tau >= 0 may come in any order, and rows at tau = 0 hold
-        ``rho0``.
+        ``y0``.
         """
-        y0 = to_real_vector(rho0)
         lam, amp, _ = linear_modes(self.matrix_real, y0, np.eye(len(y0)))
-        return from_real_vector(sum_modes(lam, amp, delays, y0))
+        return sum_modes(lam, amp, delays, y0)
 
 
-def post_emission_state(params: FourLevelParams, steady: DensityMatrix) -> np.ndarray:
-    """Ground-state mixture right after a photon emission (all coherences
-    zero), from a steady state with excitation (``steady_state`` checks it)."""
-    p_aa = steady.population(BASIS_LABELS[_IDX_A])
-    p_dd = steady.population(BASIS_LABELS[_IDX_D])
+def post_emission_state(params: FourLevelParams, steady: np.ndarray) -> np.ndarray:
+    """Ground-state mixture right after a photon emission, a real 16-vector
+    holding the populations of b and c (all coherences zero), from a steady
+    state with excitation (``steady_state`` checks it)."""
+    p_aa, p_dd = steady[_IDX_A], steady[_IDX_D]
     denom = (params.gamma_ab + params.gamma_ac) * p_aa + params.gamma_dc * p_dd
-    rho0 = np.zeros((4, 4), dtype=complex)
-    rho0[_IDX_B, _IDX_B] = params.gamma_ab * p_aa / denom
-    rho0[_IDX_C, _IDX_C] = (params.gamma_ac * p_aa + params.gamma_dc * p_dd) / denom
-    return rho0
+    y0 = np.zeros(len(steady))
+    y0[_IDX_B] = params.gamma_ab * p_aa / denom
+    y0[_IDX_C] = (params.gamma_ac * p_aa + params.gamma_dc * p_dd) / denom
+    return y0
 
 
 def four_level_g2(params: FourLevelParams, tau_grid,
@@ -208,16 +206,13 @@ def four_level_g2(params: FourLevelParams, tau_grid,
     """
     liouv = FourLevelLiouvillian(params)
     steady = liouv.steady_state()
-    y0 = to_real_vector(post_emission_state(params, steady))
+    y0 = post_emission_state(params, steady)
     excited = np.zeros(len(y0))
-    excited[[_IDX_A, _IDX_D]] = 1.0  # the populations lead the real layout
+    excited[[_IDX_A, _IDX_D]] = 1.0
     lam, amp, overlap = linear_modes(liouv.matrix_real, y0, excited)
-    excited_ss = (
-        steady.population(BASIS_LABELS[_IDX_A]) + steady.population(BASIS_LABELS[_IDX_D])
-    )
-    g2 = sum_modes(lam, amp, tau_grid, excited @ y0) / excited_ss
+    g2 = sum_modes(lam, amp, tau_grid, excited @ y0) / (steady[_IDX_A] + steady[_IDX_D])
     if report is not None:
-        residual = liouv.matrix_real @ to_real_vector(steady.entries)
+        residual = liouv.matrix_real @ steady
         report.update(method="eigen-propagator", min_overlap=overlap,
                       steady_residual=float(np.linalg.norm(residual)))
     return g2

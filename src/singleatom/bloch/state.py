@@ -1,12 +1,10 @@
-"""Density matrices: real layout, Lindblad generator, physicality measures.
+"""Density matrices as real vectors, and the Lindblad generator on them.
 
 A Hermitian n x n matrix is carried as a real n^2-vector: the n populations,
 then (Re, Im) of each upper coherence rho[i, k], i < k, in row order.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,33 +60,3 @@ def lindblad_generator(h, jumps) -> np.ndarray:
     dissipator -= (loss[:, None] + loss[None, :]) / 2.0 * basis
     return to_real_vector(-1j * (h @ basis - basis @ h) + dissipator).T
 
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """A complex density matrix over a labeled basis."""
-
-    entries: np.ndarray
-    basis_labels: tuple[str, ...]
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
-        object.__setattr__(self, "entries", entries)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError("entries must be a square matrix")
-        if len(self.basis_labels) != entries.shape[0]:
-            raise ValueError("one basis label per dimension required")
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.entries).real)
-
-    def hermiticity_defect(self) -> float:
-        return float(np.abs(self.entries - self.entries.conj().T).max())
-
-    def min_eigenvalue(self) -> float:
-        sym = 0.5 * (self.entries + self.entries.conj().T)
-        return float(np.linalg.eigvalsh(sym).min())
-
-    def population(self, label: str) -> float:
-        idx = self.basis_labels.index(label)
-        return float(self.entries[idx, idx].real)

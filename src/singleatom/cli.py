@@ -166,35 +166,20 @@ def _parse_grid(spec: str, name: str) -> list[float]:
 # --- scenario runners -------------------------------------------------------
 
 
-def _trap_field(power_mw: float, waist_um: float, wavelength_nm: float):
-    """The trap beam and its peak field."""
-    from .lightshift import LaserField
-    from .trapgeometry import GaussianBeam
-
-    beam = GaussianBeam(power=power_mw * 1e-3, waist_w0=waist_um * 1e-6,
-                        wavelength=wavelength_nm * 1e-9)
-    return beam, LaserField(wavelength=beam.wavelength, intensity=beam.peak_intensity)
-
-
 def _trap(args):
-    """The trap beam's peak field and its harmonic trap."""
-    from .lightshift import ground_shift_alkali
+    """The harmonic trap of the beam that ``_check_beam`` built."""
     from .trapgeometry import TrapSpec
 
-    beam, field = _trap_field(args.power_mw, args.waist_um, args.wavelength_nm)
-    depth = abs(ground_shift_alkali(field, 0.5, args.lines))
-    return field, TrapSpec.from_beam(beam, depth, RB87_MASS)
+    return TrapSpec.from_beam(args.beam, abs(args.depth), RB87_MASS)
 
 
 def run_lightshift(args):
-    from .lightshift import ground_shift_alkali, scattering_rate_alkali
+    from .lightshift import scattering_rate_alkali
 
-    _, field = _trap_field(args.power_mw, args.waist_um, args.wavelength_nm)
-    depth = ground_shift_alkali(field, 0.5, args.lines)
-    rate = scattering_rate_alkali(field, args.lines)
+    rate = scattering_rate_alkali(args.field, args.lines)
     header = ["wavelength_nm", "power_mw", "waist_um", "depth_mk", "scatter_per_s"]
     return header, _row(args.wavelength_nm, args.power_mw, args.waist_um,
-                        abs(depth) / KB * 1e3, rate)
+                        abs(args.depth) / KB * 1e3, rate)
 
 
 def run_magic(args):
@@ -210,9 +195,9 @@ def run_trap(args):
     from .trapgeometry import (doppler_temperature, harmonic_frequencies, heating_rate,
                                recoil_temperature)
 
-    field, trap = _trap(args)
+    trap = _trap(args)
     omega_r, omega_z = harmonic_frequencies(trap)
-    rate = scattering_rate_alkali(field, args.lines)
+    rate = scattering_rate_alkali(args.field, args.lines)
     _, d2 = args.lines.d_lines()
     t_rec = recoil_temperature(d2.wavelength, RB87_MASS)
     header = ["depth_mk", "omega_r_khz", "omega_z_khz", "scatter_per_s",
@@ -230,8 +215,7 @@ def run_loading(args):
     from .loading import LoadingParams, mean_number, stationary_law
     from .trapgeometry import trap_volume
 
-    _, trap = _trap(args)
-    volume = trap_volume(trap, args.temperature_uk * 1e-6)
+    volume = trap_volume(_trap(args), args.temperature_uk * 1e-6)
     rates = _parse_grid(args.rate_per_s, "--rate-per-s")
     laws = [stationary_law(LoadingParams(loading_rate=r, gamma=args.gamma_per_s,
                                          beta=args.beta_cm3_s * 1e-6, volume=volume,
@@ -251,10 +235,8 @@ def _four_level_params(args) -> FourLevelParams:
         delta_rl=TWO_PI * args.delta_rl_mhz * 1e6,
     )
     if args.trap_power_mw is not None:
-        _, field = _trap_field(args.trap_power_mw, args.trap_waist_um,
-                               args.trap_wavelength_nm)
-        params = apply_trap_shifts(params, field, kinetic_reduction=args.kinetic_uk * 1e-6,
-                                   lines=args.lines)
+        params = apply_trap_shifts(params, args.field,
+                                   kinetic_reduction=args.kinetic_uk * 1e-6, lines=args.lines)
     return params
 
 
@@ -490,13 +472,17 @@ def _read_lines(args) -> None:
 
 
 def _check_beam(args, prefix: str = "") -> None:
-    """Read the line data.  A run with a trap beam squares the beam waist w0
-    and the Rayleigh length pi w0^2 / lambda (``trapgeometry.GaussianBeam``);
-    a beam for which either square overflows is refused here, naming the
-    flags, and so is a wavelength below ``shortest_resolved_wavelength``,
-    where the light shift is lost in rounding, and a power so small that the
-    trap depth underflows to 0.  ``prefix`` is the flags' prefix ("trap-"
-    for g2)."""
+    """Read the line data and build the trap beam once: the runner reads the
+    beam, its peak field and its depth (J, signed) as ``args.beam``,
+    ``args.field`` and ``args.depth``, and a depth that cannot be computed
+    fails here, so --validate-only fails as the run would.  Refused here,
+    naming the flags: a wavelength below ``shortest_resolved_wavelength``,
+    where the light shift is lost in rounding; a power or waist that is 0 in
+    SI units; a waist w0 or Rayleigh length pi w0^2 / lambda whose square
+    overflows or underflows to 0 (``trapgeometry`` squares both); a
+    wavelength on a D line, where the light shift diverges; and a power so
+    small that the trap depth underflows to 0.  ``prefix`` is the flags'
+    prefix ("trap-" for g2)."""
     from .lightshift import LaserField, ground_shift_alkali, shortest_resolved_wavelength
     from .trapgeometry import GaussianBeam
 
@@ -504,31 +490,36 @@ def _check_beam(args, prefix: str = "") -> None:
     dest = prefix.replace("-", "_")
     power, waist, wavelength = (getattr(args, f"{dest}{name}")
                                 for name in ("power_mw", "waist_um", "wavelength_nm"))
-    beam = GaussianBeam(power=power * 1e-3, waist_w0=waist * 1e-6, wavelength=wavelength * 1e-9)
-    try:
-        beam.waist_w0**2
-    except OverflowError:
-        raise ValidationError(
-            f"--{prefix}waist-um {waist:g}: the beam waist squared (m^2) overflows") from None
-    try:
-        beam.rayleigh_length**2
-    except OverflowError:
-        raise ValidationError(
-            f"--{prefix}waist-um {waist:g} with --{prefix}wavelength-nm {wavelength:g}:"
-            " the Rayleigh length squared (m^2) overflows") from None
     floor = shortest_resolved_wavelength(args.lines)
-    if beam.wavelength < floor:
+    if wavelength * 1e-9 < floor:
         raise ValidationError(
             f"--{prefix}wavelength-nm {wavelength:g} is below {floor * 1e9:.3g} nm, where the"
             " light shift is lost in rounding noise")
-    try:
-        field = LaserField(wavelength=beam.wavelength, intensity=beam.peak_intensity)
-        depth = ground_shift_alkali(field, 0.5, args.lines)
-    except (ArithmeticError, ValueError):  # the run fails on it, with its cause
-        return
+    for name, value, si, quantity in (("power-mw", power, power * 1e-3, "power (W)"),
+                                      ("waist-um", waist, waist * 1e-6, "beam waist (m)")):
+        if si == 0:
+            raise ValidationError(f"--{prefix}{name} {value:g}: the {quantity} underflows to 0")
+    beam = GaussianBeam(power=power * 1e-3, waist_w0=waist * 1e-6, wavelength=wavelength * 1e-9)
+    waist_flag = f"--{prefix}waist-um {waist:g}"
+    for attr, length, flags in (("waist_w0", "beam waist", waist_flag),
+                                ("rayleigh_length", "Rayleigh length",
+                                 f"{waist_flag} with --{prefix}wavelength-nm {wavelength:g}")):
+        try:
+            squared = getattr(beam, attr)**2
+        except OverflowError:
+            raise ValidationError(f"{flags}: the {length} squared (m^2) overflows") from None
+        if squared == 0:
+            raise ValidationError(f"{flags}: the {length} squared (m^2) underflows to 0")
+    field = LaserField(wavelength=beam.wavelength, intensity=beam.peak_intensity)
+    for line in args.lines.d_lines():
+        if line.omega == field.omega:
+            raise ValidationError(f"--{prefix}wavelength-nm {wavelength:g} is on the"
+                                  f" {line.label} line, where the light shift diverges")
+    depth = ground_shift_alkali(field, 0.5, args.lines)
     if depth == 0:
         raise ValidationError(f"--{prefix}power-mw {power:g} with --{prefix}waist-um {waist:g}:"
                               " the trap depth (J) underflows to 0")
+    args.beam, args.field, args.depth = beam, field, depth
 
 
 def _check_magic(args) -> None:

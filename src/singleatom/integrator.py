@@ -7,7 +7,8 @@ c . exp(m tau) y0 = sum_k a_k exp(lambda_k tau) with
 a_k = (c . v_k)(V^-1 y0)_k (``linear_modes``; for g2 this is the quantum
 regression theorem), evaluated at each delay tau >= 0 on its own
 (``sum_modes``; ``_checked_delays`` is the delay rule of every g2 model).
-The whole state is the case c = I (``FourLevelLiouvillian.propagate``).
+The whole state is the case c = I (``FourLevelLiouvillian.propagate``, on
+the real 16-vector of a four-level density matrix).
 Linear, time-dependent generators affine in constant matrices (the STIRAP
 pulses, A(t) = sum_i f_i(t) B_i) take one commutator-based fourth-order
 Magnus step per grid interval (``magnus4``): the commutators [B_i, B_j] are

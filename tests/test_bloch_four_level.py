@@ -8,17 +8,12 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import eig, expm, null_space
 
 from singleatom.bloch import (
-    DensityMatrix,
     FourLevelParams,
     apply_trap_shifts,
     four_level_g2,
     two_level_g2_analytic,
 )
-from singleatom.bloch.four_level import (
-    BASIS_LABELS,
-    FourLevelLiouvillian,
-    post_emission_state,
-)
+from singleatom.bloch.four_level import FourLevelLiouvillian, post_emission_state
 from singleatom.bloch.state import from_real_vector, to_real_vector
 from singleatom.constants import (
     KB,
@@ -53,10 +48,14 @@ def trap_field(power):
                       epsilon=0)
 
 
-def expm_trajectory(liouv, rho0, delays):
+def expm_trajectory(liouv, y0, delays):
     """Reference: exact exponential of the real generator at each delay."""
-    m, y0 = liouv.matrix_real, to_real_vector(rho0)
-    return np.array([expm(m * tau) @ y0 for tau in delays])
+    return np.array([expm(liouv.matrix_real * tau) @ y0 for tau in delays])
+
+
+def matrix_distance(a, b):
+    """Largest entry-wise distance of the density matrices of two real layouts."""
+    return np.abs(from_real_vector(a - b)).max()
 
 
 def lindblad_by_element(params, rho):
@@ -104,6 +103,13 @@ def post_emission(params):
     return liouv, post_emission_state(params, liouv.steady_state())
 
 
+def populations(*values):
+    """The real 16-vector of a diagonal density matrix."""
+    y = np.zeros(16)
+    y[:len(values)] = values
+    return y
+
+
 class TestGenerator:
     def test_annihilates_trace(self):
         liouv = FourLevelLiouvillian(params_at(-5.0))
@@ -118,14 +124,13 @@ class TestGenerator:
     def test_lasers_off_pure_decay(self):
         params = FourLevelParams(i_cl=0.0, i_rl=0.0, delta_cl=-5 * G)
         liouv = FourLevelLiouvillian(params)
-        rho0 = np.diag([0.4, 0.1, 0.1, 0.4]).astype(complex)
         t = np.linspace(0.0, 40 / G, 30)
-        traj = liouv.propagate(rho0, t)
-        excited = traj[:, 0, 0].real + traj[:, 3, 3].real
+        traj = liouv.propagate(populations(0.4, 0.1, 0.1, 0.4), t)
+        excited = traj[:, 0] + traj[:, 3]
         assert excited[-1] < 1e-9  # integrator noise floor ~ atol
         # decay rate Gamma: excited population follows exp(-G t)
         assert excited[10] == pytest.approx(0.8 * np.exp(-G * t[10]), rel=1e-5)
-        assert traj[-1, 1, 1].real + traj[-1, 2, 2].real == pytest.approx(1.0, abs=1e-9)
+        assert traj[-1, 1] + traj[-1, 2] == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("seed", [None, 1, 2, 3])
     def test_matches_per_element_lindblad(self, seed):
@@ -145,10 +150,10 @@ class TestGenerator:
         # reference vector from an independent dense eigensolver run
         liouv = FourLevelLiouvillian(params_at(-5.0))
         steady = liouv.steady_state()
-        expected = {"a:F'=2": 0.00168557, "b:F=1": 0.00178213,
-                    "c:F=2": 0.88742178, "d:F'=3": 0.10911053}
-        for label, value in expected.items():
-            assert steady.population(label) == pytest.approx(value, abs=1e-6)
+        # populations of a (F'=2), b (F=1), c (F=2) and d (F'=3)
+        expected = [0.00168557, 0.00178213, 0.88742178, 0.10911053]
+        for got, value in zip(steady[:4], expected):
+            assert got == pytest.approx(value, abs=1e-6)
 
     @pytest.mark.parametrize("trap_power", [None, 0.044])
     @pytest.mark.parametrize("icl,irl,delta", [
@@ -159,7 +164,7 @@ class TestGenerator:
         kernel = null_space(liouv.matrix_real)
         assert kernel.shape[1] == 1
         expected = kernel[:, 0] / kernel[:4, 0].sum()
-        got = to_real_vector(liouv.steady_state().entries)
+        got = liouv.steady_state()
         assert np.abs(got - expected).max() <= 1e-12
 
     def test_steady_state_not_unique_without_lasers(self):
@@ -185,10 +190,8 @@ class TestGenerator:
     def test_steady_state_matches_long_time_integration(self):
         liouv = FourLevelLiouvillian(params_at(-5.0))
         steady = liouv.steady_state()
-        rho0 = np.zeros((4, 4), dtype=complex)
-        rho0[2, 2] = 1.0
-        traj = liouv.propagate(rho0, np.linspace(0.0, 3e-6, 10))
-        assert np.abs(traj[-1] - steady.entries).max() < 1e-6
+        traj = liouv.propagate(populations(0.0, 0.0, 1.0), np.linspace(0.0, 3e-6, 10))
+        assert matrix_distance(traj[-1], steady) < 1e-6
 
 
 class TestPropagator:
@@ -198,16 +201,15 @@ class TestPropagator:
     ])
     def test_matches_expm_and_rk45(self, icl, irl, delta, trap_power):
         params = params_at(delta, icl, irl, trap_power)
-        liouv, rho0 = post_emission(params)
+        liouv, y0 = post_emission(params)
         t = np.linspace(0.0, 100e-9, 41)
-        traj = liouv.propagate(rho0, t)
-        ref = expm_trajectory(liouv, rho0, t)
-        assert np.abs(traj - from_real_vector(ref)).max() <= 1e-9
+        traj = liouv.propagate(y0, t)
+        assert matrix_distance(traj, expm_trajectory(liouv, y0, t)) <= 1e-9
         m = liouv.matrix_real
-        rk45 = solve_ivp(lambda _t, y: m @ y, (t[0], t[-1]), to_real_vector(rho0),
+        rk45 = solve_ivp(lambda _t, y: m @ y, (t[0], t[-1]), y0,
                          method="RK45", t_eval=t, rtol=1e-12, atol=1e-14)
         assert rk45.success
-        assert np.abs(traj - from_real_vector(rk45.y.T)).max() <= 1e-9
+        assert matrix_distance(traj, rk45.y.T) <= 1e-9
 
     @pytest.mark.parametrize("grid", [
         np.linspace(50e-9, 150e-9, 21),  # no delay at 0
@@ -215,18 +217,17 @@ class TestPropagator:
         np.linspace(0.0, 500e-9, 2500),  # spans three blocks of exponentials
     ], ids=["offset", "nonuniform", "multichunk"])
     def test_grids(self, grid):
-        # every delay is measured from rho0
-        liouv, rho0 = post_emission(params_at(-5.0, trap_power=0.044))
-        traj = liouv.propagate(rho0, grid)
-        assert traj.shape == (len(grid), 4, 4)
+        # every delay is measured from y0
+        liouv, y0 = post_emission(params_at(-5.0, trap_power=0.044))
+        traj = liouv.propagate(y0, grid)
+        assert traj.shape == (len(grid), 16)
         if grid[0] == 0.0:
-            assert np.array_equal(traj[0], rho0)
+            assert np.array_equal(traj[0], y0)
         # about 40 delays, plus both sides of each block boundary
         n = len(grid)
         idx = np.unique(np.r_[0:n:max(1, n // 40), 1023, 1024, 2047, 2048, n - 1])
         idx = idx[idx < n]
-        ref = expm_trajectory(liouv, rho0, grid[idx])
-        assert np.abs(traj[idx] - from_real_vector(ref)).max() <= 1e-9
+        assert matrix_distance(traj[idx], expm_trajectory(liouv, y0, grid[idx])) <= 1e-9
 
     def test_real_vector_round_trip_matches_loop(self):
         rng = np.random.default_rng(3)
@@ -279,9 +280,10 @@ class TestG2:
     def test_post_emission_state_normalized(self):
         params = params_at(-5.0)
         steady = FourLevelLiouvillian(params).steady_state()
-        rho0 = post_emission_state(params, steady)
-        assert np.trace(rho0).real == pytest.approx(1.0, abs=1e-12)
-        assert rho0[0, 0] == rho0[3, 3] == 0.0
+        y0 = post_emission_state(params, steady)
+        assert y0[:4].sum() == pytest.approx(1.0, abs=1e-12)
+        assert y0[0] == y0[3] == 0.0
+        assert not y0[4:].any()  # no coherences
 
     def test_unsorted_delays_match_sorted(self):
         # the delays are independent: a permuted grid permutes g2; 1500
@@ -311,11 +313,10 @@ class TestG2:
                            irl=rng.uniform(0.5, 50.0), trap_power=trap_power)
         params = replace(params, delta_rl=rng.normal() * G)
         tau = np.concatenate([[0.0], rng.uniform(0.0, 1e-6, 300)])
-        liouv, rho0 = post_emission(params)
-        traj = liouv.propagate(rho0, tau)
-        steady = liouv.steady_state().entries
-        excited_ss = steady[0, 0].real + steady[3, 3].real
-        ref = (traj[:, 0, 0].real + traj[:, 3, 3].real) / excited_ss
+        liouv, y0 = post_emission(params)
+        traj = liouv.propagate(y0, tau)
+        steady = liouv.steady_state()
+        ref = (traj[:, 0] + traj[:, 3]) / (steady[0] + steady[3])
         assert np.abs(four_level_g2(params, tau) - ref).max() <= 1e-12
 
     @pytest.mark.parametrize("trap_power", [None, 0.044])
@@ -334,7 +335,7 @@ class TestG2:
         _, w, v = eig(liouv.matrix_real, left=True)
         overlap = np.abs(np.einsum("ij,ij->j", w.conj(), v)).min()
         assert report["min_overlap"] == pytest.approx(overlap, rel=1e-9)
-        y_ss = layout_vector(liouv.steady_state().entries)
+        y_ss = liouv.steady_state()
         residual = np.linalg.norm(liouv.matrix_real @ y_ss)
         assert report["steady_residual"] == pytest.approx(residual, rel=1e-12, abs=0.0)
         assert report["steady_residual"] <= 1e-12 * np.abs(liouv.matrix_real).max()
@@ -342,13 +343,12 @@ class TestG2:
     def test_trajectory_invariants(self):
         # trace, Hermiticity and positivity along the full g2 trajectory
         tau = np.linspace(0.0, 300e-9, 200)
-        liouv, rho0 = post_emission(params_at(-8.0))
-        traj = liouv.propagate(rho0, tau)
-        for rho in traj[::10]:
-            dm = DensityMatrix(entries=rho, basis_labels=BASIS_LABELS)
-            assert abs(dm.trace - 1.0) < 1e-8
-            assert dm.hermiticity_defect() < 1e-9
-            assert dm.min_eigenvalue() > -1e-7
+        liouv, y0 = post_emission(params_at(-8.0))
+        traj = liouv.propagate(y0, tau)
+        for rho in from_real_vector(traj[::10]):
+            assert abs(np.trace(rho).real - 1.0) < 1e-8
+            assert np.abs(rho - rho.conj().T).max() < 1e-9
+            assert np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() > -1e-7
 
 
 class TestTrapShifts:

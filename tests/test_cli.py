@@ -220,9 +220,19 @@ class TestValidateOnlyAgreesWithRun:
         (["loading", "--rate-per-s=-5..5:5", "--power-mw", "44", "--waist-um", "3.5"],
          "--rate-per-s"),
         (["correlations", "--beta-deg", "0..90"], "--beta-deg"),
+        # a trap beam exactly on a D line of the table
+        (["trap", "--power-mw", "40", "--waist-um", "3.5", "--wavelength-nm", "780.246"],
+         "--wavelength-nm 780.246 is on the D2 line"),
+        (["lightshift", "--power-mw", "40", "--waist-um", "3.5", "--wavelength-nm", "780.246"],
+         "--wavelength-nm 780.246 is on the D2 line"),
+        (["loading", "--rate-per-s", "1", "--power-mw", "40", "--waist-um", "3.5",
+          "--wavelength-nm", "780.246"], "--wavelength-nm 780.246 is on the D2 line"),
+        (TRAP + ["--trap-wavelength-nm", "794.979"],
+         "--trap-wavelength-nm 794.979 is on the D1 line"),
     ], ids=["trap-power", "trap-waist", "trap-wavelength", "kinetic", "env-a",
             "stirap-grid", "loading-grid", "loading-negative-rate",
-            "loading-negative-grid-point", "correlations-grid"])
+            "loading-negative-grid-point", "correlations-grid", "trap-on-d2",
+            "lightshift-on-d2", "loading-on-d2", "g2-trap-on-d1"])
     def test_out_of_range_flag_exits_two(self, tmp_path, capsys, args, flag):
         code, out = run(tmp_path, args)
         err = capsys.readouterr().err
@@ -269,8 +279,10 @@ class TestMagicBracketBelowResolution:
 
 
 class TestOverflowingSquares:
-    """A value whose square the run would overflow is refused in validation,
-    naming its flag and the quantity, on the run and on --validate-only."""
+    """A value whose square the run would overflow, or underflow to 0, is
+    refused in validation, naming its flag and the quantity, on the run and on
+    --validate-only.  The underflowing runs divided by zero or failed with
+    library text."""
 
     @pytest.mark.parametrize("args,line", [
         (["trap", "--power-mw", "44", "--waist-um", "1e300"],
@@ -285,8 +297,23 @@ class TestOverflowingSquares:
         (["g2", "--delta-mhz", "-31", "--icl", "103", "--trap-power-mw", "44",
           "--trap-waist-um", "1e200"],
          "--trap-waist-um 1e+200: the beam waist squared (m^2) overflows"),
+        (["lightshift", "--power-mw", "1", "--waist-um", "1e-310"],
+         "--waist-um 1e-310: the beam waist squared (m^2) underflows to 0"),
+        (["trap", "--power-mw", "44", "--waist-um", "1e-300"],
+         "--waist-um 1e-300: the beam waist squared (m^2) underflows to 0"),
+        (["g2", "--delta-mhz", "1e10", "--icl", "103", "--delta-rl-mhz", "3.7e10",
+          "--trap-power-mw", "1e300", "--trap-waist-um", "1e-310", "--points", "5"],
+         "--trap-waist-um 1e-310: the beam waist squared (m^2) underflows to 0"),
+        (["trap", "--power-mw", "40", "--waist-um", "1e-154", "--wavelength-nm", "1e300"],
+         "--waist-um 1e-154 with --wavelength-nm 1e+300: the Rayleigh length squared (m^2)"
+         " underflows to 0"),
+        (["trap", "--power-mw", "44", "--waist-um", "1e-100"],
+         "--waist-um 1e-100 with --wavelength-nm 856: the Rayleigh length squared (m^2)"
+         " underflows to 0"),
     ], ids=["trap-waist", "loading-waist", "two-level-obe-detuning", "trap-rayleigh",
-            "g2-trap-waist"])
+            "g2-trap-waist", "lightshift-waist-underflow", "trap-waist-underflow",
+            "g2-trap-waist-underflow",
+            "trap-rayleigh-underflow", "trap-rayleigh-square-underflow"])
     def test_named_and_refused_in_validation(self, tmp_path, capsys, args, line):
         code, out = run(tmp_path, args)
         assert code == EXIT_VALIDATION and not out.exists()
@@ -308,7 +335,9 @@ class TestBeamWavelengthBelowResolution:
         (["g2", "--delta-mhz", "-31", "--icl", "103", "--points", "3", "--trap-power-mw", "40",
           "--trap-waist-um", "3.5", "--trap-wavelength-nm", "1e-20"],
          "--trap-wavelength-nm 1e-20"),
-    ], ids=["lightshift", "loading", "g2-trap"])
+        (["trap", "--power-mw", "40", "--waist-um", "3.5", "--wavelength-nm", "5e-324"],
+         "--wavelength-nm 4.94066e-324"),
+    ], ids=["lightshift", "loading", "g2-trap", "trap-wavelength-zero-in-m"])
     def test_refused_in_validation(self, tmp_path, capsys, args, flag):
         line = (f"validation: {flag} is below 3.4e-13 nm, where the light shift is lost"
                 " in rounding noise\n")
@@ -326,26 +355,34 @@ class TestBeamWavelengthBelowResolution:
 
 
 class TestSubnormalTrapPower:
-    """A trap-beam power so small that the trap depth underflows to 0 J is
-    refused in validation, naming the power flag, on the run and on
-    --validate-only.  The runs failed with library text (trap, loading),
-    divided by zero (g2) or printed a depth of 0 (lightshift)."""
+    """A trap-beam power so small that the trap depth underflows to 0 J, or a
+    power or waist that is 0 in SI units, is refused in validation, naming the
+    flag, on the run and on --validate-only.  The runs failed with library
+    text (trap, loading), divided by zero (g2) or printed a depth of 0
+    (lightshift)."""
+
+    DEPTH = ": the trap depth (J) underflows to 0"
 
     @pytest.mark.parametrize("args,line", [
         (["trap", "--power-mw", "3.7e-310", "--waist-um", "3.7", "--wavelength-nm", "0.5"],
-         "--power-mw 3.7e-310 with --waist-um 3.7"),
+         "--power-mw 3.7e-310 with --waist-um 3.7" + DEPTH),
         (["loading", "--rate-per-s", "1", "--power-mw", "3.7e-310", "--waist-um", "3.5"],
-         "--power-mw 3.7e-310 with --waist-um 3.5"),
+         "--power-mw 3.7e-310 with --waist-um 3.5" + DEPTH),
         (["g2", "--delta-mhz", "-31", "--icl", "103", "--trap-power-mw", "3.7e-310",
           "--trap-waist-um", "3.5", "--points", "5"],
-         "--trap-power-mw 3.7e-310 with --trap-waist-um 3.5"),
+         "--trap-power-mw 3.7e-310 with --trap-waist-um 3.5" + DEPTH),
         (["lightshift", "--power-mw", "3.7e-310", "--waist-um", "3.7", "--wavelength-nm", "0.5"],
-         "--power-mw 3.7e-310 with --waist-um 3.7"),
+         "--power-mw 3.7e-310 with --waist-um 3.7" + DEPTH),
         (["trap", "--power-mw", "1e-300", "--waist-um", "3.5"],
-         "--power-mw 1e-300 with --waist-um 3.5"),
-    ], ids=["trap", "loading", "g2-trap", "lightshift", "trap-normal-power"])
+         "--power-mw 1e-300 with --waist-um 3.5" + DEPTH),
+        (["trap", "--power-mw", "5e-324", "--waist-um", "3.5"],
+         "--power-mw 4.94066e-324: the power (W) underflows to 0"),
+        (["trap", "--power-mw", "40", "--waist-um", "5e-324"],
+         "--waist-um 4.94066e-324: the beam waist (m) underflows to 0"),
+    ], ids=["trap", "loading", "g2-trap", "lightshift", "trap-normal-power",
+            "trap-power-zero-in-w", "trap-waist-zero-in-m"])
     def test_refused_in_validation(self, tmp_path, capsys, args, line):
-        line = f"validation: {line}: the trap depth (J) underflows to 0\n"
+        line = f"validation: {line}\n"
         code, out = run(tmp_path, args)
         assert code == EXIT_VALIDATION and not out.exists()
         assert capsys.readouterr().err == line
@@ -912,7 +949,7 @@ class TestDiagnostics:
         from singleatom.bloch import four_level_g2, two_level_obe_g2
         from singleatom.constants import (RB87_GAMMA_D2, RB87_ISAT_F2_F3, TWO_PI,
                                           rabi_frequency)
-        from singleatom.cli import _four_level_params, build_parser
+        from singleatom.cli import _check_g2, _four_level_params, build_parser
 
         argv = self.BASE + extra
         code, _ = run(tmp_path, argv)
@@ -920,6 +957,7 @@ class TestDiagnostics:
         meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
         assert set(meta["diagnostics"]) == keys
         args = build_parser().parse_args(argv)
+        _check_g2(args)  # reads the line data and builds the trap beam
         tau = np.linspace(0.0, 200e-9, 11)
         report = {}
         if keys == {"min_overlap"}:
@@ -927,9 +965,6 @@ class TestDiagnostics:
             two_level_obe_g2(np.float64(omega3), TWO_PI * -31.0 * 1e6,
                              RB87_GAMMA_D2, tau, report)
         elif keys:
-            if args.trap_power_mw is not None:
-                from singleatom.lightshift import load_default_lines
-                args.lines = load_default_lines()
             four_level_g2(_four_level_params(args), tau, report)
         report.pop("method", None)
         assert meta["diagnostics"] == report
@@ -988,15 +1023,13 @@ class TestNonFiniteResults:
         (["trap", "--power-mw", "1e300", "--waist-um", "3.5"], "omega_r_khz"),
         (["g2", "--model", "two-level-analytic", "--delta-mhz", "0", "--icl", "1e300",
           "--points", "3"], "g2"),
-        (["trap", "--power-mw", "44", "--waist-um", "1e-300"], None),
-    ], ids=["pair-rate-inf", "trap-omega-inf", "g2-nan", "trap-zero-division"])
+    ], ids=["pair-rate-inf", "trap-omega-inf", "g2-nan"])
     def test_exit_three_and_no_csv(self, tmp_path, capsys, args, column):
         code, out = run(tmp_path, args)
         assert code == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
-        if column is not None:
-            assert f"column {column}" in err
+        assert f"column {column}" in err
         assert not out.exists()
 
     def test_nothing_written_to_stdout(self, capsys):
@@ -1307,8 +1340,9 @@ FUZZ_BASE = {
 
 FUZZ_FLOATS = st.one_of(
     st.floats(min_value=-1e4, max_value=1e4),
-    st.sampled_from([0.0, 1e-310, -1e-310, 1e300, -1e300,
-                     math.nan, math.inf, -math.inf]),
+    st.sampled_from([0.0, 1e-310, -1e-310, 5e-324, 1e300, -1e300,
+                     math.nan, math.inf, -math.inf,
+                     780.246, 794.979]),  # the table's D2 and D1 lines, in nm
 )
 
 # string-valued flags draw from bounded sets: small, malformed, non-finite
@@ -1338,12 +1372,27 @@ def fuzz_dir(tmp_path_factory):
     return path
 
 
+def exit_and_stderr(argv) -> tuple[int, str]:
+    """``main``'s exit code and stderr; argparse refuses a malformed typed
+    value with SystemExit."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), scenario=st.sampled_from(SCENARIOS))
 def test_fuzzed_flags_exit_cleanly(fuzz_dir, data, scenario):
     """Any mix of finite, non-finite and malformed flag values: exit 0, 2 or
     3, never a non-finite value in the CSV, no CSV at all unless the run
-    succeeded, and exactly one stderr line when it did not."""
+    succeeded, and exactly one stderr line when it did not.  --validate-only
+    refuses what the run refuses in validation, with the same line: a
+    nonzero --validate-only exit is the run's exit and line, and so is a
+    run's exit 2.  A run may still fail numerically where validation passed."""
     out = fuzz_dir / "out.csv"
     if out.exists():
         out.unlink()
@@ -1362,16 +1411,16 @@ def test_fuzzed_flags_exit_cleanly(fuzz_dir, data, scenario):
         else:
             continue
         argv.append(f"--{flag.name}={value}")
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        try:
-            code = main(argv + ["--out", str(out)])
-        except SystemExit as exc:  # argparse refuses a malformed typed value
-            code = exc.code
+    argv += ["--out", str(out)]
+    checked = exit_and_stderr(argv + ["--validate-only"])
+    assert not out.exists()
+    code, err = exit_and_stderr(argv)
     assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL)
     if code != EXIT_OK:
         assert not out.exists()
-        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+        assert err.count("\n") == 1 and err.endswith("\n")
     elif out.exists():
         text = out.read_text().lower()
         assert "nan" not in text and "inf" not in text
+    if checked[0] != EXIT_OK or code == EXIT_VALIDATION:
+        assert checked == (code, err)

@@ -52,8 +52,6 @@ UNREACHED_ALLOWED = {
 # each one is checked by hand; a new one fails
 # test_methods_named_like_builtin_attributes_checked until it is listed here
 NAME_COLLISIONS_CHECKED = {
-    "bloch.state.DensityMatrix.trace":
-        "tests/test_acceptance.py criterion 13 reads dm.trace of a DensityMatrix",
     "lightshift.LineTable.get": "LineTable.d_lines calls self.get",
 }
 
