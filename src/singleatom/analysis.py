@@ -61,10 +61,24 @@ class SpectrumProfile:
         return float(df[0])
 
     def peak_normalized(self) -> "SpectrumProfile":
-        peak = self.amplitude.max()
-        if peak <= 0:
-            raise ValueError("profile has no positive peak")
-        return SpectrumProfile(self.frequency, self.amplitude / peak)
+        return SpectrumProfile(self.frequency, _peak_normalized(self.amplitude))
+
+
+def _peak_normalized(amplitude: np.ndarray) -> np.ndarray:
+    peak = amplitude.max()
+    if peak <= 0:
+        raise ValueError("profile has no positive peak")
+    return amplitude / peak
+
+
+def _gaussian(f: np.ndarray, sigma: float) -> np.ndarray:
+    """Unit-peak Gaussian amplitudes centred on 0 on the grid f; sigma = 0
+    gives a grid delta."""
+    if sigma == 0:
+        amp = np.zeros_like(f)
+        amp[np.argmin(np.abs(f))] = 1.0
+        return amp
+    return np.exp(-0.5 * (f / sigma) ** 2)
 
 
 def gaussian_profile(frequency, sigma: float) -> SpectrumProfile:
@@ -73,12 +87,7 @@ def gaussian_profile(frequency, sigma: float) -> SpectrumProfile:
     f = np.asarray(frequency, dtype=float)
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    if sigma == 0:
-        amp = np.zeros_like(f)
-        amp[np.argmin(np.abs(f))] = 1.0
-    else:
-        amp = np.exp(-0.5 * (f / sigma) ** 2)
-    return SpectrumProfile(frequency=f, amplitude=amp)
+    return SpectrumProfile(frequency=f, amplitude=_gaussian(f, sigma))
 
 
 def lorentzian_profile(frequency, fwhm: float) -> SpectrumProfile:
@@ -96,21 +105,33 @@ def convolve_profiles(a: SpectrumProfile, b: SpectrumProfile) -> SpectrumProfile
     da, db = a.spacing, b.spacing
     if not math.isclose(da, db, rel_tol=1e-6):
         raise ValueError("profiles must share the grid spacing")
-    amp = np.convolve(a.amplitude, b.amplitude) * da
-    f0 = a.frequency[0] + b.frequency[0]
-    freq = f0 + da * np.arange(len(amp))
-    out = SpectrumProfile(frequency=freq, amplitude=amp)
-    return out.peak_normalized()
+    freq, amp = _convolution(a.frequency, a.amplitude, b.frequency, b.amplitude, da)
+    return SpectrumProfile(frequency=freq, amplitude=amp).peak_normalized()
+
+
+def _convolution(freq_a, amp_a, freq_b, amp_b, spacing: float):
+    """(frequency, amplitude) of the linear convolution of two sampled
+    profiles with one grid spacing."""
+    amp = np.convolve(amp_a, amp_b) * spacing
+    return freq_a[0] + freq_b[0] + spacing * np.arange(len(amp)), amp
 
 
 def _model_on_grid(reference: SpectrumProfile, sigma: float,
                    target_freq: np.ndarray) -> np.ndarray:
-    kernel_half = 6.0 * max(sigma, reference.spacing)
-    n_half = int(math.ceil(kernel_half / reference.spacing))
-    kfreq = reference.spacing * np.arange(-n_half, n_half + 1)
-    kernel = gaussian_profile(kfreq, sigma)
-    blurred = convolve_profiles(reference, kernel)
-    return np.interp(target_freq, blurred.frequency, blurred.amplitude)
+    """The reference blurred by a Gaussian of width sigma, peak-normalized and
+    interpolated at ``target_freq``: ``convolve_profiles`` with
+    ``gaussian_profile``, on arrays.  The kernel and the blur sit on the
+    reference's checked uniform grid and are nonnegative, so of a profile's
+    checks only finiteness and a positive peak can fail; those run here, with
+    the same messages."""
+    spacing = reference.spacing
+    n_half = int(math.ceil(6.0 * max(sigma, spacing) / spacing))
+    kfreq = spacing * np.arange(-n_half, n_half + 1)
+    freq, amp = _convolution(reference.frequency, reference.amplitude,
+                             kfreq, _gaussian(kfreq, sigma), spacing)
+    if not (np.isfinite(freq).all() and np.isfinite(amp).all()):
+        raise ValueError("frequency and amplitude must be finite")
+    return np.interp(target_freq, freq, _peak_normalized(amp))
 
 
 def _minimize_bounded(cost, lo: float, hi: float, xatol: float,

@@ -13,10 +13,11 @@ config coercion, ``list`` and the metadata sidecar all read that table.
 Only the standard library and ``constants`` are imported here.  Every
 other layer is imported inside the runner or check that computes with it:
 ``readout`` (the stdlib closed forms of stirap, larmor, bell, correlations,
-pair-rate and the two-level-analytic g2), ``loading`` (the stdlib loading
-chain), ``lightshift`` and ``trapgeometry`` (the line table and the trap
-beam), and numpy with its layers (``analysis``, ``bloch``) for the
-Bloch-model g2 (two-level-obe, four-level, full) and spectrum-fit only.
+pair-rate and the two-level-analytic g2), ``obe`` (the stdlib two-level-obe
+g2), ``loading`` (the stdlib loading chain), ``lightshift`` and
+``trapgeometry`` (the line table and the trap beam), and numpy with its
+layers (``analysis``, ``bloch``) for the four-level and full g2 and
+spectrum-fit only.
 So ``list``, ``--help`` and every exit-2 run refused before the line table
 is read load none of them.  The parser names every scenario but adds flags
 only to the invoked one's subparser (``build_parser``).
@@ -66,9 +67,11 @@ def _column(values, name: str) -> tuple[str, list]:
     """The format field and values of one column.
 
     A float column (a float array or a list of floats) is checked once and
-    printed with 12 significant digits by the row format; any other sequence
-    (labels, a mixed column) is formatted value by value, floats the same
-    way.  A runner that returns an array has imported numpy, so the check
+    printed with 12 significant digits by the printf-style row template
+    ("%.12g": the bytes of ``format(v, ".12g")``, faster than
+    ``str.format``); any other sequence (labels, a mixed column) is
+    formatted value by value, floats the same way, and printed by "%s".  A
+    runner that returns an array has imported numpy, so the check
     needs no import of its own.
     """
     np = sys.modules.get("numpy")
@@ -77,11 +80,11 @@ def _column(values, name: str) -> tuple[str, list]:
     elif all(type(v) is float for v in values):
         finite = all(map(math.isfinite, values))
     else:
-        return "{}", [_fmt(v, name) for v in values]
+        return "%s", [_fmt(v, name) for v in values]
     if not finite:
         bad = next(v for v in values if not math.isfinite(v))
         raise FloatingPointError(f"non-finite value {bad} in column {name}")
-    return "{:.12g}", values
+    return "%.12g", values
 
 
 def _row(*values) -> list[list]:
@@ -98,7 +101,7 @@ def _write_csv(path: str | None, header: list[str], columns: list,
     naming the path, and a failed write or allocation leaves no CSV.
     """
     fields, values = zip(*(_column(c, name) for c, name in zip(columns, header)))
-    rows = map(",".join(fields).format, *values)
+    rows = map(",".join(fields).__mod__, zip(*values))
     text = "\n".join([",".join(header), *rows]) + "\n"
     if path is None:
         sys.stdout.write(text)
@@ -255,29 +258,29 @@ def run_g2(args):
     delta = TWO_PI * args.delta_mhz * 1e6
     # the two-level models' drive: the cooling Rabi rate on F=2 -> F'=3
     omega3 = rabi_frequency(intensity_from_mw_cm2(args.icl_mw_cm2), RB87_ISAT_F2_F3)
-    if args.model == "two-level-analytic":
-        from .readout import two_level_g2
-
-        tau = _linspace(args.tau_max_ns * 1e-9, args.points)
-        g2 = two_level_g2(omega3, delta, RB87_GAMMA_D2, tau)
-        return ["tau_ns", "g2"], [[t * 1e9 for t in tau], g2]
-
-    import numpy as np
-    from .bloch import DiffusionEnvelope, four_level_g2, g2_total_envelope, two_level_obe_g2
-
-    tau = np.linspace(0.0, args.tau_max_ns * 1e-9, args.points)
     report = {}
-    if args.model == "two-level-obe":
-        # a float64 scalar: an overflowing drive gives nan in the column, not a raise
-        g2 = two_level_obe_g2(np.float64(omega3), delta, RB87_GAMMA_D2, tau, report)
-    elif args.model == "four-level":
-        g2 = four_level_g2(_four_level_params(args), tau, report)
-    else:  # full
-        env = DiffusionEnvelope(amplitude=args.env_a, tau0=args.env_tau_us * 1e-6)
-        g2 = four_level_g2(_four_level_params(args), tau, report) * g2_total_envelope(env, tau)
+    if args.model in ("two-level-analytic", "two-level-obe"):
+        tau = _linspace(args.tau_max_ns * 1e-9, args.points)
+        tau_ns = [t * 1e9 for t in tau]
+        if args.model == "two-level-analytic":
+            from .readout import two_level_g2
+
+            return ["tau_ns", "g2"], [tau_ns, two_level_g2(omega3, delta, RB87_GAMMA_D2, tau)]
+        from .obe import two_level_obe_g2
+
+        g2 = two_level_obe_g2(omega3, delta, RB87_GAMMA_D2, tau, report)
+    else:
+        import numpy as np
+        from .bloch import DiffusionEnvelope, four_level_g2, g2_total_envelope
+
+        tau = np.linspace(0.0, args.tau_max_ns * 1e-9, args.points)
+        tau_ns, g2 = tau * 1e9, four_level_g2(_four_level_params(args), tau, report)
+        if args.model == "full":
+            env = DiffusionEnvelope(amplitude=args.env_a, tau0=args.env_tau_us * 1e-6)
+            g2 = g2 * g2_total_envelope(env, tau)
     args.time_evolution = report.pop("method")
     args.diagnostics = report
-    return ["tau_ns", "g2"], [tau * 1e9, g2]
+    return ["tau_ns", "g2"], [tau_ns, g2]
 
 
 def _radians(degrees: float) -> float:
@@ -479,10 +482,12 @@ def _check_beam(args, prefix: str = "") -> None:
     naming the flags: a wavelength below ``shortest_resolved_wavelength``,
     where the light shift is lost in rounding; a power or waist that is 0 in
     SI units; a waist w0 or Rayleigh length pi w0^2 / lambda whose square
-    overflows or underflows to 0 (``trapgeometry`` squares both); a
-    wavelength on a D line, where the light shift diverges; and a power so
-    small that the trap depth underflows to 0.  ``prefix`` is the flags'
-    prefix ("trap-" for g2)."""
+    overflows or underflows to 0 (``trapgeometry`` squares both), or whose
+    square times the atom mass underflows to 0; a wavelength on a D line,
+    where the light shift diverges; a power so small that the trap depth
+    underflows to 0; and a beam whose radial or axial trap frequency squared
+    overflows.  Every beam run is refused alike, whether or not it computes
+    the frequencies.  ``prefix`` is the flags' prefix ("trap-" for g2)."""
     from .lightshift import LaserField, ground_shift_alkali, shortest_resolved_wavelength
     from .trapgeometry import GaussianBeam
 
@@ -501,15 +506,23 @@ def _check_beam(args, prefix: str = "") -> None:
             raise ValidationError(f"--{prefix}{name} {value:g}: the {quantity} underflows to 0")
     beam = GaussianBeam(power=power * 1e-3, waist_w0=waist * 1e-6, wavelength=wavelength * 1e-9)
     waist_flag = f"--{prefix}waist-um {waist:g}"
-    for attr, length, flags in (("waist_w0", "beam waist", waist_flag),
-                                ("rayleigh_length", "Rayleigh length",
-                                 f"{waist_flag} with --{prefix}wavelength-nm {wavelength:g}")):
+    # trapgeometry.harmonic_frequencies: omega^2 = factor * |U| / (m * length^2)
+    inertias = []
+    for attr, length, flags, motion, factor in (
+            ("waist_w0", "beam waist", waist_flag, "radial", 4),
+            ("rayleigh_length", "Rayleigh length",
+             f"{waist_flag} with --{prefix}wavelength-nm {wavelength:g}", "axial", 2)):
         try:
             squared = getattr(beam, attr)**2
         except OverflowError:
             raise ValidationError(f"{flags}: the {length} squared (m^2) overflows") from None
         if squared == 0:
             raise ValidationError(f"{flags}: the {length} squared (m^2) underflows to 0")
+        inertias.append((flags, length, motion, factor, RB87_MASS * squared))
+    for flags, length, _, _, inertia in inertias:
+        if inertia == 0:
+            raise ValidationError(
+                f"{flags}: the atom mass times the {length} squared (kg m^2) underflows to 0")
     field = LaserField(wavelength=beam.wavelength, intensity=beam.peak_intensity)
     for line in args.lines.d_lines():
         if line.omega == field.omega:
@@ -519,6 +532,10 @@ def _check_beam(args, prefix: str = "") -> None:
     if depth == 0:
         raise ValidationError(f"--{prefix}power-mw {power:g} with --{prefix}waist-um {waist:g}:"
                               " the trap depth (J) underflows to 0")
+    for flags, _, motion, factor, inertia in inertias:
+        if math.isinf(factor * abs(depth) / inertia):
+            raise ValidationError(f"{flags} and --{prefix}power-mw {power:g}: the {motion} trap"
+                                  " frequency squared ((rad/s)^2) overflows")
     args.beam, args.field, args.depth = beam, field, depth
 
 

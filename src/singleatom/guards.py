@@ -1,0 +1,33 @@
+"""Refusals shared by the eigen-expansions, on the standard library alone.
+
+Both the numpy expansion of ``integrator`` and the two-level kernel of
+``obe`` refuse a generator too close to an exceptional point with the same
+error, floor and text, and refuse bad delays with the same message.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+
+# The rounding error of the eigen-expansion grows like eps / s^2, with s the
+# smallest overlap |w_k^H v_k| of the unit left and right eigenvectors
+# (measured towards the two-level exceptional point, where s -> 0).  Below
+# this s it would pass 1e-6, so the propagation is refused instead of
+# returning noise.
+_MIN_OVERLAP = math.sqrt(sys.float_info.epsilon / 1e-6)
+_DEFECTIVE = "generator is too close to an exceptional point for the eigen-propagator"
+_BAD_DELAYS = "delays must be a 1-D array of finite, nonnegative values"
+
+
+class IntegrationError(RuntimeError):
+    """Raised when a trajectory cannot be computed to working accuracy.
+
+    ``min_overlap`` is the smallest eigenvector overlap s_k of a generator
+    refused as too close to an exceptional point (0.0 when its eigenvector
+    matrix is singular), and None otherwise.
+    """
+
+    def __init__(self, message: str, min_overlap: float | None = None):
+        super().__init__(message)
+        self.min_overlap = min_overlap

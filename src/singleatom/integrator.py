@@ -1,12 +1,14 @@
 """Shared time-evolution helpers.
 
-Linear, time-independent generators (the four-level and two-level Bloch
-models) are solved exactly from one eigendecomposition m = V Lambda V^-1.
+Linear, time-independent generators (the four-level Bloch model) are
+solved exactly from one eigendecomposition m = V Lambda V^-1.
 An observable c of the evolved state is a sum of at most dim(m) modes,
 c . exp(m tau) y0 = sum_k a_k exp(lambda_k tau) with
 a_k = (c . v_k)(V^-1 y0)_k (``linear_modes``; for g2 this is the quantum
 regression theorem), evaluated at each delay tau >= 0 on its own
 (``sum_modes``; ``_checked_delays`` is the delay rule of every g2 model).
+The two-level Bloch model takes the same formulas, guards and order on the
+standard library (``obe``); the refusal both share lives in ``guards``.
 The whole state is the case c = I (``FourLevelLiouvillian.propagate``, on
 the real 16-vector of a four-level density matrix).
 Linear, time-dependent generators affine in constant matrices (the STIRAP
@@ -26,6 +28,8 @@ import math
 
 import numpy as np
 
+from .guards import _BAD_DELAYS, _DEFECTIVE, _MIN_OVERLAP, IntegrationError
+
 RTOL = 1e-9
 ATOL = 1e-12
 
@@ -38,28 +42,8 @@ _CHUNK = 1024
 # on one core of a 2-vCPU VM); a block's temporaries are a few (1024, 3, 3)
 # stacks of 74 kB
 _MAGNUS_BLOCK = 1024
-# The rounding error of the eigen-expansion grows like eps / s^2, with s the
-# smallest overlap |w_k^H v_k| of the unit left and right eigenvectors
-# (measured towards the two-level exceptional point, where s -> 0).  Below
-# this s it would pass 1e-6, so the propagation is refused instead of
-# returning noise.
-_MIN_OVERLAP = math.sqrt(np.finfo(float).eps / 1e-6)
-_DEFECTIVE = "generator is too close to an exceptional point for the eigen-propagator"
 _EPS = np.finfo(float).eps / 2.0  # unit roundoff
 _SQRT3 = math.sqrt(3.0)
-
-
-class IntegrationError(RuntimeError):
-    """Raised when a trajectory cannot be computed to working accuracy.
-
-    ``min_overlap`` is the smallest eigenvector overlap s_k of a generator
-    refused as too close to an exceptional point (0.0 when its eigenvector
-    matrix is singular), and None otherwise.
-    """
-
-    def __init__(self, message: str, min_overlap: float | None = None):
-        super().__init__(message)
-        self.min_overlap = min_overlap
 
 
 def _checked_grid(t_grid) -> np.ndarray:
@@ -77,7 +61,7 @@ def _checked_delays(delays) -> np.ndarray:
     """The delays as a 1-D float array, each finite and nonnegative."""
     delays = np.asarray(delays, dtype=float)
     if delays.ndim != 1 or not np.all(np.isfinite(delays) & (delays >= 0)):
-        raise ValueError("delays must be a 1-D array of finite, nonnegative values")
+        raise ValueError(_BAD_DELAYS)
     return delays
 
 

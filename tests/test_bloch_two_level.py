@@ -9,11 +9,9 @@ from scipy.linalg import eig, expm
 from singleatom.constants import RB87_GAMMA_D2
 from singleatom.bloch.state import lindblad_generator
 from singleatom.integrator import _MIN_OVERLAP, IntegrationError, linear_modes, sum_modes
-from singleatom.bloch.two_level import (
-    two_level_g2_analytic,
-    two_level_obe_g2,
-    two_level_steady_excited,
-)
+from singleatom.bloch.two_level import two_level_g2_analytic, two_level_obe_g2
+from singleatom import obe
+from singleatom.obe import two_level_steady_excited
 
 G = RB87_GAMMA_D2
 
@@ -137,7 +135,7 @@ class TestObe:
         # eigenvectors, also where the guard refused and the closed form answered
         omega, delta = omega * G, delta * G
         report = {}
-        two_level_obe_g2(omega, delta, G, [0.0, 1e-9], report)
+        obe.two_level_obe_g2(omega, delta, G, [0.0, 1e-9], report)
         assert set(report) == {"method", "min_overlap"} and report["method"] == method
         h = [[0.0, omega / 2.0], [omega / 2.0, -delta]]
         _, w, v = eig(lindblad_generator(h, [(G, 0, 1)]), left=True)

@@ -229,10 +229,19 @@ class TestValidateOnlyAgreesWithRun:
           "--wavelength-nm", "780.246"], "--wavelength-nm 780.246 is on the D2 line"),
         (TRAP + ["--trap-wavelength-nm", "794.979"],
          "--trap-wavelength-nm 794.979 is on the D1 line"),
+        # the atom mass times z_R^2 underflows, or omega_z^2 overflows
+        (["trap", "--power-mw", "44", "--waist-um", "1e-75"], "--waist-um 1e-75"),
+        (["trap", "--power-mw", "44", "--waist-um", "1e-60"], "--waist-um 1e-60"),
+        (["loading", "--rate-per-s", "1", "--power-mw", "44", "--waist-um", "1e-60"],
+         "--waist-um 1e-60"),
+        (TRAP[:-4] + ["--trap-power-mw", "44", "--trap-waist-um", "1e-75"],
+         "--trap-waist-um 1e-75"),
     ], ids=["trap-power", "trap-waist", "trap-wavelength", "kinetic", "env-a",
             "stirap-grid", "loading-grid", "loading-negative-rate",
             "loading-negative-grid-point", "correlations-grid", "trap-on-d2",
-            "lightshift-on-d2", "loading-on-d2", "g2-trap-on-d1"])
+            "lightshift-on-d2", "loading-on-d2", "g2-trap-on-d1",
+            "trap-mass-rayleigh-underflow", "trap-axial-overflow",
+            "loading-axial-overflow", "g2-trap-mass-rayleigh-underflow"])
     def test_out_of_range_flag_exits_two(self, tmp_path, capsys, args, flag):
         code, out = run(tmp_path, args)
         err = capsys.readouterr().err
@@ -282,7 +291,10 @@ class TestOverflowingSquares:
     """A value whose square the run would overflow, or underflow to 0, is
     refused in validation, naming its flag and the quantity, on the run and on
     --validate-only.  The underflowing runs divided by zero or failed with
-    library text."""
+    library text.  So is a beam whose Rayleigh length squared times the atom
+    mass underflows to 0 (the trap run divided by zero) or whose radial or
+    axial trap frequency squared overflows (the trap run printed inf), for
+    every beam scenario."""
 
     @pytest.mark.parametrize("args,line", [
         (["trap", "--power-mw", "44", "--waist-um", "1e300"],
@@ -310,10 +322,28 @@ class TestOverflowingSquares:
         (["trap", "--power-mw", "44", "--waist-um", "1e-100"],
          "--waist-um 1e-100 with --wavelength-nm 856: the Rayleigh length squared (m^2)"
          " underflows to 0"),
+        (["trap", "--power-mw", "44", "--waist-um", "1e-75"],
+         "--waist-um 1e-75 with --wavelength-nm 856: the atom mass times the Rayleigh length"
+         " squared (kg m^2) underflows to 0"),
+        (["g2", "--delta-mhz", "-31", "--icl", "103", "--points", "3", "--trap-power-mw", "44",
+          "--trap-waist-um", "1e-75"],
+         "--trap-waist-um 1e-75 with --trap-wavelength-nm 856: the atom mass times the"
+         " Rayleigh length squared (kg m^2) underflows to 0"),
+        (["trap", "--power-mw", "44", "--waist-um", "1e-60"],
+         "--waist-um 1e-60 with --wavelength-nm 856 and --power-mw 44: the axial trap"
+         " frequency squared ((rad/s)^2) overflows"),
+        (["lightshift", "--power-mw", "44", "--waist-um", "1e-50"],
+         "--waist-um 1e-50 with --wavelength-nm 856 and --power-mw 44: the axial trap"
+         " frequency squared ((rad/s)^2) overflows"),
+        (["trap", "--power-mw", "1e300", "--waist-um", "3.5"],
+         "--waist-um 3.5 and --power-mw 1e+300: the radial trap frequency squared ((rad/s)^2)"
+         " overflows"),
     ], ids=["trap-waist", "loading-waist", "two-level-obe-detuning", "trap-rayleigh",
             "g2-trap-waist", "lightshift-waist-underflow", "trap-waist-underflow",
             "g2-trap-waist-underflow",
-            "trap-rayleigh-underflow", "trap-rayleigh-square-underflow"])
+            "trap-rayleigh-underflow", "trap-rayleigh-square-underflow",
+            "trap-mass-rayleigh-underflow", "g2-trap-mass-rayleigh-underflow",
+            "trap-axial-overflow", "lightshift-axial-overflow", "trap-radial-overflow"])
     def test_named_and_refused_in_validation(self, tmp_path, capsys, args, line):
         code, out = run(tmp_path, args)
         assert code == EXIT_VALIDATION and not out.exists()
@@ -946,7 +976,8 @@ class TestDiagnostics:
         (["--model", "two-level-analytic"], set()),
     ], ids=["four-level", "four-level-trap", "full", "two-level-obe", "two-level-analytic"])
     def test_sidecar_holds_the_kernel_report(self, tmp_path, extra, keys):
-        from singleatom.bloch import four_level_g2, two_level_obe_g2
+        from singleatom.bloch import four_level_g2
+        from singleatom.obe import two_level_obe_g2
         from singleatom.constants import (RB87_GAMMA_D2, RB87_ISAT_F2_F3, TWO_PI,
                                           rabi_frequency)
         from singleatom.cli import _check_g2, _four_level_params, build_parser
@@ -962,8 +993,7 @@ class TestDiagnostics:
         report = {}
         if keys == {"min_overlap"}:
             omega3 = rabi_frequency(103.0 * 10.0, RB87_ISAT_F2_F3)  # 103 mW/cm^2
-            two_level_obe_g2(np.float64(omega3), TWO_PI * -31.0 * 1e6,
-                             RB87_GAMMA_D2, tau, report)
+            two_level_obe_g2(omega3, TWO_PI * -31.0 * 1e6, RB87_GAMMA_D2, tau, report)
         elif keys:
             four_level_g2(_four_level_params(args), tau, report)
         report.pop("method", None)
@@ -1020,10 +1050,9 @@ class TestGridParsing:
 class TestNonFiniteResults:
     @pytest.mark.parametrize("args,column", [
         (["pair-rate", "--eta", "0.5", "--cycle-us", "1e-310"], "pairs_per_min"),
-        (["trap", "--power-mw", "1e300", "--waist-um", "3.5"], "omega_r_khz"),
         (["g2", "--model", "two-level-analytic", "--delta-mhz", "0", "--icl", "1e300",
           "--points", "3"], "g2"),
-    ], ids=["pair-rate-inf", "trap-omega-inf", "g2-nan"])
+    ], ids=["pair-rate-inf", "g2-nan"])
     def test_exit_three_and_no_csv(self, tmp_path, capsys, args, column):
         code, out = run(tmp_path, args)
         assert code == EXIT_NUMERICAL

@@ -4,8 +4,9 @@ only the layers it computes with.
 Only ``integrator.integrate`` (the library-only mean-number loading ODE)
 imports scipy, inside the function.  ``singleatom.cli`` imports every layer
 but ``constants`` inside the runner or check that uses it: numpy only for the
-Bloch-model g2 (two-level-obe, four-level, full) and spectrum-fit, so
-loading, bell and the two-level-analytic g2 run on the standard library, and
+four-level and full g2 and spectrum-fit, so loading, bell and the two-level
+g2 (closed form, and the Bloch kernel of ``obe``) run on the standard
+library, and
 the line-table layers (``lightshift``, ``angular``, ``trapgeometry``) only
 for the scenarios that read the table or the trap beam.  The standard-library
 paths load neither ``dataclasses`` (with ``inspect``) nor ``fractions``
@@ -175,6 +176,39 @@ def test_numpy_only_where_computed(scenario, tmp_path):
     assert ("'numpy'" in loaded) == (scenario in NUMPY_SCENARIOS), loaded
 
 
+OBE = (*G2, "--model", "two-level-obe")
+
+
+@pytest.mark.parametrize("argv", [
+    (*OBE, "--metadata"),
+    (*OBE, "--validate-only"),
+    # the resonant exceptional point, answered by the closed form
+    ("g2", "--model", "two-level-obe", "--delta-mhz", "0", "--icl", "0.4475", "--points", "11",
+     "--out", "g2.csv", "--metadata"),
+], ids=["run", "validate", "closed-form"])
+def test_two_level_obe_loads_no_numpy_layer(argv, tmp_path):
+    loaded = modules_after("import sys\n" + cli_run(*argv), "numpy", "singleatom.bloch",
+                           "singleatom.integrator", cwd=tmp_path)
+    assert loaded == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    *((s, *SCENARIO_RUNS[s]) for s in ("stirap", "larmor", "bell", "correlations",
+                                       "pair-rate")),
+    (*G2, "--model", "two-level-analytic"),
+], ids=["stirap", "larmor", "bell", "correlations", "pair-rate", "two-level-analytic"])
+def test_obe_kernel_loaded_only_for_its_model(argv, tmp_path):
+    loaded = modules_after("import sys\n" + cli_run(*argv, "--out", "out.csv"),
+                           "singleatom.obe", "singleatom.guards", cwd=tmp_path)
+    assert loaded == "[]"
+
+
+def test_two_level_obe_run_loads_the_kernel(tmp_path):
+    # the two checks above would pass vacuously if the run loaded nothing
+    loaded = modules_after("import sys\n" + cli_run(*OBE), "singleatom.obe", cwd=tmp_path)
+    assert loaded == "['singleatom.obe']"
+
+
 @pytest.mark.parametrize("code", [
     "import singleatom.cli",
     cli_run("list"),
@@ -206,11 +240,13 @@ def test_trap_run_loads_the_line_table_layers(tmp_path):
     assert loaded == repr(sorted(LINE_TABLE_LAYERS))
 
 
-# every scenario but the numpy ones (spectrum-fit, and g2 with a Bloch model,
-# so g2 runs the closed form here, once with a trap beam)
+# every scenario but the numpy ones (spectrum-fit, and g2 with the four-level
+# or full model, so g2 runs the closed form here, once with a trap beam, and
+# the two-level Bloch kernel)
 STDLIB_RUNS = {s: (s, *SCENARIO_RUNS[s]) for s in SCENARIO_RUNS if s not in NUMPY_SCENARIOS}
 STDLIB_RUNS["g2"] = ("g2", *SCENARIO_RUNS["g2"], "--model", "two-level-analytic")
 STDLIB_RUNS["g2-trap"] = (*STDLIB_RUNS["g2"], "--trap-power-mw", "40", "--trap-waist-um", "3.5")
+STDLIB_RUNS["g2-obe"] = ("g2", *SCENARIO_RUNS["g2"], "--model", "two-level-obe")
 
 
 @pytest.mark.parametrize("validate", [False, True], ids=["run", "validate"])

@@ -16,11 +16,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from singleatom.bloch import two_level_obe_g2
 from singleatom.bloch.state import lindblad_generator
-from singleatom.bloch.two_level import two_level_steady_excited
 from singleatom.cli import _linspace, _radians, run_bell, run_correlations, run_g2, run_larmor
 from singleatom.constants import RB87_GAMMA_D2 as G
+from singleatom.obe import two_level_obe_g2, two_level_steady_excited
 from singleatom.entanglement import (MeasurementSetting, bell_state, chsh, correlation,
                                      noisy_channel)
 from singleatom.readout import correlation_curve, larmor_survival, singlet_chsh, two_level_g2
