@@ -4,7 +4,8 @@ Submodules: :mod:`state` (the real-vector layout of a density matrix, which
 every state and generator here uses, and the Lindblad generator),
 :mod:`two_level` (the closed-form and Bloch-equation two-level g2 of
 ``readout`` and ``obe`` as arrays), :mod:`four_level`
-(hyperfine four-level model with cooling and repump fields), :mod:`diffusion`
+(hyperfine four-level model with cooling and repump fields, on numpy's
+LAPACK; the CLI runs the same model on ``obe``), :mod:`diffusion`
 (motional correlation envelope).
 """
 

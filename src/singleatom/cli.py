@@ -13,11 +13,11 @@ config coercion, ``list`` and the metadata sidecar all read that table.
 Only the standard library and ``constants`` are imported here.  Every
 other layer is imported inside the runner or check that computes with it:
 ``readout`` (the stdlib closed forms of stirap, larmor, bell, correlations,
-pair-rate and the two-level-analytic g2), ``obe`` (the stdlib two-level-obe
-g2), ``loading`` (the stdlib loading chain), ``lightshift`` and
+pair-rate and the two-level-analytic g2), ``obe`` (the stdlib Bloch kernels
+of the two-level-obe, four-level and full g2, and the four-level trap
+shifts), ``loading`` (the stdlib loading chain), ``lightshift`` and
 ``trapgeometry`` (the line table and the trap beam), and numpy with its
-layers (``analysis``, ``bloch``) for the four-level and full g2 and
-spectrum-fit only.
+layer ``analysis`` for spectrum-fit only.
 So ``list``, ``--help`` and every exit-2 run refused before the line table
 is read load none of them.  The parser names every scenario but adds flags
 only to the invoked one's subparser (``build_parser``).
@@ -228,21 +228,6 @@ def run_loading(args):
     return header, [rates, [mean_number(p) for p in laws], *zip(*laws)]
 
 
-def _four_level_params(args) -> FourLevelParams:
-    from .bloch import FourLevelParams, apply_trap_shifts
-
-    params = FourLevelParams(
-        i_cl=intensity_from_mw_cm2(args.icl_mw_cm2),
-        i_rl=intensity_from_mw_cm2(args.irl_mw_cm2),
-        delta_cl=TWO_PI * args.delta_mhz * 1e6,
-        delta_rl=TWO_PI * args.delta_rl_mhz * 1e6,
-    )
-    if args.trap_power_mw is not None:
-        params = apply_trap_shifts(params, args.field,
-                                   kinetic_reduction=args.kinetic_uk * 1e-6, lines=args.lines)
-    return params
-
-
 def _linspace(stop: float, points: int) -> list[float]:
     """``np.linspace(0.0, stop, points)`` bit for bit: k * step + 0.0, or
     (k / div) * stop + 0.0 where the step underflows to 0, and the last
@@ -256,12 +241,25 @@ def _linspace(stop: float, points: int) -> list[float]:
 
 def run_g2(args):
     delta = TWO_PI * args.delta_mhz * 1e6
-    # the two-level models' drive: the cooling Rabi rate on F=2 -> F'=3
-    omega3 = rabi_frequency(intensity_from_mw_cm2(args.icl_mw_cm2), RB87_ISAT_F2_F3)
+    tau = _linspace(args.tau_max_ns * 1e-9, args.points)
+    tau_ns = [t * 1e9 for t in tau]
     report = {}
-    if args.model in ("two-level-analytic", "two-level-obe"):
-        tau = _linspace(args.tau_max_ns * 1e-9, args.points)
-        tau_ns = [t * 1e9 for t in tau]
+    if args.model in ("four-level", "full"):
+        from .obe import _four_level_rabi, four_level_g2
+
+        rabi = _four_level_rabi(intensity_from_mw_cm2(args.icl_mw_cm2),
+                                intensity_from_mw_cm2(args.irl_mw_cm2))
+        g2 = four_level_g2(rabi, delta, TWO_PI * args.delta_rl_mhz * 1e6, args.shifts, tau,
+                           report)
+        if args.model == "full":
+            # the motional envelope 1 + A exp(-tau / tau0) of bloch.diffusion
+            tau0 = args.env_tau_us * 1e-6
+            if tau0 == 0:
+                raise ValueError("tau0 must be positive")
+            g2 = [g * (1.0 + args.env_a * math.exp(-t / tau0)) for g, t in zip(g2, tau)]
+    else:
+        # the two-level models' drive: the cooling Rabi rate on F=2 -> F'=3
+        omega3 = rabi_frequency(intensity_from_mw_cm2(args.icl_mw_cm2), RB87_ISAT_F2_F3)
         if args.model == "two-level-analytic":
             from .readout import two_level_g2
 
@@ -269,15 +267,6 @@ def run_g2(args):
         from .obe import two_level_obe_g2
 
         g2 = two_level_obe_g2(omega3, delta, RB87_GAMMA_D2, tau, report)
-    else:
-        import numpy as np
-        from .bloch import DiffusionEnvelope, four_level_g2, g2_total_envelope
-
-        tau = np.linspace(0.0, args.tau_max_ns * 1e-9, args.points)
-        tau_ns, g2 = tau * 1e9, four_level_g2(_four_level_params(args), tau, report)
-        if args.model == "full":
-            env = DiffusionEnvelope(amplitude=args.env_a, tau0=args.env_tau_us * 1e-6)
-            g2 = g2 * g2_total_envelope(env, tau)
     args.time_evolution = report.pop("method")
     args.diagnostics = report
     return ["tau_ns", "g2"], [tau_ns, g2]
@@ -309,11 +298,11 @@ def run_larmor(args):
 
 
 def run_bell(args):
-    from .readout import singlet_chsh
+    from .readout import cos_sin_degrees, singlet_chsh
 
     degrees = {"a": args.phi_a_deg, "a2": args.phi_a2_deg,
                "b": args.phi_b_deg, "b2": args.phi_b2_deg}
-    values = singlet_chsh(args.noise_p, *map(_radians, degrees.values()))
+    values = singlet_chsh(args.noise_p, *map(cos_sin_degrees, degrees.values()))
     # the angle columns print each input's round trip through radians, unreduced
     printed = {k: math.degrees(math.radians(v)) for k, v in degrees.items()}
     rows = [[pa, pb, printed[pa], printed[pb]] for pa in ("a", "a2") for pb in ("b", "b2")]
@@ -597,6 +586,10 @@ def _check_loading(args) -> None:
 
 
 def _check_g2(args) -> None:
+    """With a trap beam, the four-level and full models' trap shifts are
+    computed here, at the line table's hyperfine-resolved detunings, so a
+    trap wavelength on such a line fails --validate-only as the run would;
+    the runner reads them as ``args.shifts``."""
     if (args.trap_power_mw is None) != (args.trap_waist_um is None):
         raise ValidationError("--trap-power-mw and --trap-waist-um must be given together")
     try:  # the two-level models square the detuning in rad/s
@@ -605,8 +598,18 @@ def _check_g2(args) -> None:
         raise ValidationError(
             f"--delta-mhz {args.delta_mhz:g}: the detuning squared ((rad/s)^2) overflows"
         ) from None
+    args.shifts = (0.0, 0.0, 0.0, 0.0)
     if args.trap_power_mw is not None:
         _check_beam(args, "trap-")
+        if args.model in ("four-level", "full"):
+            from .obe import trap_shifts
+
+            try:  # the line shifts at hyperfine-resolved detunings
+                args.shifts = trap_shifts(args.field, args.lines, args.depth,
+                                          args.kinetic_uk * 1e-6)
+            except ValueError as exc:
+                raise ValidationError(
+                    f"--trap-wavelength-nm {args.trap_wavelength_nm:g}: {exc}") from exc
 
 
 _COMMON = (Flag("config", "str", help="JSON file with flag values (flags override)"),

@@ -7,10 +7,13 @@ c . exp(m tau) y0 = sum_k a_k exp(lambda_k tau) with
 a_k = (c . v_k)(V^-1 y0)_k (``linear_modes``; for g2 this is the quantum
 regression theorem), evaluated at each delay tau >= 0 on its own
 (``sum_modes``; ``_checked_delays`` is the delay rule of every g2 model).
-The two-level Bloch model takes the same formulas, guards and order on the
-standard library (``obe``); the refusal both share lives in ``guards``.
-The whole state is the case c = I (``FourLevelLiouvillian.propagate``, on
-the real 16-vector of a four-level density matrix).
+This is the library's four-level kernel (``bloch.four_level_g2``).  The
+CLI's Bloch kernels take the same formulas, guards and order on the
+standard library (``obe``: the two-level modes in closed form, the
+four-level ones from the QR and inverse iteration of ``dense``); the
+refusal they share lives in ``guards``.  The whole state is the case c = I
+(``FourLevelLiouvillian.propagate``, on the real 16-vector of a four-level
+density matrix).
 Linear, time-dependent generators affine in constant matrices (the STIRAP
 pulses, A(t) = sum_i f_i(t) B_i) take one commutator-based fourth-order
 Magnus step per grid interval (``magnus4``): the commutators [B_i, B_j] are

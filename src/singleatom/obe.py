@@ -1,32 +1,47 @@
-"""g2(tau) of the two-level optical Bloch equations, on the standard library alone.
+"""g2(tau) of the Bloch-equation models, on the standard library alone.
 
-One drive (Rabi frequency Omega0, detuning Delta) and one decay e -> g at
-rate Gamma.  On ``bloch.state``'s real layout (rho_gg, rho_ee, Re rho_ge,
-Im rho_ge) the generator is a real 4 x 4 matrix (``_generator``).  Its
-eigenvalues are exactly 0 (the trace is conserved) and, with
-mu = lambda + Gamma/2, the three roots of the Bloch cubic (H. C. Torrey,
-Phys. Rev. 76, 1059 (1949))
+Both models carry a density matrix as the real vector of ``bloch.state``
+(populations, then Re and Im of each upper coherence), and their Lindblad
+generator comes from ``_lindblad``, bit for bit the matrix of
+``bloch.state.lindblad_generator``.  By the quantum regression theorem g2
+is the excited population evolved from the state right after a detection,
+over its steady-state value: a sum of the generator's modes, with the
+formulas and guards of ``integrator.linear_modes``, added at each delay by
+``_sum_modes``.
+
+The two-level model: one drive (Rabi frequency Omega0, detuning Delta) and
+one decay e -> g at rate Gamma, a real 4 x 4 generator.  Its eigenvalues
+are exactly 0 (the trace is conserved) and, with mu = lambda + Gamma/2, the
+three roots of the Bloch cubic (H. C. Torrey, Phys. Rev. 76, 1059 (1949))
 
     mu^3 + (Gamma/2) mu^2 + (Delta^2 + Omega0^2) mu + (Gamma/2) Delta^2 = 0.
 
 It is >= 0 at mu = 0 and <= 0 at mu = -Gamma/2, so a safeguarded Newton
 iteration finds a real root in between, and the deflated quadratic gives the
 other two.  The right and left null vectors of G - lambda I, in closed form,
-give the amplitudes and overlaps of ``integrator.linear_modes``, with its
-guards, and g2 is the sum of the modes at each delay, in the order of
-``integrator.sum_modes``.  The CLI's two-level-obe g2 runs here without
-numpy; ``bloch.two_level_obe_g2`` is this kernel as an array.
+give the amplitudes and overlaps (``_modes``).  ``bloch.two_level_obe_g2``
+is this kernel as an array.
+
+The hyperfine four-level model of ``bloch.four_level`` (levels, decays and
+trap shifts live here): a real 16 x 16 generator, whose steady state comes
+from a one-sided Jacobi SVD and whose modes come from a Francis QR and
+inverse iteration (``dense``).  ``bloch.four_level_g2`` evaluates the same
+model with numpy's LAPACK for the library, where it runs in a loop; this
+kernel serves the CLI, whose four-level and full g2 thus load no numpy.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from operator import mul
 
+from .constants import (HBAR, KB, RB87_5P32_F2_F3_SPLITTING, RB87_GAMMA_D2, RB87_ISAT_F1_F2,
+                        RB87_ISAT_F2_F2, RB87_ISAT_F2_F3, rabi_frequency)
 from .guards import _BAD_DELAYS, _DEFECTIVE, _MIN_OVERLAP, IntegrationError
 from .readout import _square, two_level_g2
 
-__all__ = ["two_level_obe_g2", "two_level_steady_excited"]
+__all__ = ["two_level_obe_g2", "two_level_steady_excited", "four_level_g2", "trap_shifts"]
 
 _EPS = sys.float_info.epsilon
 # a cap on the root search: Newton's method takes a handful of steps, and
@@ -43,16 +58,10 @@ def two_level_steady_excited(omega0_rabi: float, delta: float, gamma: float) -> 
 
 
 def _generator(omega0_rabi: float, delta: float, gamma: float) -> list[list[float]]:
-    """``bloch.state.lindblad_generator(h, [(gamma, 0, 1)])`` for the drive
-    h = [[0, Omega0/2], [Omega0/2, -Delta]] in the basis (g, e), entry for
-    entry and bit for bit (zeros carry numpy's signs)."""
+    """The generator of the drive h = [[0, Omega0/2], [Omega0/2, -Delta]] in
+    the basis (g, e) and the decay e -> g at ``gamma`` (``_lindblad``)."""
     half = omega0_rabi / 2.0
-    rabi = half + half
-    coherence = 0.0 - gamma / 2.0
-    return [[0.0, gamma, 0.0, 0.0 - rabi],
-            [0.0, 0.0 - gamma, 0.0, rabi + 0.0],
-            [0.0, 0.0, coherence, delta + 0.0],
-            [half + 0.0, 0.0 - half, 0.0 - delta, coherence]]
+    return _lindblad([[0.0, half], [half, -delta]], [(gamma, 0, 1)])
 
 
 def _cubic_roots(a2: float, a1: float, a0: float) -> list:
@@ -180,10 +189,10 @@ def _checked_delays(delays) -> list[float]:
     """The delays as floats, each finite and nonnegative (``ValueError``
     otherwise): the rule of ``integrator._checked_delays``."""
     try:
-        tau = [float(t) for t in delays]
+        tau = list(map(float, delays))
     except (TypeError, ValueError):
         raise ValueError(_BAD_DELAYS) from None
-    if not all(math.isfinite(t) and t >= 0.0 for t in tau):
+    if not all(map(math.isfinite, tau)) or tau and min(tau) < 0.0:
         raise ValueError(_BAD_DELAYS)
     return tau
 
@@ -227,20 +236,233 @@ def two_level_obe_g2(omega0_rabi: float, delta: float, gamma: float,
 
 
 def _sum_modes(real: list, pairs: list, tau: list[float], steady: float) -> list[float]:
-    """sum_k a_k exp(lambda_k tau) / steady at each delay, added as
-    ``integrator.sum_modes`` adds them: the real modes in order, then each
-    pair's cosine and then its sine term, a pair counted as twice the real
-    part of its member with Im lambda > 0.  No excited population right after
-    a detection: rows at tau = 0 are 0 / steady exactly."""
+    """sum_k a_k exp(lambda_k tau) / steady at each delay, for the modes of a
+    real generator: ``real`` the (lambda, a) of the real eigenvalues (at
+    least one), ``pairs`` the (lambda, a) of the member with Im lambda > 0 of
+    each conjugate pair, counted as twice its real part.  The terms are
+    added one mode at a time over all delays: the real modes in order, then
+    each pair's cosine term exp(Re lambda tau) cos(Im lambda tau) 2 Re a and
+    its sine term with -2 Im a.  No excited population right after a
+    detection: rows at tau = 0 are 0 / steady exactly."""
     exp, cos, sin = math.exp, math.cos, math.sin
-    if not pairs:  # four real modes (overdamped)
-        (l0, a0), (l1, a1), (l2, a2), (l3, a3) = real
-        return [(((a0 * exp(l0 * t) + a1 * exp(l1 * t)) + a2 * exp(l2 * t))
-                 + a3 * exp(l3 * t)) / steady if t else 0.0 / steady for t in tau]
-    (l0, a0), (l1, a1) = real
-    (lam, amp), = pairs
-    rate, freq, ac, asin = lam.real, lam.imag, 2.0 * amp.real, -2.0 * amp.imag
-    return [(((a0 * exp(l0 * t) + a1 * exp(l1 * t))
-              + (decay := exp(rate * t)) * cos(freq * t) * ac)
-             + decay * sin(freq * t) * asin) / steady if t else 0.0 / steady
-            for t in tau]
+    (lam, amp), *rest = real
+    acc = [amp * exp(lam * t) for t in tau]
+    for lam, amp in rest:
+        acc = [s + amp * exp(lam * t) for s, t in zip(acc, tau)]
+    for lam, amp in pairs:
+        rate, freq, ac, asin = lam.real, lam.imag, 2.0 * amp.real, -2.0 * amp.imag
+        acc = [(s + (decay := exp(rate * t)) * cos(phase := freq * t) * ac)
+               + decay * sin(phase) * asin for s, t in zip(acc, tau)]
+    return [s / steady if t else 0.0 / steady for s, t in zip(acc, tau)]
+
+
+# --- the hyperfine four-level model -----------------------------------------
+
+# basis levels: a = 5P3/2 F'=2, b = 5S1/2 F=1, c = 5S1/2 F=2, d = 5P3/2 F'=3
+_A, _B, _C, _D = range(4)
+# (rate, to, from) of the decays a -> b, a -> c and d -> c: both excited
+# levels decay at the D2 rate, F'=2 half to F=1 and half to F=2
+_FOUR_LEVEL_DECAYS = ((0.5 * RB87_GAMMA_D2, _B, _A), (0.5 * RB87_GAMMA_D2, _C, _A),
+                      (RB87_GAMMA_D2, _C, _D))
+# (line-table level, 2F) of each basis level, for its trap shift
+_TRAP_SHIFT_LEVELS = (("5P3/2", 4), ("5S1/2", 2), ("5S1/2", 4), ("5P3/2", 6))
+
+
+def _four_level_rabi(i_cl: float, i_rl: float) -> tuple[float, float, float]:
+    """(repump b-a, cooling c-a, cooling c-d) on-resonance Rabi rates (rad/s)
+    of the cooling and repump intensities (W/m^2)."""
+    return (rabi_frequency(i_rl, RB87_ISAT_F1_F2), rabi_frequency(i_cl, RB87_ISAT_F2_F2),
+            rabi_frequency(i_cl, RB87_ISAT_F2_F3))
+
+
+def _four_level_hamiltonian(rabi, delta_cl: float, delta_rl: float,
+                            shifts) -> list[list[float]]:
+    """The 4 x 4 Hamiltonian (rad/s, real and symmetric) in the frame rotating
+    with both lasers: detunings (rad/s) against the unperturbed transitions
+    (cooling laser vs F=2 -> F'=3, repump vs F=1 -> F'=2), the F'=2 - F'=3
+    splitting, and the AC-Stark ``shifts`` (rad/s) of a, b, c and d."""
+    om1, om2, om3 = rabi
+    split = RB87_5P32_F2_F3_SPLITTING
+    shift_a, shift_b, shift_c, shift_d = shifts
+    return [[shift_a, -om1 / 2.0, -om2 / 2.0, 0.0],
+            [-om1 / 2.0, delta_rl + shift_b, 0.0, 0.0],
+            [-om2 / 2.0, 0.0, delta_cl + split + shift_c, -om3 / 2.0],
+            [0.0, 0.0, -om3 / 2.0, split + shift_d]]
+
+
+def trap_shifts(field, lines, depth: float, kinetic_reduction: float) -> tuple:
+    """The AC-Stark shifts (rad/s) of a, b, c and d in a dipole trap.
+
+    The Zeeman-averaged shifts of F'=2 and F'=3 (5P3/2) and F=1 and F=2
+    (5S1/2) in the trap ``field`` (a ``lightshift.LaserField``), scaled by
+    (1 - kB T / |U|) for the thermal motion of an atom at temperature
+    ``kinetic_reduction`` (K) through regions of lower intensity, with U
+    the trap ``depth`` (J).  Raises ``ValueError`` where the field is
+    resonant with a hyperfine transition of the line table.
+    """
+    from .lightshift import mean_level_shift
+
+    scale = max(1.0 - KB * kinetic_reduction / abs(depth), 0.0) / HBAR
+    return tuple(mean_level_shift(label, field, lines, two_f=two_f) * scale
+                 for label, two_f in _TRAP_SHIFT_LEVELS)
+
+
+def _lindblad(h: list[list[float]], decays) -> list[list[float]]:
+    """``bloch.state.lindblad_generator(h, decays)`` for a real symmetric
+    ``h``, entry for entry and bit for bit (zeros carry numpy's signs): the
+    real n^2 x n^2 generator on the layout of ``bloch.state`` (the n
+    populations, then Re and Im of each upper coherence in row order).
+
+    -i[h, rho] couples a population to the Im parts of the coherences on its
+    row and column, and a coherence (j, l) to the coherences that share a
+    level with it, through one entry of h; it turns Re rho_jl into Im rho_jl
+    at h_jj - h_ll.  A decay (rate, to, from) moves population at ``rate``
+    and damps each coherence at half the summed rates of its two levels.
+    """
+    n = len(h)
+    pairs = [(i, k) for i in range(n) for k in range(i + 1, n)]
+    m = [[0.0] * (n * n) for _ in range(n * n)]
+    loss = [0.0] * n
+    for rate, to, frm in decays:
+        loss[frm] += rate
+        m[to][frm] += rate
+    for j in range(n):
+        m[j][j] = 0.0 - loss[j]
+        for p, (i, k) in enumerate(pairs):
+            if k == j:
+                m[n + 2 * p + 1][j] = 0.0 - h[i][j]
+            elif i == j:
+                m[n + 2 * p + 1][j] = h[j][k] + 0.0
+    for q, (j, l) in enumerate(pairs):
+        re, im = n + 2 * q, n + 2 * q + 1
+        m[l][im] = (h[l][j] + h[j][l]) + 0.0
+        m[j][im] = 0.0 - (h[j][l] + h[l][j])
+        m[re][re] = m[im][im] = 0.0 - (loss[j] + loss[l]) / 2.0
+        for p, (i, k) in enumerate(pairs):
+            if p == q:
+                rotation = h[j][j] - h[l][l]
+                m[n + 2 * p + 1][re], m[n + 2 * p][im] = 0.0 - rotation, rotation + 0.0
+            elif k == l:
+                m[n + 2 * p + 1][re], m[n + 2 * p][im] = 0.0 - h[i][j], h[i][j] + 0.0
+            elif k == j:
+                m[n + 2 * p + 1][re], m[n + 2 * p][im] = 0.0 - h[i][l], 0.0 - h[i][l]
+            elif i == j:
+                m[n + 2 * p + 1][re], m[n + 2 * p][im] = h[l][k] + 0.0, 0.0 - h[l][k]
+            elif i == l:
+                m[n + 2 * p + 1][re], m[n + 2 * p][im] = h[j][k] + 0.0, h[j][k] + 0.0
+    return m
+
+
+def _steady_vector(s, null, decays):
+    """The trace-one steady state from the singular values ``s`` (descending)
+    of an n-level generator and its right singular vector ``null`` of the
+    smallest: the rule of both four-level kernels, whichever SVD they take.
+
+    The null space is spanned by the singular vectors whose singular values
+    are at most eps * n^2 * s_max (the rank rule of scipy's ``null_space``);
+    it must be one-dimensional.  Where that tolerance reaches the smallest
+    decay rate, the drive or a detuning is so far above the linewidth that
+    float64 cannot resolve the decays, and the state is refused with that
+    reason.  So is a state whose excited population (of the levels that
+    decay) is not above n^2 eps s_max / s_(n^2-1), the rounding error of the
+    null vector: g2 would divide noise by noise.  ``s`` and ``null`` may be
+    numpy arrays; the state is a list.
+    """
+    tol = s[0] * _EPS * len(s)
+    slowest = min(rate for rate, _, _ in decays)
+    if not tol < slowest:
+        raise ValueError(
+            "drive or detuning exceeds the linewidth by more than float64 can resolve: "
+            f"generator norm {s[0]:.3g} /s against decay rate {slowest:.3g} /s")
+    dim = sum(1 for x in s if not x > tol)
+    if dim != 1:
+        raise ValueError(f"steady state not unique: null space dimension {dim}")
+    levels = round(len(s) ** 0.5)
+    trace = sum(null[:levels])
+    if abs(trace) < 1e-12:
+        raise ValueError("null vector has zero trace; generator is degenerate")
+    vec = [x / trace for x in null]
+    excited = sum(vec[k] for k in sorted({frm for _, _, frm in decays}))
+    noise = len(s) * _EPS * s[0] / s[-2]
+    if not excited > noise:
+        raise ValueError(
+            f"no steady-state excitation: excited population {excited:.3g} is not above "
+            f"the null vector's rounding error {noise:.3g}")
+    return vec
+
+
+def _post_emission(steady, decays) -> list[float]:
+    """The state right after a photon emission from ``steady``: each decay
+    (rate, to, from) puts rate * rho_from,from into level ``to``, normalized
+    by the total emission rate; no coherences."""
+    levels = round(len(steady) ** 0.5)
+    loss = [0.0] * levels
+    fed = [0.0] * len(steady)
+    for rate, to, frm in decays:
+        loss[frm] += rate
+        fed[to] += rate * steady[frm]
+    denom = sum(loss[k] * steady[k] for k in range(levels) if loss[k])
+    return [x / denom if x else 0.0 for x in fed]
+
+
+def _eigen_modes(m: list[list[float]], y0: list[float],
+                 c: list[float]) -> tuple[list, list, float]:
+    """The modes of c . exp(m tau) y0 for a real generator ``m``: (real,
+    pairs, s) as in ``_modes``, from the eigenvalues of ``dense.eigenvalues``
+    and the eigenvectors of ``dense.eigenvectors``, with the formulas and
+    guards of ``integrator.linear_modes``: a_k = (c . v_k)(w_k . y0) /
+    (w_k . v_k), an eigenvalue within eps * n * ||m||_F of 0 is 0, and an
+    overlap s below ``_MIN_OVERLAP`` (or NaN) raises ``IntegrationError``."""
+    from .dense import eigenvalues, eigenvectors
+
+    pinned = _EPS * len(m) * math.hypot(*(x for row in m for x in row))
+    real, pairs, overlaps = [], [], []
+    for lam in eigenvalues(m):
+        right, left = eigenvectors(m, lam)
+        dot = sum(map(mul, left, right))
+        overlaps.append(abs(dot) / (math.hypot(*map(abs, left)) * math.hypot(*map(abs, right))))
+        amp = sum(map(mul, c, right)) * sum(map(mul, left, y0)) / dot
+        if abs(lam) <= pinned:
+            lam *= 0.0
+        if isinstance(lam, complex):
+            pairs.append((lam, amp))
+        else:
+            real.append((lam, amp))
+    smallest = math.nan if any(map(math.isnan, overlaps)) else min(overlaps)
+    if not smallest >= _MIN_OVERLAP:  # also refuses a NaN
+        raise IntegrationError(_DEFECTIVE, smallest)
+    return real, pairs, smallest
+
+
+def four_level_g2(rabi, delta_cl: float, delta_rl: float, shifts, tau_grid,
+                  report: dict | None = None) -> list[float]:
+    """g2(tau) of the four-level model's total fluorescence, on floats.
+
+    ``rabi`` holds the (repump b-a, cooling c-a, cooling c-d) Rabi rates,
+    ``delta_cl`` and ``delta_rl`` the detunings and ``shifts`` the AC-Stark
+    shifts of a, b, c and d, all in rad/s.  The excited population a + d
+    after an emission, over its steady-state value, by the quantum
+    regression theorem: the steady state from a one-sided Jacobi SVD with
+    the refusals of ``_steady_vector``, the post-emission state of
+    ``_post_emission``, and the modes of ``_eigen_modes`` summed by
+    ``_sum_modes``.  The same model as ``bloch.four_level_g2``, whose numpy
+    linear algebra it does not share.  Delays come in any order, each finite
+    and nonnegative; rows at tau = 0 are exactly 0.  A ``report`` dict
+    receives "method" ("eigen-propagator"), "min_overlap" (the smallest
+    eigenvector overlap, which the exceptional-point guard compares with
+    1.5e-5) and "steady_residual" (the 2-norm of M y_ss in 1/s).
+    """
+    from .dense import jacobi_svd
+
+    tau = _checked_delays(tau_grid)
+    m = _lindblad(_four_level_hamiltonian(rabi, delta_cl, delta_rl, shifts), _FOUR_LEVEL_DECAYS)
+    s, vecs = jacobi_svd(m)
+    steady = _steady_vector(s, vecs[-1], _FOUR_LEVEL_DECAYS)
+    excited = [0.0] * len(steady)
+    excited[_A] = excited[_D] = 1.0
+    real, pairs, overlap = _eigen_modes(m, _post_emission(steady, _FOUR_LEVEL_DECAYS), excited)
+    g2 = _sum_modes(real, pairs, tau, steady[_A] + steady[_D])
+    if report is not None:
+        residual = math.hypot(*(sum(map(mul, row, steady)) for row in m))
+        report.update(method="eigen-propagator", min_overlap=overlap, steady_residual=residual)
+    return g2

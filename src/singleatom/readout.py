@@ -23,6 +23,7 @@ __all__ = [
     "larmor_survival",
     "visibility_to_fidelity",
     "correlation_curve",
+    "cos_sin_degrees",
     "singlet_chsh",
     "pair_rate_estimate",
     "two_level_g2",
@@ -70,19 +71,33 @@ def correlation_curve(basis: str, beta_grid, visibility: float = 1.0) -> list[fl
     return [0.5 * (1.0 + visibility * math.cos(2.0 * float(b) - offset)) for b in beta_grid]
 
 
-def singlet_chsh(p: float, phi_a: float, phi_a2: float, phi_b: float,
-                 phi_b2: float) -> list[float]:
+def cos_sin_degrees(degrees: float) -> tuple[float, float]:
+    """(cos, sin) of a finite angle in degrees, with exact reduction.
+
+    ``math.fmod`` takes the angle modulo 360 and ``math.remainder`` splits
+    it into a multiple of 90 degrees and a rest in [-45, 45], both exactly;
+    cos and sin of the rest are rotated by the quadrant.  So a multiple of
+    90 degrees gives exact 0 and +-1, where ``math.cos(math.radians(90))``
+    gives 6.1e-17.
+    """
+    turn = math.fmod(degrees, 360.0)
+    rest = math.remainder(turn, 90.0)
+    c, s = math.cos(math.radians(rest)), math.sin(math.radians(rest))
+    return ((c, s), (-s, c), (-c, -s), (s, -c))[round((turn - rest) / 90.0) % 4]
+
+
+def singlet_chsh(p: float, a: tuple[float, float], a2: tuple[float, float],
+                 b: tuple[float, float], b2: tuple[float, float]) -> list[float]:
     """E(a,b), E(a,b'), E(a',b), E(a',b') and S of p|psi-><psi-| + (1-p)I/4.
 
-    With equatorial analyzers at angles phi (radians) the white noise has no
-    correlation and the singlet gives -cos(phi_A - phi_B), so
-    E = -p (cos a cos b + sin a sin b) and S = |E(a,b) - E(a,b')| +
-    |E(a',b) + E(a',b')| (Clauser, Horne, Shimony & Holt, PRL 23, 880
-    (1969)); the local bound is S <= 2 and the default CLI angles give
-    2 sqrt(2) p.
+    Each analyzer is equatorial, given as the (cos phi, sin phi) of its
+    angle phi.  The white noise has no correlation and the singlet gives
+    -cos(phi_A - phi_B), so E = -p (cos a cos b + sin a sin b), a zero
+    printed as 0, not -0, and S = |E(a,b) - E(a,b')| + |E(a',b) + E(a',b')|
+    (Clauser, Horne, Shimony & Holt, PRL 23, 880 (1969)); the local bound is
+    S <= 2 and the default CLI angles give 2 sqrt(2) p.
     """
-    a, a2, b, b2 = ((math.cos(phi), math.sin(phi)) for phi in (phi_a, phi_a2, phi_b, phi_b2))
-    e = [-p * (x[0] * y[0] + x[1] * y[1]) for x in (a, a2) for y in (b, b2)]
+    e = [-p * (x[0] * y[0] + x[1] * y[1]) + 0.0 for x in (a, a2) for y in (b, b2)]
     return [*e, abs(e[0] - e[1]) + abs(e[2] + e[3])]
 
 

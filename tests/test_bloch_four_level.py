@@ -1,6 +1,8 @@
 """Four-level fluorescence model: generator, steady state, g2, trap shifts."""
 
+import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from singleatom.bloch import (
     two_level_g2_analytic,
 )
 from singleatom.bloch.four_level import FourLevelLiouvillian, post_emission_state
+from singleatom import obe
 from singleatom.bloch.state import from_real_vector, to_real_vector
 from singleatom.constants import (
     KB,
@@ -23,6 +26,7 @@ from singleatom.constants import (
     RB87_ISAT_F2_F3,
     intensity_from_mw_cm2,
 )
+from singleatom.dense import jacobi_svd
 from singleatom.lightshift import LaserField
 
 G = RB87_GAMMA_D2
@@ -323,22 +327,29 @@ class TestG2:
     @pytest.mark.parametrize("icl,irl,delta", [(30.0, 3.0, -1.0), (103.0, 12.0, -5.0),
                                                (400.0, 0.5, -12.0)])
     def test_report(self, icl, irl, delta, trap_power):
-        # the smallest overlap against scipy's unit left and right
-        # eigenvectors, the residual against M y of the steady state
+        # the report of the CLI's kernel (obe.four_level_g2): the smallest
+        # overlap against scipy's unit left and right eigenvectors, and the
+        # residual against the exact 2-norm of M y of its steady state y,
+        # within its rounding
         params = params_at(delta, icl, irl, trap_power)
+        drive = (params.rabi_frequencies, params.delta_cl, params.delta_rl,
+                 (params.shift_a, params.shift_b, params.shift_c, params.shift_d))
         report = {}
-        tau = np.linspace(0.0, 1e-7, 11)
-        assert np.array_equal(four_level_g2(params, tau, report), four_level_g2(params, tau))
+        tau = np.linspace(0.0, 1e-7, 11).tolist()
+        assert obe.four_level_g2(*drive, tau, report) == obe.four_level_g2(*drive, tau)
         assert set(report) == {"method", "min_overlap", "steady_residual"}
         assert report["method"] == "eigen-propagator"
-        liouv = FourLevelLiouvillian(params)
-        _, w, v = eig(liouv.matrix_real, left=True)
+        m = FourLevelLiouvillian(params).matrix_real
+        _, w, v = eig(m, left=True)
         overlap = np.abs(np.einsum("ij,ij->j", w.conj(), v)).min()
         assert report["min_overlap"] == pytest.approx(overlap, rel=1e-9)
-        y_ss = liouv.steady_state()
-        residual = np.linalg.norm(liouv.matrix_real @ y_ss)
-        assert report["steady_residual"] == pytest.approx(residual, rel=1e-12, abs=0.0)
-        assert report["steady_residual"] <= 1e-12 * np.abs(liouv.matrix_real).max()
+        s, vecs = jacobi_svd(m.tolist())
+        y_ss = obe._steady_vector(s, vecs[-1], obe._FOUR_LEVEL_DECAYS)
+        rows = [sum(Fraction(x) * Fraction(y) for x, y in zip(row, y_ss)) for row in m.tolist()]
+        exact = math.sqrt(sum(r * r for r in rows))
+        rounding = 32 * np.finfo(float).eps * (np.abs(m) @ np.abs(y_ss)).max()
+        assert abs(report["steady_residual"] - exact) <= rounding
+        assert report["steady_residual"] <= 1e-12 * np.abs(m).max()
 
     def test_trajectory_invariants(self):
         # trace, Hermiticity and positivity along the full g2 trajectory

@@ -236,12 +236,20 @@ class TestValidateOnlyAgreesWithRun:
          "--waist-um 1e-60"),
         (TRAP[:-4] + ["--trap-power-mw", "44", "--trap-waist-um", "1e-75"],
          "--trap-waist-um 1e-75"),
+        # 1529.26 nm meets 5P3/2 -> 4D5/2 at a hyperfine-resolved detuning of
+        # the four-level trap shifts
+        (TRAP + ["--trap-wavelength-nm", "1529.26"],
+         "--trap-wavelength-nm 1529.26: laser resonant with a line"),
+        (TRAP + ["--model", "full", "--env-a", "0.3", "--env-tau-us", "2",
+                 "--trap-wavelength-nm", "1529.26"],
+         "--trap-wavelength-nm 1529.26: laser resonant with a line"),
     ], ids=["trap-power", "trap-waist", "trap-wavelength", "kinetic", "env-a",
             "stirap-grid", "loading-grid", "loading-negative-rate",
             "loading-negative-grid-point", "correlations-grid", "trap-on-d2",
             "lightshift-on-d2", "loading-on-d2", "g2-trap-on-d1",
             "trap-mass-rayleigh-underflow", "trap-axial-overflow",
-            "loading-axial-overflow", "g2-trap-mass-rayleigh-underflow"])
+            "loading-axial-overflow", "g2-trap-mass-rayleigh-underflow",
+            "g2-trap-on-hyperfine-line", "full-trap-on-hyperfine-line"])
     def test_out_of_range_flag_exits_two(self, tmp_path, capsys, args, flag):
         code, out = run(tmp_path, args)
         err = capsys.readouterr().err
@@ -707,6 +715,13 @@ class TestScenarios:
         assert last.startswith("S")
         assert float(last.split(",")[-1]) == pytest.approx(2 * math.sqrt(2), abs=1e-9)
 
+    def test_bell_orthogonal_analyzers_print_zero(self, tmp_path):
+        # cos(90 degrees) is 0 exactly, not math.cos(math.radians(90)) = 6.1e-17
+        code, out = run(tmp_path, ["bell", "--phi-b-deg", "90", "--phi-a2-deg", "180"])
+        assert code == EXIT_OK
+        rows = out.read_text().splitlines()
+        assert rows[1] == "a,b,0,90,0" and rows[3] == "a2,b,180,90,0"
+
     def test_correlations_curve(self, tmp_path):
         code, out = run(tmp_path, ["correlations", "--basis", "y",
                                    "--beta-deg", "0..90:45",
@@ -976,11 +991,10 @@ class TestDiagnostics:
         (["--model", "two-level-analytic"], set()),
     ], ids=["four-level", "four-level-trap", "full", "two-level-obe", "two-level-analytic"])
     def test_sidecar_holds_the_kernel_report(self, tmp_path, extra, keys):
-        from singleatom.bloch import four_level_g2
-        from singleatom.obe import two_level_obe_g2
+        from singleatom.obe import _four_level_rabi, four_level_g2, two_level_obe_g2
         from singleatom.constants import (RB87_GAMMA_D2, RB87_ISAT_F2_F3, TWO_PI,
                                           rabi_frequency)
-        from singleatom.cli import _check_g2, _four_level_params, build_parser
+        from singleatom.cli import _check_g2, build_parser
 
         argv = self.BASE + extra
         code, _ = run(tmp_path, argv)
@@ -988,14 +1002,15 @@ class TestDiagnostics:
         meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
         assert set(meta["diagnostics"]) == keys
         args = build_parser().parse_args(argv)
-        _check_g2(args)  # reads the line data and builds the trap beam
+        _check_g2(args)  # reads the line data and computes the trap shifts
         tau = np.linspace(0.0, 200e-9, 11)
         report = {}
         if keys == {"min_overlap"}:
             omega3 = rabi_frequency(103.0 * 10.0, RB87_ISAT_F2_F3)  # 103 mW/cm^2
             two_level_obe_g2(omega3, TWO_PI * -31.0 * 1e6, RB87_GAMMA_D2, tau, report)
         elif keys:
-            four_level_g2(_four_level_params(args), tau, report)
+            rabi = _four_level_rabi(103.0 * 10.0, 12.0 * 10.0)
+            four_level_g2(rabi, TWO_PI * -31.0 * 1e6, 0.0, args.shifts, tau, report)
         report.pop("method", None)
         assert meta["diagnostics"] == report
         assert all(math.isfinite(v) for v in report.values())

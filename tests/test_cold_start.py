@@ -3,16 +3,16 @@ only the layers it computes with.
 
 Only ``integrator.integrate`` (the library-only mean-number loading ODE)
 imports scipy, inside the function.  ``singleatom.cli`` imports every layer
-but ``constants`` inside the runner or check that uses it: numpy only for the
-four-level and full g2 and spectrum-fit, so loading, bell and the two-level
-g2 (closed form, and the Bloch kernel of ``obe``) run on the standard
-library, and
-the line-table layers (``lightshift``, ``angular``, ``trapgeometry``) only
-for the scenarios that read the table or the trap beam.  The standard-library
-paths load neither ``dataclasses`` (with ``inspect``) nor ``fractions``
-(with ``decimal``): the line-table records are plain classes and the Racah
-sums run in integers.  Each check runs in a fresh interpreter, so modules
-imported by other tests do not hide a module-level import.
+but ``constants`` inside the runner or check that uses it: numpy only for
+spectrum-fit, so loading, bell and every g2 model (the two-level closed
+form, and the Bloch kernels of ``obe`` for the two-level, four-level and
+full models) run on the standard library, and the line-table layers
+(``lightshift``, ``angular``, ``trapgeometry``) only for the scenarios that
+read the table or the trap beam.  The standard-library paths load neither
+``dataclasses`` (with ``inspect``) nor ``fractions`` (with ``decimal``):
+the line-table records are plain classes and the Racah sums run in
+integers.  Each check runs in a fresh interpreter, so modules imported by
+other tests do not hide a module-level import.
 """
 
 import os
@@ -128,16 +128,18 @@ def test_no_numpy_module_loaded(code, tmp_path):
     assert loaded == "[]"
 
 
-def test_g2_run_loads_numpy(tmp_path):
-    # the check above would pass vacuously if no run loaded numpy; the
-    # four-level model (G2's default) computes with numpy
-    assert "'numpy'" in modules_after("import sys\n" + cli_run(*G2), "numpy", cwd=tmp_path)
+def test_numpy_scenario_loads_numpy(tmp_path):
+    # the check above would pass vacuously if no run loaded numpy;
+    # spectrum-fit reads and fits its profiles with numpy
+    write_profiles(tmp_path)
+    loaded = modules_after("import sys\n" + cli_run(*SPECTRUM_FIT), "numpy", cwd=tmp_path)
+    assert "'numpy'" in loaded
 
 
 TRAP_BEAM = ("--power-mw", "40", "--waist-um", "3.5")
 
 # one run per scenario (g2 with its default four-level model); only the
-# scenarios of NUMPY_SCENARIOS compute with numpy
+# scenario of NUMPY_SCENARIOS computes with numpy
 SCENARIO_RUNS = {
     "lightshift": TRAP_BEAM,
     "magic": (),
@@ -151,7 +153,7 @@ SCENARIO_RUNS = {
     "spectrum-fit": SPECTRUM_FIT[1:],
     "pair-rate": ("--eta", "5e-4"),
 }
-NUMPY_SCENARIOS = ("g2", "spectrum-fit")
+NUMPY_SCENARIOS = ("spectrum-fit",)
 
 # the layers that read the line table or the trap beam
 LINE_TABLE_LAYERS = ("singleatom.lightshift", "singleatom.angular", "singleatom.trapgeometry")
@@ -203,6 +205,33 @@ def test_obe_kernel_loaded_only_for_its_model(argv, tmp_path):
     assert loaded == "[]"
 
 
+FOUR_LEVEL_TRAP = ("--trap-power-mw", "40", "--trap-waist-um", "3.5")
+FULL = ("--model", "full", "--env-a", "0.3", "--env-tau-us", "1.2")
+
+
+@pytest.mark.parametrize("argv", [
+    (*G2, "--metadata"),
+    (*G2, *FOUR_LEVEL_TRAP, "--metadata"),
+    (*G2, *FULL, "--metadata"),
+    (*G2, *FULL, *FOUR_LEVEL_TRAP, "--metadata"),
+    (*G2, *FOUR_LEVEL_TRAP, "--validate-only"),
+    (*G2, *FULL, "--validate-only"),
+], ids=["four-level", "four-level-trap", "full", "full-trap", "validate-four-level-trap",
+        "validate-full"])
+def test_four_level_loads_no_numpy_layer(argv, tmp_path):
+    # the stdlib kernel of obe and the dense routines, no numpy layer
+    loaded = modules_after("import sys\n" + cli_run(*argv), "numpy", "singleatom.bloch",
+                           "singleatom.integrator", *HEAVY_STDLIB, cwd=tmp_path)
+    assert loaded == "[]"
+
+
+def test_four_level_run_loads_the_kernel(tmp_path):
+    # the check above would pass vacuously if the run loaded nothing
+    loaded = modules_after("import sys\n" + cli_run(*G2, *FOUR_LEVEL_TRAP), "singleatom.obe",
+                           "singleatom.dense", cwd=tmp_path)
+    assert loaded == "['singleatom.dense', 'singleatom.obe']"
+
+
 def test_two_level_obe_run_loads_the_kernel(tmp_path):
     # the two checks above would pass vacuously if the run loaded nothing
     loaded = modules_after("import sys\n" + cli_run(*OBE), "singleatom.obe", cwd=tmp_path)
@@ -240,13 +269,15 @@ def test_trap_run_loads_the_line_table_layers(tmp_path):
     assert loaded == repr(sorted(LINE_TABLE_LAYERS))
 
 
-# every scenario but the numpy ones (spectrum-fit, and g2 with the four-level
-# or full model, so g2 runs the closed form here, once with a trap beam, and
-# the two-level Bloch kernel)
+# every scenario but spectrum-fit; g2 runs the closed form here, once with a
+# trap beam, the two-level Bloch kernel, and the four-level and full kernel
+# with a trap beam
 STDLIB_RUNS = {s: (s, *SCENARIO_RUNS[s]) for s in SCENARIO_RUNS if s not in NUMPY_SCENARIOS}
 STDLIB_RUNS["g2"] = ("g2", *SCENARIO_RUNS["g2"], "--model", "two-level-analytic")
 STDLIB_RUNS["g2-trap"] = (*STDLIB_RUNS["g2"], "--trap-power-mw", "40", "--trap-waist-um", "3.5")
 STDLIB_RUNS["g2-obe"] = ("g2", *SCENARIO_RUNS["g2"], "--model", "two-level-obe")
+STDLIB_RUNS["g2-four-level-trap"] = ("g2", *SCENARIO_RUNS["g2"], *FOUR_LEVEL_TRAP)
+STDLIB_RUNS["g2-full-trap"] = ("g2", *SCENARIO_RUNS["g2"], *FULL, *FOUR_LEVEL_TRAP)
 
 
 @pytest.mark.parametrize("validate", [False, True], ids=["run", "validate"])
@@ -258,8 +289,9 @@ def test_stdlib_scenarios_load_no_heavy_stdlib_module(name, validate, tmp_path):
 
 def test_numpy_scenario_loads_the_heavy_stdlib_modules(tmp_path):
     # the check above would pass vacuously if no run loaded them; numpy
-    # imports inspect, and the Bloch layers are dataclasses
-    loaded = modules_after("import sys\n" + cli_run(*G2), *HEAVY_STDLIB, cwd=tmp_path)
+    # imports inspect, and the profiles of analysis are dataclasses
+    write_profiles(tmp_path)
+    loaded = modules_after("import sys\n" + cli_run(*SPECTRUM_FIT), *HEAVY_STDLIB, cwd=tmp_path)
     assert "'dataclasses'" in loaded and "'inspect'" in loaded
 
 

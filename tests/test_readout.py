@@ -22,7 +22,8 @@ from singleatom.constants import RB87_GAMMA_D2 as G
 from singleatom.obe import two_level_obe_g2, two_level_steady_excited
 from singleatom.entanglement import (MeasurementSetting, bell_state, chsh, correlation,
                                      noisy_channel)
-from singleatom.readout import correlation_curve, larmor_survival, singlet_chsh, two_level_g2
+from singleatom.readout import (correlation_curve, cos_sin_degrees, larmor_survival,
+                                singlet_chsh, two_level_g2)
 
 
 def bits(values) -> np.ndarray:
@@ -190,6 +191,11 @@ class TestTwoLevelG2:
         assert within_ulps(g2, numpy_two_level_g2(omega3, 2 * math.pi * -31.0 * 1e6, G, tau))
 
 
+def directions(phis):
+    """The (cos, sin) of each analyzer angle (radians), as singlet_chsh takes them."""
+    return [(math.cos(phi), math.sin(phi)) for phi in phis]
+
+
 def density_matrix_chsh(p, *phis):
     """The four correlations and S from p|psi-><psi-| + (1-p)I/4 as a 4x4
     density matrix, in ``singlet_chsh``'s order."""
@@ -219,13 +225,13 @@ class TestSingletChsh:
         for trial in range(300):
             p = (0.0, 1.0)[trial] if trial < 2 else float(rng.uniform())
             phis = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 4).tolist()
-            got = singlet_chsh(p, *phis)
+            got = singlet_chsh(p, *directions(phis))
             assert all(type(v) is float for v in got)
             assert agrees_with_density_matrix(got, p, *phis)
 
     @pytest.mark.parametrize("p", [0.0, 0.37, 0.9, 1.0])
     def test_default_angles_reach_tsirelson_times_p(self, p):
-        got = singlet_chsh(p, *map(math.radians, self.DEFAULT_DEG))
+        got = singlet_chsh(p, *map(cos_sin_degrees, self.DEFAULT_DEG))
         assert got[4] == pytest.approx(2.0 * math.sqrt(2.0) * p, abs=1e-15)
         assert agrees_with_density_matrix(got, p, *map(math.radians, self.DEFAULT_DEG))
 
@@ -235,14 +241,24 @@ class TestSingletChsh:
         (-3.7e16, 2e16, -1e20, 5e18),
     ])
     def test_huge_angles_reduced_as_the_cli(self, degrees):
-        # the CLI reduces degrees exactly modulo 360 (cli._radians); integer
-        # arithmetic gives the same reduced angles
+        # the CLI reduces degrees exactly modulo 360 (cos_sin_degrees, and
+        # cli._radians for the other scenarios); integer arithmetic gives the
+        # same reduced angles
         reduced = [math.radians(math.copysign(int(abs(d)) % 360, d) + math.fmod(d, 1.0))
                    for d in degrees]
         phis = [_radians(d) for d in degrees]
         assert phis == pytest.approx(reduced, abs=1e-15)
+        for d, phi in zip(degrees, reduced):
+            assert cos_sin_degrees(d) == pytest.approx((math.cos(phi), math.sin(phi)), abs=1e-15)
         p = 0.83
-        assert agrees_with_density_matrix(singlet_chsh(p, *phis), p, *phis)
+        got = singlet_chsh(p, *map(cos_sin_degrees, degrees))
+        assert agrees_with_density_matrix(got, p, *phis)
+
+    @pytest.mark.parametrize("quarter", [-8, -5, -4, -3, -2, -1, 0, 1, 2, 3, 4, 5, 7, 2**40 + 3])
+    def test_quadrant_angles_exact(self, quarter):
+        # cos and sin of a multiple of 90 degrees are exactly 0 and +-1
+        ideal = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)][quarter % 4]
+        assert cos_sin_degrees(90.0 * quarter) == ideal
 
     def test_cli_rows(self):
         args = argparse.Namespace(phi_a_deg=1e300, phi_a2_deg=-450.0, phi_b_deg=45.0,
