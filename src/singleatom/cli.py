@@ -9,6 +9,8 @@ deterministic: identical inputs give byte-identical files.
 Each scenario is one entry of ``SPECS``: its runner, an optional
 scenario-level check and one ``Flag`` per flag.  The parser, validation,
 config coercion, ``list`` and the metadata sidecar all read that table.
+Every value that validation derives from checked flags passes one rule,
+``_derived``: finite and nonzero, or refused naming its flags and quantity.
 
 Only the standard library and ``constants`` are imported here.  Every
 other layer is imported inside the runner or check that computes with it:
@@ -64,24 +66,13 @@ def _fmt(value, column: str) -> str:
 
 
 def _column(values, name: str) -> tuple[str, list]:
-    """The format field and values of one column.
-
-    A float column (a float array or a list of floats) is checked once and
-    printed with 12 significant digits by the printf-style row template
-    ("%.12g": the bytes of ``format(v, ".12g")``, faster than
-    ``str.format``); any other sequence (labels, a mixed column) is
-    formatted value by value, floats the same way, and printed by "%s".  A
-    runner that returns an array has imported numpy, so the check
-    needs no import of its own.
-    """
-    np = sys.modules.get("numpy")
-    if np is not None and isinstance(values, np.ndarray) and values.dtype == float:
-        finite, values = bool(np.isfinite(values).all()), values.tolist()
-    elif all(type(v) is float for v in values):
-        finite = all(map(math.isfinite, values))
-    else:
+    """The format field and values of one column: a float column is checked
+    once and printed with 12 significant digits by the row template ("%.12g",
+    the bytes of ``format(v, ".12g")``, faster than ``str.format``); any other
+    column (labels, mixed values) is formatted value by value by ``_fmt``."""
+    if not all(type(v) is float for v in values):
         return "%s", [_fmt(v, name) for v in values]
-    if not finite:
+    if not all(map(math.isfinite, values)):
         bad = next(v for v in values if not math.isfinite(v))
         raise FloatingPointError(f"non-finite value {bad} in column {name}")
     return "%.12g", values
@@ -169,20 +160,13 @@ def _parse_grid(spec: str, name: str) -> list[float]:
 # --- scenario runners -------------------------------------------------------
 
 
-def _trap(args):
-    """The harmonic trap of the beam that ``_check_beam`` built."""
-    from .trapgeometry import TrapSpec
-
-    return TrapSpec.from_beam(args.beam, abs(args.depth), RB87_MASS)
-
-
 def run_lightshift(args):
     from .lightshift import scattering_rate_alkali
 
     rate = scattering_rate_alkali(args.field, args.lines)
     header = ["wavelength_nm", "power_mw", "waist_um", "depth_mk", "scatter_per_s"]
     return header, _row(args.wavelength_nm, args.power_mw, args.waist_um,
-                        abs(args.depth) / KB * 1e3, rate)
+                        args.trap.depth_u / KB * 1e3, rate)
 
 
 def run_magic(args):
@@ -198,14 +182,13 @@ def run_trap(args):
     from .trapgeometry import (doppler_temperature, harmonic_frequencies, heating_rate,
                                recoil_temperature)
 
-    trap = _trap(args)
-    omega_r, omega_z = harmonic_frequencies(trap)
+    omega_r, omega_z = harmonic_frequencies(args.trap)
     rate = scattering_rate_alkali(args.field, args.lines)
     _, d2 = args.lines.d_lines()
     t_rec = recoil_temperature(d2.wavelength, RB87_MASS)
     header = ["depth_mk", "omega_r_khz", "omega_z_khz", "scatter_per_s",
               "t_doppler_uk", "t_recoil_nk", "heating_uk_per_s"]
-    return header, _row(trap.depth_u / KB * 1e3,
+    return header, _row(args.trap.depth_u / KB * 1e3,
                         omega_r / TWO_PI / 1e3,
                         omega_z / TWO_PI / 1e3,
                         rate,
@@ -218,8 +201,8 @@ def run_loading(args):
     from .loading import LoadingParams, mean_number, stationary_law
     from .trapgeometry import trap_volume
 
-    volume = trap_volume(_trap(args), args.temperature_uk * 1e-6)
-    rates = _parse_grid(args.rate_per_s, "--rate-per-s")
+    volume = trap_volume(args.trap, args.temperature_uk * 1e-6)
+    rates = args.rate_per_s_grid
     laws = [stationary_law(LoadingParams(loading_rate=r, gamma=args.gamma_per_s,
                                          beta=args.beta_cm3_s * 1e-6, volume=volume,
                                          n_max=args.n_max))
@@ -254,8 +237,6 @@ def run_g2(args):
         if args.model == "full":
             # the motional envelope 1 + A exp(-tau / tau0) of bloch.diffusion
             tau0 = args.env_tau_us * 1e-6
-            if tau0 == 0:
-                raise ValueError("tau0 must be positive")
             g2 = [g * (1.0 + args.env_a * math.exp(-t / tau0)) for g, t in zip(g2, tau)]
     else:
         # the two-level models' drive: the cooling Rabi rate on F=2 -> F'=3
@@ -282,7 +263,7 @@ def _radians(degrees: float) -> float:
 def run_stirap(args):
     from .readout import stirap_readout_probability
 
-    alpha_deg = _parse_grid(args.alpha_deg, "--alpha-deg")
+    alpha_deg = args.alpha_deg_grid
     p = [args.visibility * stirap_readout_probability(args.prep_phase_rad, _radians(a))
          for a in alpha_deg]
     return ["alpha_deg", "p_f1"], [alpha_deg, p]
@@ -314,7 +295,7 @@ def run_bell(args):
 def run_correlations(args):
     from .readout import correlation_curve
 
-    beta_deg = _parse_grid(args.beta_deg, "--beta-deg")
+    beta_deg = args.beta_deg_grid
     probs = correlation_curve(args.basis, map(_radians, beta_deg), args.visibility)
     # the angle column prints each input's round trip through radians, unreduced
     return ["beta_deg", "p_f1"], [[math.degrees(math.radians(b)) for b in beta_deg], probs]
@@ -366,8 +347,8 @@ def run_pair_rate(args):
 class Flag(NamedTuple):
     """One flag of a scenario; its config key is the name with underscores.
 
-    ``kind`` is float, int, str, grid (a number or 'a..b:step', parsed by
-    the runner), bracket ('lo,hi'), choice or switch.  ``required`` is
+    ``kind`` is float, int, str, grid (a number or 'a..b:step', parsed in
+    validation), bracket ('lo,hi'), choice or switch.  ``required`` is
     True, or the (dest, value) of another flag under which this one is
     required.  ``check`` is 'positive', 'unit' (in [0, 1]) or 'nonnegative'
     for a float or every point of a grid, an inclusive (lo, hi) range for
@@ -423,8 +404,28 @@ _RULES = {
 }
 
 
+def _derived(flags: str, quantity: str, compute):
+    """``compute()``, derived from flags already checked, if finite and nonzero;
+    else a ValidationError naming ``flags`` and ``quantity``: overflows or underflows to 0."""
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValidationError(f"{flags}: the {quantity} overflows")
+    if value == 0:
+        raise ValidationError(f"{flags}: the {quantity} underflows to 0")
+    return value
+
+
+# the positive flags whose SI value the run computes with: dest -> (quantity, unit in SI)
+_SI = {"tau_max_ns": ("longest delay (s)", 1e-9), "t_max_us": ("longest time (s)", 1e-6),
+       "env_tau_us": ("envelope decay time (s)", 1e-6), "cycle_us": ("cycle time (s)", 1e-6)}
+
+
 def _flag_error(args, flag: Flag) -> str | None:
-    """What is wrong with one flag's value, or None."""
+    """What is wrong with one flag's value, or None.  A grid is parsed here,
+    once: the runner reads its points as ``args.<dest>_grid``."""
     value = getattr(args, flag.dest)
     if value is None:
         when = flag.required
@@ -438,6 +439,7 @@ def _flag_error(args, flag: Flag) -> str | None:
             values = _parse_grid(value, f"--{flag.name}")
         except ValidationError as exc:
             return str(exc)
+        setattr(args, f"{flag.dest}_grid", values)
     check = flag.check
     if check is None:
         return None
@@ -448,7 +450,15 @@ def _flag_error(args, flag: Flag) -> str | None:
     else:
         rule, test = _RULES[check]
         ok = all(test(v) for v in values)
-    return None if ok else f"--{flag.name} {rule}, got {value!r}"
+    if not ok:
+        return f"--{flag.name} {rule}, got {value!r}"
+    if flag.dest in _SI:
+        quantity, unit = _SI[flag.dest]
+        try:
+            _derived(f"--{flag.name} {value:g}", quantity, lambda: value * unit)
+        except ValidationError as exc:
+            return str(exc)
+    return None
 
 
 def _read_lines(args) -> None:
@@ -464,21 +474,17 @@ def _read_lines(args) -> None:
 
 
 def _check_beam(args, prefix: str = "") -> None:
-    """Read the line data and build the trap beam once: the runner reads the
-    beam, its peak field and its depth (J, signed) as ``args.beam``,
-    ``args.field`` and ``args.depth``, and a depth that cannot be computed
-    fails here, so --validate-only fails as the run would.  Refused here,
-    naming the flags: a wavelength below ``shortest_resolved_wavelength``,
-    where the light shift is lost in rounding; a power or waist that is 0 in
-    SI units; a waist w0 or Rayleigh length pi w0^2 / lambda whose square
-    overflows or underflows to 0 (``trapgeometry`` squares both), or whose
-    square times the atom mass underflows to 0; a wavelength on a D line,
-    where the light shift diverges; a power so small that the trap depth
-    underflows to 0; and a beam whose radial or axial trap frequency squared
-    overflows.  Every beam run is refused alike, whether or not it computes
-    the frequencies.  ``prefix`` is the flags' prefix ("trap-" for g2)."""
+    """Read the line data and build the trap once: the runner reads the
+    harmonic trap, the peak field and the signed depth (J) as ``args.trap``,
+    ``args.field`` and ``args.depth``, so --validate-only fails as the run
+    would.  Refused here, naming the flags: a wavelength below
+    ``shortest_resolved_wavelength`` (the light shift is lost in rounding)
+    or on a D line (it diverges), and by ``_derived`` each quantity in the
+    order it is computed, in every beam scenario alike, whether or not it
+    prints the trap frequencies.  ``prefix`` is the flags' prefix ("trap-"
+    for g2)."""
     from .lightshift import LaserField, ground_shift_alkali, shortest_resolved_wavelength
-    from .trapgeometry import GaussianBeam
+    from .trapgeometry import GaussianBeam, TrapSpec
 
     _read_lines(args)
     dest = prefix.replace("-", "_")
@@ -489,43 +495,32 @@ def _check_beam(args, prefix: str = "") -> None:
         raise ValidationError(
             f"--{prefix}wavelength-nm {wavelength:g} is below {floor * 1e9:.3g} nm, where the"
             " light shift is lost in rounding noise")
-    for name, value, si, quantity in (("power-mw", power, power * 1e-3, "power (W)"),
-                                      ("waist-um", waist, waist * 1e-6, "beam waist (m)")):
-        if si == 0:
-            raise ValidationError(f"--{prefix}{name} {value:g}: the {quantity} underflows to 0")
-    beam = GaussianBeam(power=power * 1e-3, waist_w0=waist * 1e-6, wavelength=wavelength * 1e-9)
-    waist_flag = f"--{prefix}waist-um {waist:g}"
+    power_flag, waist_flag = f"--{prefix}power-mw {power:g}", f"--{prefix}waist-um {waist:g}"
+    length_flags = f"{waist_flag} with --{prefix}wavelength-nm {wavelength:g}"
+    beam = GaussianBeam(power=_derived(power_flag, "power (W)", lambda: power * 1e-3),
+                        waist_w0=_derived(waist_flag, "beam waist (m)", lambda: waist * 1e-6),
+                        wavelength=wavelength * 1e-9)
     # trapgeometry.harmonic_frequencies: omega^2 = factor * |U| / (m * length^2)
-    inertias = []
-    for attr, length, flags, motion, factor in (
-            ("waist_w0", "beam waist", waist_flag, "radial", 4),
-            ("rayleigh_length", "Rayleigh length",
-             f"{waist_flag} with --{prefix}wavelength-nm {wavelength:g}", "axial", 2)):
-        try:
-            squared = getattr(beam, attr)**2
-        except OverflowError:
-            raise ValidationError(f"{flags}: the {length} squared (m^2) overflows") from None
-        if squared == 0:
-            raise ValidationError(f"{flags}: the {length} squared (m^2) underflows to 0")
-        inertias.append((flags, length, motion, factor, RB87_MASS * squared))
-    for flags, length, _, _, inertia in inertias:
-        if inertia == 0:
-            raise ValidationError(
-                f"{flags}: the atom mass times the {length} squared (kg m^2) underflows to 0")
+    w0_sq = _derived(waist_flag, "beam waist squared (m^2)", lambda: beam.waist_w0**2)
+    zr_sq = _derived(length_flags, "Rayleigh length squared (m^2)",
+                     lambda: beam.rayleigh_length**2)
+    mass_w0_sq = _derived(waist_flag, "atom mass times the beam waist squared (kg m^2)",
+                          lambda: RB87_MASS * w0_sq)
+    mass_zr_sq = _derived(length_flags, "atom mass times the Rayleigh length squared (kg m^2)",
+                          lambda: RB87_MASS * zr_sq)
     field = LaserField(wavelength=beam.wavelength, intensity=beam.peak_intensity)
     for line in args.lines.d_lines():
         if line.omega == field.omega:
             raise ValidationError(f"--{prefix}wavelength-nm {wavelength:g} is on the"
                                   f" {line.label} line, where the light shift diverges")
-    depth = ground_shift_alkali(field, 0.5, args.lines)
-    if depth == 0:
-        raise ValidationError(f"--{prefix}power-mw {power:g} with --{prefix}waist-um {waist:g}:"
-                              " the trap depth (J) underflows to 0")
-    for flags, _, motion, factor, inertia in inertias:
-        if math.isinf(factor * abs(depth) / inertia):
-            raise ValidationError(f"{flags} and --{prefix}power-mw {power:g}: the {motion} trap"
-                                  " frequency squared ((rad/s)^2) overflows")
-    args.beam, args.field, args.depth = beam, field, depth
+    depth = _derived(f"{power_flag} with {waist_flag}", "trap depth (J)",
+                     lambda: ground_shift_alkali(field, 0.5, args.lines))
+    _derived(f"{waist_flag} and {power_flag}", "radial trap frequency squared ((rad/s)^2)",
+             lambda: 4 * abs(depth) / mass_w0_sq)
+    _derived(f"{length_flags} and {power_flag}", "axial trap frequency squared ((rad/s)^2)",
+             lambda: 2 * abs(depth) / mass_zr_sq)
+    args.trap, args.field, args.depth = (TrapSpec.from_beam(beam, abs(depth), RB87_MASS),
+                                         field, depth)
 
 
 def _check_magic(args) -> None:
@@ -576,13 +571,17 @@ def _check_spectrum_fit(args) -> None:
 
 def _check_loading(args) -> None:
     """The CSV holds one row of n_max + 3 cells per rate, and at most twice
-    MAX_POINTS cells, the most that a g2, larmor or stirap run writes."""
-    rates, columns = len(_parse_grid(args.rate_per_s, "--rate-per-s")), args.n_max + 3
+    MAX_POINTS cells, the most that a g2, larmor or stirap run writes.  The
+    trap volume's eta = kB T / U is derived here."""
+    rates, columns = len(args.rate_per_s_grid), args.n_max + 3
     if rates * columns > 2 * MAX_POINTS:
         raise ValidationError(
             f"--rate-per-s and --n-max: {rates} rates x {columns} columns ="
             f" {rates * columns} CSV cells, more than {2 * MAX_POINTS}")
     _check_beam(args)
+    _derived(f"--temperature-uk {args.temperature_uk:g} with --power-mw {args.power_mw:g}"
+             f" and --waist-um {args.waist_um:g}", "ratio kB T / U",
+             lambda: KB * (args.temperature_uk * 1e-6) / args.trap.depth_u)
 
 
 def _check_g2(args) -> None:

@@ -386,8 +386,8 @@ def _steady_vector(s, null, decays):
     noise = len(s) * _EPS * s[0] / s[-2]
     if not excited > noise:
         raise ValueError(
-            f"no steady-state excitation: excited population {excited:.3g} is not above "
-            f"the null vector's rounding error {noise:.3g}")
+            "no steady-state excitation: the excited population is not above the null"
+            f" vector's rounding error {noise:.3g}")
     return vec
 
 

@@ -296,13 +296,17 @@ class TestMagicBracketBelowResolution:
 
 
 class TestOverflowingSquares:
-    """A value whose square the run would overflow, or underflow to 0, is
-    refused in validation, naming its flag and the quantity, on the run and on
-    --validate-only.  The underflowing runs divided by zero or failed with
-    library text.  So is a beam whose Rayleigh length squared times the atom
-    mass underflows to 0 (the trap run divided by zero) or whose radial or
-    axial trap frequency squared overflows (the trap run printed inf), for
-    every beam scenario."""
+    """A value derived from the flags that the run would overflow, or
+    underflow to 0, is refused in validation, naming its flags and the
+    quantity, on the run and on --validate-only.  The underflowing runs
+    divided by zero, failed with library text or printed every delay as 0.
+    So is a beam whose Rayleigh length squared times the atom mass underflows
+    to 0 (the trap run divided by zero) or whose radial or axial trap
+    frequency squared overflows (the trap run printed inf) or underflows to 0
+    (the trap run printed 0), for every beam scenario."""
+
+    G2 = ["--delta-mhz", "-31", "--icl", "103", "--points", "3"]
+    FULL = ["--model", "full", "--env-a", "0.5", "--env-tau-us", "2"]
 
     @pytest.mark.parametrize("args,line", [
         (["trap", "--power-mw", "44", "--waist-um", "1e300"],
@@ -346,18 +350,75 @@ class TestOverflowingSquares:
         (["trap", "--power-mw", "1e300", "--waist-um", "3.5"],
          "--waist-um 3.5 and --power-mw 1e+300: the radial trap frequency squared ((rad/s)^2)"
          " overflows"),
+        # the peak intensity overflows: the depth is the first quantity that is not finite
+        (["trap", "--power-mw", "1e300", "--waist-um", "1"],
+         "--power-mw 1e+300 with --waist-um 1: the trap depth (J) overflows"),
+        (["trap", "--power-mw", "1000", "--waist-um", "1e76"],
+         "--waist-um 1e+76 with --wavelength-nm 856 and --power-mw 1000: the axial trap"
+         " frequency squared ((rad/s)^2) underflows to 0"),
+        # pi w0^2 / lambda is inf, not an OverflowError, and so is its square
+        (["trap", "--power-mw", "44", "--waist-um", "1e150", "--wavelength-nm", "1e-11"],
+         "--waist-um 1e+150 with --wavelength-nm 1e-11: the Rayleigh length squared (m^2)"
+         " overflows"),
+        (["g2", *G2, "--tau-max-ns", "1e-320"],
+         "--tau-max-ns 9.99989e-321: the longest delay (s) underflows to 0"),
+        (["g2", "--model", "two-level-analytic", *G2, "--tau-max-ns", "1e-320"],
+         "--tau-max-ns 9.99989e-321: the longest delay (s) underflows to 0"),
+        (["g2", "--model", "two-level-obe", *G2, "--tau-max-ns", "1e-320"],
+         "--tau-max-ns 9.99989e-321: the longest delay (s) underflows to 0"),
+        (["g2", *FULL, *G2, "--tau-max-ns", "1e-320"],
+         "--tau-max-ns 9.99989e-321: the longest delay (s) underflows to 0"),
+        (["g2", *FULL, *G2, "--env-tau-us", "5e-324"],
+         "--env-tau-us 4.94066e-324: the envelope decay time (s) underflows to 0"),
+        (["larmor", "--b-mgauss", "100", "--t-max-us", "1e-320", "--points", "3"],
+         "--t-max-us 9.99989e-321: the longest time (s) underflows to 0"),
+        (["pair-rate", "--eta", "0.5", "--cycle-us", "5e-324"],
+         "--cycle-us 4.94066e-324: the cycle time (s) underflows to 0"),
+        (["loading", "--rate-per-s", "1", "--power-mw", "44", "--waist-um", "3.5",
+          "--temperature-uk", "5e-324"],
+         "--temperature-uk 4.94066e-324 with --power-mw 44 and --waist-um 3.5: the ratio"
+         " kB T / U underflows to 0"),
+        # the temperature is not 0 in K, but kB T is 0 in J
+        (["loading", "--rate-per-s", "1", "--power-mw", "44", "--waist-um", "3.5",
+          "--temperature-uk", "1e-310"],
+         "--temperature-uk 1e-310 with --power-mw 44 and --waist-um 3.5: the ratio"
+         " kB T / U underflows to 0"),
     ], ids=["trap-waist", "loading-waist", "two-level-obe-detuning", "trap-rayleigh",
             "g2-trap-waist", "lightshift-waist-underflow", "trap-waist-underflow",
             "g2-trap-waist-underflow",
             "trap-rayleigh-underflow", "trap-rayleigh-square-underflow",
             "trap-mass-rayleigh-underflow", "g2-trap-mass-rayleigh-underflow",
-            "trap-axial-overflow", "lightshift-axial-overflow", "trap-radial-overflow"])
+            "trap-axial-overflow", "lightshift-axial-overflow", "trap-radial-overflow",
+            "trap-depth-overflow", "trap-axial-underflow", "trap-rayleigh-inf",
+            "g2-tau-max", "two-level-analytic-tau-max", "two-level-obe-tau-max",
+            "full-tau-max", "full-env-tau", "larmor-t-max", "pair-rate-cycle",
+            "loading-temperature-zero-in-k", "loading-thermal-energy-zero-in-j"])
     def test_named_and_refused_in_validation(self, tmp_path, capsys, args, line):
         code, out = run(tmp_path, args)
         assert code == EXIT_VALIDATION and not out.exists()
         assert capsys.readouterr().err == f"validation: {line}\n"
         assert main(args + ["--validate-only"]) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"validation: {line}\n"
+
+
+class TestGridParsedOnce:
+    """Validation parses each grid flag once; the runner and the loading
+    check read its points."""
+
+    @pytest.mark.parametrize("args", [
+        ["loading", "--rate-per-s", "0..2:0.5", "--power-mw", "44", "--waist-um", "3.5"],
+        ["stirap", "--alpha-deg", "0..90:15"],
+        ["correlations", "--beta-deg", "0..180:30"],
+    ], ids=["loading", "stirap", "correlations"])
+    def test_one_parse_per_grid_flag(self, tmp_path, monkeypatch, args):
+        from singleatom import cli
+
+        calls = []
+        monkeypatch.setattr(cli, "_parse_grid",
+                            lambda spec, name: calls.append(name) or _parse_grid(spec, name))
+        code, out = run(tmp_path, args, "grid.csv")
+        assert code == EXIT_OK and out.exists()
+        assert calls == [args[1]]
 
 
 class TestBeamWavelengthBelowResolution:
@@ -1125,9 +1186,8 @@ class TestSteadyExcitationAtRoundingLevel:
         code, out = run(tmp_path, ["g2", *extra, "--points", "3"])
         assert code == EXIT_NUMERICAL and not out.exists()
         err = capsys.readouterr().err
-        assert err.startswith("numerical failure: no steady-state excitation: excited "
-                              "population ")
-        assert "is not above the null vector's rounding error" in err
+        assert err.startswith("numerical failure: no steady-state excitation: the excited "
+                              "population is not above the null vector's rounding error ")
         assert err.count("\n") == 1
 
     def test_two_level_obe_without_drive(self, tmp_path, capsys):

@@ -17,7 +17,8 @@ import pytest
 from scipy.linalg import expm
 
 from singleatom.bloch.state import lindblad_generator
-from singleatom.cli import _linspace, _radians, run_bell, run_correlations, run_g2, run_larmor
+from singleatom.cli import (_linspace, _parse_grid, _radians, run_bell, run_correlations, run_g2,
+                            run_larmor)
 from singleatom.constants import RB87_GAMMA_D2 as G
 from singleatom.obe import two_level_obe_g2, two_level_steady_excited
 from singleatom.entanglement import (MeasurementSetting, bell_state, chsh, correlation,
@@ -64,7 +65,9 @@ class TestCorrelationCurve:
             assert (bits(curve) == bits(expected)).all()
 
     def test_cli_columns_match_numpy(self):
-        args = argparse.Namespace(basis="y", beta_deg="-90..270:0.37", visibility=0.81)
+        # the grid as validation parses it for the runner
+        args = argparse.Namespace(basis="y", visibility=0.81,
+                                  beta_deg_grid=_parse_grid("-90..270:0.37", "--beta-deg"))
         _, (beta_deg, probs) = run_correlations(args)
         grid = -90.0 + 0.37 * np.arange(len(beta_deg))
         beta = np.radians(grid)
