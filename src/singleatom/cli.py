@@ -36,11 +36,12 @@ import math
 import os
 import sys
 import warnings
+from operator import mul
 from typing import NamedTuple
 
 from . import __version__
 from .constants import (KB, RB87_GAMMA_D2, RB87_ISAT_F2_F3, RB87_MASS, TWO_PI,
-                        intensity_from_mw_cm2, rabi_frequency)
+                        intensity_from_mw_cm2, linspace, rabi_frequency)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -211,33 +212,25 @@ def run_loading(args):
     return header, [rates, [mean_number(p) for p in laws], *zip(*laws)]
 
 
-def _linspace(stop: float, points: int) -> list[float]:
-    """``np.linspace(0.0, stop, points)`` bit for bit: k * step + 0.0, or
-    (k / div) * stop + 0.0 where the step underflows to 0, and the last
-    point is stop."""
-    div = points - 1
-    step = stop / div
-    if step == 0:
-        return [k / div * stop + 0.0 for k in range(div)] + [stop]
-    return [k * step + 0.0 for k in range(div)] + [stop]
-
-
 def run_g2(args):
     delta = TWO_PI * args.delta_mhz * 1e6
-    tau = _linspace(args.tau_max_ns * 1e-9, args.points)
+    tau_max, points = args.tau_max_ns * 1e-9, args.points
+    tau = linspace(tau_max, points)
     tau_ns = [t * 1e9 for t in tau]
     report = {}
     if args.model in ("four-level", "full"):
-        from .obe import _four_level_rabi, four_level_g2
+        from .obe import _four_level_rabi, _sum_modes, four_level_g2
 
         rabi = _four_level_rabi(intensity_from_mw_cm2(args.icl_mw_cm2),
                                 intensity_from_mw_cm2(args.irl_mw_cm2))
-        g2 = four_level_g2(rabi, delta, TWO_PI * args.delta_rl_mhz * 1e6, args.shifts, tau,
-                           report)
+        g2 = four_level_g2(rabi, delta, TWO_PI * args.delta_rl_mhz * 1e6, args.shifts,
+                           tau_max, points, report)
         if args.model == "full":
-            # the motional envelope 1 + A exp(-tau / tau0) of bloch.diffusion
-            tau0 = args.env_tau_us * 1e-6
-            g2 = [g * (1.0 + args.env_a * math.exp(-t / tau0)) for g, t in zip(g2, tau)]
+            # the motional envelope 1 + A exp(-tau / tau0) of bloch.diffusion:
+            # two real modes, 0 and -1 / tau0
+            a, rate = args.env_a, -1.0 / (args.env_tau_us * 1e-6)
+            g2 = list(map(mul, g2, _sum_modes([(0.0, 1.0), (rate, a)], [], tau_max, points,
+                                              1.0, 1.0 + a)))
     else:
         # the two-level models' drive: the cooling Rabi rate on F=2 -> F'=3
         omega3 = rabi_frequency(intensity_from_mw_cm2(args.icl_mw_cm2), RB87_ISAT_F2_F3)
@@ -247,7 +240,7 @@ def run_g2(args):
             return ["tau_ns", "g2"], [tau_ns, two_level_g2(omega3, delta, RB87_GAMMA_D2, tau)]
         from .obe import two_level_obe_g2
 
-        g2 = two_level_obe_g2(omega3, delta, RB87_GAMMA_D2, tau, report)
+        g2 = two_level_obe_g2(omega3, delta, RB87_GAMMA_D2, tau_max, points, report)
     args.time_evolution = report.pop("method")
     args.diagnostics = report
     return ["tau_ns", "g2"], [tau_ns, g2]
@@ -273,7 +266,7 @@ def run_larmor(args):
     from .readout import larmor_survival
 
     b_tesla = args.b_mgauss * 1e-7  # 1 mGauss = 1e-7 T
-    t_grid = _linspace(args.t_max_us * 1e-6, args.points)
+    t_grid = linspace(args.t_max_us * 1e-6, args.points)
     survival = [larmor_survival(b_tesla, args.g_f, t) for t in t_grid]
     return ["t_ns", "survival"], [[t * 1e9 for t in t_grid], survival]
 
@@ -333,12 +326,8 @@ def run_spectrum_fit(args):
 
 
 def run_pair_rate(args):
-    from .readout import pair_rate_estimate
-
-    rate = pair_rate_estimate(args.eta, args.t_fiber, args.cycle_us * 1e-6,
-                              args.duty_factor)
     return (["eta", "t_fiber", "cycle_us", "duty_factor", "pairs_per_min"],
-            _row(args.eta, args.t_fiber, args.cycle_us, args.duty_factor, rate))
+            _row(args.eta, args.t_fiber, args.cycle_us, args.duty_factor, args.pairs_per_min))
 
 
 # --- the scenario table -----------------------------------------------------
@@ -572,16 +561,33 @@ def _check_spectrum_fit(args) -> None:
 def _check_loading(args) -> None:
     """The CSV holds one row of n_max + 3 cells per rate, and at most twice
     MAX_POINTS cells, the most that a g2, larmor or stirap run writes.  The
-    trap volume's eta = kB T / U is derived here."""
+    trap volume's eta = kB T / U is derived here, and refused unless it is
+    below 1: no sample is trapped."""
     rates, columns = len(args.rate_per_s_grid), args.n_max + 3
     if rates * columns > 2 * MAX_POINTS:
         raise ValidationError(
             f"--rate-per-s and --n-max: {rates} rates x {columns} columns ="
             f" {rates * columns} CSV cells, more than {2 * MAX_POINTS}")
     _check_beam(args)
-    _derived(f"--temperature-uk {args.temperature_uk:g} with --power-mw {args.power_mw:g}"
-             f" and --waist-um {args.waist_um:g}", "ratio kB T / U",
-             lambda: KB * (args.temperature_uk * 1e-6) / args.trap.depth_u)
+    flags = (f"--temperature-uk {args.temperature_uk:g} with --power-mw {args.power_mw:g}"
+             f" and --waist-um {args.waist_um:g}")
+    ratio = _derived(flags, "ratio kB T / U",
+                     lambda: KB * (args.temperature_uk * 1e-6) / args.trap.depth_u)
+    if ratio >= 1.0:
+        raise ValidationError(f"{flags}: the ratio kB T / U = {ratio:.3g} is not below 1:"
+                              " sample not trapped")
+
+
+def _check_pair_rate(args) -> None:
+    """The pairs per minute are derived here; the runner reads them as
+    ``args.pairs_per_min``."""
+    from .readout import pair_rate_estimate
+
+    rate = pair_rate_estimate(args.eta, args.t_fiber, args.cycle_us * 1e-6, args.duty_factor)
+    # no detection, fiber transmission or duty gives exactly 0 pairs: a result
+    args.pairs_per_min = rate if rate == 0 else _derived(
+        f"--eta {args.eta:g} with --cycle-us {args.cycle_us:g}", "pair rate (1/min)",
+        lambda: rate)
 
 
 def _check_g2(args) -> None:
@@ -680,7 +686,7 @@ SPECS = {
                           help="two-column CSV (frequency_hz, amplitude)"),
                      Flag("wavelength-nm", check="positive",
                           help="default: the D2 line of the line table")),
-    "pair-rate": (run_pair_rate, None,
+    "pair-rate": (run_pair_rate, _check_pair_rate,
                   Flag("eta", required=True, check="unit"),
                   Flag("t-fiber", default=math.sqrt(0.95), check="unit"),
                   Flag("cycle-us", default=1.0, check="positive"),

@@ -1,11 +1,14 @@
-"""Physical constants, unit conversions and the Rb-87 species constants.
+"""Physical constants, unit conversions, the Rb-87 species constants and the
+uniform time grid.
 
 The fundamental constants are CODATA 2022 values written as literals; they
 equal the values of :mod:`scipy.constants` 1.17 bit for bit, without paying
 for its import.  The Rb-87 constants are those the line table
 (``data/rb87_lines.json``, the only home of line wavelengths and lifetimes)
 does not carry: mass, nuclear spin, g_J, hyperfine splittings, saturation
-intensities and the D2 linewidth of the Bloch models.
+intensities and the D2 linewidth of the Bloch models.  The grid rule
+``linspace`` lives here because the CLI and the g2 kernels of ``obe`` both
+use it and every run already loads this module.
 """
 
 import math
@@ -61,3 +64,14 @@ def angular_frequency(wavelength: float) -> float:
     if wavelength <= 0:
         raise ValueError("wavelength must be positive")
     return TWO_PI * C / wavelength
+
+
+def linspace(stop: float, points: int) -> list[float]:
+    """``np.linspace(0.0, stop, points)`` bit for bit: k * step + 0.0 with
+    step = stop / (points - 1), or (k / div) * stop + 0.0 where the step
+    underflows to 0, and the last point is stop."""
+    div = points - 1
+    step = stop / div
+    if step == 0:
+        return [k / div * stop + 0.0 for k in range(div)] + [stop]
+    return [k * step + 0.0 for k in range(div)] + [stop]

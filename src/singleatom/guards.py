@@ -1,8 +1,8 @@
 """Refusals shared by the eigen-expansions, on the standard library alone.
 
-Both the numpy expansion of ``integrator`` and the two-level kernel of
-``obe`` refuse a generator too close to an exceptional point with the same
-error, floor and text, and refuse bad delays with the same message.
+The numpy expansion of ``integrator`` and the kernels of ``obe`` refuse a
+generator too close to an exceptional point with the same error, floor and
+text.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import sys
 # returning noise.
 _MIN_OVERLAP = math.sqrt(sys.float_info.epsilon / 1e-6)
 _DEFECTIVE = "generator is too close to an exceptional point for the eigen-propagator"
-_BAD_DELAYS = "delays must be a 1-D array of finite, nonnegative values"
 
 
 class IntegrationError(RuntimeError):

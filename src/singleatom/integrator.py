@@ -6,12 +6,14 @@ An observable c of the evolved state is a sum of at most dim(m) modes,
 c . exp(m tau) y0 = sum_k a_k exp(lambda_k tau) with
 a_k = (c . v_k)(V^-1 y0)_k (``linear_modes``; for g2 this is the quantum
 regression theorem), evaluated at each delay tau >= 0 on its own
-(``sum_modes``; ``_checked_delays`` is the delay rule of every g2 model).
-This is the library's four-level kernel (``bloch.four_level_g2``).  The
-CLI's Bloch kernels take the same formulas, guards and order on the
-standard library (``obe``: the two-level modes in closed form, the
-four-level ones from the QR and inverse iteration of ``dense``); the
-refusal they share lives in ``guards``.  The whole state is the case c = I
+(``sum_modes``; ``_checked_delays`` is the delay rule of the library's g2
+functions).  This is the library's four-level kernel
+(``bloch.four_level_g2``), and it sums the two-level modes of
+``bloch.two_level_obe_g2``.  The CLI's Bloch kernels take the same formulas
+and guards on the standard library (``obe``: the two-level modes in closed
+form, the four-level ones from the QR and inverse iteration of ``dense``)
+and sum the modes on the CLI's uniform delay grid; the refusal they share
+lives in ``guards``.  The whole state is the case c = I
 (``FourLevelLiouvillian.propagate``, on the real 16-vector of a four-level
 density matrix).
 Linear, time-dependent generators affine in constant matrices (the STIRAP
@@ -31,7 +33,7 @@ import math
 
 import numpy as np
 
-from .guards import _BAD_DELAYS, _DEFECTIVE, _MIN_OVERLAP, IntegrationError
+from .guards import _DEFECTIVE, _MIN_OVERLAP, IntegrationError
 
 RTOL = 1e-9
 ATOL = 1e-12
@@ -64,7 +66,7 @@ def _checked_delays(delays) -> np.ndarray:
     """The delays as a 1-D float array, each finite and nonnegative."""
     delays = np.asarray(delays, dtype=float)
     if delays.ndim != 1 or not np.all(np.isfinite(delays) & (delays >= 0)):
-        raise ValueError(_BAD_DELAYS)
+        raise ValueError("delays must be a 1-D array of finite, nonnegative values")
     return delays
 
 

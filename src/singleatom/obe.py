@@ -6,8 +6,13 @@ generator comes from ``_lindblad``, bit for bit the matrix of
 ``bloch.state.lindblad_generator``.  By the quantum regression theorem g2
 is the excited population evolved from the state right after a detection,
 over its steady-state value: a sum of the generator's modes, with the
-formulas and guards of ``integrator.linear_modes``, added at each delay by
-``_sum_modes``.
+formulas and guards of ``integrator.linear_modes``.  Both kernels take the
+CLI's uniform delay grid, ``constants.linspace(tau_max, points)``, and sum
+the modes there by ``_sum_modes``: each mode is advanced from one delay to
+the next by a product with exp(lambda step), restarted from the exact
+exponential every 64 delays, and dropped once it falls below 2^-64 of the
+steady state.  On the CLI's drives g2 moves by at most 1e-13 against the
+exponential at each delay.
 
 The two-level model: one drive (Rabi frequency Omega0, detuning Delta) and
 one decay e -> g at rate Gamma, a real 4 x 4 generator.  Its eigenvalues
@@ -20,7 +25,8 @@ It is >= 0 at mu = 0 and <= 0 at mu = -Gamma/2, so a safeguarded Newton
 iteration finds a real root in between, and the deflated quadratic gives the
 other two.  The right and left null vectors of G - lambda I, in closed form,
 give the amplitudes and overlaps (``_modes``).  ``bloch.two_level_obe_g2``
-is this kernel as an array.
+sums the same modes (``_two_level_modes``) at delays in any order, with
+numpy.
 
 The hyperfine four-level model of ``bloch.four_level`` (levels, decays and
 trap shifts live here): a real 16 x 16 generator, whose steady state comes
@@ -34,12 +40,12 @@ from __future__ import annotations
 
 import math
 import sys
-from operator import mul
+from itertools import accumulate, chain, repeat
+from operator import add, mul
 
 from .constants import (HBAR, KB, RB87_5P32_F2_F3_SPLITTING, RB87_GAMMA_D2, RB87_ISAT_F1_F2,
-                        RB87_ISAT_F2_F2, RB87_ISAT_F2_F3, rabi_frequency)
-from .guards import _BAD_DELAYS, _DEFECTIVE, _MIN_OVERLAP, IntegrationError
-from .readout import _square, two_level_g2
+                        RB87_ISAT_F2_F2, RB87_ISAT_F2_F3, linspace, rabi_frequency)
+from .guards import _DEFECTIVE, _MIN_OVERLAP, IntegrationError
 
 __all__ = ["two_level_obe_g2", "two_level_steady_excited", "four_level_g2", "trap_shifts"]
 
@@ -48,11 +54,21 @@ _EPS = sys.float_info.epsilon
 # one bit per step at worst (near a double root); a float64 has fewer than
 # 2100 binary exponents and digits
 _MAX_STEPS = 2100
+# delays per block of _sum_modes: each block starts from an exact exponential,
+# so the rounding of the recurrence builds up over fewer than this many steps
+_BLOCK = 64
+# _sum_modes drops a mode from the delay on which |a| exp(Re lambda tau) falls
+# below this fraction of the steady-state value, far below the last bit of
+# any g2 that is printed
+_FLOOR = 2.0 ** -64
 
 
 def two_level_steady_excited(omega0_rabi: float, delta: float, gamma: float) -> float:
     """Steady-state excited population (Omega^2/4)/(Delta^2 + Omega^2/2 + Gamma^2/4);
     a square that overflows is inf, as in numpy, so an overflowing drive gives nan."""
+    # imported here: the four-level runs do not compile readout
+    from .readout import _square
+
     omega_sq = _square(omega0_rabi)
     return (omega_sq / 4.0) / (_square(delta) + omega_sq / 2.0 + _square(gamma) / 4.0)
 
@@ -185,34 +201,14 @@ def _modes(generator: list[list[float]]) -> tuple[list, list, float]:
     return real, pairs, smallest
 
 
-def _checked_delays(delays) -> list[float]:
-    """The delays as floats, each finite and nonnegative (``ValueError``
-    otherwise): the rule of ``integrator._checked_delays``."""
-    try:
-        tau = list(map(float, delays))
-    except (TypeError, ValueError):
-        raise ValueError(_BAD_DELAYS) from None
-    if not all(map(math.isfinite, tau)) or tau and min(tau) < 0.0:
-        raise ValueError(_BAD_DELAYS)
-    return tau
-
-
-def two_level_obe_g2(omega0_rabi: float, delta: float, gamma: float,
-                     tau_grid, report: dict | None = None) -> list[float]:
-    """g2(tau) from the exact solution of the two-level Bloch equations.
-
-    Starts from the post-detection state (all population in the ground
-    level, no coherence) and divides the excited population, a sum of the
-    generator's four modes, by its steady-state value.  Delays come in any
-    order, each finite and nonnegative; rows at tau = 0 are exactly 0.  On
-    resonance the closed form is exact, so where the generator is too
-    close to its exceptional point (Omega0 = Gamma/4) for the
-    eigen-propagator, the closed form ``readout.two_level_g2`` is returned;
-    off resonance the ``IntegrationError`` is raised.  A ``report`` dict
-    receives the path taken under "method": "eigen-propagator" or
-    "closed-form", and under "min_overlap" the generator's smallest
-    eigenvector overlap, which the exceptional-point guard compares with
-    1.5e-5.
+def _two_level_modes(omega0_rabi: float, delta: float, gamma: float) -> tuple:
+    """(steady, modes, s) of the two-level g2: the steady-state excited
+    population, the (real, pairs) of ``_modes`` and their smallest overlap s.
+    On resonance the closed form ``readout.two_level_g2`` is exact, so where
+    the generator is too close to its exceptional point (Omega0 = Gamma/4)
+    for the eigen-propagator, modes is None and s the refused overlap; off
+    resonance the ``IntegrationError`` is raised.  The rule of both callers,
+    this module's grid kernel and the library's ``bloch.two_level_obe_g2``.
     """
     omega0_rabi, delta, gamma = float(omega0_rabi), float(delta), float(gamma)
     if gamma <= 0:
@@ -220,40 +216,134 @@ def two_level_obe_g2(omega0_rabi: float, delta: float, gamma: float,
     steady = two_level_steady_excited(omega0_rabi, delta, gamma)
     if steady <= 0:
         raise ValueError("no steady-state excitation: drive is off")
-    tau = _checked_delays(tau_grid)
     try:
         real, pairs, overlap = _modes(_generator(omega0_rabi, delta, gamma))
     except IntegrationError as exc:
         if delta != 0:
             raise
-        method, overlap = "closed-form", exc.min_overlap
-        g2 = two_level_g2(omega0_rabi, delta, gamma, tau)
+        return steady, None, exc.min_overlap
+    return steady, (real, pairs), overlap
+
+
+def two_level_obe_g2(omega0_rabi: float, delta: float, gamma: float, tau_max: float,
+                     points: int, report: dict | None = None) -> list[float]:
+    """g2(tau) from the exact solution of the two-level Bloch equations, on
+    the grid ``constants.linspace(tau_max, points)``.
+
+    Starts from the post-detection state (all population in the ground
+    level, no coherence) and divides the excited population, a sum of the
+    generator's four modes (``_sum_modes``), by its steady-state value; rows
+    at tau = 0 are exactly 0.  Next to the exceptional point on resonance
+    the closed form ``readout.two_level_g2`` answers (``_two_level_modes``).
+    A ``report`` dict receives the path taken under "method":
+    "eigen-propagator" or "closed-form", and under "min_overlap" the
+    generator's smallest eigenvector overlap, which the exceptional-point
+    guard compares with 1.5e-5.
+    """
+    steady, modes, overlap = _two_level_modes(omega0_rabi, delta, gamma)
+    if modes is None:
+        from .readout import two_level_g2
+
+        method = "closed-form"
+        _step(tau_max, points)
+        g2 = two_level_g2(float(omega0_rabi), float(delta), float(gamma),
+                          linspace(tau_max, points))
     else:
-        method, g2 = "eigen-propagator", _sum_modes(real, pairs, tau, steady)
+        method, g2 = "eigen-propagator", _sum_modes(*modes, tau_max, points, steady)
     if report is not None:
         report.update(method=method, min_overlap=overlap)
     return g2
 
 
-def _sum_modes(real: list, pairs: list, tau: list[float], steady: float) -> list[float]:
-    """sum_k a_k exp(lambda_k tau) / steady at each delay, for the modes of a
-    real generator: ``real`` the (lambda, a) of the real eigenvalues (at
-    least one), ``pairs`` the (lambda, a) of the member with Im lambda > 0 of
-    each conjugate pair, counted as twice its real part.  The terms are
-    added one mode at a time over all delays: the real modes in order, then
-    each pair's cosine term exp(Re lambda tau) cos(Im lambda tau) 2 Re a and
-    its sine term with -2 Im a.  No excited population right after a
-    detection: rows at tau = 0 are 0 / steady exactly."""
-    exp, cos, sin = math.exp, math.cos, math.sin
-    (lam, amp), *rest = real
-    acc = [amp * exp(lam * t) for t in tau]
-    for lam, amp in rest:
-        acc = [s + amp * exp(lam * t) for s, t in zip(acc, tau)]
-    for lam, amp in pairs:
-        rate, freq, ac, asin = lam.real, lam.imag, 2.0 * amp.real, -2.0 * amp.imag
-        acc = [(s + (decay := exp(rate * t)) * cos(phase := freq * t) * ac)
-               + decay * sin(phase) * asin for s, t in zip(acc, tau)]
-    return [s / steady if t else 0.0 / steady for s, t in zip(acc, tau)]
+def _step(tau_max: float, points: int) -> float:
+    """The step of the grid ``constants.linspace(tau_max, points)``;
+    ``ValueError`` unless tau_max is finite and nonnegative and points >= 2."""
+    if not (0.0 <= tau_max < math.inf and points >= 2):
+        raise ValueError("the delay grid needs a finite, nonnegative longest delay and"
+                         " at least 2 points")
+    return tau_max / (points - 1)
+
+
+def _exp(x):
+    """exp of a float, or of a complex number as exp(Re x) (cos Im x + i sin Im x)."""
+    if isinstance(x, complex):
+        decay = math.exp(x.real)
+        return complex(decay * math.cos(x.imag), decay * math.sin(x.imag))
+    return math.exp(x)
+
+
+def _kept(rate: float, size: float, floor: float, step: float, points: int) -> int:
+    """How many leading delays k * step a mode of decay rate ``rate`` and size
+    ``size`` = |a| stays at or above ``floor``: none for a = 0, all of them
+    unless the mode decays on a grid of nonzero step (or a value is NaN)."""
+    if size == 0.0:
+        return 0
+    if not (rate < 0.0 and size > 0.0 and floor > 0.0 and step > 0.0):
+        return points
+    cut = (math.log(floor) - math.log(size)) / rate  # size exp(rate cut) = floor
+    if not cut < step * points:  # also an infinite size
+        return points
+    return max(int(cut / step) + 1, 0)
+
+
+def _sum_modes(real: list, pairs: list, tau_max: float, points: int, steady: float,
+               at_zero: float = 0.0) -> list[float]:
+    """sum_k a_k exp(lambda_k tau) / steady on the grid
+    ``constants.linspace(tau_max, points)``, for the modes of a real
+    generator: ``real`` the (lambda, a) of the real eigenvalues, ``pairs``
+    the (lambda, a) of the member with Im lambda > 0 of each conjugate pair,
+    counted as twice its real part.  Rows at tau = 0 hold at_zero / steady
+    exactly (0: no excited population right after a detection).
+
+    The grid is uniform, tau_k = k * step, so each mode is advanced from one
+    delay to the next by one product with q = exp(lambda step), in
+    ``itertools.accumulate`` over blocks of ``_BLOCK`` (64) delays.  Each
+    block starts from the exact exponential a exp(lambda tau) at its first
+    delay, so a term carries the rounding of fewer than 64 products: a
+    relative error of about (|lambda| tau + 3 j + 3) eps of its own size,
+    with j < 64 the steps since its block started, where the exact
+    exponential at each delay carries (|lambda| tau + 2) eps.  Summed over
+    the modes, g2 moves against the exponential at each delay by at most
+    9.2e-15 on the benchmark's long g2 decks (seeds 1 and 2), and by at most
+    1e-13 on the drives of ``tests/test_obe.py``.
+    A mode with lambda = 0 is added as the constant a; a decaying mode is
+    dropped from the delay on which |a| exp(Re lambda tau) falls below
+    ``_FLOOR`` (2^-64) of ``steady``, a term too small to move any bit of a
+    printed g2.  Modes are added in the order given, the real ones, then the
+    pairs, as Python floats.  A grid whose step underflows to 0 is not
+    uniform: there every delay starts its own block, and the sum is the
+    exponential at each delay, bit for bit.
+    """
+    step = _step(tau_max, points)
+    tau = linspace(tau_max, points)
+    if step:
+        block, parts = _BLOCK, ((lam, 2.0 * amp) for lam, amp in pairs)
+    else:
+        # no uniform grid: every delay starts its own block, and a pair adds
+        # its cosine and its sine term one after the other, as the
+        # exponential at each delay does
+        block, parts = 1, ((lam, c) for lam, amp in pairs
+                           for c in (2.0 * amp.real, complex(0.0, 2.0 * amp.imag)))
+    floor = _FLOOR * steady
+    acc = [0.0] * points
+    for lam, coef in chain(real, parts):
+        kept = _kept(lam.real, abs(coef), floor, step, points)
+        if not kept:
+            continue
+        if lam == 0:
+            terms = repeat(coef, kept)
+        else:
+            q = _exp(lam * step)
+            terms = chain.from_iterable(
+                accumulate(repeat(q, min(block, kept - k) - 1), mul,
+                           initial=coef * _exp(lam * tau[k]) if tau[k] else coef)
+                for k in range(0, kept, block))
+        acc[:kept] = map(add, acc, terms)
+    g2 = [s.real / steady for s in acc]
+    for k in range(1 if step else points):
+        if not tau[k]:
+            g2[k] = at_zero / steady
+    return g2
 
 
 # --- the hyperfine four-level model -----------------------------------------
@@ -434,9 +524,10 @@ def _eigen_modes(m: list[list[float]], y0: list[float],
     return real, pairs, smallest
 
 
-def four_level_g2(rabi, delta_cl: float, delta_rl: float, shifts, tau_grid,
-                  report: dict | None = None) -> list[float]:
-    """g2(tau) of the four-level model's total fluorescence, on floats.
+def four_level_g2(rabi, delta_cl: float, delta_rl: float, shifts, tau_max: float,
+                  points: int, report: dict | None = None) -> list[float]:
+    """g2(tau) of the four-level model's total fluorescence, on floats, on
+    the grid ``constants.linspace(tau_max, points)``.
 
     ``rabi`` holds the (repump b-a, cooling c-a, cooling c-d) Rabi rates,
     ``delta_cl`` and ``delta_rl`` the detunings and ``shifts`` the AC-Stark
@@ -446,22 +537,23 @@ def four_level_g2(rabi, delta_cl: float, delta_rl: float, shifts, tau_grid,
     the refusals of ``_steady_vector``, the post-emission state of
     ``_post_emission``, and the modes of ``_eigen_modes`` summed by
     ``_sum_modes``.  The same model as ``bloch.four_level_g2``, whose numpy
-    linear algebra it does not share.  Delays come in any order, each finite
-    and nonnegative; rows at tau = 0 are exactly 0.  A ``report`` dict
+    linear algebra it does not share.  Rows at tau = 0 are exactly 0; a
+    grid that is not finite and nonnegative with at least 2 points raises
+    ``ValueError`` before any linear algebra.  A ``report`` dict
     receives "method" ("eigen-propagator"), "min_overlap" (the smallest
     eigenvector overlap, which the exceptional-point guard compares with
     1.5e-5) and "steady_residual" (the 2-norm of M y_ss in 1/s).
     """
     from .dense import jacobi_svd
 
-    tau = _checked_delays(tau_grid)
+    _step(tau_max, points)
     m = _lindblad(_four_level_hamiltonian(rabi, delta_cl, delta_rl, shifts), _FOUR_LEVEL_DECAYS)
     s, vecs = jacobi_svd(m)
     steady = _steady_vector(s, vecs[-1], _FOUR_LEVEL_DECAYS)
     excited = [0.0] * len(steady)
     excited[_A] = excited[_D] = 1.0
     real, pairs, overlap = _eigen_modes(m, _post_emission(steady, _FOUR_LEVEL_DECAYS), excited)
-    g2 = _sum_modes(real, pairs, tau, steady[_A] + steady[_D])
+    g2 = _sum_modes(real, pairs, tau_max, points, steady[_A] + steady[_D])
     if report is not None:
         residual = math.hypot(*(sum(map(mul, row, steady)) for row in m))
         report.update(method="eigen-propagator", min_overlap=overlap, steady_residual=residual)

@@ -135,7 +135,7 @@ class TestObe:
         # eigenvectors, also where the guard refused and the closed form answered
         omega, delta = omega * G, delta * G
         report = {}
-        obe.two_level_obe_g2(omega, delta, G, [0.0, 1e-9], report)
+        obe.two_level_obe_g2(omega, delta, G, 1e-9, 2, report)
         assert set(report) == {"method", "min_overlap"} and report["method"] == method
         h = [[0.0, omega / 2.0], [omega / 2.0, -delta]]
         _, w, v = eig(lindblad_generator(h, [(G, 0, 1)]), left=True)

@@ -243,13 +243,22 @@ class TestValidateOnlyAgreesWithRun:
         (TRAP + ["--model", "full", "--env-a", "0.3", "--env-tau-us", "2",
                  "--trap-wavelength-nm", "1529.26"],
          "--trap-wavelength-nm 1529.26: laser resonant with a line"),
+        # the pairs per minute overflow: the run wrote inf
+        (["pair-rate", "--eta", "0.5", "--cycle-us", "1e-310"],
+         "--eta 0.5 with --cycle-us 1e-310: the pair rate (1/min) overflows"),
+        # kB T / U >= 1: no sample is trapped, which the run refused with exit 3
+        (["loading", "--rate-per-s", "1", "--power-mw", "44", "--waist-um", "3.5",
+          "--temperature-uk", "1e30"],
+         "--temperature-uk 1e+30 with --power-mw 44 and --waist-um 3.5: the ratio kB T / U"
+         " = 9.9e+26 is not below 1"),
     ], ids=["trap-power", "trap-waist", "trap-wavelength", "kinetic", "env-a",
             "stirap-grid", "loading-grid", "loading-negative-rate",
             "loading-negative-grid-point", "correlations-grid", "trap-on-d2",
             "lightshift-on-d2", "loading-on-d2", "g2-trap-on-d1",
             "trap-mass-rayleigh-underflow", "trap-axial-overflow",
             "loading-axial-overflow", "g2-trap-mass-rayleigh-underflow",
-            "g2-trap-on-hyperfine-line", "full-trap-on-hyperfine-line"])
+            "g2-trap-on-hyperfine-line", "full-trap-on-hyperfine-line", "pair-rate-overflow",
+            "loading-untrapped"])
     def test_out_of_range_flag_exits_two(self, tmp_path, capsys, args, flag):
         code, out = run(tmp_path, args)
         err = capsys.readouterr().err
@@ -374,6 +383,13 @@ class TestOverflowingSquares:
          "--t-max-us 9.99989e-321: the longest time (s) underflows to 0"),
         (["pair-rate", "--eta", "0.5", "--cycle-us", "5e-324"],
          "--cycle-us 4.94066e-324: the cycle time (s) underflows to 0"),
+        # the cycle time is not 0 in s, but the pairs per minute overflow
+        (["pair-rate", "--eta", "0.5", "--cycle-us", "1e-310"],
+         "--eta 0.5 with --cycle-us 1e-310: the pair rate (1/min) overflows"),
+        (["loading", "--rate-per-s", "1", "--power-mw", "44", "--waist-um", "3.5",
+          "--temperature-uk", "30000"],
+         "--temperature-uk 30000 with --power-mw 44 and --waist-um 3.5: the ratio kB T / U"
+         " = 29.7 is not below 1: sample not trapped"),
         (["loading", "--rate-per-s", "1", "--power-mw", "44", "--waist-um", "3.5",
           "--temperature-uk", "5e-324"],
          "--temperature-uk 4.94066e-324 with --power-mw 44 and --waist-um 3.5: the ratio"
@@ -392,6 +408,7 @@ class TestOverflowingSquares:
             "trap-depth-overflow", "trap-axial-underflow", "trap-rayleigh-inf",
             "g2-tau-max", "two-level-analytic-tau-max", "two-level-obe-tau-max",
             "full-tau-max", "full-env-tau", "larmor-t-max", "pair-rate-cycle",
+            "pair-rate-overflow", "loading-untrapped",
             "loading-temperature-zero-in-k", "loading-thermal-energy-zero-in-j"])
     def test_named_and_refused_in_validation(self, tmp_path, capsys, args, line):
         code, out = run(tmp_path, args)
@@ -1064,14 +1081,13 @@ class TestDiagnostics:
         assert set(meta["diagnostics"]) == keys
         args = build_parser().parse_args(argv)
         _check_g2(args)  # reads the line data and computes the trap shifts
-        tau = np.linspace(0.0, 200e-9, 11)
         report = {}
         if keys == {"min_overlap"}:
             omega3 = rabi_frequency(103.0 * 10.0, RB87_ISAT_F2_F3)  # 103 mW/cm^2
-            two_level_obe_g2(omega3, TWO_PI * -31.0 * 1e6, RB87_GAMMA_D2, tau, report)
+            two_level_obe_g2(omega3, TWO_PI * -31.0 * 1e6, RB87_GAMMA_D2, 200e-9, 11, report)
         elif keys:
             rabi = _four_level_rabi(103.0 * 10.0, 12.0 * 10.0)
-            four_level_g2(rabi, TWO_PI * -31.0 * 1e6, 0.0, args.shifts, tau, report)
+            four_level_g2(rabi, TWO_PI * -31.0 * 1e6, 0.0, args.shifts, 200e-9, 11, report)
         report.pop("method", None)
         assert meta["diagnostics"] == report
         assert all(math.isfinite(v) for v in report.values())
@@ -1125,10 +1141,9 @@ class TestGridParsing:
 
 class TestNonFiniteResults:
     @pytest.mark.parametrize("args,column", [
-        (["pair-rate", "--eta", "0.5", "--cycle-us", "1e-310"], "pairs_per_min"),
         (["g2", "--model", "two-level-analytic", "--delta-mhz", "0", "--icl", "1e300",
           "--points", "3"], "g2"),
-    ], ids=["pair-rate-inf", "g2-nan"])
+    ], ids=["g2-nan"])
     def test_exit_three_and_no_csv(self, tmp_path, capsys, args, column):
         code, out = run(tmp_path, args)
         assert code == EXIT_NUMERICAL
@@ -1138,7 +1153,8 @@ class TestNonFiniteResults:
         assert not out.exists()
 
     def test_nothing_written_to_stdout(self, capsys):
-        assert main(["pair-rate", "--eta", "0.5", "--cycle-us", "1e-310"]) == EXIT_NUMERICAL
+        assert main(["g2", "--model", "two-level-analytic", "--delta-mhz", "0", "--icl", "1e300",
+                     "--points", "3"]) == EXIT_NUMERICAL
         assert capsys.readouterr().out == ""
 
     def test_runner_warnings_silenced_under_warnings_as_errors(self, tmp_path, capsys):

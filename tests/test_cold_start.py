@@ -219,9 +219,11 @@ FULL = ("--model", "full", "--env-a", "0.3", "--env-tau-us", "1.2")
 ], ids=["four-level", "four-level-trap", "full", "full-trap", "validate-four-level-trap",
         "validate-full"])
 def test_four_level_loads_no_numpy_layer(argv, tmp_path):
-    # the stdlib kernel of obe and the dense routines, no numpy layer
+    # the stdlib kernel of obe and the dense routines, no numpy layer, and
+    # not the two-level closed forms of readout
     loaded = modules_after("import sys\n" + cli_run(*argv), "numpy", "singleatom.bloch",
-                           "singleatom.integrator", *HEAVY_STDLIB, cwd=tmp_path)
+                           "singleatom.integrator", "singleatom.readout", *HEAVY_STDLIB,
+                           cwd=tmp_path)
     assert loaded == "[]"
 
 

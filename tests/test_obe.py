@@ -5,7 +5,8 @@ modes against numpy's eigendecomposition, and its g2 against a 50-digit
 matrix exponential.  The four-level kernel: its generator bit for bit
 against ``FourLevelLiouvillian``, the dense routines against LAPACK, its g2
 and its refusals against the numpy kernel ``bloch.four_level_g2``, and both
-kernels against a 60-digit oracle.
+kernels against a 60-digit oracle.  The mode sum on the uniform grid
+against the exponential at each delay (``per_delay_sum``).
 """
 
 import math
@@ -18,15 +19,23 @@ from singleatom import dense, integrator
 from singleatom.bloch import FourLevelParams, four_level_g2 as numpy_four_level_g2
 from singleatom.bloch.four_level import FourLevelLiouvillian
 from singleatom.bloch.state import lindblad_generator
+from singleatom.cli import main
 from singleatom.constants import (RB87_GAMMA_D2 as G, RB87_ISAT_F2_F3, TWO_PI,
-                                  intensity_from_mw_cm2, rabi_frequency)
+                                  intensity_from_mw_cm2, linspace, rabi_frequency)
+from singleatom.dense import jacobi_svd
 from singleatom.guards import IntegrationError
 from singleatom.lightshift import LaserField, ground_shift_alkali, load_default_lines
-from singleatom.obe import (_FOUR_LEVEL_DECAYS, _checked_delays, _cubic_roots,
+from singleatom.obe import (_FOUR_LEVEL_DECAYS, _cubic_roots, _eigen_modes,
                             _four_level_hamiltonian, _generator, _lindblad, _modes,
+                            _post_emission, _steady_vector, _sum_modes, _two_level_modes,
                             four_level_g2, trap_shifts, two_level_obe_g2)
 
 README_OMEGA = rabi_frequency(intensity_from_mw_cm2(103.0), RB87_ISAT_F2_F3)
+# the oracles' delays 5 ns, 50 ns, 300 ns and 5 us on one grid of step 5 ns:
+# its rows 1, 10, 60 and 1000, at the offsets 1, 10, 60 and 40 of their blocks
+ORACLE_GRID = (5e-6, 1001)
+ORACLE_ROWS = (1, 10, 60, 1000)
+ORACLE_TAUS = [linspace(*ORACLE_GRID)[k] for k in ORACLE_ROWS]
 
 
 def exact_g2(omega, delta, taus, dps=50):
@@ -94,15 +103,14 @@ class TestModes:
 
 class TestMpmathOracle:
     """g2 at tau = 5 ns, 50 ns, 300 ns and 5 us against mpmath's 50-digit
-    expm of the float64 generator, taken as exact.  Measured largest relative
-    errors over the four delays: 4.3e-16 (README drive, -31 MHz at
-    103 mW/cm^2), 1.7e-15 (resonance, same intensity), 8.5e-14 (-3.1e4 MHz),
-    1.2e-14 (+1e5 MHz), and 8.3e-9 and 1.9e-8 for Omega0 = Gamma/4 (1 + 1e-6)
+    expm of the float64 generator, taken as exact, at the rows of
+    ``ORACLE_GRID``.  Measured largest relative errors over the four delays:
+    1.4e-16 (README drive, -31 MHz at 103 mW/cm^2), 1.6e-15 (resonance, same
+    intensity), 1.0e-13 (-3.1e4 MHz, where the phase reaches 1e6 rad at 5 us),
+    2.5e-14 (+1e5 MHz), and 8.3e-9 and 1.9e-8 for Omega0 = Gamma/4 (1 + 1e-6)
     and (1 - 1e-6) on resonance, where the rounding grows like eps / s^2 with
     the smallest eigenvector overlap s near the exceptional point (both at
     5 ns).  The bounds are 1e-12 and 1e-7."""
-
-    TAUS = [5e-9, 50e-9, 300e-9, 5e-6]
 
     @pytest.mark.parametrize("omega,delta_mhz,bound", [
         (README_OMEGA, -31.0, 1e-12),
@@ -115,10 +123,10 @@ class TestMpmathOracle:
     def test_relative_error(self, omega, delta_mhz, bound):
         delta = TWO_PI * delta_mhz * 1e6
         report = {}
-        got = two_level_obe_g2(omega, delta, G, self.TAUS, report)
+        g2 = two_level_obe_g2(omega, delta, G, *ORACLE_GRID, report)
         assert report["method"] == "eigen-propagator"
-        for value, ref in zip(got, exact_g2(omega, delta, self.TAUS)):
-            assert abs(value - ref) <= bound * abs(ref)
+        for k, ref in zip(ORACLE_ROWS, exact_g2(omega, delta, ORACLE_TAUS)):
+            assert abs(g2[k] - ref) <= bound * abs(ref)
 
     @pytest.mark.parametrize("omega,delta", [(0.0024, 36738.3), (0.0012, -17358.6),
                                              (0.27, -5276.6)])
@@ -126,43 +134,54 @@ class TestMpmathOracle:
         # the excited population is of order (Omega0/Delta)^2 = 1e-14 of the
         # other components: the closed-form null vectors keep it to 1e-11,
         # where a Gaussian elimination on G - lambda I lost it to 1e-2
+        # 1 ns, 5 ns, 50 ns and 300 ns on a grid of step 1 ns
         omega, delta = omega * G, delta * G
-        taus = [1e-9, 5e-9, 5e-8, 3e-7]
-        got = two_level_obe_g2(omega, delta, G, taus)
-        for value, ref in zip(got, exact_g2(omega, delta, taus)):
-            assert abs(value - ref) <= 1e-11
+        rows = (1, 5, 50, 300)
+        g2 = two_level_obe_g2(omega, delta, G, 3e-7, 301)
+        tau = linspace(3e-7, 301)
+        for k, ref in zip(rows, exact_g2(omega, delta, [tau[k] for k in rows])):
+            assert abs(g2[k] - ref) <= 1e-11
 
 
 class TestKernel:
     def test_returns_floats_and_zero_at_zero_delay(self):
-        g2 = two_level_obe_g2(README_OMEGA, TWO_PI * -31e6, G, [0.0, 1e-9, 0.0])
+        g2 = two_level_obe_g2(README_OMEGA, TWO_PI * -31e6, G, 1e-9, 3)
         assert all(type(v) is float for v in g2)
-        assert g2[0] == 0.0 and g2[2] == 0.0 and g2[1] > 0.0
+        assert g2[0] == 0.0 and g2[1] > 0.0 and g2[2] > 0.0
 
     def test_overdamped_resonant_drive_sums_four_real_modes(self):
         real, pairs, _ = _modes(_generator(0.2 * G, 0.0, G))
         assert len(real) == 4 and not pairs
-        tau = np.linspace(0.0, 25 / G, 300)
         from singleatom.readout import two_level_g2
-        assert np.abs(np.array(two_level_obe_g2(0.2 * G, 0.0, G, tau))
-                      - two_level_g2(0.2 * G, 0.0, G, tau.tolist())).max() <= 1e-12
+        assert np.abs(np.array(two_level_obe_g2(0.2 * G, 0.0, G, 25 / G, 300))
+                      - two_level_g2(0.2 * G, 0.0, G, linspace(25 / G, 300))).max() <= 1e-12
 
     def test_overflowing_drive_gives_nan(self):
         # the CLI's --icl 1e300: the steady excitation is inf / inf
-        g2 = two_level_obe_g2(4e157, TWO_PI * -31e6, G, [0.0, 1e-9])
+        g2 = two_level_obe_g2(4e157, TWO_PI * -31e6, G, 1e-9, 2)
         assert all(math.isnan(v) for v in g2)
+
+    @pytest.mark.parametrize("tau_max,points", [(-1e-9, 3), (math.nan, 3), (math.inf, 3),
+                                                (1e-9, 1), (1e-9, 0)])
+    def test_bad_grid_refused(self, tau_max, points):
+        with pytest.raises(ValueError, match="delay grid"):
+            two_level_obe_g2(README_OMEGA, TWO_PI * -31e6, G, tau_max, points)
 
     @pytest.mark.parametrize("delays", [[0.0, -1e-9], [math.nan], [math.inf], [[0.0, 1e-9]],
                                         0.5, ["x"], [0.0, 1e-9], [], np.array([0.0, 2e-9]),
                                         ["1e-9"]])
     def test_delay_rule_is_the_integrators(self, delays):
+        # the library's entry point to these modes at delays in any order,
+        # bloch.two_level_obe_g2, refuses and accepts what integrator does
+        from singleatom.bloch import two_level_obe_g2 as any_order_g2
+
         try:
-            expected = integrator._checked_delays(delays).tolist()
+            expected = integrator._checked_delays(delays)
         except ValueError:
             with pytest.raises(ValueError):
-                _checked_delays(delays)
+                any_order_g2(README_OMEGA, TWO_PI * -31e6, G, delays)
         else:
-            assert _checked_delays(delays) == expected
+            assert any_order_g2(README_OMEGA, TWO_PI * -31e6, G, delays).shape == expected.shape
 
 
 # --- the four-level kernel ----------------------------------------------------
@@ -281,9 +300,9 @@ class TestFourLevelKernel:
     def test_matches_numpy_kernel(self):
         # g2 of the two kernels over the seeded scan, relative to the numpy
         # kernel's value with an absolute floor of 1e-12
-        tau = np.concatenate([[0.0], np.linspace(1e-9, 3e-6, 150)])
+        tau = np.linspace(0.0, 3e-6, 151)
         for drive, params in scan(2, 30):
-            got = np.array(four_level_g2(*drive, tau.tolist()))
+            got = np.array(four_level_g2(*drive, 3e-6, 151))
             ref = numpy_four_level_g2(params, tau)
             assert (np.abs(got - ref) <= 1e-10 * np.abs(ref) + 1e-12).all()
 
@@ -299,7 +318,7 @@ class TestFourLevelKernel:
         # +-1e5, +-1e6 MHz: both kernels run, or both refuse with one message
         drive, params = four_level_drive(delta_mhz, icl, irl, 0.0, delta_rl_mhz)
         outcomes = []
-        for kernel, args in ((four_level_g2, (*drive, [0.0, 1e-8])),
+        for kernel, args in ((four_level_g2, (*drive, 1e-8, 2)),
                              (numpy_four_level_g2, (params, np.array([0.0, 1e-8])))):
             try:
                 kernel(*args)
@@ -311,14 +330,17 @@ class TestFourLevelKernel:
 
     def test_floats_and_zero_at_zero_delay(self):
         drive, _ = four_level_drive(-31.0, 103.0, trap_mw=40.0)
-        g2 = four_level_g2(*drive, [0.0, 1e-9, 0.0, 5e-8])
+        g2 = four_level_g2(*drive, 5e-8, 51)
         assert all(type(v) is float for v in g2)
-        assert g2[0] == g2[2] == 0.0 and g2[1] > 0.0
+        assert g2[0] == 0.0 and min(g2[1:]) > 0.0
 
     def test_bad_delays_refused(self):
+        # a grid that is not finite and nonnegative with 2 points or more,
+        # before any linear algebra
         drive, _ = four_level_drive(-31.0, 103.0)
-        with pytest.raises(ValueError, match="finite, nonnegative"):
-            four_level_g2(*drive, [0.0, -1e-9])
+        for tau_max, points in [(-1e-9, 3), (math.nan, 3), (math.inf, 3), (1e-9, 1)]:
+            with pytest.raises(ValueError, match="delay grid"):
+                four_level_g2(*drive, tau_max, points)
 
 
 def exact_four_level_g2(params, taus, dps=60):
@@ -346,22 +368,21 @@ class TestFourLevelMpmathOracle:
     """Both four-level kernels against a 60-digit oracle at tau = 5 ns, 50 ns,
     300 ns and 5 us (about 1.5 s per drive).  Largest relative errors
     measured over the four delays, numpy kernel / stdlib kernel: 4.7e-14 /
-    4.3e-15 at the README drive (-31 MHz, 103 and 12 mW/cm^2), 8.9e-15 /
-    5.8e-15 at -10 MHz, 30 and 3 mW/cm^2, 4.1e-15 / 2.6e-15 at +5 MHz, 300
+    4.4e-15 at the README drive (-31 MHz, 103 and 12 mW/cm^2), 8.9e-15 /
+    6.2e-15 at -10 MHz, 30 and 3 mW/cm^2, 4.1e-15 / 2.4e-15 at +5 MHz, 300
     and 50 mW/cm^2, both bounded by 1e-11.  At -3.1e4 MHz: 1.5e-6 / 2.2e-9,
     and at +1e5 MHz: 9.6e-5 / 1.3e-8 (103 and 12 mW/cm^2).  There the numpy
     kernel's SVD null vector and eigendecomposition lose digits to a
     generator norm 10^4 to 10^5 above the decay rates (ROADMAP item 4); the
     stdlib kernel is held to at most twice the numpy kernel's error."""
 
-    TAUS = [5e-9, 50e-9, 300e-9, 5e-6]
-
     @staticmethod
     def errors(delta_mhz, icl, irl):
         drive, params = four_level_drive(delta_mhz, icl, irl)
-        exact = exact_four_level_g2(params, TestFourLevelMpmathOracle.TAUS)
-        ours = four_level_g2(*drive, TestFourLevelMpmathOracle.TAUS)
-        numpy_g2 = numpy_four_level_g2(params, np.array(TestFourLevelMpmathOracle.TAUS))
+        exact = exact_four_level_g2(params, ORACLE_TAUS)
+        g2 = four_level_g2(*drive, *ORACLE_GRID)
+        ours = [g2[k] for k in ORACLE_ROWS]
+        numpy_g2 = numpy_four_level_g2(params, np.array(ORACLE_TAUS))
         return [max(float(abs((v - r) / r)) for v, r in zip(g2, exact))
                 for g2 in (ours, numpy_g2)]
 
@@ -376,3 +397,181 @@ class TestFourLevelMpmathOracle:
     def test_far_detuned_no_worse_than_numpy(self, delta_mhz):
         ours, numpy_error = self.errors(delta_mhz, 103.0, 12.0)
         assert ours <= 2.0 * numpy_error
+
+
+# --- the mode sum on the uniform grid ------------------------------------------
+
+def per_delay_sum(real, pairs, tau, steady):
+    """sum_k a_k exp(lambda_k tau) / steady with exp, cos and sin taken at each
+    delay, the modes added one at a time in the kernel's order: the evaluator
+    that the grid recurrence of ``obe._sum_modes`` replaced, kept here as its
+    reference.  Rows at tau = 0 are 0 / steady."""
+    exp, cos, sin = math.exp, math.cos, math.sin
+    (lam, amp), *rest = real
+    acc = [amp * exp(lam * t) for t in tau]
+    for lam, amp in rest:
+        acc = [s + amp * exp(lam * t) for s, t in zip(acc, tau)]
+    for lam, amp in pairs:
+        rate, freq, ac, asin = lam.real, lam.imag, 2.0 * amp.real, -2.0 * amp.imag
+        acc = [(s + (decay := exp(rate * t)) * cos(phase := freq * t) * ac)
+               + decay * sin(phase) * asin for s, t in zip(acc, tau)]
+    return [s / steady if t else 0.0 / steady for s, t in zip(acc, tau)]
+
+
+def four_level_modes(drive):
+    """(real, pairs, steady excited population) of ``obe.four_level_g2``'s
+    mode sum for one drive."""
+    rabi, delta_cl, delta_rl, shifts = drive
+    m = _lindblad(_four_level_hamiltonian(rabi, delta_cl, delta_rl, shifts), _FOUR_LEVEL_DECAYS)
+    s, vecs = jacobi_svd(m)
+    steady = _steady_vector(s, vecs[-1], _FOUR_LEVEL_DECAYS)
+    excited = [0.0] * 16
+    excited[0] = excited[3] = 1.0
+    real, pairs, _ = _eigen_modes(m, _post_emission(steady, _FOUR_LEVEL_DECAYS), excited)
+    return real, pairs, steady[0] + steady[3]
+
+
+# (tau_max, points): the CLI's longest grid, a long and a short deck-like one,
+# and grids whose last block is partial; up to 20 001 delays over 5 us
+GRIDS = [(5e-6, 20001), (4.846e-6, 15782), (1e-6, 5001), (2e-7, 801), (3e-7, 100)]
+
+
+class TestGridEvaluator:
+    """The recurrence q = exp(lambda step) in blocks of 64 delays, with the
+    modes cut off below 2^-64 of the steady state, against the exponential
+    at each delay: at most 1e-13 apart (9e-15 measured on the CLI's drives)."""
+
+    @staticmethod
+    def assert_close(got, ref):
+        assert len(got) == len(ref) and all(type(v) is float for v in got)
+        assert max(abs(a - b) for a, b in zip(got, ref)) <= 1e-13
+        assert got[0] == 0.0
+
+    def test_two_level_seeded_drives(self):
+        # the CLI's working range of scan (-60 to +20 MHz, 0.5 to 300 mW/cm^2),
+        # under- and overdamped, on resonance.  Far outside it both sums lose
+        # eps |Im lambda| / |Re lambda| of a mode to the rounding of its phase
+        # while it lasts (1.8e-13 at Omega0 = 100 Gamma), whichever way they
+        # are summed
+        rng = np.random.default_rng(28)
+        for k in range(24):
+            omega = rabi_frequency(intensity_from_mw_cm2(
+                float(10 ** rng.uniform(math.log10(0.5), math.log10(300.0)))), RB87_ISAT_F2_F3)
+            delta = 0.0 if k % 6 == 0 else TWO_PI * float(rng.uniform(-60.0, 20.0)) * 1e6
+            tau_max, points = GRIDS[k % len(GRIDS)]
+            steady, (real, pairs), _ = _two_level_modes(omega, delta, G)
+            self.assert_close(two_level_obe_g2(omega, delta, G, tau_max, points),
+                              per_delay_sum(real, pairs, linspace(tau_max, points), steady))
+
+    @pytest.mark.parametrize("omega,delta", [(0.26, 0.05), (0.2552, 0.06), (0.26, 0.5),
+                                             (0.2, 3.0)],
+                             ids=["near-ep", "nearer-ep", "near-ep-detuned", "overdamped"])
+    def test_two_level_near_the_exceptional_point(self, omega, delta):
+        # off resonance, where no closed form answers.  On resonance within
+        # 1e-6 of the exceptional point the modes' amplitudes cancel so far
+        # that either sum errs by up to 2e-8 (TestMpmathOracle)
+        steady, (real, pairs), _ = _two_level_modes(omega * G, delta * G, G)
+        for tau_max, points in GRIDS[:3]:
+            self.assert_close(two_level_obe_g2(omega * G, delta * G, G, tau_max, points),
+                              per_delay_sum(real, pairs, linspace(tau_max, points), steady))
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_four_level_seeded_drives(self, seed):
+        # scan's drives alternate with and without a trap
+        for k, (drive, _) in enumerate(scan(seed, 4)):
+            real, pairs, steady = four_level_modes(drive)
+            tau_max, points = GRIDS[(k + seed) % 3]
+            self.assert_close(four_level_g2(*drive, tau_max, points),
+                              per_delay_sum(real, pairs, linspace(tau_max, points), steady))
+
+    @pytest.mark.parametrize("trap_mw", [0.0, 40.0])
+    def test_full_model(self, trap_mw):
+        # the envelope 1 + A exp(-tau / tau0) from the same evaluator, times g2
+        drive, _ = four_level_drive(-31.0, 103.0, trap_mw=trap_mw)
+        real, pairs, steady = four_level_modes(drive)
+        a, tau0 = 0.3, 1.2e-6
+        for tau_max, points in GRIDS[:2]:
+            tau = linspace(tau_max, points)
+            envelope = _sum_modes([(0.0, 1.0), (-1.0 / tau0, a)], [], tau_max, points, 1.0,
+                                  1.0 + a)
+            assert envelope[0] == 1.0 + a
+            assert max(abs(e - (1.0 + a * math.exp(-t / tau0)))
+                       for e, t in zip(envelope, tau)) <= 1e-13
+            got = [g * e for g, e in zip(four_level_g2(*drive, tau_max, points), envelope)]
+            ref = [g * (1.0 + a * math.exp(-t / tau0))
+                   for g, t in zip(per_delay_sum(real, pairs, tau, steady), tau)]
+            self.assert_close(got, ref)
+
+    def test_step_underflowing_to_zero(self):
+        # g2 --tau-max-ns 1e-314 --points 1001: the step is 0, so the grid is
+        # (k / 1000) * tau_max, not uniform; every delay is summed on its own
+        # and the rows equal the exponential at each delay, bit for bit
+        tau_max, points = 1e-314 * 1e-9, 1001
+        tau = linspace(tau_max, points)
+        assert tau_max / (points - 1) == 0.0 and 0.0 < tau[-1] and tau.count(0.0) > 1
+        steady, (real, pairs), _ = _two_level_modes(README_OMEGA, TWO_PI * -31e6, G)
+        assert (two_level_obe_g2(README_OMEGA, TWO_PI * -31e6, G, tau_max, points)
+                == per_delay_sum(real, pairs, tau, steady))
+        drive, _ = four_level_drive(-31.0, 103.0, trap_mw=40.0)
+        real, pairs, steady = four_level_modes(drive)
+        assert four_level_g2(*drive, tau_max, points) == per_delay_sum(real, pairs, tau, steady)
+
+    @pytest.mark.parametrize("real,pairs,steady", [
+        ([(-1e7, 0.0), (0.0, 1.0)], [(complex(-1e7, 1e8), 0j)], 0.5),
+        ([(-1e7, math.nan)], [(complex(-1e7, 1e8), complex(math.nan, 0.0))], 0.5),
+        ([(-1e7, math.inf), (0.0, 1.0)], [], 0.5),
+        ([(-math.inf, 0.3), (0.0, 1.0)], [], 1.0),
+        ([(-1e7, 0.3)], [(complex(-1e7, 1e8), 0.1j)], math.nan),
+        ([(-1e7, 0.3)], [], 1e-320),
+        ([(-1e7, 1e-300)], [(complex(-1e7, 1e8), 1e-300j)], 0.5),
+    ], ids=["zero-amplitudes", "nan-amplitudes", "inf-amplitude", "infinite-rate",
+            "nan-steady", "subnormal-steady", "modes-below-the-floor"])
+    def test_cut_off_never_raises(self, real, pairs, steady):
+        # the cut-off takes logarithms of |a| and of the floor: no value here
+        # may reach them as 0, inf or NaN and raise
+        for tau_max, points in [(5e-6, 2001), (0.0, 5), (1e-323, 11)]:
+            g2 = _sum_modes(real, pairs, tau_max, points, steady)
+            assert len(g2) == points and all(type(v) is float for v in g2)
+
+
+class TestCliGridEdges:
+    """Exit codes and lines of the grid kernels at the edges of the CLI's input."""
+
+    @pytest.mark.parametrize("icl,model,code,line", [
+        ("1e150", ["--model", "two-level-obe"], 0, ""),
+        ("1e150", [], 3, "numerical failure: drive or detuning exceeds the linewidth by more"
+                         " than float64 can resolve: generator norm 2.23e+82 /s against decay"
+                         " rate 1.91e+07 /s\n"),
+        ("1e150", ["--model", "full", "--env-a", "0.3", "--env-tau-us", "2"], 3,
+         "numerical failure: drive or detuning exceeds the linewidth by more than float64 can"
+         " resolve: generator norm 2.23e+82 /s against decay rate 1.91e+07 /s\n"),
+        ("1.7e308", ["--model", "two-level-obe"], 3,
+         "numerical failure: generator is too close to an exceptional point for the"
+         " eigen-propagator\n"),
+        ("1.7e308", [], 3, "numerical failure: the matrix has an entry that is not finite\n"),
+        ("1.7e308", ["--model", "full", "--env-a", "0.3", "--env-tau-us", "2"], 3,
+         "numerical failure: the matrix has an entry that is not finite\n"),
+    ], ids=["obe-1e150", "four-level-1e150", "full-1e150", "obe-1.7e308", "four-level-1.7e308",
+            "full-1.7e308"])
+    def test_overflowing_drive(self, tmp_path, capsys, icl, model, code, line):
+        argv = ["g2", "--delta-mhz", "-31", "--icl", icl, *model, "--points", "2001",
+                "--tau-max-ns", "5000", "--out", str(tmp_path / "g2.csv")]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err == line
+        assert "math domain error" not in err and "division by zero" not in err
+
+    @pytest.mark.parametrize("env_a,env_tau_us", [("0", "1e-310"), ("0.3", "1e-310"),
+                                                  ("1e-30", "1e-310"), ("0.3", "1e300")])
+    def test_envelope_edges_match_the_formula(self, tmp_path, env_a, env_tau_us):
+        # 1 / tau0 overflows to inf, or tau0 is far beyond the grid
+        out = tmp_path / "g2.csv"
+        argv = ["g2", "--model", "full", "--delta-mhz", "-31", "--icl", "103", "--env-a", env_a,
+                "--env-tau-us", env_tau_us, "--points", "201", "--out", str(out)]
+        assert main(argv) == 0
+        g2 = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+        drive, _ = four_level_drive(-31.0, 103.0)
+        tau, a, tau0 = linspace(200e-9, 201), float(env_a), float(env_tau_us) * 1e-6
+        ref = [g * (1.0 + a * math.exp(-t / tau0))
+               for g, t in zip(four_level_g2(*drive, 200e-9, 201), tau)]
+        assert g2 == [float(f"{v:.12g}") for v in ref]

@@ -17,9 +17,8 @@ import pytest
 from scipy.linalg import expm
 
 from singleatom.bloch.state import lindblad_generator
-from singleatom.cli import (_linspace, _parse_grid, _radians, run_bell, run_correlations, run_g2,
-                            run_larmor)
-from singleatom.constants import RB87_GAMMA_D2 as G
+from singleatom.cli import _parse_grid, _radians, run_bell, run_correlations, run_g2, run_larmor
+from singleatom.constants import RB87_GAMMA_D2 as G, linspace
 from singleatom.obe import two_level_obe_g2, two_level_steady_excited
 from singleatom.entanglement import (MeasurementSetting, bell_state, chsh, correlation,
                                      noisy_channel)
@@ -112,7 +111,7 @@ class TestLinspace:
         (0.0, 5),
     ])
     def test_matches_numpy_bit_for_bit(self, stop, points):
-        got = _linspace(stop, points)
+        got = linspace(stop, points)
         assert all(type(v) is float for v in got)
         assert (bits(got) == bits(np.linspace(0.0, stop, points))).all()
 
@@ -165,7 +164,7 @@ class TestTwoLevelG2:
         # is overdamped
         tau = np.linspace(0.0, 25 / G, 400)
         report = {}
-        exact = two_level_obe_g2(omega, 0.0, G, tau, report)
+        exact = two_level_obe_g2(omega, 0.0, G, 25 / G, 400, report)
         assert report["method"] == "eigen-propagator" and set(report) == {"method", "min_overlap"}
         closed_form = np.array(two_level_g2(omega, 0.0, G, tau.tolist()))
         assert np.abs(closed_form - exact).max() <= 1e-12
@@ -181,7 +180,7 @@ class TestTwoLevelG2:
         got = two_level_g2(omega, 0.0, G, tau.tolist())
         assert np.abs(np.array(got) - exact).max() <= 1e-12
         report = {}
-        assert np.array_equal(two_level_obe_g2(omega, 0.0, G, tau, report), got)
+        assert np.array_equal(two_level_obe_g2(omega, 0.0, G, 25 / G, 200, report), got)
         assert report["method"] == "closed-form" and set(report) == {"method", "min_overlap"}
 
     def test_cli_columns_match_numpy(self):
