@@ -230,7 +230,7 @@ def run_g2(args):
             # two real modes, 0 and -1 / tau0
             a, rate = args.env_a, -1.0 / (args.env_tau_us * 1e-6)
             g2 = list(map(mul, g2, _sum_modes([(0.0, 1.0), (rate, a)], [], tau_max, points,
-                                              1.0, 1.0 + a)))
+                                              1.0)))
     else:
         # the two-level models' drive: the cooling Rabi rate on F=2 -> F'=3
         omega3 = rabi_frequency(intensity_from_mw_cm2(args.icl_mw_cm2), RB87_ISAT_F2_F3)
@@ -591,12 +591,16 @@ def _check_pair_rate(args) -> None:
 
 
 def _check_g2(args) -> None:
-    """With a trap beam, the four-level and full models' trap shifts are
-    computed here, at the line table's hyperfine-resolved detunings, so a
-    trap wavelength on such a line fails --validate-only as the run would;
-    the runner reads them as ``args.shifts``."""
+    """The step of the delay grid (``constants.linspace``) is derived here,
+    for every model: one that underflows to 0 leaves no uniform grid.  With
+    a trap beam, the four-level and full models' trap shifts are computed
+    here, at the line table's hyperfine-resolved detunings, so a trap
+    wavelength on such a line fails --validate-only as the run would; the
+    runner reads them as ``args.shifts``."""
     if (args.trap_power_mw is None) != (args.trap_waist_um is None):
         raise ValidationError("--trap-power-mw and --trap-waist-um must be given together")
+    _derived(f"--tau-max-ns {args.tau_max_ns:g} with --points {args.points}", "delay step (s)",
+             lambda: args.tau_max_ns * 1e-9 / (args.points - 1))
     try:  # the two-level models square the detuning in rad/s
         (TWO_PI * args.delta_mhz * 1e6) ** 2
     except OverflowError:
@@ -615,6 +619,20 @@ def _check_g2(args) -> None:
             except ValueError as exc:
                 raise ValidationError(
                     f"--trap-wavelength-nm {args.trap_wavelength_nm:g}: {exc}") from exc
+
+
+def _check_larmor(args) -> None:
+    """The step of the time grid, as for g2, and the Larmor phase at the
+    longest time, whose cosine the run takes; a phase of exactly 0 (no
+    field, or g_F = 0) is a result."""
+    from .readout import larmor_frequency
+
+    _derived(f"--t-max-us {args.t_max_us:g} with --points {args.points}", "time step (s)",
+             lambda: args.t_max_us * 1e-6 / (args.points - 1))
+    phase = larmor_frequency(args.b_mgauss * 1e-7, args.g_f) * (args.t_max_us * 1e-6)
+    if phase != 0:
+        _derived(f"--b-mgauss {args.b_mgauss:g} with --g-f {args.g_f:g} and --t-max-us"
+                 f" {args.t_max_us:g}", "Larmor phase at the longest time (rad)", lambda: phase)
 
 
 _COMMON = (Flag("config", "str", help="JSON file with flag values (flags override)"),
@@ -663,7 +681,7 @@ SPECS = {
                     help="polarization angle, number or 'a..b:step'"),
                Flag("visibility", default=1.0, check="unit"),
                Flag("prep-phase-rad", default=0.0)),
-    "larmor": (run_larmor, None,
+    "larmor": (run_larmor, _check_larmor,
                Flag("b-mgauss", required=True),
                Flag("g-f", default=-0.5),
                Flag("t-max-us", default=10.0, check="positive"),

@@ -22,9 +22,9 @@ Magnus step per grid interval (``magnus4``): the commutators [B_i, B_j] are
 built once, the steps are exponentiated as a stack (``_expm``) and
 multiplied by a work-efficient tree scan (``_prefix_states``), all in the
 dtype of the B_i and the state, so a real generator and state propagate in
-float64.  The nonlinear mean-number loading ODE runs through an adaptive
-embedded Runge-Kutta 4(5) integrator at rtol 1e-9, atol 1e-12
-(``integrate``).
+float64.  A general nonlinear ODE runs through scipy's adaptive embedded
+Runge-Kutta 4(5) integrator at rtol 1e-9, atol 1e-12 (``integrate``); no
+module of the package calls it any more.
 """
 
 from __future__ import annotations
@@ -75,7 +75,9 @@ def integrate(f, y0, t_grid) -> np.ndarray:
     the solution on ``t_grid``.
 
     Returns an array of shape (len(t_grid), len(y0)).  ``t_grid`` must be
-    nondecreasing and start at the initial time.
+    nondecreasing and start at the initial time.  The package no longer
+    calls it (the mean-number loading ODE was its last caller); the
+    benchmark's tracer still names it as a span.
     """
     from scipy.integrate import solve_ivp
 

@@ -1,15 +1,13 @@
 """Single-atom loading dynamics with light-assisted two-body loss.
 
-The mean atom number follows dN/dt = R - gamma*N - beta'*N(N-1), and the
-full number distribution comes from a birth-death Markov chain whose jumps
-are loading (+1), background-gas loss (-1) and pair loss (-2).  In a
-microscopic trap the pair-loss rate beta' = beta/V dominates and locks the
-occupation to at most one atom (collisional blockade).
+The atom number follows a birth-death Markov chain whose jumps are loading
+(+1), background-gas loss (-1) and pair loss (-2).  In a microscopic trap
+the pair-loss rate beta' = beta/V dominates and locks the occupation to at
+most one atom (collisional blockade).
 
 The stationary law (``stationary_law``) and its mean (``mean_number``) use
 the standard library alone, so the CLI's loading scenario imports no numpy;
-``stationary_distribution`` wraps the law in an array, and the mean-number
-ODE imports numpy and the integrator when it is called.
+``stationary_distribution`` wraps the law in an array.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ __all__ = [
     "LoadingParams",
     "AtomNumberDist",
     "mean_number",
-    "mean_number_ode",
     "stationary_distribution",
     "stationary_law",
 ]
@@ -71,28 +68,6 @@ class AtomNumberDist:
             raise ValueError("probabilities must lie in [0, 1]")
         if abs(p.sum() - 1.0) > 1e-10:
             raise ValueError(f"probabilities sum to {p.sum()}, not 1")
-
-
-def mean_number_ode(params: LoadingParams, n0: float, t_grid) -> np.ndarray:
-    """Mean-number trajectory N(t) of dN/dt = R - gamma*N - beta'*N(N-1).
-
-    The pair term stands for the nonnegative moment <N(N-1)>; its mean-field
-    factorization is clamped at zero below one atom so the two-body term
-    never turns into a gain.
-    """
-    import numpy as np
-
-    from .integrator import integrate
-
-    if n0 < 0:
-        raise ValueError("initial atom number must be nonnegative")
-    r, g, bp = params.loading_rate, params.gamma, params.beta_prime
-
-    def rhs(_t, y):
-        n = y[0]
-        return np.array([r - g * n - bp * n * max(n - 1.0, 0.0)])
-
-    return integrate(rhs, np.array([float(n0)]), t_grid)[:, 0]
 
 
 def _pairwise_sum(values: list[float]) -> float:

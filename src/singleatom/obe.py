@@ -6,13 +6,16 @@ generator comes from ``_lindblad``, bit for bit the matrix of
 ``bloch.state.lindblad_generator``.  By the quantum regression theorem g2
 is the excited population evolved from the state right after a detection,
 over its steady-state value: a sum of the generator's modes, with the
-formulas and guards of ``integrator.linear_modes``.  Both kernels take the
-CLI's uniform delay grid, ``constants.linspace(tau_max, points)``, and sum
-the modes there by ``_sum_modes``: each mode is advanced from one delay to
-the next by a product with exp(lambda step), restarted from the exact
-exponential every 64 delays, and dropped once it falls below 2^-64 of the
-steady state.  On the CLI's drives g2 moves by at most 1e-13 against the
-exponential at each delay.
+formulas and guards of ``integrator.linear_modes``, applied to the
+eigenvalues and eigenvectors of either model by one collector
+(``_collect``).  Both kernels take the CLI's uniform delay grid,
+``constants.linspace(tau_max, points)`` with a positive step (``_step``
+refuses one that underflows to 0), and sum the modes there by
+``_sum_modes``: each mode is advanced from one delay to the next by a
+product with exp(lambda step), restarted from the exact exponential every
+64 delays, and dropped once it falls below 2^-64 of the steady state.  On
+the CLI's drives g2 moves by at most 1e-13 against the exponential at each
+delay.
 
 The two-level model: one drive (Rabi frequency Omega0, detuning Delta) and
 one decay e -> g at rate Gamma, a real 4 x 4 generator.  Its eigenvalues
@@ -136,13 +139,7 @@ def _balanced(*products) -> list:
 
 def _modes(generator: list[list[float]]) -> tuple[list, list, float]:
     """The modes of rho_ee(tau) from rho_gg(0) = 1 under ``generator``:
-    (real, pairs, s) with real the (lambda, a) of the real eigenvalues, pairs
-    the (lambda, a) of the member with Im lambda > 0 of each conjugate pair,
-    and s the smallest overlap |w_k v_k| / (|w_k| |v_k|) of the left and
-    right eigenvectors.  The formulas and guards of
-    ``integrator.linear_modes``: a_k = (c . v_k)(w_k . y0) / (w_k . v_k), an
-    eigenvalue within eps * n * ||G||_F of 0 is 0, and an s below
-    ``_MIN_OVERLAP`` (or NaN) raises ``IntegrationError``.
+    (real, pairs, s) of ``_collect``, with c = e_1 and y0 = e_0.
 
     With G's entries Gamma, p = Omega0/2, W = Omega0, D = Delta and
     h = -Gamma/2, mu = lambda - h and nu = lambda + Gamma, the null vectors
@@ -158,8 +155,8 @@ def _modes(generator: list[list[float]]) -> tuple[list, list, float]:
     decades above the linewidth does not underflow them all.
 
     The work is done on the generator scaled by a power of 2 that brings its
-    largest entry into [1, 2) (exact, and no square overflows), and the
-    eigenvalues are scaled back.
+    largest entry into [1, 2) (exact, and no square overflows), and
+    ``_collect`` scales the eigenvalues back.
     """
     exponent = math.frexp(max(abs(x) for row in generator for x in row))[1] - 1
     g = [[math.ldexp(x, -exponent) for x in row] for row in generator]
@@ -180,24 +177,39 @@ def _modes(generator: list[list[float]]) -> tuple[list, list, float]:
         modes.append((lam, _balanced((-rabi, mu), (rabi, mu), (delta, nu), (mu, nu)),
                       _balanced((half, mu, nu), (half, mu, decay - lam), (-delta, lam, nu),
                                 (lam, mu, nu))))
+    return _collect(modes, ([0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]), g,
+                    math.ldexp(1.0, exponent))
+
+
+def _collect(eigen, observable, generator: list[list[float]], scale: float) -> tuple:
+    """The modes of c . exp(G tau) y0 from the (lambda, right, left) triples
+    ``eigen`` of a real generator G and ``observable`` = (c, y0): (real,
+    pairs, s) with real the (lambda, a) of the real eigenvalues, pairs the
+    (lambda, a) of the member with Im lambda > 0 of each conjugate pair,
+    and s the smallest overlap |w_k v_k| / (|w_k| |v_k|) of the left and
+    right eigenvectors.  The formulas and guards of
+    ``integrator.linear_modes``, in this order: an s below ``_MIN_OVERLAP``
+    (or NaN) raises ``IntegrationError`` before any amplitude is formed, so
+    no w_k . v_k of 0 is divided by; then a_k = (c . v_k)(w_k . y0) /
+    (w_k . v_k), an eigenvalue within eps * n * ||G||_F of 0 is exactly 0,
+    and the others are multiplied by ``scale`` (the eigenvalues of
+    ``generator`` times ``scale`` are those of G).
+    """
+    eigen = list(eigen)
     overlaps = []
-    for _, right, left in modes:
+    for _, right, left in eigen:
         norms = math.hypot(*map(abs, left)) * math.hypot(*map(abs, right))
-        dot = sum(w * v for w, v in zip(left, right))
-        overlaps.append(abs(dot) / norms if norms else math.nan)
+        overlaps.append(abs(sum(map(mul, left, right))) / norms if norms else math.nan)
     smallest = math.nan if any(map(math.isnan, overlaps)) else min(overlaps)
     if not smallest >= _MIN_OVERLAP:  # also refuses a NaN
         raise IntegrationError(_DEFECTIVE, smallest)
-    pinned = _EPS * len(g) * math.hypot(*(x for row in g for x in row))
-    scale = math.ldexp(1.0, exponent)
+    c, y0 = observable
+    pinned = _EPS * len(generator) * math.hypot(*chain.from_iterable(generator))
     real, pairs = [], []
-    for lam, right, left in modes:
-        amp = right[1] * left[0] / sum(w * v for w, v in zip(left, right))
+    for lam, right, left in eigen:
+        amp = sum(map(mul, c, right)) * sum(map(mul, left, y0)) / sum(map(mul, left, right))
         lam *= 0.0 if abs(lam) <= pinned else scale
-        if isinstance(lam, complex):
-            pairs.append((lam, amp))
-        else:
-            real.append((lam, amp.real if isinstance(amp, complex) else amp))
+        (pairs if isinstance(lam, complex) else real).append((lam, amp))
     return real, pairs, smallest
 
 
@@ -232,8 +244,8 @@ def two_level_obe_g2(omega0_rabi: float, delta: float, gamma: float, tau_max: fl
 
     Starts from the post-detection state (all population in the ground
     level, no coherence) and divides the excited population, a sum of the
-    generator's four modes (``_sum_modes``), by its steady-state value; rows
-    at tau = 0 are exactly 0.  Next to the exceptional point on resonance
+    generator's four modes (``_sum_modes``), by its steady-state value; the
+    row at tau = 0 is exactly 0.  Next to the exceptional point on resonance
     the closed form ``readout.two_level_g2`` answers (``_two_level_modes``).
     A ``report`` dict receives the path taken under "method":
     "eigen-propagator" or "closed-form", and under "min_overlap" the
@@ -250,6 +262,7 @@ def two_level_obe_g2(omega0_rabi: float, delta: float, gamma: float, tau_max: fl
                           linspace(tau_max, points))
     else:
         method, g2 = "eigen-propagator", _sum_modes(*modes, tau_max, points, steady)
+        g2[0] = 0.0 / steady
     if report is not None:
         report.update(method=method, min_overlap=overlap)
     return g2
@@ -257,10 +270,12 @@ def two_level_obe_g2(omega0_rabi: float, delta: float, gamma: float, tau_max: fl
 
 def _step(tau_max: float, points: int) -> float:
     """The step of the grid ``constants.linspace(tau_max, points)``;
-    ``ValueError`` unless tau_max is finite and nonnegative and points >= 2."""
-    if not (0.0 <= tau_max < math.inf and points >= 2):
-        raise ValueError("the delay grid needs a finite, nonnegative longest delay and"
-                         " at least 2 points")
+    ``ValueError`` unless tau_max is finite, points >= 2 and the step
+    tau_max / (points - 1) is positive: a step that underflows to 0 would
+    leave the grid no longer uniform."""
+    if not (tau_max < math.inf and points >= 2 and tau_max / (points - 1) > 0.0):
+        raise ValueError("the delay grid needs a finite, positive longest delay, at least 2"
+                         " points and a step that does not underflow to 0")
     return tau_max / (points - 1)
 
 
@@ -275,28 +290,32 @@ def _exp(x):
 def _kept(rate: float, size: float, floor: float, step: float, points: int) -> int:
     """How many leading delays k * step a mode of decay rate ``rate`` and size
     ``size`` = |a| stays at or above ``floor``: none for a = 0, all of them
-    unless the mode decays on a grid of nonzero step (or a value is NaN)."""
+    unless the mode decays (or a value is NaN)."""
     if size == 0.0:
         return 0
-    if not (rate < 0.0 and size > 0.0 and floor > 0.0 and step > 0.0):
+    if not (rate < 0.0 and size > 0.0 and floor > 0.0):
         return points
     cut = (math.log(floor) - math.log(size)) / rate  # size exp(rate cut) = floor
     if not cut < step * points:  # also an infinite size
         return points
-    return max(int(cut / step) + 1, 0)
+    # a mode below the floor from the start has cut < 0, and cut / step may
+    # overflow to -inf on a short grid
+    return int(max(cut / step, -1.0)) + 1
 
 
-def _sum_modes(real: list, pairs: list, tau_max: float, points: int, steady: float,
-               at_zero: float = 0.0) -> list[float]:
+def _sum_modes(real: list, pairs: list, tau_max: float, points: int,
+               steady: float) -> list[float]:
     """sum_k a_k exp(lambda_k tau) / steady on the grid
     ``constants.linspace(tau_max, points)``, for the modes of a real
     generator: ``real`` the (lambda, a) of the real eigenvalues, ``pairs``
     the (lambda, a) of the member with Im lambda > 0 of each conjugate pair,
-    counted as twice its real part.  Rows at tau = 0 hold at_zero / steady
-    exactly (0: no excited population right after a detection).
+    counted as twice its real part.  The row at tau = 0 is the sum of the
+    amplitudes; a g2 kernel writes its own (0: no excited population right
+    after a detection).
 
-    The grid is uniform, tau_k = k * step, so each mode is advanced from one
-    delay to the next by one product with q = exp(lambda step), in
+    The grid is uniform, tau_k = k * step with a positive step (``_step``)
+    and tau_max at the last delay, so each mode is advanced from one delay
+    to the next by one product with q = exp(lambda step), in
     ``itertools.accumulate`` over blocks of ``_BLOCK`` (64) delays.  Each
     block starts from the exact exponential a exp(lambda tau) at its first
     delay, so a term carries the rounding of fewer than 64 products: a
@@ -310,23 +329,12 @@ def _sum_modes(real: list, pairs: list, tau_max: float, points: int, steady: flo
     dropped from the delay on which |a| exp(Re lambda tau) falls below
     ``_FLOOR`` (2^-64) of ``steady``, a term too small to move any bit of a
     printed g2.  Modes are added in the order given, the real ones, then the
-    pairs, as Python floats.  A grid whose step underflows to 0 is not
-    uniform: there every delay starts its own block, and the sum is the
-    exponential at each delay, bit for bit.
+    pairs, as Python floats.
     """
     step = _step(tau_max, points)
-    tau = linspace(tau_max, points)
-    if step:
-        block, parts = _BLOCK, ((lam, 2.0 * amp) for lam, amp in pairs)
-    else:
-        # no uniform grid: every delay starts its own block, and a pair adds
-        # its cosine and its sine term one after the other, as the
-        # exponential at each delay does
-        block, parts = 1, ((lam, c) for lam, amp in pairs
-                           for c in (2.0 * amp.real, complex(0.0, 2.0 * amp.imag)))
-    floor = _FLOOR * steady
+    last, floor = points - 1, _FLOOR * steady
     acc = [0.0] * points
-    for lam, coef in chain(real, parts):
+    for lam, coef in chain(real, ((lam, 2.0 * amp) for lam, amp in pairs)):
         kept = _kept(lam.real, abs(coef), floor, step, points)
         if not kept:
             continue
@@ -335,15 +343,12 @@ def _sum_modes(real: list, pairs: list, tau_max: float, points: int, steady: flo
         else:
             q = _exp(lam * step)
             terms = chain.from_iterable(
-                accumulate(repeat(q, min(block, kept - k) - 1), mul,
-                           initial=coef * _exp(lam * tau[k]) if tau[k] else coef)
-                for k in range(0, kept, block))
+                accumulate(repeat(q, min(_BLOCK, kept - k) - 1), mul,
+                           initial=coef * _exp(lam * (k * step if k < last else tau_max))
+                           if k else coef)
+                for k in range(0, kept, _BLOCK))
         acc[:kept] = map(add, acc, terms)
-    g2 = [s.real / steady for s in acc]
-    for k in range(1 if step else points):
-        if not tau[k]:
-            g2[k] = at_zero / steady
-    return g2
+    return [s.real / steady for s in acc]
 
 
 # --- the hyperfine four-level model -----------------------------------------
@@ -498,30 +503,11 @@ def _post_emission(steady, decays) -> list[float]:
 def _eigen_modes(m: list[list[float]], y0: list[float],
                  c: list[float]) -> tuple[list, list, float]:
     """The modes of c . exp(m tau) y0 for a real generator ``m``: (real,
-    pairs, s) as in ``_modes``, from the eigenvalues of ``dense.eigenvalues``
-    and the eigenvectors of ``dense.eigenvectors``, with the formulas and
-    guards of ``integrator.linear_modes``: a_k = (c . v_k)(w_k . y0) /
-    (w_k . v_k), an eigenvalue within eps * n * ||m||_F of 0 is 0, and an
-    overlap s below ``_MIN_OVERLAP`` (or NaN) raises ``IntegrationError``."""
+    pairs, s) of ``_collect``, from the eigenvalues of ``dense.eigenvalues``
+    and the eigenvectors of ``dense.eigenvectors``."""
     from .dense import eigenvalues, eigenvectors
 
-    pinned = _EPS * len(m) * math.hypot(*(x for row in m for x in row))
-    real, pairs, overlaps = [], [], []
-    for lam in eigenvalues(m):
-        right, left = eigenvectors(m, lam)
-        dot = sum(map(mul, left, right))
-        overlaps.append(abs(dot) / (math.hypot(*map(abs, left)) * math.hypot(*map(abs, right))))
-        amp = sum(map(mul, c, right)) * sum(map(mul, left, y0)) / dot
-        if abs(lam) <= pinned:
-            lam *= 0.0
-        if isinstance(lam, complex):
-            pairs.append((lam, amp))
-        else:
-            real.append((lam, amp))
-    smallest = math.nan if any(map(math.isnan, overlaps)) else min(overlaps)
-    if not smallest >= _MIN_OVERLAP:  # also refuses a NaN
-        raise IntegrationError(_DEFECTIVE, smallest)
-    return real, pairs, smallest
+    return _collect(((lam, *eigenvectors(m, lam)) for lam in eigenvalues(m)), (c, y0), m, 1.0)
 
 
 def four_level_g2(rabi, delta_cl: float, delta_rl: float, shifts, tau_max: float,
@@ -537,12 +523,13 @@ def four_level_g2(rabi, delta_cl: float, delta_rl: float, shifts, tau_max: float
     the refusals of ``_steady_vector``, the post-emission state of
     ``_post_emission``, and the modes of ``_eigen_modes`` summed by
     ``_sum_modes``.  The same model as ``bloch.four_level_g2``, whose numpy
-    linear algebra it does not share.  Rows at tau = 0 are exactly 0; a
-    grid that is not finite and nonnegative with at least 2 points raises
-    ``ValueError`` before any linear algebra.  A ``report`` dict
-    receives "method" ("eigen-propagator"), "min_overlap" (the smallest
-    eigenvector overlap, which the exceptional-point guard compares with
-    1.5e-5) and "steady_residual" (the 2-norm of M y_ss in 1/s).
+    linear algebra it does not share.  The row at tau = 0 is exactly 0; a
+    grid that ``_step`` refuses (not finite, fewer than 2 points or a step
+    that is not positive) raises ``ValueError`` before any linear algebra.
+    A ``report`` dict receives "method" ("eigen-propagator"), "min_overlap"
+    (the smallest eigenvector overlap, which the exceptional-point guard
+    compares with 1.5e-5) and "steady_residual" (the 2-norm of M y_ss in
+    1/s).
     """
     from .dense import jacobi_svd
 
@@ -553,7 +540,9 @@ def four_level_g2(rabi, delta_cl: float, delta_rl: float, shifts, tau_max: float
     excited = [0.0] * len(steady)
     excited[_A] = excited[_D] = 1.0
     real, pairs, overlap = _eigen_modes(m, _post_emission(steady, _FOUR_LEVEL_DECAYS), excited)
-    g2 = _sum_modes(real, pairs, tau_max, points, steady[_A] + steady[_D])
+    steady_excited = steady[_A] + steady[_D]
+    g2 = _sum_modes(real, pairs, tau_max, points, steady_excited)
+    g2[0] = 0.0 / steady_excited
     if report is not None:
         residual = math.hypot(*(sum(map(mul, row, steady)) for row in m))
         report.update(method="eigen-propagator", min_overlap=overlap, steady_residual=residual)

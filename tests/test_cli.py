@@ -201,6 +201,10 @@ class TestPerScenarioParser:
         assert out.read_bytes() == expected.read_bytes()
 
 
+G2_TINY_STEP = ["g2", "--delta-mhz", "-31", "--icl", "103", "--tau-max-ns", "1e-314",
+                "--points", "1001"]
+
+
 class TestValidateOnlyAgreesWithRun:
     TRAP = ["g2", "--delta-mhz", "-31", "--icl", "103", "--points", "3",
             "--trap-power-mw", "40", "--trap-waist-um", "3.5"]
@@ -251,6 +255,19 @@ class TestValidateOnlyAgreesWithRun:
           "--temperature-uk", "1e30"],
          "--temperature-uk 1e+30 with --power-mw 44 and --waist-um 3.5: the ratio kB T / U"
          " = 9.9e+26 is not below 1"),
+        # the grid step underflows to 0, so the grid is not uniform: 1001 rows
+        # would hold 3 distinct delays, 10^6 rows 202 403 distinct times
+        *((G2_TINY_STEP + model,
+           "--tau-max-ns 1e-314 with --points 1001: the delay step (s) underflows to 0")
+          for model in (["--model", "four-level"], ["--model", "two-level-obe"],
+                        ["--model", "two-level-analytic"],
+                        ["--model", "full", "--env-a", "0.3", "--env-tau-us", "2"])),
+        (["larmor", "--b-mgauss", "100", "--t-max-us", "1e-312", "--points", "1000000"],
+         "--t-max-us 1e-312 with --points 1000000: the time step (s) underflows to 0"),
+        # the Larmor phase overflows, and the cosine of inf is not defined
+        (["larmor", "--b-mgauss", "3.7e10", "--t-max-us", "3.7e300", "--points", "21"],
+         "--b-mgauss 3.7e+10 with --g-f -0.5 and --t-max-us 3.7e+300: the Larmor phase at the"
+         " longest time (rad) overflows"),
     ], ids=["trap-power", "trap-waist", "trap-wavelength", "kinetic", "env-a",
             "stirap-grid", "loading-grid", "loading-negative-rate",
             "loading-negative-grid-point", "correlations-grid", "trap-on-d2",
@@ -258,7 +275,9 @@ class TestValidateOnlyAgreesWithRun:
             "trap-mass-rayleigh-underflow", "trap-axial-overflow",
             "loading-axial-overflow", "g2-trap-mass-rayleigh-underflow",
             "g2-trap-on-hyperfine-line", "full-trap-on-hyperfine-line", "pair-rate-overflow",
-            "loading-untrapped"])
+            "loading-untrapped", "four-level-step-underflow", "two-level-obe-step-underflow",
+            "two-level-analytic-step-underflow", "full-step-underflow",
+            "larmor-step-underflow", "larmor-phase-overflow"])
     def test_out_of_range_flag_exits_two(self, tmp_path, capsys, args, flag):
         code, out = run(tmp_path, args)
         err = capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Loading dynamics: mean-number ODE and the birth-death number distribution."""
+"""Loading dynamics: the birth-death number distribution and its mean."""
 
 import math
 import sys
@@ -15,7 +15,6 @@ from singleatom.loading import (
     LoadingParams,
     _pairwise_sum,
     mean_number,
-    mean_number_ode,
     stationary_distribution,
     stationary_law,
 )
@@ -62,30 +61,6 @@ class TestParams:
             LoadingParams(**kwargs)
 
 
-class TestMeanNumberODE:
-    def test_linear_fixed_point(self):
-        params = LoadingParams(loading_rate=2.0, gamma=0.5, beta=0.0,
-                               volume=1e-15, n_max=5)
-        traj = mean_number_ode(params, 0.0, np.linspace(0.0, 60.0, 200))
-        assert traj[-1] == pytest.approx(2.0 / 0.5, rel=1e-6)
-
-    def test_pure_decay_bound(self):
-        params = LoadingParams(loading_rate=0.0, gamma=0.3, beta=5e-16,
-                               volume=V_BLOCKADE, n_max=5)
-        t = np.linspace(0.0, 10.0, 100)
-        traj = mean_number_ode(params, 1.0, t)
-        assert np.all(traj <= np.exp(-0.3 * t) + 1e-9)
-
-    def test_blockade_steady_state_below_1p2(self):
-        traj = mean_number_ode(BLOCKADE, 0.0, np.linspace(0.0, 100.0, 300))
-        assert traj[-1] < 1.2
-        assert abs(traj[-1] - traj[-2]) < 1e-9
-
-    def test_rejects_negative_initial_number(self):
-        with pytest.raises(ValueError):
-            mean_number_ode(BLOCKADE, -1.0, [0.0, 1.0])
-
-
 class TestStationaryDistribution:
     def test_empty_trap_absorbing(self):
         params = LoadingParams(loading_rate=0.0, gamma=0.2, beta=5e-16,
@@ -123,16 +98,6 @@ class TestStationaryDistribution:
                                  volume=V_BLOCKADE, n_max=10)
         dist10 = stationary_distribution(params10)
         assert np.abs(dist10.probabilities[:6] - dist5.probabilities).max() < 1e-6
-
-    def test_matches_ode_mean_for_weak_pair_loss(self):
-        # mean-field closure is only valid when pair loss is a perturbation;
-        # in the deep blockade regime the ODE overestimates the mean
-        params = LoadingParams(loading_rate=1.0, gamma=0.2, beta=5e-16,
-                               volume=V_POISSON, n_max=40)
-        dist = stationary_distribution(params)
-        traj = mean_number_ode(params, 0.0, np.linspace(0.0, 200.0, 400))
-        assert dist.probabilities[-1] < 1e-3
-        assert mean_number(dist.probabilities.tolist()) == pytest.approx(traj[-1], rel=0.10)
 
     def test_all_zero_rates_rejected(self):
         params = LoadingParams(loading_rate=0.0, gamma=0.0, beta=0.0,

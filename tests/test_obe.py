@@ -334,6 +334,28 @@ class TestFourLevelKernel:
         assert all(type(v) is float for v in g2)
         assert g2[0] == 0.0 and min(g2[1:]) > 0.0
 
+    def test_zero_overlap_refused_before_any_amplitude(self, monkeypatch):
+        # one left eigenvector orthogonal to its right one, w . v == 0
+        # exactly: the overlap guard refuses it before the amplitude formula
+        # divides by w . v
+        exact, patched = dense.eigenvectors, []
+
+        def orthogonal_first(a, lam):
+            v, w = exact(a, lam)
+            if not patched:
+                i, j = [k for k, x in enumerate(v) if x][:2]
+                w = [0.0] * len(v)
+                w[i], w[j] = v[j], -v[i]
+                assert sum(x * y for x, y in zip(w, v)) == 0.0
+                patched.append(lam)
+            return v, w
+
+        monkeypatch.setattr(dense, "eigenvectors", orthogonal_first)
+        drive, _ = four_level_drive(-31.0, 103.0)
+        with pytest.raises(IntegrationError) as info:
+            four_level_g2(*drive, 2e-7, 801)
+        assert patched and info.value.min_overlap == 0.0
+
     def test_bad_delays_refused(self):
         # a grid that is not finite and nonnegative with 2 points or more,
         # before any linear algebra
@@ -492,8 +514,7 @@ class TestGridEvaluator:
         a, tau0 = 0.3, 1.2e-6
         for tau_max, points in GRIDS[:2]:
             tau = linspace(tau_max, points)
-            envelope = _sum_modes([(0.0, 1.0), (-1.0 / tau0, a)], [], tau_max, points, 1.0,
-                                  1.0 + a)
+            envelope = _sum_modes([(0.0, 1.0), (-1.0 / tau0, a)], [], tau_max, points, 1.0)
             assert envelope[0] == 1.0 + a
             assert max(abs(e - (1.0 + a * math.exp(-t / tau0)))
                        for e, t in zip(envelope, tau)) <= 1e-13
@@ -503,18 +524,19 @@ class TestGridEvaluator:
             self.assert_close(got, ref)
 
     def test_step_underflowing_to_zero(self):
-        # g2 --tau-max-ns 1e-314 --points 1001: the step is 0, so the grid is
-        # (k / 1000) * tau_max, not uniform; every delay is summed on its own
-        # and the rows equal the exponential at each delay, bit for bit
+        # g2 --tau-max-ns 1e-314 --points 1001: the step is 0, so the grid
+        # would not be uniform; the kernels and the mode sum refuse it (the
+        # CLI refuses it in validation)
         tau_max, points = 1e-314 * 1e-9, 1001
-        tau = linspace(tau_max, points)
-        assert tau_max / (points - 1) == 0.0 and 0.0 < tau[-1] and tau.count(0.0) > 1
-        steady, (real, pairs), _ = _two_level_modes(README_OMEGA, TWO_PI * -31e6, G)
-        assert (two_level_obe_g2(README_OMEGA, TWO_PI * -31e6, G, tau_max, points)
-                == per_delay_sum(real, pairs, tau, steady))
+        assert tau_max > 0.0 and tau_max / (points - 1) == 0.0
         drive, _ = four_level_drive(-31.0, 103.0, trap_mw=40.0)
-        real, pairs, steady = four_level_modes(drive)
-        assert four_level_g2(*drive, tau_max, points) == per_delay_sum(real, pairs, tau, steady)
+        steady, (real, pairs), _ = _two_level_modes(README_OMEGA, TWO_PI * -31e6, G)
+        for refused in (lambda: two_level_obe_g2(README_OMEGA, TWO_PI * -31e6, G, tau_max,
+                                                 points),
+                        lambda: four_level_g2(*drive, tau_max, points),
+                        lambda: _sum_modes(real, pairs, tau_max, points, steady)):
+            with pytest.raises(ValueError, match="delay grid"):
+                refused()
 
     @pytest.mark.parametrize("real,pairs,steady", [
         ([(-1e7, 0.0), (0.0, 1.0)], [(complex(-1e7, 1e8), 0j)], 0.5),
@@ -529,7 +551,7 @@ class TestGridEvaluator:
     def test_cut_off_never_raises(self, real, pairs, steady):
         # the cut-off takes logarithms of |a| and of the floor: no value here
         # may reach them as 0, inf or NaN and raise
-        for tau_max, points in [(5e-6, 2001), (0.0, 5), (1e-323, 11)]:
+        for tau_max, points in [(5e-6, 2001), (1e-318, 3)]:
             g2 = _sum_modes(real, pairs, tau_max, points, steady)
             assert len(g2) == points and all(type(v) is float for v in g2)
 
@@ -560,6 +582,19 @@ class TestCliGridEdges:
         err = capsys.readouterr().err
         assert err == line
         assert "math domain error" not in err and "division by zero" not in err
+
+    def test_envelope_below_the_floor_on_a_short_grid(self, tmp_path):
+        # A = 1e-30 is below the cut-off from tau = 0 and tau0 is so long that
+        # cut / step overflows to -inf: the mode is dropped, and no int(-inf)
+        # raises
+        out = tmp_path / "g2.csv"
+        argv = ["g2", "--model", "full", "--delta-mhz", "-31", "--icl", "103", "--env-a",
+                "1e-30", "--env-tau-us", "1e300", "--tau-max-ns", "1e-5", "--points", "2",
+                "--out", str(out)]
+        assert main(argv) == 0
+        g2 = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+        drive, _ = four_level_drive(-31.0, 103.0)
+        assert g2 == [float(f"{v:.12g}") for v in four_level_g2(*drive, 1e-5 * 1e-9, 2)]
 
     @pytest.mark.parametrize("env_a,env_tau_us", [("0", "1e-310"), ("0.3", "1e-310"),
                                                   ("1e-30", "1e-310"), ("0.3", "1e300")])

@@ -41,10 +41,7 @@ REACHERS = (sorted(PACKAGE.rglob("*.py")) + [ROOT / "tests" / "test_acceptance.p
             + sorted((ROOT / "perfbench").glob("*.py")))
 
 # definition -> why it stays although nothing reaches it
-UNREACHED_ALLOWED = {
-    "loading.mean_number_ode": "the mean-number ODE is kept for its closed form "
-                               "(ROADMAP item 2), which replaces its RK45 integration",
-}
+UNREACHED_ALLOWED = {}
 
 # public method or property named like an attribute of a built-in or numpy
 # type -> the load that reaches it.  Any load of such a name counts as a
