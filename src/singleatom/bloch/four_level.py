@@ -11,16 +11,16 @@ mixture y0: the excited population c . exp(M tau) y0, c = e_a + e_d, over
 its steady-state value.  It is evaluated as a sum of the generator's modes
 (``integrator.linear_modes`` and ``sum_modes``), without building the
 state at each delay; ``FourLevelLiouvillian.propagate`` evolves the whole
-state.  Every state here is the real 16-vector of ``state.to_real_vector``,
+state.  Every state here is a real 16-vector in the layout of ``obe``,
 whose first four entries are the populations of a, b, c and d.
 
-The level structure (Hamiltonian, decays, trap shifts), the steady-state
-rule and the post-emission state live in ``obe``, whose standard-library
-kernel runs the same model for the CLI with a Jacobi SVD and a Francis QR.
-This module is the library's kernel: numpy's SVD and ``eig`` take about a
-millisecond per call, where the standard library takes tens, so a study
-that calls it in a loop runs here.  Each kernel is the other's test
-reference.
+The level structure (Hamiltonian, decays, trap shifts), the generator
+(``obe._lindblad``), the steady-state rule and the post-emission state live
+in ``obe``, whose standard-library kernel runs the same model for the CLI
+with a Jacobi SVD and a Francis QR.  This module is the library's kernel:
+numpy's SVD and ``eig`` take about a millisecond per call, where the
+standard library takes tens, so a study that calls it in a loop runs here.
+Each kernel is the other's test reference.
 
 The upper limit g2 = 2 of a two-level atom does not bind here: for cooling
 detunings of several linewidths the Rabi oscillations overshoot it.
@@ -35,8 +35,7 @@ import numpy as np
 
 from ..integrator import linear_modes, sum_modes
 from ..obe import (_A, _D, _FOUR_LEVEL_DECAYS, _four_level_hamiltonian, _four_level_rabi,
-                   _post_emission, _steady_vector, trap_shifts)
-from .state import lindblad_generator
+                   _lindblad, _post_emission, _steady_vector, trap_shifts)
 
 if TYPE_CHECKING:  # the line-table layers load only with a trap field
     from ..lightshift import LaserField, LineTable
@@ -92,24 +91,20 @@ class FourLevelParams:
         return _FOUR_LEVEL_DECAYS[2][0]
 
 
-def _hamiltonian(params: FourLevelParams) -> np.ndarray:
-    shifts = (params.shift_a, params.shift_b, params.shift_c, params.shift_d)
-    return np.array(_four_level_hamiltonian(params.rabi_frequencies, params.delta_cl,
-                                            params.delta_rl, shifts), dtype=complex)
-
-
 class FourLevelLiouvillian:
     """Time-independent generator of the rotating-frame master equation.
 
     ``matrix_real`` acts on the 16 real degrees of freedom of a Hermitian
-    4x4 density matrix (``state.to_real_vector``).  Provides the steady
-    state (null vector from an SVD, with trace normalization) and
-    propagation by a grid of delays, both in that real layout.
+    4x4 density matrix, in the layout of ``obe`` (``obe._lindblad`` builds
+    it).  Provides the steady state (null vector from an SVD, with trace
+    normalization) and propagation by a grid of delays, both in that layout.
     """
 
     def __init__(self, params: FourLevelParams):
-        self.params = params
-        self.matrix_real = lindblad_generator(_hamiltonian(params), _FOUR_LEVEL_DECAYS)
+        h = _four_level_hamiltonian(
+            params.rabi_frequencies, params.delta_cl, params.delta_rl,
+            (params.shift_a, params.shift_b, params.shift_c, params.shift_d))
+        self.matrix_real = np.array(_lindblad(h, _FOUR_LEVEL_DECAYS))
 
     def steady_state(self) -> np.ndarray:
         """The trace-one null vector of the generator, a real 16-vector:
@@ -133,7 +128,7 @@ class FourLevelLiouvillian:
         return sum_modes(lam, amp, delays, y0)
 
 
-def post_emission_state(params: FourLevelParams, steady: np.ndarray) -> np.ndarray:
+def post_emission_state(steady: np.ndarray) -> np.ndarray:
     """Ground-state mixture right after a photon emission, a real 16-vector
     holding the populations of b and c (all coherences zero), from a steady
     state with excitation (``steady_state`` checks it)."""
@@ -149,7 +144,7 @@ def four_level_g2(params: FourLevelParams, tau_grid) -> np.ndarray:
     """
     liouv = FourLevelLiouvillian(params)
     steady = liouv.steady_state()
-    y0 = post_emission_state(params, steady)
+    y0 = post_emission_state(steady)
     excited = np.zeros(len(y0))
     excited[[_A, _D]] = 1.0
     lam, amp, _ = linear_modes(liouv.matrix_real, y0, excited)

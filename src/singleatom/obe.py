@@ -1,17 +1,16 @@
 """g2(tau) of the Bloch-equation models, on the standard library alone.
 
-Both models carry a density matrix as the real vector of ``bloch.state``
-(populations, then Re and Im of each upper coherence), and their Lindblad
-generator comes from ``_lindblad``, bit for bit the matrix of
-``bloch.state.lindblad_generator``.  By the quantum regression theorem g2
-is the excited population evolved from the state right after a detection,
-over its steady-state value: a sum of the generator's modes, with the
-formulas and guards of ``integrator.linear_modes``, applied to the
-eigenvalues and eigenvectors of either model by one collector
-(``_collect``).  Both kernels take the CLI's uniform delay grid,
-``constants.linspace(tau_max, points)`` with a positive step (``_step``
-refuses one that underflows to 0), and sum the modes there by
-``_sum_modes``: each mode is advanced from one delay to the next by a
+Both models carry a density matrix as a real vector, and their Lindblad
+generator comes from ``_lindblad``, which gives that layout and also builds
+the generator of the library's numpy kernel ``bloch.four_level``.  By the
+quantum regression theorem g2 is the excited population evolved from the
+state right after a detection, over its steady-state value: a sum of the
+generator's modes, with the formulas and guards of
+``integrator.linear_modes``, applied to the eigenvalues and eigenvectors of
+either model by one collector (``_collect``).  Both kernels take the CLI's
+uniform delay grid, ``constants.linspace(tau_max, points)`` with a positive
+step (``_step`` refuses one that underflows to 0), and sum the modes there
+by ``_sum_modes``: each mode is advanced from one delay to the next by a
 product with exp(lambda step), restarted from the exact exponential every
 64 delays, and dropped once it falls below 2^-64 of the steady state.  On
 the CLI's drives g2 moves by at most 1e-13 against the exponential at each
@@ -403,10 +402,15 @@ def trap_shifts(field, lines, depth: float, kinetic_reduction: float) -> tuple:
 
 
 def _lindblad(h: list[list[float]], decays) -> list[list[float]]:
-    """``bloch.state.lindblad_generator(h, decays)`` for a real symmetric
-    ``h``, entry for entry and bit for bit (zeros carry numpy's signs): the
-    real n^2 x n^2 generator on the layout of ``bloch.state`` (the n
-    populations, then Re and Im of each upper coherence in row order).
+    """The real n^2 x n^2 generator of the master equation (Lindblad 1976)
+    drho/dt = -i[h, rho] + sum rate (|to><from| rho |from><to|
+    - {|from><from|, rho}/2) for a real symmetric ``h`` (rad/s) and the
+    ``decays`` (rate, to, from): the one builder of every Bloch generator of
+    the package, this module's kernels and ``bloch.four_level``'s.  It acts
+    on the real layout of a Hermitian n x n matrix: the n populations, then
+    (Re, Im) of each upper coherence rho[i, k], i < k, in row order; column
+    k is the image of basis vector k.  A zero entry carries the sign that a
+    complex evaluation of -i[h, rho] gives it (the ``+ 0.0`` and ``0.0 -``).
 
     -i[h, rho] couples a population to the Im parts of the coherences on its
     row and column, and a coherence (j, l) to the coherences that share a

@@ -344,7 +344,7 @@ def test_criterion_13_property_suites():
                              i_rl=intensity_from_mw_cm2(12), delta_cl=-8 * G)
     tau = np.linspace(0.0, 300e-9, 300)
     liouv = FourLevelLiouvillian(params)
-    y = liouv.propagate(post_emission_state(params, liouv.steady_state()), tau)
+    y = liouv.propagate(post_emission_state(liouv.steady_state()), tau)
     ok_dm = True
     for rho in from_real_vector(y):
         ok_dm &= abs(np.trace(rho).real - 1.0) < 1e-8

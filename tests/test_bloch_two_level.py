@@ -7,7 +7,6 @@ import pytest
 from scipy.linalg import eig, expm
 
 from singleatom.constants import RB87_GAMMA_D2
-from singleatom.bloch.state import lindblad_generator
 from singleatom.integrator import _MIN_OVERLAP, IntegrationError, linear_modes, sum_modes
 from singleatom.bloch.two_level import two_level_g2_analytic, two_level_obe_g2
 from singleatom import obe
@@ -19,6 +18,18 @@ G = RB87_GAMMA_D2
 def rabi_for(omega_r_over_gamma, delta=0.0):
     """Bare Rabi frequency giving the requested generalized Rabi frequency."""
     return math.sqrt((omega_r_over_gamma * G) ** 2 - delta**2 + (G / 4) ** 2)
+
+
+def bloch_generator(omega, delta, gamma):
+    """Oracle: the two-level master equation written out on (rho_gg, rho_ee,
+    Re rho_ge, Im rho_ge), for the drive h = [[0, Omega/2], [Omega/2, -Delta]]
+    and the decay e -> g at gamma."""
+    return np.array([
+        [0.0, gamma, 0.0, -omega],
+        [0.0, -gamma, 0.0, omega],
+        [0.0, 0.0, -gamma / 2.0, delta],
+        [omega / 2.0, -omega / 2.0, -delta, -gamma / 2.0],
+    ])
 
 
 def affine_bloch_matrix(omega, delta, gamma):
@@ -121,9 +132,8 @@ class TestObe:
         # propagated, then its rho_ee read
         omega, delta = omega * G, delta * G
         tau = np.concatenate([[0.0], np.random.default_rng(3).uniform(0.0, 25 / G, 200)])
-        h = [[0.0, omega / 2.0], [omega / 2.0, -delta]]
         y0 = [1.0, 0.0, 0.0, 0.0]
-        lam, amp, _ = linear_modes(lindblad_generator(h, [(G, 0, 1)]), y0, np.eye(4))
+        lam, amp, _ = linear_modes(bloch_generator(omega, delta, G), y0, np.eye(4))
         traj = sum_modes(lam, amp, tau, y0)
         ref = traj[:, 1] / two_level_steady_excited(omega, delta, G)
         assert np.abs(two_level_obe_g2(omega, delta, G, tau) - ref).max() <= 1e-12
@@ -137,8 +147,7 @@ class TestObe:
         report = {}
         obe.two_level_obe_g2(omega, delta, G, 1e-9, 2, report)
         assert set(report) == {"method", "min_overlap"} and report["method"] == method
-        h = [[0.0, omega / 2.0], [omega / 2.0, -delta]]
-        _, w, v = eig(lindblad_generator(h, [(G, 0, 1)]), left=True)
+        _, w, v = eig(bloch_generator(omega, delta, G), left=True)
         overlap = np.abs(np.einsum("ij,ij->j", w.conj(), v)).min()
         if method == "eigen-propagator":
             assert report["min_overlap"] == pytest.approx(overlap, rel=1e-9)

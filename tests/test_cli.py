@@ -203,6 +203,32 @@ class TestPerScenarioParser:
 
 G2_TINY_STEP = ["g2", "--delta-mhz", "-31", "--icl", "103", "--tau-max-ns", "1e-314",
                 "--points", "1001"]
+G2_MODELS = {"four-level": ["--model", "four-level"],
+             "full": ["--model", "full", "--env-a", "0.3", "--env-tau-us", "2"],
+             "two-level-obe": ["--model", "two-level-obe"],
+             "two-level-analytic": ["--model", "two-level-analytic"]}
+# g2 drives whose rates (rad/s) overflow: the runs failed with exit 3 and a
+# wrong cause, such as "the matrix has an entry that is not finite"
+G2_RATE_OVERFLOWS = [
+    *((["g2", "--delta-mhz", "1e302", "--icl", "103", "--points", "3", *G2_MODELS[model]],
+       "--delta-mhz 1e+302: the cooling detuning (rad/s) overflows", f"{model}-detuning-overflow")
+      for model in G2_MODELS),
+    *((["g2", "--delta-mhz", "-31", "--icl", "1e308", "--points", "3", *G2_MODELS[model]],
+       "--icl-mw-cm2 1e+308: the cooling Rabi rate", f"{model}-cooling-rabi-overflow")
+      for model in G2_MODELS),
+    *((["g2", "--delta-mhz", "-31", "--icl", "103", "--points", "3", flag, value,
+        *G2_MODELS[model]], message, f"{model}-{name}")
+      for model in ("four-level", "full")
+      for flag, value, message, name in (
+          ("--delta-rl-mhz", "1e302", "--delta-rl-mhz 1e+302: the repump detuning (rad/s)"
+           " overflows", "repump-detuning-overflow"),
+          ("--irl", "1e308", "--irl-mw-cm2 1e+308: the repump Rabi rate on F=1 -> F'=2 (rad/s)"
+           " overflows", "repump-rabi-overflow"))),
+    # a cooling Rabi rate that underflows to 0 leaves no steady-state excitation
+    (["g2", "--delta-mhz", "-31", "--icl", "5e-324", "--points", "3", *G2_MODELS["four-level"]],
+     "--icl-mw-cm2 4.94066e-324: the cooling Rabi rate on F=2 -> F'=2 (rad/s) underflows to 0",
+     "four-level-cooling-rabi-underflow"),
+]
 
 
 class TestValidateOnlyAgreesWithRun:
@@ -268,6 +294,7 @@ class TestValidateOnlyAgreesWithRun:
         (["larmor", "--b-mgauss", "3.7e10", "--t-max-us", "3.7e300", "--points", "21"],
          "--b-mgauss 3.7e+10 with --g-f -0.5 and --t-max-us 3.7e+300: the Larmor phase at the"
          " longest time (rad) overflows"),
+        *((args, flag) for args, flag, _ in G2_RATE_OVERFLOWS),
     ], ids=["trap-power", "trap-waist", "trap-wavelength", "kinetic", "env-a",
             "stirap-grid", "loading-grid", "loading-negative-rate",
             "loading-negative-grid-point", "correlations-grid", "trap-on-d2",
@@ -277,7 +304,8 @@ class TestValidateOnlyAgreesWithRun:
             "g2-trap-on-hyperfine-line", "full-trap-on-hyperfine-line", "pair-rate-overflow",
             "loading-untrapped", "four-level-step-underflow", "two-level-obe-step-underflow",
             "two-level-analytic-step-underflow", "full-step-underflow",
-            "larmor-step-underflow", "larmor-phase-overflow"])
+            "larmor-step-underflow", "larmor-phase-overflow",
+            *(name for _, _, name in G2_RATE_OVERFLOWS)])
     def test_out_of_range_flag_exits_two(self, tmp_path, capsys, args, flag):
         code, out = run(tmp_path, args)
         err = capsys.readouterr().err

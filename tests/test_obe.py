@@ -1,11 +1,10 @@
 """The standard-library Bloch kernels of ``obe``.
 
-The two-level kernel: its generator against the numpy Lindblad builder, its
-modes against numpy's eigendecomposition, and its g2 against a 50-digit
-matrix exponential.  The four-level kernel: its generator bit for bit
-against ``FourLevelLiouvillian``, the dense routines against LAPACK, its g2
-and its refusals against the numpy kernel ``bloch.four_level_g2``, and both
-kernels against a 60-digit oracle.  The mode sum on the uniform grid
+The two-level kernel: its modes against numpy's eigendecomposition, and its
+g2 against a 50-digit matrix exponential.  The four-level kernel, whose
+generator ``FourLevelLiouvillian`` shares: the dense routines against
+LAPACK, its g2 and its refusals against the numpy kernel
+``bloch.four_level_g2``, and both kernels against a 60-digit oracle.  The mode sum on the uniform grid
 against the exponential at each delay (``per_delay_sum``).
 """
 
@@ -18,7 +17,6 @@ import pytest
 from singleatom import dense, integrator
 from singleatom.bloch import FourLevelParams, four_level_g2 as numpy_four_level_g2
 from singleatom.bloch.four_level import FourLevelLiouvillian
-from singleatom.bloch.state import lindblad_generator
 from singleatom.cli import main
 from singleatom.constants import (RB87_GAMMA_D2 as G, RB87_ISAT_F2_F3, TWO_PI,
                                   intensity_from_mw_cm2, linspace, rabi_frequency)
@@ -47,21 +45,6 @@ def exact_g2(omega, delta, taus, dps=50):
         steady = (o**2 / 4) / (d**2 + o**2 / 2 + mp.mpf(G)**2 / 4)
         return [(mp.expm(gen * mp.mpf(t)) * mp.matrix([1, 0, 0, 0]))[1] / steady
                 for t in taus]
-
-
-class TestGenerator:
-    def test_bit_for_bit_with_the_lindblad_builder(self):
-        # every entry and the sign of every zero, over twelve decades of each
-        # parameter, signed zero detunings included
-        rng = np.random.default_rng(25)
-        for k in range(2000):
-            omega = float(rng.uniform(-1, 1) * 10 ** rng.uniform(-300, 300))
-            delta = (0.0, -0.0)[k % 2] if k % 5 == 0 else float(
-                rng.uniform(-1, 1) * 10 ** rng.uniform(-300, 300))
-            gamma = float(10 ** rng.uniform(-300, 300))
-            h = [[0.0, omega / 2.0], [omega / 2.0, -delta]]
-            ref = lindblad_generator(h, [(gamma, 0, 1)])
-            assert np.array(_generator(omega, delta, gamma)).tobytes() == ref.tobytes()
 
 
 class TestModes:
@@ -214,27 +197,6 @@ def scan(seed, count):
                                float(10 ** rng.uniform(-1.0, math.log10(50.0))),
                                0.0 if k % 3 == 0 else float(rng.uniform(0.0, 60.0)),
                                float(rng.uniform(-5.0, 5.0)) if k % 2 else 0.0)
-
-
-class TestFourLevelGenerator:
-    def test_bit_for_bit_with_the_numpy_generator(self):
-        # FourLevelLiouvillian builds it with state.lindblad_generator; every
-        # entry and the sign of every zero, signed zero detunings and shifts,
-        # drives off and far detunings included
-        rng = np.random.default_rng(26)
-        for k in range(300):
-            value = (lambda: float(rng.uniform(-1, 1) * 10 ** rng.uniform(-20, 20)))
-            zero = (0.0, -0.0)[k % 2]
-            params = FourLevelParams(
-                i_cl=0.0 if k % 7 == 0 else abs(value()), i_rl=0.0 if k % 11 == 0 else abs(value()),
-                delta_cl=zero if k % 5 == 0 else value(), delta_rl=zero if k % 3 == 0 else value(),
-                shift_a=value(), shift_b=zero if k % 4 == 0 else value(), shift_c=value(),
-                shift_d=zero if k % 6 == 0 else value())
-            shifts = (params.shift_a, params.shift_b, params.shift_c, params.shift_d)
-            h = _four_level_hamiltonian(params.rabi_frequencies, params.delta_cl,
-                                        params.delta_rl, shifts)
-            got = np.array(_lindblad(h, _FOUR_LEVEL_DECAYS))
-            assert got.tobytes() == FourLevelLiouvillian(params).matrix_real.tobytes()
 
 
 class TestDense:
@@ -567,12 +529,15 @@ class TestCliGridEdges:
         ("1e150", ["--model", "full", "--env-a", "0.3", "--env-tau-us", "2"], 3,
          "numerical failure: drive or detuning exceeds the linewidth by more than float64 can"
          " resolve: generator norm 2.23e+82 /s against decay rate 1.91e+07 /s\n"),
-        ("1.7e308", ["--model", "two-level-obe"], 3,
-         "numerical failure: generator is too close to an exceptional point for the"
-         " eigen-propagator\n"),
-        ("1.7e308", [], 3, "numerical failure: the matrix has an entry that is not finite\n"),
-        ("1.7e308", ["--model", "full", "--env-a", "0.3", "--env-tau-us", "2"], 3,
-         "numerical failure: the matrix has an entry that is not finite\n"),
+        # the intensity in W/m^2 overflows, and with it the Rabi rates
+        ("1.7e308", ["--model", "two-level-obe"], 2,
+         "validation: --icl-mw-cm2 1.7e+308: the cooling Rabi rate on F=2 -> F'=3 (rad/s)"
+         " overflows\n"),
+        ("1.7e308", [], 2, "validation: --icl-mw-cm2 1.7e+308: the cooling Rabi rate on"
+                           " F=2 -> F'=2 (rad/s) overflows\n"),
+        ("1.7e308", ["--model", "full", "--env-a", "0.3", "--env-tau-us", "2"], 2,
+         "validation: --icl-mw-cm2 1.7e+308: the cooling Rabi rate on F=2 -> F'=2 (rad/s)"
+         " overflows\n"),
     ], ids=["obe-1e150", "four-level-1e150", "full-1e150", "obe-1.7e308", "four-level-1.7e308",
             "full-1.7e308"])
     def test_overflowing_drive(self, tmp_path, capsys, icl, model, code, line):

@@ -29,6 +29,10 @@ defined elsewhere) must be loaded in that module, or loaded through it by a
 reaching file: imported from it (``from .bloch import four_level_g2``) and
 then loaded, or loaded as its attribute (``bloch.four_level_g2``).  A
 re-export that only unit tests import through is dead.
+
+An attribute that a method of a package class stores on its instance
+(``self.matrix_real = ...``) must be loaded as an attribute of that name by
+a reaching file: state that nothing reads is dead.
 """
 
 import ast
@@ -375,6 +379,25 @@ def dead_module_imports() -> list[str]:
                   for index, name in checked if not live(index, name, frozenset()))
 
 
+def stored_attributes() -> list[str]:
+    """'module.Class.name' of every attribute that a method of a package
+    class stores on its first argument (self)."""
+    found = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = _module_name(path)
+        for node in _parse(path).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef) or not item.args.args:
+                    continue
+                this = item.args.args[0].arg
+                found.update(f"{module}.{node.name}.{n.attr}" for n in ast.walk(item)
+                             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                             and isinstance(n.value, ast.Name) and n.value.id == this)
+    return sorted(found)
+
+
 def test_every_private_definition_is_used_by_the_package():
     unused = sorted(set(private_definitions()) - privates_used_by_the_package())
     assert unused == [], (
@@ -391,6 +414,15 @@ def test_every_public_definition_is_reached():
     assert unreached == [], (
         "reached by no scenario, criterion or benchmark script (move a test oracle "
         "into its test, or delete it): " + ", ".join(unreached))
+
+
+def test_every_stored_attribute_is_loaded():
+    _, attribute_names = reached()
+    unread = [name for name in stored_attributes()
+              if name.rsplit(".", 1)[1] not in attribute_names]
+    assert unread == [], (
+        "stored on an instance and loaded by no scenario, criterion or benchmark "
+        "script (delete it): " + ", ".join(unread))
 
 
 def _builtin_attribute_names() -> set[str]:

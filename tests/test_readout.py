@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from singleatom.bloch.state import lindblad_generator
-from singleatom.cli import _parse_grid, _radians, run_bell, run_correlations, run_g2, run_larmor
+from singleatom.cli import (_check_g2, _parse_grid, _radians, build_parser, run_bell,
+                            run_correlations, run_g2, run_larmor)
 from singleatom.constants import RB87_GAMMA_D2 as G, linspace
 from singleatom.obe import two_level_obe_g2, two_level_steady_excited
 from singleatom.entanglement import (MeasurementSetting, bell_state, chsh, correlation,
@@ -77,6 +77,18 @@ class TestCorrelationCurve:
     def test_bad_arguments_rejected(self, basis, visibility):
         with pytest.raises(ValueError):
             correlation_curve(basis, [0.0], visibility)
+
+
+def bloch_generator(omega, delta, gamma):
+    """Oracle: the two-level master equation written out on (rho_gg, rho_ee,
+    Re rho_ge, Im rho_ge), for the drive h = [[0, Omega/2], [Omega/2, -Delta]]
+    and the decay e -> g at gamma."""
+    return np.array([
+        [0.0, gamma, 0.0, -omega],
+        [0.0, -gamma, 0.0, omega],
+        [0.0, 0.0, -gamma / 2.0, delta],
+        [omega / 2.0, -omega / 2.0, -delta, -gamma / 2.0],
+    ])
 
 
 def numpy_two_level_g2(omega0_rabi, delta, gamma, tau):
@@ -172,8 +184,7 @@ class TestTwoLevelG2:
         # Omega0 = G/4 on resonance is the exceptional point, where
         # two_level_obe_g2 answers with this closed form: expm is the oracle
         omega, tau = G / 4, np.linspace(0.0, 25 / G, 200)
-        h = [[0.0, omega / 2.0], [omega / 2.0, 0.0]]
-        generator = lindblad_generator(h, [(G, 0, 1)])
+        generator = bloch_generator(omega, 0.0, G)
         exact = np.array([(expm(generator * t) @ [1.0, 0.0, 0.0, 0.0])[1] for t in tau])
         exact /= two_level_steady_excited(omega, 0.0, G)
         got = two_level_g2(omega, 0.0, G, tau.tolist())
@@ -183,8 +194,9 @@ class TestTwoLevelG2:
         assert report["method"] == "closed-form" and set(report) == {"method", "min_overlap"}
 
     def test_cli_columns_match_numpy(self):
-        args = argparse.Namespace(model="two-level-analytic", delta_mhz=-31.0,
-                                  icl_mw_cm2=103.0, tau_max_ns=200.0, points=801)
+        args = build_parser().parse_args(["g2", "--model", "two-level-analytic", "--delta-mhz",
+                                          "-31", "--icl", "103", "--points", "801"])
+        _check_g2(args)  # derives the drive rates that run_g2 reads
         _, (tau_ns, g2) = run_g2(args)
         tau = np.linspace(0.0, 200.0 * 1e-9, 801)
         assert (bits(tau_ns) == bits(tau * 1e9)).all()
