@@ -19,16 +19,19 @@ density matrix).
 Linear, time-dependent generators affine in constant matrices (the STIRAP
 pulses, A(t) = sum_i f_i(t) B_i) take one commutator-based fourth-order
 Magnus step per grid interval (``magnus4``): the commutators [B_i, B_j] are
-built once, the steps are exponentiated as a stack (``_expm``) and
-multiplied by a work-efficient tree scan (``_prefix_states``), all in the
-dtype of the B_i and the state, so a real generator and state propagate in
-float64.  A general nonlinear ODE runs through scipy's adaptive embedded
-Runge-Kutta 4(5) integrator at rtol 1e-9, atol 1e-12 (``integrate``); no
-module of the package calls it any more.
+built once (``_magnus_exponents``, which also serves single steps from
+arbitrary start times), the steps are exponentiated as a stack (``_expm``,
+a Paterson-Stockmeyer Taylor polynomial) and multiplied by a
+work-efficient tree scan (``_prefix_states``), all in the dtype of the B_i
+and the state, so a real generator and state propagate in float64.  A
+general nonlinear ODE runs through scipy's adaptive embedded Runge-Kutta
+4(5) integrator at rtol 1e-9, atol 1e-12 (``integrate``); no module of the
+package calls it any more.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -41,11 +44,12 @@ ATOL = 1e-12
 # delays per block of sum_modes; bounds its temporaries to a few hundred kB
 # whatever the grid length
 _CHUNK = 1024
-# steps per block of magnus4: the measured optimum of the lossy 4000-sample
-# STIRAP call of a lib-sweep point on its real 3x3 steps (blocks of
-# 256/512/1024/2048/4096 steps: 8.1/6.4/6.2/6.4/6.6 ms, medians of 30 calls
-# on one core of a 2-vCPU VM); a block's temporaries are a few (1024, 3, 3)
-# stacks of 74 kB
+# steps per block of magnus4: the measured optimum of the lossy STIRAP call
+# of a lib-sweep point, about 2000 real 3x3 steps on the grid aligned with
+# the pulse edges (blocks of 256/512/1024/2048/4096 steps:
+# 2.68/2.46/2.29/2.39/2.32 ms, medians of 40 interleaved rounds of 10 calls
+# on one core of a 2-vCPU VM; 2048 and 4096 are within the noise); a
+# block's temporaries are a few (1024, 3, 3) stacks of 74 kB
 _MAGNUS_BLOCK = 1024
 _EPS = np.finfo(float).eps / 2.0  # unit roundoff
 _SQRT3 = math.sqrt(3.0)
@@ -185,10 +189,13 @@ def _expm(x) -> np.ndarray:
 
     Taylor polynomial with scaling and squaring: the stack is scaled by 2^-s
     so that its largest 1-norm nu is at most 1, and the degree m is the
-    smallest with nu^(m+1)/(m+1)! below the unit roundoff.  Horner's rule on
-    the coefficients 1/j! runs in two preallocated buffers: one matmul per
-    degree, each coefficient added on the diagonal only.  ``x`` is not
-    modified.
+    smallest with nu^(m+1)/(m+1)! below the unit roundoff.  The polynomial
+    sum_j x^j / j! is evaluated by Paterson and Stockmeyer (SIAM J. Comput.
+    2, 60 (1973)): with s = isqrt(m), the powers x^2 .. x^s are formed once,
+    and Horner's rule in x^s runs over blocks of s coefficients, each block
+    a sum of scaled powers with its constant added on the diagonal only.
+    That is s - 1 + (m - 1) // s matmuls in place of m - 1 (4 in place of 8
+    at m = 9).  ``x`` is not modified.
     """
     x = np.asarray(x)
     k = x.shape[-1]
@@ -202,13 +209,31 @@ def _expm(x) -> np.ndarray:
         degree += 1
         remainder *= nu / (degree + 1)
     coeff = [1.0 / math.factorial(j) for j in range(degree + 1)]
-    # C order: the diagonal is written through a flat view
-    out = np.multiply(x, coeff[degree], order="C")
+    s = math.isqrt(degree)
+    # powers[i] = x^(i+1), in C order: the diagonal is written through a
+    # flat view
+    powers = [np.ascontiguousarray(x)]
+    for _ in range(s - 1):
+        powers.append(np.matmul(powers[-1], x))
+    scaled = np.empty_like(powers[0])
+
+    def add_block(out, c):
+        """out += c[0] I + c[1] x + ... + c[len(c)-1] x^(len(c)-1)."""
+        for c_i, power in zip(c[1:], powers):
+            out += np.multiply(power, c_i, out=scaled)
+        out.reshape(-1, k * k)[:, ::k + 1] += c[0]
+
+    # the top block holds the coefficients from top * s up to the degree,
+    # s + 1 of them when the degree is a multiple of s, so that no Horner
+    # step multiplies a scalar block
+    top = (degree - 1) // s
+    c = coeff[top * s:]
+    out = np.multiply(powers[len(c) - 2], c[-1], order="C")
+    add_block(out, c[:-1])
     spare = np.empty_like(out)
-    out.reshape(-1, k * k)[:, ::k + 1] += coeff[degree - 1]
-    for c in coeff[degree - 2::-1]:
-        out, spare = np.matmul(x, out, out=spare), out
-        out.reshape(-1, k * k)[:, ::k + 1] += c
+    for j in range(top - 1, -1, -1):
+        out, spare = np.matmul(out, powers[s - 1], out=spare), out
+        add_block(out, coeff[j * s:(j + 1) * s])
     for _ in range(squarings):
         out, spare = np.matmul(out, out, out=spare), out
     return out
@@ -239,50 +264,61 @@ def _prefix_states(steps: np.ndarray, y0: np.ndarray) -> np.ndarray:
     return states
 
 
-def magnus4(basis, coefficients, y0, t_grid) -> np.ndarray:
-    """Solve dy/dt = A(t) y with one fourth-order Magnus step per interval.
+def _magnus_exponents(basis, coefficients, t0, t1) -> np.ndarray:
+    """The exponents of the fourth-order Magnus steps from t0 to t1 (1-D
+    arrays of equal length), shape (len(t0), d, d).
 
-    The generator is affine in constant matrices, A(t) = sum_i f_i(t) B_i,
-    with ``basis`` the stack (m, d, d) of the B_i and ``coefficients(t)``
-    mapping a 1-D array of times to the real weights f_i(t), shape
-    (len(t), m).  On each interval of length h the two Gauss-Legendre nodes
-    t_mid -/+ h sqrt(3)/6 give A1 and A2, and the step is
-    exp(h/2 (A1 + A2) + sqrt(3)/12 h^2 [A2, A1]).  The B_i and every
-    [B_i, B_j] are stacked once, so each exponent is one row of weights
-    times that constant stack:
+    On a step of length h the two Gauss-Legendre nodes t_mid -/+ h sqrt(3)/6
+    give A1 and A2, and the exponent is
+    h/2 (A1 + A2) + sqrt(3)/12 h^2 [A2, A1].  The B_i and every [B_i, B_j]
+    are stacked once, so each exponent is one row of weights times that
+    constant stack:
     [A2, A1] = sum_{i<j} (f_i(t2) f_j(t1) - f_j(t2) f_i(t1)) [B_i, B_j].
-    The steps of a block of ``_MAGNUS_BLOCK`` intervals are multiplied by
-    a work-efficient tree scan, and the state is carried from block to
-    block.  Everything is computed in the dtype of ``basis`` and ``y0``
-    together: real for a real basis and state, complex if either is.
-    Returns the array of shape (len(t_grid), d); ``t_grid`` must be
-    nondecreasing and start at the initial time, and the first row holds
-    ``y0``.  The accuracy is set by the grid: the caller chooses h small
-    against 1/||A||.
     """
-    t_grid = _checked_grid(t_grid)
-    y0 = np.asarray(y0)
     basis = np.asarray(basis)
-    d = len(y0)
-    first, second = np.triu_indices(len(basis), 1)
+    d = basis.shape[-1]
+    pairs = list(itertools.combinations(range(len(basis)), 2))
+    first, second = [i for i, _ in pairs], [j for _, j in pairs]
     constant = np.concatenate((
         basis, basis[first] @ basis[second] - basis[second] @ basis[first],
     )).reshape(-1, d * d)
-    h = np.diff(t_grid)
-    mid = (t_grid[:-1] + t_grid[1:]) / 2.0
-    f1 = coefficients(mid - h * (_SQRT3 / 6.0))
-    f2 = coefficients(mid + h * (_SQRT3 / 6.0))
+    h = t1 - t0
+    mid = (t0 + t1) / 2.0
+    offset = h * (_SQRT3 / 6.0)
+    # both Gauss-Legendre nodes of every step in one call
+    f1, f2 = np.split(coefficients(np.concatenate((mid - offset, mid + offset))), 2)
     h = h[:, None]
     weights = np.concatenate((
         h / 2.0 * (f1 + f2),
         (_SQRT3 / 12.0) * h**2 * (f2[:, first] * f1[:, second]
                                   - f2[:, second] * f1[:, first]),
     ), axis=1)
-    out = np.empty((len(t_grid), d), dtype=np.result_type(constant, y0))
+    return (weights @ constant).reshape(len(h), d, d)
+
+
+def magnus4(basis, coefficients, y0, t_grid) -> np.ndarray:
+    """Solve dy/dt = A(t) y with one fourth-order Magnus step per interval.
+
+    The generator is affine in constant matrices, A(t) = sum_i f_i(t) B_i,
+    with ``basis`` the stack (m, d, d) of the B_i and ``coefficients(t)``
+    mapping a 1-D array of times to the real weights f_i(t), shape
+    (len(t), m).  Each interval takes the step exp(Omega) of
+    ``_magnus_exponents``.  The steps of a block of ``_MAGNUS_BLOCK``
+    intervals are multiplied by a work-efficient tree scan, and the state is
+    carried from block to block.  Everything is computed in the dtype of
+    ``basis`` and ``y0`` together: real for a real basis and state, complex
+    if either is.  Returns the array of shape (len(t_grid), d); ``t_grid``
+    must be nondecreasing and start at the initial time, and the first row
+    holds ``y0``.  The accuracy is set by the grid: the caller chooses h
+    small against 1/||A||.
+    """
+    t_grid = _checked_grid(t_grid)
+    y0 = np.asarray(y0)
+    exponents = _magnus_exponents(basis, coefficients, t_grid[:-1], t_grid[1:])
+    out = np.empty((len(t_grid), len(y0)), dtype=np.result_type(exponents, y0))
     out[0] = y0
-    for start in range(0, len(h), _MAGNUS_BLOCK):
-        block = weights[start:start + _MAGNUS_BLOCK]
-        steps = _expm((block @ constant).reshape(len(block), d, d))
+    for start in range(0, len(exponents), _MAGNUS_BLOCK):
+        steps = _expm(exponents[start:start + _MAGNUS_BLOCK])
         before = _prefix_states(steps, out[start])
-        out[start + 1:start + 1 + len(block)] = np.einsum("nij,nj->ni", steps, before)
+        out[start + 1:start + 1 + len(steps)] = np.einsum("nij,nj->ni", steps, before)
     return out

@@ -7,11 +7,16 @@ import pytest
 
 from singleatom.coherent import (
     _MAGNUS_STEP,
+    _SAMPLES,
     Pulse,
     PulseSchedule,
+    _generator,
+    _node_times,
+    _step_grid,
     ground_start,
     stirap_evolve,
 )
+from singleatom.integrator import _expm, _magnus_exponents, magnus4
 from singleatom.readout import larmor_frequency, larmor_survival, stirap_readout_probability
 
 T_PULSE = 1e-6
@@ -19,8 +24,8 @@ ADIABATIC = 140.0 / T_PULSE   # peak Rabi frequency well inside the adiabatic re
 LOSS = 3.0 / T_PULSE
 
 
-def schedule(order="counterintuitive", peak=ADIABATIC):
-    return PulseSchedule.sin2_pair(peak=peak, duration=T_PULSE, order=order)
+def schedule(order="counterintuitive", peak=ADIABATIC, delay=None):
+    return PulseSchedule.sin2_pair(peak=peak, duration=T_PULSE, delay=delay, order=order)
 
 
 def larmor_evolve(b_z, g_f, t):
@@ -75,19 +80,94 @@ class TestStirap:
         with pytest.raises(ValueError):
             stirap_evolve(schedule(), ground_start(), loss_gamma=-1.0)
 
-    @pytest.mark.parametrize("peak,samples,steps", [
-        # 2000 steps per 1 us pulse set the step: 2500 over the 1.25 us
-        # schedule, fewer than the 3999 sampling intervals, so one each
-        (ADIABATIC, 4000, 3999),
-        # ||A||_1 = 401.5 /us (with the loss) sets it: two per sampling interval
-        (400.0 / T_PULSE, 4000, 2 * 3999),
+    @pytest.mark.parametrize("sched,edges,steps", [
+        # 1600 steps per 1 us pulse set the step: the segments of 0.25,
+        # 0.75 and 0.25 us take 400, 1200 and 400 steps
+        pytest.param(schedule(), [0.0, 0.25e-6, 1e-6, 1.25e-6], [400, 1200, 400],
+                     id="140-per-us"),
+        # ||A||_1 = 401.5 /us (with the loss) sets it: 4015 steps per us
+        pytest.param(schedule(peak=400.0 / T_PULSE), [0.0, 0.25e-6, 1e-6, 1.25e-6],
+                     [1004, 3012, 1004], id="400-per-us"),
+        # a pulse that starts before t = 0: propagation starts at 0, so its
+        # start is no edge
+        pytest.param(PulseSchedule(
+            pump=Pulse(peak=ADIABATIC, t_start=0.0, duration=T_PULSE),
+            stokes=Pulse(peak=ADIABATIC, t_start=-0.5e-6, duration=T_PULSE)),
+            [0.0, 0.5e-6, 1e-6], [800, 800], id="start-before-zero"),
     ])
-    def test_step_diagnostics(self, peak, samples, steps):
-        result = stirap_evolve(schedule(peak=peak), ground_start(), loss_gamma=LOSS)
-        assert result.magnus_steps == steps
-        # every sampling interval takes the same whole number of steps
-        assert steps % (samples - 1) == 0
+    def test_step_diagnostics(self, sched, edges, steps):
+        result = stirap_evolve(sched, ground_start(), loss_gamma=LOSS)
+        assert result.magnus_steps == sum(steps)
         assert 0.0 < result.step_norm <= _MAGNUS_STEP
+        grid_edges, grid_steps = _step_grid(sched, _generator(sched, LOSS)[2])
+        assert grid_steps == steps
+        assert np.allclose(grid_edges, edges, rtol=0.0, atol=1e-18)
+        nodes = _node_times(grid_edges, grid_steps, np.arange(sum(steps) + 1))
+        # every pulse edge inside (0, t_end) is a node
+        for pulse in (sched.pump, sched.stokes):
+            for edge in (pulse.t_start, pulse.t_start + pulse.duration):
+                if 0.0 < edge < sched.t_end:
+                    assert edge in nodes
+        # each segment between two edges takes equal steps
+        first = np.concatenate(([0], np.cumsum(steps)))
+        for k, n in enumerate(steps):
+            segment = nodes[first[k]:first[k + 1] + 1]
+            assert segment[0] == grid_edges[k] and segment[-1] == grid_edges[k + 1]
+            width = (grid_edges[k + 1] - grid_edges[k]) / n
+            assert np.allclose(np.diff(segment), width, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("order", ["counterintuitive", "intuitive"])
+    @pytest.mark.parametrize("loss", [0.0, LOSS])
+    @pytest.mark.parametrize("delay", [None, 0.2e-6, 0.5e-6])
+    def test_max_intermediate_matches_every_sample(self, order, loss, delay):
+        # the windowed maximum against one Magnus step from the node before
+        # each of the 4000 sample times; intuitive order without loss has
+        # many Rabi peaks of nearly equal height
+        for peak in (20e6, 40e6, 80e6, ADIABATIC, 250e6, 400e6):
+            sched = schedule(order, peak=peak, delay=delay)
+            result = stirap_evolve(sched, ground_start(), loss_gamma=loss)
+            basis, coefficients, a_norm = _generator(sched, loss)
+            edges, steps = _step_grid(sched, a_norm)
+            nodes = _node_times(edges, steps, np.arange(sum(steps) + 1))
+            traj = magnus4(basis, coefficients, ground_start(), nodes)
+            samples = np.linspace(0.0, sched.t_end, _SAMPLES)
+            before = np.minimum(np.searchsorted(nodes, samples, side="right") - 1,
+                                len(nodes) - 2)
+            sample_steps = _expm(_magnus_exponents(basis, coefficients, nodes[before], samples))
+            pop_a = np.abs(np.einsum("nij,nj->ni", sample_steps, traj[before])[:, 0]) ** 2
+            assert abs(result.max_intermediate - pop_a.max()) <= 1e-13
+
+    @pytest.mark.parametrize("field,value", [
+        ("peak", math.nan), ("peak", math.inf), ("t_start", math.nan),
+        ("t_start", -math.inf), ("duration", math.inf), ("duration", math.nan),
+    ])
+    def test_pulse_refuses_non_finite(self, field, value):
+        values = {"peak": ADIABATIC, "t_start": 0.0, "duration": T_PULSE, field: value}
+        with pytest.raises(ValueError, match="finite"):
+            Pulse(**values)
+
+    def test_sin2_pair_refuses_nan_peak(self):
+        with pytest.raises(ValueError, match="finite"):
+            schedule(peak=math.nan)
+
+    @pytest.mark.parametrize("loss", [math.nan, math.inf])
+    def test_refuses_non_finite_loss(self, loss):
+        with pytest.raises(ValueError, match="loss_gamma must be finite"):
+            stirap_evolve(schedule(), ground_start(), loss_gamma=loss)
+
+    def test_refuses_non_finite_initial_state(self):
+        with pytest.raises(ValueError, match="finite amplitudes"):
+            stirap_evolve(schedule(), np.array([0.0, math.nan, 0.0]))
+
+    def test_refuses_overflowing_step_rate(self):
+        # each peak is finite, but ||A||_1 = (peak_p + peak_s) / 2 overflows
+        with pytest.raises(ValueError, match="Magnus steps"):
+            stirap_evolve(schedule(peak=1.5e308), ground_start())
+
+    def test_refuses_schedule_ending_before_start(self):
+        pulse = Pulse(peak=ADIABATIC, t_start=-2e-6, duration=T_PULSE)
+        with pytest.raises(ValueError, match="end after t = 0"):
+            stirap_evolve(PulseSchedule(pump=pulse, stokes=pulse), ground_start())
 
 
 def dop853_reference(sched, loss, y0):
@@ -121,15 +201,21 @@ def dop853_reference(sched, loss, y0):
 
 
 class TestStirapAgainstDop853:
-    @pytest.mark.parametrize("order,loss,peak", [
-        ("counterintuitive", 0.0, ADIABATIC),
-        ("counterintuitive", LOSS, ADIABATIC),
-        ("counterintuitive", LOSS, 40e6),
-        ("intuitive", LOSS, ADIABATIC),
-        ("intuitive", 0.0, 40e6),
+    @pytest.mark.parametrize("order,loss,peak,delay", [
+        pytest.param(*row, id="-".join(map(str, row[:3] if row[3] is None else row)))
+        for row in (
+            ("counterintuitive", 0.0, ADIABATIC, None),
+            ("counterintuitive", LOSS, ADIABATIC, None),
+            ("counterintuitive", LOSS, 40e6, None),
+            ("intuitive", LOSS, ADIABATIC, None),
+            ("intuitive", 0.0, 40e6, None),
+            # the corners of the benchmark's library sweep
+            ("counterintuitive", LOSS, 120e6, 0.2e-6),
+            ("counterintuitive", LOSS, 160e6, 0.3e-6),
+        )
     ])
-    def test_matches_reference(self, order, loss, peak):
-        sched = schedule(order, peak=peak)
+    def test_matches_reference(self, order, loss, peak, delay):
+        sched = schedule(order, peak=peak, delay=delay)
         result = stirap_evolve(sched, ground_start(), loss_gamma=loss)
         # no |a> amplitude at the start, so the bare basis and (i|a>, |b>, |c>)
         # hold the same initial state
