@@ -4,11 +4,11 @@ Levels (bare basis order): ``a`` = 5P3/2 F'=2, ``b`` = 5S1/2 F=1,
 ``c`` = 5S1/2 F=2, ``d`` = 5P3/2 F'=3.  A cooling field couples c-a and
 c-d, a repump field couples b-a.  In the frame rotating with both laser
 frequencies the model is a Hamiltonian plus the decays a -> b, a -> c and
-d -> c, a time-independent Lindblad generator M, so steady states come from
-a null-space solve.  By the quantum regression theorem g2(tau) is one linear
-functional of the state evolved from the post-emission ground-state
-mixture y0: the excited population c . exp(M tau) y0, c = e_a + e_d, over
-its steady-state value.  It is evaluated as a sum of the generator's modes
+d -> c, a time-independent Lindblad generator M, so the steady state is
+its null vector, from a linear solve bordered by the trace.  By the quantum
+regression theorem g2(tau) is one linear functional of the state evolved
+from the post-emission ground-state mixture y0: the excited population
+c . exp(M tau) y0, c = e_a + e_d, over its steady-state value.  It is evaluated as a sum of the generator's modes
 (``integrator.linear_modes`` and ``sum_modes``), without building the
 state at each delay; ``FourLevelLiouvillian.propagate`` evolves the whole
 state.  Every state here is a real 16-vector in the layout of ``obe``,
@@ -17,8 +17,8 @@ whose first four entries are the populations of a, b, c and d.
 The level structure (Hamiltonian, decays, trap shifts), the generator
 (``obe._lindblad``), the steady-state rule and the post-emission state live
 in ``obe``, whose standard-library kernel runs the same model for the CLI
-with a Jacobi SVD and a Francis QR.  This module is the library's kernel:
-numpy's SVD and ``eig`` take about a millisecond per call, where the
+with its own LU and a Francis QR.  This module is the library's kernel:
+numpy's ``inv`` and ``eig`` take about a millisecond per call, where the
 standard library takes tens, so a study that calls it in a loop runs here.
 Each kernel is the other's test reference.
 
@@ -96,8 +96,8 @@ class FourLevelLiouvillian:
 
     ``matrix_real`` acts on the 16 real degrees of freedom of a Hermitian
     4x4 density matrix, in the layout of ``obe`` (``obe._lindblad`` builds
-    it).  Provides the steady state (null vector from an SVD, with trace
-    normalization) and propagation by a grid of delays, both in that layout.
+    it).  Provides the steady state (a bordered linear solve, with trace
+    one) and propagation by a grid of delays, both in that layout.
     """
 
     def __init__(self, params: FourLevelParams):
@@ -107,13 +107,13 @@ class FourLevelLiouvillian:
         self.matrix_real = np.array(_lindblad(h, _FOUR_LEVEL_DECAYS))
 
     def steady_state(self) -> np.ndarray:
-        """The trace-one null vector of the generator, a real 16-vector:
-        the last row of ``numpy.linalg.svd``'s V^H, with the rank rule and
-        refusals of ``obe._steady_vector`` (a null space of one dimension,
-        decays resolved, excitation above the null vector's rounding error).
+        """The trace-one null vector of the generator, a real 16-vector: the
+        refined bordered solve and refusals of ``obe._steady_vector`` (decays
+        resolved, a unique state, excitation above its rounding error), with
+        the bordered matrix inverted by ``numpy.linalg.inv``.
         """
-        _, s, vh = np.linalg.svd(self.matrix_real)
-        return np.array(_steady_vector(s, vh[-1], _FOUR_LEVEL_DECAYS))
+        return np.array(_steady_vector(self.matrix_real.tolist(), _FOUR_LEVEL_DECAYS,
+                                       _inverse_columns))
 
     def propagate(self, y0: np.ndarray, delays) -> np.ndarray:
         """Evolve the real 16-vector ``y0`` by each delay; returns
@@ -128,6 +128,14 @@ class FourLevelLiouvillian:
         return sum_modes(lam, amp, delays, y0)
 
 
+def _inverse_columns(b: list[list[float]]) -> list[list[float]] | None:
+    """The columns of b^-1 from LAPACK's LU, or None where it finds b singular."""
+    try:
+        return np.linalg.inv(b).T.tolist()
+    except np.linalg.LinAlgError:
+        return None
+
+
 def post_emission_state(steady: np.ndarray) -> np.ndarray:
     """Ground-state mixture right after a photon emission, a real 16-vector
     holding the populations of b and c (all coherences zero), from a steady
@@ -138,7 +146,7 @@ def post_emission_state(steady: np.ndarray) -> np.ndarray:
 def four_level_g2(params: FourLevelParams, tau_grid) -> np.ndarray:
     """g2(tau) of the total fluorescence: excited population re-growth
     after an emission, normalized to its steady-state value, from numpy's
-    SVD and eigendecomposition (``integrator.linear_modes``).  The CLI runs
+    ``inv`` and eigendecomposition (``integrator.linear_modes``).  The CLI runs
     the same model on the standard library (``obe.four_level_g2``), which
     also reports its diagnostics.
     """

@@ -52,6 +52,8 @@ EXIT_NUMERICAL = 3
 MAX_POINTS = 10**6
 # upper bound on loading --n-max; each rate's law is n_max + 1 values
 MAX_ATOMS = 1000
+# upper bound on the rounding error eps |phase| (rad) of a phase whose cosine is printed
+_PHASE_RESOLUTION = 1e-3
 
 
 class ValidationError(Exception):
@@ -647,16 +649,22 @@ def _check_g2(args) -> None:
 
 def _check_larmor(args) -> None:
     """The step of the time grid, as for g2, and the Larmor phase at the
-    longest time, whose cosine the run takes; a phase of exactly 0 (no
-    field, or g_F = 0) is a result."""
+    longest time, whose cosine the run takes: finite, and known to
+    ``_PHASE_RESOLUTION``, or the survival is noise; a phase of exactly 0
+    (no field, or g_F = 0) is a result."""
     from .readout import larmor_frequency
 
     _derived(f"--t-max-us {args.t_max_us:g} with --points {args.points}", "time step (s)",
              lambda: args.t_max_us * 1e-6 / (args.points - 1))
     phase = larmor_frequency(args.b_mgauss * 1e-7, args.g_f) * (args.t_max_us * 1e-6)
     if phase != 0:
-        _derived(f"--b-mgauss {args.b_mgauss:g} with --g-f {args.g_f:g} and --t-max-us"
-                 f" {args.t_max_us:g}", "Larmor phase at the longest time (rad)", lambda: phase)
+        flags = (f"--b-mgauss {args.b_mgauss:g} with --g-f {args.g_f:g} and --t-max-us"
+                 f" {args.t_max_us:g}")
+        _derived(flags, "Larmor phase at the longest time (rad)", lambda: phase)
+        if sys.float_info.epsilon * phase > _PHASE_RESOLUTION:
+            raise ValidationError(
+                f"{flags}: the Larmor phase at the longest time ({phase:.3g} rad) has a rounding"
+                f" error above {_PHASE_RESOLUTION:g} rad")
 
 
 _COMMON = (Flag("config", "str", help="JSON file with flag values (flags override)"),

@@ -50,6 +50,9 @@ _STEPS_PER_PULSE = 1600
 _STEPS_PER_CALL = 4096
 # sample times of stirap_evolve over the schedule
 _SAMPLES = 4000
+# Magnus steps of one stirap_evolve, at most: about 10 s of propagation (a
+# lib-sweep point takes about 2300, the longest test about 500 000)
+_MAX_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -161,7 +164,8 @@ def _step_grid(schedule: PulseSchedule, a_norm: float):
     steps keep their order; across a pulse edge the envelope's second
     derivative jumps (Blanes et al., Phys. Rep. 470, 151 (2009)).  A segment
     of length L takes ceil(L max(||A||_1 / _MAGNUS_STEP,
-    _STEPS_PER_PULSE / shortest duration)) steps.
+    _STEPS_PER_PULSE / shortest duration)) steps.  Raises ``ValueError``
+    where the step rate overflows or the steps exceed ``_MAX_STEPS`` in all.
     """
     t_end = schedule.t_end
     pulses = (schedule.pump, schedule.stokes)
@@ -170,7 +174,11 @@ def _step_grid(schedule: PulseSchedule, a_norm: float):
     rate = max(a_norm / _MAGNUS_STEP, _STEPS_PER_PULSE / min(p.duration for p in pulses))
     if not math.isfinite(rate):
         raise ValueError("the pulses need more Magnus steps per second than a float holds")
-    return edges, [math.ceil(length * rate) for length in np.diff(edges).tolist()]
+    steps = [math.ceil(length * rate) for length in np.diff(edges).tolist()]
+    if sum(steps) > _MAX_STEPS:
+        raise ValueError(f"the pulses need {sum(steps):.3g} Magnus steps, more than"
+                         f" {_MAX_STEPS:.0e}")
+    return edges, steps
 
 
 def _node_times(edges: np.ndarray, steps: list[int], nodes: np.ndarray) -> np.ndarray:
@@ -209,7 +217,8 @@ def stirap_evolve(schedule: PulseSchedule, initial: np.ndarray,
     ``_STEPS_PER_CALL``, so memory does not grow with the number of steps.
     Raises ``ValueError`` for an initial state that is not three finite
     amplitudes, a negative or non-finite loss, a schedule that ends at or
-    before t = 0, or one whose step rate overflows.
+    before t = 0, or one whose step rate overflows or that needs more than
+    ``_MAX_STEPS`` steps.
     """
     state = np.asarray(initial)
     if state.shape != (3,) or not np.all(np.isfinite(state)):

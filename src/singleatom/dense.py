@@ -3,10 +3,9 @@
 A matrix is a list of rows of floats.  Three routines serve the four-level
 g2 kernel of ``obe``, which runs a 16 x 16 generator without numpy:
 
-- ``jacobi_svd``: the one-sided Jacobi SVD (Hestenes 1958; Demmel and
-  Veselic, SIAM J. Matrix Anal. Appl. 13, 1204 (1992)).  Plane rotations
-  make the columns of A V orthogonal; their norms are the singular values,
-  which carry high relative accuracy.
+- ``inverse``: the columns of A^-1, one LU factorization by Gaussian
+  elimination with partial pivoting and a solve per column, for the
+  bordered steady-state solve of ``obe._steady_vector``.
 - ``eigenvalues``: Householder reduction to Hessenberg form, then the real
   Francis double-shift QR iteration (Golub and Van Loan, *Matrix
   Computations*, section 7.5).  It works in real arithmetic, so a real
@@ -14,9 +13,9 @@ g2 kernel of ``obe``, which runs a 16 x 16 generator without numpy:
 - ``eigenvectors``: inverse iteration on A - lambda I, one LU factorization
   giving the right and the left eigenvector.
 
-Each routine works on the matrix scaled by the power of 2 that brings its
-largest entry into [1, 2), which is exact and keeps every square and sum of
-squares finite.
+The eigenvalue routine works on the matrix scaled by the power of 2 that
+brings its largest entry into [1, 2), which is exact and keeps every square
+and sum of squares finite.
 """
 
 from __future__ import annotations
@@ -25,14 +24,11 @@ import math
 import sys
 from operator import mul
 
-from .guards import IntegrationError
+from .guards import _NOT_FINITE, IntegrationError
 
-__all__ = ["jacobi_svd", "eigenvalues", "eigenvectors"]
+__all__ = ["inverse", "eigenvalues", "eigenvectors"]
 
 _EPS = sys.float_info.epsilon
-# Jacobi sweeps before the SVD is refused; it converges quadratically, in
-# about 7 sweeps for a 16 x 16 generator
-_MAX_SWEEPS = 60
 # QR steps per eigenvalue, in total, before the eigenproblem is refused
 # (LAPACK's dlahqr allows the same)
 _STEPS_PER_EIGENVALUE = 30
@@ -43,62 +39,10 @@ def _scale(a: list[list[float]]) -> tuple[list[list[float]], int]:
     Raises ``IntegrationError`` for a matrix with an entry that is not finite
     (such as a drive whose Rabi rate overflows)."""
     if not all(math.isfinite(x) for row in a for x in row):
-        raise IntegrationError("the matrix has an entry that is not finite")
+        raise IntegrationError(_NOT_FINITE)
     top = max(abs(x) for row in a for x in row)
     exponent = math.frexp(top)[1] - 1 if top else 0
     return [[math.ldexp(x, -exponent) for x in row] for row in a], exponent
-
-
-def jacobi_svd(a: list[list[float]]) -> tuple[list[float], list[list[float]]]:
-    """(s, v): the singular values of the square matrix ``a`` in descending
-    order, and the right singular vector v[k] of each s[k].
-
-    Cyclic sweeps rotate each pair of columns of A V until every pair is
-    orthogonal to eps in the cosine of their angle, or has an inner product
-    below (eps ||A||_F)^2, where columns of a norm far below eps ||A||_F
-    (whose products are subnormal numbers) cannot be made more orthogonal.
-    Raises ``IntegrationError`` if that takes more than ``_MAX_SWEEPS``
-    sweeps.
-    """
-    scaled, exponent = _scale(a)
-    n = len(scaled)
-    cols = [list(col) for col in zip(*scaled)]
-    vecs = [[1.0 if i == k else 0.0 for i in range(n)] for k in range(n)]
-    floor = _EPS * _EPS * sum(x * x for row in scaled for x in row)
-    for _ in range(_MAX_SWEEPS):
-        # squared column norms: the one a rotation raises is updated, the one
-        # it lowers (by cancellation, towards the null space) is recomputed
-        squares = [sum(map(mul, col, col)) for col in cols]
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                x, y = cols[p], cols[q]
-                gamma = sum(map(mul, x, y))
-                alpha, beta = squares[p], squares[q]
-                if abs(gamma) <= max(_EPS * math.sqrt(alpha) * math.sqrt(beta), floor):
-                    continue
-                rotated = True
-                zeta = (beta - alpha) / (2.0 * gamma)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-                c = 1.0 / math.hypot(1.0, t)
-                s = c * t
-                cols[p] = [c * u - s * w for u, w in zip(x, y)]
-                cols[q] = [s * u + c * w for u, w in zip(x, y)]
-                if t * gamma > 0.0:
-                    squares[p], squares[q] = sum(map(mul, cols[p], cols[p])), beta + t * gamma
-                else:
-                    squares[p], squares[q] = alpha - t * gamma, sum(map(mul, cols[q], cols[q]))
-                x, y = vecs[p], vecs[q]
-                vecs[p] = [c * u - s * w for u, w in zip(x, y)]
-                vecs[q] = [s * u + c * w for u, w in zip(x, y)]
-        if not rotated:
-            break
-    else:
-        raise IntegrationError(f"the Jacobi SVD did not converge in {_MAX_SWEEPS} sweeps")
-    scale = math.ldexp(1.0, exponent)
-    norms = [math.hypot(*col) * scale for col in cols]
-    order = sorted(range(n), key=norms.__getitem__, reverse=True)
-    return [norms[k] for k in order], [vecs[k] for k in order]
 
 
 def _hessenberg(h: list[list[float]]) -> None:
@@ -319,6 +263,15 @@ def _solve_transposed(lu: list[list], perm: list[int], b: list) -> list:
     for k, i in enumerate(perm):
         x[i] = z[k]
     return x
+
+
+def inverse(a: list[list[float]]) -> list[list[float]]:
+    """The columns of the inverse of the square matrix ``a``: one ``_lu``
+    and a ``_solve`` for each unit vector (a zero pivot is replaced as
+    ``_lu`` says, so an exactly singular matrix gets a huge inverse)."""
+    n = len(a)
+    lu, perm = _lu(a)
+    return [_solve(lu, perm, [float(i == k) for i in range(n)]) for k in range(n)]
 
 
 def _normalized(v: list) -> list:

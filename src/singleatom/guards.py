@@ -17,6 +17,9 @@ import sys
 # returning noise.
 _MIN_OVERLAP = math.sqrt(sys.float_info.epsilon / 1e-6)
 _DEFECTIVE = "generator is too close to an exceptional point for the eigen-propagator"
+# the refusal of a matrix with an inf or NaN entry (such as a drive whose
+# Rabi rate overflows), by the dense routines and the steady-state rule
+_NOT_FINITE = "the matrix has an entry that is not finite"
 
 
 class IntegrationError(RuntimeError):

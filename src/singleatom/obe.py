@@ -31,8 +31,10 @@ sums the same modes (``_two_level_modes``) at delays in any order, with
 numpy.
 
 The hyperfine four-level model of ``bloch.four_level`` (levels, decays and
-trap shifts live here): a real 16 x 16 generator, whose steady state comes
-from a one-sided Jacobi SVD and whose modes come from a Francis QR and
+trap shifts live here): a real 16 x 16 generator M.  Its steady state
+solves M x = 0 with one equation replaced by the trace, refined once
+(``_steady_vector``, the rule of both four-level kernels, each with its own
+inverse of the bordered matrix), and its modes come from a Francis QR and
 inverse iteration (``dense``).  ``bloch.four_level_g2`` evaluates the same
 model with numpy's LAPACK for the library, where it runs in a loop; this
 kernel serves the CLI, whose four-level and full g2 thus load no numpy.
@@ -47,7 +49,7 @@ from operator import add, mul
 
 from .constants import (HBAR, KB, RB87_5P32_F2_F3_SPLITTING, RB87_GAMMA_D2, RB87_ISAT_F1_F2,
                         RB87_ISAT_F2_F2, RB87_ISAT_F2_F3, linspace, rabi_frequency)
-from .guards import _DEFECTIVE, _MIN_OVERLAP, IntegrationError
+from .guards import _DEFECTIVE, _MIN_OVERLAP, _NOT_FINITE, IntegrationError
 
 __all__ = ["two_level_obe_g2", "two_level_steady_excited", "four_level_g2", "trap_shifts"]
 
@@ -452,41 +454,47 @@ def _lindblad(h: list[list[float]], decays) -> list[list[float]]:
     return m
 
 
-def _steady_vector(s, null, decays):
-    """The trace-one steady state from the singular values ``s`` (descending)
-    of an n-level generator and its right singular vector ``null`` of the
-    smallest: the rule of both four-level kernels, whichever SVD they take.
-
-    The null space is spanned by the singular vectors whose singular values
-    are at most eps * n^2 * s_max (the rank rule of scipy's ``null_space``);
-    it must be one-dimensional.  Where that tolerance reaches the smallest
-    decay rate, the drive or a detuning is so far above the linewidth that
-    float64 cannot resolve the decays, and the state is refused with that
-    reason.  So is a state whose excited population (of the levels that
-    decay) is not above n^2 eps s_max / s_(n^2-1), the rounding error of the
-    null vector: g2 would divide noise by noise.  ``s`` and ``null`` may be
-    numpy arrays; the state is a list.
+def _steady_vector(m: list[list[float]], decays, invert) -> list[float]:
+    """The trace-one steady state of the n x n generator ``m`` (rows) with
+    the ``decays`` (rate, to, from), by the rule of both four-level kernels:
+    B x = s e_0, with B = m whose row 0 (redundant, as the trace is
+    conserved) is s on the populations and s = ||m||_1, solved with the
+    columns of B^-1 from the kernel's ``invert`` (None where it finds B
+    singular) and refined once with each row's residual summed by
+    ``math.fsum`` (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., ch. 12).  Refused in this order: an entry that is
+    not finite (``IntegrationError``); a rounding n eps s that reaches the
+    slowest decay rate (float64 cannot resolve the decays); an error bound
+    n eps s ||B^-1||_1 on x not below 1 (a second steady state); and an
+    excited population (of the levels that decay) not above that bound
+    (g2 would divide noise by noise).
     """
-    tol = s[0] * _EPS * len(s)
+    if not all(map(math.isfinite, chain.from_iterable(m))):
+        raise IntegrationError(_NOT_FINITE)
+    n = len(m)
+    norm = max(sum(map(abs, col)) for col in zip(*m))
     slowest = min(rate for rate, _, _ in decays)
-    if not tol < slowest:
+    if not n * _EPS * norm < slowest:
         raise ValueError(
             "drive or detuning exceeds the linewidth by more than float64 can resolve: "
-            f"generator norm {s[0]:.3g} /s against decay rate {slowest:.3g} /s")
-    dim = sum(1 for x in s if not x > tol)
-    if dim != 1:
-        raise ValueError(f"steady state not unique: null space dimension {dim}")
-    levels = round(len(s) ** 0.5)
-    trace = sum(null[:levels])
-    if abs(trace) < 1e-12:
-        raise ValueError("null vector has zero trace; generator is degenerate")
-    vec = [x / trace for x in null]
+            f"generator norm {norm:.3g} /s against decay rate {slowest:.3g} /s")
+    levels = round(n ** 0.5)
+    b = [[norm] * levels + [0.0] * (n - levels), *m[1:]]
+    cols = invert(b)
+    bound = n * _EPS * norm * max(sum(map(abs, col)) for col in cols) if cols else math.inf
+    if not bound < 1.0:
+        raise ValueError(f"steady state not unique: the bordered solve's error bound"
+                         f" {bound:.3g} is not below 1")
+    vec = [norm * x for x in cols[0]]
+    rhs = [norm] + [0.0] * (n - 1)
+    residual = [math.fsum(chain((r,), (-x * y for x, y in zip(row, vec))))
+                for r, row in zip(rhs, b)]
+    vec = [x + sum(map(mul, row, residual)) for x, row in zip(vec, zip(*cols))]
     excited = sum(vec[k] for k in sorted({frm for _, _, frm in decays}))
-    noise = len(s) * _EPS * s[0] / s[-2]
-    if not excited > noise:
+    if not excited > bound:
         raise ValueError(
             "no steady-state excitation: the excited population is not above the null"
-            f" vector's rounding error {noise:.3g}")
+            f" vector's rounding error {bound:.3g}")
     return vec
 
 
@@ -523,8 +531,8 @@ def four_level_g2(rabi, delta_cl: float, delta_rl: float, shifts, tau_max: float
     ``delta_cl`` and ``delta_rl`` the detunings and ``shifts`` the AC-Stark
     shifts of a, b, c and d, all in rad/s.  The excited population a + d
     after an emission, over its steady-state value, by the quantum
-    regression theorem: the steady state from a one-sided Jacobi SVD with
-    the refusals of ``_steady_vector``, the post-emission state of
+    regression theorem: the steady state and refusals of ``_steady_vector``,
+    with B^-1 from the LU of ``dense.inverse``, the post-emission state of
     ``_post_emission``, and the modes of ``_eigen_modes`` summed by
     ``_sum_modes``.  The same model as ``bloch.four_level_g2``, whose numpy
     linear algebra it does not share.  The row at tau = 0 is exactly 0; a
@@ -535,12 +543,11 @@ def four_level_g2(rabi, delta_cl: float, delta_rl: float, shifts, tau_max: float
     compares with 1.5e-5) and "steady_residual" (the 2-norm of M y_ss in
     1/s).
     """
-    from .dense import jacobi_svd
+    from .dense import inverse
 
     _step(tau_max, points)
     m = _lindblad(_four_level_hamiltonian(rabi, delta_cl, delta_rl, shifts), _FOUR_LEVEL_DECAYS)
-    s, vecs = jacobi_svd(m)
-    steady = _steady_vector(s, vecs[-1], _FOUR_LEVEL_DECAYS)
+    steady = _steady_vector(m, _FOUR_LEVEL_DECAYS, inverse)
     excited = [0.0] * len(steady)
     excited[_A] = excited[_D] = 1.0
     real, pairs, overlap = _eigen_modes(m, _post_emission(steady, _FOUR_LEVEL_DECAYS), excited)

@@ -294,6 +294,10 @@ class TestValidateOnlyAgreesWithRun:
         (["larmor", "--b-mgauss", "3.7e10", "--t-max-us", "3.7e300", "--points", "21"],
          "--b-mgauss 3.7e+10 with --g-f -0.5 and --t-max-us 3.7e+300: the Larmor phase at the"
          " longest time (rad) overflows"),
+        # the phase is finite, but its rounding error is about 4e284 rad: the
+        # survival the run printed moved by 3.3 under a 2-ulp nudge
+        (["larmor", "--b-mgauss", "100", "--t-max-us", "3.7e300", "--points", "3"],
+         "--b-mgauss 100 with --g-f -0.5 and --t-max-us 3.7e+300"),
         *((args, flag) for args, flag, _ in G2_RATE_OVERFLOWS),
     ], ids=["trap-power", "trap-waist", "trap-wavelength", "kinetic", "env-a",
             "stirap-grid", "loading-grid", "loading-negative-rate",
@@ -304,7 +308,7 @@ class TestValidateOnlyAgreesWithRun:
             "g2-trap-on-hyperfine-line", "full-trap-on-hyperfine-line", "pair-rate-overflow",
             "loading-untrapped", "four-level-step-underflow", "two-level-obe-step-underflow",
             "two-level-analytic-step-underflow", "full-step-underflow",
-            "larmor-step-underflow", "larmor-phase-overflow",
+            "larmor-step-underflow", "larmor-phase-overflow", "larmor-phase-unresolved",
             *(name for _, _, name in G2_RATE_OVERFLOWS)])
     def test_out_of_range_flag_exits_two(self, tmp_path, capsys, args, flag):
         code, out = run(tmp_path, args)
@@ -428,6 +432,10 @@ class TestOverflowingSquares:
          "--env-tau-us 4.94066e-324: the envelope decay time (s) underflows to 0"),
         (["larmor", "--b-mgauss", "100", "--t-max-us", "1e-320", "--points", "3"],
          "--t-max-us 9.99989e-321: the longest time (s) underflows to 0"),
+        # a finite Larmor phase of 1.6e300 rad, known to no better than 4e284 rad
+        (["larmor", "--b-mgauss", "100", "--t-max-us", "3.7e300", "--points", "3"],
+         "--b-mgauss 100 with --g-f -0.5 and --t-max-us 3.7e+300: the Larmor phase at the"
+         " longest time (1.63e+300 rad) has a rounding error above 0.001 rad"),
         (["pair-rate", "--eta", "0.5", "--cycle-us", "5e-324"],
          "--cycle-us 4.94066e-324: the cycle time (s) underflows to 0"),
         # the cycle time is not 0 in s, but the pairs per minute overflow
@@ -454,7 +462,8 @@ class TestOverflowingSquares:
             "trap-axial-overflow", "lightshift-axial-overflow", "trap-radial-overflow",
             "trap-depth-overflow", "trap-axial-underflow", "trap-rayleigh-inf",
             "g2-tau-max", "two-level-analytic-tau-max", "two-level-obe-tau-max",
-            "full-tau-max", "full-env-tau", "larmor-t-max", "pair-rate-cycle",
+            "full-tau-max", "full-env-tau", "larmor-t-max", "larmor-phase-unresolved",
+            "pair-rate-cycle",
             "pair-rate-overflow", "loading-untrapped",
             "loading-temperature-zero-in-k", "loading-thermal-energy-zero-in-j"])
     def test_named_and_refused_in_validation(self, tmp_path, capsys, args, line):
@@ -1216,39 +1225,65 @@ class TestNonFiniteResults:
         assert err == "numerical failure: non-finite value nan in column g2\n"
 
 
+def four_level_refusal(tmp_path, capsys, kernel, extra):
+    """The stderr line of the four-level g2 run of the flags ``extra``, which
+    must exit 3 without a CSV; for the "library" kernel, the steady-state
+    ValueError of ``FourLevelLiouvillian`` for the same drive, in that form."""
+    if kernel == "cli":
+        code, out = run(tmp_path, ["g2", *extra, "--points", "3"])
+        assert code == EXIT_NUMERICAL and not out.exists()
+        return capsys.readouterr().err
+    from singleatom.bloch import FourLevelParams
+    from singleatom.bloch.four_level import FourLevelLiouvillian
+    from singleatom.constants import TWO_PI, intensity_from_mw_cm2
+
+    flags = {"--irl": "12", "--delta-rl-mhz": "0", **dict(zip(extra[::2], extra[1::2]))}
+    params = FourLevelParams(i_cl=intensity_from_mw_cm2(float(flags["--icl"])),
+                             i_rl=intensity_from_mw_cm2(float(flags["--irl"])),
+                             delta_cl=TWO_PI * float(flags["--delta-mhz"]) * 1e6,
+                             delta_rl=TWO_PI * float(flags["--delta-rl-mhz"]) * 1e6)
+    with pytest.raises(ValueError) as exc:
+        FourLevelLiouvillian(params).steady_state()
+    return f"numerical failure: {exc.value}\n"
+
+
+def over_kernels(rows, ids):
+    """(extra, kernel) of each row for the CLI's kernel (obe.four_level_g2)
+    and the library's (bloch.four_level), which share the steady-state rule
+    and so must give the same refusal; the library's ids end in -library."""
+    return [pytest.param(extra, kernel, id=name if kernel == "cli" else f"{name}-library")
+            for kernel in ("cli", "library") for extra, name in zip(rows, ids)]
+
+
 class TestExtremeFourLevelDrives:
-    @pytest.mark.parametrize("extra", [
+    @pytest.mark.parametrize("extra,kernel", over_kernels([
         ["--delta-mhz", "1e100", "--icl", "103"],
         ["--delta-mhz", "-31", "--icl", "1e300"],
         ["--delta-mhz", "-31", "--icl", "103", "--irl", "1e300"],
         ["--delta-mhz", "-31", "--icl", "103", "--delta-rl-mhz", "1e300"],
-    ], ids=["delta", "icl", "irl", "delta-rl"])
-    def test_unresolvable_linewidth_named(self, tmp_path, capsys, extra):
-        # the generator's entries span more than 1/eps: its rank rule cannot
-        # see the decays, which is the reason given, not a null-space count
-        code, out = run(tmp_path, ["g2", *extra, "--points", "3"])
-        assert code == EXIT_NUMERICAL and not out.exists()
-        err = capsys.readouterr().err
+    ], ["delta", "icl", "irl", "delta-rl"]))
+    def test_unresolvable_linewidth_named(self, tmp_path, capsys, extra, kernel):
+        # the generator's entries span more than 1/eps: its rounding hides
+        # the decays, which is the reason given, not a second steady state
+        err = four_level_refusal(tmp_path, capsys, kernel, extra)
         assert err.startswith("numerical failure: drive or detuning exceeds the linewidth "
                               "by more than float64 can resolve: ")
         assert err.count("\n") == 1
 
 
 class TestSteadyExcitationAtRoundingLevel:
-    @pytest.mark.parametrize("extra", [
+    @pytest.mark.parametrize("extra,kernel", over_kernels([
         ["--delta-mhz", "1e6", "--icl", "103"],
         ["--delta-mhz", "1e11", "--icl", "103"],
         ["--delta-mhz", "1e12", "--icl", "103"],
         ["--delta-mhz", "-31", "--icl", "0"],
         ["--model", "full", "--env-a", "0.3", "--env-tau-us", "2", "--delta-mhz", "-31",
          "--icl", "0"],
-    ], ids=["delta-1e6", "delta-1e11", "delta-1e12", "icl-0", "full-icl-0"])
-    def test_refused(self, tmp_path, capsys, extra):
+    ], ["delta-1e6", "delta-1e11", "delta-1e12", "icl-0", "full-icl-0"]))
+    def test_refused(self, tmp_path, capsys, extra, kernel):
         # the excited population is within the null vector's rounding error,
         # so g2 would divide noise by noise
-        code, out = run(tmp_path, ["g2", *extra, "--points", "3"])
-        assert code == EXIT_NUMERICAL and not out.exists()
-        err = capsys.readouterr().err
+        err = four_level_refusal(tmp_path, capsys, kernel, extra)
         assert err.startswith("numerical failure: no steady-state excitation: the excited "
                               "population is not above the null vector's rounding error ")
         assert err.count("\n") == 1
@@ -1261,7 +1296,7 @@ class TestSteadyExcitationAtRoundingLevel:
                                            "drive is off\n")
 
     def test_resolved_excitation_kept(self, tmp_path):
-        # 1e5 MHz: an excited population of 2.3e-8 against a rounding error of 2.8e-10
+        # 1e5 MHz: an excited population of 2.3e-8 against a rounding error of 6.5e-10
         code, _ = run(tmp_path, ["g2", "--delta-mhz", "1e5", "--icl", "103", "--points", "3"])
         assert code == EXIT_OK
 

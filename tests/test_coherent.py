@@ -1,6 +1,7 @@
 """STIRAP transfer, the dark-state readout law, Larmor precession."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -163,6 +164,15 @@ class TestStirap:
         # each peak is finite, but ||A||_1 = (peak_p + peak_s) / 2 overflows
         with pytest.raises(ValueError, match="Magnus steps"):
             stirap_evolve(schedule(peak=1.5e308), ground_start())
+
+    def test_refuses_too_many_steps(self):
+        # a finite step rate that asks for 1.25e15 steps over 1 us: refused
+        # before any trajectory is allocated
+        sched = PulseSchedule.sin2_pair(peak=1e20, duration=1e-6)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="Magnus steps, more than 1e"):
+            stirap_evolve(sched, ground_start())
+        assert time.perf_counter() - start < 1.0
 
     def test_refuses_schedule_ending_before_start(self):
         pulse = Pulse(peak=ADIABATIC, t_start=-2e-6, duration=T_PULSE)

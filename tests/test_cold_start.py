@@ -138,20 +138,33 @@ def test_numpy_scenario_loads_numpy(tmp_path):
 
 TRAP_BEAM = ("--power-mw", "40", "--waist-um", "3.5")
 
-# one run per scenario (g2 with its default four-level model); only the
+# one run per scenario (g2 with its default four-level model): its flags, and
+# the exact sorted package modules it loads (the CLI runs as __main__), so a
+# change that adds a module to a scenario's path shows in the diff; only the
 # scenario of NUMPY_SCENARIOS computes with numpy
 SCENARIO_RUNS = {
-    "lightshift": TRAP_BEAM,
-    "magic": (),
-    "trap": TRAP_BEAM,
-    "loading": ("--rate-per-s", "0..1:0.25", *TRAP_BEAM),
-    "g2": ("--delta-mhz", "-31", "--icl", "103", "--points", "201"),
-    "stirap": ("--alpha-deg", "0..90:15"),
-    "larmor": ("--b-mgauss", "132"),
-    "bell": (),
-    "correlations": ("--beta-deg", "0..180:5", "--basis", "y"),
-    "spectrum-fit": SPECTRUM_FIT[1:],
-    "pair-rate": ("--eta", "5e-4"),
+    "lightshift": (TRAP_BEAM, ["singleatom", "singleatom.angular", "singleatom.constants",
+                               "singleatom.lightshift", "singleatom.trapgeometry"]),
+    "magic": ((), ["singleatom", "singleatom.angular", "singleatom.constants",
+                   "singleatom.lightshift"]),
+    "trap": (TRAP_BEAM, ["singleatom", "singleatom.angular", "singleatom.constants",
+                         "singleatom.lightshift", "singleatom.trapgeometry"]),
+    "loading": (("--rate-per-s", "0..1:0.25", *TRAP_BEAM),
+                ["singleatom", "singleatom.angular", "singleatom.constants",
+                 "singleatom.lightshift", "singleatom.loading", "singleatom.trapgeometry"]),
+    "g2": (("--delta-mhz", "-31", "--icl", "103", "--points", "201"),
+           ["singleatom", "singleatom.constants", "singleatom.dense", "singleatom.guards",
+            "singleatom.obe"]),
+    "stirap": (("--alpha-deg", "0..90:15"),
+               ["singleatom", "singleatom.constants", "singleatom.readout"]),
+    "larmor": (("--b-mgauss", "132"),
+               ["singleatom", "singleatom.constants", "singleatom.readout"]),
+    "bell": ((), ["singleatom", "singleatom.constants", "singleatom.readout"]),
+    "correlations": (("--beta-deg", "0..180:5", "--basis", "y"),
+                     ["singleatom", "singleatom.constants", "singleatom.readout"]),
+    "spectrum-fit": (SPECTRUM_FIT[1:], ["singleatom", "singleatom.analysis", "singleatom.angular",
+                                        "singleatom.constants", "singleatom.lightshift"]),
+    "pair-rate": (("--eta", "5e-4"), ["singleatom", "singleatom.constants", "singleatom.readout"]),
 }
 NUMPY_SCENARIOS = ("spectrum-fit",)
 
@@ -163,12 +176,23 @@ LINE_TABLE_LAYERS = ("singleatom.lightshift", "singleatom.angular", "singleatom.
 HEAVY_STDLIB = ("dataclasses", "inspect", "fractions", "decimal")
 
 
+def scenario_argv(scenario: str) -> tuple:
+    return (scenario, *SCENARIO_RUNS[scenario][0])
+
+
 def scenario_run(scenario: str) -> str:
-    return cli_run(scenario, *SCENARIO_RUNS[scenario], "--out", "out.csv")
+    return cli_run(*scenario_argv(scenario), "--out", "out.csv")
 
 
 def test_every_scenario_has_a_run():
     assert list(SCENARIO_RUNS) == list(SPECS)
+
+
+@pytest.mark.parametrize("scenario", SCENARIO_RUNS)
+def test_package_modules_loaded(scenario, tmp_path):
+    write_profiles(tmp_path)
+    loaded = modules_after("import sys\n" + scenario_run(scenario), "singleatom", cwd=tmp_path)
+    assert loaded == repr(SCENARIO_RUNS[scenario][1])
 
 
 @pytest.mark.parametrize("scenario", SCENARIO_RUNS)
@@ -195,8 +219,7 @@ def test_two_level_obe_loads_no_numpy_layer(argv, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    *((s, *SCENARIO_RUNS[s]) for s in ("stirap", "larmor", "bell", "correlations",
-                                       "pair-rate")),
+    *(scenario_argv(s) for s in ("stirap", "larmor", "bell", "correlations", "pair-rate")),
     (*G2, "--model", "two-level-analytic"),
 ], ids=["stirap", "larmor", "bell", "correlations", "pair-rate", "two-level-analytic"])
 def test_obe_kernel_loaded_only_for_its_model(argv, tmp_path):
@@ -274,12 +297,12 @@ def test_trap_run_loads_the_line_table_layers(tmp_path):
 # every scenario but spectrum-fit; g2 runs the closed form here, once with a
 # trap beam, the two-level Bloch kernel, and the four-level and full kernel
 # with a trap beam
-STDLIB_RUNS = {s: (s, *SCENARIO_RUNS[s]) for s in SCENARIO_RUNS if s not in NUMPY_SCENARIOS}
-STDLIB_RUNS["g2"] = ("g2", *SCENARIO_RUNS["g2"], "--model", "two-level-analytic")
+STDLIB_RUNS = {s: scenario_argv(s) for s in SCENARIO_RUNS if s not in NUMPY_SCENARIOS}
+STDLIB_RUNS["g2"] = (*scenario_argv("g2"), "--model", "two-level-analytic")
 STDLIB_RUNS["g2-trap"] = (*STDLIB_RUNS["g2"], "--trap-power-mw", "40", "--trap-waist-um", "3.5")
-STDLIB_RUNS["g2-obe"] = ("g2", *SCENARIO_RUNS["g2"], "--model", "two-level-obe")
-STDLIB_RUNS["g2-four-level-trap"] = ("g2", *SCENARIO_RUNS["g2"], *FOUR_LEVEL_TRAP)
-STDLIB_RUNS["g2-full-trap"] = ("g2", *SCENARIO_RUNS["g2"], *FULL, *FOUR_LEVEL_TRAP)
+STDLIB_RUNS["g2-obe"] = (*scenario_argv("g2"), "--model", "two-level-obe")
+STDLIB_RUNS["g2-four-level-trap"] = (*scenario_argv("g2"), *FOUR_LEVEL_TRAP)
+STDLIB_RUNS["g2-full-trap"] = (*scenario_argv("g2"), *FULL, *FOUR_LEVEL_TRAP)
 
 
 @pytest.mark.parametrize("validate", [False, True], ids=["run", "validate"])

@@ -9,6 +9,7 @@ against the exponential at each delay (``per_delay_sum``).
 """
 
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -20,7 +21,6 @@ from singleatom.bloch.four_level import FourLevelLiouvillian
 from singleatom.cli import main
 from singleatom.constants import (RB87_GAMMA_D2 as G, RB87_ISAT_F2_F3, TWO_PI,
                                   intensity_from_mw_cm2, linspace, rabi_frequency)
-from singleatom.dense import jacobi_svd
 from singleatom.guards import IntegrationError
 from singleatom.lightshift import LaserField, ground_shift_alkali, load_default_lines
 from singleatom.obe import (_FOUR_LEVEL_DECAYS, _cubic_roots, _eigen_modes,
@@ -200,22 +200,23 @@ def scan(seed, count):
 
 
 class TestDense:
-    """The Jacobi SVD and the Francis QR against LAPACK (numpy's svd and
+    """The LU inverse and the Francis QR against LAPACK (numpy's inv and
     eigvals) on the generators of a seeded scan and of far-detuned drives."""
 
     DRIVES = [d for _, d in scan(1, 12)] + [four_level_drive(dm, 103.0)[1]
                                            for dm in (-3.1e4, 1e5, -1e4)]
 
     @pytest.mark.parametrize("params", DRIVES)
-    def test_singular_values_match_numpy(self, params):
+    def test_inverse_matches_numpy(self, params):
+        # the bordered generator's inverse (from its columns) within
+        # n eps cond_1(B) of LAPACK's, relative to its 1-norm
         m = FourLevelLiouvillian(params).matrix_real
-        s, vecs = dense.jacobi_svd(m.tolist())
-        ref = np.linalg.svd(m, compute_uv=False)
-        assert np.abs(np.array(s) - ref).max() <= 1e-13 * ref[0]
-        # each v[k] is a unit right singular vector of s[k]
-        for value, v in zip(s, vecs):
-            assert np.linalg.norm(m @ v) == pytest.approx(value, abs=1e-13 * ref[0])
-            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+        b = m.copy()
+        b[0] = np.r_[np.full(4, np.linalg.norm(m, 1)), np.zeros(12)]
+        ref = np.linalg.inv(b)
+        got = np.array(dense.inverse(b.tolist())).T
+        bound = 16 * np.finfo(float).eps * np.linalg.norm(b, 1) * np.linalg.norm(ref, 1)
+        assert np.linalg.norm(got - ref, 1) <= bound * np.linalg.norm(ref, 1)
 
     @pytest.mark.parametrize("params", DRIVES)
     def test_eigenvalues_match_numpy(self, params):
@@ -242,17 +243,22 @@ class TestDense:
             assert np.abs(w @ m - lam * w).max() <= 1e-14 * np.linalg.norm(m)
 
     def test_non_finite_entry_named(self):
-        # a drive or detuning whose rate overflows to inf in rad/s
-        for routine in (dense.jacobi_svd, dense.eigenvalues):
-            with pytest.raises(IntegrationError, match="an entry that is not finite"):
-                routine([[math.inf, 0.0], [0.0, 1.0]])
+        # a drive or detuning whose rate overflows to inf in rad/s: refused
+        # by the eigenvalues and by the steady-state rule of both kernels,
+        # before any refusal that reads the generator's norm
+        drive, params = four_level_drive(-31.0, 103.0)
+        for bad in (math.inf, math.nan):
+            for refused in (lambda: dense.eigenvalues([[bad, 0.0], [0.0, 1.0]]),
+                            lambda: four_level_g2((bad, *drive[0][1:]), *drive[1:], 1e-7, 11),
+                            lambda: numpy_four_level_g2(replace(params, delta_cl=bad),
+                                                        np.zeros(3))):
+                with pytest.raises(IntegrationError, match="^the matrix has an entry that is"
+                                                           " not finite$"):
+                    refused()
 
     def test_unconverged_iterations_named(self, monkeypatch):
-        # the iteration caps raise IntegrationError, a numerical failure
+        # the iteration cap raises IntegrationError, a numerical failure
         m = FourLevelLiouvillian(four_level_drive(-31.0, 103.0)[1]).matrix_real.tolist()
-        monkeypatch.setattr(dense, "_MAX_SWEEPS", 1)
-        with pytest.raises(IntegrationError, match="Jacobi SVD did not converge in 1 sweeps"):
-            dense.jacobi_svd(m)
         monkeypatch.setattr(dense, "_STEPS_PER_EIGENVALUE", 0)
         with pytest.raises(IntegrationError, match="QR iteration did not converge in 0 steps"):
             dense.eigenvalues(m)
@@ -327,17 +333,26 @@ class TestFourLevelKernel:
                 four_level_g2(*drive, tau_max, points)
 
 
+def exact_steady(gen):
+    """The steady state of the generator ``gen`` (an mpmath matrix of float64
+    entries) by mpmath's LU solve with row 0 replaced by the trace, at the
+    working precision: the exact solution of the kernels' bordered system,
+    whose row 0 is ||M||_1 on the populations and whose right side is
+    ||M||_1 e_0."""
+    bordered = gen.copy()
+    for k in range(16):
+        bordered[0, k] = 1 if k < 4 else 0
+    return mp.lu_solve(bordered, mp.matrix([1] + [0] * 15))
+
+
 def exact_four_level_g2(params, taus, dps=60):
     """g2 at each delay from the float64 generator taken as exact: the steady
-    state by mpmath's LU solve with row 0 replaced by the trace, the
-    post-emission state from the decays, and mpmath's expm, at ``dps`` digits."""
+    state of ``exact_steady``, the post-emission state from the decays, and
+    mpmath's expm, at ``dps`` digits."""
     m = FourLevelLiouvillian(params).matrix_real.tolist()
     with mp.workdps(dps):
         gen = mp.matrix(m)
-        bordered = gen.copy()
-        for k in range(16):
-            bordered[0, k] = 1 if k < 4 else 0
-        steady = mp.lu_solve(bordered, mp.matrix([1] + [0] * 15))
+        steady = exact_steady(gen)
         emitted = sum(mp.mpf(rate) * steady[frm] for rate, _, frm in _FOUR_LEVEL_DECAYS)
         y0 = mp.matrix(16, 1)
         for rate, to, frm in _FOUR_LEVEL_DECAYS:
@@ -351,14 +366,14 @@ def exact_four_level_g2(params, taus, dps=60):
 class TestFourLevelMpmathOracle:
     """Both four-level kernels against a 60-digit oracle at tau = 5 ns, 50 ns,
     300 ns and 5 us (about 1.5 s per drive).  Largest relative errors
-    measured over the four delays, numpy kernel / stdlib kernel: 4.7e-14 /
-    4.4e-15 at the README drive (-31 MHz, 103 and 12 mW/cm^2), 8.9e-15 /
-    6.2e-15 at -10 MHz, 30 and 3 mW/cm^2, 4.1e-15 / 2.4e-15 at +5 MHz, 300
-    and 50 mW/cm^2, both bounded by 1e-11.  At -3.1e4 MHz: 1.5e-6 / 2.2e-9,
-    and at +1e5 MHz: 9.6e-5 / 1.3e-8 (103 and 12 mW/cm^2).  There the numpy
-    kernel's SVD null vector and eigendecomposition lose digits to a
-    generator norm 10^4 to 10^5 above the decay rates (ROADMAP item 4); the
-    stdlib kernel is held to at most twice the numpy kernel's error."""
+    measured over the four delays, numpy kernel / stdlib kernel: 2.7e-14 /
+    1.6e-15 at the README drive (-31 MHz, 103 and 12 mW/cm^2), 1.2e-14 /
+    6.2e-15 at -10 MHz, 30 and 3 mW/cm^2, 1.5e-15 / 1.6e-15 at +5 MHz, 300
+    and 50 mW/cm^2, both bounded by 1e-11.  At -3.1e4 MHz: 1.4e-6 / 5.2e-10,
+    and at +1e5 MHz: 2.7e-5 / 9.6e-9 (103 and 12 mW/cm^2).  There the numpy
+    kernel's eigendecomposition loses digits to a generator norm 10^4 to
+    10^5 above the decay rates (ROADMAP item 4); the stdlib kernel is held
+    to at most twice the numpy kernel's error."""
 
     @staticmethod
     def errors(delta_mhz, icl, irl):
@@ -381,6 +396,29 @@ class TestFourLevelMpmathOracle:
     def test_far_detuned_no_worse_than_numpy(self, delta_mhz):
         ours, numpy_error = self.errors(delta_mhz, 103.0, 12.0)
         assert ours <= 2.0 * numpy_error
+
+
+class TestSteadyStateOracle:
+    """The excited population of both kernels' steady state against the
+    60-digit solve of the same float64 generator, within 4 eps relative:
+    the bordered solve refined once with an exactly summed residual
+    (measured: at most 1.9e-16)."""
+
+    @pytest.mark.parametrize("kernel", ["stdlib", "numpy"])
+    @pytest.mark.parametrize("trap_mw", [0.0, 40.0], ids=["free", "trap"])
+    @pytest.mark.parametrize("delta_mhz", [-31.0, -3.1e4, 1e5])
+    def test_excited_population_to_4_eps(self, delta_mhz, trap_mw, kernel):
+        _, params = four_level_drive(delta_mhz, 103.0, trap_mw=trap_mw)
+        m = FourLevelLiouvillian(params).matrix_real
+        if kernel == "stdlib":  # the rule and inverse of obe.four_level_g2
+            steady = _steady_vector(m.tolist(), _FOUR_LEVEL_DECAYS, dense.inverse)
+        else:
+            steady = FourLevelLiouvillian(params).steady_state()
+        with mp.workdps(60):
+            exact = exact_steady(mp.matrix(m.tolist()))
+            exact_excited = exact[0] + exact[3]
+            error = abs((steady[0] + steady[3] - exact_excited) / exact_excited)
+        assert error <= 4 * np.finfo(float).eps
 
 
 # --- the mode sum on the uniform grid ------------------------------------------
@@ -407,8 +445,7 @@ def four_level_modes(drive):
     mode sum for one drive."""
     rabi, delta_cl, delta_rl, shifts = drive
     m = _lindblad(_four_level_hamiltonian(rabi, delta_cl, delta_rl, shifts), _FOUR_LEVEL_DECAYS)
-    s, vecs = jacobi_svd(m)
-    steady = _steady_vector(s, vecs[-1], _FOUR_LEVEL_DECAYS)
+    steady = _steady_vector(m, _FOUR_LEVEL_DECAYS, dense.inverse)
     excited = [0.0] * 16
     excited[0] = excited[3] = 1.0
     real, pairs, _ = _eigen_modes(m, _post_emission(steady, _FOUR_LEVEL_DECAYS), excited)
@@ -524,11 +561,11 @@ class TestCliGridEdges:
     @pytest.mark.parametrize("icl,model,code,line", [
         ("1e150", ["--model", "two-level-obe"], 0, ""),
         ("1e150", [], 3, "numerical failure: drive or detuning exceeds the linewidth by more"
-                         " than float64 can resolve: generator norm 2.23e+82 /s against decay"
+                         " than float64 can resolve: generator norm 3.27e+82 /s against decay"
                          " rate 1.91e+07 /s\n"),
         ("1e150", ["--model", "full", "--env-a", "0.3", "--env-tau-us", "2"], 3,
          "numerical failure: drive or detuning exceeds the linewidth by more than float64 can"
-         " resolve: generator norm 2.23e+82 /s against decay rate 1.91e+07 /s\n"),
+         " resolve: generator norm 3.27e+82 /s against decay rate 1.91e+07 /s\n"),
         # the intensity in W/m^2 overflows, and with it the Rabi rates
         ("1.7e308", ["--model", "two-level-obe"], 2,
          "validation: --icl-mw-cm2 1.7e+308: the cooling Rabi rate on F=2 -> F'=3 (rad/s)"
