@@ -110,7 +110,7 @@ def _text_change(old, new, rel: float) -> str | None:
     if not (isinstance(old, str) and isinstance(new, str)):
         rows = [v["rows"] if isinstance(v, dict) else v.count("\n") for v in (old, new)]
         return f"sha256 changed, {rows[0]} -> {rows[1]} rows"
-    a, b = _SEPARATORS.split(old), _SEPARATORS.split(new)
+    a, b = ([v for v in _SEPARATORS.split(text) if v] for text in (old, new))
     if len(a) != len(b):
         return f"{len(a)} -> {len(b)} printed values"
     if _SEPARATORS.findall(old) != _SEPARATORS.findall(new):

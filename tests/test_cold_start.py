@@ -1,18 +1,22 @@
 """Cold start: no CLI run and no fit loads scipy, and each CLI scenario loads
 only the layers it computes with.
 
-Only ``integrator.integrate`` (the library-only mean-number loading ODE)
-imports scipy, inside the function.  ``singleatom.cli`` imports every layer
-but ``constants`` inside the runner or check that uses it: numpy only for
-spectrum-fit, so loading, bell and every g2 model (the two-level closed
-form, and the Bloch kernels of ``obe`` for the two-level, four-level and
-full models) run on the standard library, and the line-table layers
-(``lightshift``, ``angular``, ``trapgeometry``) only for the scenarios that
-read the table or the trap beam.  The standard-library paths load neither
-``dataclasses`` (with ``inspect``) nor ``fractions`` (with ``decimal``):
-the line-table records are plain classes and the Racah sums run in
-integers.  Each check runs in a fresh interpreter, so modules imported by
-other tests do not hide a module-level import.
+Only ``integrator.integrate`` imports scipy, inside the function; the
+package no longer calls it (the benchmark's tracer still names it).  Every
+CLI run loads the core ``singleatom.cli`` with ``cli_common``, and once its
+flags pass, its scenario's family module (``cli_beam``, ``cli_g2``,
+``cli_readout`` or ``cli_spectrum``), which imports each layer inside the
+check or runner that uses it: numpy only for spectrum-fit, so loading, bell
+and every g2 model (the two-level closed form, and the Bloch kernels of
+``obe`` for the two-level, four-level and full models) run on the standard
+library, and the line-table layers (``lightshift``, ``angular``,
+``trapgeometry``) only for the scenarios that read the table or the trap
+beam.  ``json`` is loaded only for --config, --metadata and the line table.
+The standard-library paths load neither ``dataclasses`` (with ``inspect``)
+nor ``fractions`` (with ``decimal``): the line-table records are plain
+classes and the Racah sums run in integers.  Each check runs in a fresh
+interpreter, so modules imported by other tests do not hide a module-level
+import.
 """
 
 import os
@@ -140,31 +144,34 @@ TRAP_BEAM = ("--power-mw", "40", "--waist-um", "3.5")
 
 # one run per scenario (g2 with its default four-level model): its flags, and
 # the exact sorted package modules it loads (the CLI runs as __main__), so a
-# change that adds a module to a scenario's path shows in the diff; only the
+# change that adds a module to a scenario's path shows in the diff: the core
+# and the scenario's family module, and the layers it computes with; only the
 # scenario of NUMPY_SCENARIOS computes with numpy
+CORE = ["singleatom", "singleatom.cli_common"]
+READOUT = [*CORE, "singleatom.cli_readout", "singleatom.constants", "singleatom.readout"]
 SCENARIO_RUNS = {
-    "lightshift": (TRAP_BEAM, ["singleatom", "singleatom.angular", "singleatom.constants",
-                               "singleatom.lightshift", "singleatom.trapgeometry"]),
-    "magic": ((), ["singleatom", "singleatom.angular", "singleatom.constants",
+    "lightshift": (TRAP_BEAM, [*CORE, "singleatom.angular", "singleatom.cli_beam",
+                               "singleatom.constants", "singleatom.lightshift",
+                               "singleatom.trapgeometry"]),
+    "magic": ((), [*CORE, "singleatom.angular", "singleatom.cli_beam", "singleatom.constants",
                    "singleatom.lightshift"]),
-    "trap": (TRAP_BEAM, ["singleatom", "singleatom.angular", "singleatom.constants",
-                         "singleatom.lightshift", "singleatom.trapgeometry"]),
+    "trap": (TRAP_BEAM, [*CORE, "singleatom.angular", "singleatom.cli_beam",
+                         "singleatom.constants", "singleatom.lightshift",
+                         "singleatom.trapgeometry"]),
     "loading": (("--rate-per-s", "0..1:0.25", *TRAP_BEAM),
-                ["singleatom", "singleatom.angular", "singleatom.constants",
+                [*CORE, "singleatom.angular", "singleatom.cli_beam", "singleatom.constants",
                  "singleatom.lightshift", "singleatom.loading", "singleatom.trapgeometry"]),
     "g2": (("--delta-mhz", "-31", "--icl", "103", "--points", "201"),
-           ["singleatom", "singleatom.constants", "singleatom.dense", "singleatom.guards",
-            "singleatom.obe"]),
-    "stirap": (("--alpha-deg", "0..90:15"),
-               ["singleatom", "singleatom.constants", "singleatom.readout"]),
-    "larmor": (("--b-mgauss", "132"),
-               ["singleatom", "singleatom.constants", "singleatom.readout"]),
-    "bell": ((), ["singleatom", "singleatom.constants", "singleatom.readout"]),
-    "correlations": (("--beta-deg", "0..180:5", "--basis", "y"),
-                     ["singleatom", "singleatom.constants", "singleatom.readout"]),
-    "spectrum-fit": (SPECTRUM_FIT[1:], ["singleatom", "singleatom.analysis", "singleatom.angular",
+           [*CORE, "singleatom.cli_g2", "singleatom.constants", "singleatom.dense",
+            "singleatom.guards", "singleatom.obe"]),
+    "stirap": (("--alpha-deg", "0..90:15"), READOUT),
+    "larmor": (("--b-mgauss", "132"), READOUT),
+    "bell": ((), READOUT),
+    "correlations": (("--beta-deg", "0..180:5", "--basis", "y"), READOUT),
+    "spectrum-fit": (SPECTRUM_FIT[1:], [*CORE, "singleatom.analysis", "singleatom.angular",
+                                        "singleatom.cli_beam", "singleatom.cli_spectrum",
                                         "singleatom.constants", "singleatom.lightshift"]),
-    "pair-rate": (("--eta", "5e-4"), ["singleatom", "singleatom.constants", "singleatom.readout"]),
+    "pair-rate": (("--eta", "5e-4"), READOUT),
 }
 NUMPY_SCENARIOS = ("spectrum-fit",)
 
@@ -192,7 +199,7 @@ def test_every_scenario_has_a_run():
 def test_package_modules_loaded(scenario, tmp_path):
     write_profiles(tmp_path)
     loaded = modules_after("import sys\n" + scenario_run(scenario), "singleatom", cwd=tmp_path)
-    assert loaded == repr(SCENARIO_RUNS[scenario][1])
+    assert loaded == repr(sorted(SCENARIO_RUNS[scenario][1]))
 
 
 @pytest.mark.parametrize("scenario", SCENARIO_RUNS)
@@ -279,6 +286,26 @@ def test_two_level_obe_run_loads_the_kernel(tmp_path):
         "g2-trap-without-waist"])
 def test_no_line_table_layer_loaded(code, tmp_path):
     assert modules_after("import sys\n" + code, *LINE_TABLE_LAYERS, cwd=tmp_path) == "[]"
+
+
+# runs that read no config, no line table and write no sidecar
+NO_JSON_RUNS = {s: (*scenario_argv(s), "--out", "out.csv") for s in ("stirap", "bell", "pair-rate")}
+NO_JSON_RUNS["two-level-analytic"] = (*scenario_argv("g2"), "--model", "two-level-analytic",
+                                      "--out", "out.csv")
+
+
+@pytest.mark.parametrize("name", ["list", *NO_JSON_RUNS])
+def test_no_json_without_config_or_sidecar(name, tmp_path):
+    argv = NO_JSON_RUNS.get(name, ("list",))
+    assert modules_after("import sys\n" + cli_run(*argv), "json", cwd=tmp_path) == "[]"
+
+
+@pytest.mark.parametrize("name", NO_JSON_RUNS)
+def test_sidecar_loads_json(name, tmp_path):
+    # the check above would pass vacuously if no run loaded json
+    loaded = modules_after("import sys\n" + cli_run(*NO_JSON_RUNS[name], "--metadata"), "json",
+                           cwd=tmp_path)
+    assert "'json'" in loaded
 
 
 def test_g2_without_trap_loads_no_line_table_layer(tmp_path):

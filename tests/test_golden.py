@@ -37,4 +37,5 @@ def test_output_matches_corpus(case, tmp_path):
         assert not found, (f"numpy {numpy}, corpus recorded under numpy {CORPUS['numpy']}:"
                            f" compared at {NUMPY_TOLERANCE:g} relative: {found}")
     else:
-        assert got == expected, regen.differences(expected, got)
+        assert got == expected, (regen.differences(expected, got),
+                                 f"corpus recorded under Python {CORPUS['python']}")

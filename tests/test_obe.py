@@ -559,7 +559,10 @@ class TestCliGridEdges:
     """Exit codes and lines of the grid kernels at the edges of the CLI's input."""
 
     @pytest.mark.parametrize("icl,model,code,line", [
-        ("1e150", ["--model", "two-level-obe"], 0, ""),
+        ("1e150", ["--model", "two-level-obe"], 2,
+         "validation: --icl-mw-cm2 1e+150 with --delta-mhz -31 and --tau-max-ns 5000: the"
+         " generalized Rabi phase at the longest delay (7.12e+76 rad) has a rounding error"
+         " above 0.001 rad\n"),
         ("1e150", [], 3, "numerical failure: drive or detuning exceeds the linewidth by more"
                          " than float64 can resolve: generator norm 3.27e+82 /s against decay"
                          " rate 1.91e+07 /s\n"),

@@ -16,8 +16,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from singleatom.cli import (_check_g2, _parse_grid, _radians, build_parser, run_bell,
-                            run_correlations, run_g2, run_larmor)
+from singleatom.cli import (_parse_grid, build_parser, run_bell, run_correlations, run_g2,
+                            run_larmor)
+from singleatom.cli_g2 import _check_g2
+from singleatom.cli_readout import _radians
 from singleatom.constants import RB87_GAMMA_D2 as G, linspace
 from singleatom.obe import two_level_obe_g2, two_level_steady_excited
 from singleatom.entanglement import (MeasurementSetting, bell_state, chsh, correlation,
@@ -255,7 +257,7 @@ class TestSingletChsh:
     ])
     def test_huge_angles_reduced_as_the_cli(self, degrees):
         # the CLI reduces degrees exactly modulo 360 (cos_sin_degrees, and
-        # cli._radians for the other scenarios); integer arithmetic gives the
+        # cli_readout._radians for the other scenarios); integer arithmetic gives the
         # same reduced angles
         reduced = [math.radians(math.copysign(int(abs(d)) % 360, d) + math.fmod(d, 1.0))
                    for d in degrees]
