@@ -258,6 +258,7 @@ _TRAP_BEAM = (Flag("power-mw", required=True, check="positive"),
               Flag("waist-um", required=True, check="positive"),
               Flag("wavelength-nm", default=856.0, check="positive"))
 
+
 def _family(scenario: str) -> tuple:
     """(runner, check or None) of ``scenario`` from its family module,
     imported here, once the scenario's flags pass.  A check raises

@@ -1,8 +1,9 @@
 """The refusal of a bad CLI configuration and its rules, shared by the core
-(``cli``) and the scenario families, which cannot import ``cli``: it runs as
-``__main__``.  Every value that validation derives from checked flags passes
-one rule, ``_derived``: finite and nonzero, or refused naming its flags and
-quantity."""
+(``cli``) and the scenario families.  A family cannot import ``cli``, which
+runs as ``__main__``: it would compile it again, with a second
+``ValidationError``.  Every value that validation derives from checked flags
+passes one rule, ``_derived``: finite and nonzero, or refused naming its
+flags and quantity."""
 
 import math
 import sys

@@ -70,6 +70,6 @@ def linspace(stop: float, points: int) -> list[float]:
     """``np.linspace(0.0, stop, points)`` bit for bit where the step
     stop / (points - 1) is positive or stop is 0: k * step + 0.0, and the
     last point is stop.  A step that underflows to 0 is refused before the
-    grid is built (``cli``'s check of g2 and larmor, ``obe._step``)."""
+    grid is built (the CLI's checks of g2 and larmor, ``obe._step``)."""
     step = stop / (points - 1)
     return [k * step + 0.0 for k in range(points - 1)] + [stop]
