@@ -367,7 +367,7 @@ class _Parser(argparse.ArgumentParser):
     """An argument parser that refuses a malformed command line with one
     ``validation:`` line on stderr and exit 2, like every other bad input.
 
-    The top-level parser's ``scenarios`` maps each scenario to its subparser.
+    The top-level parser's ``scenarios`` maps each scenario it holds to its subparser.
     """
 
     def error(self, message):
