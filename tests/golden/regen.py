@@ -1,6 +1,6 @@
 """Rewrite the golden-output corpus of the command line.
 
-    PYTHONPATH=src python tests/golden/regen.py
+    PYTHONPATH=src python tests/golden/regen.py [--check]
 
 Runs each case of ``manifest.json`` (an argv list, and optionally the JSON
 config that it reads as ``config.json``) through ``singleatom.cli.main`` in
@@ -10,13 +10,16 @@ fixed, and writes its exit code, stdout, stderr and the files it wrote to
 its sha256 and line count.
 
 For each output that differs from the stored corpus it prints the number of
-changed printed values and the largest relative change: the count that a
-change to printed results states.  ``tests/test_golden.py`` runs the same
-cases and compares them with the stored corpus.
+changed printed values and the largest relative change, and then the count
+of rows that differ: the counts that a change to printed results states.
+With ``--check`` it prints the same and rewrites nothing, exiting 1 if any
+row differs.  ``tests/test_golden.py`` runs the same cases and compares them
+with the stored corpus.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -151,17 +154,29 @@ def regenerate() -> dict:
             "cases": cases}
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="print the differences only; exit 1 if any row differs")
+    check = parser.parse_args(argv).check
     corpus = regenerate()
     old = load_expected()["cases"] if EXPECTED.exists() else {}
+    changed = new = 0
     for case_id, result in corpus["cases"].items():
         if case_id not in old:
             print(f"{case_id}: new")
+            new += 1
             continue
-        for line in differences(old[case_id], result):
+        found = differences(old[case_id], result)
+        for line in found:
             print(f"{case_id}: {line}")
-    for case_id in sorted(set(old) - set(corpus["cases"])):
+        changed += bool(found)
+    removed = sorted(set(old) - set(corpus["cases"]))
+    for case_id in removed:
         print(f"{case_id}: removed")
+    print(f"{len(corpus['cases'])} rows: {changed} changed, {new} new, {len(removed)} removed")
+    if check:
+        return 1 if changed or new or removed else 0
     EXPECTED.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 
