@@ -7,8 +7,6 @@ one bounded Brent minimizer (Brent, *Algorithms for Minimization without
 Derivatives*, 1973, ch. 5), in numpy alone.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 from dataclasses import dataclass

@@ -8,8 +8,6 @@ integer quotients and one square root.  All angular momenta are carried as
 doubled integers (``two_j``) so that half-integer values stay exact.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 

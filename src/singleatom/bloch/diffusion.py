@@ -7,8 +7,6 @@ model is that product.  For free 1-D diffusion in a cos^2(kz) pattern the
 amplitude is A = 1/2 and tau0 = 1/(4 k^2 D).
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np

@@ -26,8 +26,6 @@ The upper limit g2 = 2 of a two-level atom does not bind here: for cooling
 detunings of several linewidths the Rabi oscillations overshoot it.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -159,9 +157,9 @@ def four_level_g2(params: FourLevelParams, tau_grid) -> np.ndarray:
     return sum_modes(lam, amp, tau_grid, excited @ y0) / (steady[_A] + steady[_D])
 
 
-def apply_trap_shifts(params: FourLevelParams, trap_field: LaserField,
+def apply_trap_shifts(params: FourLevelParams, trap_field: "LaserField",
                       kinetic_reduction: float = 0.0,
-                      lines: LineTable | None = None) -> FourLevelParams:
+                      lines: "LineTable | None" = None) -> FourLevelParams:
     """Fold the dipole-trap AC-Stark shifts of all four levels into the model:
     ``obe.trap_shifts`` in the trap field at the kinetic temperature
     ``kinetic_reduction`` (K), with the trap depth of the field."""

@@ -4,8 +4,6 @@
 layout, and its docstring gives the layout.
 """
 
-from __future__ import annotations
-
 import numpy as np
 
 

@@ -9,8 +9,6 @@ modes of ``obe``, summed by ``integrator.sum_modes``) are given here as
 arrays, at delays in any order; they agree to rounding on resonance.
 """
 
-from __future__ import annotations
-
 import numpy as np
 
 from ..integrator import _checked_delays, sum_modes

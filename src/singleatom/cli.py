@@ -7,29 +7,38 @@ underscores); explicit command-line flags override the file.  Outputs are
 deterministic: identical inputs give byte-identical files.
 
 Each scenario is one entry of ``SPECS``: its runner, its family module and
-one ``Flag`` per flag.  The parser, validation, config coercion, ``list``
+one ``Flag`` per flag.  The parsers, validation, config coercion, ``list``
 and the metadata sidecar all read that table.
 
-This module is what every run compiles: the table, the parser, the flag
+A plain command line is read from the table alone (``_plain_args``): the
+scenario or ``list`` first, then exact flag names or aliases, each
+``--name=value`` or ``--name value``, switches bare, every value converting
+with its kind's type, and a separate value that starts with "-" a negative
+number by argparse's rule.  Every other line goes to argparse
+(``build_parser``), which reads it to the same namespace or prints its help
+text or usage error: --help, --version, a bare call, an unknown or
+abbreviated flag, a value that does not convert or looks like an option,
+``--``, a switch given a value.  argparse builds the invoked scenario's
+subparser alone.
+
+This module is what every run compiles: the table, the parsers, the flag
 checks, the config merge, the CSV writer and ``main``, on the standard
-library and ``cli_common`` (``json`` only for --config and --metadata).  A
-scenario's check and runner live in its family module (``cli_beam``,
-``cli_g2``, ``cli_readout``, ``cli_spectrum``), imported once its flags
-pass, and the parser builds its subparser alone (``build_parser``).
+library and ``cli_common`` (``json`` only for --config and --metadata,
+``argparse`` only for the lines it reads).  A scenario's check and runner
+live in its family module (``cli_beam``, ``cli_g2``, ``cli_readout``,
+``cli_spectrum``), imported once its flags pass.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure (also an
 allocation that fails with ``MemoryError``).
 """
 
-from __future__ import annotations
-
-import argparse
 import math
 import os
 import sys
 import warnings
 from importlib import import_module
 from itertools import chain
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from . import __version__
@@ -172,7 +181,7 @@ def _bracket(value: str):
     try:
         lo, hi = map(float, value.split(","))
     except ValueError:  # not two numbers
-        raise argparse.ArgumentTypeError("expected 'lo,hi' in um") from None
+        raise ValueError("expected 'lo,hi' in um") from None
     return lo, hi
 
 
@@ -183,7 +192,7 @@ def _is_number(value) -> bool:
     return isinstance(value, float) or abs(value) <= sys.float_info.max
 
 
-# kind -> (argparse type, what a non-string config value must be, its test)
+# kind -> (type of a string value, what a non-string config value must be, its test)
 _STRING = (str, "a string", lambda v: False)
 _KINDS = {
     "float": (float, "a number", _is_number),
@@ -348,51 +357,109 @@ SCENARIOS = tuple(SPECS)
 COMMANDS = ("list", *SCENARIOS)
 
 
-# --- argument parsing -------------------------------------------------------
+# --- reading the command line ---------------------------------------------
 
 
-def _add_flags(parser: argparse.ArgumentParser, flags) -> None:
-    for flag in flags:
-        names = [f"--{flag.name}"] + ([f"--{flag.alias}"] if flag.alias else [])
+def _negative_number(token: str) -> bool:
+    """Whether a token that starts with "-" is a negative number by argparse's
+    rule, ``^-\\d+$|^-\\d*\\.\\d+$``, and so a value, not an option."""
+    whole, dot, fraction = token[1:].partition(".")
+    return (fraction if dot else whole).isdecimal() and (not whole or whole.isdecimal())
+
+
+def _plain_args(argv: list):
+    """The namespace of a plain command line (the module docstring says which
+    lines are plain), read from the scenario table as argparse would read it,
+    or None for any other line.  The --config file's values override the
+    table's defaults, and the command line overrides both."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    if argv[0] == "list":
+        return SimpleNamespace(scenario="list") if len(argv) == 1 else None
+    flags = _COMMON + SPECS[argv[0]][2:]
+    by_name = {f"--{name}": f for f in flags for name in (f.name, f.alias) if name}
+    given, tokens = {}, iter(argv[1:])
+    for token in tokens:
+        name, explicit, value = token.partition("=")
+        flag = by_name.get(name)
+        if flag is None or flag.kind == "switch" and explicit:
+            return None
         if flag.kind == "switch":
-            parser.add_argument(*names, action="store_true", help=flag.help)
-        else:
-            # choices are checked with the other rules, not by argparse
-            metavar = "{%s}" % ",".join(flag.check) if flag.kind == "choice" else None
-            parser.add_argument(*names, type=_KINDS[flag.kind][0], default=flag.default,
-                                metavar=metavar, help=flag.help)
+            given[flag.dest] = True
+            continue
+        if not explicit:
+            value = next(tokens, None)
+            if value is None or value[:1] == "-" and not _negative_number(value):
+                return None
+        try:
+            given[flag.dest] = _KINDS[flag.kind][0](value)
+        except ValueError:
+            return None
+    values = {f.dest: f.default for f in flags}
+    if given.get("config"):
+        values.update(_config_defaults(given["config"], flags))
+    values.update(given)
+    return SimpleNamespace(scenario=argv[0], **values)
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser that refuses a malformed command line with one
+def build_parser(commands=COMMANDS) -> "argparse.ArgumentParser":
+    """The argparse parser of the lines that are not plain, with the
+    subparsers of ``commands``; the top-level parser's ``scenarios`` maps
+    each scenario it holds to its subparser.  A usage error is one
     ``validation:`` line on stderr and exit 2, like every other bad input.
+    A line that names no command (``--help``, ``--version``, a bare call, an
+    unknown scenario) needs every subparser, so that its text names every one."""
+    import argparse
 
-    The top-level parser's ``scenarios`` maps each scenario it holds to its subparser.
-    """
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.exit(EXIT_VALIDATION, f"validation: {message}\n")
 
-    def error(self, message):
-        self.exit(EXIT_VALIDATION, f"validation: {message}\n")
+    def bracket(value):
+        # argparse prints the text of an ArgumentTypeError, and names the
+        # type in that of a ValueError
+        try:
+            return _bracket(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-
-def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
-    """The command-line parser with the subparsers of ``commands``, each with
-    its flags.  A run builds its own command's alone; a command line that
-    names none (``--help``, ``--version``, a bare call, an unknown scenario)
-    needs all of them, so that its text names every one."""
-    parser = _Parser(
+    parser = Parser(
         prog="singleatom",
         description="Single-atom dipole trap and atom-photon entanglement scenarios.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    subparsers = parser.add_subparsers(dest="scenario", required=True, parser_class=_Parser)
+    subparsers = parser.add_subparsers(dest="scenario", required=True, parser_class=Parser)
     parser.scenarios = {}
     for name in commands:
         if name == "list":
             subparsers.add_parser("list", help="list scenarios and their required keys")
-        else:
-            parser.scenarios[name] = subparsers.add_parser(name)
-            _add_flags(parser.scenarios[name], _COMMON + tuple(SPECS[name][2:]))
+            continue
+        parser.scenarios[name] = subparser = subparsers.add_parser(name)
+        for flag in _COMMON + SPECS[name][2:]:
+            names = [f"--{flag.name}"] + ([f"--{flag.alias}"] if flag.alias else [])
+            if flag.kind == "switch":
+                subparser.add_argument(*names, action="store_true", help=flag.help)
+            else:
+                # choices are checked with the other rules, not by argparse
+                metavar = "{%s}" % ",".join(flag.check) if flag.kind == "choice" else None
+                convert = bracket if flag.kind == "bracket" else _KINDS[flag.kind][0]
+                subparser.add_argument(*names, type=convert, default=flag.default,
+                                       metavar=metavar, help=flag.help)
     return parser
+
+
+def _parsed_args(argv: list):
+    """The namespace of a command line that is not plain, read by argparse;
+    the --config file's values become the scenario's defaults and the line
+    is parsed again, so a flag given there wins over the file."""
+    # a parse that gets past the top-level options has the scenario first
+    parser = build_parser(argv[:1] if argv[:1] and argv[0] in COMMANDS else COMMANDS)
+    args = parser.parse_args(argv)
+    if args.scenario != "list" and args.config:
+        flags = _COMMON + SPECS[args.scenario][2:]
+        parser.scenarios[args.scenario].set_defaults(**_config_defaults(args.config, flags))
+        args = parser.parse_args(argv)
+    return args
 
 
 def list_scenarios() -> str:
@@ -415,7 +482,7 @@ def _config_value(key: str, value, flag: Flag):
     if convert is not None and isinstance(value, str):
         try:
             return convert(value)
-        except (ValueError, argparse.ArgumentTypeError) as exc:
+        except ValueError as exc:
             raise ValidationError(f"config key {key!r}: {exc}") from exc
     if not fits(value):
         import json
@@ -448,22 +515,13 @@ def _config_defaults(path: str, flags) -> dict:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # a parse that gets past the top-level options has the scenario first
-    parser = build_parser(argv[:1] if argv[:1] and argv[0] in COMMANDS else COMMANDS)
-    args = parser.parse_args(argv)
-
-    if args.scenario == "list":
-        sys.stdout.write(list_scenarios())
-        return EXIT_OK
-
-    runner, _, *flags = SPECS[args.scenario]
     try:
-        if args.config:
-            # the file's values become the scenario's defaults and the command
-            # line is parsed again, so a flag given there wins over the file
-            parser.scenarios[args.scenario].set_defaults(
-                **_config_defaults(args.config, _COMMON + tuple(flags)))
-            args = parser.parse_args(argv)
+        # argparse exits on the lines it refuses or answers with a text
+        args = _plain_args(argv) or _parsed_args(argv)
+        if args.scenario == "list":
+            sys.stdout.write(list_scenarios())
+            return EXIT_OK
+        runner, _, *flags = SPECS[args.scenario]
         errors = [err for flag in flags if (err := _flag_error(args, flag))]
         if args.metadata and args.out is None:
             errors.append("--metadata needs --out: the sidecar is written next to the CSV")

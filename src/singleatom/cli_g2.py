@@ -54,7 +54,9 @@ def _check_g2(args) -> None:
     ``args.delta_rl`` and ``args.rabi`` (the Rabi argument of the model's
     kernel).  The two-level models print cosines of the generalized Rabi
     phase sqrt(rabi^2 + delta^2) tau, which is refused at the longest delay
-    as larmor refuses its phase."""
+    as larmor refuses its phase.  They square the detuning and the
+    generalized Rabi rate, sqrt(rabi^2 + delta^2): a square that overflows is
+    refused."""
     if (args.trap_power_mw is None) != (args.trap_waist_um is None):
         raise ValidationError("--trap-power-mw and --trap-waist-um must be given together")
     _derived(f"--tau-max-ns {args.tau_max_ns:g} with --points {args.points}", "delay step (s)",
@@ -108,6 +110,14 @@ def _check_g2(args) -> None:
                         f" and --tau-max-ns {args.tau_max_ns:g}",
                         "generalized Rabi phase at the longest delay",
                         math.hypot(args.rabi, args.delta) * (args.tau_max_ns * 1e-9))
+        try:  # both rates are finite here, so an infinite sum overflowed
+            overflows = math.isinf(args.rabi ** 2 + args.delta ** 2)
+        except OverflowError:
+            overflows = True
+        if overflows:
+            raise ValidationError(
+                f"--icl-mw-cm2 {args.icl_mw_cm2:g} with --delta-mhz {args.delta_mhz:g}: the"
+                " generalized Rabi rate squared ((rad/s)^2) overflows")
 
 
 # scenario -> (runner, check)

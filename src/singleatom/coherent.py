@@ -18,8 +18,6 @@ closed-form STIRAP readout and Larmor survival laws, which need no state
 vector, live in ``readout``.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 

@@ -18,8 +18,6 @@ brings its largest entry into [1, 2), which is exact and keeps every square
 and sum of squares finite.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from operator import mul

@@ -10,8 +10,6 @@ on the standard library; this numpy algebra is their oracle and serves the
 library and the acceptance criteria.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 

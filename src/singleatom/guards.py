@@ -5,8 +5,6 @@ generator too close to an exceptional point with the same error, floor and
 text.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 

@@ -29,8 +29,6 @@ general nonlinear ODE runs through scipy's adaptive embedded Runge-Kutta
 package calls it any more.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 

@@ -15,8 +15,6 @@ effective detuning 1/D = 1/(w0-w) + 1/(w0+w), so the expressions stay valid
 for trap lasers detuned by tens of nanometers.
 """
 
-from __future__ import annotations
-
 import functools
 import json
 import os

@@ -10,8 +10,6 @@ the standard library alone, so the CLI's loading scenario imports no numpy;
 ``stationary_distribution`` wraps the law in an array.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from typing import TYPE_CHECKING
@@ -60,7 +58,7 @@ class AtomNumberDist:
 
     __slots__ = ("probabilities",)
 
-    def __init__(self, probabilities: np.ndarray):
+    def __init__(self, probabilities: "np.ndarray"):
         import numpy as np
 
         self.probabilities = p = np.asarray(probabilities, dtype=float)

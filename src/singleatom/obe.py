@@ -40,8 +40,6 @@ model with numpy's LAPACK for the library, where it runs in a loop; this
 kernel serves the CLI, whose four-level and full g2 thus load no numpy.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from itertools import accumulate, chain, repeat

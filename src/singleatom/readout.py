@@ -11,8 +11,6 @@ import this module and nothing numpy-backed.  ``entanglement`` holds the
 density-matrix algebra that the singlet law is checked against.
 """
 
-from __future__ import annotations
-
 import math
 
 from .constants import HBAR, MU_B

@@ -5,8 +5,6 @@ potential is a cylindrically symmetric harmonic oscillator whose radial and
 axial frequencies follow from the depth, the waist and the Rayleigh length.
 """
 
-from __future__ import annotations
-
 import math
 
 from .constants import HBAR, KB, PI, TWO_PI

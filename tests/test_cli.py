@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import pathlib
 import re
 import warnings
 from importlib import resources
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singleatom.cli import (
+    COMMANDS,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
@@ -23,6 +25,8 @@ from singleatom.cli import (
     ValidationError,
     _COMMON,
     _parse_grid,
+    _parsed_args,
+    _plain_args,
     build_parser,
     main,
 )
@@ -385,6 +389,15 @@ class TestOverflowingSquares:
          "--waist-um 1e+300: the beam waist squared (m^2) overflows"),
         (["g2", "--model", "two-level-obe", "--delta-mhz", "1e300", "--icl", "1"],
          "--delta-mhz 1e+300: the detuning squared ((rad/s)^2) overflows"),
+        # the phase over 1e-160 ns is resolved, but Omega0^2 + Delta^2 overflows:
+        # both models exited 3 with a NaN in column g2 on resonance, and so did
+        # two-level-analytic off resonance
+        *((["g2", *G2_MODELS[model], "--delta-mhz", delta, "--icl", icl, "--tau-max-ns",
+            "1e-160", "--points", "3"],
+           f"--icl-mw-cm2 {icl} with --delta-mhz {delta}: the generalized Rabi rate squared"
+           " ((rad/s)^2) overflows")
+          for model in ("two-level-obe", "two-level-analytic")
+          for delta, icl in (("0", "1e+300"), ("1.5e+147", "4.5e+293"))),
         (["trap", "--power-mw", "44", "--waist-um", "1e100"],
          "--waist-um 1e+100 with --wavelength-nm 856: the Rayleigh length squared (m^2)"
          " overflows"),
@@ -464,7 +477,10 @@ class TestOverflowingSquares:
           "--temperature-uk", "1e-310"],
          "--temperature-uk 1e-310 with --power-mw 44 and --waist-um 3.5: the ratio"
          " kB T / U underflows to 0"),
-    ], ids=["trap-waist", "loading-waist", "two-level-obe-detuning", "trap-rayleigh",
+    ], ids=["trap-waist", "loading-waist", "two-level-obe-detuning",
+            *(f"{model}-rabi-squared{case}" for model in ("two-level-obe", "two-level-analytic")
+              for case in ("", "-with-detuning")),
+            "trap-rayleigh",
             "g2-trap-waist", "lightshift-waist-underflow", "trap-waist-underflow",
             "g2-trap-waist-underflow",
             "trap-rayleigh-underflow", "trap-rayleigh-square-underflow",
@@ -581,9 +597,7 @@ class TestSubnormalTrapPower:
 def test_spectrum_fit_overflowing_energy_named(tmp_path, capsys, fuzz_dir):
     # the squared axial velocity overflows; the kinetic energy is inf and the
     # CSV formatting refuses it, as for any non-finite result
-    args = ["spectrum-fit", "--reference", str(fuzz_dir / "ref.csv"),
-            "--fluorescence", str(fuzz_dir / "fluor.csv"), "--wavelength-nm", "1e300"]
-    code, out = run(tmp_path, args)
+    code, out = run(tmp_path, overflowing_energy(fuzz_dir))
     assert code == EXIT_NUMERICAL and not out.exists()
     assert capsys.readouterr().err == "numerical failure: non-finite value inf in column value\n"
 
@@ -1206,36 +1220,45 @@ class TestGridParsing:
                 f"--x: expected a finite number or 'start..stop:step', got {spec!r}")
 
 
-# a Rabi rate whose square overflows, over a delay span short enough that its
-# phase is resolved: the two-level models compute NaN
-G2_NAN = ["g2", "--delta-mhz", "0", "--icl", "1e300", "--tau-max-ns", "1e-160", "--points", "3"]
+def overflowing_energy(directory) -> list:
+    """A spectrum-fit run whose kinetic energy overflows to inf."""
+    return ["spectrum-fit", "--reference", str(directory / "ref.csv"),
+            "--fluorescence", str(directory / "fluor.csv"), "--wavelength-nm", "1e300"]
 
 
 class TestNonFiniteResults:
-    @pytest.mark.parametrize("args,column", [
-        (G2_NAN + ["--model", "two-level-analytic"], "g2"),
-    ], ids=["g2-nan"])
-    def test_exit_three_and_no_csv(self, tmp_path, capsys, args, column):
-        code, out = run(tmp_path, args)
+    """The CSV writer refuses a non-finite result.  Its witness on the
+    command line is spectrum-fit's overflowing kinetic energy: the two-level
+    g2 drives whose squared rates overflowed to NaN are refused in validation."""
+
+    def test_exit_three_and_no_csv(self, tmp_path, capsys, fuzz_dir):
+        code, out = run(tmp_path, overflowing_energy(fuzz_dir))
         assert code == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
-        assert f"column {column}" in err
+        assert "column value" in err
         assert not out.exists()
 
-    def test_nothing_written_to_stdout(self, capsys):
-        assert main(G2_NAN + ["--model", "two-level-analytic"]) == EXIT_NUMERICAL
+    def test_nothing_written_to_stdout(self, capsys, fuzz_dir):
+        assert main(overflowing_energy(fuzz_dir)) == EXIT_NUMERICAL
         assert capsys.readouterr().out == ""
 
-    def test_runner_warnings_silenced_under_warnings_as_errors(self, tmp_path, capsys):
-        # the run overflows in numpy: its warnings must neither print a second
-        # stderr line nor, under -W error, become the failure reported
+    def test_runner_warnings_silenced_under_warnings_as_errors(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # a runner that overflows in numpy: its warnings must neither print a
+        # second stderr line nor, under -W error, become the failure reported
+        from singleatom import cli_readout
+
+        def overflowing(args):
+            return ["value"], [[float(np.float64(1e300) * np.float64(1e300))]]
+
+        monkeypatch.setitem(cli_readout.RUNS, "bell", (overflowing, None))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out = run(tmp_path, G2_NAN + ["--model", "two-level-obe"])
+            code, out = run(tmp_path, ["bell"])
         err = capsys.readouterr().err
         assert code == EXIT_NUMERICAL and not out.exists()
-        assert err == "numerical failure: non-finite value nan in column g2\n"
+        assert err == "numerical failure: non-finite value inf in column value\n"
 
 
 def four_level_refusal(tmp_path, capsys, kernel, extra):
@@ -1627,6 +1650,7 @@ def test_fuzzed_flags_exit_cleanly(fuzz_dir, data, scenario):
             continue
         argv.append(f"--{flag.name}={value}")
     argv += ["--out", str(out)]
+    assert_table_agrees(argv)
     checked = exit_and_stderr(argv + ["--validate-only"])
     assert not out.exists()
     code, err = exit_and_stderr(argv)
@@ -1639,3 +1663,80 @@ def test_fuzzed_flags_exit_cleanly(fuzz_dir, data, scenario):
         assert "nan" not in text and "inf" not in text
     if checked[0] != EXIT_OK or code == EXIT_VALIDATION:
         assert checked == (code, err)
+
+
+def namespace_of(read, argv) -> dict | str | None:
+    """``read(argv)`` as {dest: (type, repr)}, so NaN equals NaN and 44 differs
+    from 44.0; None where it returns None or exits (argparse's usage errors
+    and texts), and the text of a refused config."""
+    printed = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
+            args = read(list(argv))
+    except SystemExit:
+        return None
+    except ValidationError as exc:
+        return str(exc)
+    return None if args is None else {k: (type(v), repr(v)) for k, v in vars(args).items()}
+
+
+def assert_table_agrees(argv) -> dict | str | None:
+    """The table parser leaves ``argv`` to argparse (None), or reads it to
+    argparse's namespace, config defaults applied, or refuses its config
+    with argparse's text."""
+    table = namespace_of(_plain_args, argv)
+    if table is not None:
+        assert table == namespace_of(_parsed_args, argv), argv
+    return table
+
+
+GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden" / "manifest.json").read_text())
+# the golden lines that argparse reads: its texts, its usage errors and an abbreviation
+ARGPARSE_LINES = {"help", "version", "bare", "unknown-scenario", "unknown-flag", "malformed-int",
+                  "malformed-bracket", *(f"help-{command}" for command in COMMANDS),
+                  "parser-abbreviated-flag", "parser-exponent-token", "parser-switch-with-value",
+                  "parser-missing-value", "parser-double-dash", "parser-list-extra"}
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[case["id"] for case in GOLDEN])
+def test_table_reads_golden_line_as_argparse(case, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    if "config" in case:
+        (tmp_path / "config.json").write_text(json.dumps(case["config"]))
+    assert (assert_table_agrees(case["argv"]) is None) == (case["id"] in ARGPARSE_LINES)
+
+
+# separate value tokens: negative numbers by argparse's rule and not, options, empty
+DRAWN_VALUES = ["1", "44", "0.5", "-5", "-.5", "-2.5", "-1e5", "1e5", "-5.", "-", "--", "",
+                "-x", "--out", "nan", "-inf", "0..1:0.5", "1.2,1.6", "1.2", "x", "y",
+                "two-level-obe", "full", "3 4", "-1 2", "\uff15", "-\uff15", "5\n", "-5\n"]
+STRAY_TOKENS = ["--", "-h", "--help", "--version", "extra", "-5", "--nosuch", "--nosuch=1"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), command=st.sampled_from(COMMANDS))
+def test_table_reads_drawn_lines_as_argparse(fuzz_dir, data, command):
+    """Lines of every form: ``--name=value`` and ``--name value``, names,
+    aliases and abbreviations, switches with and without a value, a flag
+    given twice, stray tokens, and a --config file under the flags."""
+    flags = _COMMON + tuple(SPECS[command][2:]) if command != "list" else ()
+    names = [name for flag in flags for name in (flag.name, flag.alias) if name]
+    config = fuzz_dir / "drawn.json"
+    config.write_text(json.dumps({
+        flag.dest: data.draw(st.sampled_from([1, 44.0, -5, "2", "1.2,1.6", [1.2, 1.6], True,
+                                               "two-level-obe", "x"]))
+        for flag in flags if flag.name != "config" and data.draw(st.booleans())}))
+    argv = [command]
+    for _ in range(data.draw(st.integers(0, 6))):
+        if not names or data.draw(st.integers(0, 5)) == 0:
+            argv.append(data.draw(st.sampled_from(STRAY_TOKENS)))
+            continue
+        name = data.draw(st.sampled_from(names))
+        if data.draw(st.integers(0, 5)) == 0:
+            name = name[:data.draw(st.integers(1, len(name)))]
+        value = (str(config) if name == "config"
+                 else data.draw(st.sampled_from(DRAWN_VALUES)))
+        form = data.draw(st.sampled_from(["=", " ", "none"]))
+        argv += ([f"--{name}={value}"] if form == "=" else
+                 [f"--{name}", value] if form == " " else [f"--{name}"])
+    assert_table_agrees(argv)

@@ -11,7 +11,10 @@ and every g2 model (the two-level closed form, and the Bloch kernels of
 ``obe`` for the two-level, four-level and full models) run on the standard
 library, and the line-table layers (``lightshift``, ``angular``,
 ``trapgeometry``) only for the scenarios that read the table or the trap
-beam.  ``json`` is loaded only for --config, --metadata and the line table.
+beam.  ``json`` is loaded only for --config, --metadata and the line table,
+and ``argparse`` (with ``gettext``, and ``locale`` at its first message) only
+for a line that the scenario table does not read: help, --version and usage
+errors.
 The standard-library paths load neither ``dataclasses`` (with ``inspect``)
 nor ``fractions`` (with ``decimal``): the line-table records are plain
 classes and the Racah sums run in integers.  Each check runs in a fresh
@@ -306,6 +309,29 @@ def test_sidecar_loads_json(name, tmp_path):
     loaded = modules_after("import sys\n" + cli_run(*NO_JSON_RUNS[name], "--metadata"), "json",
                            cwd=tmp_path)
     assert "'json'" in loaded
+
+
+# argparse imports gettext, and its first message lookup imports locale
+ARGPARSE = ("argparse", "gettext", "locale")
+
+
+@pytest.mark.parametrize("name", ["import-cli", "list", "config", *SCENARIO_RUNS])
+def test_plain_line_loads_no_argparse(name, tmp_path):
+    write_profiles(tmp_path)
+    (tmp_path / "config.json").write_text('{"noise_p": 0.9}')
+    code = {"import-cli": "import singleatom.cli", "list": cli_run("list"),
+            "config": cli_run("bell", "--config", "config.json", "--phi-b-deg=-30",
+                              "--out", "out.csv", "--metadata")}.get(name)
+    loaded = modules_after("import sys\n" + (code or scenario_run(name)), *ARGPARSE, cwd=tmp_path)
+    assert loaded == "[]"
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("bell", "--noise", "0.9")],
+                         ids=["help", "abbreviated-flag"])
+def test_argparse_reads_the_other_lines(argv, tmp_path):
+    # the check above would pass vacuously if no line loaded argparse
+    loaded = modules_after("import sys\n" + cli_run(*argv), *ARGPARSE, cwd=tmp_path)
+    assert "'argparse'" in loaded
 
 
 def test_g2_without_trap_loads_no_line_table_layer(tmp_path):
