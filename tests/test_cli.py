@@ -1695,7 +1695,8 @@ GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden" / "manifest.json")
 ARGPARSE_LINES = {"help", "version", "bare", "unknown-scenario", "unknown-flag", "malformed-int",
                   "malformed-bracket", *(f"help-{command}" for command in COMMANDS),
                   "parser-abbreviated-flag", "parser-exponent-token", "parser-switch-with-value",
-                  "parser-missing-value", "parser-double-dash", "parser-list-extra"}
+                  "parser-missing-value", "parser-double-dash", "parser-list-extra",
+                  "parser-abbreviated-with-config", "parser-abbreviated-config-flag"}
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=[case["id"] for case in GOLDEN])
