@@ -46,7 +46,9 @@ def _check_g2(args) -> None:
     a trap beam, the four-level and full models' trap shifts are computed
     here, at the line table's hyperfine-resolved detunings, so a trap
     wavelength on such a line fails --validate-only as the run would; the
-    runner reads them as ``args.shifts``.  The rates (rad/s) that the model
+    runner reads them as ``args.shifts``.  A cooling drive that is off
+    (--icl-mw-cm2 0) excites nothing, so g2 is not defined: every model
+    refuses it.  The rates (rad/s) that the model
     computes from its drive flags are derived here too, each from a nonzero
     flag: the cooling detuning and Rabi rate on F=2 -> F'=3 (the two-level
     drive) and, for the four-level and full models, the repump detuning and
@@ -82,6 +84,9 @@ def _check_g2(args) -> None:
             except ValueError as exc:
                 raise ValidationError(
                     f"--trap-wavelength-nm {args.trap_wavelength_nm:g}: {exc}") from exc
+    if args.icl_mw_cm2 == 0:
+        raise ValidationError(
+            "--icl-mw-cm2 0: no steady-state excitation: the cooling drive is off")
     # (flag, value, quantity, rate) of each drive rate the model computes
     icl = intensity_from_mw_cm2(args.icl_mw_cm2)
     drive = [("delta-mhz", args.delta_mhz, "cooling detuning (rad/s)", args.delta)]
@@ -103,7 +108,7 @@ def _check_g2(args) -> None:
                   ("icl-mw-cm2", args.icl_mw_cm2, "cooling Rabi rate on F=2 -> F'=3 (rad/s)",
                    args.rabi[2])]
     for flag, value, quantity, rate in drive:
-        if value != 0:  # a drive that is off is a result
+        if value != 0:  # a detuning of 0 is resonance, not an underflow
             _derived(f"--{flag} {value:g}", quantity, lambda: rate)
     if two_level:
         _resolved_phase(f"--icl-mw-cm2 {args.icl_mw_cm2:g} with --delta-mhz {args.delta_mhz:g}"

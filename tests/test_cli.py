@@ -311,6 +311,11 @@ class TestValidateOnlyAgreesWithRun:
           " Rabi phase at the longest delay")
           for model in ("two-level-obe", "two-level-analytic")
           for delta, icl, points in (("-31", "1e+150", "6"), ("0", "1e+300", "3"))),
+        # a cooling drive that is off: two-level-analytic printed g2 = 0, 0.72,
+        # 0.96, and the other models exited 3
+        *((["g2", "--delta-mhz", "0", "--icl", "0", "--points", "3", *G2_MODELS[model]],
+           "--icl-mw-cm2 0: no steady-state excitation: the cooling drive is off")
+          for model in G2_MODELS),
     ], ids=["trap-power", "trap-waist", "trap-wavelength", "kinetic", "env-a",
             "stirap-grid", "loading-grid", "loading-negative-rate",
             "loading-negative-grid-point", "correlations-grid", "trap-on-d2",
@@ -323,7 +328,8 @@ class TestValidateOnlyAgreesWithRun:
             "larmor-step-underflow", "larmor-phase-overflow", "larmor-phase-unresolved",
             *(name for _, _, name in G2_RATE_OVERFLOWS),
             *(f"{model}-phase-unresolved-{icl}" for model in ("two-level-obe", "two-level-analytic")
-              for icl in ("1e150", "1e300"))])
+              for icl in ("1e150", "1e300")),
+            *(f"{model}-drive-off" for model in G2_MODELS)])
     def test_out_of_range_flag_exits_two(self, tmp_path, capsys, args, flag):
         code, out = run(tmp_path, args)
         err = capsys.readouterr().err
@@ -1283,12 +1289,12 @@ def four_level_refusal(tmp_path, capsys, kernel, extra):
     return f"numerical failure: {exc.value}\n"
 
 
-def over_kernels(rows, ids):
+def over_kernels(rows, ids, kernels=("cli", "library")):
     """(extra, kernel) of each row for the CLI's kernel (obe.four_level_g2)
     and the library's (bloch.four_level), which share the steady-state rule
     and so must give the same refusal; the library's ids end in -library."""
     return [pytest.param(extra, kernel, id=name if kernel == "cli" else f"{name}-library")
-            for kernel in ("cli", "library") for extra, name in zip(rows, ids)]
+            for kernel in kernels for extra, name in zip(rows, ids)]
 
 
 class TestExtremeFourLevelDrives:
@@ -1312,10 +1318,12 @@ class TestSteadyExcitationAtRoundingLevel:
         ["--delta-mhz", "1e6", "--icl", "103"],
         ["--delta-mhz", "1e11", "--icl", "103"],
         ["--delta-mhz", "1e12", "--icl", "103"],
+    ], ["delta-1e6", "delta-1e11", "delta-1e12"]) + over_kernels([
+        # the CLI refuses a cooling drive that is off in validation
         ["--delta-mhz", "-31", "--icl", "0"],
         ["--model", "full", "--env-a", "0.3", "--env-tau-us", "2", "--delta-mhz", "-31",
          "--icl", "0"],
-    ], ["delta-1e6", "delta-1e11", "delta-1e12", "icl-0", "full-icl-0"]))
+    ], ["icl-0", "full-icl-0"], kernels=("library",)))
     def test_refused(self, tmp_path, capsys, extra, kernel):
         # the excited population is within the null vector's rounding error,
         # so g2 would divide noise by noise
@@ -1324,12 +1332,14 @@ class TestSteadyExcitationAtRoundingLevel:
                               "population is not above the null vector's rounding error ")
         assert err.count("\n") == 1
 
-    def test_two_level_obe_without_drive(self, tmp_path, capsys):
-        code, out = run(tmp_path, ["g2", "--model", "two-level-obe", "--delta-mhz", "-31",
-                                   "--icl", "0", "--points", "3"])
-        assert code == EXIT_NUMERICAL and not out.exists()
-        assert capsys.readouterr().err == ("numerical failure: no steady-state excitation: "
-                                           "drive is off\n")
+    def test_two_level_obe_without_drive(self):
+        # the kernel's own rule, for library callers: the CLI refuses
+        # --icl-mw-cm2 0 in validation
+        from singleatom.constants import RB87_GAMMA_D2, TWO_PI
+        from singleatom.obe import two_level_obe_g2
+
+        with pytest.raises(ValueError, match="^no steady-state excitation: drive is off$"):
+            two_level_obe_g2(0.0, TWO_PI * -31e6, RB87_GAMMA_D2, 200e-9, 3, {})
 
     def test_resolved_excitation_kept(self, tmp_path):
         # 1e5 MHz: an excited population of 2.3e-8 against a rounding error of 6.5e-10
