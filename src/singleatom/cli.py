@@ -10,16 +10,17 @@ Each scenario is one entry of ``SPECS``: its runner, its family module and
 one ``Flag`` per flag.  The parsers, validation, config coercion, ``list``
 and the metadata sidecar all read that table.
 
-A plain command line is read from the table alone (``_plain_args``): the
-scenario or ``list`` first, then exact flag names or aliases, each
-``--name=value`` or ``--name value``, switches bare, every value converting
-with its kind's type, and a separate value that starts with "-" a negative
-number by argparse's rule.  Every other line goes to argparse
-(``build_parser``), which reads it to the same namespace or prints its help
-text or usage error: --help, --version, a bare call, an unknown or
-abbreviated flag, a value that does not convert or looks like an option,
-``--``, a switch given a value.  argparse builds the invoked scenario's
-subparser alone.
+Two parsers read the flags a command line gives, and ``_args`` resolves
+them in one merge: each flag's table default, under the --config file's
+values, under the command line.  A plain line is read from the table alone
+(``_plain_args``): the scenario or ``list`` first, then exact flag names or
+aliases, each ``--name=value`` or ``--name value``, switches bare, every
+value converting with its kind's type, and a separate value that starts
+with "-" a negative number by argparse's rule.  argparse (``build_parser``)
+reads the given flags of every other line, or prints its help text or usage
+error: --help, --version, a bare call, an unknown or abbreviated flag, a
+value that does not convert or looks like an option, ``--``, a switch given
+a value.  argparse builds the invoked scenario's subparser alone.
 
 This module is what every run compiles: the table, the parsers, the flag
 checks, the config merge, the CSV writer and ``main``, on the standard
@@ -367,18 +368,17 @@ def _negative_number(token: str) -> bool:
     return (fraction if dot else whole).isdecimal() and (not whole or whole.isdecimal())
 
 
-def _plain_args(argv: list):
-    """The namespace of a plain command line (the module docstring says which
-    lines are plain), read from the scenario table as argparse would read it,
-    or None for any other line.  The --config file's values override the
-    table's defaults, and the command line overrides both."""
+def _plain_args(argv: list) -> dict | None:
+    """The scenario and the flags of a plain command line (the module
+    docstring says which lines are plain), read from the scenario table as
+    argparse would read them, or None for any other line."""
     if not argv or argv[0] not in COMMANDS:
         return None
     if argv[0] == "list":
-        return SimpleNamespace(scenario="list") if len(argv) == 1 else None
-    flags = _COMMON + SPECS[argv[0]][2:]
-    by_name = {f"--{name}": f for f in flags for name in (f.name, f.alias) if name}
-    given, tokens = {}, iter(argv[1:])
+        return {"scenario": "list"} if len(argv) == 1 else None
+    by_name = {f"--{name}": f for f in _COMMON + SPECS[argv[0]][2:]
+               for name in (f.name, f.alias) if name}
+    given, tokens = {"scenario": argv[0]}, iter(argv[1:])
     for token in tokens:
         name, explicit, value = token.partition("=")
         flag = by_name.get(name)
@@ -395,20 +395,16 @@ def _plain_args(argv: list):
             given[flag.dest] = _KINDS[flag.kind][0](value)
         except ValueError:
             return None
-    values = {f.dest: f.default for f in flags}
-    if given.get("config"):
-        values.update(_config_defaults(given["config"], flags))
-    values.update(given)
-    return SimpleNamespace(scenario=argv[0], **values)
+    return given
 
 
 def build_parser(commands=COMMANDS) -> "argparse.ArgumentParser":
     """The argparse parser of the lines that are not plain, with the
-    subparsers of ``commands``; the top-level parser's ``scenarios`` maps
-    each scenario it holds to its subparser.  A usage error is one
-    ``validation:`` line on stderr and exit 2, like every other bad input.
-    A line that names no command (``--help``, ``--version``, a bare call, an
-    unknown scenario) needs every subparser, so that its text names every one."""
+    subparsers of ``commands``; a parse holds the scenario and the flags the
+    line gives, no defaults.  A usage error is one ``validation:`` line on
+    stderr and exit 2, like every other bad input.  A line that names no
+    command (``--help``, ``--version``, a bare call, an unknown scenario)
+    needs every subparser, so that its text names every one."""
     import argparse
 
     class Parser(argparse.ArgumentParser):
@@ -429,12 +425,11 @@ def build_parser(commands=COMMANDS) -> "argparse.ArgumentParser":
     )
     parser.add_argument("--version", action="version", version=__version__)
     subparsers = parser.add_subparsers(dest="scenario", required=True, parser_class=Parser)
-    parser.scenarios = {}
     for name in commands:
         if name == "list":
             subparsers.add_parser("list", help="list scenarios and their required keys")
             continue
-        parser.scenarios[name] = subparser = subparsers.add_parser(name)
+        subparser = subparsers.add_parser(name, argument_default=argparse.SUPPRESS)
         for flag in _COMMON + SPECS[name][2:]:
             names = [f"--{flag.name}"] + ([f"--{flag.alias}"] if flag.alias else [])
             if flag.kind == "switch":
@@ -443,23 +438,25 @@ def build_parser(commands=COMMANDS) -> "argparse.ArgumentParser":
                 # choices are checked with the other rules, not by argparse
                 metavar = "{%s}" % ",".join(flag.check) if flag.kind == "choice" else None
                 convert = bracket if flag.kind == "bracket" else _KINDS[flag.kind][0]
-                subparser.add_argument(*names, type=convert, default=flag.default,
-                                       metavar=metavar, help=flag.help)
+                subparser.add_argument(*names, type=convert, metavar=metavar, help=flag.help)
     return parser
 
 
-def _parsed_args(argv: list):
-    """The namespace of a command line that is not plain, read by argparse;
-    the --config file's values become the scenario's defaults and the line
-    is parsed again, so a flag given there wins over the file."""
-    # a parse that gets past the top-level options has the scenario first
-    parser = build_parser(argv[:1] if argv[:1] and argv[0] in COMMANDS else COMMANDS)
-    args = parser.parse_args(argv)
-    if args.scenario != "list" and args.config:
-        flags = _COMMON + SPECS[args.scenario][2:]
-        parser.scenarios[args.scenario].set_defaults(**_config_defaults(args.config, flags))
-        args = parser.parse_args(argv)
-    return args
+def _args(argv: list) -> SimpleNamespace:
+    """The namespace of a command line: each flag's table default, under the
+    --config file's values, under the flags the line gives.  The table reads
+    a plain line; argparse reads any other, or exits with its text."""
+    given = _plain_args(argv)
+    if given is None:
+        # a parse that gets past the top-level options has the scenario first
+        parser = build_parser(argv[:1] if argv[:1] and argv[0] in COMMANDS else COMMANDS)
+        given = vars(parser.parse_args(argv))
+    scenario = given["scenario"]
+    flags = () if scenario == "list" else _COMMON + SPECS[scenario][2:]
+    values = {f.dest: f.default for f in flags}
+    if given.get("config"):
+        values.update(_config_defaults(given["config"], flags))
+    return SimpleNamespace(**{**values, **given})
 
 
 def list_scenarios() -> str:
@@ -517,7 +514,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         # argparse exits on the lines it refuses or answers with a text
-        args = _plain_args(argv) or _parsed_args(argv)
+        args = _args(argv)
         if args.scenario == "list":
             sys.stdout.write(list_scenarios())
             return EXIT_OK

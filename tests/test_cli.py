@@ -24,8 +24,8 @@ from singleatom.cli import (
     SPECS,
     ValidationError,
     _COMMON,
+    _args,
     _parse_grid,
-    _parsed_args,
     _plain_args,
     build_parser,
     main,
@@ -186,12 +186,16 @@ class TestPerScenarioParser:
 
     def test_run_parser_has_the_invoked_flags_only(self):
         parser = build_parser(["trap"])
-        assert "--power-mw" in parser.scenarios["trap"].format_help()
-        assert list(parser.scenarios) == ["trap"]
+        assert set(re.findall(r"\{[^}]*\}", parser.format_help())) == {"{trap}"}
+        # a parse holds the flags the line gives, no defaults
+        assert vars(parser.parse_args(["trap", "--pow", "44"])) == {"scenario": "trap",
+                                                                    "power_mw": 44.0}
 
     @pytest.mark.parametrize("scenario,values,flags", [
         ("trap", {"power_mw": 44, "waist_um": 9.0}, ["--waist-um", "3.5"]),
         ("g2", {"delta_mhz": -31, "icl_mw_cm2": 103, "points": 3}, ["--points", "5"]),
+        # an abbreviated flag: argparse reads the line
+        ("bell", {"noise_p": 0.7, "phi_b_deg": 30}, ["--noi", "0.9"]),
     ])
     def test_config_loses_to_the_command_line(self, tmp_path, scenario, values, flags):
         config = tmp_path / "run.json"
@@ -1158,7 +1162,6 @@ class TestDiagnostics:
         from singleatom.obe import _four_level_rabi, four_level_g2, two_level_obe_g2
         from singleatom.constants import (RB87_GAMMA_D2, RB87_ISAT_F2_F3, TWO_PI,
                                           rabi_frequency)
-        from singleatom.cli import build_parser
         from singleatom.cli_g2 import _check_g2
 
         argv = self.BASE + extra
@@ -1166,7 +1169,7 @@ class TestDiagnostics:
         assert code == EXIT_OK
         meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
         assert set(meta["diagnostics"]) == keys
-        args = build_parser().parse_args(argv)
+        args = _args(argv)
         _check_g2(args)  # reads the line data and computes the trap shifts
         report = {}
         if keys == {"min_overlap"}:
@@ -1675,28 +1678,25 @@ def test_fuzzed_flags_exit_cleanly(fuzz_dir, data, scenario):
         assert checked == (code, err)
 
 
-def namespace_of(read, argv) -> dict | str | None:
-    """``read(argv)`` as {dest: (type, repr)}, so NaN equals NaN and 44 differs
-    from 44.0; None where it returns None or exits (argparse's usage errors
-    and texts), and the text of a refused config."""
+def given_of(read, argv) -> dict | None:
+    """The flags ``read(argv)`` finds as {dest: (type, repr)}, so NaN equals
+    NaN and 44 differs from 44.0; None where it returns None or exits
+    (argparse's usage errors and texts)."""
     printed = io.StringIO()
     try:
         with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
-            args = read(list(argv))
+            given = read(list(argv))
     except SystemExit:
         return None
-    except ValidationError as exc:
-        return str(exc)
-    return None if args is None else {k: (type(v), repr(v)) for k, v in vars(args).items()}
+    return None if given is None else {k: (type(v), repr(v)) for k, v in given.items()}
 
 
-def assert_table_agrees(argv) -> dict | str | None:
-    """The table parser leaves ``argv`` to argparse (None), or reads it to
-    argparse's namespace, config defaults applied, or refuses its config
-    with argparse's text."""
-    table = namespace_of(_plain_args, argv)
+def assert_table_agrees(argv) -> dict | None:
+    """The table parser leaves ``argv`` to argparse (None), or reads the
+    flags it gives as argparse reads them; the config file is not read."""
+    table = given_of(_plain_args, argv)
     if table is not None:
-        assert table == namespace_of(_parsed_args, argv), argv
+        assert table == given_of(lambda a: vars(build_parser().parse_args(a)), argv), argv
     return table
 
 
@@ -1710,10 +1710,7 @@ ARGPARSE_LINES = {"help", "version", "bare", "unknown-scenario", "unknown-flag",
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=[case["id"] for case in GOLDEN])
-def test_table_reads_golden_line_as_argparse(case, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    if "config" in case:
-        (tmp_path / "config.json").write_text(json.dumps(case["config"]))
+def test_table_reads_golden_line_as_argparse(case):
     assert (assert_table_agrees(case["argv"]) is None) == (case["id"] in ARGPARSE_LINES)
 
 
@@ -1726,17 +1723,12 @@ STRAY_TOKENS = ["--", "-h", "--help", "--version", "extra", "-5", "--nosuch", "-
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), command=st.sampled_from(COMMANDS))
-def test_table_reads_drawn_lines_as_argparse(fuzz_dir, data, command):
+def test_table_reads_drawn_lines_as_argparse(data, command):
     """Lines of every form: ``--name=value`` and ``--name value``, names,
     aliases and abbreviations, switches with and without a value, a flag
-    given twice, stray tokens, and a --config file under the flags."""
+    given twice, and stray tokens."""
     flags = _COMMON + tuple(SPECS[command][2:]) if command != "list" else ()
     names = [name for flag in flags for name in (flag.name, flag.alias) if name]
-    config = fuzz_dir / "drawn.json"
-    config.write_text(json.dumps({
-        flag.dest: data.draw(st.sampled_from([1, 44.0, -5, "2", "1.2,1.6", [1.2, 1.6], True,
-                                               "two-level-obe", "x"]))
-        for flag in flags if flag.name != "config" and data.draw(st.booleans())}))
     argv = [command]
     for _ in range(data.draw(st.integers(0, 6))):
         if not names or data.draw(st.integers(0, 5)) == 0:
@@ -1745,8 +1737,7 @@ def test_table_reads_drawn_lines_as_argparse(fuzz_dir, data, command):
         name = data.draw(st.sampled_from(names))
         if data.draw(st.integers(0, 5)) == 0:
             name = name[:data.draw(st.integers(1, len(name)))]
-        value = (str(config) if name == "config"
-                 else data.draw(st.sampled_from(DRAWN_VALUES)))
+        value = data.draw(st.sampled_from(DRAWN_VALUES))
         form = data.draw(st.sampled_from(["=", " ", "none"]))
         argv += ([f"--{name}={value}"] if form == "=" else
                  [f"--{name}", value] if form == " " else [f"--{name}"])

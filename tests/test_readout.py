@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from singleatom.cli import (_parse_grid, build_parser, run_bell, run_correlations, run_g2,
+from singleatom.cli import (_args, _parse_grid, run_bell, run_correlations, run_g2,
                             run_larmor)
 from singleatom.cli_g2 import _check_g2
 from singleatom.cli_readout import _radians
@@ -196,8 +196,8 @@ class TestTwoLevelG2:
         assert report["method"] == "closed-form" and set(report) == {"method", "min_overlap"}
 
     def test_cli_columns_match_numpy(self):
-        args = build_parser().parse_args(["g2", "--model", "two-level-analytic", "--delta-mhz",
-                                          "-31", "--icl", "103", "--points", "801"])
+        args = _args(["g2", "--model", "two-level-analytic", "--delta-mhz", "-31", "--icl",
+                      "103", "--points", "801"])
         _check_g2(args)  # derives the drive rates that run_g2 reads
         _, (tau_ns, g2) = run_g2(args)
         tau = np.linspace(0.0, 200.0 * 1e-9, 801)
