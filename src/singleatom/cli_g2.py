@@ -48,11 +48,11 @@ def _check_g2(args) -> None:
     wavelength on such a line fails --validate-only as the run would; the
     runner reads them as ``args.shifts``.  A cooling drive that is off
     (--icl-mw-cm2 0) excites nothing, so g2 is not defined: every model
-    refuses it.  The rates (rad/s) that the model
-    computes from its drive flags are derived here too, each from a nonzero
-    flag: the cooling detuning and Rabi rate on F=2 -> F'=3 (the two-level
-    drive) and, for the four-level and full models, the repump detuning and
-    the other two Rabi rates.  The runner reads them as ``args.delta``,
+    refuses it.  The rates (rad/s) that the model computes from its drive
+    flags are derived here too, each from a nonzero flag: the cooling
+    detuning and Rabi rate on F=2 -> F'=3 (the two-level drive) and, for the
+    four-level and full models, the repump detuning and the other two Rabi
+    rates.  The runner reads them as ``args.delta``,
     ``args.delta_rl`` and ``args.rabi`` (the Rabi argument of the model's
     kernel).  The two-level models print cosines of the generalized Rabi
     phase sqrt(rabi^2 + delta^2) tau, which is refused at the longest delay
