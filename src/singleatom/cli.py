@@ -19,8 +19,9 @@ value converting with its kind's type, and a separate value that starts
 with "-" a negative number by argparse's rule.  argparse (``build_parser``)
 reads the given flags of every other line, or prints its help text or usage
 error: --help, --version, a bare call, an unknown or abbreviated flag, a
-value that does not convert or looks like an option, ``--``, a switch given
-a value.  argparse builds the invoked scenario's subparser alone.
+value that does not convert or looks like an option, ``--`` alone or as a
+value, a switch given a value.  argparse builds the invoked scenario's
+subparser alone.
 
 This module is what every run compiles: the table, the parsers, the flag
 checks, the config merge, the CSV writer and ``main``, on the standard
@@ -382,7 +383,8 @@ def _plain_args(argv: list) -> dict | None:
     for token in tokens:
         name, explicit, value = token.partition("=")
         flag = by_name.get(name)
-        if flag is None or flag.kind == "switch" and explicit:
+        # a "--" value, even after "=", is argparse's to refuse
+        if flag is None or flag.kind == "switch" and explicit or value == "--":
             return None
         if flag.kind == "switch":
             given[flag.dest] = True
@@ -451,6 +453,10 @@ def _args(argv: list) -> SimpleNamespace:
         # a parse that gets past the top-level options has the scenario first
         parser = build_parser(argv[:1] if argv[:1] and argv[0] in COMMANDS else COMMANDS)
         given = vars(parser.parse_args(argv))
+        # argparse reads a "--" value (--name=--) as [] and no string
+        dropped = [dest for dest, value in given.items() if value == []]
+        if dropped:
+            parser.error(f"argument --{dropped[0].replace('_', '-')}: expected one argument")
     scenario = given["scenario"]
     flags = () if scenario == "list" else _COMMON + SPECS[scenario][2:]
     values = {f.dest: f.default for f in flags}

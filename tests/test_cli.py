@@ -191,6 +191,16 @@ class TestPerScenarioParser:
         assert vars(parser.parse_args(["trap", "--pow", "44"])) == {"scenario": "trap",
                                                                     "power_mw": 44.0}
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["lightshift", "--power-mw=--", "--waist-um=3"], "--power-mw"),
+        (["bell", "--config=--"], "--config"),
+        (["trap", "--pow=--"], "--power-mw"),
+    ], ids=["number", "config", "abbreviated"])
+    def test_double_dash_value_is_a_usage_error(self, capsys, argv, flag):
+        for line in (argv, argv + ["--validate-only"]):
+            assert self.printed(capsys, main, line) == (
+                EXIT_VALIDATION, "", f"validation: argument {flag}: expected one argument\n")
+
     @pytest.mark.parametrize("scenario,values,flags", [
         ("trap", {"power_mw": 44, "waist_um": 9.0}, ["--waist-um", "3.5"]),
         ("g2", {"delta_mhz": -31, "icl_mw_cm2": 103, "points": 3}, ["--points", "5"]),
