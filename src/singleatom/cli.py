@@ -1,14 +1,16 @@
 """Scenario runner: parse a config, dispatch one computation, write CSV.
 
 All boundary values use lab units encoded in the flag names (MHz, mW,
-mW/cm^2, um, uK, ns, mGauss); conversion to SI happens here, once.  A JSON
-config file may supply any flag value (keys match the long flag names with
-underscores); explicit command-line flags override the file.  Outputs are
-deterministic: identical inputs give byte-identical files.
+mW/cm^2, um, uK, ns, mGauss).  The flag checks convert the time flags of
+``_SI`` to SI; a scenario's check and runner convert the flags they compute
+with.  A JSON config file may supply any flag value (keys match the long
+flag names with underscores); explicit command-line flags override the file.
+Outputs are deterministic: identical inputs give byte-identical files.
 
 Each scenario is one entry of ``SPECS``: its runner, its family module and
 one ``Flag`` per flag.  The parsers, validation, config coercion, ``list``
-and the metadata sidecar all read that table.
+and the metadata sidecar all read that table.  A refusal that names flags
+with their values gets that text from ``cli_common._named`` alone.
 
 Two parsers read the flags a command line gives, and ``_args`` resolves
 them in one merge: each flag's table default, under the --config file's
@@ -38,10 +40,10 @@ import math
 import os
 import sys
 import warnings
+from collections import namedtuple
 from importlib import import_module
 from itertools import chain
 from types import SimpleNamespace
-from typing import NamedTuple
 
 from . import __version__
 from .cli_common import MAX_POINTS, ValidationError, _derived
@@ -54,25 +56,19 @@ EXIT_NUMERICAL = 3
 MAX_ATOMS = 1000
 
 
-def _fmt(value, column: str) -> str:
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise FloatingPointError(f"non-finite value {value} in column {column}")
-        return format(value, ".12g")
-    return str(value)
-
-
 def _column(values, name: str) -> tuple[str, list]:
-    """The format field and values of one column: a float column is checked
-    once and printed with 12 significant digits by the row template ("%.12g",
-    the bytes of ``format(v, ".12g")``, faster than ``str.format``); any other
-    column (labels, mixed values) is formatted value by value by ``_fmt``."""
-    if not all(type(v) is float for v in values):
-        return "%s", [_fmt(v, name) for v in values]
-    if not all(map(math.isfinite, values)):
-        bad = next(v for v in values if not math.isfinite(v))
+    """The format field and values of one column; a float that is not finite
+    is refused.  A float column is printed with 12 significant digits by the
+    row template ("%.12g", the bytes of ``format(v, ".12g")``, faster than
+    ``str.format``); any other column (labels, mixed values) value by value."""
+    floats = all(type(v) is float for v in values)
+    checked = values if floats else [v for v in values if isinstance(v, float)]
+    if not all(map(math.isfinite, checked)):
+        bad = next(v for v in checked if not math.isfinite(v))
         raise FloatingPointError(f"non-finite value {bad} in column {name}")
-    return "%.12g", values
+    if floats:
+        return "%.12g", values
+    return "%s", [format(v, ".12g") if isinstance(v, float) else str(v) for v in values]
 
 
 def _write_csv(path: str | None, header: list[str], columns: list,
@@ -155,7 +151,8 @@ def _parse_grid(spec: str, name: str) -> list[float]:
 # --- the scenario table -----------------------------------------------------
 
 
-class Flag(NamedTuple):
+class Flag(namedtuple("Flag", "name kind default required check alias help",
+                      defaults=("float", None, False, None, None, None))):
     """One flag of a scenario; its config key is the name with underscores.
 
     ``kind`` is float, int, str, grid (a number or 'a..b:step', parsed in
@@ -163,16 +160,10 @@ class Flag(NamedTuple):
     True, or the (dest, value) of another flag under which this one is
     required.  ``check`` is 'positive', 'unit' (in [0, 1]) or 'nonnegative'
     for a float or every point of a grid, an inclusive (lo, hi) range for
-    an int, and the allowed values of a choice.
+    an int, and the allowed values of a choice.  No CLI run imports ``typing``.
     """
 
-    name: str
-    kind: str = "float"
-    default: object = None
-    required: bool | tuple = False
-    check: str | tuple | None = None
-    alias: str | None = None
-    help: str | None = None
+    __slots__ = ()
 
     @property
     def dest(self) -> str:
@@ -220,26 +211,24 @@ _SI = {"tau_max_ns": ("longest delay (s)", 1e-9), "t_max_us": ("longest time (s)
        "env_tau_us": ("envelope decay time (s)", 1e-6), "cycle_us": ("cycle time (s)", 1e-6)}
 
 
-def _flag_error(args, flag: Flag) -> str | None:
-    """What is wrong with one flag's value, or None.  A grid is parsed here,
-    once: the runner reads its points as ``args.<dest>_grid``."""
+def _check_flag(args, flag: Flag) -> None:
+    """Refuse one flag's value with a ValidationError.  A grid is parsed
+    here, once: the runner reads its points as ``args.<dest>_grid``."""
     value = getattr(args, flag.dest)
     if value is None:
         when = flag.required
-        missing = when is True or (when and getattr(args, when[0]) == when[1])
-        return f"missing required key --{flag.name}" if missing else None
+        if when is True or (when and getattr(args, when[0]) == when[1]):
+            raise ValidationError(f"missing required key --{flag.name}")
+        return
     values = value if flag.kind == "bracket" else (value,)
     if any(isinstance(v, float) and not math.isfinite(v) for v in values):
-        return f"--{flag.name} must be finite, got {value}"
+        raise ValidationError(f"--{flag.name} must be finite, got {value}")
     if flag.kind == "grid":
-        try:
-            values = _parse_grid(value, f"--{flag.name}")
-        except ValidationError as exc:
-            return str(exc)
+        values = _parse_grid(value, f"--{flag.name}")
         setattr(args, f"{flag.dest}_grid", values)
     check = flag.check
     if check is None:
-        return None
+        return
     if flag.kind == "choice":
         rule, ok = f"must be one of {', '.join(check)}", value in check
     elif flag.kind == "int":
@@ -248,14 +237,10 @@ def _flag_error(args, flag: Flag) -> str | None:
         rule, test = _RULES[check]
         ok = all(test(v) for v in values)
     if not ok:
-        return f"--{flag.name} {rule}, got {value!r}"
+        raise ValidationError(f"--{flag.name} {rule}, got {value!r}")
     if flag.dest in _SI:
         quantity, unit = _SI[flag.dest]
-        try:
-            _derived(f"--{flag.name} {value:g}", quantity, lambda: value * unit)
-        except ValidationError as exc:
-            return str(exc)
-    return None
+        _derived(args, (flag.name,), quantity, lambda: value * unit)
 
 
 _COMMON = (Flag("config", "str", help="JSON file with flag values (flags override)"),
@@ -480,7 +465,8 @@ def list_scenarios() -> str:
 
 
 def _config_value(key: str, value, flag: Flag):
-    """A config value as its flag would hold it; strings go through the flag's type."""
+    """A config value as its flag would hold it: strings go through the flag's
+    type, a float flag's number is a float and a bracket a tuple of floats."""
     convert, expected, fits = _KINDS[flag.kind]
     if convert is not None and isinstance(value, str):
         try:
@@ -492,7 +478,9 @@ def _config_value(key: str, value, flag: Flag):
 
         raise ValidationError(
             f"config key {key!r}: expected {expected}, got {json.dumps(value)}")
-    return value
+    if flag.kind == "bracket":
+        return tuple(map(float, value))
+    return float(value) if flag.kind == "float" else value
 
 
 def _config_defaults(path: str, flags) -> dict:
@@ -525,7 +513,12 @@ def main(argv=None) -> int:
             sys.stdout.write(list_scenarios())
             return EXIT_OK
         runner, _, *flags = SPECS[args.scenario]
-        errors = [err for flag in flags if (err := _flag_error(args, flag))]
+        errors = []
+        for flag in flags:
+            try:
+                _check_flag(args, flag)
+            except ValidationError as exc:
+                errors.append(str(exc))
         if args.metadata and args.out is None:
             errors.append("--metadata needs --out: the sidecar is written next to the CSV")
         if errors:

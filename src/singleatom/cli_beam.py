@@ -4,7 +4,7 @@ imported inside the check or runner that computes with them, so a run
 refused before the line table is read loads none of them.
 """
 
-from .cli_common import MAX_POINTS, ValidationError, _derived, _row
+from .cli_common import MAX_POINTS, ValidationError, _derived, _named, _row
 from .constants import KB, RB87_GAMMA_D2, RB87_MASS, TWO_PI
 
 
@@ -85,37 +85,38 @@ def _check_beam(args, prefix: str = "") -> None:
     from .trapgeometry import GaussianBeam, TrapSpec
 
     _read_lines(args)
-    dest = prefix.replace("-", "_")
-    power, waist, wavelength = (getattr(args, f"{dest}{name}")
-                                for name in ("power_mw", "waist_um", "wavelength_nm"))
+    # each a tuple of one flag name, as _derived and _named take them
+    power_flag, waist_flag, wavelength_flag = flags = [
+        (f"{prefix}{name}",) for name in ("power-mw", "waist-um", "wavelength-nm")]
+    power, waist, wavelength = (getattr(args, name.replace("-", "_")) for (name,) in flags)
     floor = shortest_resolved_wavelength(args.lines)
     if wavelength * 1e-9 < floor:
         raise ValidationError(
-            f"--{prefix}wavelength-nm {wavelength:g} is below {floor * 1e9:.3g} nm, where the"
+            f"{_named(args, wavelength_flag)} is below {floor * 1e9:.3g} nm, where the"
             " light shift is lost in rounding noise")
-    power_flag, waist_flag = f"--{prefix}power-mw {power:g}", f"--{prefix}waist-um {waist:g}"
-    length_flags = f"{waist_flag} with --{prefix}wavelength-nm {wavelength:g}"
-    beam = GaussianBeam(power=_derived(power_flag, "power (W)", lambda: power * 1e-3),
-                        waist_w0=_derived(waist_flag, "beam waist (m)", lambda: waist * 1e-6),
-                        wavelength=wavelength * 1e-9)
+    lengths = waist_flag + wavelength_flag
+    beam = GaussianBeam(
+        power=_derived(args, power_flag, "power (W)", lambda: power * 1e-3),
+        waist_w0=_derived(args, waist_flag, "beam waist (m)", lambda: waist * 1e-6),
+        wavelength=wavelength * 1e-9)
     # trapgeometry.harmonic_frequencies: omega^2 = factor * |U| / (m * length^2)
-    w0_sq = _derived(waist_flag, "beam waist squared (m^2)", lambda: beam.waist_w0**2)
-    zr_sq = _derived(length_flags, "Rayleigh length squared (m^2)",
+    w0_sq = _derived(args, waist_flag, "beam waist squared (m^2)", lambda: beam.waist_w0**2)
+    zr_sq = _derived(args, lengths, "Rayleigh length squared (m^2)",
                      lambda: beam.rayleigh_length**2)
-    mass_w0_sq = _derived(waist_flag, "atom mass times the beam waist squared (kg m^2)",
+    mass_w0_sq = _derived(args, waist_flag, "atom mass times the beam waist squared (kg m^2)",
                           lambda: RB87_MASS * w0_sq)
-    mass_zr_sq = _derived(length_flags, "atom mass times the Rayleigh length squared (kg m^2)",
+    mass_zr_sq = _derived(args, lengths, "atom mass times the Rayleigh length squared (kg m^2)",
                           lambda: RB87_MASS * zr_sq)
     field = LaserField(wavelength=beam.wavelength, intensity=beam.peak_intensity)
     for line in args.lines.d_lines():
         if line.omega == field.omega:
-            raise ValidationError(f"--{prefix}wavelength-nm {wavelength:g} is on the"
-                                  f" {line.label} line, where the light shift diverges")
-    depth = _derived(f"{power_flag} with {waist_flag}", "trap depth (J)",
+            raise ValidationError(f"{_named(args, wavelength_flag)} is on the {line.label}"
+                                  " line, where the light shift diverges")
+    depth = _derived(args, power_flag + waist_flag, "trap depth (J)",
                      lambda: ground_shift_alkali(field, 0.5, args.lines))
-    _derived(f"{waist_flag} and {power_flag}", "radial trap frequency squared ((rad/s)^2)",
+    _derived(args, waist_flag + power_flag, "radial trap frequency squared ((rad/s)^2)",
              lambda: 4 * abs(depth) / mass_w0_sq)
-    _derived(f"{length_flags} and {power_flag}", "axial trap frequency squared ((rad/s)^2)",
+    _derived(args, lengths + power_flag, "axial trap frequency squared ((rad/s)^2)",
              lambda: 2 * abs(depth) / mass_zr_sq)
     args.trap, args.field, args.depth = (TrapSpec.from_beam(beam, abs(depth), RB87_MASS),
                                          field, depth)
@@ -131,7 +132,7 @@ def _check_magic(args) -> None:
     floor = shortest_resolved_wavelength(args.lines)
     if lo * 1e-6 < floor:
         raise ValidationError(
-            f"--bracket-um {lo:g},{hi:g} reaches below {floor * 1e6:.3g} um, where the"
+            f"{_named(args, ('bracket-um',))} reaches below {floor * 1e6:.3g} um, where the"
             " light shifts cancel to rounding noise")
 
 
@@ -146,13 +147,12 @@ def _check_loading(args) -> None:
             f"--rate-per-s and --n-max: {rates} rates x {columns} columns ="
             f" {rates * columns} CSV cells, more than {2 * MAX_POINTS}")
     _check_beam(args)
-    flags = (f"--temperature-uk {args.temperature_uk:g} with --power-mw {args.power_mw:g}"
-             f" and --waist-um {args.waist_um:g}")
-    ratio = _derived(flags, "ratio kB T / U",
+    flags = ("temperature-uk", "power-mw", "waist-um")
+    ratio = _derived(args, flags, "ratio kB T / U",
                      lambda: KB * (args.temperature_uk * 1e-6) / args.trap.depth_u)
     if ratio >= 1.0:
-        raise ValidationError(f"{flags}: the ratio kB T / U = {ratio:.3g} is not below 1:"
-                              " sample not trapped")
+        raise ValidationError(f"{_named(args, flags)}: the ratio kB T / U = {ratio:.3g} is not"
+                              " below 1: sample not trapped")
 
 
 # scenario -> (runner, check)

@@ -3,7 +3,8 @@
 runs as ``__main__``: it would compile it again, with a second
 ``ValidationError``.  Every value that validation derives from checked flags
 passes one rule, ``_derived``: finite and nonzero, or refused naming its
-flags and quantity."""
+flags and quantity.  ``_named`` alone writes flags with their values, only
+when a rule refuses."""
 
 import math
 import sys
@@ -24,26 +25,41 @@ def _row(*values) -> list[list]:
     return [[v] for v in values]
 
 
-def _derived(flags: str, quantity: str, compute):
-    """``compute()``, derived from flags already checked, if finite and nonzero;
-    else a ValidationError naming ``flags`` and ``quantity``: overflows or underflows to 0."""
+def _named(args, names) -> str:
+    """The flags ``names`` with their values in ``args``: "--a A", "--a A with
+    --b B" or "--a A with --b B and --c C".  A float prints as "%g", a bracket
+    as "lo,hi", and any other value (an int flag) as it is."""
+    def text(name):
+        value = getattr(args, name.replace("-", "_"))
+        parts = value if isinstance(value, tuple) else (value,)
+        return f"--{name} " + ",".join(format(v, "g") if isinstance(v, float) else str(v)
+                                        for v in parts)
+
+    first, *rest = map(text, names)
+    return f"{first} with {' and '.join(rest)}" if rest else first
+
+
+def _derived(args, names, quantity: str, compute):
+    """``compute()``, derived from the flags ``names`` of ``args``, already
+    checked, if finite and nonzero; else a ValidationError naming the flags
+    and ``quantity``: overflows or underflows to 0."""
     try:
         value = compute()
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
-        raise ValidationError(f"{flags}: the {quantity} overflows")
+        raise ValidationError(f"{_named(args, names)}: the {quantity} overflows")
     if value == 0:
-        raise ValidationError(f"{flags}: the {quantity} underflows to 0")
+        raise ValidationError(f"{_named(args, names)}: the {quantity} underflows to 0")
     return value
 
 
-def _resolved_phase(flags: str, quantity: str, phase: float) -> None:
+def _resolved_phase(args, names, quantity: str, phase: float) -> None:
     """A nonnegative phase (rad) whose cosine the run prints: 0 (a result), or
     finite and known to ``_PHASE_RESOLUTION``, or the printed value is noise."""
     if phase != 0:
-        _derived(flags, f"{quantity} (rad)", lambda: phase)
+        _derived(args, names, f"{quantity} (rad)", lambda: phase)
         if sys.float_info.epsilon * phase > _PHASE_RESOLUTION:
             raise ValidationError(
-                f"{flags}: the {quantity} ({phase:.3g} rad) has a rounding error above"
-                f" {_PHASE_RESOLUTION:g} rad")
+                f"{_named(args, names)}: the {quantity} ({phase:.3g} rad) has a rounding error"
+                f" above {_PHASE_RESOLUTION:g} rad")

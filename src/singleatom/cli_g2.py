@@ -6,7 +6,7 @@ for the two-level closed form, ``obe`` for the Bloch models, and
 import math
 from operator import mul
 
-from .cli_common import ValidationError, _derived, _resolved_phase
+from .cli_common import ValidationError, _derived, _named, _resolved_phase
 from .constants import (RB87_GAMMA_D2, RB87_ISAT_F2_F3, TWO_PI, intensity_from_mw_cm2,
                         linspace, rabi_frequency)
 
@@ -61,14 +61,14 @@ def _check_g2(args) -> None:
     refused."""
     if (args.trap_power_mw is None) != (args.trap_waist_um is None):
         raise ValidationError("--trap-power-mw and --trap-waist-um must be given together")
-    _derived(f"--tau-max-ns {args.tau_max_ns:g} with --points {args.points}", "delay step (s)",
+    _derived(args, ("tau-max-ns", "points"), "delay step (s)",
              lambda: args.tau_max_ns * 1e-9 / (args.points - 1))
     args.delta = TWO_PI * args.delta_mhz * 1e6
     try:  # the two-level models square the detuning in rad/s
         args.delta ** 2
     except OverflowError:
         raise ValidationError(
-            f"--delta-mhz {args.delta_mhz:g}: the detuning squared ((rad/s)^2) overflows"
+            f"{_named(args, ('delta-mhz',))}: the detuning squared ((rad/s)^2) overflows"
         ) from None
     args.shifts = (0.0, 0.0, 0.0, 0.0)
     if args.trap_power_mw is not None:
@@ -83,46 +83,37 @@ def _check_g2(args) -> None:
                                           args.kinetic_uk * 1e-6)
             except ValueError as exc:
                 raise ValidationError(
-                    f"--trap-wavelength-nm {args.trap_wavelength_nm:g}: {exc}") from exc
+                    f"{_named(args, ('trap-wavelength-nm',))}: {exc}") from exc
     if args.icl_mw_cm2 == 0:
         raise ValidationError(
             "--icl-mw-cm2 0: no steady-state excitation: the cooling drive is off")
-    # (flag, value, quantity, rate) of each drive rate the model computes
+    # (flag, quantity, rate) of each drive rate the model computes
     icl = intensity_from_mw_cm2(args.icl_mw_cm2)
-    drive = [("delta-mhz", args.delta_mhz, "cooling detuning (rad/s)", args.delta)]
+    drive = [("delta-mhz", "cooling detuning (rad/s)", args.delta)]
     two_level = args.model not in ("four-level", "full")
     if two_level:
         args.rabi = rabi_frequency(icl, RB87_ISAT_F2_F3)
-        drive.append(("icl-mw-cm2", args.icl_mw_cm2, "cooling Rabi rate on F=2 -> F'=3 (rad/s)",
-                      args.rabi))
+        drive.append(("icl-mw-cm2", "cooling Rabi rate on F=2 -> F'=3 (rad/s)", args.rabi))
     else:
         from .obe import _four_level_rabi
 
         args.delta_rl = TWO_PI * args.delta_rl_mhz * 1e6
         args.rabi = _four_level_rabi(icl, intensity_from_mw_cm2(args.irl_mw_cm2))
-        drive += [("delta-rl-mhz", args.delta_rl_mhz, "repump detuning (rad/s)", args.delta_rl),
-                  ("irl-mw-cm2", args.irl_mw_cm2, "repump Rabi rate on F=1 -> F'=2 (rad/s)",
-                   args.rabi[0]),
-                  ("icl-mw-cm2", args.icl_mw_cm2, "cooling Rabi rate on F=2 -> F'=2 (rad/s)",
-                   args.rabi[1]),
-                  ("icl-mw-cm2", args.icl_mw_cm2, "cooling Rabi rate on F=2 -> F'=3 (rad/s)",
-                   args.rabi[2])]
-    for flag, value, quantity, rate in drive:
-        if value != 0:  # a detuning of 0 is resonance, not an underflow
-            _derived(f"--{flag} {value:g}", quantity, lambda: rate)
+        drive += [("delta-rl-mhz", "repump detuning (rad/s)", args.delta_rl),
+                  ("irl-mw-cm2", "repump Rabi rate on F=1 -> F'=2 (rad/s)", args.rabi[0]),
+                  ("icl-mw-cm2", "cooling Rabi rate on F=2 -> F'=2 (rad/s)", args.rabi[1]),
+                  ("icl-mw-cm2", "cooling Rabi rate on F=2 -> F'=3 (rad/s)", args.rabi[2])]
+    for flag, quantity, rate in drive:
+        # a detuning of 0 is resonance, not an underflow
+        if getattr(args, flag.replace("-", "_")) != 0:
+            _derived(args, (flag,), quantity, lambda: rate)
     if two_level:
-        _resolved_phase(f"--icl-mw-cm2 {args.icl_mw_cm2:g} with --delta-mhz {args.delta_mhz:g}"
-                        f" and --tau-max-ns {args.tau_max_ns:g}",
+        _resolved_phase(args, ("icl-mw-cm2", "delta-mhz", "tau-max-ns"),
                         "generalized Rabi phase at the longest delay",
                         math.hypot(args.rabi, args.delta) * (args.tau_max_ns * 1e-9))
-        try:  # both rates are finite here, so an infinite sum overflowed
-            overflows = math.isinf(args.rabi ** 2 + args.delta ** 2)
-        except OverflowError:
-            overflows = True
-        if overflows:
-            raise ValidationError(
-                f"--icl-mw-cm2 {args.icl_mw_cm2:g} with --delta-mhz {args.delta_mhz:g}: the"
-                " generalized Rabi rate squared ((rad/s)^2) overflows")
+        # both rates are finite here, and the smallest Rabi rate that passes squares to 7e-309
+        _derived(args, ("icl-mw-cm2", "delta-mhz"), "generalized Rabi rate squared ((rad/s)^2)",
+                 lambda: args.rabi ** 2 + args.delta ** 2)
 
 
 # scenario -> (runner, check)

@@ -58,10 +58,9 @@ def run_pair_rate(args):
 def _check_larmor(args) -> None:
     """The step of the time grid, as for g2, and the Larmor phase at the
     longest time, whose cosine the run takes (``_resolved_phase``)."""
-    _derived(f"--t-max-us {args.t_max_us:g} with --points {args.points}", "time step (s)",
+    _derived(args, ("t-max-us", "points"), "time step (s)",
              lambda: args.t_max_us * 1e-6 / (args.points - 1))
-    _resolved_phase(f"--b-mgauss {args.b_mgauss:g} with --g-f {args.g_f:g} and --t-max-us"
-                    f" {args.t_max_us:g}", "Larmor phase at the longest time",
+    _resolved_phase(args, ("b-mgauss", "g-f", "t-max-us"), "Larmor phase at the longest time",
                     larmor_frequency(args.b_mgauss * 1e-7, args.g_f) * (args.t_max_us * 1e-6))
 
 
@@ -71,8 +70,7 @@ def _check_pair_rate(args) -> None:
     rate = pair_rate_estimate(args.eta, args.t_fiber, args.cycle_us * 1e-6, args.duty_factor)
     # no detection, fiber transmission or duty gives exactly 0 pairs: a result
     args.pairs_per_min = rate if rate == 0 else _derived(
-        f"--eta {args.eta:g} with --cycle-us {args.cycle_us:g}", "pair rate (1/min)",
-        lambda: rate)
+        args, ("eta", "cycle-us"), "pair rate (1/min)", lambda: rate)
 
 
 # scenario -> (runner, check or None)

@@ -12,10 +12,6 @@ the standard library alone, so the CLI's loading scenario imports no numpy;
 
 import math
 import sys
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # numpy loads only with an array result
-    import numpy as np
 
 __all__ = [
     "LoadingParams",
@@ -54,11 +50,12 @@ def mean_number(probabilities) -> float:
 
 
 class AtomNumberDist:
-    """Probabilities p_0..p_N of finding that many atoms in the trap."""
+    """Probabilities p_0..p_N of finding that many atoms in the trap, held as
+    a numpy array."""
 
     __slots__ = ("probabilities",)
 
-    def __init__(self, probabilities: "np.ndarray"):
+    def __init__(self, probabilities):
         import numpy as np
 
         self.probabilities = p = np.asarray(probabilities, dtype=float)

@@ -8,6 +8,7 @@ import pathlib
 import re
 import warnings
 from importlib import resources
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from singleatom.cli import (
     build_parser,
     main,
 )
+from singleatom.cli_common import _named
 
 
 def run(tmp_path, args, name="out.csv"):
@@ -451,7 +453,7 @@ class TestOverflowingSquares:
          "--waist-um 1e-50 with --wavelength-nm 856 and --power-mw 44: the axial trap"
          " frequency squared ((rad/s)^2) overflows"),
         (["trap", "--power-mw", "1e300", "--waist-um", "3.5"],
-         "--waist-um 3.5 and --power-mw 1e+300: the radial trap frequency squared ((rad/s)^2)"
+         "--waist-um 3.5 with --power-mw 1e+300: the radial trap frequency squared ((rad/s)^2)"
          " overflows"),
         # the peak intensity overflows: the depth is the first quantity that is not finite
         (["trap", "--power-mw", "1e300", "--waist-um", "1"],
@@ -518,6 +520,26 @@ class TestOverflowingSquares:
         assert capsys.readouterr().err == f"validation: {line}\n"
         assert main(args + ["--validate-only"]) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"validation: {line}\n"
+
+
+class TestNamed:
+    """``_named`` writes the flags of every refusal with their values: a
+    float by "%g", an int flag whole, a bracket as "lo,hi"."""
+
+    ARGS = SimpleNamespace(power_mw=1e300, waist_um=3.5, cycle_us=5e-324, points=1000000,
+                           bracket_um=(1.2, 1.6))
+
+    @pytest.mark.parametrize("names,text", [
+        (("power-mw",), "--power-mw 1e+300"),
+        (("cycle-us",), "--cycle-us 4.94066e-324"),
+        (("points",), "--points 1000000"),
+        (("bracket-um",), "--bracket-um 1.2,1.6"),
+        (("waist-um", "power-mw"), "--waist-um 3.5 with --power-mw 1e+300"),
+        (("waist-um", "points", "bracket-um"),
+         "--waist-um 3.5 with --points 1000000 and --bracket-um 1.2,1.6"),
+    ], ids=["overflowing", "subnormal", "int", "bracket", "two", "three"])
+    def test_text(self, names, text):
+        assert _named(self.ARGS, names) == text
 
 
 class TestGridParsedOnce:
@@ -1107,6 +1129,16 @@ class TestConfigFile:
         assert err.startswith("validation: ") and err.count("\n") == 1
         assert key in err
         assert not out.exists()
+
+    def test_sidecar_holds_a_config_number_as_its_flag(self, tmp_path):
+        # a JSON integer for a float flag is held as the command line's float
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"phi_b_deg": 30}))
+        _, from_file = run(tmp_path, ["bell", "--config", str(config), "--metadata"], "a.csv")
+        _, from_flag = run(tmp_path, ["bell", "--phi-b-deg", "30", "--metadata"], "b.csv")
+        assert from_file.read_bytes() == from_flag.read_bytes()
+        sidecars = [pathlib.Path(f"{out}.meta.json").read_text() for out in (from_file, from_flag)]
+        assert sidecars[0] == sidecars[1] and '"phi_b_deg": 30.0' in sidecars[0]
 
     def test_undecodable_config_rejected(self, tmp_path, capsys):
         config = tmp_path / "run.json"
@@ -1722,6 +1754,29 @@ ARGPARSE_LINES = {"help", "version", "bare", "unknown-scenario", "unknown-flag",
 @pytest.mark.parametrize("case", GOLDEN, ids=[case["id"] for case in GOLDEN])
 def test_table_reads_golden_line_as_argparse(case):
     assert (assert_table_agrees(case["argv"]) is None) == (case["id"] in ARGPARSE_LINES)
+
+
+EXPECTED = json.loads((pathlib.Path(__file__).parent / "golden" / "expected.json").read_text())
+# the golden lines that the table reads and validation refuses
+PLAIN_REFUSALS = [case for case in GOLDEN
+                  if EXPECTED["cases"][case["id"]]["exit"] == EXIT_VALIDATION
+                  and _plain_args(case["argv"]) is not None]
+
+
+@pytest.mark.parametrize("case", PLAIN_REFUSALS, ids=[case["id"] for case in PLAIN_REFUSALS])
+def test_golden_refusal_names_flags_of_its_scenario(case):
+    flags = _COMMON + SPECS[case["argv"][0]][2:]
+    named = set(re.findall(r"--[a-z][a-z0-9-]*", EXPECTED["cases"][case["id"]]["stderr"]))
+    assert named <= {f"--{flag.name}" for flag in flags}
+
+
+def test_golden_refusals_name_flags():
+    # the check above would pass vacuously if no refusal named a flag: each
+    # names one, but those of the config file itself
+    unnamed = {case["id"] for case in PLAIN_REFUSALS
+               if "--" not in EXPECTED["cases"][case["id"]]["stderr"]}
+    assert unnamed == {"config-unknown-key", "config-type-mismatch", "config-not-object",
+                       "config-missing-file"}
 
 
 # separate value tokens: negative numbers by argparse's rule and not, options, empty

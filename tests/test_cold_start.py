@@ -17,9 +17,10 @@ for a line that the scenario table does not read: help, --version and usage
 errors.
 The standard-library paths load neither ``dataclasses`` (with ``inspect``)
 nor ``fractions`` (with ``decimal``): the line-table records are plain
-classes and the Racah sums run in integers.  Each check runs in a fresh
-interpreter, so modules imported by other tests do not hide a module-level
-import.
+classes and the Racah sums run in integers.  Under ``python -S`` a plain
+run loads no ``typing``, and ``re`` only with ``json``.  Each check runs in a
+fresh interpreter, so modules imported by other tests do not hide a
+module-level import.
 """
 
 import os
@@ -38,12 +39,13 @@ from singleatom.cli import SPECS
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(singleatom.__file__)))
 
 
-def modules_after(code: str, *packages: str, cwd=None) -> str:
-    """The modules of ``packages`` loaded once ``code`` has run, as printed."""
+def modules_after(code: str, *packages: str, cwd=None, flags=()) -> str:
+    """The modules of ``packages`` loaded once ``code`` has run under the
+    interpreter options ``flags``, as printed."""
     report = (f"import sys; print(sorted(m for m in sys.modules if any("
               f"m == p or m.startswith(p + '.') for p in {packages!r})))")
     env = dict(os.environ, PYTHONPATH=SRC)
-    result = subprocess.run([sys.executable, "-c", f"{code}\n{report}"],
+    result = subprocess.run([sys.executable, *flags, "-c", f"{code}\n{report}"],
                             capture_output=True, text=True, env=env, timeout=60, cwd=cwd)
     assert result.returncode == 0, result.stderr
     return result.stdout.strip().splitlines()[-1]
@@ -371,6 +373,27 @@ def test_numpy_scenario_loads_the_heavy_stdlib_modules(tmp_path):
     write_profiles(tmp_path)
     loaded = modules_after("import sys\n" + cli_run(*SPECTRUM_FIT), *HEAVY_STDLIB, cwd=tmp_path)
     assert "'dataclasses'" in loaded and "'inspect'" in loaded
+
+
+# the runs of STDLIB_RUNS that read the line table, with json; and the plain
+# lines of every such run, of a config file and of a sidecar
+LINE_TABLE_RUNS = ("lightshift", "magic", "trap", "loading", "g2-trap", "g2-four-level-trap",
+                   "g2-full-trap")
+PLAIN_LINES = {name: (*argv, "--out", "out.csv") for name, argv in STDLIB_RUNS.items()}
+PLAIN_LINES["config"] = ("bell", "--config", "config.json", "--out", "out.csv")
+PLAIN_LINES["metadata"] = ("bell", "--out", "out.csv", "--metadata")
+
+
+@pytest.mark.parametrize("name", PLAIN_LINES)
+def test_plain_line_loads_no_typing_without_site(name, tmp_path):
+    # under -S no site hook preloads typing or re, as on an interpreter whose
+    # site-packages hold no .pth file that imports them; json's decoder imports re
+    (tmp_path / "config.json").write_text('{"noise_p": 0.9}')
+    loaded = modules_after("import sys\n" + cli_run(*PLAIN_LINES[name]), "typing", "re", "json",
+                           cwd=tmp_path, flags=("-S",))
+    reads_json = name in LINE_TABLE_RUNS or name in ("config", "metadata")
+    assert "'typing'" not in loaded
+    assert ("'json'" in loaded, "'re'" in loaded) == (reads_json, reads_json), loaded
 
 
 def test_stirap_loads_no_scipy():
