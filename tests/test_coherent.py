@@ -256,6 +256,53 @@ class TestStirapAgainstDop853:
         assert np.abs(result.final_state * [1j, 1.0, 1.0] - final).max() <= 1e-9
 
 
+# id -> (schedule, initial state, loss) of each pinned STIRAP run
+PINNED_RUNS = {
+    # the corners of the benchmark's library sweep
+    "corner-120-per-us": (schedule(peak=120e6, delay=0.2e-6), ground_start(), LOSS),
+    "corner-160-per-us": (schedule(peak=160e6, delay=0.3e-6), ground_start(), LOSS),
+    **{f"140-per-us-{order}-{'lossy' if loss else 'lossless'}": (schedule(order), ground_start(), loss)
+       for order in ("counterintuitive", "intuitive") for loss in (0.0, LOSS)},
+    "complex-start": (schedule(peak=40e6), np.array([0.0, 1.0, 1.0j]) / math.sqrt(2.0), LOSS),
+}
+# id -> repr of (efficiency, norm_leak, scattered, magnus_steps, step_norm),
+# recorded under numpy PINNED_NUMPY
+PINNED = {
+    "corner-120-per-us": ("0.992179813110899", "0.006479755906061091",
+                          "0.0064797557243877054", "1920", "0.0759375"),
+    "corner-160-per-us": ("0.9980000117066176", "0.0018886841846230684",
+                          "0.0018886841958816452", "2101", "0.09995579133510168"),
+    "140-per-us-counterintuitive-lossless": ("0.9988925299044471", "4.440892098500626e-16",
+                                             "0.0", "2000", "0.08750000000000001"),
+    "140-per-us-counterintuitive-lossy": ("0.9966763731822298", "0.002778859229697672",
+                                          "0.002778859250186145", "2000", "0.0884375"),
+    "140-per-us-intuitive-lossless": ("0.9937118510542476", "-2.220446049250313e-16",
+                                      "0.0", "2000", "0.08750000000000001"),
+    "140-per-us-intuitive-lossy": ("0.20851760140353232", "0.7902950267393538",
+                                   "0.7902950265388776", "2000", "0.0884375"),
+    "complex-start": ("0.47862949258205933", "0.39021769363719017",
+                      "0.39021768710055466", "2000", "0.025937500000000002"),
+}
+PINNED_NUMPY = "2.4.6"
+
+
+@pytest.mark.parametrize("run", list(PINNED))
+def test_stirap_outputs_pinned(run):
+    # the outputs bit for bit under the recording numpy, so a refactor of the
+    # step loop cannot move them unseen; under another numpy at 1e-11
+    # relative, and a norm leak of rounding size at 1e-14
+    sched, initial, loss = PINNED_RUNS[run]
+    result = stirap_evolve(sched, initial, loss_gamma=loss)
+    got = (result.efficiency, result.norm_leak, result.scattered, result.magnus_steps,
+           result.step_norm)
+    if np.__version__ == PINNED_NUMPY:
+        assert tuple(map(repr, got)) == PINNED[run]
+    else:
+        assert result.magnus_steps == int(PINNED[run][3])
+        assert all(math.isclose(value, float(pin), rel_tol=1e-11, abs_tol=1e-14)
+                   for value, pin in zip(got, PINNED[run]))
+
+
 class TestReadout:
     def test_sin_squared_law_exact(self):
         for alpha in np.linspace(0.0, math.pi, 37):
