@@ -11,9 +11,8 @@ affine generator -iH(t) = A0 + Omega_p(t) B_p + Omega_s(t) B_s, with A0
 the loss and B_p, B_s the two resonant couplings.  The steps run on a grid
 with a node at every pulse edge, where the envelopes' second derivative
 jumps, so each step sees a smooth generator; the step count follows from
-||A|| and the pulse duration, not from the 4000 sample times on which the
-peak |a> population is reported.  The scattering is an independent
-trapezoid quadrature of Gamma |c_a|^2 over the same trajectory.  The
+||A|| and the pulse duration.  The scattering is an independent trapezoid
+quadrature of Gamma |c_a|^2 over the same trajectory.  The
 closed-form STIRAP readout and Larmor survival laws, which need no state
 vector, live in ``readout``.
 """
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrator import _expm, _magnus_exponents, magnus4
+from .integrator import magnus4
 
 __all__ = [
     "Pulse",
@@ -37,17 +36,14 @@ __all__ = [
 # edges: h ||A|| <= _MAGNUS_STEP, and at least _STEPS_PER_PULSE steps per
 # pulse duration.  Measured against DOP853 at rtol 1e-12 (peaks 5-160 /us,
 # loss 0 or 3 /us, delays of a quarter, 0.2 and 0.3 of the duration, both
-# orders): the peak |a> population and the norm leak agree within 1e-10,
-# and so does the transfer in counterintuitive order; in intuitive order,
-# where |a> Rabi-cycles up to 20 times, the transfer errs by up to 1.0e-9
-# (160 /us, no loss).
+# orders): the norm leak agrees within 1e-10, and so does the transfer in
+# counterintuitive order; in intuitive order, where |a> Rabi-cycles up to 20
+# times, the transfer errs by up to 1.0e-9 (160 /us, no loss).
 _MAGNUS_STEP = 0.1
 _STEPS_PER_PULSE = 1600
 # Magnus steps per magnus4 call: the trajectory held at once stays below
 # 0.5 MB however many steps the pulses need
 _STEPS_PER_CALL = 4096
-# sample times of stirap_evolve over the schedule
-_SAMPLES = 4000
 # Magnus steps of one stirap_evolve, at most: about 10 s of propagation (a
 # lib-sweep point takes about 2300, the longest test about 500 000)
 _MAX_STEPS = 10**7
@@ -116,7 +112,6 @@ class StirapResult:
 
     final_state: np.ndarray
     efficiency: float              # population of |c> at the end
-    max_intermediate: float        # max of the |a> population over the sample times
     norm_leak: float               # 1 - final norm^2
     scattered: float               # integral of Gamma |c_a|^2 dt, trapezoid rule over the steps
     magnus_steps: int              # Magnus-4 steps on the grid aligned with the pulse edges
@@ -203,15 +198,7 @@ def stirap_evolve(schedule: PulseSchedule, initial: np.ndarray,
     steps on a grid whose nodes include every pulse edge in between; each
     segment between two edges takes equal steps, short against 1/||A|| and
     the pulse duration (``_step_grid``).  ``scattered`` is the trapezoid
-    sum over those steps.
-
-    ``max_intermediate`` is the largest |a> population over 4000
-    (``_SAMPLES``) equally spaced sample times.  From the populations and
-    their slopes at the nodes, each step gets a lower and an upper bound on
-    the population within it; only the samples in steps whose upper bound
-    reaches the best lower bound of a step holding a sample can hold the
-    maximum, and each of those is reached exactly by one Magnus step from
-    the node before it.  The steps run in calls of at most
+    sum over those steps.  The steps run in calls of at most
     ``_STEPS_PER_CALL``, so memory does not grow with the number of steps.
     Raises ``ValueError`` for an initial state that is not three finite
     amplitudes, a negative or non-finite loss, a schedule that ends at or
@@ -228,61 +215,16 @@ def stirap_evolve(schedule: PulseSchedule, initial: np.ndarray,
     basis, coefficients, a_norm = _generator(schedule, loss_gamma)
     edges, steps = _step_grid(schedule, a_norm)
     n_steps = sum(steps)
-    t_out = np.linspace(0.0, schedule.t_end, _SAMPLES)
-    # Bounds on |a|^2 within a step.  Inside a segment ||A^(j)|| <= a_norm nu^j
-    # with nu = 2 pi / (shortest duration), so (Cauchy majorants) the
-    # state's k-th derivative is at most mu^k |psi0| for k <= 4 with
-    # mu = a_norm + 2 nu, and |d^4 |a|^2 / dt^4| <= 16 mu^4 |psi0|^2.  The
-    # cubic Hermite interpolant of |a|^2 and its slope at the step's two
-    # nodes then errs by at most h^4 / 384 * 16 mu^4 |psi0|^2
-    # = (h mu)^4 |psi0|^2 / 24, and the interpolant lies within
-    # 4/27 h (|slope_0| + |slope_1|) of the range of the two node values
-    # (the Hermite basis functions of the slopes peak at 4/27).  The error
-    # term is taken twice: the second covers the sample step's own Magnus
-    # error, of higher order in h mu, and rounding
-    mu = a_norm + 4.0 * math.pi / min(schedule.pump.duration, schedule.stokes.duration)
-    norm0 = float(np.vdot(state, state).real)
-    best_lower = -math.inf  # largest lower bound of a step holding a sample
-    # per call, the samples that may hold the maximum: their indices, the
-    # node before each, its state and the upper bound of its step
-    kept = []
-    done = 0  # samples placed so far
     scattered = 0.0
     for k in range(0, n_steps, _STEPS_PER_CALL):
-        last = min(k + _STEPS_PER_CALL, n_steps)
-        t = _node_times(edges, steps, np.arange(k, last + 1))
+        t = _node_times(edges, steps, np.arange(k, min(k + _STEPS_PER_CALL, n_steps) + 1))
         traj = magnus4(basis, coefficients, state, t)
-        amp = traj[:, 0]
-        pop_a = np.abs(amp) ** 2
-        h = np.diff(t)
-        scattered += loss_gamma * float(np.sum(h * (pop_a[:-1] + pop_a[1:]))) / 2.0
-        # d|a|^2/dt = 2 Re(conj(a) (A psi)_a)
-        slope = np.abs(2.0 * np.real(np.conj(amp) * np.einsum(
-            "ni,ni->n", coefficients(t), traj @ basis[:, 0, :].T)))
-        slack = (4.0 / 27.0) * h * (slope[:-1] + slope[1:]) + (h * mu) ** 4 * norm0 / 12.0
-        upper = np.maximum(pop_a[:-1], pop_a[1:]) + slack
-        lower = np.minimum(pop_a[:-1], pop_a[1:]) - slack
-        # the samples in [t[0], t[-1]), and t_end in the last call
-        stop = _SAMPLES if last == n_steps else int(np.searchsorted(t_out, t[-1]))
-        node = np.minimum(np.searchsorted(t, t_out[done:stop], side="right") - 1, len(h) - 1)
-        if len(node):
-            best_lower = max(best_lower, float(np.max(lower[node])))
-            keep = upper[node] >= best_lower
-            node = node[keep]
-            kept.append((np.arange(done, stop)[keep], t[node], traj[node], upper[node]))
-        done = stop
+        pop_a = np.abs(traj[:, 0]) ** 2
+        scattered += loss_gamma * float(np.sum(np.diff(t) * (pop_a[:-1] + pop_a[1:]))) / 2.0
         state = traj[-1]
-    # one Magnus step from the node before each sample whose step may hold
-    # the maximum
-    sample, start_time, start_state, upper = map(np.concatenate, zip(*kept))
-    near = upper >= best_lower
-    sample_steps = _expm(_magnus_exponents(basis, coefficients, start_time[near],
-                                           t_out[sample[near]]))
-    max_a = float(np.max(np.abs(np.einsum("nj,nj->n", sample_steps[:, 0], start_state[near])) ** 2))
     return StirapResult(
         final_state=state,
         efficiency=float(abs(state[2]) ** 2),
-        max_intermediate=max_a,
         norm_leak=1.0 - float(np.vdot(state, state).real),
         scattered=scattered,
         magnus_steps=n_steps,

@@ -19,9 +19,8 @@ density matrix).
 Linear, time-dependent generators affine in constant matrices (the STIRAP
 pulses, A(t) = sum_i f_i(t) B_i) take one commutator-based fourth-order
 Magnus step per grid interval (``magnus4``): the commutators [B_i, B_j] are
-built once (``_magnus_exponents``, which also serves single steps from
-arbitrary start times), the steps are exponentiated as a stack (``_expm``,
-a Paterson-Stockmeyer Taylor polynomial) and multiplied by a
+built once (``_magnus_exponents``), the steps are exponentiated as a stack
+(``_expm``, a Paterson-Stockmeyer Taylor polynomial) and multiplied by a
 work-efficient tree scan (``_prefix_states``), all in the dtype of the B_i
 and the state, so a real generator and state propagate in float64.  A
 general nonlinear ODE runs through scipy's adaptive embedded Runge-Kutta

@@ -8,7 +8,6 @@ import pytest
 
 from singleatom.coherent import (
     _MAGNUS_STEP,
-    _SAMPLES,
     Pulse,
     PulseSchedule,
     _generator,
@@ -17,7 +16,7 @@ from singleatom.coherent import (
     ground_start,
     stirap_evolve,
 )
-from singleatom.integrator import _expm, _magnus_exponents, magnus4
+from singleatom.integrator import magnus4
 from singleatom.readout import larmor_frequency, larmor_survival, stirap_readout_probability
 
 T_PULSE = 1e-6
@@ -71,11 +70,16 @@ class TestStirap:
 
     def test_dark_state_defect_small_in_adiabatic_regime(self):
         # with sin^2 pulses and quarter-duration delay the <1% defect needs
-        # pulse areas of about 100; tested across the regime actually used
+        # pulse areas of about 100; tested across the regime actually used,
+        # on the |a> population at every node of stirap_evolve's grid
         for area in (100.0, 140.0, 180.0):
-            result = stirap_evolve(schedule(peak=area / T_PULSE), ground_start())
-            assert result.max_intermediate < 0.01
-            assert result.efficiency > 0.99
+            sched = schedule(peak=area / T_PULSE)
+            basis, coefficients, a_norm = _generator(sched, 0.0)
+            edges, steps = _step_grid(sched, a_norm)
+            nodes = _node_times(edges, steps, np.arange(sum(steps) + 1))
+            traj = magnus4(basis, coefficients, ground_start(), nodes)
+            assert np.max(np.abs(traj[:, 0]) ** 2) < 0.01
+            assert stirap_evolve(sched, ground_start()).efficiency > 0.99
 
     def test_loss_requires_nonnegative_gamma(self):
         with pytest.raises(ValueError):
@@ -116,27 +120,6 @@ class TestStirap:
             assert segment[0] == grid_edges[k] and segment[-1] == grid_edges[k + 1]
             width = (grid_edges[k + 1] - grid_edges[k]) / n
             assert np.allclose(np.diff(segment), width, rtol=1e-9, atol=0.0)
-
-    @pytest.mark.parametrize("order", ["counterintuitive", "intuitive"])
-    @pytest.mark.parametrize("loss", [0.0, LOSS])
-    @pytest.mark.parametrize("delay", [None, 0.2e-6, 0.5e-6])
-    def test_max_intermediate_matches_every_sample(self, order, loss, delay):
-        # the windowed maximum against one Magnus step from the node before
-        # each of the 4000 sample times; intuitive order without loss has
-        # many Rabi peaks of nearly equal height
-        for peak in (20e6, 40e6, 80e6, ADIABATIC, 250e6, 400e6):
-            sched = schedule(order, peak=peak, delay=delay)
-            result = stirap_evolve(sched, ground_start(), loss_gamma=loss)
-            basis, coefficients, a_norm = _generator(sched, loss)
-            edges, steps = _step_grid(sched, a_norm)
-            nodes = _node_times(edges, steps, np.arange(sum(steps) + 1))
-            traj = magnus4(basis, coefficients, ground_start(), nodes)
-            samples = np.linspace(0.0, sched.t_end, _SAMPLES)
-            before = np.minimum(np.searchsorted(nodes, samples, side="right") - 1,
-                                len(nodes) - 2)
-            sample_steps = _expm(_magnus_exponents(basis, coefficients, nodes[before], samples))
-            pop_a = np.abs(np.einsum("nij,nj->ni", sample_steps, traj[before])[:, 0]) ** 2
-            assert abs(result.max_intermediate - pop_a.max()) <= 1e-13
 
     @pytest.mark.parametrize("field,value", [
         ("peak", math.nan), ("peak", math.inf), ("t_start", math.nan),
@@ -181,9 +164,9 @@ class TestStirap:
 
 
 def dop853_reference(sched, loss, y0):
-    """(efficiency, max |a> population, norm leak, final amplitudes) of the
-    resonant three-level problem on the bare basis (a, b, c), started from
-    ``y0`` and sampled on 4000 times, from DOP853 at rtol 1e-12."""
+    """(efficiency, norm leak, final amplitudes) of the resonant three-level
+    problem on the bare basis (a, b, c), started from ``y0``, from DOP853 at
+    rtol 1e-12."""
     from scipy.integrate import solve_ivp
 
     pump, stokes = sched.pump, sched.stokes
@@ -201,13 +184,10 @@ def dop853_reference(sched, loss, y0):
         ])
         return -1j * (h @ y)
 
-    t = np.linspace(0.0, sched.t_end, 4000)
-    sol = solve_ivp(rhs, (0.0, sched.t_end), y0, method="DOP853",
-                    t_eval=t, rtol=1e-12, atol=1e-14)
+    sol = solve_ivp(rhs, (0.0, sched.t_end), y0, method="DOP853", rtol=1e-12, atol=1e-14)
     assert sol.success
     final = sol.y[:, -1]
-    return (abs(final[2]) ** 2, float(np.max(np.abs(sol.y[0]) ** 2)),
-            1.0 - float(np.vdot(final, final).real), final)
+    return abs(final[2]) ** 2, 1.0 - float(np.vdot(final, final).real), final
 
 
 class TestStirapAgainstDop853:
@@ -229,10 +209,8 @@ class TestStirapAgainstDop853:
         result = stirap_evolve(sched, ground_start(), loss_gamma=loss)
         # no |a> amplitude at the start, so the bare basis and (i|a>, |b>, |c>)
         # hold the same initial state
-        efficiency, max_a, leak, _ = dop853_reference(sched, loss,
-                                                      ground_start().astype(complex))
+        efficiency, leak, _ = dop853_reference(sched, loss, ground_start().astype(complex))
         assert abs(result.efficiency - efficiency) <= 1e-9
-        assert abs(result.max_intermediate - max_a) <= 1e-9
         assert abs(result.norm_leak - leak) <= 1e-9
         assert abs(result.scattered - leak) <= 1e-6
 
@@ -247,10 +225,9 @@ class TestStirapAgainstDop853:
         sched = schedule("counterintuitive", peak=40e6)
         y0 = np.array([0.0, 1.0, 1.0j]) / math.sqrt(2.0)
         result = stirap_evolve(sched, y0, loss_gamma=LOSS)
-        efficiency, max_a, leak, final = dop853_reference(sched, LOSS, y0)
+        efficiency, leak, final = dop853_reference(sched, LOSS, y0)
         assert result.final_state.dtype == np.complex128
         assert abs(result.efficiency - efficiency) <= 1e-9
-        assert abs(result.max_intermediate - max_a) <= 1e-9
         assert abs(result.norm_leak - leak) <= 1e-9
         assert abs(result.scattered - leak) <= 1e-6
         assert np.abs(result.final_state * [1j, 1.0, 1.0] - final).max() <= 1e-9
