@@ -135,8 +135,6 @@ class AtomPhotonState:
 
     rho: np.ndarray           # 6x6
     fidelity: float           # overlap with the ideal psi+ in the qubit block
-    sigma_weight: float       # collected sigma+/- intensity weight
-    pi_weight: float          # collected (mode-suppressed) pi weight
 
 
 # Fraction of the pi-dipole intensity that survives projection onto the
@@ -170,8 +168,7 @@ def atom_photon_state(theta_max: float) -> AtomPhotonState:
     rho[2, 2] += pi_weight / total / 2.0
     rho[3, 3] += pi_weight / total / 2.0
     fid = float(np.real(psi.conj() @ rho @ psi))
-    return AtomPhotonState(rho=rho, fidelity=fid,
-                           sigma_weight=sigma_weight, pi_weight=pi_weight)
+    return AtomPhotonState(rho=rho, fidelity=fid)
 
 
 _CORRECTIONS = {

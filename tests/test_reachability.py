@@ -31,8 +31,9 @@ then loaded, or loaded as its attribute (``bloch.four_level_g2``).  A
 re-export that only unit tests import through is dead.
 
 An attribute that a method of a package class stores on its instance
-(``self.matrix_real = ...``) must be loaded as an attribute of that name by
-a reaching file: state that nothing reads is dead.
+(``self.matrix_real = ...``), or a field of a package dataclass, must be
+loaded as an attribute of that name by a reaching file: state that nothing
+reads is dead.
 """
 
 import ast
@@ -54,6 +55,18 @@ UNREACHED_ALLOWED = {}
 # test_methods_named_like_builtin_attributes_checked until it is listed here
 NAME_COLLISIONS_CHECKED = {
     "lightshift.LineTable.get": "LineTable.d_lines calls self.get",
+}
+
+# 'module.Class.field' of a dataclass -> why it stays although no reaching
+# file loads it
+FIELDS_UNREAD_ALLOWED = {
+    "coherent.StirapResult.final_state":
+        "the amplitudes that efficiency and norm_leak come from, for a caller that "
+        "needs the phase or the |b> population",
+    "coherent.StirapResult.magnus_steps":
+        "a step diagnostic of the run record's trust numbers (ROADMAP item 3)",
+    "coherent.StirapResult.step_norm":
+        "a step diagnostic of the run record's trust numbers (ROADMAP item 3)",
 }
 
 # 'definition.parameter' -> why it stays although no caller passes it
@@ -398,6 +411,19 @@ def stored_attributes() -> list[str]:
     return sorted(found)
 
 
+def dataclass_fields() -> list[str]:
+    """'module.Class.name' of every field of a package dataclass."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = _module_name(path)
+        found += [f"{module}.{node.name}.{item.target.id}"
+                  for node in _parse(path).body
+                  if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+                  for item in node.body
+                  if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+    return sorted(found)
+
+
 def test_every_private_definition_is_used_by_the_package():
     unused = sorted(set(private_definitions()) - privates_used_by_the_package())
     assert unused == [], (
@@ -423,6 +449,20 @@ def test_every_stored_attribute_is_loaded():
     assert unread == [], (
         "stored on an instance and loaded by no scenario, criterion or benchmark "
         "script (delete it): " + ", ".join(unread))
+
+
+def test_every_dataclass_field_is_loaded():
+    _, attribute_names = reached()
+    unread = [name for name in dataclass_fields()
+              if name.rsplit(".", 1)[1] not in attribute_names
+              and name not in FIELDS_UNREAD_ALLOWED]
+    assert unread == [], (
+        "a dataclass field loaded by no scenario, criterion or benchmark script "
+        "(delete it): " + ", ".join(unread))
+
+
+def test_allowed_unread_fields_still_exist():
+    assert set(FIELDS_UNREAD_ALLOWED) <= set(dataclass_fields())
 
 
 def _builtin_attribute_names() -> set[str]:
