@@ -46,7 +46,7 @@ from itertools import chain
 from types import SimpleNamespace
 
 from . import __version__
-from .cli_common import MAX_POINTS, ValidationError, _derived
+from .cli_common import MAX_POINTS, ValidationError, _derived, _named
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -222,7 +222,7 @@ def _check_flag(args, flag: Flag) -> None:
         return
     values = value if flag.kind == "bracket" else (value,)
     if any(isinstance(v, float) and not math.isfinite(v) for v in values):
-        raise ValidationError(f"--{flag.name} must be finite, got {value}")
+        raise ValidationError(f"{_named(args, (flag.name,))} must be finite")
     if flag.kind == "grid":
         values = _parse_grid(value, f"--{flag.name}")
         setattr(args, f"{flag.dest}_grid", values)
@@ -237,7 +237,7 @@ def _check_flag(args, flag: Flag) -> None:
         rule, test = _RULES[check]
         ok = all(test(v) for v in values)
     if not ok:
-        raise ValidationError(f"--{flag.name} {rule}, got {value!r}")
+        raise ValidationError(f"{_named(args, (flag.name,))} {rule}")
     if flag.dest in _SI:
         quantity, unit = _SI[flag.dest]
         _derived(args, (flag.name,), quantity, lambda: value * unit)

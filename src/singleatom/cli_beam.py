@@ -125,7 +125,7 @@ def _check_beam(args, prefix: str = "") -> None:
 def _check_magic(args) -> None:
     lo, hi = args.bracket_um
     if not 0 < lo < hi:
-        raise ValidationError("--bracket-um must satisfy 0 < lo < hi")
+        raise ValidationError(f"{_named(args, ('bracket-um',))} must satisfy 0 < lo < hi")
     from .lightshift import shortest_resolved_wavelength
 
     _read_lines(args)

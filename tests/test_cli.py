@@ -362,7 +362,7 @@ class TestNegativeCoolingIntensity:
     ], ids=["two-level-analytic", "two-level-obe", "four-level", "full"])
     def test_refused_in_validation(self, tmp_path, capsys, model):
         args = ["g2", *model, "--delta-mhz", "-31", "--icl", "-1", "--points", "3"]
-        line = "validation: --icl-mw-cm2 must be nonnegative, got -1.0\n"
+        line = "validation: --icl-mw-cm2 -1 must be nonnegative\n"
         code, out = run(tmp_path, args)
         assert code == EXIT_VALIDATION and not out.exists()
         assert capsys.readouterr().err == line
