@@ -132,6 +132,12 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
                and d.func.id == "dataclass" for d in node.decorator_list)
 
 
+def _fields(node: ast.ClassDef) -> list[ast.AnnAssign]:
+    """The fields of a dataclass, in order; none for another class."""
+    return [item for item in node.body if isinstance(item, ast.AnnAssign)
+            and isinstance(item.target, ast.Name)] if _is_dataclass(node) else []
+
+
 def _defaulted(args: ast.arguments, bound: int) -> dict[str, int | None]:
     """Defaulted parameter -> position among the positional parameters after
     the first ``bound`` (self or cls), or None for keyword-only ones."""
@@ -160,10 +166,8 @@ def defaulted_parameters() -> dict[str, tuple[str, str, int | None]]:
                               for p, pos in _defaulted(node.args, 0).items()})
             if not isinstance(node, ast.ClassDef):
                 continue
-            fields = [item for item in node.body if isinstance(item, ast.AnnAssign)
-                      and isinstance(item.target, ast.Name)] if _is_dataclass(node) else []
             found.update({f"{name}.{item.target.id}": ("call", name, pos)
-                          for pos, item in enumerate(fields) if item.value is not None})
+                          for pos, item in enumerate(_fields(node)) if item.value is not None})
             for item in node.body:
                 if not isinstance(item, ast.FunctionDef):
                     continue
@@ -416,11 +420,8 @@ def dataclass_fields() -> list[str]:
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
         module = _module_name(path)
-        found += [f"{module}.{node.name}.{item.target.id}"
-                  for node in _parse(path).body
-                  if isinstance(node, ast.ClassDef) and _is_dataclass(node)
-                  for item in node.body
-                  if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+        found += [f"{module}.{node.name}.{item.target.id}" for node in _parse(path).body
+                  if isinstance(node, ast.ClassDef) for item in _fields(node)]
     return sorted(found)
 
 
