@@ -27,13 +27,19 @@ def _row(*values) -> list[list]:
 
 def _named(args, names) -> str:
     """The flags ``names`` with their values in ``args``: "--a A", "--a A with
-    --b B" or "--a A with --b B and --c C".  A float prints as "%g", a bracket
-    as "lo,hi", and any other value (an int flag) as it is."""
+    --b B" or "--a A with --b B and --c C".  A float prints as "%g", or in
+    full where "%g" rounds it to another number (a refused 1.0000001 must not
+    read as 1), a bracket as "lo,hi", and any other value (an int flag) as it
+    is."""
+    def number(v):
+        if not isinstance(v, float):
+            return str(v)
+        short = format(v, "g")
+        return short if float(short) == v else repr(v)
+
     def text(name):
         value = getattr(args, name.replace("-", "_"))
-        parts = value if isinstance(value, tuple) else (value,)
-        return f"--{name} " + ",".join(format(v, "g") if isinstance(v, float) else str(v)
-                                        for v in parts)
+        return f"--{name} " + ",".join(map(number, value if isinstance(value, tuple) else (value,)))
 
     first, *rest = map(text, names)
     return f"{first} with {' and '.join(rest)}" if rest else first

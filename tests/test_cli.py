@@ -524,20 +524,26 @@ class TestOverflowingSquares:
 
 class TestNamed:
     """``_named`` writes the flags of every refusal with their values: a
-    float by "%g", an int flag whole, a bracket as "lo,hi"."""
+    float by "%g" or in full where "%g" rounds it, an int flag whole, a
+    bracket as "lo,hi"."""
 
     ARGS = SimpleNamespace(power_mw=1e300, waist_um=3.5, cycle_us=5e-324, points=1000000,
-                           bracket_um=(1.2, 1.6))
+                           bracket_um=(1.2, 1.6), visibility=1.0000001, eta=math.nan,
+                           t_max_us=-2.0)
 
     @pytest.mark.parametrize("names,text", [
         (("power-mw",), "--power-mw 1e+300"),
         (("cycle-us",), "--cycle-us 4.94066e-324"),
         (("points",), "--points 1000000"),
+        (("visibility",), "--visibility 1.0000001"),
+        (("eta",), "--eta nan"),
+        (("t-max-us",), "--t-max-us -2"),
         (("bracket-um",), "--bracket-um 1.2,1.6"),
         (("waist-um", "power-mw"), "--waist-um 3.5 with --power-mw 1e+300"),
         (("waist-um", "points", "bracket-um"),
          "--waist-um 3.5 with --points 1000000 and --bracket-um 1.2,1.6"),
-    ], ids=["overflowing", "subnormal", "int", "bracket", "two", "three"])
+    ], ids=["overflowing", "subnormal", "int", "rounded-by-g", "nan", "whole", "bracket", "two",
+            "three"])
     def test_text(self, names, text):
         assert _named(self.ARGS, names) == text
 
