@@ -39,7 +39,8 @@ def _named(args, names) -> str:
 
     def text(name):
         value = getattr(args, name.replace("-", "_"))
-        return f"--{name} " + ",".join(map(number, value if isinstance(value, tuple) else (value,)))
+        parts = value if isinstance(value, tuple) else (value,)
+        return f"--{name} " + ",".join(map(number, parts))
 
     first, *rest = map(text, names)
     return f"{first} with {' and '.join(rest)}" if rest else first

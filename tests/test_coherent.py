@@ -238,7 +238,8 @@ PINNED_RUNS = {
     # the corners of the benchmark's library sweep
     "corner-120-per-us": (schedule(peak=120e6, delay=0.2e-6), ground_start(), LOSS),
     "corner-160-per-us": (schedule(peak=160e6, delay=0.3e-6), ground_start(), LOSS),
-    **{f"140-per-us-{order}-{'lossy' if loss else 'lossless'}": (schedule(order), ground_start(), loss)
+    **{f"140-per-us-{order}-{'lossy' if loss else 'lossless'}":
+       (schedule(order), ground_start(), loss)
        for order in ("counterintuitive", "intuitive") for loss in (0.0, LOSS)},
     "complex-start": (schedule(peak=40e6), np.array([0.0, 1.0, 1.0j]) / math.sqrt(2.0), LOSS),
 }
