@@ -7,6 +7,7 @@ most one atom (collisional blockade).
 
 The stationary law (``stationary_law``) and its mean (``mean_number``) use
 the standard library alone, so the CLI's loading scenario imports no numpy;
+each sums with one correctly rounded ``math.fsum``.
 ``stationary_distribution`` wraps the law in an array.
 """
 
@@ -65,37 +66,6 @@ class AtomNumberDist:
             raise ValueError(f"probabilities sum to {p.sum()}, not 1")
 
 
-def _pairwise_sum(values: list[float]) -> float:
-    """The sum of ``values`` as ``np.sum`` of a float64 vector adds them, bit
-    for bit: numpy's pairwise summation, added to the identity 0.0.
-
-    Below 8 values the sum runs in sequence; up to 128 values eight strided
-    accumulators are combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and the
-    remainder is added in sequence; a longer run splits at half its length,
-    rounded down to a multiple of 8, and sums both halves so.
-    """
-    def block(lo: int, n: int) -> float:
-        if n < 8:
-            total = 0.0
-            for x in values[lo:lo + n]:
-                total += x
-            return total
-        if n <= 128:
-            stop = lo + n - n % 8
-            r = values[lo:lo + 8]
-            for i in range(lo + 8, stop, 8):
-                r = [a + b for a, b in zip(r, values[i:i + 8])]
-            total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-            for x in values[stop:lo + n]:
-                total += x
-            return total
-        half = n // 2
-        half -= half % 8
-        return block(lo, half) + block(lo + half, n - half)
-
-    return 0.0 + block(0, len(values))
-
-
 def stationary_law(params: LoadingParams) -> list[float]:
     """Stationary distribution p_0..p_N of the loading chain, from cut balance.
 
@@ -106,12 +76,14 @@ def stationary_law(params: LoadingParams) -> list[float]:
                 + beta' (n+2)(n+1) / 2 p_{n+2},
 
     an exact backward recursion from p_N with positive terms only (no
-    cancellation, and no linear algebra).  The values are rescaled before
-    they can overflow, and normalized to unit total probability.  Without
-    loading (R = 0) the mass sits in the absorbing state: N = 0 when one-body
-    loss empties every occupied trap, and a ``ValueError`` names the
-    degenerate chain when pair loss alone leaves both N = 0 and N = 1
-    absorbing; a chain with no rates at all raises ``ValueError`` too.
+    cancellation, and no linear algebra).  The values are rescaled below
+    ``limit``, which keeps every partial sum finite (``math.fsum`` raises
+    ``OverflowError`` on an intermediate overflow), and normalized to unit
+    total probability by one ``math.fsum``.  Without loading (R = 0) the
+    mass sits in the absorbing state: N = 0 when one-body loss empties every
+    occupied trap, and a ``ValueError`` names the degenerate chain when pair
+    loss alone leaves both N = 0 and N = 1 absorbing; a chain with no rates
+    at all raises ``ValueError`` too.
     """
     top = params.n_max
     r, gamma, bp = float(params.loading_rate), float(params.gamma), float(params.beta_prime)
@@ -126,7 +98,7 @@ def stationary_law(params: LoadingParams) -> list[float]:
         if gamma == 0.0:  # and pair loss, else no rate at all
             raise ValueError("degenerate chain: null space has dimension 2")
         return [1.0] + [0.0] * top
-    # no value passes `limit` (or 1), so neither a flow nor the sum overflows
+    # no value passes `limit` (or 1), so neither a flow nor a partial sum overflows
     largest = max(d + s for d, s in zip(down, skip))
     limit = sys.float_info.max / ((top + 2) * max(largest, 1.0))
     p = [0.0] * (top + 2)
@@ -141,7 +113,7 @@ def stationary_law(params: LoadingParams) -> list[float]:
         else:
             p[k] = flow / r
     del p[top + 1]
-    total = _pairwise_sum(p)
+    total = math.fsum(p)
     return [x / total for x in p]
 
 
