@@ -95,13 +95,14 @@ def trap_volume(trap: TrapSpec, temperature: float) -> float:
     """Effective volume (m^3) of the thermal sample, modeled as a cylinder.
 
     eta = kB*T/depth must lie in (0, 1); a sample at or above the trap depth
-    is not confined.
+    is not confined.  ln(1/(1 - eta)) is taken as -log1p(-eta), which keeps
+    its digits for a cold sample (small eta).
     """
     eta = KB * temperature / trap.depth_u
     if not 0.0 < eta < 1.0:
         raise ValueError(f"kB*T/U = {eta:.3g} outside (0, 1): sample not trapped")
     return (
         PI * trap.waist_w0**2 * trap.z_r
-        * math.log(1.0 / (1.0 - eta))
+        * -math.log1p(-eta)
         * math.sqrt(eta / (1.0 - eta))
     )

@@ -1,7 +1,9 @@
 """Gaussian-beam trap geometry, temperatures, heating and effective volume."""
 
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -132,6 +134,18 @@ class TestTrapVolume:
         temps = np.linspace(1e-5, 9e-4, 30)
         volumes = [trap_volume(TRAP, t) for t in temps]
         assert all(a < b for a, b in zip(volumes, volumes[1:]))
+
+    @pytest.mark.parametrize("eta", [1e-3, 1e-6, 1e-9, 1e-12])
+    def test_cold_sample_against_mpmath(self, eta):
+        # ln(1/(1 - eta)) of a cold sample, eta = kB*T/U, loses no digits
+        temperature = eta * TRAP.depth_u / KB
+        eta = KB * temperature / TRAP.depth_u  # as trap_volume rounds it
+        with mpmath.workdps(50):
+            e = mpmath.mpf(eta)
+            exact = (mpmath.mpf(PI) * mpmath.mpf(TRAP.waist_w0) ** 2 * mpmath.mpf(TRAP.z_r)
+                     * mpmath.log(1 / (1 - e)) * mpmath.sqrt(e / (1 - e)))
+            error = abs(trap_volume(TRAP, temperature) - exact) / exact
+        assert error <= 4 * sys.float_info.epsilon
 
     def test_untrapped_sample_rejected(self):
         with pytest.raises(ValueError):
