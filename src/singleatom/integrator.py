@@ -261,9 +261,9 @@ def _prefix_states(steps: np.ndarray, y0: np.ndarray) -> np.ndarray:
     return states
 
 
-def _magnus_exponents(basis, coefficients, t0, t1) -> np.ndarray:
-    """The exponents of the fourth-order Magnus steps from t0 to t1 (1-D
-    arrays of equal length), shape (len(t0), d, d).
+def _magnus_exponents(basis, coefficients, t_grid) -> np.ndarray:
+    """The exponents of the fourth-order Magnus steps between consecutive
+    times of ``t_grid`` (a 1-D array), shape (len(t_grid) - 1, d, d).
 
     On a step of length h the two Gauss-Legendre nodes t_mid -/+ h sqrt(3)/6
     give A1 and A2, and the exponent is
@@ -279,6 +279,7 @@ def _magnus_exponents(basis, coefficients, t0, t1) -> np.ndarray:
     constant = np.concatenate((
         basis, basis[first] @ basis[second] - basis[second] @ basis[first],
     )).reshape(-1, d * d)
+    t0, t1 = t_grid[:-1], t_grid[1:]
     h = t1 - t0
     mid = (t0 + t1) / 2.0
     offset = h * (_SQRT3 / 6.0)
@@ -311,7 +312,7 @@ def magnus4(basis, coefficients, y0, t_grid) -> np.ndarray:
     """
     t_grid = _checked_grid(t_grid)
     y0 = np.asarray(y0)
-    exponents = _magnus_exponents(basis, coefficients, t_grid[:-1], t_grid[1:])
+    exponents = _magnus_exponents(basis, coefficients, t_grid)
     out = np.empty((len(t_grid), len(y0)), dtype=np.result_type(exponents, y0))
     out[0] = y0
     for start in range(0, len(exponents), _MAGNUS_BLOCK):
