@@ -6,13 +6,14 @@ the trajectory equals the accumulated scattering probability.  With
 resonant pulses -iH(t) is a real matrix in the basis (i|a>, |b>, |c>)
 (Vitanov et al., Rev. Mod. Phys. 89, 015006 (2017)), so a state that
 starts real there stays a real three-vector.  STIRAP is propagated by the
-fourth-order Magnus integrator (``integrator.magnus4``) on that real
+sixth-order Magnus integrator (``integrator.magnus6``) on that real
 affine generator -iH(t) = A0 + Omega_p(t) B_p + Omega_s(t) B_s, with A0
 the loss and B_p, B_s the two resonant couplings.  The steps run on a grid
 with a node at every pulse edge, where the envelopes' second derivative
 jumps, so each step sees a smooth generator; the step count follows from
-||A|| and the pulse duration.  The scattering is an independent trapezoid
-quadrature of Gamma |c_a|^2 over the same trajectory.  The
+||A|| and the pulse duration.  The scattering is an independent quadrature
+of Gamma |c_a|^2 over the same trajectory, by the corrected trapezoid rule
+with the exact derivative of |c_a|^2 at the nodes.  The
 closed-form STIRAP readout and Larmor survival laws, which need no state
 vector, live in ``readout``.
 """
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrator import magnus4
+from .integrator import magnus6
 
 __all__ = [
     "Pulse",
@@ -32,20 +33,21 @@ __all__ = [
     "stirap_evolve",
 ]
 
-# Magnus-4 steps of stirap_evolve, equal within each segment between pulse
+# Magnus-6 steps of stirap_evolve, equal within each segment between pulse
 # edges: h ||A|| <= _MAGNUS_STEP, and at least _STEPS_PER_PULSE steps per
 # pulse duration.  Measured against DOP853 at rtol 1e-12 (peaks 5-160 /us,
 # loss 0 or 3 /us, delays of a quarter, 0.2 and 0.3 of the duration, both
-# orders): the norm leak agrees within 1e-10, and so does the transfer in
-# counterintuitive order; in intuitive order, where |a> Rabi-cycles up to 20
-# times, the transfer errs by up to 1.0e-9 (160 /us, no loss).
-_MAGNUS_STEP = 0.1
-_STEPS_PER_PULSE = 1600
-# Magnus steps per magnus4 call: the trajectory held at once stays below
+# orders): the transfer and the norm leak agree within 1.4e-10, and the
+# scattering within 3.1e-11 in counterintuitive order; in intuitive order,
+# where |a> Rabi-cycles up to 20 times, the scattering errs by up to 1.4e-9
+# (160 /us, loss 3 /us, delay 0.3).
+_MAGNUS_STEP = 0.4
+_STEPS_PER_PULSE = 400
+# Magnus steps per magnus6 call: the trajectory held at once stays below
 # 0.5 MB however many steps the pulses need
 _STEPS_PER_CALL = 4096
-# Magnus steps of one stirap_evolve, at most: about 10 s of propagation (a
-# lib-sweep point takes about 2300, the longest test about 500 000)
+# Magnus steps of one stirap_evolve, at most: about 15 s of propagation (a
+# lib-sweep point takes about 500)
 _MAX_STEPS = 10**7
 
 
@@ -113,8 +115,8 @@ class StirapResult:
     final_state: np.ndarray
     efficiency: float              # population of |c> at the end
     norm_leak: float               # 1 - final norm^2
-    scattered: float               # integral of Gamma |c_a|^2 dt, trapezoid rule over the steps
-    magnus_steps: int              # Magnus-4 steps on the grid aligned with the pulse edges
+    scattered: float               # integral of Gamma |c_a|^2 dt, corrected trapezoid rule
+    magnus_steps: int              # Magnus-6 steps on the grid aligned with the pulse edges
     step_norm: float               # largest h ||A||_1 of those steps, the bound the step rule keeps
 
 
@@ -127,7 +129,7 @@ def ground_start() -> np.ndarray:
 def _generator(schedule: PulseSchedule, loss_gamma: float):
     """(basis, coefficients, a_norm) of the real generator
     A(t) = -iH(t) = basis[0] + Omega_p(t) basis[1] + Omega_s(t) basis[2] on
-    the amplitudes of (i|a>, |b>, |c>), the form ``magnus4`` takes, and the
+    the amplitudes of (i|a>, |b>, |c>), the form ``magnus6`` takes, and the
     largest 1-norm of A over the schedule.
 
     With the drive element <a|H|b> = -Omega/2 and c_a = i x_a,
@@ -153,7 +155,7 @@ def _step_grid(schedule: PulseSchedule, a_norm: float):
     and every pulse start or end between them, and the number of equal
     Magnus steps each segment between two edges takes.
 
-    Inside a segment the envelopes are smooth, so the fourth-order Magnus
+    Inside a segment the envelopes are smooth, so the sixth-order Magnus
     steps keep their order; across a pulse edge the envelope's second
     derivative jumps (Blanes et al., Phys. Rep. 470, 151 (2009)).  A segment
     of length L takes ceil(L max(||A||_1 / _MAGNUS_STEP,
@@ -194,12 +196,16 @@ def stirap_evolve(schedule: PulseSchedule, initial: np.ndarray,
     trajectory is real for a real one and complex for a complex one.
     ``loss_gamma`` adds -i*Gamma/2 on the intermediate level a, so norm is
     non-increasing and the leak equals the scattered population.
-    Propagation runs from t = 0 to the schedule's end by fourth-order Magnus
+    Propagation runs from t = 0 to the schedule's end by sixth-order Magnus
     steps on a grid whose nodes include every pulse edge in between; each
     segment between two edges takes equal steps, short against 1/||A|| and
-    the pulse duration (``_step_grid``).  ``scattered`` is the trapezoid
-    sum over those steps.  The steps run in calls of at most
-    ``_STEPS_PER_CALL``, so memory does not grow with the number of steps.
+    the pulse duration (``_step_grid``): 500 steps for a 1.25 us schedule of
+    1 us pulses at 140 /us.  ``scattered`` is the corrected trapezoid rule
+    over those steps, h/2 (f0 + f1) + h^2/12 (f0' - f1') on each, fourth
+    order, with f = Gamma |c_a|^2 and its derivative
+    f' = 2 Gamma Re(conj(x_a) (A(t) x)_a) exact at the nodes.  The steps run
+    in calls of at most ``_STEPS_PER_CALL``, so memory does not grow with
+    the number of steps.
     Raises ``ValueError`` for an initial state that is not three finite
     amplitudes, a negative or non-finite loss, a schedule that ends at or
     before t = 0, or one whose step rate overflows or that needs more than
@@ -218,9 +224,14 @@ def stirap_evolve(schedule: PulseSchedule, initial: np.ndarray,
     scattered = 0.0
     for k in range(0, n_steps, _STEPS_PER_CALL):
         t = _node_times(edges, steps, np.arange(k, min(k + _STEPS_PER_CALL, n_steps) + 1))
-        traj = magnus4(basis, coefficients, state, t)
+        traj = magnus6(basis, coefficients, state, t)
         pop_a = np.abs(traj[:, 0]) ** 2
-        scattered += loss_gamma * float(np.sum(np.diff(t) * (pop_a[:-1] + pop_a[1:]))) / 2.0
+        # d|x_a|^2/dt = 2 Re(conj(x_a) (A(t) x)_a), with row a of A(t) from the basis
+        rate_a = 2.0 * np.real(np.conj(traj[:, 0])
+                               * np.sum(coefficients(t) @ basis[:, 0] * traj, axis=1))
+        h = np.diff(t)
+        scattered += loss_gamma * float(np.sum(h / 2.0 * (pop_a[:-1] + pop_a[1:])
+                                               + h**2 / 12.0 * (rate_a[:-1] - rate_a[1:])))
         state = traj[-1]
     return StirapResult(
         final_state=state,

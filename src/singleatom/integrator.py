@@ -17,9 +17,10 @@ lives in ``guards``.  The whole state is the case c = I
 (``FourLevelLiouvillian.propagate``, on the real 16-vector of a four-level
 density matrix).
 Linear, time-dependent generators affine in constant matrices (the STIRAP
-pulses, A(t) = sum_i f_i(t) B_i) take one commutator-based fourth-order
-Magnus step per grid interval (``magnus4``): the commutators [B_i, B_j] are
-built once (``_magnus_exponents``), the steps are exponentiated as a stack
+pulses, A(t) = sum_i f_i(t) B_i) take one commutator-based sixth-order
+Magnus step per grid interval (``magnus6``): the generator at three
+Gauss-Legendre nodes of every step gives its exponent by batched
+commutators (``_magnus_exponents``), the steps are exponentiated as a stack
 (``_expm``, a Paterson-Stockmeyer Taylor polynomial) and multiplied by a
 work-efficient tree scan (``_prefix_states``), all in the dtype of the B_i
 and the state, so a real generator and state propagate in float64.  A
@@ -28,7 +29,6 @@ general nonlinear ODE runs through scipy's adaptive embedded Runge-Kutta
 package calls it any more.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -41,15 +41,16 @@ ATOL = 1e-12
 # delays per block of sum_modes; bounds its temporaries to a few hundred kB
 # whatever the grid length
 _CHUNK = 1024
-# steps per block of magnus4: the measured optimum of the lossy STIRAP call
-# of a lib-sweep point, about 2000 real 3x3 steps on the grid aligned with
-# the pulse edges (blocks of 256/512/1024/2048/4096 steps:
-# 2.68/2.46/2.29/2.39/2.32 ms, medians of 40 interleaved rounds of 10 calls
-# on one core of a 2-vCPU VM; 2048 and 4096 are within the noise); a
-# block's temporaries are a few (1024, 3, 3) stacks of 74 kB
+# steps per block of magnus6: the lossy STIRAP call of a lib-sweep point,
+# 483-521 real 3x3 steps on the grid aligned with the pulse edges, is one
+# block (blocks of 128/256/512/1024/2048 steps: 1.21/1.02/0.91/0.89/0.89 ms
+# per call, medians of 40 interleaved rounds over the 24 points of the
+# seed 1 and 2 decks on one core of a 2-vCPU VM; 512 splits the calls of
+# more than 512 steps in two); a block's temporaries are a few (1024, 3, 3)
+# stacks of 74 kB
 _MAGNUS_BLOCK = 1024
 _EPS = np.finfo(float).eps / 2.0  # unit roundoff
-_SQRT3 = math.sqrt(3.0)
+_SQRT15 = math.sqrt(15.0)
 
 
 def _checked_grid(t_grid) -> np.ndarray:
@@ -261,41 +262,44 @@ def _prefix_states(steps: np.ndarray, y0: np.ndarray) -> np.ndarray:
     return states
 
 
+def _commutator(x, y) -> np.ndarray:
+    """[x, y] = x y - y x of every pair of matrices in two stacks."""
+    return np.matmul(x, y) - np.matmul(y, x)
+
+
 def _magnus_exponents(basis, coefficients, t_grid) -> np.ndarray:
-    """The exponents of the fourth-order Magnus steps between consecutive
+    """The exponents of the sixth-order Magnus steps between consecutive
     times of ``t_grid`` (a 1-D array), shape (len(t_grid) - 1, d, d).
 
-    On a step of length h the two Gauss-Legendre nodes t_mid -/+ h sqrt(3)/6
-    give A1 and A2, and the exponent is
-    h/2 (A1 + A2) + sqrt(3)/12 h^2 [A2, A1].  The B_i and every [B_i, B_j]
-    are stacked once, so each exponent is one row of weights times that
-    constant stack:
-    [A2, A1] = sum_{i<j} (f_i(t2) f_j(t1) - f_j(t2) f_i(t1)) [B_i, B_j].
+    On a step of length h the three Gauss-Legendre nodes t_mid - h sqrt(15)/10,
+    t_mid and t_mid + h sqrt(15)/10 give A1, A2 and A3, and with
+    alpha1 = h A2, alpha2 = sqrt(15) h / 3 (A3 - A1),
+    alpha3 = 10 h / 3 (A3 - 2 A2 + A1), C1 = [alpha1, alpha2] and
+    C2 = -1/60 [alpha1, 2 alpha3 + C1] the exponent is
+    alpha1 + alpha3 / 12 + 1/240 [-20 alpha1 - alpha3 + C1, alpha2 + C2]
+    (Blanes, Casas and Ros, BIT 40, 434 (2000)).  The alphas are rows of
+    weights times the stack of the B_i; the commutators are batched
+    matmuls.
     """
     basis = np.asarray(basis)
-    d = basis.shape[-1]
-    pairs = list(itertools.combinations(range(len(basis)), 2))
-    first, second = [i for i, _ in pairs], [j for _, j in pairs]
-    constant = np.concatenate((
-        basis, basis[first] @ basis[second] - basis[second] @ basis[first],
-    )).reshape(-1, d * d)
+    m, d = basis.shape[0], basis.shape[-1]
     t0, t1 = t_grid[:-1], t_grid[1:]
     h = t1 - t0
     mid = (t0 + t1) / 2.0
-    offset = h * (_SQRT3 / 6.0)
-    # both Gauss-Legendre nodes of every step in one call
-    f1, f2 = np.split(coefficients(np.concatenate((mid - offset, mid + offset))), 2)
+    offset = h * (_SQRT15 / 10.0)
+    # the three Gauss-Legendre nodes of every step in one call
+    f1, f2, f3 = np.split(coefficients(np.concatenate((mid - offset, mid, mid + offset))), 3)
     h = h[:, None]
-    weights = np.concatenate((
-        h / 2.0 * (f1 + f2),
-        (_SQRT3 / 12.0) * h**2 * (f2[:, first] * f1[:, second]
-                                  - f2[:, second] * f1[:, first]),
-    ), axis=1)
-    return (weights @ constant).reshape(len(h), d, d)
+    weights = np.stack((h * f2, (_SQRT15 / 3.0) * h * (f3 - f1),
+                        (10.0 / 3.0) * h * (f3 - 2.0 * f2 + f1)))
+    a1, a2, a3 = (weights @ basis.reshape(m, d * d)).reshape(3, len(h), d, d)
+    c1 = _commutator(a1, a2)
+    c2 = _commutator(a1, 2.0 * a3 + c1) / -60.0
+    return a1 + a3 / 12.0 + _commutator(c1 - 20.0 * a1 - a3, a2 + c2) / 240.0
 
 
-def magnus4(basis, coefficients, y0, t_grid) -> np.ndarray:
-    """Solve dy/dt = A(t) y with one fourth-order Magnus step per interval.
+def magnus6(basis, coefficients, y0, t_grid) -> np.ndarray:
+    """Solve dy/dt = A(t) y with one sixth-order Magnus step per interval.
 
     The generator is affine in constant matrices, A(t) = sum_i f_i(t) B_i,
     with ``basis`` the stack (m, d, d) of the B_i and ``coefficients(t)``

@@ -1,5 +1,5 @@
 """Eigen-mode sum and propagator, stacked matrix exponential and the
-fourth-order Magnus propagator."""
+sixth-order Magnus propagator."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ from singleatom.integrator import (
     _expm,
     _prefix_states,
     linear_modes,
-    magnus4,
+    magnus6,
     sum_modes,
 )
 
@@ -239,8 +239,8 @@ def constant(times):
     return np.ones((len(times), 1))
 
 
-def test_magnus4_exact_for_constant_generator():
-    # A constant: every step is exp(h A) and the commutator vanishes; the
+def test_magnus6_exact_for_constant_generator():
+    # A constant: every step is exp(h A) and the commutators vanish; the
     # grid spans several blocks of the tree product.  A complex A, and a
     # real one with a real and a complex state: the trajectory takes the
     # dtype of A and y0 together
@@ -250,7 +250,7 @@ def test_magnus4_exact_for_constant_generator():
     for gen, y0 in ((a, np.array([1.0, 0.5j, -0.25])),
                     (a.real, np.array([1.0, 0.5, -0.25])),
                     (a.real, np.array([1.0, 0.5j, -0.25]))):
-        traj = magnus4(gen[None], constant, y0, t)
+        traj = magnus6(gen[None], constant, y0, t)
         assert traj.dtype == np.result_type(gen, y0)
         assert np.array_equal(traj[0], y0)
         for k in (1, 1023, 1024, 1025, 2048, 2499):
@@ -258,9 +258,9 @@ def test_magnus4_exact_for_constant_generator():
             assert np.abs(traj[k] - ref).max() <= 1e-11 * np.abs(ref).max()
 
 
-def test_magnus4_fourth_order():
+def test_magnus6_sixth_order():
     # a generator whose values at different times do not commute: against a
-    # much finer grid, halving h divides the error by about 2^4
+    # much finer grid, halving h divides the error by about 2^6
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
     sz = np.array([[1.0, 0.0], [0.0, -1.0]])
     basis = -1j * np.array([sx, sz])
@@ -269,29 +269,30 @@ def test_magnus4_fourth_order():
         return np.stack((np.cos(times), times), axis=1)
 
     y0 = np.array([1.0, 0.0])
-    fine = magnus4(basis, coefficients, y0, np.linspace(0.0, 2.0, 4097))[-1]
-    errors = [np.abs(magnus4(basis, coefficients, y0, np.linspace(0.0, 2.0, n + 1))[-1]
+    fine = magnus6(basis, coefficients, y0, np.linspace(0.0, 2.0, 4097))[-1]
+    errors = [np.abs(magnus6(basis, coefficients, y0, np.linspace(0.0, 2.0, n + 1))[-1]
                      - fine).max()
-              for n in (16, 32, 64)]
+              for n in (8, 16, 32, 64)]
     for coarse, finer in zip(errors, errors[1:]):
-        assert 12.0 < coarse / finer < 20.0
+        assert 48.0 < coarse / finer < 80.0
 
 
-def test_magnus4_single_point_and_bad_grid():
+def test_magnus6_single_point_and_bad_grid():
     y0 = np.array([0.0, 1.0])
     basis = np.zeros((1, 2, 2))
-    assert np.array_equal(magnus4(basis, constant, y0, [0.0]), [[0.0, 1.0]])
+    assert np.array_equal(magnus6(basis, constant, y0, [0.0]), [[0.0, 1.0]])
     with pytest.raises(ValueError):
-        magnus4(basis, constant, y0, [1.0, 0.0])
+        magnus6(basis, constant, y0, [1.0, 0.0])
 
 
 def random_basis(rng, m, d):
     return rng.standard_normal((m, d, d)) + 1j * rng.standard_normal((m, d, d))
 
 
-def test_magnus4_step_matches_explicit_commutator():
-    # one step from the constant commutators against the same step built
-    # from the full A1 and A2 at the Gauss-Legendre nodes
+def test_magnus6_step_matches_explicit_commutators():
+    # one step from the weighted basis against the same step built from the
+    # full A1, A2 and A3 at the Gauss-Legendre nodes, with every commutator
+    # written out
     rng = np.random.default_rng(6)
     basis = random_basis(rng, 4, 3)
     rates = rng.standard_normal((4, 2))
@@ -301,11 +302,18 @@ def test_magnus4_step_matches_explicit_commutator():
 
     y0 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     t0, h = 0.3, 0.05
-    mid, offset = t0 + h / 2.0, h * np.sqrt(3.0) / 6.0
-    a1, a2 = (np.einsum("i,ijk->jk", coefficients(np.array([t]))[0], basis)
-              for t in (mid - offset, mid + offset))
-    omega = h / 2.0 * (a1 + a2) + np.sqrt(3.0) / 12.0 * h**2 * (a2 @ a1 - a1 @ a2)
-    got = magnus4(basis, coefficients, y0, [t0, t0 + h])[-1]
+    mid, offset = t0 + h / 2.0, h * np.sqrt(15.0) / 10.0
+    a1, a2, a3 = (np.einsum("i,ijk->jk", coefficients(np.array([t]))[0], basis)
+                  for t in (mid - offset, mid, mid + offset))
+    alpha1 = h * a2
+    alpha2 = np.sqrt(15.0) * h / 3.0 * (a3 - a1)
+    alpha3 = 10.0 * h / 3.0 * (a3 - 2.0 * a2 + a1)
+    c1 = alpha1 @ alpha2 - alpha2 @ alpha1
+    x = 2.0 * alpha3 + c1
+    c2 = -(alpha1 @ x - x @ alpha1) / 60.0
+    left, right = -20.0 * alpha1 - alpha3 + c1, alpha2 + c2
+    omega = alpha1 + alpha3 / 12.0 + (left @ right - right @ left) / 240.0
+    got = magnus6(basis, coefficients, y0, [t0, t0 + h])[-1]
     assert np.abs(got - expm(omega) @ y0).max() <= 1e-14 * np.abs(y0).max()
 
 
@@ -326,8 +334,8 @@ def test_prefix_states_match_sequential_product(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, _MAGNUS_BLOCK - 1, _MAGNUS_BLOCK,
                                _MAGNUS_BLOCK + 1, 2500])
-def test_magnus4_blocks_match_sequential_steps(n):
-    # the blocked tree product against one magnus4 call per interval: odd
+def test_magnus6_blocks_match_sequential_steps(n):
+    # the blocked tree product against one magnus6 call per interval: odd
     # tails, block boundaries and the state carried across blocks.  A complex
     # basis, and a real one with a real and a complex state
     rng = np.random.default_rng(7)
@@ -342,9 +350,9 @@ def test_magnus4_blocks_match_sequential_steps(n):
     for basis, y in ((unitary, np.array([1.0, 0.0, 0.0], dtype=complex)),
                      (orthogonal, np.array([1.0, 0.0, 0.0])),
                      (orthogonal, np.array([0.6, 0.8j, 0.0]))):
-        traj = magnus4(basis, coefficients, y, t)
+        traj = magnus6(basis, coefficients, y, t)
         assert traj.dtype == np.result_type(basis, y)
         for k in range(n):
             assert np.abs(traj[k] - y).max() <= 1e-13
-            y = magnus4(basis, coefficients, y, t[k:k + 2])[-1]
+            y = magnus6(basis, coefficients, y, t[k:k + 2])[-1]
         assert np.abs(traj[n] - y).max() <= 1e-13
