@@ -4,6 +4,8 @@ imported inside the check or runner that computes with them, so a run
 refused before the line table is read loads none of them.
 """
 
+import sys
+
 from .cli_common import MAX_POINTS, ValidationError, _derived, _named, _row
 from .constants import KB, RB87_GAMMA_D2, RB87_MASS, TWO_PI
 
@@ -47,12 +49,10 @@ def run_trap(args):
 
 def run_loading(args):
     from .loading import LoadingParams, mean_number, stationary_law
-    from .trapgeometry import trap_volume
 
-    volume = trap_volume(args.trap, args.temperature_uk * 1e-6)
     rates = args.rate_per_s_grid
     laws = [stationary_law(LoadingParams(loading_rate=r, gamma=args.gamma_per_s,
-                                         beta=args.beta_cm3_s * 1e-6, volume=volume,
+                                         beta=args.beta_cm3_s * 1e-6, volume=args.volume,
                                          n_max=args.n_max))
             for r in rates]
     header = ["rate_per_s", "mean"] + [f"p{n}" for n in range(args.n_max + 1)]
@@ -140,7 +140,9 @@ def _check_loading(args) -> None:
     """The CSV holds one row of n_max + 3 cells per rate, and at most twice
     MAX_POINTS cells, the most that a g2, larmor or stirap run writes.  The
     trap volume's eta = kB T / U is derived here, and refused unless it is
-    below 1: no sample is trapped."""
+    below 1: no sample is trapped.  The runner reads the trap volume (m^3)
+    as ``args.volume``, derived here and refused below the smallest normal
+    float, where it keeps fewer than 53 bits."""
     rates, columns = len(args.rate_per_s_grid), args.n_max + 3
     if rates * columns > 2 * MAX_POINTS:
         raise ValidationError(
@@ -153,6 +155,14 @@ def _check_loading(args) -> None:
     if ratio >= 1.0:
         raise ValidationError(f"{_named(args, flags)}: the ratio kB T / U = {ratio:.3g} is not"
                               " below 1: sample not trapped")
+    from .trapgeometry import trap_volume
+
+    volume = _derived(args, flags, "trap volume",
+                      lambda: trap_volume(args.trap, args.temperature_uk * 1e-6))
+    if volume < sys.float_info.min:
+        raise ValidationError(f"{_named(args, flags)}: the trap volume {volume:.3g} m^3 is"
+                              " subnormal")
+    args.volume = volume
 
 
 # scenario -> (runner, check)

@@ -499,6 +499,17 @@ class TestOverflowingSquares:
           "--temperature-uk", "1e-310"],
          "--temperature-uk 1e-310 with --power-mw 44 and --waist-um 3.5: the ratio"
          " kB T / U underflows to 0"),
+        # the trap volume is subnormal: the run printed p2 = 4.90158035733e-305
+        # where the law's T^1.5 scaling gives 4.90148496123e-305
+        (["loading", "--rate-per-s", "1", "--power-mw", "44", "--waist-um", "3.5",
+          "--n-max", "3", "--temperature-uk", "1e-200"],
+         "--temperature-uk 1e-200 with --power-mw 44 and --waist-um 3.5: the trap volume"
+         " 5.39e-320 m^3 is subnormal"),
+        # the trap volume is 0, which the run refused with exit 3, naming no flag
+        (["loading", "--rate-per-s", "1", "--power-mw", "44", "--waist-um", "3.5",
+          "--n-max", "3", "--temperature-uk", "1e-210"],
+         "--temperature-uk 1e-210 with --power-mw 44 and --waist-um 3.5: the trap volume"
+         " underflows to 0"),
     ], ids=["trap-waist", "loading-waist", "two-level-obe-detuning",
             *(f"{model}-rabi-squared{case}" for model in ("two-level-obe", "two-level-analytic")
               for case in ("", "-with-detuning")),
@@ -513,7 +524,8 @@ class TestOverflowingSquares:
             "full-tau-max", "full-env-tau", "larmor-t-max", "larmor-phase-unresolved",
             "pair-rate-cycle",
             "pair-rate-overflow", "loading-untrapped",
-            "loading-temperature-zero-in-k", "loading-thermal-energy-zero-in-j"])
+            "loading-temperature-zero-in-k", "loading-thermal-energy-zero-in-j",
+            "loading-trap-volume-subnormal", "loading-trap-volume-zero"])
     def test_named_and_refused_in_validation(self, tmp_path, capsys, args, line):
         code, out = run(tmp_path, args)
         assert code == EXIT_VALIDATION and not out.exists()
