@@ -3,9 +3,11 @@ what the corpus holds, byte for byte: exit code, stdout, stderr, the CSV and
 the sidecar.  ``tests/golden/regen.py`` rewrites the corpus and counts the
 printed values a change moved.
 
-Only ``spectrum-fit`` computes with numpy.  Under a numpy version other than
-the corpus's its outputs are compared at ``NUMPY_TOLERANCE`` relative, and a
-failure says so; every other scenario runs on the standard library.
+Only ``spectrum-fit`` and the library cases (the lib-sweep study points and
+one four-level propagation) compute with numpy.  Under a numpy version other
+than the corpus's their outputs are compared at ``NUMPY_TOLERANCE``
+relative, the arrays by their count and sums, and a failure says so; every
+other scenario runs on the standard library.
 """
 
 import importlib.util
@@ -32,7 +34,7 @@ def test_output_matches_corpus(case, tmp_path):
     got = regen.run_case(case, tmp_path)
     expected = CORPUS["cases"][case["id"]]
     numpy = regen.numpy_version()
-    if case["argv"][:1] == ["spectrum-fit"] and numpy != CORPUS["numpy"]:
+    if regen.computes_with_numpy(case) and numpy != CORPUS["numpy"]:
         found = regen.differences(expected, got, NUMPY_TOLERANCE)
         assert not found, (f"numpy {numpy}, corpus recorded under numpy {CORPUS['numpy']}:"
                            f" compared at {NUMPY_TOLERANCE:g} relative: {found}")
