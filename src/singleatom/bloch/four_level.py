@@ -26,7 +26,7 @@ The upper limit g2 = 2 of a two-level atom does not bind here: for cooling
 detunings of several linewidths the Rabi oscillations overshoot it.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -102,7 +102,8 @@ class FourLevelLiouvillian:
         h = _four_level_hamiltonian(
             params.rabi_frequencies, params.delta_cl, params.delta_rl,
             (params.shift_a, params.shift_b, params.shift_c, params.shift_d))
-        self.matrix_real = np.array(_lindblad(h, _FOUR_LEVEL_DECAYS))
+        self._rows = _lindblad(h, _FOUR_LEVEL_DECAYS)
+        self.matrix_real = np.array(self._rows)
 
     def steady_state(self) -> np.ndarray:
         """The trace-one null vector of the generator, a real 16-vector: the
@@ -110,8 +111,7 @@ class FourLevelLiouvillian:
         resolved, a unique state, excitation above its rounding error), with
         the bordered matrix inverted by ``numpy.linalg.inv``.
         """
-        return np.array(_steady_vector(self.matrix_real.tolist(), _FOUR_LEVEL_DECAYS,
-                                       _inverse_columns))
+        return np.array(_steady_vector(self._rows, _FOUR_LEVEL_DECAYS, _inverse_columns))
 
     def propagate(self, y0: np.ndarray, delays) -> np.ndarray:
         """Evolve the real 16-vector ``y0`` by each delay; returns
@@ -168,6 +168,8 @@ def apply_trap_shifts(params: FourLevelParams, trap_field: "LaserField",
     if trap_field.intensity == 0:
         return params
     lines = lines or load_default_lines()
-    shifts = trap_shifts(trap_field, lines, ground_shift_alkali(trap_field, 0.5, lines),
-                         kinetic_reduction)
-    return replace(params, **dict(zip(("shift_a", "shift_b", "shift_c", "shift_d"), shifts)))
+    shift_a, shift_b, shift_c, shift_d = trap_shifts(
+        trap_field, lines, ground_shift_alkali(trap_field, 0.5, lines), kinetic_reduction)
+    return FourLevelParams(i_cl=params.i_cl, i_rl=params.i_rl, delta_cl=params.delta_cl,
+                           delta_rl=params.delta_rl, shift_a=shift_a, shift_b=shift_b,
+                           shift_c=shift_c, shift_d=shift_d)

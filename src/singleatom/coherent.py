@@ -176,15 +176,23 @@ def _step_grid(schedule: PulseSchedule, a_norm: float):
     return edges, steps
 
 
-def _node_times(edges: np.ndarray, steps: list[int], nodes: np.ndarray) -> np.ndarray:
-    """Times of the grid nodes with the given indices (node 0 at t = 0):
+def _node_times(edges: np.ndarray, steps: list[int], lo: int, hi: int) -> np.ndarray:
+    """Times of the grid nodes lo, lo + 1, ..., hi (node 0 at t = 0):
     segment s runs over nodes sum(steps[:s]) .. sum(steps[:s+1]) in equal
-    steps, and the first node of each segment is its edge exactly."""
-    first = np.concatenate(([0], np.cumsum(steps)))
-    seg = np.minimum(np.searchsorted(first, nodes, side="right") - 1, len(steps) - 1)
-    times = edges[seg] + (nodes - first[seg]) * (np.diff(edges) / steps)[seg]
-    times[nodes == first[-1]] = edges[-1]
-    return times
+    steps, node k of it at edges[s] + k (edges[s+1] - edges[s]) / steps[s],
+    so the first node of each segment is its edge exactly, and the last
+    node is the last edge."""
+    bounds = edges.tolist()
+    parts, first = [], 0
+    for s, n in enumerate(steps):
+        a, b = max(lo, first), min(hi + 1, first + n)
+        if a < b:
+            width = (bounds[s + 1] - bounds[s]) / n
+            parts.append(bounds[s] + np.arange(a - first, b - first) * width)
+        first += n
+    if hi == first:
+        parts.append(edges[-1:])
+    return np.concatenate(parts)
 
 
 def stirap_evolve(schedule: PulseSchedule, initial: np.ndarray,
@@ -223,7 +231,7 @@ def stirap_evolve(schedule: PulseSchedule, initial: np.ndarray,
     n_steps = sum(steps)
     scattered = 0.0
     for k in range(0, n_steps, _STEPS_PER_CALL):
-        t = _node_times(edges, steps, np.arange(k, min(k + _STEPS_PER_CALL, n_steps) + 1))
+        t = _node_times(edges, steps, k, min(k + _STEPS_PER_CALL, n_steps))
         traj = magnus6(basis, coefficients, state, t)
         pop_a = np.abs(traj[:, 0]) ** 2
         # d|x_a|^2/dt = 2 Re(conj(x_a) (A(t) x)_a), with row a of A(t) from the basis

@@ -38,8 +38,10 @@ from .guards import _DEFECTIVE, _MIN_OVERLAP, IntegrationError
 RTOL = 1e-9
 ATOL = 1e-12
 
-# delays per block of sum_modes; bounds its temporaries to a few hundred kB
-# whatever the grid length
+# delays times observable rows per block of sum_modes (1024 delays of a
+# scalar observable, 64 of the 16 rows of FourLevelLiouvillian.propagate);
+# bounds its array of terms to modes x _CHUNK floats, 128 kB for the 16
+# modes of the four-level model, whatever the grid length
 _CHUNK = 1024
 # steps per block of magnus6: the lossy STIRAP call of a lib-sweep point,
 # 483-521 real 3x3 steps on the grid aligned with the pulse edges, is one
@@ -149,9 +151,12 @@ def sum_modes(lam, amp, delays, at_zero) -> np.ndarray:
     and sin come from the tangent of the half angle, t = tan(omega tau / 2):
     cos = (1 - t^2) / (1 + t^2), sin = 2 t / (1 + t^2), one vectorized
     ``numpy.tan`` in place of numpy's scalar float64 cos and sin (a few
-    times faster, with absolute errors of a few 1e-16).  The terms are added
-    one mode at a time in a fixed order, in blocks of ``_CHUNK`` delays, so
-    a delay's value does not depend on the others.
+    times faster, with absolute errors of a few 1e-16).  The terms of a
+    block of delays form one array with the modes as its leading axis, and
+    summing over that axis adds them one mode at a time in a fixed order
+    (numpy adds the rows of a C-contiguous array in turn, with no pairwise
+    summation), so a delay's value does not depend on the others or on the
+    block.
 
     Delays come in any order; rows at tau = 0 hold ``at_zero`` (the
     observable of the initial state) exactly, and no delays give shape
@@ -165,18 +170,19 @@ def sum_modes(lam, amp, delays, at_zero) -> np.ndarray:
     half_freqs = lam.imag[upper] / 2.0
     coef = np.concatenate((amp[real].real, 2.0 * amp[upper].real, -2.0 * amp[upper].imag))
     n_real = len(rates) - len(half_freqs)
+    # terms[k, i, ...] = kernel[k, i] coef[k, ...]: modes first, so that
+    # summing over axis 0 adds whole rows in mode order
+    weights = coef.reshape((len(coef), 1) + amp.shape[1:])
+    spread = (Ellipsis,) + (None,) * (amp.ndim - 1)
+    size = max(1, _CHUNK // max(1, math.prod(amp.shape[1:])))
     out = np.empty(tau.shape + amp.shape[1:])
-    for start in range(0, len(tau), _CHUNK):
-        block = tau[start:start + _CHUNK]
-        decay = np.exp(np.multiply.outer(block, rates))
-        t = np.tan(np.multiply.outer(block, half_freqs))
-        scale = decay[:, n_real:] / (1.0 + t * t)
-        kernel = np.concatenate((decay[:, :n_real], scale * (1.0 - t * t),
-                                 scale * (2.0 * t)), axis=1)
-        acc = np.multiply.outer(kernel[:, 0], coef[0])
-        for column, weight in zip(kernel.T[1:], coef[1:]):
-            acc += np.multiply.outer(column, weight)
-        out[start:start + _CHUNK] = acc
+    for start in range(0, len(tau), size):
+        block = tau[start:start + size]
+        decay = np.exp(np.multiply.outer(rates, block))
+        t = np.tan(np.multiply.outer(half_freqs, block))
+        scale = decay[n_real:] / (1.0 + t * t)
+        kernel = np.concatenate((decay[:n_real], scale * (1.0 - t * t), scale * (2.0 * t)))
+        out[start:start + size] = (kernel[spread] * weights).sum(axis=0)
     out[tau == 0.0] = at_zero
     return out
 

@@ -216,6 +216,14 @@ def load_default_lines() -> LineTable:
 
 # --- alkali D-line formulas -----------------------------------------------
 
+# Light-shift coefficients kept per (level or polarization and m_J, omega,
+# line table): the intensity enters each shift as a last factor, so a study
+# at one trap wavelength computes the 6j-weighted sums once for all its
+# intensities.  The table is keyed by identity (``LineTable`` defines no
+# equality), and an exception is not cached: a resonant wavelength or a bad
+# 2F raises on every call.
+_COEFFICIENT_CACHE = 64
+
 
 def _effective_inverse_detuning(omega_line: float, omega: float) -> float:
     """1/D' = 1/(w0 - w) + 1/(w0 + w); positive for red detuning."""
@@ -234,20 +242,25 @@ def ground_shift_alkali(field: LaserField, m_j: float, lines: LineTable) -> floa
 
     Valid for detunings large compared to the hyperfine structure; for
     linear polarization the result does not depend on m_J, for circular
-    polarization the vector term lifts the m_J = +-1/2 degeneracy.
+    polarization the vector term lifts the m_J = +-1/2 degeneracy.  The
+    coefficient of the intensity is cached (``_COEFFICIENT_CACHE``).
     """
+    return _ground_coefficient(field.epsilon, m_j, field.omega, lines) * field.intensity
+
+
+@functools.lru_cache(maxsize=_COEFFICIENT_CACHE)
+def _ground_coefficient(eps: int, m_j: float, omega: float, lines: LineTable) -> float:
+    """``ground_shift_alkali`` per unit intensity (J per W/m^2)."""
     d1, d2 = lines.d_lines()
-    eps = field.epsilon
     gjm = RB87_GJ_GROUND * m_j
-    delta1 = _signed_detuning(d1.omega, field.omega)
-    delta2 = _signed_detuning(d2.omega, field.omega)
+    delta1 = _signed_detuning(d1.omega, omega)
+    delta2 = _signed_detuning(d2.omega, omega)
     return (
         3 * PI * C**2 / 2
         * (
             d1.rate * (1 - eps * gjm) / (3 * d1.omega**3 * delta1)
             + d2.rate * (2 + eps * gjm) / (3 * d2.omega**3 * delta2)
         )
-        * field.intensity
     )
 
 
@@ -286,9 +299,9 @@ def _ground_offset(level_label: str, two_f: int) -> float:
     return _GROUND_HFS_OFFSET[two_f // 2]
 
 
-def _scalar_terms(level_label: str, two_f: int | None, field: LaserField,
-                  lines: LineTable):
-    """(2J, c, 2F') of every coupling of a level, J and J' read from the table.
+def _scalar_terms(level_label: str, two_f: int | None, omega: float, lines: LineTable):
+    """(2J, c, 2F') of every coupling of a level, J and J' read from the table,
+    in a field of angular frequency ``omega``.
 
     c (J per W/m^2) is the scalar shift coefficient: the line strength times
     the effective inverse detuning 1/D'.  Without ``two_f`` there is one term
@@ -312,7 +325,7 @@ def _scalar_terms(level_label: str, two_f: int | None, field: LaserField,
             g = 1.0
         strength = PI * C**2 / (2 * line.omega**3) * g * line.rate
         if two_f is None:
-            yield tj, strength * _effective_inverse_detuning(line.omega, field.omega), None
+            yield tj, strength * _effective_inverse_detuning(line.omega, omega), None
             continue
         if not _triangle_ok(tj, RB87_TWO_I, two_f):
             raise ValueError(f"2F = {two_f} is not a hyperfine level of {level_label} "
@@ -322,7 +335,7 @@ def _scalar_terms(level_label: str, two_f: int | None, field: LaserField,
             six_j = wigner_6j(tj / 2, tjp / 2, 1, tfp / 2, two_f / 2, RB87_TWO_I / 2)
             omega_pair = line.omega - level_offset - _ground_offset(partner, tfp)
             weight = (tfp + 1) * (tj + 1) * six_j**2
-            yield tj, strength * weight * _effective_inverse_detuning(omega_pair, field.omega), tfp
+            yield tj, strength * weight * _effective_inverse_detuning(omega_pair, omega), tfp
 
 
 def hyperfine_shift(level: HyperfineLevel, field: LaserField, lines: LineTable) -> float:
@@ -338,7 +351,7 @@ def hyperfine_shift(level: HyperfineLevel, field: LaserField, lines: LineTable) 
     tf, tmf = level.two_f, level.two_m_f
     tmf_p = tmf - 2 * eps
     shift = 0.0
-    for tj, c, tfp in _scalar_terms(level.n_label, tf, field, lines):
+    for tj, c, tfp in _scalar_terms(level.n_label, tf, field.omega, lines):
         if tj != level.two_j:
             raise ValueError(f"level {level.n_label} has 2J = {tj} in the line table, "
                              f"not {level.two_j}")
@@ -356,9 +369,17 @@ def mean_level_shift(level_label: str, field: LaserField, lines: LineTable,
     parts, leaving a polarization-independent scalar shift.  Without
     ``two_f`` it is the fine-structure level's shift (the ground/excited
     comparison behind the magic-wavelength search); with ``two_f`` it is
-    hbar times the m_F mean of ``hyperfine_shift`` for that F.
+    hbar times the m_F mean of ``hyperfine_shift`` for that F.  The
+    coefficient of the intensity is cached (``_COEFFICIENT_CACHE``).
     """
-    return sum(c for _, c, _ in _scalar_terms(level_label, two_f, field, lines)) * field.intensity
+    return _level_coefficient(level_label, two_f, field.omega, lines) * field.intensity
+
+
+@functools.lru_cache(maxsize=_COEFFICIENT_CACHE)
+def _level_coefficient(level_label: str, two_f: int | None, omega: float,
+                       lines: LineTable) -> float:
+    """``mean_level_shift`` per unit intensity (J per W/m^2)."""
+    return sum(c for _, c, _ in _scalar_terms(level_label, two_f, omega, lines))
 
 
 def _shift_difference(wavelength: float, intensity: float, lines: LineTable) -> float:

@@ -485,8 +485,8 @@ def _steady_vector(m: list[list[float]], decays, invert) -> list[float]:
                          f" {bound:.3g} is not below 1")
     vec = [norm * x for x in cols[0]]
     rhs = [norm] + [0.0] * (n - 1)
-    residual = [math.fsum(chain((r,), (-x * y for x, y in zip(row, vec))))
-                for r, row in zip(rhs, b)]
+    negated = [-x for x in vec]
+    residual = [math.fsum(chain((r,), map(mul, row, negated))) for r, row in zip(rhs, b)]
     vec = [x + sum(map(mul, row, residual)) for x, row in zip(vec, zip(*cols))]
     excited = sum(vec[k] for k in sorted({frm for _, _, frm in decays}))
     if not excited > bound:

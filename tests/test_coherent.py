@@ -76,7 +76,7 @@ class TestStirap:
             sched = schedule(peak=area / T_PULSE)
             basis, coefficients, a_norm = _generator(sched, 0.0)
             edges, steps = _step_grid(sched, a_norm)
-            nodes = _node_times(edges, steps, np.arange(sum(steps) + 1))
+            nodes = _node_times(edges, steps, 0, sum(steps))
             traj = magnus6(basis, coefficients, ground_start(), nodes)
             assert np.max(np.abs(traj[:, 0]) ** 2) < 0.01
             assert stirap_evolve(sched, ground_start()).efficiency > 0.99
@@ -107,7 +107,7 @@ class TestStirap:
         grid_edges, grid_steps = _step_grid(sched, _generator(sched, LOSS)[2])
         assert grid_steps == steps
         assert np.allclose(grid_edges, edges, rtol=0.0, atol=1e-18)
-        nodes = _node_times(grid_edges, grid_steps, np.arange(sum(steps) + 1))
+        nodes = _node_times(grid_edges, grid_steps, 0, sum(steps))
         # every pulse edge inside (0, t_end) is a node
         for pulse in (sched.pump, sched.stokes):
             for edge in (pulse.t_start, pulse.t_start + pulse.duration):

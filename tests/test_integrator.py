@@ -114,6 +114,49 @@ def test_mode_sum_delay_contract():
             sum_modes(lam, amp, bad, 0.0)
 
 
+def sum_modes_by_loop(lam, amp, delays, at_zero):
+    """The mode sum of ``sum_modes`` added one mode at a time in a Python
+    loop over all delays at once: the real modes, then 2 Re a times the
+    cosine and -2 Im a times the sine of each conjugate pair, from the same
+    half-angle kernel."""
+    tau = np.asarray(delays, dtype=float)
+    real, upper = lam.imag == 0, lam.imag > 0
+    n_real = int(real.sum())
+    decay = np.exp(np.multiply.outer(tau, np.concatenate((lam.real[real], lam.real[upper]))))
+    t = np.tan(np.multiply.outer(tau, lam.imag[upper] / 2.0))
+    scale = decay[:, n_real:] / (1.0 + t * t)
+    kernel = np.concatenate((decay[:, :n_real], scale * (1.0 - t * t), scale * (2.0 * t)),
+                            axis=1)
+    coef = np.concatenate((amp[real].real, 2.0 * amp[upper].real, -2.0 * amp[upper].imag))
+    out = np.multiply.outer(kernel[:, 0], coef[0])
+    for k in range(1, len(coef)):
+        out = out + np.multiply.outer(kernel[:, k], coef[k])
+    out[tau == 0.0] = at_zero
+    return out
+
+
+def test_mode_sum_adds_modes_in_order_bit_for_bit():
+    # the blocks of sum_modes sum an array of terms over its leading (mode)
+    # axis; that is the running sum over the modes, bit for bit, for one
+    # observable and for a matrix of them, on unsorted delays with zeros
+    # over more than one block of either size
+    from singleatom.bloch import FourLevelLiouvillian, FourLevelParams
+
+    rng = np.random.default_rng(12)
+    four_level = FourLevelLiouvillian(FourLevelParams(
+        i_cl=1030.0, i_rl=120.0, delta_cl=-2 * np.pi * 31e6)).matrix_real
+    cases = [(random_stable(rng, 8), 1.0) for _ in range(4)] + [(four_level, 1e-7)]
+    for m, span in cases:
+        n = len(m)
+        y0, c = rng.standard_normal(n), rng.standard_normal((3, n))
+        tau = rng.permutation(np.concatenate(
+            (np.zeros(4), rng.uniform(0.0, span, 2 * _CHUNK + 37))))
+        for rows in (c[0], c, np.eye(n)):
+            lam, amp, _ = linear_modes(m, y0, rows)
+            got = sum_modes(lam, amp, tau, rows @ y0)
+            assert got.tobytes() == sum_modes_by_loop(lam, amp, tau, rows @ y0).tobytes()
+
+
 def test_mode_sum_at_large_phases():
     # a weakly damped rotation, exp(m tau) = exp(-g tau) R(w tau), at
     # phases up to 1e4 rad: the half-angle tangent gives cos and sin to a

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singleatom import angular
-from singleatom.constants import HBAR, KB, PI
+from singleatom import angular, lightshift
+from singleatom.constants import C, HBAR, KB, PI, RB87_GJ_GROUND
 from singleatom.lightshift import (
     HyperfineLevel,
     LaserField,
@@ -160,6 +160,68 @@ class TestHyperfineShift:
             HyperfineLevel("5S1/2", 1, 2, 4)   # |m_F| > F
         with pytest.raises(ValueError):
             HyperfineLevel("5S1/2", 1, 8, 0)   # F incompatible with J, I
+
+
+class TestCoefficientCache:
+    """The intensity enters each shift as a last factor, so the coefficient
+    of ``mean_level_shift`` and of ``ground_shift_alkali`` is cached per
+    level, wavelength and line table; the shift is the float that the
+    uncached formula gives."""
+
+    LEVELS = [("5S1/2", None), ("5S1/2", 2), ("5S1/2", 4),
+              ("5P3/2", None), ("5P3/2", 2), ("5P3/2", 4), ("5P3/2", 6)]
+
+    @staticmethod
+    def ground_formula(field, m_j, lines):
+        d1, d2 = lines.d_lines()
+        eps, gjm = field.epsilon, RB87_GJ_GROUND * m_j
+        delta1 = lightshift._signed_detuning(d1.omega, field.omega)
+        delta2 = lightshift._signed_detuning(d2.omega, field.omega)
+        return (3 * PI * C**2 / 2
+                * (d1.rate * (1 - eps * gjm) / (3 * d1.omega**3 * delta1)
+                   + d2.rate * (2 + eps * gjm) / (3 * d2.omega**3 * delta2))
+                * field.intensity)
+
+    def test_shifts_equal_the_uncached_formula(self):
+        for wavelength in (856e-9, 1064e-9, 1.4e-6):
+            for intensity in (0.0, 2.2870e9, 1.3e9, 7.1e11, 2.2870e9):
+                for eps in (-1, 0, 1):
+                    f = LaserField(wavelength, intensity, eps)
+                    for m_j in (0.5, -0.5):
+                        got = ground_shift_alkali(f, m_j, LINES)
+                        assert got.hex() == self.ground_formula(f, m_j, LINES).hex()
+                for label, two_f in self.LEVELS:
+                    terms = lightshift._scalar_terms(label, two_f, f.omega, LINES)
+                    expected = sum(c for _, c, _ in terms) * f.intensity
+                    assert mean_level_shift(label, f, LINES, two_f=two_f).hex() == expected.hex()
+
+    def test_copy_of_table_and_second_wavelength_miss(self):
+        level, ground = lightshift._level_coefficient, lightshift._ground_coefficient
+        level.cache_clear()
+        ground.cache_clear()
+
+        def shifts(field, lines):
+            mean_level_shift("5P3/2", field, lines, two_f=6)
+            ground_shift_alkali(field, 0.5, lines)
+            return level.cache_info()[:2], ground.cache_info()[:2]
+
+        assert shifts(trap_field(), LINES) == ((0, 1), (0, 1))
+        assert shifts(trap_field(power=0.03), LINES) == ((1, 1), (1, 1))
+        # the table is keyed by identity: an equal copy is another key
+        assert shifts(trap_field(), LineTable(lines=LINES.lines)) == ((1, 2), (1, 2))
+        assert shifts(trap_field(wavelength=1064e-9), LINES) == ((1, 3), (1, 3))
+        assert shifts(trap_field(power=0.05, wavelength=1064e-9), LINES) == ((2, 3), (2, 3))
+
+    def test_refusals_raise_on_every_call(self):
+        # no exception is cached: a resonant field and a bad 2F raise again
+        resonant = LaserField(LINES.d_lines()[1].wavelength, 1e9)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="resonant"):
+                ground_shift_alkali(resonant, 0.5, LINES)
+            with pytest.raises(ValueError, match="resonant"):
+                mean_level_shift("5S1/2", resonant, LINES)
+            with pytest.raises(ValueError, match="not a hyperfine level"):
+                mean_level_shift("5S1/2", trap_field(), LINES, two_f=6)
 
 
 class TestMagicWavelength:

@@ -70,12 +70,7 @@ FIELDS_UNREAD_ALLOWED = {
 }
 
 # 'definition.parameter' -> why it stays although no caller passes it
-UNPASSED_ALLOWED = {
-    f"bloch.four_level.FourLevelParams.shift_{level}":
-        "apply_trap_shifts sets the trap shifts through dataclasses.replace(**...), "
-        "which names no field at the call"
-    for level in "abcd"
-}
+UNPASSED_ALLOWED = {}
 
 
 def _module_name(path: pathlib.Path) -> str | None:
