@@ -4,9 +4,7 @@ imported inside the check or runner that computes with them, so a run
 refused before the line table is read loads none of them.
 """
 
-import sys
-
-from .cli_common import MAX_POINTS, ValidationError, _derived, _named, _row
+from .cli_common import MAX_POINTS, ValidationError, _derived, _named, _normal, _row
 from .constants import KB, RB87_GAMMA_D2, RB87_MASS, TWO_PI
 
 
@@ -142,7 +140,7 @@ def _check_loading(args) -> None:
     trap volume's eta = kB T / U is derived here, and refused unless it is
     below 1: no sample is trapped.  The runner reads the trap volume (m^3)
     as ``args.volume``, derived here and refused below the smallest normal
-    float, where it keeps fewer than 53 bits."""
+    float, where it keeps fewer than 53 bits (``_normal``)."""
     rates, columns = len(args.rate_per_s_grid), args.n_max + 3
     if rates * columns > 2 * MAX_POINTS:
         raise ValidationError(
@@ -157,12 +155,8 @@ def _check_loading(args) -> None:
                               " below 1: sample not trapped")
     from .trapgeometry import trap_volume
 
-    volume = _derived(args, flags, "trap volume",
-                      lambda: trap_volume(args.trap, args.temperature_uk * 1e-6))
-    if volume < sys.float_info.min:
-        raise ValidationError(f"{_named(args, flags)}: the trap volume {volume:.3g} m^3 is"
-                              " subnormal")
-    args.volume = volume
+    args.volume = _normal(args, flags, "trap volume",
+                          lambda: trap_volume(args.trap, args.temperature_uk * 1e-6), " m^3")
 
 
 # scenario -> (runner, check)

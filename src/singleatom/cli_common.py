@@ -3,8 +3,9 @@
 runs as ``__main__``: it would compile it again, with a second
 ``ValidationError``.  Every value that validation derives from checked flags
 passes one rule, ``_derived``: finite and nonzero, or refused naming its
-flags and quantity.  ``_named`` alone writes flags with their values, only
-when a rule refuses."""
+flags and quantity; a grid step and the trap volume pass ``_normal``, which
+refuses a subnormal value too.  ``_named`` alone writes flags with their
+values, only when a rule refuses."""
 
 import math
 import sys
@@ -58,6 +59,18 @@ def _derived(args, names, quantity: str, compute):
         raise ValidationError(f"{_named(args, names)}: the {quantity} overflows")
     if value == 0:
         raise ValidationError(f"{_named(args, names)}: the {quantity} underflows to 0")
+    return value
+
+
+def _normal(args, names, quantity: str, compute, unit: str = ""):
+    """``_derived``, and refused as well below the smallest normal float
+    (``sys.float_info.min``), where a value keeps fewer than 53 bits: the
+    step of a printed delay or time grid, whose multiples would print digits
+    it does not hold, and the trap volume (``unit`` follows the value)."""
+    value = _derived(args, names, quantity, compute)
+    if abs(value) < sys.float_info.min:
+        raise ValidationError(f"{_named(args, names)}: the {quantity} {value:.3g}{unit}"
+                              " is subnormal")
     return value
 
 

@@ -6,7 +6,7 @@ for the two-level closed form, ``obe`` for the Bloch models, and
 import math
 from operator import mul
 
-from .cli_common import ValidationError, _derived, _named, _resolved_phase
+from .cli_common import ValidationError, _derived, _named, _normal, _resolved_phase
 from .constants import (RB87_GAMMA_D2, RB87_ISAT_F2_F3, TWO_PI, intensity_from_mw_cm2,
                         linspace, rabi_frequency)
 
@@ -42,7 +42,8 @@ def run_g2(args):
 
 def _check_g2(args) -> None:
     """The step of the delay grid (``constants.linspace``) is derived here,
-    for every model: one that underflows to 0 leaves no uniform grid.  With
+    for every model: one that underflows to 0 leaves no uniform grid, and a
+    subnormal one a grid whose printed delays lose digits (``_normal``).  With
     a trap beam, the four-level and full models' trap shifts are computed
     here, at the line table's hyperfine-resolved detunings, so a trap
     wavelength on such a line fails --validate-only as the run would; the
@@ -61,8 +62,8 @@ def _check_g2(args) -> None:
     refused."""
     if (args.trap_power_mw is None) != (args.trap_waist_um is None):
         raise ValidationError("--trap-power-mw and --trap-waist-um must be given together")
-    _derived(args, ("tau-max-ns", "points"), "delay step (s)",
-             lambda: args.tau_max_ns * 1e-9 / (args.points - 1))
+    _normal(args, ("tau-max-ns", "points"), "delay step (s)",
+            lambda: args.tau_max_ns * 1e-9 / (args.points - 1))
     args.delta = TWO_PI * args.delta_mhz * 1e6
     try:  # the two-level models square the detuning in rad/s
         args.delta ** 2

@@ -4,7 +4,7 @@ bell, correlations and pair-rate, on the standard library alone.
 
 import math
 
-from .cli_common import _derived, _resolved_phase, _row
+from .cli_common import _derived, _normal, _resolved_phase, _row
 from .constants import linspace
 from .readout import (correlation_curve, cos_sin_degrees, larmor_frequency, larmor_survival,
                       pair_rate_estimate, singlet_chsh, stirap_readout_probability)
@@ -56,10 +56,10 @@ def run_pair_rate(args):
 
 
 def _check_larmor(args) -> None:
-    """The step of the time grid, as for g2, and the Larmor phase at the
+    """The step of the time grid, as for g2 (``_normal``), and the Larmor phase at the
     longest time, whose cosine the run takes (``_resolved_phase``)."""
-    _derived(args, ("t-max-us", "points"), "time step (s)",
-             lambda: args.t_max_us * 1e-6 / (args.points - 1))
+    _normal(args, ("t-max-us", "points"), "time step (s)",
+            lambda: args.t_max_us * 1e-6 / (args.points - 1))
     _resolved_phase(args, ("b-mgauss", "g-f", "t-max-us"), "Larmor phase at the longest time",
                     larmor_frequency(args.b_mgauss * 1e-7, args.g_f) * (args.t_max_us * 1e-6))
 

@@ -612,6 +612,40 @@ class TestBeamWavelengthBelowResolution:
         assert out.read_text().splitlines()[1].startswith("3.5e-13,44,3.5,")
 
 
+class TestSubnormalGridStep:
+    """A delay or time grid whose step is below the smallest normal float is
+    refused in validation, naming the flags, on the run and on
+    --validate-only: the runs exited 0 and printed delays or times that had
+    lost digits (the two-level-obe delay 1.49998330077e-310 ns for 1.5e-310,
+    and a four-level g2 of -1.72851210429e-15)."""
+
+    @pytest.mark.parametrize("args,line", [
+        (["g2", "--model", "two-level-obe", "--delta-mhz", "-31", "--icl", "103",
+          "--tau-max-ns", "3e-310", "--points", "3"],
+         "--tau-max-ns 3e-310 with --points 3: the delay step (s) 1.5e-319 is subnormal"),
+        (["g2", "--delta-mhz", "-31", "--icl", "103", "--tau-max-ns", "1e-305", "--points", "3"],
+         "--tau-max-ns 1e-305 with --points 3: the delay step (s) 5e-315 is subnormal"),
+        (["larmor", "--b-mgauss", "100", "--t-max-us", "1e-305", "--points", "3"],
+         "--t-max-us 1e-305 with --points 3: the time step (s) 5e-312 is subnormal"),
+        (["g2", "--model", "two-level-analytic", "--delta-mhz", "-31", "--icl", "103",
+          "--tau-max-ns", "1e-300", "--points", "3"],
+         "--tau-max-ns 1e-300 with --points 3: the delay step (s) 5e-310 is subnormal"),
+    ], ids=["two-level-obe", "four-level", "larmor", "two-level-analytic"])
+    def test_refused_in_validation(self, tmp_path, capsys, args, line):
+        code, out = run(tmp_path, args)
+        assert code == EXIT_VALIDATION and not out.exists()
+        assert capsys.readouterr().err == f"validation: {line}\n"
+        assert main(args + ["--validate-only"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"validation: {line}\n"
+
+    def test_normal_step_runs(self, tmp_path):
+        # a step of 5e-302 s is normal: the times print in full
+        code, out = run(tmp_path, ["larmor", "--b-mgauss", "100", "--t-max-us", "1e-295",
+                                   "--points", "3"])
+        assert code == EXIT_OK
+        assert out.read_text().splitlines()[1:] == ["0,1", "5e-293,1", "1e-292,1"]
+
+
 class TestSubnormalTrapPower:
     """A trap-beam power so small that the trap depth underflows to 0 J, or a
     power or waist that is 0 in SI units, is refused in validation, naming the
