@@ -30,6 +30,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import pathlib
 import re
@@ -77,8 +78,6 @@ def computes_with_numpy(case: dict) -> bool:
 def _array(values) -> dict:
     """An array as the corpus holds it: sha256 and count of the ``repr`` of
     its values (flattened in C order), their sum and their index-weighted sum."""
-    import math
-
     flat = [float(x) for x in values.ravel()]
     text = "\n".join(map(repr, flat))
     return {"sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(), "count": len(flat),
@@ -90,8 +89,6 @@ def _study_point(case: dict) -> dict:
     """One point of the g2-versus-detuning study, the unit of the lib-sweep
     benchmark workload: trap-shifted four-level g2, a lossy STIRAP transfer
     and the loading chain's stationary law."""
-    import math
-
     import numpy as np
     from singleatom import bloch, coherent, lightshift, loading, trapgeometry
 
@@ -128,8 +125,6 @@ def _study_point(case: dict) -> dict:
 def _propagate(case: dict) -> dict:
     """The four-level state evolved from the post-emission state of the
     steady state (``FourLevelLiouvillian.propagate``) at each delay."""
-    import math
-
     import numpy as np
     from singleatom import bloch
     from singleatom.bloch.four_level import post_emission_state
@@ -219,7 +214,7 @@ def _library_differences(old: dict, new: dict, rel: float) -> list[str]:
         a, b = old["values"].get(name), new["values"].get(name)
         if a is None or b is None:
             found.append(f"{name}: {'new' if a is None else 'removed'}")
-        elif a != b and _relative(a, b) > rel:
+        elif a != b and (rel == 0 or _relative(a, b) > rel):
             found.append(f"{name}: {a} -> {b}, relative change {_relative(a, b):.3g}")
     for name in sorted(set(old["arrays"]) | set(new["arrays"])):
         a, b = old["arrays"].get(name), new["arrays"].get(name)
