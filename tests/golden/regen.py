@@ -9,8 +9,8 @@ the JSON config that it reads as ``config.json``) through
 stdout, stderr and the files it wrote to ``expected.json``.  An output of
 more than ``MAX_ROWS`` lines is stored as its sha256 and line count.
 
-A library case (``"library"``: ``study-point`` or ``propagate``) calls the
-numpy half of the package on the parameters stored with it and writes the
+A library case (``"library"``: ``study-point``, ``propagate`` or
+``stirap``) calls the numpy half of the package on the parameters stored with it and writes the
 ``repr`` of each scalar output and, for each array, the sha256 and count of
 the ``repr`` of its values with two sums a tolerance can compare: the
 values' ``fsum`` and the ``fsum`` of each value times its index.
@@ -137,7 +137,26 @@ def _propagate(case: dict) -> dict:
     return {"values": {}, "arrays": {"states": _array(states)}}
 
 
-LIBRARY = {"study-point": _study_point, "propagate": _propagate}
+def _stirap(case: dict) -> dict:
+    """One STIRAP transfer (``coherent.stirap_evolve``) under a sin^2 pulse
+    pair, from |b> or from the ``initial`` amplitudes on (i|a>, |b>, |c>),
+    stored as [re, im] pairs."""
+    import numpy as np
+    from singleatom import coherent
+
+    delay = case["delay_us"]
+    schedule = coherent.PulseSchedule.sin2_pair(
+        peak=case["peak_per_us"] * 1e6, duration=case["duration_us"] * 1e-6,
+        delay=None if delay is None else delay * 1e-6, order=case["order"])
+    initial = (np.array([complex(*pair) for pair in case["initial"]]) if "initial" in case
+               else coherent.ground_start())
+    result = coherent.stirap_evolve(schedule, initial, loss_gamma=case["loss_per_us"] * 1e6)
+    return {"values": {name: repr(getattr(result, name)) for name in
+                       ("efficiency", "norm_leak", "scattered", "magnus_steps", "step_norm")},
+            "arrays": {}}
+
+
+LIBRARY = {"study-point": _study_point, "propagate": _propagate, "stirap": _stirap}
 
 
 def run_case(case: dict, directory: pathlib.Path) -> dict:
