@@ -43,9 +43,15 @@ __all__ = [
 # (160 /us, loss 3 /us, delay 0.3).
 _MAGNUS_STEP = 0.4
 _STEPS_PER_PULSE = 400
-# Magnus steps per magnus6 call: the trajectory held at once stays below
-# 0.5 MB however many steps the pulses need
-_STEPS_PER_CALL = 4096
+# Magnus steps per magnus6 call, the one bound on a propagation's memory: a
+# call holds a few (1024, 3, 3) stacks of 74 kB however many steps the
+# pulses need, and the lossy STIRAP call of a lib-sweep point, 480-527 real
+# 3x3 steps, is one call (calls of 128/256/512/1024/2048 steps:
+# 1.21/1.02/0.91/0.89/0.89 ms per lib-sweep transfer, medians of 40
+# interleaved rounds over the 24 points of the seed 1 and 2 decks on one
+# core of a 2-vCPU VM; 512 splits the transfers of more than 512 steps in
+# two)
+_STEPS_PER_CALL = 1024
 # Magnus steps of one stirap_evolve, at most: about 15 s of propagation (a
 # lib-sweep point takes about 500)
 _MAX_STEPS = 10**7

@@ -43,14 +43,6 @@ ATOL = 1e-12
 # bounds its array of terms to modes x _CHUNK floats, 128 kB for the 16
 # modes of the four-level model, whatever the grid length
 _CHUNK = 1024
-# steps per block of magnus6: the lossy STIRAP call of a lib-sweep point,
-# 483-521 real 3x3 steps on the grid aligned with the pulse edges, is one
-# block (blocks of 128/256/512/1024/2048 steps: 1.21/1.02/0.91/0.89/0.89 ms
-# per call, medians of 40 interleaved rounds over the 24 points of the
-# seed 1 and 2 decks on one core of a 2-vCPU VM; 512 splits the calls of
-# more than 512 steps in two); a block's temporaries are a few (1024, 3, 3)
-# stacks of 74 kB
-_MAGNUS_BLOCK = 1024
 _EPS = np.finfo(float).eps / 2.0  # unit roundoff
 _SQRT15 = math.sqrt(15.0)
 
@@ -312,22 +304,21 @@ def magnus6(basis, coefficients, y0, t_grid) -> np.ndarray:
     with ``basis`` the stack (m, d, d) of the B_i and ``coefficients(t)``
     mapping a 1-D array of times to the real weights f_i(t), shape
     (len(t), m).  Each interval takes the step exp(Omega) of
-    ``_magnus_exponents``.  The steps of a block of ``_MAGNUS_BLOCK``
-    intervals are multiplied by a work-efficient tree scan, and the state is
-    carried from block to block.  Everything is computed in the dtype of
+    ``_magnus_exponents``, and all the steps are multiplied by one
+    work-efficient tree scan.  Everything is computed in the dtype of
     ``basis`` and ``y0`` together: real for a real basis and state, complex
     if either is.  Returns the array of shape (len(t_grid), d); ``t_grid``
     must be nondecreasing and start at the initial time, and the first row
     holds ``y0``.  The accuracy is set by the grid: the caller chooses h
-    small against 1/||A||.
+    small against 1/||A||.  The call holds a few (len(t_grid), d, d) stacks
+    at once, so the caller bounds the grid.
     """
     t_grid = _checked_grid(t_grid)
     y0 = np.asarray(y0)
     exponents = _magnus_exponents(basis, coefficients, t_grid)
     out = np.empty((len(t_grid), len(y0)), dtype=np.result_type(exponents, y0))
     out[0] = y0
-    for start in range(0, len(exponents), _MAGNUS_BLOCK):
-        steps = _expm(exponents[start:start + _MAGNUS_BLOCK])
-        before = _prefix_states(steps, out[start])
-        out[start + 1:start + 1 + len(steps)] = np.einsum("nij,nj->ni", steps, before)
+    if len(exponents):
+        steps = _expm(exponents)
+        out[1:] = np.einsum("nij,nj->ni", steps, _prefix_states(steps, out[0]))
     return out

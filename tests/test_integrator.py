@@ -7,7 +7,6 @@ from scipy.linalg import eig, expm
 
 from singleatom.integrator import (
     _CHUNK,
-    _MAGNUS_BLOCK,
     _MIN_OVERLAP,
     IntegrationError,
     _eigen_expansion,
@@ -283,10 +282,10 @@ def constant(times):
 
 
 def test_magnus6_exact_for_constant_generator():
-    # A constant: every step is exp(h A) and the commutators vanish; the
-    # grid spans several blocks of the tree product.  A complex A, and a
-    # real one with a real and a complex state: the trajectory takes the
-    # dtype of A and y0 together
+    # A constant: every step is exp(h A) and the commutators vanish, on a
+    # grid of 2499 steps in one tree scan.  A complex A, and a real one with
+    # a real and a complex state: the trajectory takes the dtype of A and y0
+    # together
     rng = np.random.default_rng(2)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     t = np.linspace(0.0, 2.0, 2500)
@@ -375,12 +374,12 @@ def test_prefix_states_match_sequential_product(n):
         y = step @ y
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, _MAGNUS_BLOCK - 1, _MAGNUS_BLOCK,
-                               _MAGNUS_BLOCK + 1, 2500])
-def test_magnus6_blocks_match_sequential_steps(n):
-    # the blocked tree product against one magnus6 call per interval: odd
-    # tails, block boundaries and the state carried across blocks.  A complex
-    # basis, and a real one with a real and a complex state
+@pytest.mark.parametrize("n", [1, 2, 3, 1023, 1024, 1025, 2500])
+def test_magnus6_scan_matches_one_call_per_step(n):
+    # the tree scan over the whole grid against one magnus6 call per
+    # interval: odd tails of the scan's levels, and grids about the 1024-step
+    # calls of stirap_evolve.  A complex basis, and a real one with a real
+    # and a complex state
     rng = np.random.default_rng(7)
     h = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
     unitary = -1j * (h + h.conj().transpose(0, 2, 1))
