@@ -301,9 +301,7 @@ SPECS = {
            Flag("points", "int", default=801, check=(2, MAX_POINTS)),
            Flag("env-a", required=("model", "full"), check="nonnegative"),
            Flag("env-tau-us", required=("model", "full"), check="positive"),
-           Flag("trap-power-mw", check="positive"),
-           Flag("trap-waist-um", check="positive"),
-           Flag("trap-wavelength-nm", default=856.0, check="positive"),
+           *(f._replace(name=f"trap-{f.name}", required=False) for f in _TRAP_BEAM),
            Flag("kinetic-uk", default=100.0, check="nonnegative")),
     "stirap": (run_stirap, "cli_readout",
                Flag("alpha-deg", "grid", required=True,
@@ -484,7 +482,8 @@ def _config_value(key: str, value, flag: Flag):
 
 
 def _config_defaults(path: str, flags) -> dict:
-    """The JSON config's values by flag dest, each as its flag would hold it."""
+    """The JSON config's values by flag dest, each as its flag would hold it;
+    a null is a flag not given, as the ``--metadata`` sidecar writes one."""
     import json
 
     try:
@@ -500,7 +499,8 @@ def _config_defaults(path: str, flags) -> dict:
         flag = by_dest.get(key.replace("-", "_"))
         if flag is None:
             raise ValidationError(f"unknown config key {key!r}")
-        defaults[flag.dest] = _config_value(key, value, flag)
+        if value is not None:
+            defaults[flag.dest] = _config_value(key, value, flag)
     return defaults
 
 

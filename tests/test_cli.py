@@ -1162,7 +1162,6 @@ class TestConfigFile:
     @pytest.mark.parametrize("scenario,values,key", [
         ("trap", {"power_mw": "44 mW", "waist_um": 3.5}, "power_mw"),
         ("trap", {"power_mw": [44], "waist_um": 3.5}, "power_mw"),
-        ("trap", {"power_mw": None, "waist_um": 3.5}, "power_mw"),
         ("trap", {"power_mw": True, "waist_um": 3.5}, "power_mw"),
         ("trap", {"power_mw": 10**400, "waist_um": 3.5}, "power_mw"),
         ("trap", {"power_mw": 44, "waist_um": 3.5, "metadata": "yes"}, "metadata"),
@@ -1170,7 +1169,7 @@ class TestConfigFile:
         ("stirap", {"alpha_deg": 0}, "alpha_deg"),
         ("magic", {"bracket_um": [1.2, "x"]}, "bracket_um"),
         ("magic", {"bracket_um": "1.2"}, "bracket_um"),
-    ], ids=["unparsable", "list", "null", "bool", "huge-int", "switch", "float-int",
+    ], ids=["unparsable", "list", "bool", "huge-int", "switch", "float-int",
             "number-for-string", "bracket-element", "bracket-string"])
     def test_type_mismatch_named(self, tmp_path, capsys, scenario, values, key):
         config = tmp_path / "run.json"
@@ -1181,6 +1180,21 @@ class TestConfigFile:
         assert err.startswith("validation: ") and err.count("\n") == 1
         assert key in err
         assert not out.exists()
+
+    def test_null_is_a_flag_not_given(self, tmp_path, capsys):
+        # the sidecar writes an unset flag as null, so a null reads as the
+        # flag's absence: a required flag is missing, an optional one keeps
+        # its default
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"power_mw": None, "waist_um": 3.5}))
+        code, out = run(tmp_path, ["trap", "--config", str(config)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == "validation: missing required key --power-mw\n"
+        assert not out.exists()
+        config.write_text(json.dumps({"power_mw": 44, "waist_um": 3.5, "wavelength_nm": None}))
+        _, from_file = run(tmp_path, ["trap", "--config", str(config)], "a.csv")
+        _, plain = run(tmp_path, ["trap", "--power-mw", "44", "--waist-um", "3.5"], "b.csv")
+        assert from_file.read_bytes() == plain.read_bytes()
 
     def test_sidecar_holds_a_config_number_as_its_flag(self, tmp_path):
         # a JSON integer for a float flag is held as the command line's float

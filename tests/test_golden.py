@@ -1,7 +1,8 @@
 """Every command of the golden corpus (``tests/golden``) exits and prints
 what the corpus holds, byte for byte: exit code, stdout, stderr, the CSV and
 the sidecar.  ``tests/golden/regen.py`` rewrites the corpus and counts the
-printed values a change moved.
+printed values a change moved.  Every sidecar of the corpus replays: its
+``parameters`` as a ``--config`` file give the same CSV and parameters.
 
 Only ``spectrum-fit`` and the library cases (the lib-sweep study points and
 one four-level propagation) compute with numpy.  Under a numpy version other
@@ -11,6 +12,7 @@ other scenario runs on the standard library.
 """
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -41,3 +43,24 @@ def test_output_matches_corpus(case, tmp_path):
     else:
         assert got == expected, (regen.differences(expected, got),
                                  f"corpus recorded under Python {CORPUS['python']}")
+
+
+# the rows that write a --metadata sidecar, from the flag or from their config
+SIDECAR_CASES = [case for case in CASES if any(
+    name.endswith(".meta.json") for name in CORPUS["cases"][case["id"]].get("files", {}))]
+
+
+@pytest.mark.parametrize("case", SIDECAR_CASES, ids=[case["id"] for case in SIDECAR_CASES])
+def test_sidecar_replays(case, tmp_path):
+    # the sidecar's parameters, written as the config of the scenario's plain
+    # line, give the same CSV bytes and the same parameters
+    (tmp_path / "run").mkdir()
+    (tmp_path / "replay").mkdir()
+    first = regen.run_case(case, tmp_path / "run")
+    out = case["argv"][case["argv"].index("--out") + 1]
+    parameters = json.loads(first["files"][f"{out}.meta.json"])["parameters"]
+    replay = regen.run_case({"argv": [case["argv"][0], "--config", "config.json", "--out", out,
+                                      "--metadata"], "config": parameters}, tmp_path / "replay")
+    assert replay["exit"] == 0, replay["stderr"]
+    assert replay["files"][out] == first["files"][out]
+    assert json.loads(replay["files"][f"{out}.meta.json"])["parameters"] == parameters
