@@ -25,8 +25,8 @@ commutators (``_magnus_exponents``), the steps are exponentiated as a stack
 work-efficient tree scan (``_prefix_states``), all in the dtype of the B_i
 and the state, so a real generator and state propagate in float64.  A
 general nonlinear ODE runs through scipy's adaptive embedded Runge-Kutta
-4(5) integrator at rtol 1e-9, atol 1e-12 (``integrate``); no module of the
-package calls it any more.
+4(5) integrator at rtol 1e-9, atol 1e-12 (``integrate``), which stays only
+because the benchmark's tracer (``perfbench/tracer.py``) wraps it as a span.
 """
 
 import math
@@ -71,9 +71,8 @@ def integrate(f, y0, t_grid) -> np.ndarray:
     the solution on ``t_grid``.
 
     Returns an array of shape (len(t_grid), len(y0)).  ``t_grid`` must be
-    nondecreasing and start at the initial time.  The package no longer
-    calls it (the mean-number loading ODE was its last caller); the
-    benchmark's tracer still names it as a span.
+    nondecreasing and start at the initial time.  The benchmark's tracer
+    requires its span; it goes when the tracer no longer names it.
     """
     from scipy.integrate import solve_ivp
 
