@@ -10,10 +10,11 @@ stdout, stderr and the files it wrote to ``expected.json``.  An output of
 more than ``MAX_ROWS`` lines is stored as its sha256 and line count.
 
 A library case (``"library"``: ``study-point``, ``propagate`` or
-``stirap``) calls the numpy half of the package on the parameters stored with it and writes the
-``repr`` of each scalar output and, for each array, the sha256 and count of
-the ``repr`` of its values with two sums a tolerance can compare: the
-values' ``fsum`` and the ``fsum`` of each value times its index.
+``stirap``) calls the numpy half of the package on the parameters stored
+with it and writes the ``repr`` of each scalar output and, for each array,
+the sha256 and count of the ``repr`` of its values with two sums a
+tolerance can compare: the values' ``fsum`` and the ``fsum`` of each value
+times its index.
 
 For each output that differs from the stored corpus it prints the number of
 changed printed values and the largest relative change, and then the count

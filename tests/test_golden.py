@@ -4,11 +4,11 @@ the sidecar.  ``tests/golden/regen.py`` rewrites the corpus and counts the
 printed values a change moved.  Every sidecar of the corpus replays: its
 ``parameters`` as a ``--config`` file give the same CSV and parameters.
 
-Only ``spectrum-fit`` and the library cases (the lib-sweep study points and
-one four-level propagation) compute with numpy.  Under a numpy version other
-than the corpus's their outputs are compared at ``NUMPY_TOLERANCE``
-relative, the arrays by their count and sums, and a failure says so; every
-other scenario runs on the standard library.
+Only ``spectrum-fit`` and the library cases (the lib-sweep study points,
+one four-level propagation and the STIRAP transfers) compute with numpy.
+Under a numpy version other than the corpus's their outputs are compared at
+``NUMPY_TOLERANCE`` relative, the arrays by their count and sums, and a
+failure says so; every other scenario runs on the standard library.
 """
 
 import importlib.util
